@@ -1,4 +1,4 @@
-"""Seeded input generators for the four workloads.
+"""Seeded input generators for the three workloads.
 
 Only the standard library is used here, so run.py can generate and
 write every config before any process imports tunnelkit.  Each generator
@@ -82,19 +82,23 @@ def _sextic_barrier(q1):
     return f(0.5 * (lo + hi))
 
 
-def sextic(rng, depth):
+def sextic(rng, depth, ratio=None, tilt=None):
     """Asymmetric sextic: omega_R / omega_L in [1, 1.3], small positive tilt.
 
     V''(-1) = 8 s (Q0 + Q2 - q1), so omega_L = sqrt(8 s (1 - q1)) and
     D = sqrt(s) V_max / sqrt(8 (1 - q1)) fixes the overall scale s.  The
-    tilt t (x + 1) raises the right floor by about 2 t.
+    tilt t (x + 1) raises the right floor by about 2 t.  ``ratio`` and
+    ``tilt`` (a share of the tilt range in [0, 1]) are drawn when not given.
     """
-    ratio = rng.uniform(1.0, 1.3)
+    if ratio is None:
+        ratio = rng.uniform(1.0, 1.3)
+    if tilt is None:
+        tilt = rng.random()
     q1 = (ratio * ratio - 1.0) / (ratio * ratio + 1.0) * (_Q0 + _Q2)
     vmax = _sextic_barrier(q1)
     s = (depth * math.sqrt(8.0 * (1.0 - q1)) / vmax) ** 2
     omega_l = math.sqrt(8.0 * s * (1.0 - q1))
-    te = omega_l * rng.uniform(0.0, 0.9 * EPS_MAX - 0.5 * (ratio - 1.0))
+    te = omega_l * tilt * (0.9 * EPS_MAX - 0.5 * (ratio - 1.0))
     t = 0.5 * te
     base = (_Q0, q1, _Q2 - 2.0 * _Q0, -2.0 * q1, _Q0 - 2.0 * _Q2, q1, _Q2)
     coeffs = [s * c for c in base]
@@ -131,56 +135,52 @@ def wells(seed, n):
     return docs
 
 
-def _sweep_block(omega_l, rng):
+def _sweep_block(omega_l, span):
+    """41 steps from tilde_eps = 0 up to 0.05 - 0.15 hbar omega_L (``span`` in [0, 1])."""
     return {
         "parameter": "tilde_eps",
         "from": 0.0,
-        "to": rng.uniform(0.05, 0.15) * omega_l,
+        "to": (0.05 + 0.1 * span) * omega_l,
         "steps": SWEEP_STEPS,
     }
-
-
-def asymmetric_quartic(rng, depth, bias_frac, max_ratio):
-    """Polynomial alpha (x^2 - a^2)^2 + c (x^3 - a^2 x) + beta (x + a).
-
-    The cubic term vanishes at x = -a, 0, a and sets
-    (omega_R / omega_L)^2 = (8 alpha a^2 + 6 c a) / (8 alpha a^2 - 6 c a);
-    beta tilts the right floor up by about 2 a beta.
-    """
-    pot, _ = quartic(rng, depth, bias_frac)
-    alpha, a, beta = pot["alpha"], pot["a"], pot["beta"]
-    r2 = rng.uniform(1.0, max_ratio) ** 2
-    c = 8.0 * alpha * a * a * (r2 - 1.0) / (6.0 * a * (r2 + 1.0))
-    coeffs = [alpha * a**4 + beta * a, beta - c * a * a, -2.0 * alpha * a * a, c, alpha]
-    omega_l = math.sqrt(8.0 * alpha * a * a - 6.0 * c * a)
-    return {"family": "polynomial", "coeffs": coeffs}, omega_l
-
-
-# Sweep shapes carry a small tilt of their own, 0.01 to 0.05 hbar omega_L,
-# and omega_R / omega_L <= 1.05.  Then the first root bracket of every
-# dialed point, about E_bar - 5 eps, stays above the shape's right floor:
-# omega ((1 + r) / 4 - 2.5 (r - 1)) > 5.5 tilde_eps holds with room.
-SWEEP_TILT = (0.01, 0.05)
-SWEEP_MAX_RATIO = 1.05
 
 
 def bias_sweeps(seed, n):
     """``n`` sweeps of 41 points from tilde_eps = 0, no oracle grid.
 
-    Shapes alternate between a biased quartic and an asymmetric quartic
-    polynomial (a slower sweep), all ``SWEEP_DEPTH`` spacings deep.
+    Shapes alternate between a biased quartic and an asymmetric sextic,
+    ``SWEEP_DEPTH`` spacings deep, from the same small-bias regime as
+    ``wells``, each with its own natural bias (omega_R / omega_L up to 1.3
+    for the sextic).  The sweep starts below that bias, where dialing meets
+    the ``_dial_bias`` defect for part of the shapes; those ops fail and
+    count (see README.md).
+
+    The bias, frequency ratio, tilt and sweep span decide which sweeps meet
+    the defect, and the depth sets the cost of a sweep.  They sit on a
+    fixed design over their full ranges: shape j of the m of a family
+    takes the centre of stratum j of the bias, ratio and tilt ranges, and
+    of stratum j + m/2 (span) and j + 2 (depth, drawn within it), modulo m.
+    The seed draws the depth within its stratum, the scale and the order
+    of the shapes, so every round holds the same mix of shapes and of
+    failing shapes, and the work of a round is alike from seed to seed.
     """
     rng = random.Random(f"bias_sweep:{seed}")
+    m = (n + 1) // 2
     docs = []
-    for i in range(n):
-        depth = rng.uniform(*SWEEP_DEPTH)
-        tilt = rng.uniform(*SWEEP_TILT)
-        if i % 2 == 0:
-            pot, geo = quartic(rng, depth, tilt)
-            omega_l = geo["omega"]
-        else:
-            pot, omega_l = asymmetric_quartic(rng, depth, tilt, SWEEP_MAX_RATIO)
-        docs.append(_doc(pot, sweep=_sweep_block(omega_l, rng)))
+    for j in rng.sample(range(m), m):
+        for family in (0, 1):
+            if len(docs) == n:
+                break
+            u = ((j + 2) % m + rng.random()) / m
+            depth = SWEEP_DEPTH[0] + u * (SWEEP_DEPTH[1] - SWEEP_DEPTH[0])
+            share = (j + 0.5) / m
+            span = ((j + m // 2) % m + 0.5) / m
+            if family == 0:
+                pot, geo = quartic(rng, depth, share * 0.75 * EPS_MAX)
+                omega_l = geo["omega"]
+            else:
+                pot, omega_l = sextic(rng, depth, ratio=1.0 + 0.3 * share, tilt=share)
+            docs.append(_doc(pot, sweep=_sweep_block(omega_l, span)))
     return docs
 
 
@@ -245,33 +245,3 @@ def twin(doc, k):
     out = dict(doc)
     out["potential"] = pot
     return out
-
-
-CLI_COMMANDS = ("analyze", "sweep", "oracle", "compare")
-CLI_SWEEP_STEPS = 11
-CLI_GRID_POINTS = 2001
-
-
-def cli_ops(seed, n):
-    """``n`` (command, config) pairs cycling analyze, sweep, oracle, compare."""
-    rng = random.Random(f"cli:{seed}")
-    ops = []
-    for i in range(n):
-        command = CLI_COMMANDS[i % len(CLI_COMMANDS)]
-        depth = rng.uniform(*ORACLE_DEPTH)
-        bias = rng.uniform(*SWEEP_TILT) if command == "sweep" else rng.uniform(0.0, 0.75 * EPS_MAX)
-        pot, geo = quartic(rng, depth, bias)
-        blocks = {}
-        if command == "sweep":
-            blocks["sweep"] = _sweep_block(geo["omega"], rng)
-            blocks["sweep"]["steps"] = CLI_SWEEP_STEPS
-        elif command in ("oracle", "compare"):
-            lo, hi = _quartic_walls(geo, 1.2 * 10.5 * geo["omega"])
-            blocks["oracle_grid"] = {
-                "x_min": lo,
-                "x_max": hi,
-                "n_points": CLI_GRID_POINTS,
-                "richardson": True,
-            }
-        ops.append((command, _doc(pot, **blocks)))
-    return ops

@@ -12,8 +12,9 @@ The hot leaves in ``COUNTED`` and the dependency entry point only bump
 counters: a span per scalar ``v(x)`` call would cost more than the call.
 
 Spans are kept in memory and turned into per-layer metrics by
-``layer_metrics``.  Counters live in one dict per thread, merged at the
-end, so the sweep pool's threads never race on a shared counter.  A
+``layer_metrics``.  Counters live in one dict per thread, merged when each
+op ends, so the sweep pool's threads never race on a shared counter and
+the figures of chosen ops can be left out.  A
 thread with no open span of its own (a pool worker) parents its spans on
 the innermost open span of the thread that started the op.
 """
@@ -60,6 +61,7 @@ class Tracer:
         self._ids = itertools.count(1)
         self._local = threading.local()
         self._all_counts = []
+        self._op_counts = {}  # op id (None outside ops) -> counters
         self._counts_lock = threading.Lock()
         self._main_stack = None
         self._patches = []  # (setter, original, wrapped)
@@ -265,31 +267,29 @@ class Tracer:
         t1 = time.perf_counter()
         self._state().stack.pop()
         self.spans.append((sid, "op", None, self.op_id, t0, t1))
+        self._close(self.op_id)
         self._main_stack = None
         self.op_id = None
 
-    def take(self):
-        """Return (spans, counters) recorded so far and start afresh."""
-        spans, self.spans = self.spans, []
+    def _close(self, op_id):
+        # Book the counters gathered since the last close to ``op_id``.  An
+        # op has returned, so the sweep pool's threads are idle by now.
         with self._counts_lock:
-            counts = merge_counts(self._all_counts)
+            counts = merge_counts([self._op_counts.get(op_id, {})] + self._all_counts)
+            self._op_counts[op_id] = counts
             for c in self._all_counts:
                 c.clear()
-        return spans, counts
 
-    def add_foreign(self, spans, counts, op_id):
-        """Merge spans and counters recorded in a child process under ``op_id``.
+    def take(self, drop=()):
+        """Return (spans, counters) recorded so far and start afresh.
 
-        Child ids are renumbered; child roots hang under the open op span.
+        Spans and counters of the ops in ``drop`` are left out.
         """
-        parent = self._state().stack[-1] if self._state().stack else None
-        remap = {}
-        for sid, *_ in spans:
-            remap[sid] = next(self._ids)
-        for sid, name, par, _, t0, t1 in spans:
-            self.spans.append((remap[sid], name, remap.get(par, parent), op_id, t0, t1))
-        local = self._state().counts
-        local.update(merge_counts([local, counts]))
+        self._close(None)
+        spans = [s for s in self.spans if s[3] not in drop]
+        counts = merge_counts([c for op, c in self._op_counts.items() if op not in drop])
+        self.spans, self._op_counts = [], {}
+        return spans, counts
 
 
 def merge_counts(dicts):
