@@ -10,7 +10,9 @@ only those files.  The workload itself runs in a fresh process
 (``worker.py``), one client in a closed loop.
 
 ``--trace 0`` prints the end-to-end metrics, ``--trace 1`` the per-layer
-metrics of a separate traced run.  Human-readable lines come first; the
+metrics of a separate traced run.  Every time ``--trace 0`` reports is
+scaled to the nominal speed of a reference kernel timed next to it
+(``reference.py``), since the host's own speed drifts by up to 2x.  Human-readable lines come first; the
 last line of stdout is one JSON object with the keys ``correct``,
 ``attempted``, ``failed`` and ``metrics``.  ``failed`` counts every op
 that raised or failed its output check; ``correct`` is false, and the exit
@@ -34,22 +36,29 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 
 import inputs  # noqa: E402
+import reference  # noqa: E402
 
 WORKLOADS = ("wells", "bias_sweep", "oracle")
 # A timed run repeats one round of ROUND_SIZE distinct inputs a fixed
 # number of times: ROUNDS_PER_SECOND * --seconds rounds, set so that the
 # seed commit needs about --seconds for them.  Round r runs twin r of each
-# input (the same well, scaled by 1 + r * 1e-9), and each input's latency
-# is the fastest of its twins.  Every commit thus takes the same number of
-# samples.  A run stops early, after whole rounds, once CEILING * --seconds
-# have passed.  Rounds are whole cycles of each workload's input mix.
+# input (the same well, scaled by 1 + r * 1e-9).  Each op's latency is
+# scaled to the nominal speed of the workload's reference kernel, timed
+# around its round (around each op on bias_sweep), and each input's
+# latency is the median of its twins.
+# Every commit thus takes the same number of samples.  A run stops early,
+# after whole rounds, once CEILING * --seconds have passed.  Rounds are
+# whole cycles of each workload's input mix.
 ROUND_SIZE = {"wells": 24, "bias_sweep": 6, "oracle": 8}
-ROUNDS_PER_SECOND = {"wells": 2.4, "bias_sweep": 0.45, "oracle": 1.8}
-CEILING = 1.3
+ROUNDS_PER_SECOND = {"wells": 2.2, "bias_sweep": 0.45, "oracle": 1.6}
+CEILING = 1.15
 # Traced runs execute a fixed op count (so counts repeat exactly), scaled
 # with --seconds and rounded up to whole rounds.
 TRACE_OPS_PER_SECOND = {"wells": 6, "bias_sweep": 0.5, "oracle": 2}
 SETUP_PROBES = 4  # fresh set-up-only processes before the run and again after it
+# Set-up is mostly Python importing modules: each probe is scaled by the
+# python reference kernel, timed before it and after it.
+SETUP_REFERENCE_PASSES = 3
 IMPORT_PROBES = 3
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 CHILD_TIMEOUT_S = 170
@@ -107,6 +116,18 @@ def _run_child(argv, env):
     return json.loads(out.strip().splitlines()[-1])
 
 
+def _setup_samples(probe, env, ref):
+    """Set-up times of SETUP_PROBES fresh processes, scaled to nominal speed."""
+    samples = []
+    before = ref.time()
+    for _ in range(SETUP_PROBES):
+        setup_s = _run_child(probe, env)["setup_s"]
+        after = ref.time()
+        samples.append(setup_s * ref.nominal / (0.5 * (before + after)))
+        before = after
+    return samples
+
+
 def _wall(argv, env):
     t0 = time.perf_counter()
     subprocess.run([sys.executable] + argv, env=env, check=True, timeout=CHILD_TIMEOUT_S, stdout=subprocess.DEVNULL)
@@ -123,7 +144,7 @@ def _quantile(sorted_vals, q):
 
 def _end_to_end(res, setup_samples):
     # inputs that failed in every round have no latency; error_rate shows them
-    lats = sorted(t for t in res["best_latencies_s"] if math.isfinite(t))
+    lats = sorted(t for t in res["latencies_s"] if math.isfinite(t))
     if not lats:
         raise RuntimeError("every input failed in every round; no latency to report")
     return {
@@ -163,6 +184,7 @@ def _provenance(args, res, env):
         "rounds": res["rounds"],
         "elapsed_s": res["elapsed_s"],
         "wall_ops_per_s": res["completed"] / res["elapsed_s"],
+        "reference": res.get("reference"),
     }
 
 
@@ -189,12 +211,12 @@ def main():
         _write_inputs(args.workload, args.seed, workdir)
         if args.trace == 0:
             probe = worker + ["--mode", "setup"]
-            setup = [_run_child(probe, env)["setup_s"] for _ in range(SETUP_PROBES)]
             rounds = max(1, round(ROUNDS_PER_SECOND[args.workload] * args.seconds))
             ceiling = CEILING * args.seconds
-            res = _run_child(worker + ["--rounds", str(rounds), "--ceiling", str(ceiling)], env)
-            setup.append(res["setup_s"])
-            setup += [_run_child(probe, env)["setup_s"] for _ in range(SETUP_PROBES)]
+            with reference.Reference("python", SETUP_REFERENCE_PASSES) as ref:
+                setup = _setup_samples(probe, env, ref)
+                res = _run_child(worker + ["--rounds", str(rounds), "--ceiling", str(ceiling)], env)
+                setup += _setup_samples(probe, env, ref)
             metrics = _end_to_end(res, setup)
             correct = res["unexplained"] == 0
         else:

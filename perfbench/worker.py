@@ -6,9 +6,11 @@ Started by ``run.py`` with ``PYTHONPATH`` pointing at the checkout's
 ``--mode setup`` stops once the first op is ready and reports only the
 set-up time (``run.py`` starts several such processes per run).
 ``--mode run`` with ``--trace 0`` runs a fixed number of rounds back to
-back and reports latencies.  With ``--trace 1`` it runs a fixed number of
-ops three times: untraced, traced, traced again; the two traced passes
-must give identical counts.
+back, timing the workload's reference kernel (``reference.py``) before
+each round (each op on ``bias_sweep``) and after the last, and reports
+latencies scaled to the reference's nominal speed.  With ``--trace 1`` it
+runs a fixed number of ops three times: untraced, traced, traced again;
+the two traced passes must give identical counts.
 """
 
 import time
@@ -20,6 +22,7 @@ import json  # noqa: E402
 import math  # noqa: E402
 import os  # noqa: E402
 import resource  # noqa: E402
+import statistics  # noqa: E402
 import sys  # noqa: E402
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -34,6 +37,10 @@ ORACLE_BUDGET = 0.10  # closed formula vs eigensolver, wells >= 3.3 spacings
 ORACLE_MIN_DEPTH = 3.3
 MAX_FAILURE_NOTES = 5
 MIN_ROUNDS = 2
+# The reference kernel that does each workload's kind of work, how many
+# ops run between two timings of it (a whole round of the short ops), and
+# how many passes of the kernel one timing takes.
+REFERENCE = {"wells": ("python", 24, 1), "bias_sweep": ("python", 1, 3), "oracle": ("lapack", 8, 1)}
 
 # Failures traced to a named defect of the package that predates the
 # benchmark: (workload, exception type, message fragment, defect).  They
@@ -218,25 +225,37 @@ class Workload:
             self._one(i, outs, errors, traced)
         return outs, errors, time.perf_counter() - start
 
-    def run_rounds(self, rounds, ceiling):
+    def run_rounds(self, rounds, ceiling, reference_s, nominal, every):
         """``rounds`` whole rounds back to back, fewer if ``ceiling`` seconds pass.
 
-        Returns (outputs, errors, best latency per input of a round, rounds
-        run, wall_s); ``outputs[i]`` is None and the latency inf where op i
-        raised.
+        ``reference_s()`` times the reference kernel once; it runs first
+        and after every ``every`` ops.  Each op's latency is scaled by
+        ``nominal`` over the mean of the two reference times around it.
+        Returns (outputs, errors, per input of a round the median of its
+        scaled latencies, rounds run, reference times, wall_s);
+        ``outputs[i]`` is None where op i raised, and an input with no
+        completed op has latency inf.
         """
         k = self.round_size
         outs, errors = [], {}
-        best = [math.inf] * k
+        scaled = [[] for _ in range(k)]
+        refs = [reference_s()]
         start = time.perf_counter()
         done = 0
         while done < rounds:
-            for j in range(k):
-                best[j] = min(best[j], self._one(done * k + j, outs, errors, False))
+            for g in range(0, k, every):
+                group = range(g, min(g + every, k))
+                raw = [self._one(done * k + j, outs, errors, False) for j in group]
+                refs.append(reference_s())
+                factor = nominal / (0.5 * (refs[-2] + refs[-1]))
+                for j, t in zip(group, raw):
+                    if math.isfinite(t):
+                        scaled[j].append(t * factor)
             done += 1
             if done >= MIN_ROUNDS and time.perf_counter() - start >= ceiling:
                 break
-        return outs, errors, best, done, time.perf_counter() - start
+        medians = [statistics.median(v) if v else math.inf for v in scaled]
+        return outs, errors, medians, done, refs, time.perf_counter() - start
 
     def failures(self, outs, errors, rerun=True):
         """Failure notes by op: (text, known defect or None)."""
@@ -292,10 +311,21 @@ def main():
         rounds = max(args.rounds, MIN_ROUNDS)
         items += _twins(tk, args.workload, docs, rounds)
         work = Workload(args.workload, tk, cli, items, round_size, None)
-        outs, errors, best, done, wall = work.run_rounds(rounds, args.ceiling)
+        import reference  # after set-up is timed
+
+        kernel, every, passes = REFERENCE[args.workload]
+        with reference.Reference(kernel, passes) as ref:
+            outs, errors, lats, done, refs, wall = work.run_rounds(rounds, args.ceiling, ref.time, ref.nominal, every)
         result["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0  # KiB on Linux
         notes = work.failures(outs, errors)
-        result["best_latencies_s"] = best
+        result["latencies_s"] = lats
+        result["reference"] = {
+            "kernel": kernel,
+            "nominal_s": ref.nominal,
+            "median_s": statistics.median(refs),
+            "min_s": min(refs),
+            "max_s": max(refs),
+        }
         result["rounds"] = done
         attempted = len(outs)
     else:
