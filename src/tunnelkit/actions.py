@@ -90,14 +90,19 @@ def turning_points(spec, consts: PhysConstants, E: float, analysis: WellAnalysis
     def shifted(x):
         return analysis.v(float(x)) - E
 
+    # v(x_L) = 0 < E, but a dialed tilde_eps (a bias sweep on a fixed
+    # shape) can put the curve's own right floor above E: no crossing there.
+    if shifted(analysis.x_R) > 0.0:
+        raise EnergyBelowWellBottom(
+            f"E = {E:g} is below the right well floor "
+            f"{analysis.v(analysis.x_R):g} of the potential curve"
+        )
     a_bar = brentq(shifted, analysis.x_L, analysis.x_m, xtol=1e-15, rtol=8.9e-16)
     b_bar = brentq(shifted, analysis.x_m, analysis.x_R, xtol=1e-15, rtol=8.9e-16)
     return float(a_bar), float(b_bar)
 
 
-def _gamow_parts(spec, consts, E, analysis, rtol, min_depth):
-    analysis = _ensure_analysis(spec, consts, analysis)
-    a_bar, b_bar = turning_points(spec, consts, E, analysis)
+def _gamow_parts(consts, E, analysis, a_bar, b_bar, rtol, min_depth):
     m, hbar = consts.mass, consts.hbar
     v = analysis.v
 
@@ -115,7 +120,7 @@ def _gamow_parts(spec, consts, E, analysis, rtol, min_depth):
     i_r = adaptive_quadrature(
         right, 0.0, math.sqrt(b_bar - analysis.x_m), rtol=rtol, min_depth=min_depth
     ) / hbar
-    return i_l, i_r, a_bar, b_bar
+    return i_l, i_r
 
 
 def gamow_integral(
@@ -132,7 +137,9 @@ def gamow_integral(
     ``min_depth`` forces extra dyadic refinement beyond the convergence
     estimate (used by the refinement-stability tests).
     """
-    i_l, i_r, _, _ = _gamow_parts(spec, consts, E, analysis, rtol, min_depth)
+    analysis = _ensure_analysis(spec, consts, analysis)
+    a_bar, b_bar = turning_points(spec, consts, E, analysis)
+    i_l, i_r = _gamow_parts(consts, E, analysis, a_bar, b_bar, rtol, min_depth)
     return i_l + i_r
 
 
@@ -151,6 +158,10 @@ def action_slope(
     """
     analysis = _ensure_analysis(spec, consts, analysis)
     a_bar, b_bar = turning_points(spec, consts, E, analysis)
+    return _slope_integral(consts, E, analysis, a_bar, b_bar, rtol)
+
+
+def _slope_integral(consts, E, analysis, a_bar, b_bar, rtol):
     m, hbar = consts.mass, consts.hbar
     v = analysis.v
 
@@ -179,8 +190,9 @@ def evaluate_action(
     analysis = _ensure_analysis(spec, consts, analysis)
     if E is None:
         E = analysis.E_bar
-    i_l, i_r, a_bar, b_bar = _gamow_parts(spec, consts, E, analysis, rtol, 0)
-    slope = action_slope(spec, consts, E, analysis, rtol=rtol)
+    a_bar, b_bar = turning_points(spec, consts, E, analysis)
+    i_l, i_r = _gamow_parts(consts, E, analysis, a_bar, b_bar, rtol, 0)
+    slope = _slope_integral(consts, E, analysis, a_bar, b_bar, rtol)
     return ActionResult(
         E=float(E), a_bar=a_bar, b_bar=b_bar, I=i_l + i_r, I_slope=slope, I_L=i_l, I_R=i_r
     )

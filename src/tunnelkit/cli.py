@@ -6,8 +6,8 @@ CSV with a frozen schema.  Exit codes are a stable contract:
 
     0  success
     2  config error (bad file, bad schema, missing keys, bad sweep)
-    3  regime error (no double well, barrier too low, root not bracketed,
-       grid too coarse, domain too small)
+    3  regime error (no double well, barrier too low, energy below a
+       well floor, root not bracketed, grid too coarse, domain too small)
     4  numerical non-convergence or any other internal failure
 
 Every emitted document carries ``warn_flags``, machine-readable tokens
@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .actions import action_slope, evaluate_action, gamow_integral
+from .actions import evaluate_action, gamow_integral
 from .config import RunConfig, SCHEMA, load_config
 from .errors import (
     ConfigError,
@@ -362,8 +362,7 @@ def run_sweep(config: RunConfig):
     fit = FitResult(
         c0=float(np.exp(coef[0])), c1=float(coef[1]), c2=float(coef[2]), rms_residual=rms
     )
-    start_dial = _dial_bias(base, sweep.start)
-    slope = action_slope(spec, consts, start_dial.E_bar, start_dial, rtol=rtol)
+    slope = points[0][1].I_slope  # dI/dE at the start point's E_bar
     c1_analytic = (
         0.25
         * K_FIRST_ORDER

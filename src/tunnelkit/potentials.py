@@ -432,13 +432,14 @@ def analyze(
     v_lo = float(evaluate(spec, x_lo, consts))
     v_hi = float(evaluate(spec, x_hi, consts))
     if v_lo > v_hi and orient == "auto":
-        flipped = mirror(spec)
+        # "keep": with (nearly) equal floors, rounding can make the other
+        # floor look lower from either side; mirror at most once.
         return analyze(
-            flipped,
+            mirror(spec),
             consts,
             window=(-window[1], -window[0]),
             scan_points=scan_points,
-            orient="auto",
+            orient="keep",
             require_wkb=require_wkb,
         )
 

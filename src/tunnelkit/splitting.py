@@ -26,9 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
+from scipy.special import digamma
 
 from .actions import ActionResult, evaluate_action, gamow_integral
-from .errors import DomainError, OutOfSupportedRange, RootNotBracketed
+from .errors import DomainError, OutOfSupportedRange, RegimeError, RootNotBracketed
 from .potentials import DEFAULT_CONSTANTS, PhysConstants, WellAnalysis, analyze
 
 __all__ = [
@@ -63,6 +64,14 @@ _LANCZOS_COEFFS = (
 
 _GAMMA_LO = 0.25
 _GAMMA_HI = 2.5
+
+# Doublet formalism bound on |zeta|: the bracketed solve clamps f's
+# arguments to it and the Newton solve falls back when an iterate leaves it.
+_ZETA_CLAMP = 0.4
+_NEWTON_STEPS = 10
+# Root tolerance |E - root| <= _ROOT_XTOL + _ROOT_RTOL |E| of both solves.
+_ROOT_XTOL = 1e-15
+_ROOT_RTOL = 8.9e-16
 
 
 def _lanczos_core(z: float) -> float:
@@ -192,17 +201,62 @@ class QuantizationResult:
     residual_minus: float
 
 
-def solve_quantization(
-    spec,
-    consts: PhysConstants = DEFAULT_CONSTANTS,
-    *,
-    analysis: WellAnalysis | None = None,
-    action: ActionResult | None = None,
-    rtol: float = 1e-12,
-    max_expand: int = 60,
-) -> QuantizationResult:
-    """Solve zeta_L zeta_R = f(zeta_L) f(zeta_R) exp(-2 I(E)) for both
-    doublet roots.
+def _zetas(analysis: WellAnalysis, E: float):
+    # Excitation above each well's harmonic ground level: (zeta_L, zeta_R).
+    hbar = analysis.consts.hbar
+    return (
+        E / (hbar * analysis.omega_L) - 0.5,
+        (E - analysis.tilde_eps) / (hbar * analysis.omega_R) - 0.5,
+    )
+
+
+def _energy_window(analysis: WellAnalysis):
+    # Open energy interval (lo_lim, hi_lim) searched for the two roots.
+    e_bar = analysis.E_bar
+    floor = max(0.0, analysis.tilde_eps)
+    return floor + 1e-3 * (e_bar - floor), analysis.V0 - 1e-3 * (analysis.V0 - e_bar)
+
+
+def _dlnf(zeta: float) -> float:
+    # d(ln f)/dzeta = -pi tan(pi zeta) - psi(1 - zeta) + ln(zeta + 1/2).
+    return (
+        -math.pi * math.tan(math.pi * zeta)
+        - float(digamma(1.0 - zeta))
+        + math.log(zeta + 0.5)
+    )
+
+
+def _newton_root(spec, consts, analysis, E, lo, hi, rtol):
+    """Newton iteration on the quantization residual from E.
+
+    Returns (root, residual at the root), or None when an iterate leaves
+    (lo, hi) or |zeta| < 0.4, the action raises a RegimeError, or the
+    step has not settled after _NEWTON_STEPS iterates.
+    """
+    hbar = analysis.consts.hbar
+    dzl, dzr = 1.0 / (hbar * analysis.omega_L), 1.0 / (hbar * analysis.omega_R)
+    for _ in range(_NEWTON_STEPS):
+        zl, zr = _zetas(analysis, E)
+        if not (lo < E < hi and abs(zl) < _ZETA_CLAMP and abs(zr) < _ZETA_CLAMP):
+            return None
+        try:
+            act = evaluate_action(spec, consts, E, analysis, rtol=rtol)
+        except RegimeError:
+            return None
+        tail = f_of_zeta(zl) * f_of_zeta(zr) * math.exp(-2.0 * act.I)
+        res = zl * zr - tail
+        slope = dzl * zr + zl * dzr - tail * (
+            _dlnf(zl) * dzl + _dlnf(zr) * dzr - 2.0 * act.I_slope
+        )
+        step = res / slope
+        if abs(step) <= _ROOT_XTOL + _ROOT_RTOL * abs(E):
+            return E, res
+        E -= step
+    return None
+
+
+def _solve_bracketed(spec, consts, analysis, shifts, rtol, max_expand) -> QuantizationResult:
+    """Bracket-and-brentq solve of the quantization condition.
 
     The residual function is negative at E_bar and positive once the
     product zeta_L zeta_R dominates, so each root is bracketed between
@@ -217,28 +271,16 @@ def solve_quantization(
 
     Raises RootNotBracketed if a sign change cannot be established.
     """
-    if analysis is None:
-        analysis = analyze(spec, consts)
-    if action is None:
-        action = evaluate_action(spec, consts, analysis=analysis, rtol=rtol)
-    shifts = level_shifts(analysis, action)
-    c = analysis.consts
-    hbar, wl, wr, te = c.hbar, analysis.omega_L, analysis.omega_R, analysis.tilde_eps
-
-    def zeta_pair(E):
-        return E / (hbar * wl) - 0.5, (E - te) / (hbar * wr) - 0.5
 
     def residual(E):
-        zl, zr = zeta_pair(E)
-        fl = f_of_zeta(min(0.4, max(-0.4, zl)))
-        fr = f_of_zeta(min(0.4, max(-0.4, zr)))
+        zl, zr = _zetas(analysis, E)
+        fl = f_of_zeta(min(_ZETA_CLAMP, max(-_ZETA_CLAMP, zl)))
+        fr = f_of_zeta(min(_ZETA_CLAMP, max(-_ZETA_CLAMP, zr)))
         act = gamow_integral(spec, consts, E, analysis, rtol=rtol)
         return zl * zr - fl * fr * math.exp(-2.0 * act)
 
     e_bar = analysis.E_bar
-    floor = max(0.0, te)
-    lo_lim = floor + 1e-3 * (e_bar - floor)
-    hi_lim = analysis.V0 - 1e-3 * (analysis.V0 - e_bar)
+    lo_lim, hi_lim = _energy_window(analysis)
 
     def bracket_edge(first_margin):
         margin = first_margin
@@ -256,10 +298,15 @@ def solve_quantization(
 
     lo = bracket_edge(10.0 * shifts.dE_plus)
     hi = bracket_edge(10.0 * shifts.dE_minus)
-    e_plus = float(brentq(residual, lo, e_bar, xtol=1e-15, rtol=8.9e-16, maxiter=200))
-    e_minus = float(brentq(residual, e_bar, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
-    zl_p, zr_p = zeta_pair(e_plus)
-    zl_m, zr_m = zeta_pair(e_minus)
+    e_plus = float(brentq(residual, lo, e_bar, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL, maxiter=200))
+    e_minus = float(brentq(residual, e_bar, hi, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL, maxiter=200))
+    return _quantization_result(analysis, (e_plus, residual(e_plus)), (e_minus, residual(e_minus)))
+
+
+def _quantization_result(analysis, plus, minus) -> QuantizationResult:
+    (e_plus, res_plus), (e_minus, res_minus) = plus, minus
+    zl_p, zr_p = _zetas(analysis, e_plus)
+    zl_m, zr_m = _zetas(analysis, e_minus)
     return QuantizationResult(
         E_plus=e_plus,
         E_minus=e_minus,
@@ -267,9 +314,59 @@ def solve_quantization(
         zeta_R_plus=zr_p,
         zeta_L_minus=zl_m,
         zeta_R_minus=zr_m,
-        residual_plus=residual(e_plus),
-        residual_minus=residual(e_minus),
+        residual_plus=res_plus,
+        residual_minus=res_minus,
     )
+
+
+def solve_quantization(
+    spec,
+    consts: PhysConstants = DEFAULT_CONSTANTS,
+    *,
+    analysis: WellAnalysis | None = None,
+    action: ActionResult | None = None,
+    rtol: float = 1e-12,
+    max_expand: int = 60,
+) -> QuantizationResult:
+    """Solve zeta_L zeta_R = f(zeta_L) f(zeta_R) exp(-2 I(E)) for both
+    doublet roots.
+
+    Each root is found by Newton's method started from the
+    quadratic-expansion level E_bar + dE_pm of ``level_shifts``, which is
+    already close to it.  The derivative of the residual is analytic:
+    dI/dE comes with I from one ``evaluate_action`` call per iterate, and
+    d(ln f)/dzeta = -pi tan(pi zeta) - psi(1 - zeta) + ln(zeta + 1/2).
+    Iteration stops once the Newton step is below the tolerance
+    1e-15 + 8.9e-16 |E| that the bracketed solve gives brentq; on deep
+    wells that takes one or two action evaluations per root.
+
+    Newton is safeguarded.  If an iterate leaves its side of the energy
+    window, (lo_lim, E_bar) for E_plus and (E_bar, hi_lim) for E_minus,
+    or leaves |zeta| < 0.4, or the action raises a RegimeError, or the
+    step has not settled within ten iterates, both roots are instead
+    found by the bracket-and-brentq search of ``_solve_bracketed``, which
+    also serves as the reference in the tests.  ``max_expand`` bounds its
+    bracket expansions.
+
+    Raises RootNotBracketed if the fallback cannot establish a sign
+    change.
+    """
+    if analysis is None:
+        analysis = analyze(spec, consts)
+    if action is None:
+        action = evaluate_action(spec, consts, analysis=analysis, rtol=rtol)
+    shifts = level_shifts(analysis, action)
+    e_bar = analysis.E_bar
+    lo_lim, hi_lim = _energy_window(analysis)
+    plus = _newton_root(spec, consts, analysis, e_bar + shifts.dE_plus, lo_lim, e_bar, rtol)
+    minus = None
+    if plus is not None:
+        minus = _newton_root(
+            spec, consts, analysis, e_bar + shifts.dE_minus, e_bar, hi_lim, rtol
+        )
+    if minus is None:
+        return _solve_bracketed(spec, consts, analysis, shifts, rtol, max_expand)
+    return _quantization_result(analysis, plus, minus)
 
 
 @dataclass(frozen=True)

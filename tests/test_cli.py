@@ -298,6 +298,41 @@ class TestExitCodes:
         assert r.returncode == 3
         assert "regime error" in r.stderr
 
+    def test_sweep_below_the_curves_own_bias_is_a_regime_error(self, tmp_path):
+        # The shape's own tilde_eps is 1.713; dialing below it puts the
+        # probed energies under the curve's right floor.
+        path = write_json(
+            tmp_path,
+            "below.json",
+            {
+                "schema": "tunnelkit/1",
+                "potential": {"family": "polynomial", "coeffs": [0, 0, -4, 0.3, 1]},
+                "sweep": {"parameter": "tilde_eps", "from": 1.0, "to": 2.0, "steps": 11},
+            },
+        )
+        r = cli("sweep", path)
+        assert r.returncode == 3
+        assert "regime error" in r.stderr
+        assert "below the right well floor" in r.stderr
+
+    def test_equal_well_floors_end_in_a_classified_outcome(self, tmp_path):
+        path = write_json(
+            tmp_path,
+            "equal.json",
+            {
+                "schema": "tunnelkit/1",
+                "potential": {
+                    "family": "biased_quartic",
+                    "alpha": 0.9971007842314095,
+                    "a": 1.6288123492366189,
+                    "beta": 0.0,
+                },
+            },
+        )
+        r = cli("analyze", path)
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout)["well"]["mirrored"] is True
+
     def test_oracle_without_grid(self, tmp_path):
         path = write_json(
             tmp_path,

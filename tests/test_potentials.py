@@ -118,6 +118,13 @@ class TestAnalyzeQuartic:
         assert not a.mirrored
         assert a.tilde_eps == pytest.approx(-0.29999413942289066, rel=1e-13)
 
+    def test_equal_floors_mirror_at_most_once(self):
+        # Rounding makes the other floor look lower from either side, so
+        # auto orientation must not mirror back again.
+        a = analyze(BiasedQuartic(0.9971007842314095, 1.6288123492366189, 0.0), C)
+        assert a.mirrored
+        assert abs(a.tilde_eps) < 1e-12 * a.V0
+
 
 class TestAnalyzeDoubleOscillator:
     def test_analytic_fields(self):

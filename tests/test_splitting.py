@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tunnelkit import (
     BiasedQuartic,
@@ -13,6 +14,7 @@ from tunnelkit import (
     K_FIRST_ORDER,
     OutOfSupportedRange,
     PhysConstants,
+    Polynomial,
     RootNotBracketed,
     action_slope,
     analyze,
@@ -25,8 +27,11 @@ from tunnelkit import (
     gamow_integral,
     level_shifts,
     level_splitting,
+    mirror,
     solve_quantization,
+    splitting,
 )
+from util import sextic_coeffs, sextic_scale_for_depth
 
 
 class TestSpectralFunctions:
@@ -231,6 +236,84 @@ class TestSolveQuantization:
     def test_shallow_barrier_cannot_bracket_roots(self):
         with pytest.raises(RootNotBracketed):
             solve_quantization(BiasedQuartic(3.0, 1.0, 0.15), C)
+
+    def test_newton_falls_back_to_the_bracketed_solve(self, monkeypatch):
+        # eps = 0.45 hbar omega_L puts zeta_L of the upper root beyond 0.4,
+        # where only the clamped, bracketed solve applies.
+        spec = DoubleOscillator(1.0, 1.3, 0.3, 4.0)
+        a = analyze(spec, C)
+        act = evaluate_action(spec, C, analysis=a)
+        reference = splitting._solve_bracketed(
+            spec, C, a, level_shifts(a, act), 1e-12, 60
+        )
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return reference
+
+        monkeypatch.setattr(splitting, "_solve_bracketed", spy)
+        assert solve_quantization(spec, C, analysis=a, action=act) is reference
+        assert len(calls) == 1
+
+
+def _deep_quartic(depth, a, bias):
+    # V0 / (hbar omega) = sqrt(alpha / 8) a^3 for alpha (x^2 - a^2)^2.
+    alpha = 8.0 * depth**2 / a**6
+    omega = math.sqrt(8.0 * alpha) * a
+    return BiasedQuartic(alpha, a, bias * omega / (2.0 * a))
+
+
+def _deep_sextic(depth, bias):
+    scale = sextic_scale_for_depth(depth)
+    # The tilt raises the right floor by twice its value, and omega_L is
+    # sqrt(8 (q0 - q1 + q2) scale) = 2.44 sqrt(scale): tilde_eps = bias hbar omega_L.
+    return Polynomial(tuple(sextic_coeffs(scale, 1.22 * math.sqrt(scale) * bias)))
+
+
+# Wells 4 to 8 level spacings deep with |eps| / (hbar omega_L) <= 0.3.
+DEEP_WELLS = st.one_of(
+    st.builds(
+        _deep_quartic,
+        st.floats(4.0, 8.0),
+        st.floats(0.8, 1.5),
+        st.floats(0.0, 0.15),
+    ),
+    st.builds(
+        DoubleOscillator,
+        st.just(1.0),
+        st.floats(0.85, 1.3),
+        st.floats(0.0, 0.15),
+        st.floats(4.0, 8.0),
+    ),
+    st.builds(_deep_sextic, st.floats(4.0, 8.0), st.floats(0.0, 0.1)),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(spec=DEEP_WELLS, mirrored=st.booleans())
+def test_newton_roots_match_the_bracketed_reference(spec, mirrored):
+    if mirrored:
+        spec = mirror(spec)
+    a = analyze(spec, C)
+    act = evaluate_action(spec, C, analysis=a)
+    shifts = level_shifts(a, act)
+    lo_lim, hi_lim = splitting._energy_window(a)
+    # deep wells take the Newton path on both sides, not the fallback
+    assert splitting._newton_root(
+        spec, C, a, a.E_bar + shifts.dE_plus, lo_lim, a.E_bar, 1e-12
+    )
+    assert splitting._newton_root(
+        spec, C, a, a.E_bar + shifts.dE_minus, a.E_bar, hi_lim, 1e-12
+    )
+    q = solve_quantization(spec, C, analysis=a, action=act)
+    ref = splitting._solve_bracketed(spec, C, a, shifts, 1e-12, 60)
+    assert q.E_plus == pytest.approx(ref.E_plus, rel=1e-12)
+    assert q.E_minus == pytest.approx(ref.E_minus, rel=1e-12)
+    assert q.E_minus - q.E_plus == pytest.approx(ref.E_minus - ref.E_plus, rel=1e-12)
+    scale = max(abs(q.zeta_L_plus), abs(q.zeta_R_plus), 1e-12)
+    assert abs(q.residual_plus) < 1e-10 * scale
+    assert abs(q.residual_minus) < 1e-10 * scale
 
 
 class TestComputeSplitting:
