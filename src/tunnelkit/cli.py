@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .actions import evaluate_action, gamow_integral
+from .actions import gamow_integral
 from .config import RunConfig, SCHEMA, load_config
 from .errors import (
     ConfigError,
@@ -249,9 +249,7 @@ def run_analyze(config: RunConfig):
     result, extra_flags = _splitting_with_fallback(
         spec, consts, analysis, config.tolerances.quad_rtol
     )
-    action = evaluate_action(
-        spec, consts, analysis=analysis, rtol=config.tolerances.quad_rtol
-    )
+    action = result.action
     spectrum = None
     if config.oracle_grid is not None:
         spectrum = eigen_lowest_two(spec, consts, config.oracle_grid, analysis=analysis)
@@ -407,7 +405,11 @@ def run_sweep(config: RunConfig):
 
 
 def run_oracle(config: RunConfig):
-    """Reference spectrum plus a grid-halving report."""
+    """Reference spectrum plus a grid-halving report.
+
+    The halving block reports the raw levels of the n-point grid and of
+    the (2n - 1)-point grid that the Richardson step already solved.
+    """
     if config.oracle_grid is None:
         raise ConfigError('missing required key "oracle_grid"')
     spec, consts = config.potential, config.constants
@@ -417,15 +419,13 @@ def run_oracle(config: RunConfig):
     except WellStructureError:
         analysis = None
     spectrum = eigen_lowest_two(spec, consts, grid, analysis=analysis)
-    coarse = eigen_lowest_two(
-        spec, consts, replace(grid, richardson=False), analysis=analysis
-    )
-    fine = eigen_lowest_two(
-        spec,
-        consts,
-        replace(grid, n_points=2 * grid.n_points - 1, richardson=False),
-        analysis=analysis,
-    )
+    n_fine = 2 * grid.n_points - 1
+    (e0_c, e1_c), fine = spectrum.coarse, spectrum.fine
+    if fine is None:  # no Richardson: the fine grid is not solved yet
+        fine = eigen_lowest_two(
+            spec, consts, replace(grid, n_points=n_fine), analysis=analysis
+        ).coarse
+    e0_f, e1_f = fine
     i_bar = None
     if analysis is not None:
         i_bar = gamow_integral(
@@ -442,13 +442,13 @@ def run_oracle(config: RunConfig):
     doc["spectrum"] = _spectrum_doc(spectrum)
     doc["halving"] = {
         "n_coarse": grid.n_points,
-        "E0_coarse": coarse.E0,
-        "E1_coarse": coarse.E1,
-        "n_fine": 2 * grid.n_points - 1,
-        "E0_fine": fine.E0,
-        "E1_fine": fine.E1,
-        "E0_change": fine.E0 - coarse.E0,
-        "E1_change": fine.E1 - coarse.E1,
+        "E0_coarse": e0_c,
+        "E1_coarse": e1_c,
+        "n_fine": n_fine,
+        "E0_fine": e0_f,
+        "E1_fine": e1_f,
+        "E0_change": e0_f - e0_c,
+        "E1_change": e1_f - e1_c,
     }
     doc["warn_flags"] = flags
     csv_text = (

@@ -55,12 +55,19 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Two lowest levels, their gap, and a Richardson error estimate."""
+    """Two lowest levels, their gap, and a Richardson error estimate.
+
+    ``coarse`` holds the raw (E0, E1) of the n-point grid and ``fine``
+    those of the (2n - 1)-point grid, which is solved only when
+    Richardson extrapolation ran (``None`` otherwise).
+    """
 
     E0: float
     E1: float
     splitting: float
     est_error: float
+    coarse: tuple[float, float]
+    fine: tuple[float, float] | None = None
 
 
 def _outer_turning_point(analysis: WellAnalysis, side: str, E: float) -> float:
@@ -174,11 +181,13 @@ def eigen_lowest_two(
     inner = spec.inner if isinstance(spec, Mirrored) else spec
     snap = isinstance(inner, DoubleOscillator)
     x_c = _grid_nodes(grid, grid.n_points, snap)
-    e0_c, e1_c = _lowest_two_on_grid(v, consts, x_c)
+    coarse = e0_c, e1_c = _lowest_two_on_grid(v, consts, x_c)
     if not grid.richardson:
-        return Spectrum(E0=e0_c, E1=e1_c, splitting=e1_c - e0_c, est_error=math.nan)
+        return Spectrum(
+            E0=e0_c, E1=e1_c, splitting=e1_c - e0_c, est_error=math.nan, coarse=coarse
+        )
     x_f = _grid_nodes(grid, 2 * grid.n_points - 1, snap)
-    e0_f, e1_f = _lowest_two_on_grid(v, consts, x_f)
+    fine = e0_f, e1_f = _lowest_two_on_grid(v, consts, x_f)
     split_c, split_f = e1_c - e0_c, e1_f - e0_f
     if abs(split_f - split_c) > 0.1 * abs(split_f):
         raise GridTooCoarse(
@@ -188,4 +197,6 @@ def eigen_lowest_two(
     e0 = (4.0 * e0_f - e0_c) / 3.0
     e1 = (4.0 * e1_f - e1_c) / 3.0
     est = max(abs(e0_f - e0_c), abs(e1_f - e1_c)) / 3.0
-    return Spectrum(E0=e0, E1=e1, splitting=e1 - e0, est_error=est)
+    return Spectrum(
+        E0=e0, E1=e1, splitting=e1 - e0, est_error=est, coarse=coarse, fine=fine
+    )

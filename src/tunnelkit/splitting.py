@@ -371,7 +371,10 @@ def solve_quantization(
 
 @dataclass(frozen=True)
 class SplittingResult:
-    """Doublet observables from all three routes at one bias point."""
+    """Doublet observables from all three routes at one bias point.
+
+    ``action`` is the ActionResult at E_bar that the routes were built from.
+    """
 
     I_bar: float
     I_slope: float
@@ -393,6 +396,7 @@ class SplittingResult:
     zeta_R_minus: float
     residual_plus: float
     residual_minus: float
+    action: ActionResult
 
 
 def compute_splitting(
@@ -453,4 +457,5 @@ def compute_splitting(
         zeta_R_minus=trans[5],
         residual_plus=trans[6],
         residual_minus=trans[7],
+        action=action,
     )

@@ -1,7 +1,10 @@
 """Command-line interface: documents, CSV schemas, exit codes, determinism."""
+import dataclasses
 import json
 import math
 import os
+import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -9,15 +12,27 @@ import sys
 import numpy as np
 import pytest
 
-from tunnelkit import analyze, parse_config, Polynomial
+import tunnelkit.oracle
+from tunnelkit import (
+    GridTooCoarse,
+    WellStructureError,
+    analyze,
+    eigen_lowest_two,
+    evaluate_action,
+    parse_config,
+    Polynomial,
+)
 from tunnelkit.cli import (
     CSV_HEADER,
+    main,
     run_analyze,
     run_compare,
     run_oracle,
     run_sweep,
 )
 from util import sextic_coeffs, sextic_scale_for_depth
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 TILTED_QUARTIC = {
     "schema": "tunnelkit/1",
@@ -56,6 +71,20 @@ def write_json(tmp_path, name, doc):
     return str(path)
 
 
+@pytest.fixture
+def solve_sizes(monkeypatch):
+    """Matrix size of every tridiagonal eigensolve, in call order."""
+    sizes = []
+    solve = tunnelkit.oracle.eigh_tridiagonal
+
+    def spy(d, e, **kwargs):
+        sizes.append(d.size)
+        return solve(d, e, **kwargs)
+
+    monkeypatch.setattr(tunnelkit.oracle, "eigh_tridiagonal", spy)
+    return sizes
+
+
 class TestAnalyze:
     def test_reference_tilted_quartic_report(self):
         doc, csv_text = run_analyze(parse_config(TILTED_QUARTIC))
@@ -76,6 +105,35 @@ class TestAnalyze:
         assert doc["warn_flags"] == ["gamow", "transcendental_unbracketed"]
         assert s["E_trans_plus"] is None
         assert csv_text.splitlines()[0] == CSV_HEADER
+
+    @pytest.mark.parametrize(
+        "potential",
+        [
+            {"family": "biased_quartic", "alpha": 3.0, "a": 1.0, "beta": 0.15},
+            {"family": "biased_quartic", "alpha": 1.0, "a": 2.1, "beta": 0.2},
+        ],
+        ids=["fallback", "newton"],
+    )
+    def test_action_block_is_the_action_at_the_mean_level(self, potential):
+        config = parse_config({"schema": "tunnelkit/1", "potential": potential})
+        doc, csv_text = run_analyze(config)
+        spec, consts = config.potential, config.constants
+        a = analyze(spec, consts, orient=config.orient, require_wkb=True)
+        act = evaluate_action(
+            spec, consts, analysis=a, rtol=config.tolerances.quad_rtol
+        )
+        assert doc["action"] == {
+            "E": act.E,
+            "a_bar": act.a_bar,
+            "b_bar": act.b_bar,
+            "I": act.I,
+            "I_slope": act.I_slope,
+            "I_L": act.I_L,
+            "I_R": act.I_R,
+        }
+        cols = dict(zip(CSV_HEADER.split(","), csv_text.splitlines()[1].split(",")))
+        assert cols["I_bar"] == f"{act.I:.17g}"
+        assert cols["I_slope"] == f"{act.I_slope:.17g}"
 
     def test_document_is_json_serializable_and_complete(self):
         doc, _ = run_analyze(parse_config(TILTED_QUARTIC))
@@ -192,6 +250,84 @@ class TestOracleCommand:
         assert halving["n_fine"] == 2 * halving["n_coarse"] - 1
         assert abs(halving["E0_fine"] - 0.5) < abs(halving["E0_coarse"] - 0.5)
         assert halving["E0_change"] > 0.0
+
+    @pytest.mark.parametrize("richardson", [True, False])
+    @pytest.mark.parametrize(
+        "potential,walls",
+        [
+            ({"family": "biased_quartic", "alpha": 1.0, "a": 2.1, "beta": 0.2}, 4.8),
+            (
+                {
+                    "family": "double_oscillator",
+                    "omega_L": 1.0,
+                    "omega_R": 1.3,
+                    "tilde_eps": 0.1,
+                    "V0": 8.0,
+                    "mirror": True,
+                },
+                11.0,
+            ),
+            ({"family": "polynomial", "coeffs": [0.0, 0.0, 0.5]}, 8.0),
+        ],
+        ids=["biased_quartic", "mirrored_double_oscillator", "single_well"],
+    )
+    def test_halving_comes_from_two_solves(
+        self, solve_sizes, potential, walls, richardson
+    ):
+        n = 2001
+        config = parse_config(
+            {
+                "schema": "tunnelkit/1",
+                "potential": potential,
+                "oracle_grid": {
+                    "x_min": -walls,
+                    "x_max": walls,
+                    "n_points": n,
+                    "richardson": richardson,
+                },
+            }
+        )
+        doc, _ = run_oracle(config)
+        assert solve_sizes == [n - 2, 2 * n - 3]
+
+        # Reference: one non-Richardson solve per grid, run on its own.
+        spec, consts, grid = config.potential, config.constants, config.oracle_grid
+        try:
+            a = analyze(spec, consts, orient=config.orient)
+        except WellStructureError:
+            a = None
+        assert (a is None) == (potential["family"] == "polynomial")
+        coarse = eigen_lowest_two(
+            spec, consts, dataclasses.replace(grid, richardson=False), analysis=a
+        )
+        fine = eigen_lowest_two(
+            spec,
+            consts,
+            dataclasses.replace(grid, n_points=2 * n - 1, richardson=False),
+            analysis=a,
+        )
+        assert doc["halving"] == {
+            "n_coarse": n,
+            "E0_coarse": coarse.E0,
+            "E1_coarse": coarse.E1,
+            "n_fine": 2 * n - 1,
+            "E0_fine": fine.E0,
+            "E1_fine": fine.E1,
+            "E0_change": fine.E0 - coarse.E0,
+            "E1_change": fine.E1 - coarse.E1,
+        }
+
+    def test_too_coarse_grid_raises_before_any_halving_solve(self, solve_sizes):
+        config = parse_config(
+            {
+                "schema": "tunnelkit/1",
+                "potential": {"family": "biased_quartic", "alpha": 1.0, "a": 2.1},
+                "oracle_grid": {"x_min": -5.5, "x_max": 5.5, "n_points": 101},
+            }
+        )
+        with pytest.raises(GridTooCoarse, match="grid doubling"):
+            run_oracle(config)
+        assert solve_sizes == [99, 199]
 
     def test_grid_is_required(self):
         cfg = {
@@ -354,6 +490,26 @@ class TestExitCodes:
         assert doc["splitting"]["I_bar"] == pytest.approx(
             0.5101901829289663, rel=1e-12
         )
+
+
+class TestReadmeConfig:
+    @pytest.mark.parametrize(
+        "command,code",
+        [("analyze", 0), ("sweep", 0), ("oracle", 0), ("compare", 3)],
+    )
+    def test_documented_config_exit_codes(self, tmp_path, capsys, command, code):
+        # The shape's own tilde_eps is 0.29999, so the sweep starts at 0.3;
+        # the barrier is too shallow for a sub-barrier root, so compare
+        # (which has no fallback) is a regime error.
+        block = re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1)
+        path = write_json(tmp_path, "run.json", json.loads(block))
+        out = tmp_path / "out.txt"
+        assert main([command, path, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert out.read_text()
+        else:
+            assert "regime error" in err
 
 
 class TestProcessOutput:

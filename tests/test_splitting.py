@@ -316,6 +316,26 @@ def test_newton_roots_match_the_bracketed_reference(spec, mirrored):
     assert abs(q.residual_minus) < 1e-10 * scale
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(spec=DEEP_WELLS)
+def test_analysis_and_splitting_are_mirror_invariant(spec):
+    twin = mirror(spec)
+    a, b = analyze(spec, C), analyze(twin, C)
+    expected = {"omega_L": a.omega_L, "omega_R": a.omega_R, "eps": a.eps}
+    if b.omega_L != pytest.approx(a.omega_L, rel=1e-12):
+        # Equal floors leave the axis as given, so the twin sees the same
+        # curve from the other side: the wells swap and eps changes sign.
+        assert abs(a.tilde_eps) <= 1e-12 * a.V0
+        expected = {"omega_L": a.omega_R, "omega_R": a.omega_L, "eps": -a.eps}
+    expected.update(E_bar=a.E_bar, V0=a.V0)
+    for name, value in expected.items():
+        assert getattr(b, name) == pytest.approx(value, rel=1e-12), name
+    r = compute_splitting(spec, C, analysis=a, solve=False)
+    t = compute_splitting(twin, C, analysis=b, solve=False)
+    assert t.I_bar == pytest.approx(r.I_bar, rel=1e-12)
+    assert t.delta_E == pytest.approx(r.delta_E, rel=1e-12)
+
+
 class TestComputeSplitting:
     def test_collects_all_three_routes(self):
         spec = DoubleOscillator(1.0, 1.4, 0.1, 8.0)
