@@ -32,8 +32,7 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -48,14 +47,7 @@ from .errors import (
     WellStructureError,
 )
 from .oracle import eigen_lowest_two
-from .potentials import (
-    BiasedQuartic,
-    DoubleOscillator,
-    Mirrored,
-    Polynomial,
-    WellAnalysis,
-    analyze,
-)
+from .potentials import Mirrored, WellAnalysis, analyze
 from .splitting import K_FIRST_ORDER, compute_splitting
 
 __all__ = [
@@ -88,7 +80,8 @@ class FitResult:
 
 
 def _fmt(x) -> str:
-    return "" if x is None else f"{x:.17g}"
+    # empty cell: not computed (no grid, or the root solve fell back)
+    return "" if x is None or math.isnan(x) else f"{x:.17g}"
 
 
 def _jf(x):
@@ -99,32 +92,13 @@ def _jf(x):
 
 
 def _potential_doc(spec):
-    if isinstance(spec, Mirrored):
-        doc = _potential_doc(spec.inner)
+    mirrored = isinstance(spec, Mirrored)
+    fields = asdict(spec.inner if mirrored else spec)
+    doc = {"family": spec.family}
+    doc.update((k, list(v) if isinstance(v, tuple) else v) for k, v in fields.items())
+    if mirrored:
         doc["mirror"] = True
-        return doc
-    if isinstance(spec, BiasedQuartic):
-        return {
-            "family": "biased_quartic",
-            "alpha": spec.alpha,
-            "a": spec.a,
-            "beta": spec.beta,
-        }
-    if isinstance(spec, DoubleOscillator):
-        return {
-            "family": "double_oscillator",
-            "omega_L": spec.omega_L,
-            "omega_R": spec.omega_R,
-            "tilde_eps": spec.tilde_eps,
-            "V0": spec.V0,
-        }
-    if isinstance(spec, Polynomial):
-        return {
-            "family": "polynomial",
-            "coeffs": list(spec.coeffs),
-            "window": list(spec.window) if spec.window is not None else None,
-        }
-    raise TypeError(f"not a potential spec: {type(spec).__name__}")
+    return doc
 
 
 def _well_doc(analysis: WellAnalysis):
@@ -186,12 +160,7 @@ def _warn_flags(config: RunConfig, analysis: WellAnalysis | None, I_bar: float |
             flags.append("eps_over_hw")
         if I_bar is not None and math.exp(-I_bar) > th.max_gamow:
             flags.append("gamow")
-    inner = (
-        config.potential.inner
-        if isinstance(config.potential, Mirrored)
-        else config.potential
-    )
-    if isinstance(inner, DoubleOscillator):
+    if config.potential.kink:
         flags.append("barrier_kink")
     return flags
 
@@ -278,22 +247,18 @@ def run_analyze(config: RunConfig):
     return doc, CSV_HEADER + "\n" + row + "\n"
 
 
-def _thread_cap(steps: int) -> int:
+def _check_threads_env():
+    # TUNNELKIT_THREADS is validated for compatibility and changes nothing:
+    # sweep points run one after another in the calling thread.
     env = os.environ.get("TUNNELKIT_THREADS")
     if env is None:
-        cap = os.cpu_count() or 1
-    else:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ConfigError(
-                f"TUNNELKIT_THREADS must be a positive integer, got {env!r}"
-            ) from None
-        if cap < 1:
-            raise ConfigError(
-                f"TUNNELKIT_THREADS must be a positive integer, got {env!r}"
-            )
-    return max(1, min(cap, steps))
+        return
+    try:
+        valid = int(env) >= 1
+    except ValueError:
+        valid = False
+    if not valid:
+        raise ConfigError(f"TUNNELKIT_THREADS must be a positive integer, got {env!r}")
 
 
 def _dial_bias(analysis: WellAnalysis, tilde_eps: float) -> WellAnalysis:
@@ -322,10 +287,9 @@ def run_sweep(config: RunConfig):
     spec, consts = config.potential, config.constants
     rtol = config.tolerances.quad_rtol
     base = analyze(spec, consts, orient=config.orient, require_wkb=True)
-    inner = spec.inner if isinstance(spec, Mirrored) else spec
-    rebuild_oracle = (
-        isinstance(inner, DoubleOscillator) and config.oracle_grid is not None
-    )
+    mirrored = isinstance(spec, Mirrored)
+    inner = spec.inner if mirrored else spec
+    rebuild_oracle = spec.kink and config.oracle_grid is not None
     values = [
         sweep.start + i * (sweep.stop - sweep.start) / (sweep.steps - 1)
         for i in range(sweep.steps)
@@ -337,7 +301,7 @@ def run_sweep(config: RunConfig):
         spectrum = None
         if rebuild_oracle:
             member = replace(inner, tilde_eps=tilde_eps)
-            member_spec = Mirrored(member) if isinstance(spec, Mirrored) else member
+            member_spec = Mirrored(member) if mirrored else member
             member_analysis = analyze(member_spec, consts, orient=config.orient)
             spectrum = eigen_lowest_two(
                 member_spec, consts, config.oracle_grid, analysis=member_analysis
@@ -345,12 +309,8 @@ def run_sweep(config: RunConfig):
         flags = _warn_flags(config, dialed, result.I_bar) + extra_flags
         return dialed, result, spectrum, flags
 
-    workers = _thread_cap(sweep.steps)
-    if workers == 1:
-        points = [point(v) for v in values]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(point, values))
+    _check_threads_env()
+    points = [point(v) for v in values]
 
     x = np.array(values)
     y = np.log(np.array([result.delta for _, result, _, _ in points]))
@@ -458,7 +418,7 @@ def run_oracle(config: RunConfig):
                 _fmt(spectrum.E0),
                 _fmt(spectrum.E1),
                 _fmt(spectrum.splitting),
-                "" if math.isnan(spectrum.est_error) else _fmt(spectrum.est_error),
+                _fmt(spectrum.est_error),
             ]
         )
         + "\n"

@@ -22,8 +22,6 @@ from scipy.optimize import brentq
 from .errors import ConfigError, DomainTooSmall, GridTooCoarse, WellStructureError
 from .potentials import (
     DEFAULT_CONSTANTS,
-    DoubleOscillator,
-    Mirrored,
     PhysConstants,
     WellAnalysis,
     analyze,
@@ -178,8 +176,7 @@ def eigen_lowest_two(
         v = analysis.v
     else:
         v = lambda x: evaluate(spec, x, consts)  # noqa: E731
-    inner = spec.inner if isinstance(spec, Mirrored) else spec
-    snap = isinstance(inner, DoubleOscillator)
+    snap = spec.kink
     x_c = _grid_nodes(grid, grid.n_points, snap)
     coarse = e0_c, e1_c = _lowest_two_on_grid(v, consts, x_c)
     if not grid.richardson:

@@ -1,5 +1,21 @@
 """Double-well potential families: evaluation, derivatives, well analysis.
 
+This module is the only one that knows which families exist.  Each
+family (``BiasedQuartic``, ``DoubleOscillator``, ``Polynomial`` and the
+reflection wrapper ``Mirrored``) is a frozen dataclass with four
+members, and every caller goes through them:
+
+    family                   the config name of the family
+    kink                     true when V' jumps at the barrier top (only
+                             the double oscillator), which calls for exact
+                             geometry and a grid node on x = 0
+    derivative(x, k, consts) the k-th derivative of V at x, k = 0..3, for
+                             a float ndarray x (0-d for a scalar)
+    scan_window(consts)      the default (lo, hi) range that ``analyze``
+                             scans for stationary points
+
+``Mirrored`` delegates each of them to its inner family, with x -> -x.
+
 Everything downstream (actions, splitting formulas, the eigensolver)
 works in the convention that the potential is shifted so the deeper well
 floor sits at V = 0 and lies to the LEFT of the barrier.  ``analyze``
@@ -62,6 +78,9 @@ class BiasedQuartic:
     leaving V(-a) almost untouched.
     """
 
+    family = "biased_quartic"
+    kink = False
+
     alpha: float
     a: float
     beta: float = 0.0
@@ -71,6 +90,18 @@ class BiasedQuartic:
             raise ConfigError("BiasedQuartic requires alpha > 0 and a > 0")
         if not math.isfinite(self.beta):
             raise ConfigError("BiasedQuartic beta must be finite")
+
+    def derivative(self, x, k, consts):
+        if k == 0:
+            return self.alpha * (x * x - self.a**2) ** 2 + self.beta * (x + self.a)
+        if k == 1:
+            return 4.0 * self.alpha * x * (x * x - self.a**2) + self.beta
+        if k == 2:
+            return 4.0 * self.alpha * (3.0 * x * x - self.a**2)
+        return 24.0 * self.alpha * x
+
+    def scan_window(self, consts):
+        return (-2.0 * self.a, 2.0 * self.a)
 
 
 @dataclass(frozen=True)
@@ -85,6 +116,9 @@ class DoubleOscillator:
     (``evaluate_d1`` reports the left branch at exactly x = 0); reports
     carry a kink caveat for this family.
     """
+
+    family = "double_oscillator"
+    kink = True
 
     omega_L: float
     omega_R: float
@@ -103,6 +137,26 @@ class DoubleOscillator:
     def x_right(self, consts: PhysConstants = DEFAULT_CONSTANTS) -> float:
         return math.sqrt(2.0 * (self.V0 - self.tilde_eps) / consts.mass) / self.omega_R
 
+    def derivative(self, x, k, consts):
+        m = consts.mass
+        if k == 0:
+            left = 0.5 * m * self.omega_L**2 * (x - self.x_left(consts)) ** 2
+            right = self.tilde_eps + 0.5 * m * self.omega_R**2 * (x - self.x_right(consts)) ** 2
+        elif k == 1:
+            left = m * self.omega_L**2 * (x - self.x_left(consts))
+            right = m * self.omega_R**2 * (x - self.x_right(consts))
+        elif k == 2:
+            left = np.full_like(x, m * self.omega_L**2)
+            right = np.full_like(x, m * self.omega_R**2)
+        else:
+            return np.zeros_like(x)
+        return np.where(x <= 0.0, left, right)
+
+    def scan_window(self, consts):
+        # ``analyze`` never scans this family; twice the well positions,
+        # as for the quartic
+        return (2.0 * self.x_left(consts), 2.0 * self.x_right(consts))
+
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -112,6 +166,9 @@ class Polynomial:
     even degree so the potential confines.  ``window`` optionally pins
     the stationary-point scan range used by ``analyze``.
     """
+
+    family = "polynomial"
+    kink = False
 
     coeffs: tuple
     window: tuple | None = None
@@ -135,6 +192,20 @@ class Polynomial:
                 "Polynomial needs a positive leading coefficient of even degree >= 2"
             )
 
+    def derivative(self, x, k, consts):
+        return npoly.polyval(x, npoly.polyder(self.coeffs, k) if k else self.coeffs)
+
+    def scan_window(self, consts):
+        if self.window is not None:
+            return self.window
+        roots = npoly.polyroots(npoly.polyder(self.coeffs))
+        real = roots.real[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))]
+        if real.size == 0:
+            raise FewerThanTwoMinima("polynomial has no real stationary points")
+        lo, hi = float(np.min(real)), float(np.max(real))
+        pad = 0.25 * (hi - lo) + 1e-3 * (1.0 + abs(hi) + abs(lo))
+        return (lo - pad, hi + pad)
+
 
 @dataclass(frozen=True)
 class Mirrored:
@@ -146,6 +217,30 @@ class Mirrored:
 
     inner: object
 
+    def __post_init__(self):
+        if not hasattr(self.inner, "derivative"):
+            raise _not_a_spec(self.inner)
+
+    @property
+    def family(self):
+        return self.inner.family
+
+    @property
+    def kink(self):
+        return self.inner.kink
+
+    def derivative(self, x, k, consts):
+        out = self.inner.derivative(-x, k, consts)
+        return -out if k % 2 else out
+
+    def scan_window(self, consts):
+        lo, hi = self.inner.scan_window(consts)
+        return (-hi, -lo)
+
+
+def _not_a_spec(obj):
+    return TypeError(f"not a potential spec: {type(obj).__name__}")
+
 
 def mirror(spec):
     """Reflect a spec through the origin (unwraps an existing Mirrored)."""
@@ -156,79 +251,33 @@ def _as_float_array(x):
     return np.asarray(x, dtype=float)
 
 
+def _derivative(spec, x, k, consts):
+    try:
+        derivative = spec.derivative
+    except AttributeError:
+        raise _not_a_spec(spec) from None
+    out = derivative(_as_float_array(x), k, consts)
+    return out if out.ndim else float(out)
+
+
 def evaluate(spec, x, consts: PhysConstants = DEFAULT_CONSTANTS):
     """Potential value at x (scalar in, scalar out; ndarray in, ndarray out)."""
-    xv = _as_float_array(x)
-    if isinstance(spec, BiasedQuartic):
-        out = spec.alpha * (xv * xv - spec.a**2) ** 2 + spec.beta * (xv + spec.a)
-    elif isinstance(spec, DoubleOscillator):
-        m = consts.mass
-        left = 0.5 * m * spec.omega_L**2 * (xv - spec.x_left(consts)) ** 2
-        right = spec.tilde_eps + 0.5 * m * spec.omega_R**2 * (xv - spec.x_right(consts)) ** 2
-        out = np.where(xv <= 0.0, left, right)
-    elif isinstance(spec, Polynomial):
-        out = npoly.polyval(xv, spec.coeffs)
-    elif isinstance(spec, Mirrored):
-        out = _as_float_array(evaluate(spec.inner, -xv, consts))
-    else:
-        raise TypeError(f"not a potential spec: {type(spec).__name__}")
-    return out if out.ndim else float(out)
+    return _derivative(spec, x, 0, consts)
 
 
 def evaluate_d1(spec, x, consts: PhysConstants = DEFAULT_CONSTANTS):
     """First derivative V'(x)."""
-    xv = _as_float_array(x)
-    if isinstance(spec, BiasedQuartic):
-        out = 4.0 * spec.alpha * xv * (xv * xv - spec.a**2) + spec.beta
-    elif isinstance(spec, DoubleOscillator):
-        m = consts.mass
-        left = m * spec.omega_L**2 * (xv - spec.x_left(consts))
-        right = m * spec.omega_R**2 * (xv - spec.x_right(consts))
-        out = np.where(xv <= 0.0, left, right)
-    elif isinstance(spec, Polynomial):
-        out = npoly.polyval(xv, npoly.polyder(spec.coeffs))
-    elif isinstance(spec, Mirrored):
-        out = -_as_float_array(evaluate_d1(spec.inner, -xv, consts))
-    else:
-        raise TypeError(f"not a potential spec: {type(spec).__name__}")
-    return out if out.ndim else float(out)
+    return _derivative(spec, x, 1, consts)
 
 
 def evaluate_d2(spec, x, consts: PhysConstants = DEFAULT_CONSTANTS):
     """Second derivative V''(x)."""
-    xv = _as_float_array(x)
-    if isinstance(spec, BiasedQuartic):
-        out = 4.0 * spec.alpha * (3.0 * xv * xv - spec.a**2)
-    elif isinstance(spec, DoubleOscillator):
-        m = consts.mass
-        out = np.where(
-            xv <= 0.0,
-            np.full_like(xv, m * spec.omega_L**2),
-            np.full_like(xv, m * spec.omega_R**2),
-        )
-    elif isinstance(spec, Polynomial):
-        out = npoly.polyval(xv, npoly.polyder(spec.coeffs, 2))
-    elif isinstance(spec, Mirrored):
-        out = _as_float_array(evaluate_d2(spec.inner, -xv, consts))
-    else:
-        raise TypeError(f"not a potential spec: {type(spec).__name__}")
-    return out if out.ndim else float(out)
+    return _derivative(spec, x, 2, consts)
 
 
 def _evaluate_d3(spec, x, consts: PhysConstants = DEFAULT_CONSTANTS):
     # third derivative; only needed for the anharmonicity diagnostic
-    xv = _as_float_array(x)
-    if isinstance(spec, BiasedQuartic):
-        out = 24.0 * spec.alpha * xv
-    elif isinstance(spec, DoubleOscillator):
-        out = np.zeros_like(xv)
-    elif isinstance(spec, Polynomial):
-        out = npoly.polyval(xv, npoly.polyder(spec.coeffs, 3))
-    elif isinstance(spec, Mirrored):
-        out = -_as_float_array(_evaluate_d3(spec.inner, -xv, consts))
-    else:
-        raise TypeError(f"not a potential spec: {type(spec).__name__}")
-    return out if out.ndim else float(out)
+    return _derivative(spec, x, 3, consts)
 
 
 @dataclass(frozen=True)
@@ -268,25 +317,6 @@ class WellAnalysis:
 
     def v2(self, x):
         return evaluate_d2(self.spec, x, self.consts)
-
-
-def _default_window(spec, consts):
-    if isinstance(spec, BiasedQuartic):
-        return (-2.0 * spec.a, 2.0 * spec.a)
-    if isinstance(spec, Polynomial):
-        if spec.window is not None:
-            return spec.window
-        roots = npoly.polyroots(npoly.polyder(spec.coeffs))
-        real = roots.real[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))]
-        if real.size == 0:
-            raise FewerThanTwoMinima("polynomial has no real stationary points")
-        lo, hi = float(np.min(real)), float(np.max(real))
-        pad = 0.25 * (hi - lo) + 1e-3 * (1.0 + abs(hi) + abs(lo))
-        return (lo - pad, hi + pad)
-    if isinstance(spec, Mirrored):
-        lo, hi = _default_window(spec.inner, consts)
-        return (-hi, -lo)
-    raise TypeError(f"no default scan window for {type(spec).__name__}")
 
 
 def _stationary_points(spec, consts, window, n):
@@ -398,15 +428,18 @@ def analyze(
     """
     if orient not in ("auto", "keep"):
         raise ConfigError(f'orient must be "auto" or "keep", got {orient!r}')
-    base = spec.inner if isinstance(spec, Mirrored) else spec
-    if isinstance(base, DoubleOscillator):
+    try:
+        kink = spec.kink
+    except AttributeError:
+        raise _not_a_spec(spec) from None
+    if kink:
         # exact geometry; the kink maximum defeats a slope-based scan
-        if isinstance(spec, Mirrored) and orient == "auto" and base.tilde_eps > 0.0:
-            return _analyze_double_oscillator(base, consts, require_wkb)
+        if isinstance(spec, Mirrored) and orient == "auto" and spec.inner.tilde_eps > 0.0:
+            spec = spec.inner
         return _analyze_double_oscillator(spec, consts, require_wkb)
 
     if window is None:
-        window = _default_window(spec, consts)
+        window = spec.scan_window(consts)
     stationary = _stationary_points(spec, consts, window, scan_points)
     minima = [x for x, kind in stationary if kind == "min"]
     maxima = [x for x, kind in stationary if kind == "max"]

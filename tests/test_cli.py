@@ -53,6 +53,11 @@ DO_SWEEP = {
 }
 
 
+def readme_config():
+    block = re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1)
+    return json.loads(block)
+
+
 def cli(*args, env_extra=None):
     env = dict(os.environ)
     if env_extra:
@@ -492,6 +497,46 @@ class TestExitCodes:
         )
 
 
+SEXTIC = [float(c) for c in sextic_coeffs(20.0)]
+
+
+class TestPotentialBlock:
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirror"])
+    @pytest.mark.parametrize(
+        "potential,expected",
+        [
+            (
+                {"family": "biased_quartic", "alpha": 1.0, "a": 2.1},
+                {"family": "biased_quartic", "alpha": 1.0, "a": 2.1, "beta": 0.0},
+            ),
+            (
+                {"family": "double_oscillator", "omega_L": 1.0, "omega_R": 1.3,
+                 "tilde_eps": 0.05, "V0": 9.0},
+                {"family": "double_oscillator", "omega_L": 1.0, "omega_R": 1.3,
+                 "tilde_eps": 0.05, "V0": 9.0},
+            ),
+            (
+                {"family": "polynomial", "coeffs": SEXTIC},
+                {"family": "polynomial", "coeffs": SEXTIC, "window": None},
+            ),
+            (
+                {"family": "polynomial", "coeffs": SEXTIC, "window": [-1.8, 1.8]},
+                {"family": "polynomial", "coeffs": SEXTIC, "window": [-1.8, 1.8]},
+            ),
+        ],
+        ids=["quartic", "double_oscillator", "sextic", "windowed_sextic"],
+    )
+    def test_potential_block_and_kink_flag(self, potential, expected, mirrored):
+        if mirrored:
+            potential = dict(potential, mirror=True)
+            expected = dict(expected, mirror=True)
+        doc, _ = run_analyze(parse_config({"schema": "tunnelkit/1", "potential": potential}))
+        # lists, not tuples, and the keys in the order JSON prints them
+        assert list(doc["potential"].items()) == list(expected.items())
+        kinked = expected["family"] == "double_oscillator"
+        assert ("barrier_kink" in doc["warn_flags"]) == kinked
+
+
 class TestReadmeConfig:
     @pytest.mark.parametrize(
         "command,code",
@@ -501,8 +546,7 @@ class TestReadmeConfig:
         # The shape's own tilde_eps is 0.29999, so the sweep starts at 0.3;
         # the barrier is too shallow for a sub-barrier root, so compare
         # (which has no fallback) is a regime error.
-        block = re.search(r"```json\n(.*?)```", README.read_text(), re.S).group(1)
-        path = write_json(tmp_path, "run.json", json.loads(block))
+        path = write_json(tmp_path, "run.json", readme_config())
         out = tmp_path / "out.txt"
         assert main([command, path, "--out", str(out)]) == code
         err = capsys.readouterr().err
@@ -510,6 +554,21 @@ class TestReadmeConfig:
             assert out.read_text()
         else:
             assert "regime error" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "sweep"])
+    def test_fallback_rows_leave_the_root_cells_empty(self, tmp_path, command):
+        # The README example falls back on every row: its root cells must
+        # be empty, as the CSV schema section says, and never "nan".
+        path = write_json(tmp_path, "run.json", readme_config())
+        out = tmp_path / "out.csv"
+        assert main([command, path, "--format", "csv", "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        assert "nan" not in out.read_text()
+        assert rows
+        for row in rows:
+            cells = dict(zip(header.split(","), row.split(",")))
+            assert "transcendental_unbracketed" in cells["warn_flags"]
+            assert cells["dE_trans_plus"] == cells["dE_trans_minus"] == ""
 
 
 class TestProcessOutput:
@@ -541,6 +600,16 @@ class TestProcessOutput:
         assert single.returncode == quad.returncode == 0
         assert single.stdout == quad.stdout
         assert len(single.stdout) > 200
+
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_invalid_thread_count_is_a_config_error(
+        self, tmp_path, monkeypatch, capsys, value
+    ):
+        monkeypatch.setenv("TUNNELKIT_THREADS", value)
+        path = write_json(tmp_path, "sweep.json", DO_SWEEP)
+        assert main(["sweep", path]) == 2
+        err = capsys.readouterr().err
+        assert f"TUNNELKIT_THREADS must be a positive integer, got {value!r}" in err
 
     def test_console_script_is_installed(self, tmp_path):
         exe = shutil.which("tunnelkit")

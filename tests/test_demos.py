@@ -1,0 +1,13 @@
+"""Each demo script runs to completion, so the documented demos cannot go stale."""
+import pathlib
+import runpy
+
+import pytest
+
+DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
+def test_demo_runs(path, capsys):
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out

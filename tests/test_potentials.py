@@ -20,7 +20,16 @@ from tunnelkit import (
     evaluate_d2,
     mirror,
 )
+from tunnelkit.potentials import _evaluate_d3
 from util import SEXTIC_Q1, sextic_coeffs
+
+FAMILIES = [
+    BiasedQuartic(3.0, 1.0, 0.15),
+    DoubleOscillator(1.0, 1.3, 0.05, 9.0),
+    Polynomial(tuple(sextic_coeffs(2.0, 0.03))),
+]
+FAMILY_IDS = ["quartic", "double_oscillator", "sextic"]
+DERIVATIVES = [evaluate, evaluate_d1, evaluate_d2, _evaluate_d3]
 
 
 class TestEvaluate:
@@ -73,6 +82,42 @@ class TestEvaluate:
                 -evaluate_d1(spec, -x), rel=1e-14, abs=1e-14
             )
         assert mirror(flipped) is spec
+
+
+class TestFamilyProtocol:
+    @pytest.mark.parametrize("k", range(4))
+    @pytest.mark.parametrize("spec", FAMILIES, ids=FAMILY_IDS)
+    def test_mirror_flips_each_derivative_exactly(self, spec, k):
+        # the grid holds x = 0, the double oscillator's kink
+        xs = np.linspace(-1.9, 1.9, 17)
+        sign = (-1.0) ** k
+        fn = DERIVATIVES[k]
+        for x in xs:
+            assert fn(Mirrored(spec), float(x)) == sign * fn(spec, float(-x))
+        np.testing.assert_array_equal(fn(Mirrored(spec), xs), sign * fn(spec, -xs))
+
+    @pytest.mark.parametrize("spec", FAMILIES, ids=FAMILY_IDS)
+    def test_mirror_delegates_family_kink_and_window(self, spec):
+        flipped = Mirrored(spec)
+        assert (flipped.family, flipped.kink) == (spec.family, spec.kink)
+        lo, hi = spec.scan_window(C)
+        assert flipped.scan_window(C) == (-hi, -lo)
+
+    def test_only_the_double_oscillator_has_a_kink(self):
+        assert [spec.kink for spec in FAMILIES] == [False, True, False]
+
+    def test_non_spec_raises_type_error_naming_its_type(self):
+        class Spring:
+            pass
+
+        calls = [lambda fn=fn: fn(Spring(), 0.5) for fn in DERIVATIVES] + [
+            lambda: analyze(Spring()),
+            lambda: analyze(Spring(), window=(-1.0, 1.0)),
+            lambda: Mirrored(Spring()),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="not a potential spec: Spring"):
+                call()
 
 
 class TestAnalyzeQuartic:
