@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .actions import gamow_integral
+from .actions import evaluate_action, gamow_integral
 from .config import RunConfig, SCHEMA, load_config
 from .errors import (
     ConfigError,
@@ -201,12 +201,18 @@ def _splitting_with_fallback(spec, consts, analysis, rtol):
     """compute_splitting, degrading gracefully when the quantization
     equation has no sub-barrier root (shallow barriers: the upper doublet
     member merges with the continuum above V0).  Returns (result, flags).
+
+    The action at E_bar is evaluated once and shared by both attempts.
     """
+    action = evaluate_action(spec, consts, analysis=analysis, rtol=rtol)
     try:
-        return compute_splitting(spec, consts, analysis=analysis, rtol=rtol), []
+        result = compute_splitting(
+            spec, consts, analysis=analysis, action=action, rtol=rtol
+        )
+        return result, []
     except RootNotBracketed:
         result = compute_splitting(
-            spec, consts, analysis=analysis, solve=False, rtol=rtol
+            spec, consts, analysis=analysis, action=action, solve=False, rtol=rtol
         )
         return result, ["transcendental_unbracketed"]
 

@@ -10,7 +10,8 @@ members, and every caller goes through them:
                              the double oscillator), which calls for exact
                              geometry and a grid node on x = 0
     derivative(x, k, consts) the k-th derivative of V at x, k = 0..3, for
-                             a float ndarray x (0-d for a scalar)
+                             a float or a float ndarray x, returned as
+                             the same kind
     scan_window(consts)      the default (lo, hi) range that ``analyze``
                              scans for stationary points
 
@@ -26,6 +27,7 @@ right.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -138,19 +140,26 @@ class DoubleOscillator:
         return math.sqrt(2.0 * (self.V0 - self.tilde_eps) / consts.mass) / self.omega_R
 
     def derivative(self, x, k, consts):
+        if isinstance(x, float):
+            return self._branch(x, k, consts, x <= 0.0)
+        return np.where(
+            x <= 0.0, self._branch(x, k, consts, True), self._branch(x, k, consts, False)
+        )
+
+    def _branch(self, x, k, consts, left):
+        # k-th derivative of the left (x <= 0) or the right parabola; the
+        # constant k = 2, 3 values broadcast through np.where for arrays
         m = consts.mass
-        if k == 0:
-            left = 0.5 * m * self.omega_L**2 * (x - self.x_left(consts)) ** 2
-            right = self.tilde_eps + 0.5 * m * self.omega_R**2 * (x - self.x_right(consts)) ** 2
-        elif k == 1:
-            left = m * self.omega_L**2 * (x - self.x_left(consts))
-            right = m * self.omega_R**2 * (x - self.x_right(consts))
-        elif k == 2:
-            left = np.full_like(x, m * self.omega_L**2)
-            right = np.full_like(x, m * self.omega_R**2)
+        if left:
+            omega, x0 = self.omega_L, self.x_left(consts)
         else:
-            return np.zeros_like(x)
-        return np.where(x <= 0.0, left, right)
+            omega, x0 = self.omega_R, self.x_right(consts)
+        if k == 0:
+            out = 0.5 * m * omega**2 * (x - x0) ** 2
+            return out if left else self.tilde_eps + out
+        if k == 1:
+            return m * omega**2 * (x - x0)
+        return m * omega**2 if k == 2 else 0.0
 
     def scan_window(self, consts):
         # ``analyze`` never scans this family; twice the well positions,
@@ -192,8 +201,22 @@ class Polynomial:
                 "Polynomial needs a positive leading coefficient of even degree >= 2"
             )
 
+    @cached_property
+    def _derivative_coeffs(self):
+        # coefficients of the k-th derivative, k = 0..3, exactly as
+        # npoly.polyder gives them
+        return (self.coeffs,) + tuple(
+            tuple(float(c) for c in npoly.polyder(self.coeffs, k)) for k in (1, 2, 3)
+        )
+
     def derivative(self, x, k, consts):
-        return npoly.polyval(x, npoly.polyder(self.coeffs, k) if k else self.coeffs)
+        # Horner in npoly.polyval's own operation order, so floats and
+        # arrays get its bits
+        coeffs = self._derivative_coeffs[k]
+        out = coeffs[-1] + x * 0.0
+        for c in coeffs[-2::-1]:
+            out = c + out * x
+        return out
 
     def scan_window(self, consts):
         if self.window is not None:
@@ -247,17 +270,16 @@ def mirror(spec):
     return spec.inner if isinstance(spec, Mirrored) else Mirrored(spec)
 
 
-def _as_float_array(x):
-    return np.asarray(x, dtype=float)
-
-
 def _derivative(spec, x, k, consts):
     try:
         derivative = spec.derivative
     except AttributeError:
         raise _not_a_spec(spec) from None
-    out = derivative(_as_float_array(x), k, consts)
-    return out if out.ndim else float(out)
+    if not isinstance(x, float):
+        x = np.asarray(x, dtype=float)
+        if x.ndim:
+            return derivative(x, k, consts)
+    return float(derivative(float(x), k, consts))
 
 
 def evaluate(spec, x, consts: PhysConstants = DEFAULT_CONSTANTS):
@@ -309,8 +331,7 @@ class WellAnalysis:
     mirrored: bool = False
 
     def v(self, x):
-        out = _as_float_array(evaluate(self.spec, x, self.consts)) - self.zero_shift
-        return out if out.ndim else float(out)
+        return evaluate(self.spec, x, self.consts) - self.zero_shift
 
     def v1(self, x):
         return evaluate_d1(self.spec, x, self.consts)
@@ -320,31 +341,33 @@ class WellAnalysis:
 
 
 def _stationary_points(spec, consts, window, n):
-    """Bracket sign changes of V' on a uniform scan, refine each root.
+    """Stationary points of V in ``window``, from a uniform scan of V'.
 
-    Returns a list of (x, kind) with kind "min" for an upward crossing
-    of V' and "max" for a downward one.  Refinement uses bracketed Brent
-    iteration, well past the 1e-12 relative target.
+    V' is sampled at ``n`` evenly spaced points.  A sample where V' is
+    exactly zero is a stationary point itself, classified by the sign of
+    V'' there.  Each pair of neighbouring samples where V' changes sign
+    brackets one root, refined by Brent iteration well past the 1e-12
+    relative target.  Both kinds of sample are found with whole-array
+    tests; only the few brackets run Python code.
+
+    Returns a sorted list of (x, kind) with kind "min" for an upward
+    crossing of V' and "max" for a downward one; refinements closer than
+    1e-10 of the window scale are merged.
     """
     xs = np.linspace(window[0], window[1], n)
     d1 = evaluate_d1(spec, xs, consts)
+    lo, hi = d1[:-1], d1[1:]
 
     def slope(x):
-        return float(evaluate_d1(spec, float(x), consts))
+        return evaluate_d1(spec, x, consts)
 
     found = []
-    for i in range(n - 1):
-        lo, hi = d1[i], d1[i + 1]
-        if lo == 0.0:
-            kind = "min" if float(evaluate_d2(spec, xs[i], consts)) > 0.0 else "max"
-            found.append((float(xs[i]), kind))
-            continue
-        if lo * hi < 0.0:
-            root = brentq(slope, xs[i], xs[i + 1], xtol=1e-15, rtol=8.9e-16)
-            found.append((float(root), "min" if lo < 0.0 else "max"))
-    if d1[-1] == 0.0:
-        kind = "min" if float(evaluate_d2(spec, xs[-1], consts)) > 0.0 else "max"
-        found.append((float(xs[-1]), kind))
+    for i in np.flatnonzero(d1 == 0.0):
+        kind = "min" if evaluate_d2(spec, xs[i], consts) > 0.0 else "max"
+        found.append((float(xs[i]), kind))
+    for i in np.flatnonzero((lo != 0.0) & (lo * hi < 0.0)):
+        root = brentq(slope, xs[i], xs[i + 1], xtol=1e-15, rtol=8.9e-16)
+        found.append((float(root), "min" if lo[i] < 0.0 else "max"))
 
     # dedupe near-coincident refinements
     scale = max(abs(window[0]), abs(window[1]), 1.0)
@@ -433,7 +456,11 @@ def analyze(
     except AttributeError:
         raise _not_a_spec(spec) from None
     if kink:
-        # exact geometry; the kink maximum defeats a slope-based scan
+        # exact geometry; the kink maximum defeats a slope-based scan.
+        # Mirrored(Mirrored(s)) is s, so nested mirrors collapse to at
+        # most one before the geometry reads the family's own fields.
+        while isinstance(spec, Mirrored) and isinstance(spec.inner, Mirrored):
+            spec = spec.inner.inner
         if isinstance(spec, Mirrored) and orient == "auto" and spec.inner.tilde_eps > 0.0:
             spec = spec.inner
         return _analyze_double_oscillator(spec, consts, require_wkb)
@@ -453,7 +480,7 @@ def analyze(
         )
     x_lo, x_hi = minima
     for x in (x_lo, x_hi):
-        if not float(evaluate_d2(spec, x, consts)) > 0.0:
+        if not evaluate_d2(spec, x, consts) > 0.0:
             raise NonConvexMinimum(f"V'' <= 0 at detected minimum x = {x:.12g}")
     interior = [x for x in maxima if x_lo < x < x_hi]
     if len(interior) != 1:
@@ -462,8 +489,8 @@ def analyze(
         )
     x_m = interior[0]
 
-    v_lo = float(evaluate(spec, x_lo, consts))
-    v_hi = float(evaluate(spec, x_hi, consts))
+    v_lo = evaluate(spec, x_lo, consts)
+    v_hi = evaluate(spec, x_hi, consts)
     if v_lo > v_hi and orient == "auto":
         # "keep": with (nearly) equal floors, rounding can make the other
         # floor look lower from either side; mirror at most once.
@@ -478,12 +505,12 @@ def analyze(
 
     m = consts.mass
     hbar = consts.hbar
-    omega_L = math.sqrt(float(evaluate_d2(spec, x_lo, consts)) / m)
-    omega_R = math.sqrt(float(evaluate_d2(spec, x_hi, consts)) / m)
+    omega_L = math.sqrt(evaluate_d2(spec, x_lo, consts) / m)
+    omega_R = math.sqrt(evaluate_d2(spec, x_hi, consts) / m)
     tilde_eps = v_hi - v_lo
     eps = tilde_eps + hbar * (omega_R - omega_L) / 2.0
     e_bar = hbar * (omega_L + omega_R) / 4.0 + tilde_eps / 2.0
-    v0 = float(evaluate(spec, x_m, consts)) - v_lo
+    v0 = evaluate(spec, x_m, consts) - v_lo
     if require_wkb and v0 <= e_bar:
         raise DegenerateBarrier(
             f"barrier height {v0:g} does not exceed mean level {e_bar:g}"

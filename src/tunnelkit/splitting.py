@@ -404,6 +404,7 @@ def compute_splitting(
     consts: PhysConstants = DEFAULT_CONSTANTS,
     *,
     analysis: WellAnalysis | None = None,
+    action: ActionResult | None = None,
     solve: bool = True,
     rtol: float = 1e-12,
 ) -> SplittingResult:
@@ -412,11 +413,13 @@ def compute_splitting(
     Computes the barrier action and slope at E_bar, the first-order
     splitting, the quadratic-expansion level shifts, and (when ``solve``
     is true) the transcendental roots.  With ``solve=False`` the
-    transcendental fields are NaN.
+    transcendental fields are NaN.  A caller that already holds the
+    action at E_bar passes it as ``action``, as for ``solve_quantization``.
     """
     if analysis is None:
         analysis = analyze(spec, consts)
-    action = evaluate_action(spec, consts, analysis=analysis, rtol=rtol)
+    if action is None:
+        action = evaluate_action(spec, consts, analysis=analysis, rtol=rtol)
     shifts = level_shifts(analysis, action)
     delta_e = math.hypot(analysis.eps, shifts.delta)
     nan = math.nan

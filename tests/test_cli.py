@@ -12,11 +12,14 @@ import sys
 import numpy as np
 import pytest
 
+import tunnelkit.cli
 import tunnelkit.oracle
+import tunnelkit.splitting
 from tunnelkit import (
     GridTooCoarse,
     WellStructureError,
     analyze,
+    compute_splitting,
     eigen_lowest_two,
     evaluate_action,
     parse_config,
@@ -24,6 +27,8 @@ from tunnelkit import (
 )
 from tunnelkit.cli import (
     CSV_HEADER,
+    _dial_bias,
+    _splitting_doc,
     main,
     run_analyze,
     run_compare,
@@ -569,6 +574,41 @@ class TestReadmeConfig:
             cells = dict(zip(header.split(","), row.split(",")))
             assert "transcendental_unbracketed" in cells["warn_flags"]
             assert cells["dE_trans_plus"] == cells["dE_trans_minus"] == ""
+
+    @pytest.mark.parametrize("runner", [run_analyze, run_sweep], ids=["analyze", "sweep"])
+    def test_fallback_evaluates_each_mean_level_action_once(self, monkeypatch, runner):
+        # Every point of the README example falls back.  The failed root
+        # solve and the fallback result share one action at E_bar, and the
+        # result is the one an unsolved compute_splitting gives.
+        energies = []
+
+        def spy(*args, **kwargs):
+            act = evaluate_action(*args, **kwargs)
+            energies.append(act.E)
+            return act
+
+        monkeypatch.setattr(tunnelkit.cli, "evaluate_action", spy, raising=False)
+        monkeypatch.setattr(tunnelkit.splitting, "evaluate_action", spy)
+        config = parse_config(readme_config())
+        doc, _ = runner(config)
+        spied = list(energies)
+        monkeypatch.undo()
+
+        spec, consts = config.potential, config.constants
+        base = analyze(spec, consts, orient=config.orient, require_wkb=True)
+        points = doc.get("rows") or [{**doc, "tilde_eps": base.tilde_eps}]
+        for point in points:
+            assert "transcendental_unbracketed" in point["warn_flags"]
+            dialed = _dial_bias(base, point["tilde_eps"])
+            assert spied.count(dialed.E_bar) == 1
+            unsolved = compute_splitting(
+                spec,
+                consts,
+                analysis=dialed,
+                solve=False,
+                rtol=config.tolerances.quad_rtol,
+            )
+            assert point["splitting"] == _splitting_doc(unsolved)
 
 
 class TestProcessOutput:

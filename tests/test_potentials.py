@@ -1,8 +1,12 @@
 """Potential families, well analysis, and orientation handling."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
+from scipy.optimize import brentq
 
 from tunnelkit import (
     BiasedQuartic,
@@ -20,7 +24,7 @@ from tunnelkit import (
     evaluate_d2,
     mirror,
 )
-from tunnelkit.potentials import _evaluate_d3
+from tunnelkit.potentials import _evaluate_d3, _stationary_points
 from util import SEXTIC_Q1, sextic_coeffs
 
 FAMILIES = [
@@ -274,3 +278,165 @@ class TestRegimeChecks:
 
 def test_sextic_linear_coefficient_value():
     assert SEXTIC_Q1 == pytest.approx(0.25650557620817843, abs=0.0)
+
+
+def _stationary_points_loop(spec, consts, window, n):
+    # The per-sample scan that _stationary_points replaced, kept as its
+    # reference: same brackets, same refinement, same dedupe.
+    xs = np.linspace(window[0], window[1], n)
+    d1 = evaluate_d1(spec, xs, consts)
+
+    def slope(x):
+        return float(evaluate_d1(spec, float(x), consts))
+
+    found = []
+    for i in range(n - 1):
+        lo, hi = d1[i], d1[i + 1]
+        if lo == 0.0:
+            kind = "min" if float(evaluate_d2(spec, xs[i], consts)) > 0.0 else "max"
+            found.append((float(xs[i]), kind))
+            continue
+        if lo * hi < 0.0:
+            root = brentq(slope, xs[i], xs[i + 1], xtol=1e-15, rtol=8.9e-16)
+            found.append((float(root), "min" if lo < 0.0 else "max"))
+    if d1[-1] == 0.0:
+        kind = "min" if float(evaluate_d2(spec, xs[-1], consts)) > 0.0 else "max"
+        found.append((float(xs[-1]), kind))
+
+    scale = max(abs(window[0]), abs(window[1]), 1.0)
+    out = []
+    for x, kind in sorted(found):
+        if out and abs(x - out[-1][0]) <= 1e-10 * scale:
+            continue
+        out.append((x, kind))
+    return out
+
+
+SCAN_WELLS = st.one_of(
+    st.builds(BiasedQuartic, st.floats(0.2, 5.0), st.floats(0.3, 3.0), st.floats(-2.0, 2.0)),
+    st.builds(
+        lambda scale, tilt: Polynomial(tuple(sextic_coeffs(scale, tilt))),
+        st.floats(0.5, 20.0),
+        st.floats(-0.3, 0.3),
+    ),
+)
+
+
+class TestStationaryScan:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        spec=SCAN_WELLS,
+        mirrored=st.booleans(),
+        centre=st.floats(-1.0, 1.0),
+        width=st.floats(0.5, 8.0),
+        n=st.sampled_from([17, 256, 1001, 4096]),
+    )
+    def test_matches_the_per_sample_loop(self, spec, mirrored, centre, width, n):
+        if mirrored:
+            spec = Mirrored(spec)
+        window = (centre - width / 2.0, centre + width / 2.0)
+        assert _stationary_points(spec, C, window, n) == _stationary_points_loop(
+            spec, C, window, n
+        )
+
+    @pytest.mark.parametrize(
+        "window,n",
+        [((-2.0, 2.0), 4097), ((-2.0, 1.0), 3073)],
+        ids=["interior_nodes", "last_sample"],
+    )
+    def test_exact_zero_samples_are_stationary_points(self, window, n):
+        # Both grids step by 2**-10, so x = -1, 0 and 1 are samples where
+        # V' is exactly zero; the second grid ends on x = 1.
+        spec = BiasedQuartic(1.0, 1.0, 0.0)
+        expected = [(-1.0, "min"), (0.0, "max"), (1.0, "min")]
+        assert _stationary_points(spec, C, window, n) == expected
+        assert _stationary_points_loop(spec, C, window, n) == expected
+
+
+def _polynomials():
+    coeff = st.one_of(st.just(0.0), st.floats(-5.0, 5.0))
+
+    def build(degree):
+        return st.tuples(
+            st.lists(coeff, min_size=degree, max_size=degree),
+            st.floats(0.1, 5.0),
+            st.integers(0, 2),
+        ).map(lambda t: tuple(t[0]) + (t[1],) + (0.0,) * t[2])
+
+    return st.sampled_from([2, 4, 6]).flatmap(build)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestPolynomialHorner:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        coeffs=_polynomials(),
+        x=st.floats(-3.0, 3.0),
+        xs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=9),
+    )
+    def test_bitwise_equal_to_polyval_of_polyder(self, coeffs, x, xs):
+        # trailing zero coefficients included: polyder trims them, polyval
+        # of the coefficients themselves does not
+        spec = Polynomial(coeffs)
+        xs = np.array(xs)
+        for k in range(4):
+            ref = coeffs if k == 0 else npoly.polyder(coeffs, k)
+            out = spec.derivative(x, k, C)
+            assert type(out) is float
+            assert _bits(out) == _bits(npoly.polyval(x, ref))
+            assert _bits(spec.derivative(xs, k, C)) == _bits(npoly.polyval(xs, ref))
+
+
+SCALAR_INPUTS = [0.35, -1, 0, np.float64(-0.35), np.array(0.6), np.array(0)]
+VECTOR_INPUTS = [[0.35, -1.0, 0.0], np.array([0.35, -1.0, 0.0])]
+
+
+class TestReturnKind:
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirrored"])
+    @pytest.mark.parametrize("spec", FAMILIES, ids=FAMILY_IDS)
+    def test_scalars_give_floats_and_vectors_give_arrays(self, spec, mirrored):
+        if mirrored:
+            spec = Mirrored(spec)
+        v = analyze(spec, C).v
+        for fn in (evaluate, evaluate_d1, evaluate_d2, lambda s, x: v(x)):
+            for x in SCALAR_INPUTS:
+                out = fn(spec, x)
+                assert type(out) is float
+                assert _bits(out) == _bits(fn(spec, np.array([float(x)]))[0])
+            for x in VECTOR_INPUTS:
+                out = fn(spec, x)
+                assert type(out) is np.ndarray
+                assert out.shape == (3,)
+
+
+def _geometry(analysis):
+    return {
+        f.name: getattr(analysis, f.name)
+        for f in dataclasses.fields(analysis)
+        if f.name != "spec"
+    }
+
+
+class TestNestedMirrors:
+    @pytest.mark.parametrize("orient", ["auto", "keep"])
+    def test_double_oscillator_mirrors_collapse(self, orient):
+        spec = DoubleOscillator(1.0, 1.2, 0.1, 4.0)
+        bare = analyze(spec, C, orient=orient)
+        once = analyze(Mirrored(spec), C, orient=orient)
+        twice = analyze(Mirrored(Mirrored(spec)), C, orient=orient)
+        thrice = analyze(Mirrored(Mirrored(Mirrored(spec))), C, orient=orient)
+        assert _geometry(twice) == _geometry(bare)
+        assert twice.spec == spec
+        assert _geometry(thrice) == _geometry(once)
+        assert thrice.spec == once.spec
+
+    def test_doubly_mirrored_quartic_keeps_its_axis(self):
+        # not collapsed: the scan sees the same curve, flagged as mirrored
+        spec = BiasedQuartic(3.0, 1.0, 0.15)
+        twice = analyze(Mirrored(Mirrored(spec)), C)
+        assert twice.spec == Mirrored(Mirrored(spec))
+        assert twice.mirrored
+        assert _geometry(twice) == {**_geometry(analyze(spec, C)), "mirrored": True}
