@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._brent import brentq
 from .errors import (
     EnergyAboveBarrier,
     EnergyBelowWellBottom,

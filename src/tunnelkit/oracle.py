@@ -10,15 +10,19 @@ scipy), and sharpen with one step of Richardson extrapolation in the
 grid spacing.  The potential is the normalized v(x) (zero at the lower
 well floor), so the eigenvalues compare directly with E_bar and the
 doublet shifts.
+
+This is the only module that needs scipy, and it imports
+``scipy.linalg`` on the first solve, inside ``eigh_tridiagonal``: that
+import takes longer than a whole semiclassical analysis, so
+``import tunnelkit`` and the runs that never solve leave scipy unloaded.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import brentq
 
+from ._brent import brentq
 from .errors import ConfigError, DomainTooSmall, GridTooCoarse, WellStructureError
 from .potentials import (
     DEFAULT_CONSTANTS,
@@ -109,6 +113,17 @@ def default_grid(
     x_min = _outer_turning_point(analysis, "left", e_hi) - 5.0 * ell_l
     x_max = _outer_turning_point(analysis, "right", e_hi) + 5.0 * ell_r
     return GridSpec(x_min=x_min, x_max=x_max, n_points=n_points, richardson=richardson)
+
+
+def eigh_tridiagonal(d, e, **kwargs):
+    """``scipy.linalg.eigh_tridiagonal``, with scipy imported on first use.
+
+    The name is looked up on ``scipy.linalg`` at every call, so a wrapper
+    placed there later is the one called.
+    """
+    from scipy.linalg import eigh_tridiagonal as solve
+
+    return solve(d, e, **kwargs)
 
 
 def _lowest_two_on_grid(v, consts: PhysConstants, x: np.ndarray) -> tuple[float, float]:

@@ -31,8 +31,8 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.optimize import brentq
 
+from ._brent import brentq
 from .errors import (
     ConfigError,
     DegenerateBarrier,

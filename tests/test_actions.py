@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tunnelkit import (
     BiasedQuartic,
@@ -24,12 +25,20 @@ from tunnelkit import (
     parabolic_fidelity,
     turning_points,
 )
+from tunnelkit.quadrature import _edges
 
 
 class TestQuadrature:
     def test_panel_quadrature_matches_analytic_integral(self):
         val = panel_quadrature(np.exp, 0.0, 1.0, 4)
         assert val == pytest.approx(math.e - 1.0, rel=1e-14)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(a=st.floats(-20.0, 20.0), width=st.floats(0.0, 20.0), panels=st.integers(1, 4096))
+    def test_panel_edges_are_linspace_bit_for_bit(self, a, width, panels):
+        # asymptotic_action integrates from x_L < 0, the barrier actions from 0.
+        b = a + width
+        assert np.array_equal(_edges(a, b, panels), np.linspace(a, b, panels + 1))
 
     def test_adaptive_quadrature_matches_analytic_integral(self):
         val = adaptive_quadrature(np.sin, 0.0, math.pi, rtol=1e-13)

@@ -1,0 +1,112 @@
+"""The Brent root finder against scipy.optimize.brentq, its reference.
+
+The port must take the same steps as scipy's C routine: every test
+records the abscissae each solver evaluates and requires the same
+sequence, not only the same root.
+"""
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq as scipy_brentq
+
+from tunnelkit import DEFAULT_CONSTANTS as C, BiasedQuartic, DoubleOscillator, Polynomial, analyze
+from tunnelkit._brent import brentq
+from util import sextic_coeffs
+
+
+def _both(f, a, b, **kwargs):
+    """(root, abscissae) from the port and from scipy, or the exceptions raised."""
+    out = []
+    for solve in (brentq, scipy_brentq):
+        xs = []
+
+        def traced(x):
+            xs.append(x)
+            return f(x)
+
+        try:
+            root = solve(traced, a, b, **kwargs)
+        except (ValueError, RuntimeError) as exc:
+            root = (type(exc), str(exc))
+        out.append((root, xs))
+    return out
+
+
+def _assert_same_steps(f, a, b, **kwargs):
+    port, ref = _both(f, a, b, **kwargs)
+    assert port[1] == ref[1]
+    assert port[0] == ref[0]
+    return port[0]
+
+
+WELLS = st.one_of(
+    st.builds(BiasedQuartic, st.floats(0.3, 40.0), st.floats(0.6, 2.0), st.floats(0.0, 0.5)),
+    st.builds(
+        DoubleOscillator, st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.0, 0.5), st.floats(1.0, 12.0)
+    ),
+    st.builds(lambda s, t: Polynomial(tuple(sextic_coeffs(s, t))), st.floats(1.0, 400.0), st.floats(0.0, 1.0)),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(spec=WELLS, frac=st.floats(0.02, 0.98))
+def test_turning_point_flanks_take_scipys_steps(spec, frac):
+    # The flanks and tolerances of actions.turning_points, at an energy
+    # between the higher floor and the barrier top.
+    a = analyze(spec, C)
+    floor = max(0.0, a.tilde_eps)
+    E = floor + frac * (a.V0 - floor)
+
+    def shifted(x):
+        return a.v(float(x)) - E
+
+    for lo, hi in ((a.x_L, a.x_m), (a.x_m, a.x_R)):
+        root = _assert_same_steps(shifted, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        assert isinstance(root, float)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    roots=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+    power=st.integers(1, 3),
+    lo=st.floats(-4.0, 0.0),
+    width=st.floats(1e-9, 8.0),
+    tol=st.sampled_from([(1e-15, 8.9e-16), (2e-12, 8.9e-16), (1e-6, 1e-10)]),
+)
+def test_polynomials_take_scipys_steps(roots, power, lo, width, tol):
+    # Products of (x - r)^power: simple and multiple roots, brackets with
+    # any number of roots inside.  Brackets without a sign change take
+    # the error path on both sides alike.
+    def f(x):
+        return math.prod((x - r) ** power for r in roots)
+
+    _assert_same_steps(f, lo, lo + width, xtol=tol[0], rtol=tol[1])
+
+
+def test_same_sign_ends_raise_value_error():
+    port, ref = _both(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+    assert port == ref
+    assert port[0] == (ValueError, "f(a) and f(b) must have different signs")
+
+
+@pytest.mark.parametrize("a,b", [(0.0, 1.0), (-1.0, 0.0), (-0.0, 2.0)])
+def test_root_at_an_end_is_returned_after_two_calls(a, b):
+    port, ref = _both(lambda x: x, a, b, xtol=1e-15, rtol=8.9e-16)
+    assert port[1] == ref[1] == [a, b]
+    assert port[0] == ref[0] == 0.0
+
+
+def test_nan_value_raises_value_error():
+    def f(x):
+        return math.nan if x > 0.3 else x - 0.5
+
+    port, ref = _both(f, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16)
+    assert port == ref
+    assert port[0] == (ValueError, "The function value at x=1.0 is NaN; solver cannot continue.")
+
+
+def test_maxiter_raises_runtime_error():
+    port, ref = _both(lambda x: x**3 - 2.0, 0.0, 2.0, xtol=1e-15, rtol=8.9e-16, maxiter=3)
+    assert port == ref
+    assert port[0] == (RuntimeError, "Failed to converge after 3 iterations.")

@@ -651,6 +651,26 @@ class TestProcessOutput:
         err = capsys.readouterr().err
         assert f"TUNNELKIT_THREADS must be a positive integer, got {value!r}" in err
 
+    def test_semiclassical_runs_load_no_scipy(self):
+        # scipy is imported by the first eigensolve only.  The README
+        # config without its grid runs analyze and sweep with no solve.
+        doc = readme_config()
+        del doc["oracle_grid"]
+        script = (
+            "import json, sys\n"
+            "import tunnelkit\n"
+            "from tunnelkit.cli import run_analyze, run_sweep\n"
+            "config = tunnelkit.parse_config(json.loads(sys.argv[1]))\n"
+            "run_analyze(config)\n"
+            "run_sweep(config)\n"
+            "print(sorted(name for name in sys.modules if name.startswith('scipy')))\n"
+        )
+        r = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(doc)], capture_output=True, text=True
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "[]\n"
+
     def test_console_script_is_installed(self, tmp_path):
         exe = shutil.which("tunnelkit")
         if exe is None:
