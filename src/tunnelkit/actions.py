@@ -102,7 +102,7 @@ def turning_points(spec, consts: PhysConstants, E: float, analysis: WellAnalysis
     return float(a_bar), float(b_bar)
 
 
-def _gamow_parts(consts, E, analysis, a_bar, b_bar, rtol, min_depth):
+def _gamow_parts(consts, E, analysis, a_bar, b_bar, rtol):
     m, hbar = consts.mass, consts.hbar
     v = analysis.v
 
@@ -114,12 +114,8 @@ def _gamow_parts(consts, E, analysis, a_bar, b_bar, rtol, min_depth):
         x = b_bar - t * t
         return 2.0 * t * np.sqrt(np.maximum(2.0 * m * (v(x) - E), 0.0))
 
-    i_l = adaptive_quadrature(
-        left, 0.0, math.sqrt(analysis.x_m - a_bar), rtol=rtol, min_depth=min_depth
-    ) / hbar
-    i_r = adaptive_quadrature(
-        right, 0.0, math.sqrt(b_bar - analysis.x_m), rtol=rtol, min_depth=min_depth
-    ) / hbar
+    i_l = adaptive_quadrature(left, 0.0, math.sqrt(analysis.x_m - a_bar), rtol=rtol) / hbar
+    i_r = adaptive_quadrature(right, 0.0, math.sqrt(b_bar - analysis.x_m), rtol=rtol) / hbar
     return i_l, i_r
 
 
@@ -130,16 +126,11 @@ def gamow_integral(
     analysis: WellAnalysis | None = None,
     *,
     rtol: float = 1e-12,
-    min_depth: int = 0,
 ) -> float:
-    """Barrier action I(E) by turning-point-regularized quadrature.
-
-    ``min_depth`` forces extra dyadic refinement beyond the convergence
-    estimate (used by the refinement-stability tests).
-    """
+    """Barrier action I(E) by turning-point-regularized quadrature."""
     analysis = _ensure_analysis(spec, consts, analysis)
     a_bar, b_bar = turning_points(spec, consts, E, analysis)
-    i_l, i_r = _gamow_parts(consts, E, analysis, a_bar, b_bar, rtol, min_depth)
+    i_l, i_r = _gamow_parts(consts, E, analysis, a_bar, b_bar, rtol)
     return i_l + i_r
 
 
@@ -191,7 +182,7 @@ def evaluate_action(
     if E is None:
         E = analysis.E_bar
     a_bar, b_bar = turning_points(spec, consts, E, analysis)
-    i_l, i_r = _gamow_parts(consts, E, analysis, a_bar, b_bar, rtol, 0)
+    i_l, i_r = _gamow_parts(consts, E, analysis, a_bar, b_bar, rtol)
     slope = _slope_integral(consts, E, analysis, a_bar, b_bar, rtol)
     return ActionResult(
         E=float(E), a_bar=a_bar, b_bar=b_bar, I=i_l + i_r, I_slope=slope, I_L=i_l, I_R=i_r

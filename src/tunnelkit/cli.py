@@ -30,9 +30,8 @@ stay empty.
 import argparse
 import json
 import math
-import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -48,7 +47,7 @@ from .errors import (
 )
 from .oracle import eigen_lowest_two
 from .potentials import Mirrored, WellAnalysis, analyze
-from .splitting import K_FIRST_ORDER, compute_splitting
+from .splitting import K_FIRST_ORDER, QuantizationResult, compute_splitting
 
 __all__ = [
     "CSV_HEADER",
@@ -67,6 +66,7 @@ CSV_HEADER = (
     "dE_trans_plus,dE_trans_minus,oracle_E0,oracle_E1,oracle_split,warn_flags"
 )
 COMPARE_HEADER = "method,delta_E,rel_err_vs_oracle"
+_ROOT_FIELDS = [f.name for f in fields(QuantizationResult)]
 
 
 @dataclass(frozen=True)
@@ -117,29 +117,29 @@ def _well_doc(analysis: WellAnalysis):
     }
 
 
-def _splitting_doc(result):
-    return {
+def _splitting_doc(e_bar, result):
+    # JSON names and key order of a splitting block; the nine root keys
+    # are null when the root solve was skipped.
+    shifts = result.shifts
+    roots = dict.fromkeys(_ROOT_FIELDS) if result.roots is None else asdict(result.roots)
+    doc = {
         "I_bar": result.I_bar,
-        "I_slope": result.I_slope,
-        "delta": result.delta,
+        "I_slope": result.action.I_slope,
+        "delta": shifts.delta,
         "delta_E": result.delta_E,
-        "dE_plus": result.dE_plus,
-        "dE_minus": result.dE_minus,
-        "E_plus": result.E_plus,
-        "E_minus": result.E_minus,
-        "b_prime": result.b_prime,
-        "u": result.u,
+        "dE_plus": shifts.dE_plus,
+        "dE_minus": shifts.dE_minus,
+        "E_plus": e_bar + shifts.dE_plus,
+        "E_minus": e_bar + shifts.dE_minus,
+        "b_prime": shifts.b_prime,
+        "u": shifts.u,
         "delta_E_quadratic": result.delta_E_quadratic,
-        "E_trans_plus": _jf(result.E_trans_plus),
-        "E_trans_minus": _jf(result.E_trans_minus),
+        "E_trans_plus": roots.pop("E_plus"),
+        "E_trans_minus": roots.pop("E_minus"),
         "delta_E_transcendental": _jf(result.delta_E_transcendental),
-        "zeta_L_plus": _jf(result.zeta_L_plus),
-        "zeta_R_plus": _jf(result.zeta_R_plus),
-        "zeta_L_minus": _jf(result.zeta_L_minus),
-        "zeta_R_minus": _jf(result.zeta_R_minus),
-        "residual_plus": _jf(result.residual_plus),
-        "residual_minus": _jf(result.residual_minus),
     }
+    doc.update(roots)  # zeta_L_plus ... residual_minus
+    return doc
 
 
 def _spectrum_doc(spectrum):
@@ -166,20 +166,22 @@ def _warn_flags(config: RunConfig, analysis: WellAnalysis | None, I_bar: float |
 
 
 def _csv_row(analysis, result, spectrum, flags) -> str:
-    e_bar = analysis.E_bar
+    e_bar, shifts, roots = analysis.E_bar, result.shifts, result.roots
     cells = [
         _fmt(analysis.tilde_eps),
         _fmt(analysis.eps),
         _fmt(e_bar),
         _fmt(result.I_bar),
-        _fmt(result.I_slope),
-        _fmt(result.delta),
+        _fmt(result.action.I_slope),
+        _fmt(shifts.delta),
         _fmt(result.delta_E),
-        _fmt(result.E_plus),
-        _fmt(result.E_minus),
-        _fmt(result.E_trans_plus - e_bar),
-        _fmt(result.E_trans_minus - e_bar),
+        _fmt(e_bar + shifts.dE_plus),
+        _fmt(e_bar + shifts.dE_minus),
     ]
+    if roots is None:
+        cells += ["", ""]
+    else:
+        cells += [_fmt(roots.E_plus - e_bar), _fmt(roots.E_minus - e_bar)]
     if spectrum is None:
         cells += ["", "", ""]
     else:
@@ -224,7 +226,6 @@ def run_analyze(config: RunConfig):
     result, extra_flags = _splitting_with_fallback(
         spec, consts, analysis, config.tolerances.quad_rtol
     )
-    action = result.action
     spectrum = None
     if config.oracle_grid is not None:
         spectrum = eigen_lowest_two(spec, consts, config.oracle_grid, analysis=analysis)
@@ -232,16 +233,8 @@ def run_analyze(config: RunConfig):
     row = _csv_row(analysis, result, spectrum, flags)
     doc = _base_doc("analyze", config)
     doc["well"] = _well_doc(analysis)
-    doc["action"] = {
-        "E": action.E,
-        "a_bar": action.a_bar,
-        "b_bar": action.b_bar,
-        "I": action.I,
-        "I_slope": action.I_slope,
-        "I_L": action.I_L,
-        "I_R": action.I_R,
-    }
-    doc["splitting"] = _splitting_doc(result)
+    doc["action"] = asdict(result.action)
+    doc["splitting"] = _splitting_doc(analysis.E_bar, result)
     if spectrum is not None:
         oracle_doc = _spectrum_doc(spectrum)
         oracle_doc["wkb_ratio"] = result.delta_E / spectrum.splitting
@@ -251,20 +244,6 @@ def run_analyze(config: RunConfig):
     doc["warn_flags"] = flags
     doc["csv"] = {"header": CSV_HEADER, "row": row}
     return doc, CSV_HEADER + "\n" + row + "\n"
-
-
-def _check_threads_env():
-    # TUNNELKIT_THREADS is validated for compatibility and changes nothing:
-    # sweep points run one after another in the calling thread.
-    env = os.environ.get("TUNNELKIT_THREADS")
-    if env is None:
-        return
-    try:
-        valid = int(env) >= 1
-    except ValueError:
-        valid = False
-    if not valid:
-        raise ConfigError(f"TUNNELKIT_THREADS must be a positive integer, got {env!r}")
 
 
 def _dial_bias(analysis: WellAnalysis, tilde_eps: float) -> WellAnalysis:
@@ -315,18 +294,17 @@ def run_sweep(config: RunConfig):
         flags = _warn_flags(config, dialed, result.I_bar) + extra_flags
         return dialed, result, spectrum, flags
 
-    _check_threads_env()
     points = [point(v) for v in values]
 
     x = np.array(values)
-    y = np.log(np.array([result.delta for _, result, _, _ in points]))
+    y = np.log(np.array([result.shifts.delta for _, result, _, _ in points]))
     design = np.column_stack([np.ones_like(x), x, x * x])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     rms = float(np.sqrt(np.mean((y - design @ coef) ** 2)))
     fit = FitResult(
         c0=float(np.exp(coef[0])), c1=float(coef[1]), c2=float(coef[2]), rms_residual=rms
     )
-    slope = points[0][1].I_slope  # dI/dE at the start point's E_bar
+    slope = points[0][1].action.I_slope  # dI/dE at the start point's E_bar
     c1_analytic = (
         0.25
         * K_FIRST_ORDER
@@ -353,7 +331,7 @@ def run_sweep(config: RunConfig):
             "tilde_eps": dialed.tilde_eps,
             "eps": dialed.eps,
             "E_bar": dialed.E_bar,
-            "splitting": _splitting_doc(result),
+            "splitting": _splitting_doc(dialed.E_bar, result),
             "oracle": _spectrum_doc(spectrum) if spectrum is not None else None,
             "warn_flags": flags,
         }

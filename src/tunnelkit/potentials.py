@@ -71,6 +71,9 @@ class PhysConstants:
 
 DEFAULT_CONSTANTS = PhysConstants()
 
+# Uniform samples of V' over the scan window that bracket the stationary points.
+_SCAN_POINTS = 4096
+
 
 @dataclass(frozen=True)
 class BiasedQuartic:
@@ -422,14 +425,13 @@ def analyze(
     consts: PhysConstants = DEFAULT_CONSTANTS,
     *,
     window=None,
-    scan_points: int = 4096,
     orient: str = "auto",
     require_wkb: bool = False,
 ) -> WellAnalysis:
     """Locate the two wells and the barrier; derive the energy bookkeeping.
 
     Minima and the interior maximum are bracketed on a uniform scan of
-    V' (``scan_points`` samples over ``window`` or a family default) and
+    V' (4096 samples over ``window`` or a family default) and
     refined to better than 1e-12 relative.  The potential is then
     renormalized so v(x_L) = 0 with the deeper well on the left; set
     ``orient="keep"`` to preserve the user's axis (tilde_eps may then be
@@ -439,7 +441,6 @@ def analyze(
         spec: potential description.
         consts: hbar and mass.
         window: optional (lo, hi) scan range override.
-        scan_points: uniform samples used for bracketing.
         orient: "auto" mirrors so V(x_L) <= V(x_R); "keep" never mirrors.
         require_wkb: when True, raise DegenerateBarrier if the barrier
             top does not exceed E_bar (shallow wells are otherwise
@@ -467,7 +468,7 @@ def analyze(
 
     if window is None:
         window = spec.scan_window(consts)
-    stationary = _stationary_points(spec, consts, window, scan_points)
+    stationary = _stationary_points(spec, consts, window, _SCAN_POINTS)
     minima = [x for x, kind in stationary if kind == "min"]
     maxima = [x for x, kind in stationary if kind == "max"]
     if len(minima) < 2:
@@ -498,7 +499,6 @@ def analyze(
             mirror(spec),
             consts,
             window=(-window[1], -window[0]),
-            scan_points=scan_points,
             orient="keep",
             require_wkb=require_wkb,
         )

@@ -69,7 +69,6 @@ def adaptive_quadrature(
     rtol: float = 1e-12,
     atol: float = 0.0,
     order: int = 16,
-    min_depth: int = 0,
     max_depth: int = 12,
 ) -> float:
     """Refine panel_quadrature dyadically until two levels agree.
@@ -83,7 +82,7 @@ def adaptive_quadrature(
     if b == a:
         return 0.0
     prev = None
-    for depth in range(min_depth, max_depth + 1):
+    for depth in range(max_depth + 1):
         val = panel_quadrature(f, a, b, 2**depth, order)
         if prev is not None and abs(val - prev) <= rtol * abs(val) + atol:
             return val

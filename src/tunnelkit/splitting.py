@@ -68,6 +68,8 @@ _GAMMA_HI = 2.5
 # arguments to it and the Newton solve falls back when an iterate leaves it.
 _ZETA_CLAMP = 0.4
 _NEWTON_STEPS = 10
+# Margin doublings of the bracketed solve's search for a sign change.
+_MAX_EXPAND = 60
 # Root tolerance |E - root| <= _ROOT_XTOL + _ROOT_RTOL |E| of both solves.
 _ROOT_XTOL = 1e-15
 _ROOT_RTOL = 8.9e-16
@@ -270,7 +272,7 @@ def _newton_root(spec, consts, analysis, E, lo, hi, rtol):
     return None
 
 
-def _solve_bracketed(spec, consts, analysis, shifts, rtol, max_expand) -> QuantizationResult:
+def _solve_bracketed(spec, consts, analysis, shifts, rtol) -> QuantizationResult:
     """Bracket-and-brentq solve of the quantization condition.
 
     The residual function is negative at E_bar and positive once the
@@ -299,7 +301,7 @@ def _solve_bracketed(spec, consts, analysis, shifts, rtol, max_expand) -> Quanti
 
     def bracket_edge(first_margin):
         margin = first_margin
-        for _ in range(max_expand):
+        for _ in range(_MAX_EXPAND):
             cand = min(max(e_bar + margin, lo_lim), hi_lim)
             if residual(cand) > 0.0:
                 return cand
@@ -341,7 +343,6 @@ def solve_quantization(
     analysis: WellAnalysis | None = None,
     action: ActionResult | None = None,
     rtol: float = 1e-12,
-    max_expand: int = 60,
 ) -> QuantizationResult:
     """Solve zeta_L zeta_R = f(zeta_L) f(zeta_R) exp(-2 I(E)) for both
     doublet roots.
@@ -360,8 +361,7 @@ def solve_quantization(
     or leaves |zeta| < 0.4, or the action raises a RegimeError, or the
     step has not settled within ten iterates, both roots are instead
     found by the bracket-and-brentq search of ``_solve_bracketed``, which
-    also serves as the reference in the tests.  ``max_expand`` bounds its
-    bracket expansions.
+    also serves as the reference in the tests.
 
     Raises RootNotBracketed if the fallback cannot establish a sign
     change.
@@ -380,7 +380,7 @@ def solve_quantization(
             spec, consts, analysis, e_bar + shifts.dE_minus, e_bar, hi_lim, rtol
         )
     if minus is None:
-        return _solve_bracketed(spec, consts, analysis, shifts, rtol, max_expand)
+        return _solve_bracketed(spec, consts, analysis, shifts, rtol)
     return _quantization_result(analysis, plus, minus)
 
 
@@ -388,30 +388,21 @@ def solve_quantization(
 class SplittingResult:
     """Doublet observables from all three routes at one bias point.
 
-    ``action`` is the ActionResult at E_bar that the routes were built from.
+    ``action`` is the ActionResult at E_bar that the routes were built
+    from, ``shifts`` the quadratic-expansion levels and ``roots`` the
+    transcendental roots (None when the solve was skipped).  The four
+    splittings are also kept flat: ``I_bar`` is ``action.I``, ``delta_E``
+    the closed formula, ``delta_E_quadratic`` the gap of the shifts and
+    ``delta_E_transcendental`` the gap of the roots (NaN without them).
     """
 
-    I_bar: float
-    I_slope: float
-    delta: float
-    delta_E: float
-    dE_plus: float
-    dE_minus: float
-    E_plus: float
-    E_minus: float
-    b_prime: float
-    u: float
-    delta_E_quadratic: float
-    E_trans_plus: float
-    E_trans_minus: float
-    delta_E_transcendental: float
-    zeta_L_plus: float
-    zeta_R_plus: float
-    zeta_L_minus: float
-    zeta_R_minus: float
-    residual_plus: float
-    residual_minus: float
     action: ActionResult
+    shifts: LevelShifts
+    roots: QuantizationResult | None
+    I_bar: float
+    delta_E: float
+    delta_E_quadratic: float
+    delta_E_transcendental: float
 
 
 def compute_splitting(
@@ -427,53 +418,24 @@ def compute_splitting(
 
     Computes the barrier action and slope at E_bar, the first-order
     splitting, the quadratic-expansion level shifts, and (when ``solve``
-    is true) the transcendental roots.  With ``solve=False`` the
-    transcendental fields are NaN.  A caller that already holds the
-    action at E_bar passes it as ``action``, as for ``solve_quantization``.
+    is true) the transcendental roots.  With ``solve=False`` ``roots`` is
+    None.  A caller that already holds the action at E_bar passes it as
+    ``action``, as for ``solve_quantization``.
     """
     if analysis is None:
         analysis = analyze(spec, consts)
     if action is None:
         action = evaluate_action(spec, consts, analysis=analysis, rtol=rtol)
     shifts = level_shifts(analysis, action)
-    delta_e = math.hypot(analysis.eps, shifts.delta)
-    nan = math.nan
-    trans = (nan,) * 8
+    roots = None
     if solve:
-        q = solve_quantization(
-            spec, consts, analysis=analysis, action=action, rtol=rtol
-        )
-        trans = (
-            q.E_plus,
-            q.E_minus,
-            q.zeta_L_plus,
-            q.zeta_R_plus,
-            q.zeta_L_minus,
-            q.zeta_R_minus,
-            q.residual_plus,
-            q.residual_minus,
-        )
-    e_trans_plus, e_trans_minus = trans[0], trans[1]
+        roots = solve_quantization(spec, consts, analysis=analysis, action=action, rtol=rtol)
     return SplittingResult(
-        I_bar=action.I,
-        I_slope=action.I_slope,
-        delta=shifts.delta,
-        delta_E=delta_e,
-        dE_plus=shifts.dE_plus,
-        dE_minus=shifts.dE_minus,
-        E_plus=analysis.E_bar + shifts.dE_plus,
-        E_minus=analysis.E_bar + shifts.dE_minus,
-        b_prime=shifts.b_prime,
-        u=shifts.u,
-        delta_E_quadratic=shifts.dE_minus - shifts.dE_plus,
-        E_trans_plus=e_trans_plus,
-        E_trans_minus=e_trans_minus,
-        delta_E_transcendental=e_trans_minus - e_trans_plus,
-        zeta_L_plus=trans[2],
-        zeta_R_plus=trans[3],
-        zeta_L_minus=trans[4],
-        zeta_R_minus=trans[5],
-        residual_plus=trans[6],
-        residual_minus=trans[7],
         action=action,
+        shifts=shifts,
+        roots=roots,
+        I_bar=action.I,
+        delta_E=math.hypot(analysis.eps, shifts.delta),
+        delta_E_quadratic=shifts.dE_minus - shifts.dE_plus,
+        delta_E_transcendental=math.nan if roots is None else roots.E_minus - roots.E_plus,
     )

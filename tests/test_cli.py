@@ -2,7 +2,6 @@
 import dataclasses
 import json
 import math
-import os
 import pathlib
 import re
 import shutil
@@ -45,6 +44,33 @@ TILTED_QUARTIC = {
     "oracle_grid": {"x_min": -4.0, "x_max": 4.0, "n_points": 8001, "richardson": True},
 }
 
+# Key order of an analyze splitting block: the closed formula and the
+# quadratic shifts, then the nine keys of the transcendental roots.
+SPLITTING_KEYS = [
+    "I_bar",
+    "I_slope",
+    "delta",
+    "delta_E",
+    "dE_plus",
+    "dE_minus",
+    "E_plus",
+    "E_minus",
+    "b_prime",
+    "u",
+    "delta_E_quadratic",
+]
+ROOT_KEYS = [
+    "E_trans_plus",
+    "E_trans_minus",
+    "delta_E_transcendental",
+    "zeta_L_plus",
+    "zeta_R_plus",
+    "zeta_L_minus",
+    "zeta_R_minus",
+    "residual_plus",
+    "residual_minus",
+]
+
 DO_SWEEP = {
     "schema": "tunnelkit/1",
     "potential": {
@@ -63,15 +89,9 @@ def readme_config():
     return json.loads(block)
 
 
-def cli(*args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def cli(*args):
     return subprocess.run(
-        [sys.executable, "-m", "tunnelkit", *args],
-        capture_output=True,
-        text=True,
-        env=env,
+        [sys.executable, "-m", "tunnelkit", *args], capture_output=True, text=True
     )
 
 
@@ -117,14 +137,14 @@ class TestAnalyze:
         assert csv_text.splitlines()[0] == CSV_HEADER
 
     @pytest.mark.parametrize(
-        "potential",
+        "potential, solved",
         [
-            {"family": "biased_quartic", "alpha": 3.0, "a": 1.0, "beta": 0.15},
-            {"family": "biased_quartic", "alpha": 1.0, "a": 2.1, "beta": 0.2},
+            ({"family": "biased_quartic", "alpha": 3.0, "a": 1.0, "beta": 0.15}, False),
+            ({"family": "biased_quartic", "alpha": 1.0, "a": 2.1, "beta": 0.2}, True),
         ],
         ids=["fallback", "newton"],
     )
-    def test_action_block_is_the_action_at_the_mean_level(self, potential):
+    def test_action_block_is_the_action_at_the_mean_level(self, potential, solved):
         config = parse_config({"schema": "tunnelkit/1", "potential": potential})
         doc, csv_text = run_analyze(config)
         spec, consts = config.potential, config.constants
@@ -132,15 +152,21 @@ class TestAnalyze:
         act = evaluate_action(
             spec, consts, analysis=a, rtol=config.tolerances.quad_rtol
         )
-        assert doc["action"] == {
-            "E": act.E,
-            "a_bar": act.a_bar,
-            "b_bar": act.b_bar,
-            "I": act.I,
-            "I_slope": act.I_slope,
-            "I_L": act.I_L,
-            "I_R": act.I_R,
-        }
+        assert list(doc["action"].items()) == [
+            ("E", act.E),
+            ("a_bar", act.a_bar),
+            ("b_bar", act.b_bar),
+            ("I", act.I),
+            ("I_slope", act.I_slope),
+            ("I_L", act.I_L),
+            ("I_R", act.I_R),
+        ]
+        assert list(doc["splitting"]) == SPLITTING_KEYS + ROOT_KEYS
+        roots = [doc["splitting"][key] for key in ROOT_KEYS]
+        if solved:
+            assert all(type(value) is float for value in roots)
+        else:
+            assert roots == [None] * len(ROOT_KEYS)
         cols = dict(zip(CSV_HEADER.split(","), csv_text.splitlines()[1].split(",")))
         assert cols["I_bar"] == f"{act.I:.17g}"
         assert cols["I_slope"] == f"{act.I_slope:.17g}"
@@ -608,7 +634,7 @@ class TestReadmeConfig:
                 solve=False,
                 rtol=config.tolerances.quad_rtol,
             )
-            assert point["splitting"] == _splitting_doc(unsolved)
+            assert point["splitting"] == _splitting_doc(dialed.E_bar, unsolved)
 
 
 class TestProcessOutput:
@@ -634,22 +660,13 @@ class TestProcessOutput:
         assert json.loads(out.read_text())["command"] == "analyze"
 
     def test_thread_count_does_not_change_the_bytes(self, tmp_path):
+        # Sweep points run in one thread; two processes write the same bytes.
         path = write_json(tmp_path, "sweep.json", DO_SWEEP)
-        single = cli("sweep", path, env_extra={"TUNNELKIT_THREADS": "1"})
-        quad = cli("sweep", path, env_extra={"TUNNELKIT_THREADS": "4"})
-        assert single.returncode == quad.returncode == 0
-        assert single.stdout == quad.stdout
-        assert len(single.stdout) > 200
-
-    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
-    def test_invalid_thread_count_is_a_config_error(
-        self, tmp_path, monkeypatch, capsys, value
-    ):
-        monkeypatch.setenv("TUNNELKIT_THREADS", value)
-        path = write_json(tmp_path, "sweep.json", DO_SWEEP)
-        assert main(["sweep", path]) == 2
-        err = capsys.readouterr().err
-        assert f"TUNNELKIT_THREADS must be a positive integer, got {value!r}" in err
+        first = cli("sweep", path)
+        second = cli("sweep", path)
+        assert first.returncode == second.returncode == 0
+        assert first.stdout == second.stdout
+        assert len(first.stdout) > 200
 
     def test_semiclassical_runs_load_no_scipy(self):
         # scipy is imported by the first eigensolve only.  The README

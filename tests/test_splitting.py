@@ -249,9 +249,7 @@ class TestSolveQuantization:
         spec = DoubleOscillator(1.0, 1.3, 0.3, 4.0)
         a = analyze(spec, C)
         act = evaluate_action(spec, C, analysis=a)
-        reference = splitting._solve_bracketed(
-            spec, C, a, level_shifts(a, act), 1e-12, 60
-        )
+        reference = splitting._solve_bracketed(spec, C, a, level_shifts(a, act), 1e-12)
         calls = []
 
         def spy(*args):
@@ -313,7 +311,7 @@ def test_newton_roots_match_the_bracketed_reference(spec, mirrored):
         spec, C, a, a.E_bar + shifts.dE_minus, a.E_bar, hi_lim, 1e-12
     )
     q = solve_quantization(spec, C, analysis=a, action=act)
-    ref = splitting._solve_bracketed(spec, C, a, shifts, 1e-12, 60)
+    ref = splitting._solve_bracketed(spec, C, a, shifts, 1e-12)
     assert q.E_plus == pytest.approx(ref.E_plus, rel=1e-12)
     assert q.E_minus == pytest.approx(ref.E_minus, rel=1e-12)
     assert q.E_minus - q.E_plus == pytest.approx(ref.E_minus - ref.E_plus, rel=1e-12)
@@ -415,17 +413,18 @@ class TestComputeSplitting:
         a = analyze(spec, C)
         r = compute_splitting(spec, C, analysis=a)
         act = evaluate_action(spec, C, analysis=a)
-        assert r.I_bar == pytest.approx(act.I, rel=1e-14)
-        assert r.delta_E == pytest.approx(level_splitting(a.eps, r.delta), rel=1e-14)
-        assert r.E_minus - r.E_plus == pytest.approx(r.delta_E_quadratic, rel=1e-12)
-        assert r.delta_E_transcendental == pytest.approx(
-            r.E_trans_minus - r.E_trans_plus, rel=1e-12
-        )
+        assert r.action == act
+        assert r.I_bar == act.I
+        assert r.shifts == level_shifts(a, act)
+        assert r.delta_E == level_splitting(a.eps, r.shifts.delta)
+        assert r.delta_E_quadratic == r.shifts.dE_minus - r.shifts.dE_plus
+        assert r.roots == solve_quantization(spec, C, analysis=a, action=act)
+        assert r.delta_E_transcendental == r.roots.E_minus - r.roots.E_plus
         assert r.delta_E_transcendental == pytest.approx(r.delta_E, rel=1e-4)
 
     def test_solve_flag_off_leaves_transcendental_fields_empty(self):
         spec = BiasedQuartic(3.0, 1.0, 0.15)
         r = compute_splitting(spec, C, solve=False)
-        assert math.isnan(r.E_trans_plus)
+        assert r.roots is None
         assert math.isnan(r.delta_E_transcendental)
         assert r.delta_E > 0.0
