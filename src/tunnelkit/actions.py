@@ -196,12 +196,7 @@ def _shape_factor(lam: float) -> float:
     return s - lam * math.log((1.0 + s) / math.sqrt(lam))
 
 
-def double_oscillator_action(
-    params: DoubleOscillator,
-    consts: PhysConstants,
-    E_bar: float,
-    tilde_eps: float | None = None,
-):
+def double_oscillator_action(params: DoubleOscillator, consts: PhysConstants, E_bar: float):
     """Closed-form half actions (I_L, I_R) for the double oscillator.
 
     With lambda_L = E/V0 and lambda_R = (E - tilde_eps)/(V0 - tilde_eps),
@@ -211,8 +206,7 @@ def double_oscillator_action(
     and the mirrored expression for I_R.  Both lambdas must lie in
     (0, 1]; the boundary lambda = 1 gives a vanishing half action.
     """
-    if tilde_eps is None:
-        tilde_eps = params.tilde_eps
+    tilde_eps = params.tilde_eps
     hbar = consts.hbar
     lam_l = E_bar / params.V0
     lam_r = (E_bar - tilde_eps) / (params.V0 - tilde_eps)
@@ -222,6 +216,10 @@ def double_oscillator_action(
     i_l = params.V0 / (hbar * params.omega_L) * _shape_factor(lam_l)
     i_r = (params.V0 - tilde_eps) / (hbar * params.omega_R) * _shape_factor(lam_r)
     return i_l, i_r
+
+
+# energy fraction E / V0 of either well beyond which the expansion is untrusted
+_LAMBDA_MAX = 0.3
 
 
 @dataclass(frozen=True)
@@ -241,7 +239,6 @@ def asymptotic_action(
     consts: PhysConstants = DEFAULT_CONSTANTS,
     analysis: WellAnalysis | None = None,
     *,
-    lambda_max: float = 0.3,
     rtol: float = 1e-12,
 ):
     """Small-energy expansion of I(E_bar) about the zero-energy action.
@@ -264,7 +261,7 @@ def asymptotic_action(
     by callers rather than asserted against a universal constant.
 
     Returns (AsymptoticActionParts, I_asym).  Raises LambdaOutOfRange if
-    either energy fraction exceeds ``lambda_max``.
+    either energy fraction is not below 0.3.
     """
     analysis = _ensure_analysis(spec, consts, analysis)
     m, hbar = consts.mass, consts.hbar
@@ -273,9 +270,9 @@ def asymptotic_action(
     lam_l = e_bar / analysis.V0
     lam_r = (e_bar - te) / (analysis.V0 - te)
     for name, lam in (("lambda_L", lam_l), ("lambda_R", lam_r)):
-        if not 0.0 < lam < lambda_max:
+        if not 0.0 < lam < _LAMBDA_MAX:
             raise LambdaOutOfRange(
-                f"{name} = {lam:g} outside (0, {lambda_max:g}); expansion untrusted"
+                f"{name} = {lam:g} outside (0, {_LAMBDA_MAX:g}); expansion untrusted"
             )
     x_l, x_r, x_m = analysis.x_L, analysis.x_R, analysis.x_m
     v = analysis.v

@@ -249,13 +249,10 @@ def run_analyze(config: RunConfig):
 def _dial_bias(analysis: WellAnalysis, tilde_eps: float) -> WellAnalysis:
     """Shift the spectral bias on a fixed potential shape.
 
-    eps and E_bar follow their defining relations; the action is then
-    re-evaluated at the new E_bar on the unchanged curve.
+    eps and E_bar follow tilde_eps; the action is then re-evaluated at
+    the new E_bar on the unchanged curve.
     """
-    c = analysis.consts
-    eps = tilde_eps + c.hbar * (analysis.omega_R - analysis.omega_L) / 2.0
-    e_bar = c.hbar * (analysis.omega_L + analysis.omega_R) / 4.0 + tilde_eps / 2.0
-    return replace(analysis, tilde_eps=tilde_eps, eps=eps, E_bar=e_bar)
+    return replace(analysis, tilde_eps=tilde_eps)
 
 
 def run_sweep(config: RunConfig):

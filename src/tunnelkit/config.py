@@ -4,8 +4,8 @@ Top-level shape (schema "tunnelkit/1"):
 
     {
       "schema": "tunnelkit/1",
-      "potential": {"family": "biased_quartic", "alpha": 3.0, "a": 1.0,
-                     "beta": 0.15},
+      "potential": {"family": <name>, <fields of the family>,
+                     "mirror": false, "orient": "auto"},
       "constants": {"hbar": 1.0, "mass": 1.0},
       "oracle_grid": {"x_min": -4.0, "x_max": 4.0, "n_points": 8001,
                        "richardson": true},
@@ -18,21 +18,25 @@ Top-level shape (schema "tunnelkit/1"):
 Every block except "schema" and "potential" is optional.  Unknown keys
 anywhere are rejected, every number must be finite, and malformed input
 raises ConfigError with the offending key named.
+
+One reader, ``_build``, turns each block into a dataclass: the potential
+block into the family class that ``potentials.FAMILIES`` names for
+"family" (its fields are that class's fields), every other block into
+the ``RunConfig`` field of the block's name.  A key is a field's name
+or its ``metadata["key"]``, and its JSON type follows the field's
+annotation.  The defaults and the range checks live in the dataclasses,
+not here: an absent key keeps the field's default, and ``__post_init__``
+rejects a value out of range.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields
 
 from .errors import ConfigError
 from .oracle import GridSpec
-from .potentials import (
-    BiasedQuartic,
-    DoubleOscillator,
-    Mirrored,
-    PhysConstants,
-    Polynomial,
-)
+from .potentials import FAMILIES, Mirrored, PhysConstants
 
 __all__ = [
     "SCHEMA",
@@ -52,20 +56,36 @@ class SweepSpec:
     """Bias sweep: dial tilde_eps from start to stop in `steps` points."""
 
     parameter: str
-    start: float
-    stop: float
+    start: float = field(metadata={"key": "from"})
+    stop: float = field(metadata={"key": "to"})
     steps: int
+
+    def __post_init__(self):
+        if self.parameter != "tilde_eps":
+            raise ConfigError(
+                f'sweep parameter must be "tilde_eps", got {self.parameter!r}'
+            )
+        if self.steps < 1:
+            raise ConfigError('"steps" in "sweep" must be at least 1')
 
 
 @dataclass(frozen=True)
 class Tolerances:
     quad_rtol: float = 1e-12
 
+    def __post_init__(self):
+        if not 0.0 < self.quad_rtol <= 1e-3:
+            raise ConfigError('"quad_rtol" must lie in (0, 1e-3]')
+
 
 @dataclass(frozen=True)
 class ValidityThresholds:
     max_eps_over_hw: float = 0.2
     max_gamow: float = 1e-2
+
+    def __post_init__(self):
+        if not (self.max_eps_over_hw > 0.0 and self.max_gamow > 0.0):
+            raise ConfigError("validity thresholds must be positive")
 
 
 @dataclass(frozen=True)
@@ -77,6 +97,20 @@ class RunConfig:
     sweep: SweepSpec | None = None
     tolerances: Tolerances = field(default_factory=Tolerances)
     validity_thresholds: ValidityThresholds = field(default_factory=ValidityThresholds)
+
+    def __post_init__(self):
+        if self.orient not in ("auto", "keep"):
+            raise ConfigError('"orient" in "potential" must be "auto" or "keep"')
+
+
+# the optional top-level blocks, each read into the RunConfig field of its name
+_BLOCKS = {
+    "constants": PhysConstants,
+    "oracle_grid": GridSpec,
+    "sweep": SweepSpec,
+    "tolerances": Tolerances,
+    "validity_thresholds": ValidityThresholds,
+}
 
 
 def _reject_nonfinite(token):
@@ -98,96 +132,75 @@ def _check_keys(mapping, allowed, context):
         )
 
 
-def _number(mapping, key, context, default=None):
-    if key not in mapping:
-        if default is None:
-            raise ConfigError(f'missing required key "{key}" in {context}')
-        return float(default)
-    value = mapping[key]
+def _number(value, key, context):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f'"{key}" in {context} must be a number')
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise ConfigError(f'"{key}" in {context} must be finite')
     return value
 
 
-def _integer(mapping, key, context, default=None):
-    if key not in mapping:
-        if default is None:
+def _read(value, kind, key, context):
+    """The JSON ``value`` of ``key`` as a field annotated ``kind``."""
+    if kind is float:
+        return _number(value, key, context)
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f'"{key}" in {context} must be an integer')
+    elif kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f'"{key}" in {context} must be true or false')
+    elif kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(f'"{key}" in {context} must be a string')
+    else:  # tuple, an array of numbers; tuple | None also takes null
+        if value is None and type(None) in typing.get_args(kind):
+            return None
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f'"{key}" in {context} must be a non-empty array')
+        value = tuple(_number(v, f"{key}[{i}]", context) for i, v in enumerate(value))
+    return value
+
+
+def _build(cls, block, context):
+    """An instance of the dataclass ``cls`` from its JSON object ``block``.
+
+    ``context`` names the block in errors.  Keys of the block that no
+    field reads are rejected by name; a field whose key is absent keeps
+    its default, and a field without a default makes the key required.
+    """
+    block = _as_mapping(block, context)
+    context = f'"{context}"'
+    by_key = {f.metadata.get("key", f.name): f for f in fields(cls)}
+    _check_keys(block, by_key, context)
+    kwargs = {}
+    for key, f in by_key.items():
+        if key in block:
+            kwargs[f.name] = _read(block[key], f.type, key, context)
+        elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f'missing required key "{key}" in {context}')
-        return int(default)
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f'"{key}" in {context} must be an integer')
-    return value
-
-
-def _boolean(mapping, key, context, default):
-    value = mapping.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f'"{key}" in {context} must be true or false')
-    return value
+    return cls(**kwargs)
 
 
 def _parse_potential(block):
-    block = _as_mapping(block, "potential")
-    family = block.get("family")
+    """The potential spec, and the RunConfig keywords the block sets."""
+    params = dict(_as_mapping(block, "potential"))
+    family = params.pop("family", None)
     if family is None:
         raise ConfigError('missing required key "family" in "potential"')
-    mirror = _boolean(block, "mirror", '"potential"', False)
-    orient = block.get("orient", "auto")
-    if orient not in ("auto", "keep"):
-        raise ConfigError('"orient" in "potential" must be "auto" or "keep"')
-    common = ("family", "mirror", "orient")
-    if family == "biased_quartic":
-        _check_keys(block, common + ("alpha", "a", "beta"), '"potential"')
-        spec = BiasedQuartic(
-            alpha=_number(block, "alpha", '"potential"'),
-            a=_number(block, "a", '"potential"'),
-            beta=_number(block, "beta", '"potential"', default=0.0),
-        )
-    elif family == "double_oscillator":
-        _check_keys(
-            block, common + ("omega_L", "omega_R", "tilde_eps", "V0"), '"potential"'
-        )
-        spec = DoubleOscillator(
-            omega_L=_number(block, "omega_L", '"potential"'),
-            omega_R=_number(block, "omega_R", '"potential"'),
-            tilde_eps=_number(block, "tilde_eps", '"potential"'),
-            V0=_number(block, "V0", '"potential"'),
-        )
-    elif family == "polynomial":
-        _check_keys(block, common + ("coeffs", "window"), '"potential"')
-        coeffs = block.get("coeffs")
-        if not isinstance(coeffs, list) or not coeffs:
-            raise ConfigError('"coeffs" in "potential" must be a non-empty array')
-        vals = []
-        for i, c in enumerate(coeffs):
-            if isinstance(c, bool) or not isinstance(c, (int, float)):
-                raise ConfigError(f'"coeffs[{i}]" in "potential" must be a number')
-            if not math.isfinite(float(c)):
-                raise ConfigError(f'"coeffs[{i}]" in "potential" must be finite')
-            vals.append(float(c))
-        window = block.get("window")
-        if window is not None:
-            if not (isinstance(window, list) and len(window) == 2):
-                raise ConfigError('"window" in "potential" must be [lo, hi]')
-            for i, w in enumerate(window):
-                if isinstance(w, bool) or not isinstance(w, (int, float)):
-                    raise ConfigError(f'"window[{i}]" in "potential" must be a number')
-                if not math.isfinite(float(w)):
-                    raise ConfigError(f'"window[{i}]" in "potential" must be finite')
-            window = (float(window[0]), float(window[1]))
-        spec = Polynomial(coeffs=tuple(vals), window=window)
-    else:
+    if not (isinstance(family, str) and family in FAMILIES):
         raise ConfigError(
-            f'unknown potential family {family!r}; expected "biased_quartic", '
-            '"double_oscillator", or "polynomial"'
+            f"unknown potential family {family!r}; expected one of "
+            + ", ".join(f'"{name}"' for name in FAMILIES)
         )
-    if mirror:
-        spec = Mirrored(spec)
-    return spec, orient
+    mirror = _read(params.pop("mirror", False), bool, "mirror", '"potential"')
+    extra = {"orient": params.pop("orient")} if "orient" in params else {}
+    spec = _build(FAMILIES[family], params, "potential")
+    return (Mirrored(spec) if mirror else spec), extra
 
 
 def parse_config(document) -> RunConfig:
@@ -198,19 +211,7 @@ def parse_config(document) -> RunConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     document = _as_mapping(document, "config")
-    _check_keys(
-        document,
-        (
-            "schema",
-            "potential",
-            "constants",
-            "oracle_grid",
-            "sweep",
-            "tolerances",
-            "validity_thresholds",
-        ),
-        "config",
-    )
+    _check_keys(document, ("schema", "potential", *_BLOCKS), "config")
     schema = document.get("schema")
     if schema is None:
         raise ConfigError('missing required key "schema" (expected "tunnelkit/1")')
@@ -218,81 +219,11 @@ def parse_config(document) -> RunConfig:
         raise ConfigError(f'unsupported schema {schema!r}; expected "{SCHEMA}"')
     if "potential" not in document:
         raise ConfigError('missing required key "potential"')
-    potential, orient = _parse_potential(document["potential"])
-
-    constants = PhysConstants()
-    if "constants" in document:
-        block = _as_mapping(document["constants"], "constants")
-        _check_keys(block, ("hbar", "mass"), '"constants"')
-        constants = PhysConstants(
-            hbar=_number(block, "hbar", '"constants"', default=1.0),
-            mass=_number(block, "mass", '"constants"', default=1.0),
-        )
-
-    grid = None
-    if "oracle_grid" in document:
-        block = _as_mapping(document["oracle_grid"], "oracle_grid")
-        _check_keys(
-            block, ("x_min", "x_max", "n_points", "richardson"), '"oracle_grid"'
-        )
-        grid = GridSpec(
-            x_min=_number(block, "x_min", '"oracle_grid"'),
-            x_max=_number(block, "x_max", '"oracle_grid"'),
-            n_points=_integer(block, "n_points", '"oracle_grid"', default=8001),
-            richardson=_boolean(block, "richardson", '"oracle_grid"', True),
-        )
-
-    sweep = None
-    if "sweep" in document:
-        block = _as_mapping(document["sweep"], "sweep")
-        _check_keys(block, ("parameter", "from", "to", "steps"), '"sweep"')
-        parameter = block.get("parameter")
-        if parameter is None:
-            raise ConfigError('missing required key "parameter" in "sweep"')
-        if parameter != "tilde_eps":
-            raise ConfigError(
-                f'sweep parameter must be "tilde_eps", got {parameter!r}'
-            )
-        steps = _integer(block, "steps", '"sweep"')
-        if steps < 1:
-            raise ConfigError('"steps" in "sweep" must be at least 1')
-        sweep = SweepSpec(
-            parameter=parameter,
-            start=_number(block, "from", '"sweep"'),
-            stop=_number(block, "to", '"sweep"'),
-            steps=steps,
-        )
-
-    tolerances = Tolerances()
-    if "tolerances" in document:
-        block = _as_mapping(document["tolerances"], "tolerances")
-        _check_keys(block, ("quad_rtol",), '"tolerances"')
-        quad_rtol = _number(block, "quad_rtol", '"tolerances"', default=1e-12)
-        if not 0.0 < quad_rtol <= 1e-3:
-            raise ConfigError('"quad_rtol" must lie in (0, 1e-3]')
-        tolerances = Tolerances(quad_rtol=quad_rtol)
-
-    thresholds = ValidityThresholds()
-    if "validity_thresholds" in document:
-        block = _as_mapping(document["validity_thresholds"], "validity_thresholds")
-        _check_keys(block, ("max_eps_over_hw", "max_gamow"), '"validity_thresholds"')
-        max_eps = _number(
-            block, "max_eps_over_hw", '"validity_thresholds"', default=0.2
-        )
-        max_gamow = _number(block, "max_gamow", '"validity_thresholds"', default=1e-2)
-        if max_eps <= 0.0 or max_gamow <= 0.0:
-            raise ConfigError("validity thresholds must be positive")
-        thresholds = ValidityThresholds(max_eps_over_hw=max_eps, max_gamow=max_gamow)
-
-    return RunConfig(
-        potential=potential,
-        orient=orient,
-        constants=constants,
-        oracle_grid=grid,
-        sweep=sweep,
-        tolerances=tolerances,
-        validity_thresholds=thresholds,
-    )
+    potential, extra = _parse_potential(document["potential"])
+    for name, cls in _BLOCKS.items():
+        if name in document:
+            extra[name] = _build(cls, document[name], name)
+    return RunConfig(potential=potential, **extra)
 
 
 def load_config(path) -> RunConfig:

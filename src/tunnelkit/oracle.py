@@ -94,15 +94,13 @@ def default_grid(
     spec,
     consts: PhysConstants = DEFAULT_CONSTANTS,
     analysis: WellAnalysis | None = None,
-    *,
-    n_points: int = 8001,
-    richardson: bool = True,
 ) -> GridSpec:
     """Grid walls wide enough that the doublet is box-insensitive.
 
     The walls sit at the classical turning points of the energy
     E_bar + 10 hbar max(w_L, w_R), pushed outward by five harmonic decay
-    lengths sqrt(hbar / (m w)) of the adjacent well.
+    lengths sqrt(hbar / (m w)) of the adjacent well.  The node count and
+    Richardson setting are the ``GridSpec`` defaults.
     """
     if analysis is None:
         analysis = analyze(spec, consts)
@@ -112,7 +110,7 @@ def default_grid(
     ell_r = math.sqrt(c.hbar / (c.mass * analysis.omega_R))
     x_min = _outer_turning_point(analysis, "left", e_hi) - 5.0 * ell_l
     x_max = _outer_turning_point(analysis, "right", e_hi) + 5.0 * ell_r
-    return GridSpec(x_min=x_min, x_max=x_max, n_points=n_points, richardson=richardson)
+    return GridSpec(x_min=x_min, x_max=x_max)
 
 
 def eigh_tridiagonal(d, e, **kwargs):

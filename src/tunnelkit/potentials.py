@@ -1,7 +1,8 @@
 """Double-well potential families: evaluation, derivatives, well analysis.
 
-This module is the only one that knows which families exist.  Each
-family (``BiasedQuartic``, ``DoubleOscillator``, ``Polynomial`` and the
+This module is the only one that knows which families exist:
+``FAMILIES`` maps each config name to its class.  Each family
+(``BiasedQuartic``, ``DoubleOscillator``, ``Polynomial`` and the
 reflection wrapper ``Mirrored``) is a frozen dataclass with four
 members, and every caller goes through them:
 
@@ -189,6 +190,8 @@ class Polynomial:
         coeffs = tuple(float(c) for c in self.coeffs)
         object.__setattr__(self, "coeffs", coeffs)
         if self.window is not None:
+            if len(self.window) != 2:
+                raise ConfigError("Polynomial window must be [lo, hi]")
             lo, hi = (float(self.window[0]), float(self.window[1]))
             if not hi > lo:
                 raise ConfigError("Polynomial window must satisfy hi > lo")
@@ -231,6 +234,10 @@ class Polynomial:
         lo, hi = float(np.min(real)), float(np.max(real))
         pad = 0.25 * (hi - lo) + 1e-3 * (1.0 + abs(hi) + abs(lo))
         return (lo - pad, hi + pad)
+
+
+# config name -> family class: the one list of the families
+FAMILIES = {cls.family: cls for cls in (BiasedQuartic, DoubleOscillator, Polynomial)}
 
 
 @dataclass(frozen=True)
@@ -312,7 +319,8 @@ class WellAnalysis:
     Positions refer to the axis of ``spec`` (which is the mirrored spec
     when ``mirrored`` is set).  ``zero_shift`` is the constant already
     subtracted so that v(x_L) = 0; the convenience accessors ``v``,
-    ``v1``, ``v2`` evaluate the normalized potential.
+    ``v1``, ``v2`` evaluate the normalized potential.  Two properties
+    follow from tilde_eps, so a dialed bias carries them along:
 
     eps   = tilde_eps + hbar (omega_R - omega_L) / 2   (bias between
             unperturbed ground levels)
@@ -327,11 +335,17 @@ class WellAnalysis:
     omega_L: float
     omega_R: float
     tilde_eps: float
-    eps: float
-    E_bar: float
     V0: float
     zero_shift: float
     mirrored: bool = False
+
+    @property
+    def eps(self):
+        return self.tilde_eps + self.consts.hbar * (self.omega_R - self.omega_L) / 2.0
+
+    @property
+    def E_bar(self):
+        return self.consts.hbar * (self.omega_L + self.omega_R) / 4.0 + self.tilde_eps / 2.0
 
     def v(self, x):
         return evaluate(self.spec, x, self.consts) - self.zero_shift
@@ -382,7 +396,7 @@ def _stationary_points(spec, consts, window, n):
     return out
 
 
-def _analyze_double_oscillator(spec, consts, require_wkb):
+def _analyze_double_oscillator(spec, consts):
     inner = spec.inner if isinstance(spec, Mirrored) else spec
     if isinstance(spec, Mirrored):
         # mirror of a double oscillator: wells swap sides and labels
@@ -395,14 +409,6 @@ def _analyze_double_oscillator(spec, consts, require_wkb):
         omega_L, omega_R = inner.omega_L, inner.omega_R
         tilde_eps = inner.tilde_eps
         zero_shift = 0.0
-    hbar = consts.hbar
-    eps = tilde_eps + hbar * (omega_R - omega_L) / 2.0
-    e_bar = hbar * (omega_L + omega_R) / 4.0 + tilde_eps / 2.0
-    v0 = inner.V0 - zero_shift
-    if require_wkb and v0 <= e_bar:
-        raise DegenerateBarrier(
-            f"barrier height {v0:g} does not exceed mean level {e_bar:g}"
-        )
     return WellAnalysis(
         spec=spec,
         consts=consts,
@@ -412,9 +418,7 @@ def _analyze_double_oscillator(spec, consts, require_wkb):
         omega_L=omega_L,
         omega_R=omega_R,
         tilde_eps=tilde_eps,
-        eps=eps,
-        E_bar=e_bar,
-        V0=v0,
+        V0=inner.V0 - zero_shift,
         zero_shift=zero_shift,
         mirrored=isinstance(spec, Mirrored),
     )
@@ -452,6 +456,17 @@ def analyze(
     """
     if orient not in ("auto", "keep"):
         raise ConfigError(f'orient must be "auto" or "keep", got {orient!r}')
+    analysis = _locate(spec, consts, window, orient)
+    if require_wkb and analysis.V0 <= analysis.E_bar:
+        raise DegenerateBarrier(
+            f"barrier height {analysis.V0:g} does not exceed mean level "
+            f"{analysis.E_bar:g}"
+        )
+    return analysis
+
+
+def _locate(spec, consts, window, orient):
+    # the geometry of ``analyze``, without its argument and WKB checks
     try:
         kink = spec.kink
     except AttributeError:
@@ -464,7 +479,7 @@ def analyze(
             spec = spec.inner.inner
         if isinstance(spec, Mirrored) and orient == "auto" and spec.inner.tilde_eps > 0.0:
             spec = spec.inner
-        return _analyze_double_oscillator(spec, consts, require_wkb)
+        return _analyze_double_oscillator(spec, consts)
 
     if window is None:
         window = spec.scan_window(consts)
@@ -495,38 +510,19 @@ def analyze(
     if v_lo > v_hi and orient == "auto":
         # "keep": with (nearly) equal floors, rounding can make the other
         # floor look lower from either side; mirror at most once.
-        return analyze(
-            mirror(spec),
-            consts,
-            window=(-window[1], -window[0]),
-            orient="keep",
-            require_wkb=require_wkb,
-        )
+        return _locate(mirror(spec), consts, (-window[1], -window[0]), "keep")
 
     m = consts.mass
-    hbar = consts.hbar
-    omega_L = math.sqrt(evaluate_d2(spec, x_lo, consts) / m)
-    omega_R = math.sqrt(evaluate_d2(spec, x_hi, consts) / m)
-    tilde_eps = v_hi - v_lo
-    eps = tilde_eps + hbar * (omega_R - omega_L) / 2.0
-    e_bar = hbar * (omega_L + omega_R) / 4.0 + tilde_eps / 2.0
-    v0 = evaluate(spec, x_m, consts) - v_lo
-    if require_wkb and v0 <= e_bar:
-        raise DegenerateBarrier(
-            f"barrier height {v0:g} does not exceed mean level {e_bar:g}"
-        )
     return WellAnalysis(
         spec=spec,
         consts=consts,
         x_L=x_lo,
         x_R=x_hi,
         x_m=x_m,
-        omega_L=omega_L,
-        omega_R=omega_R,
-        tilde_eps=tilde_eps,
-        eps=eps,
-        E_bar=e_bar,
-        V0=v0,
+        omega_L=math.sqrt(evaluate_d2(spec, x_lo, consts) / m),
+        omega_R=math.sqrt(evaluate_d2(spec, x_hi, consts) / m),
+        tilde_eps=v_hi - v_lo,
+        V0=evaluate(spec, x_m, consts) - v_lo,
         zero_shift=v_lo,
         mirrored=isinstance(spec, Mirrored),
     )

@@ -14,17 +14,10 @@ from .errors import QuadratureNonConvergence
 
 __all__ = ["panel_quadrature", "adaptive_quadrature"]
 
-_NODE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+# Gauss-Legendre order per panel, and its nodes and weights on [-1, 1]
+_ORDER = 16
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_ORDER)
 _INDEX_CACHE: dict[int, np.ndarray] = {}
-
-
-def _nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return _NODE_CACHE[order]
-    except KeyError:
-        x, w = np.polynomial.legendre.leggauss(order)
-        _NODE_CACHE[order] = (x, w)
-        return x, w
 
 
 def _edges(a: float, b: float, panels: int) -> np.ndarray:
@@ -39,26 +32,24 @@ def _edges(a: float, b: float, panels: int) -> np.ndarray:
     return edges
 
 
-def panel_quadrature(f, a: float, b: float, panels: int, order: int = 16) -> float:
+def panel_quadrature(f, a: float, b: float, panels: int) -> float:
     """Integrate a vectorized callable over [a, b] with equal GL panels.
 
     Args:
         f: callable taking an ndarray of abscissae, returning an ndarray.
         a, b: integration limits, a <= b.
-        panels: number of equal-width panels.
-        order: Gauss-Legendre order per panel.
+        panels: number of equal-width panels, each with 16 nodes.
 
     Returns:
         The composite quadrature value.
     """
-    x, w = _nodes(order)
     edges = _edges(a, b, panels)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     # all nodes of all panels in one flat evaluation
-    pts = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    vals = np.asarray(f(pts), dtype=float).reshape(panels, order)
-    return float(np.sum(half * (vals @ w)))
+    pts = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
+    vals = np.asarray(f(pts), dtype=float).reshape(panels, _ORDER)
+    return float(np.sum(half * (vals @ _WEIGHTS)))
 
 
 def adaptive_quadrature(
@@ -68,7 +59,6 @@ def adaptive_quadrature(
     *,
     rtol: float = 1e-12,
     atol: float = 0.0,
-    order: int = 16,
     max_depth: int = 12,
 ) -> float:
     """Refine panel_quadrature dyadically until two levels agree.
@@ -83,7 +73,7 @@ def adaptive_quadrature(
         return 0.0
     prev = None
     for depth in range(max_depth + 1):
-        val = panel_quadrature(f, a, b, 2**depth, order)
+        val = panel_quadrature(f, a, b, 2**depth)
         if prev is not None and abs(val - prev) <= rtol * abs(val) + atol:
             return val
         prev = val

@@ -505,6 +505,14 @@ class TestExitCodes:
         assert r.returncode == 0, r.stderr
         assert json.loads(r.stdout)["well"]["mirrored"] is True
 
+    def test_integer_beyond_float_range_is_a_config_error(self, tmp_path, capsys):
+        doc = {
+            "schema": "tunnelkit/1",
+            "potential": {"family": "biased_quartic", "alpha": 10**400, "a": 2.0},
+        }
+        assert main(["analyze", write_json(tmp_path, "huge.json", doc)]) == 2
+        assert '"alpha" in "potential" must be finite' in capsys.readouterr().err
+
     def test_oracle_without_grid(self, tmp_path):
         path = write_json(
             tmp_path,

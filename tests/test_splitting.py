@@ -119,12 +119,7 @@ class TestFirstOrderSplitting:
         a = analyze(spec, C)
 
         def delta_at(te):
-            dialed = dataclasses.replace(
-                a,
-                tilde_eps=te,
-                eps=te + C.hbar * (a.omega_R - a.omega_L) / 2.0,
-                E_bar=C.hbar * (a.omega_L + a.omega_R) / 4.0 + te / 2.0,
-            )
+            dialed = dataclasses.replace(a, tilde_eps=te)
             return delta_first_order(dialed, gamow_integral(spec, C, dialed.E_bar, dialed))
 
         h = 1e-4
