@@ -25,13 +25,17 @@ for the double-oscillator family, where the dialed bias corresponds to
 an actual member of the family that can be rediagonalized; for other
 families no potential realizes the dialed bias exactly and the columns
 stay empty.
+
+A bias point, of ``analyze`` or of one sweep step, is built once as a
+JSON row (``_point``), and its CSV line is rendered from that row alone
+(``_csv_row``), so the two formats cannot disagree.
 """
 
 import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -52,7 +56,6 @@ from .splitting import K_FIRST_ORDER, QuantizationResult, compute_splitting
 __all__ = [
     "CSV_HEADER",
     "COMPARE_HEADER",
-    "FitResult",
     "run_analyze",
     "run_sweep",
     "run_oracle",
@@ -67,21 +70,11 @@ CSV_HEADER = (
 )
 COMPARE_HEADER = "method,delta_E,rel_err_vs_oracle"
 _ROOT_FIELDS = [f.name for f in fields(QuantizationResult)]
-
-
-@dataclass(frozen=True)
-class FitResult:
-    """ln Delta(tilde_eps) = ln c0 + c1 tilde_eps + c2 tilde_eps^2."""
-
-    c0: float
-    c1: float
-    c2: float
-    rms_residual: float
-
-
-def _fmt(x) -> str:
-    # empty cell: not computed (no grid, or the root solve fell back)
-    return "" if x is None or math.isnan(x) else f"{x:.17g}"
+# the WellAnalysis attributes of an analyze "well" block, in JSON order
+_WELL_KEYS = (
+    "x_L", "x_R", "x_m", "omega_L", "omega_R", "tilde_eps", "eps", "E_bar", "V0",
+    "zero_shift", "mirrored",
+)
 
 
 def _jf(x):
@@ -89,6 +82,19 @@ def _jf(x):
     if isinstance(x, float) and not math.isfinite(x):
         return None
     return x
+
+
+def _cells(values) -> str:
+    # one CSV line; an empty cell is a value not computed (no grid, or
+    # the root solve fell back)
+    return ",".join(
+        v if isinstance(v, str) else "" if v is None or math.isnan(v) else f"{v:.17g}"
+        for v in values
+    )
+
+
+def _csv_text(header, lines) -> str:
+    return header + "\n" + "".join(line + "\n" for line in lines)
 
 
 def _potential_doc(spec):
@@ -99,22 +105,6 @@ def _potential_doc(spec):
     if mirrored:
         doc["mirror"] = True
     return doc
-
-
-def _well_doc(analysis: WellAnalysis):
-    return {
-        "x_L": analysis.x_L,
-        "x_R": analysis.x_R,
-        "x_m": analysis.x_m,
-        "omega_L": analysis.omega_L,
-        "omega_R": analysis.omega_R,
-        "tilde_eps": analysis.tilde_eps,
-        "eps": analysis.eps,
-        "E_bar": analysis.E_bar,
-        "V0": analysis.V0,
-        "zero_shift": analysis.zero_shift,
-        "mirrored": analysis.mirrored,
-    }
 
 
 def _splitting_doc(e_bar, result):
@@ -165,29 +155,52 @@ def _warn_flags(config: RunConfig, analysis: WellAnalysis | None, I_bar: float |
     return flags
 
 
-def _csv_row(analysis, result, spectrum, flags) -> str:
-    e_bar, shifts, roots = analysis.E_bar, result.shifts, result.roots
-    cells = [
-        _fmt(analysis.tilde_eps),
-        _fmt(analysis.eps),
-        _fmt(e_bar),
-        _fmt(result.I_bar),
-        _fmt(result.action.I_slope),
-        _fmt(shifts.delta),
-        _fmt(result.delta_E),
-        _fmt(e_bar + shifts.dE_plus),
-        _fmt(e_bar + shifts.dE_minus),
-    ]
-    if roots is None:
-        cells += ["", ""]
-    else:
-        cells += [_fmt(roots.E_plus - e_bar), _fmt(roots.E_minus - e_bar)]
-    if spectrum is None:
-        cells += ["", "", ""]
-    else:
-        cells += [_fmt(spectrum.E0), _fmt(spectrum.E1), _fmt(spectrum.splitting)]
-    cells.append(";".join(flags))
-    return ",".join(cells)
+def _point(config: RunConfig, analysis: WellAnalysis, oracle=None):
+    """One bias point: its JSON row, its SplittingResult and its Spectrum.
+
+    The splitting runs first.  When the quantization equation has no
+    sub-barrier root (shallow barriers: the upper doublet member merges
+    with the continuum above V0) the point keeps the unsolved splitting
+    and flags "transcendental_unbracketed"; both attempts share one
+    action at E_bar.  Then come the warn flags, and only then
+    ``oracle(analysis)``, which returns the point's Spectrum (None
+    without an oracle), so a regime error of the splitting is raised
+    before any error of the eigensolve.
+    """
+    spec, consts, rtol = config.potential, config.constants, config.tolerances.quad_rtol
+    action = evaluate_action(spec, consts, analysis=analysis, rtol=rtol)
+    try:
+        result = compute_splitting(spec, consts, analysis=analysis, action=action, rtol=rtol)
+        fallback = []
+    except RootNotBracketed:
+        result = compute_splitting(
+            spec, consts, analysis=analysis, action=action, solve=False, rtol=rtol
+        )
+        fallback = ["transcendental_unbracketed"]
+    flags = _warn_flags(config, analysis, result.I_bar) + fallback
+    spectrum = None if oracle is None else oracle(analysis)
+    row = {
+        "tilde_eps": analysis.tilde_eps,
+        "eps": analysis.eps,
+        "E_bar": analysis.E_bar,
+        "splitting": _splitting_doc(analysis.E_bar, result),
+        "oracle": None if spectrum is None else _spectrum_doc(spectrum),
+        "warn_flags": flags,
+    }
+    return row, result, spectrum
+
+
+def _csv_row(row) -> str:
+    """The CSV_HEADER line of a point, read from its JSON row."""
+    e_bar, split, oracle = row["E_bar"], row["splitting"], row["oracle"] or {}
+    trans = (split["E_trans_plus"], split["E_trans_minus"])
+    return _cells(
+        [row["tilde_eps"], row["eps"], e_bar]
+        + [split[k] for k in ("I_bar", "I_slope", "delta", "delta_E", "E_plus", "E_minus")]
+        + [None if e is None else e - e_bar for e in trans]
+        + [oracle.get(k) for k in ("E0", "E1", "splitting")]
+        + [";".join(row["warn_flags"])]
+    )
 
 
 def _base_doc(command: str, config: RunConfig):
@@ -199,60 +212,25 @@ def _base_doc(command: str, config: RunConfig):
     }
 
 
-def _splitting_with_fallback(spec, consts, analysis, rtol):
-    """compute_splitting, degrading gracefully when the quantization
-    equation has no sub-barrier root (shallow barriers: the upper doublet
-    member merges with the continuum above V0).  Returns (result, flags).
-
-    The action at E_bar is evaluated once and shared by both attempts.
-    """
-    action = evaluate_action(spec, consts, analysis=analysis, rtol=rtol)
-    try:
-        result = compute_splitting(
-            spec, consts, analysis=analysis, action=action, rtol=rtol
-        )
-        return result, []
-    except RootNotBracketed:
-        result = compute_splitting(
-            spec, consts, analysis=analysis, action=action, solve=False, rtol=rtol
-        )
-        return result, ["transcendental_unbracketed"]
-
-
 def run_analyze(config: RunConfig):
     """Full single-point pipeline.  Returns (json document, csv text)."""
-    spec, consts = config.potential, config.constants
+    spec, consts, grid = config.potential, config.constants, config.oracle_grid
     analysis = analyze(spec, consts, orient=config.orient, require_wkb=True)
-    result, extra_flags = _splitting_with_fallback(
-        spec, consts, analysis, config.tolerances.quad_rtol
+    oracle = None if grid is None else (
+        lambda a: eigen_lowest_two(spec, consts, grid, analysis=a)
     )
-    spectrum = None
-    if config.oracle_grid is not None:
-        spectrum = eigen_lowest_two(spec, consts, config.oracle_grid, analysis=analysis)
-    flags = _warn_flags(config, analysis, result.I_bar) + extra_flags
-    row = _csv_row(analysis, result, spectrum, flags)
+    row, result, spectrum = _point(config, analysis, oracle)
     doc = _base_doc("analyze", config)
-    doc["well"] = _well_doc(analysis)
+    doc["well"] = {key: getattr(analysis, key) for key in _WELL_KEYS}
     doc["action"] = asdict(result.action)
-    doc["splitting"] = _splitting_doc(analysis.E_bar, result)
+    doc["splitting"] = row["splitting"]
+    doc["oracle"] = row["oracle"]
     if spectrum is not None:
-        oracle_doc = _spectrum_doc(spectrum)
-        oracle_doc["wkb_ratio"] = result.delta_E / spectrum.splitting
-        doc["oracle"] = oracle_doc
-    else:
-        doc["oracle"] = None
-    doc["warn_flags"] = flags
-    doc["csv"] = {"header": CSV_HEADER, "row": row}
-    return doc, CSV_HEADER + "\n" + row + "\n"
-
-
-def _dial_bias(analysis: WellAnalysis, tilde_eps: float) -> WellAnalysis:
-    """Shift the spectral bias on a fixed potential shape.
-
-    eps and E_bar follow tilde_eps; the action is then re-evaluated at
-    the new E_bar on the unchanged curve.
-    """
-    return replace(analysis, tilde_eps=tilde_eps)
+        doc["oracle"]["wkb_ratio"] = result.delta_E / spectrum.splitting
+    doc["warn_flags"] = row["warn_flags"]
+    line = _csv_row(row)
+    doc["csv"] = {"header": CSV_HEADER, "row": line}
+    return doc, _csv_text(CSV_HEADER, [line])
 
 
 def run_sweep(config: RunConfig):
@@ -267,82 +245,49 @@ def run_sweep(config: RunConfig):
     if sweep.start == sweep.stop:
         raise FitIllConditioned("zero-width sweep (from == to) cannot be fitted")
     spec, consts = config.potential, config.constants
-    rtol = config.tolerances.quad_rtol
     base = analyze(spec, consts, orient=config.orient, require_wkb=True)
-    mirrored = isinstance(spec, Mirrored)
-    inner = spec.inner if mirrored else spec
-    rebuild_oracle = spec.kink and config.oracle_grid is not None
+    oracle = None
+    if spec.kink and config.oracle_grid is not None:
+        mirrored = isinstance(spec, Mirrored)
+        inner = spec.inner if mirrored else spec
+
+        def oracle(dialed):
+            # the member of the family that realizes the dialed bias
+            member = replace(inner, tilde_eps=dialed.tilde_eps)
+            member_spec = Mirrored(member) if mirrored else member
+            member_analysis = analyze(member_spec, consts, orient=config.orient)
+            return eigen_lowest_two(
+                member_spec, consts, config.oracle_grid, analysis=member_analysis
+            )
+
     values = [
         sweep.start + i * (sweep.stop - sweep.start) / (sweep.steps - 1)
         for i in range(sweep.steps)
     ]
-
-    def point(tilde_eps: float):
-        dialed = _dial_bias(base, tilde_eps)
-        result, extra_flags = _splitting_with_fallback(spec, consts, dialed, rtol)
-        spectrum = None
-        if rebuild_oracle:
-            member = replace(inner, tilde_eps=tilde_eps)
-            member_spec = Mirrored(member) if mirrored else member
-            member_analysis = analyze(member_spec, consts, orient=config.orient)
-            spectrum = eigen_lowest_two(
-                member_spec, consts, config.oracle_grid, analysis=member_analysis
-            )
-        flags = _warn_flags(config, dialed, result.I_bar) + extra_flags
-        return dialed, result, spectrum, flags
-
-    points = [point(v) for v in values]
+    rows = [_point(config, replace(base, tilde_eps=v), oracle)[0] for v in values]
 
     x = np.array(values)
-    y = np.log(np.array([result.shifts.delta for _, result, _, _ in points]))
+    y = np.log(np.array([row["splitting"]["delta"] for row in rows]))
     design = np.column_stack([np.ones_like(x), x, x * x])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    rms = float(np.sqrt(np.mean((y - design @ coef) ** 2)))
-    fit = FitResult(
-        c0=float(np.exp(coef[0])), c1=float(coef[1]), c2=float(coef[2]), rms_residual=rms
-    )
-    slope = points[0][1].action.I_slope  # dI/dE at the start point's E_bar
-    c1_analytic = (
-        0.25
-        * K_FIRST_ORDER
-        / (consts.hbar * base.omega_L)
-        * (base.omega_R - base.omega_L)
-        / base.omega_R
-        - 0.5 * slope
-    )
-
-    rows = [
-        _csv_row(dialed, result, spectrum, flags)
-        for dialed, result, spectrum, flags in points
-    ]
-    csv_text = CSV_HEADER + "\n" + "\n".join(rows) + "\n"
+    slope = rows[0]["splitting"]["I_slope"]  # dI/dE at the start point's E_bar
+    w_l, w_r = base.omega_L, base.omega_R
+    c1_analytic = 0.25 * K_FIRST_ORDER / (consts.hbar * w_l) * (w_r - w_l) / w_r - 0.5 * slope
+    lines = [_csv_row(row) for row in rows]
     doc = _base_doc("sweep", config)
-    doc["sweep"] = {
-        "parameter": sweep.parameter,
-        "from": sweep.start,
-        "to": sweep.stop,
-        "steps": sweep.steps,
-    }
-    doc["rows"] = [
-        {
-            "tilde_eps": dialed.tilde_eps,
-            "eps": dialed.eps,
-            "E_bar": dialed.E_bar,
-            "splitting": _splitting_doc(dialed.E_bar, result),
-            "oracle": _spectrum_doc(spectrum) if spectrum is not None else None,
-            "warn_flags": flags,
-        }
-        for dialed, result, spectrum, flags in points
-    ]
+    # the sweep block as the config spells it ("from", "to")
+    doc["sweep"] = {f.metadata.get("key", f.name): getattr(sweep, f.name) for f in fields(sweep)}
+    doc["rows"] = rows
+    # ln Delta(tilde_eps) = ln c0 + c1 tilde_eps + c2 tilde_eps^2
     doc["fit"] = {
-        "c0": fit.c0,
-        "c1": fit.c1,
-        "c2": fit.c2,
-        "rms_residual": fit.rms_residual,
+        "c0": float(np.exp(coef[0])),
+        "c1": float(coef[1]),
+        "c2": float(coef[2]),
+        "rms_residual": float(np.sqrt(np.mean((y - design @ coef) ** 2))),
         "c1_analytic": c1_analytic,
     }
-    doc["csv"] = {"header": CSV_HEADER, "rows": rows}
-    return doc, csv_text
+    doc["csv"] = {"header": CSV_HEADER, "rows": lines}
+    return doc, _csv_text(CSV_HEADER, lines)
 
 
 def run_oracle(config: RunConfig):
@@ -353,8 +298,7 @@ def run_oracle(config: RunConfig):
     """
     if config.oracle_grid is None:
         raise ConfigError('missing required key "oracle_grid"')
-    spec, consts = config.potential, config.constants
-    grid = config.oracle_grid
+    spec, consts, grid = config.potential, config.constants, config.oracle_grid
     try:
         analysis = analyze(spec, consts, orient=config.orient)
     except WellStructureError:
@@ -372,14 +316,8 @@ def run_oracle(config: RunConfig):
         i_bar = gamow_integral(
             spec, consts, analysis.E_bar, analysis, rtol=config.tolerances.quad_rtol
         )
-    flags = _warn_flags(config, analysis, i_bar)
     doc = _base_doc("oracle", config)
-    doc["grid"] = {
-        "x_min": grid.x_min,
-        "x_max": grid.x_max,
-        "n_points": grid.n_points,
-        "richardson": grid.richardson,
-    }
+    doc["grid"] = asdict(grid)
     doc["spectrum"] = _spectrum_doc(spectrum)
     doc["halving"] = {
         "n_coarse": grid.n_points,
@@ -391,20 +329,9 @@ def run_oracle(config: RunConfig):
         "E0_change": e0_f - e0_c,
         "E1_change": e1_f - e1_c,
     }
-    doc["warn_flags"] = flags
-    csv_text = (
-        "E0,E1,splitting,est_error\n"
-        + ",".join(
-            [
-                _fmt(spectrum.E0),
-                _fmt(spectrum.E1),
-                _fmt(spectrum.splitting),
-                _fmt(spectrum.est_error),
-            ]
-        )
-        + "\n"
-    )
-    return doc, csv_text
+    doc["warn_flags"] = _warn_flags(config, analysis, i_bar)
+    header = ",".join(doc["spectrum"])  # E0,E1,splitting,est_error
+    return doc, _csv_text(header, [_cells(doc["spectrum"].values())])
 
 
 def run_compare(config: RunConfig):
@@ -429,27 +356,29 @@ def run_compare(config: RunConfig):
         ("transcendental", result.delta_E_transcendental),
         ("oracle", spectrum.splitting),
     ]
-    flags = _warn_flags(config, analysis, result.I_bar)
-    rows = []
-    table = []
-    for name, value in methods:
-        rel = abs(value - spectrum.splitting) / spectrum.splitting
-        rows.append(f"{name},{_fmt(value)},{_fmt(rel)}")
-        table.append({"method": name, "delta_E": value, "rel_err_vs_oracle": rel})
+    table = [
+        {
+            "method": name,
+            "delta_E": value,
+            "rel_err_vs_oracle": abs(value - spectrum.splitting) / spectrum.splitting,
+        }
+        for name, value in methods
+    ]
+    lines = [_cells(entry.values()) for entry in table]
     doc = _base_doc("compare", config)
     doc["oracle"] = _spectrum_doc(spectrum)
     doc["methods"] = table
-    doc["warn_flags"] = flags
-    doc["csv"] = {"header": COMPARE_HEADER, "rows": rows}
-    csv_text = COMPARE_HEADER + "\n" + "\n".join(rows) + "\n"
-    return doc, csv_text
+    doc["warn_flags"] = _warn_flags(config, analysis, result.I_bar)
+    doc["csv"] = {"header": COMPARE_HEADER, "rows": lines}
+    return doc, _csv_text(COMPARE_HEADER, lines)
 
 
+# command -> (runner, default output format, help text)
 _COMMANDS = {
-    "analyze": (run_analyze, "json"),
-    "sweep": (run_sweep, "csv"),
-    "oracle": (run_oracle, "json"),
-    "compare": (run_compare, "csv"),
+    "analyze": (run_analyze, "json", "full single-point report for one potential"),
+    "sweep": (run_sweep, "csv", "dial tilde_eps, emit per-point CSV rows and a log fit"),
+    "oracle": (run_oracle, "json", "finite-difference doublet with a grid-halving report"),
+    "compare": (run_compare, "csv", "splitting per method versus the reference spectrum"),
 }
 
 
@@ -463,13 +392,7 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "analyze": "full single-point report for one potential",
-        "sweep": "dial tilde_eps, emit per-point CSV rows and a log fit",
-        "oracle": "finite-difference doublet with a grid-halving report",
-        "compare": "splitting per method versus the reference spectrum",
-    }
-    for name, help_text in helps.items():
+    for name, (_, _, help_text) in _COMMANDS.items():
         s = sub.add_parser(name, help=help_text)
         s.add_argument("config", help="path to a tunnelkit/1 JSON config file")
         s.add_argument("--out", help="write output to this path instead of stdout")
@@ -485,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command; returns the process exit code."""
     args = _build_parser().parse_args(argv)
-    runner, default_format = _COMMANDS[args.command]
+    runner, default_format, _ = _COMMANDS[args.command]
     out_format = args.format or default_format
     try:
         config = load_config(args.config)
@@ -497,11 +420,8 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         if args.command == "sweep" and out_format == "csv":
-            fit_line = json.dumps(doc["fit"]) + "\n"
-            if args.out:
-                sys.stdout.write(fit_line)
-            else:
-                sys.stderr.write(fit_line)
+            # the fit line goes where the CSV does not
+            (sys.stdout if args.out else sys.stderr).write(json.dumps(doc["fit"]) + "\n")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

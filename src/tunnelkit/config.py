@@ -204,12 +204,21 @@ def _parse_potential(block):
 
 
 def parse_config(document) -> RunConfig:
-    """Validate a parsed JSON object (or JSON text) into a RunConfig."""
-    if isinstance(document, (str, bytes)):
+    """Validate a parsed JSON object (or JSON text, bytes as UTF-8) into a RunConfig."""
+    if isinstance(document, bytes):
+        try:
+            document = document.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
+    if isinstance(document, str):
         try:
             document = json.loads(document, parse_constant=_reject_nonfinite)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        except RecursionError as exc:
+            raise ConfigError("config nests arrays or objects too deeply") from exc
+        except ValueError as exc:  # int() refuses a literal of that many digits
+            raise ConfigError("config holds an integer literal with too many digits") from exc
     document = _as_mapping(document, "config")
     _check_keys(document, ("schema", "potential", *_BLOCKS), "config")
     schema = document.get("schema")
@@ -227,10 +236,10 @@ def parse_config(document) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    """Read and validate a config file."""
+    """Read and validate a config file of UTF-8 JSON."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config(text)
+    return parse_config(data)

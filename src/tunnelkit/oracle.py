@@ -18,7 +18,7 @@ import takes longer than a whole semiclassical analysis, so
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from ._brent import brentq
 from .errors import ConfigError, DomainTooSmall, GridTooCoarse, WellStructureError
 from .potentials import (
     DEFAULT_CONSTANTS,
+    Mirrored,
     PhysConstants,
     WellAnalysis,
     analyze,
@@ -72,6 +73,15 @@ class Spectrum:
     fine: tuple[float, float] | None = None
 
 
+def _flipped(spec, analysis: WellAnalysis) -> bool:
+    # whether analysis runs on the mirror of the axis of spec: each
+    # Mirrored wrapper, and so auto-orientation, reflects the axis once
+    def odd(s):  # an odd number of Mirrored wrappers
+        return isinstance(s, Mirrored) and not odd(s.inner)
+
+    return odd(spec) != odd(analysis.spec)
+
+
 def _outer_turning_point(analysis: WellAnalysis, side: str, E: float) -> float:
     """Solve v(x) = E outside the well on the given side ("left"/"right")."""
     x0 = analysis.x_L if side == "left" else analysis.x_R
@@ -99,8 +109,9 @@ def default_grid(
 
     The walls sit at the classical turning points of the energy
     E_bar + 10 hbar max(w_L, w_R), pushed outward by five harmonic decay
-    lengths sqrt(hbar / (m w)) of the adjacent well.  The node count and
-    Richardson setting are the ``GridSpec`` defaults.
+    lengths sqrt(hbar / (m w)) of the adjacent well, on the axis of
+    ``spec``.  The node count and Richardson setting are the ``GridSpec``
+    defaults.
     """
     if analysis is None:
         analysis = analyze(spec, consts)
@@ -110,6 +121,8 @@ def default_grid(
     ell_r = math.sqrt(c.hbar / (c.mass * analysis.omega_R))
     x_min = _outer_turning_point(analysis, "left", e_hi) - 5.0 * ell_l
     x_max = _outer_turning_point(analysis, "right", e_hi) + 5.0 * ell_r
+    if _flipped(spec, analysis):
+        x_min, x_max = -x_max, -x_min
     return GridSpec(x_min=x_min, x_max=x_max)
 
 
@@ -158,7 +171,8 @@ def eigen_lowest_two(
     of the two extrapolation increments.  Raises GridTooCoarse when the
     two grids disagree on the gap by more than ten percent, and
     DomainTooSmall when a wall is closer than five decay lengths to its
-    well, where the Dirichlet box would still bias the doublet.
+    well, where the Dirichlet box would still bias the doublet.  The walls
+    lie on the axis of ``spec``, also when ``analysis`` runs on its mirror.
 
     Single-well potentials are accepted too (the two lowest box levels
     of the raw potential are returned, with no floor shift and no
@@ -179,13 +193,18 @@ def eigen_lowest_two(
         c = analysis.consts
         ell_l = math.sqrt(c.hbar / (c.mass * analysis.omega_L))
         ell_r = math.sqrt(c.hbar / (c.mass * analysis.omega_R))
-        if grid.x_min > analysis.x_L - 5.0 * ell_l or grid.x_max < analysis.x_R + 5.0 * ell_r:
+        lo, hi = analysis.x_L - 5.0 * ell_l, analysis.x_R + 5.0 * ell_r
+        flipped = _flipped(spec, analysis)
+        if flipped:
+            lo, hi = -hi, -lo
+        if grid.x_min > lo or grid.x_max < hi:
             raise DomainTooSmall(
                 "walls must clear each well by five decay lengths: need "
-                f"x_min <= {analysis.x_L - 5.0 * ell_l:g} and "
-                f"x_max >= {analysis.x_R + 5.0 * ell_r:g}, got "
+                f"x_min <= {lo:g} and x_max >= {hi:g}, got "
                 f"[{grid.x_min:g}, {grid.x_max:g}]"
             )
+        if flipped:  # solve on the axis of the analysis
+            grid = replace(grid, x_min=-grid.x_max, x_max=-grid.x_min)
         v = analysis.v
     else:
         v = lambda x: evaluate(spec, x, consts)  # noqa: E731

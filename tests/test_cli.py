@@ -15,6 +15,7 @@ import tunnelkit.cli
 import tunnelkit.oracle
 import tunnelkit.splitting
 from tunnelkit import (
+    DomainTooSmall,
     GridTooCoarse,
     WellStructureError,
     analyze,
@@ -26,7 +27,6 @@ from tunnelkit import (
 )
 from tunnelkit.cli import (
     CSV_HEADER,
-    _dial_bias,
     _splitting_doc,
     main,
     run_analyze,
@@ -376,6 +376,31 @@ class TestOracleCommand:
             run_oracle(parse_config(cfg))
 
 
+    # wells near x = 0 and x = 4, the right one deeper: "auto" mirrors the axis
+    SKEWED = {"family": "polynomial", "coeffs": [0, -0.05, 8, -4, 0.5]}
+
+    def skewed(self, orient, x_min, x_max):
+        return parse_config(
+            {
+                "schema": "tunnelkit/1",
+                "potential": dict(self.SKEWED, orient=orient),
+                "oracle_grid": {"x_min": x_min, "x_max": x_max, "n_points": 4001},
+            }
+        )
+
+    def test_walls_lie_on_the_config_axis_under_either_orientation(self):
+        keep, _ = run_oracle(self.skewed("keep", -3.0, 7.0))
+        auto, _ = run_oracle(self.skewed("auto", -3.0, 7.0))
+        assert auto["spectrum"]["splitting"] == pytest.approx(
+            keep["spectrum"]["splitting"], rel=1e-9, abs=0.0
+        )
+
+    @pytest.mark.parametrize("orient", ["keep", "auto"])
+    def test_walls_through_the_right_well_are_too_small(self, orient):
+        with pytest.raises(DomainTooSmall, match=r"need x_min <= -2\.49981 and x_max >= 6\.5002"):
+            run_oracle(self.skewed(orient, -7.0, 3.0))
+
+
 class TestCompare:
     def test_symmetric_well_gives_identical_semiclassical_rows(self):
         cfg = {
@@ -513,6 +538,46 @@ class TestExitCodes:
         assert main(["analyze", write_json(tmp_path, "huge.json", doc)]) == 2
         assert '"alpha" in "potential" must be finite' in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data,message",
+        [
+            (b"\xff\xfe" + json.dumps(TILTED_QUARTIC).encode("utf-16-le"), "not UTF-8 text"),
+            (b'{"schema": "tunnelkit/1", "potential": ' + b"[" * 100000, "too deeply"),
+            (
+                b'{"schema": "tunnelkit/1", "potential": {"family": "biased_quartic", '
+                b'"alpha": ' + b"1" * 5000 + b', "a": 2.0}}',
+                "integer literal with too many digits",
+            ),
+        ],
+        ids=["utf16_bom", "nested_100000", "digits_5000"],
+    )
+    def test_undecodable_config_is_a_config_error(self, tmp_path, capsys, data, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+
+    def test_sweep_point_splitting_runs_before_its_member_is_built(self, tmp_path, capsys):
+        # The first point dials tilde_eps = -0.6: its E_bar lies under the
+        # curve's right floor (exit 3), and the family member it would
+        # rediagonalize, DoubleOscillator(tilde_eps=-0.6), is invalid (exit
+        # 2).  The splitting comes first, so the regime error wins.
+        doc = {
+            "schema": "tunnelkit/1",
+            "potential": {
+                "family": "double_oscillator",
+                "omega_L": 1.0,
+                "omega_R": 1.0,
+                "tilde_eps": 0.5,
+                "V0": 6.0,
+            },
+            "oracle_grid": {"x_min": -8.0, "x_max": 8.0, "n_points": 2001},
+            "sweep": {"parameter": "tilde_eps", "from": -0.6, "to": 0.6, "steps": 7},
+        }
+        assert main(["sweep", write_json(tmp_path, "order.json", doc)]) == 3
+        assert "E = 0.2 is below the right well floor 0.5" in capsys.readouterr().err
+
     def test_oracle_without_grid(self, tmp_path):
         path = write_json(
             tmp_path,
@@ -576,6 +641,55 @@ class TestPotentialBlock:
         assert ("barrier_kink" in doc["warn_flags"]) == kinked
 
 
+class TestMirroredGrid:
+    @pytest.mark.parametrize(
+        "runner", [run_analyze, run_sweep, run_oracle, run_compare],
+        ids=["analyze", "sweep", "oracle", "compare"],
+    )
+    def test_mirrored_walls_give_the_plain_output(self, runner):
+        # "auto" analyzes the mirrored double oscillator on the plain axis;
+        # the walls are read on the config's axis, so mirroring them too
+        # reproduces the plain run bit for bit.
+        potential = {"family": "double_oscillator", "omega_L": 1.0, "omega_R": 1.2,
+                     "tilde_eps": 0.1, "V0": 6.0}
+        sweep = {"parameter": "tilde_eps", "from": 0.1, "to": 0.2, "steps": 5}
+
+        def config(potential, x_min, x_max):
+            return parse_config({
+                "schema": "tunnelkit/1",
+                "potential": potential,
+                "oracle_grid": {"x_min": x_min, "x_max": x_max, "n_points": 2001},
+                "sweep": sweep,
+            })
+
+        _, plain = runner(config(potential, -9.0, 8.0))
+        _, mirrored = runner(config(dict(potential, mirror=True), -8.0, 9.0))
+        assert mirrored == plain
+
+
+class TestParser:
+    def test_help_lists_the_commands(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit) as stop:
+            main(["--help"])
+        assert stop.value.code == 0
+        out = capsys.readouterr().out
+        for name, help_text in [
+            ("analyze", "full single-point report for one potential"),
+            ("sweep", "dial tilde_eps, emit per-point CSV rows and a log fit"),
+            ("oracle", "finite-difference doublet with a grid-halving report"),
+            ("compare", "splitting per method versus the reference spectrum"),
+        ]:
+            assert re.search(rf"^ +{name} +{re.escape(help_text)}$", out, re.M), name
+
+    def test_command_help_names_the_options(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["sweep", "--help"])
+        assert stop.value.code == 0
+        out = capsys.readouterr().out
+        assert "--out" in out and "--format" in out
+
+
 class TestReadmeConfig:
     @pytest.mark.parametrize(
         "command,code",
@@ -633,7 +747,7 @@ class TestReadmeConfig:
         points = doc.get("rows") or [{**doc, "tilde_eps": base.tilde_eps}]
         for point in points:
             assert "transcendental_unbracketed" in point["warn_flags"]
-            dialed = _dial_bias(base, point["tilde_eps"])
+            dialed = dataclasses.replace(base, tilde_eps=point["tilde_eps"])
             assert spied.count(dialed.E_bar) == 1
             unsolved = compute_splitting(
                 spec,

@@ -3,7 +3,7 @@ import copy
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tunnelkit import (
     BiasedQuartic,
@@ -414,6 +414,42 @@ def test_mutated_documents_parse_or_raise_config_error(doc):
         except ConfigError:
             continue
         assert isinstance(cfg, RunConfig)
+
+
+@st.composite
+def corrupted_files(draw):
+    """The bytes of a valid document, one to three times corrupted: a bit
+    flipped, the tail cut off, or bytes that are not UTF-8 inserted."""
+    data = bytearray(json.dumps(draw(st.sampled_from(VALID_DOCS))).encode())
+    for _ in range(draw(st.integers(1, 3))):
+        if not data:
+            break
+        i = draw(st.integers(0, len(data) - 1))
+        kind = draw(st.sampled_from(["flip", "truncate", "insert"]))
+        if kind == "flip":
+            data[i] ^= 1 << draw(st.integers(0, 7))
+        elif kind == "truncate":
+            del data[i:]
+        else:
+            data[i:i] = bytes(draw(st.lists(st.integers(0x80, 0xFF), min_size=1, max_size=3)))
+    return bytes(data)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(corrupted_files())
+@example(b"\xff\xfe" + json.dumps(VALID_DOCS[0]).encode("utf-16-le"))
+@example(b'{"schema": "tunnelkit/1", "potential": ' + b"[" * 100000)
+@example(json.dumps(minimal()).encode().replace(b'"alpha": 1.0', b'"alpha": ' + b"7" * 5000))
+@example(b"\x80abc")
+def test_corrupted_files_load_or_raise_config_error(tmp_path_factory, data):
+    # ConfigError or a RunConfig; any other exception fails the test
+    path = tmp_path_factory.getbasetemp() / "corrupted.json"
+    path.write_bytes(data)
+    try:
+        cfg = load_config(path)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
 
 
 class TestLoadConfig:

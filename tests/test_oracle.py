@@ -154,3 +154,12 @@ class TestGuardRails:
         assert grid.x_max > a.x_R + 5.0 * ell / math.sqrt(a.omega_R)
         sp = eigen_lowest_two(spec, C, grid, analysis=a)
         assert sp.E0 < sp.E1
+
+    def test_default_grid_lies_on_the_axis_of_the_spec(self):
+        # the right well is the deeper one, so "auto" analyzes the mirror
+        spec = Polynomial((0.0, -0.05, 8.0, -4.0, 0.5))
+        auto = default_grid(spec, C)
+        keep = default_grid(spec, C, analyze(spec, C, orient="keep"))
+        assert auto.x_min == pytest.approx(keep.x_min, rel=1e-9)
+        assert auto.x_max == pytest.approx(keep.x_max, rel=1e-9)
+        assert eigen_lowest_two(spec, C, auto) == eigen_lowest_two(spec, C)
