@@ -9,6 +9,13 @@ at both ends; substituting x = a_bar + t^2 (mirrored at b_bar) and
 splitting at the barrier maximum turns each half into an analytic
 integrand, which the dyadic Gauss-Legendre refinement then nails.
 
+I and dI/dE come from one kernel: each refinement pass samples the
+potential once on the t-nodes of both flanks, and that one sample set
+serves the integrands of I and of dI/dE alike.  Each of the four
+components (I and dI/dE on either flank) keeps its own stopping depth, so
+each value is bit for bit what a quadrature of its integrand alone gives,
+and a caller asking for I alone never waits on a slope that cannot settle.
+
 Also provided: the exact closed form for the piecewise-parabolic
 double-oscillator family, and the small-E expansion of I built from the
 zero-energy action plus a logarithmic turning-point correction with the
@@ -34,7 +41,14 @@ from .potentials import (
     _evaluate_d3,
     analyze,
 )
-from .quadrature import adaptive_quadrature
+from .quadrature import (
+    _MAX_DEPTH,
+    _panel_nodes,
+    _panel_sum,
+    _settled,
+    _unsettled,
+    adaptive_quadrature,
+)
 
 __all__ = [
     "ActionResult",
@@ -102,21 +116,68 @@ def turning_points(spec, consts: PhysConstants, E: float, analysis: WellAnalysis
     return float(a_bar), float(b_bar)
 
 
-def _gamow_parts(consts, E, analysis, a_bar, b_bar, rtol):
-    m, hbar = consts.mass, consts.hbar
-    v = analysis.v
+def _momentum(two_t, w, m):
+    # 2t sqrt(2m (V - E)): the integrand of I in t
+    return two_t * np.sqrt(np.maximum(w, 0.0))
 
-    def left(t):
-        x = a_bar + t * t
-        return 2.0 * t * np.sqrt(np.maximum(2.0 * m * (v(x) - E), 0.0))
 
-    def right(t):
-        x = b_bar - t * t
-        return 2.0 * t * np.sqrt(np.maximum(2.0 * m * (v(x) - E), 0.0))
+def _inverse_momentum(two_t, w, m):
+    # 2t m / sqrt(2m (V - E)): the integrand of -dI/dE in t
+    return two_t * m / np.sqrt(np.maximum(w, 1e-300))
 
-    i_l = adaptive_quadrature(left, 0.0, math.sqrt(analysis.x_m - a_bar), rtol=rtol) / hbar
-    i_r = adaptive_quadrature(right, 0.0, math.sqrt(b_bar - analysis.x_m), rtol=rtol) / hbar
-    return i_l, i_r
+
+def _flank_integrals(consts, E, analysis, a_bar, b_bar, rtol, integrands):
+    """Both barrier flanks of each integrand, before the factor 1/hbar.
+
+    The left flank runs as x = a_bar + t^2 from a_bar to x_m, the right
+    one as x = b_bar - t^2 from b_bar back to x_m.  Each refinement pass
+    calls v once on the t-nodes of every flank that still has an open
+    component and forms all the open integrands from that one sample; the
+    first pass takes depths 0 and 1 together, since almost every component
+    stops at depth 1.  Each (integrand, flank) component stops at its own
+    depth with exactly the value adaptive_quadrature gives it alone.  The
+    first component still open at the last depth, integrands in the order
+    given and the left flank first, raises QuadratureNonConvergence.
+
+    Returns one (left, right) pair per integrand.
+    """
+    m = consts.mass
+    two_m = 2.0 * m
+    tops = (math.sqrt(analysis.x_m - a_bar), math.sqrt(b_bar - analysis.x_m))
+    comps = [(f, flank) for f in integrands for flank in (0, 1)]
+    done = {c: 0.0 for c in comps if tops[c[1]] == 0.0}
+    last = dict.fromkeys(comps)
+    depths = (0, 1)
+    while depths[0] <= _MAX_DEPTH:
+        open_comps = [c for c in comps if c not in done]
+        if not open_comps:
+            break
+        blocks = [
+            (flank, *_panel_nodes(0.0, tops[flank], 2**depth))
+            for flank in sorted({flank for _, flank in open_comps})
+            for depth in depths
+        ]
+        x = np.concatenate(
+            [a_bar + t * t if flank == 0 else b_bar - t * t for flank, t, _ in blocks]
+        )
+        two_t = 2.0 * np.concatenate([t for _, t, _ in blocks])
+        w = two_m * (analysis.v(x) - E)
+        vals = {f: f(two_t, w, m) for f in {f for f, _ in open_comps}}
+        start = 0
+        for flank, t, half in blocks:
+            stop = start + t.size
+            for c in open_comps:
+                if c[1] == flank and c not in done:
+                    val = _panel_sum(vals[c[0]][start:stop], half)
+                    if _settled(val, last[c], rtol):
+                        done[c] = val
+                    last[c] = val
+            start = stop
+        depths = (depths[-1] + 1,)
+    for c in comps:
+        if c not in done:
+            raise _unsettled(last[c], rtol, _MAX_DEPTH)
+    return [(done[f, 0], done[f, 1]) for f in integrands]
 
 
 def gamow_integral(
@@ -130,8 +191,8 @@ def gamow_integral(
     """Barrier action I(E) by turning-point-regularized quadrature."""
     analysis = _ensure_analysis(spec, consts, analysis)
     a_bar, b_bar = turning_points(spec, consts, E, analysis)
-    i_l, i_r = _gamow_parts(consts, E, analysis, a_bar, b_bar, rtol)
-    return i_l + i_r
+    [(i_l, i_r)] = _flank_integrals(consts, E, analysis, a_bar, b_bar, rtol, (_momentum,))
+    return i_l / consts.hbar + i_r / consts.hbar
 
 
 def action_slope(
@@ -149,24 +210,10 @@ def action_slope(
     """
     analysis = _ensure_analysis(spec, consts, analysis)
     a_bar, b_bar = turning_points(spec, consts, E, analysis)
-    return _slope_integral(consts, E, analysis, a_bar, b_bar, rtol)
-
-
-def _slope_integral(consts, E, analysis, a_bar, b_bar, rtol):
-    m, hbar = consts.mass, consts.hbar
-    v = analysis.v
-
-    def left(t):
-        x = a_bar + t * t
-        return 2.0 * t * m / np.sqrt(np.maximum(2.0 * m * (v(x) - E), 1e-300))
-
-    def right(t):
-        x = b_bar - t * t
-        return 2.0 * t * m / np.sqrt(np.maximum(2.0 * m * (v(x) - E), 1e-300))
-
-    val = adaptive_quadrature(left, 0.0, math.sqrt(analysis.x_m - a_bar), rtol=rtol)
-    val += adaptive_quadrature(right, 0.0, math.sqrt(b_bar - analysis.x_m), rtol=rtol)
-    return -val / hbar
+    [(s_l, s_r)] = _flank_integrals(
+        consts, E, analysis, a_bar, b_bar, rtol, (_inverse_momentum,)
+    )
+    return -(s_l + s_r) / consts.hbar
 
 
 def evaluate_action(
@@ -182,10 +229,18 @@ def evaluate_action(
     if E is None:
         E = analysis.E_bar
     a_bar, b_bar = turning_points(spec, consts, E, analysis)
-    i_l, i_r = _gamow_parts(consts, E, analysis, a_bar, b_bar, rtol)
-    slope = _slope_integral(consts, E, analysis, a_bar, b_bar, rtol)
+    (i_l, i_r), (s_l, s_r) = _flank_integrals(
+        consts, E, analysis, a_bar, b_bar, rtol, (_momentum, _inverse_momentum)
+    )
+    i_l, i_r = i_l / consts.hbar, i_r / consts.hbar
     return ActionResult(
-        E=float(E), a_bar=a_bar, b_bar=b_bar, I=i_l + i_r, I_slope=slope, I_L=i_l, I_R=i_r
+        E=float(E),
+        a_bar=a_bar,
+        b_bar=b_bar,
+        I=i_l + i_r,
+        I_slope=-(s_l + s_r) / consts.hbar,
+        I_L=i_l,
+        I_R=i_r,
     )
 
 

@@ -311,11 +311,17 @@ def run_oracle(config: RunConfig):
             spec, consts, replace(grid, n_points=n_fine), analysis=analysis
         ).coarse
     e0_f, e1_f = fine
+    # The action only feeds the gamow flag, and a flag never fails a run:
+    # with E_bar at or over the barrier top nothing is forbidden (exp(-I)
+    # = 1), and under the higher well floor there is no action at all.
     i_bar = None
     if analysis is not None:
-        i_bar = gamow_integral(
-            spec, consts, analysis.E_bar, analysis, rtol=config.tolerances.quad_rtol
-        )
+        if analysis.E_bar >= analysis.V0:
+            i_bar = 0.0
+        elif analysis.E_bar > max(0.0, analysis.tilde_eps):
+            i_bar = gamow_integral(
+                spec, consts, analysis.E_bar, analysis, rtol=config.tolerances.quad_rtol
+            )
     doc = _base_doc("oracle", config)
     doc["grid"] = asdict(grid)
     doc["spectrum"] = _spectrum_doc(spectrum)

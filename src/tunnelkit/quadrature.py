@@ -6,6 +6,15 @@ so fixed-order Gauss-Legendre panels converge geometrically.  Doubling
 the panel count until two successive levels agree gives a cheap,
 deterministic error control and makes "refine one level further"
 directly testable.
+
+``panel_quadrature`` and ``adaptive_quadrature`` integrate one callable.
+The barrier-action kernel in ``actions`` refines several integrals at
+once: one sample set of the potential per pass serves I and dI/dE on both
+barrier flanks, and each of these components keeps its own stopping
+depth.  It shares ``_panel_nodes``, ``_panel_sum``, ``_settled`` and
+``_unsettled`` with ``adaptive_quadrature``, so each component gets
+exactly the value, or the error, that ``adaptive_quadrature`` gives it
+alone.
 """
 
 import numpy as np
@@ -18,6 +27,8 @@ __all__ = ["panel_quadrature", "adaptive_quadrature"]
 _ORDER = 16
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_ORDER)
 _INDEX_CACHE: dict[int, np.ndarray] = {}
+# deepest dyadic level: 2**12 panels
+_MAX_DEPTH = 12
 
 
 def _edges(a: float, b: float, panels: int) -> np.ndarray:
@@ -32,6 +43,32 @@ def _edges(a: float, b: float, panels: int) -> np.ndarray:
     return edges
 
 
+def _panel_nodes(a: float, b: float, panels: int):
+    """All nodes of ``panels`` equal panels on [a, b], flat, and the panel
+    half-widths that ``_panel_sum`` weighs the values at those nodes by."""
+    edges = _edges(a, b, panels)
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    half = 0.5 * (edges[1:] - edges[:-1])
+    return (mid[:, None] + half[:, None] * _NODES[None, :]).ravel(), half
+
+
+def _panel_sum(vals: np.ndarray, half: np.ndarray) -> float:
+    """Composite rule from the values at the nodes of ``_panel_nodes``."""
+    return float((half * (vals.reshape(half.size, _ORDER) @ _WEIGHTS)).sum())
+
+
+def _settled(val: float, prev: float | None, rtol: float, atol: float = 0.0) -> bool:
+    """Whether two successive depths agree to ``rtol * |val| + atol``."""
+    return prev is not None and abs(val - prev) <= rtol * abs(val) + atol
+
+
+def _unsettled(last: float, rtol: float, max_depth: int) -> QuadratureNonConvergence:
+    return QuadratureNonConvergence(
+        f"quadrature did not settle within depth {max_depth} "
+        f"(last two values {last!r} vs requested rtol {rtol:g})"
+    )
+
+
 def panel_quadrature(f, a: float, b: float, panels: int) -> float:
     """Integrate a vectorized callable over [a, b] with equal GL panels.
 
@@ -43,13 +80,9 @@ def panel_quadrature(f, a: float, b: float, panels: int) -> float:
     Returns:
         The composite quadrature value.
     """
-    edges = _edges(a, b, panels)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
     # all nodes of all panels in one flat evaluation
-    pts = (mid[:, None] + half[:, None] * _NODES[None, :]).ravel()
-    vals = np.asarray(f(pts), dtype=float).reshape(panels, _ORDER)
-    return float(np.sum(half * (vals @ _WEIGHTS)))
+    pts, half = _panel_nodes(a, b, panels)
+    return _panel_sum(np.asarray(f(pts), dtype=float), half)
 
 
 def adaptive_quadrature(
@@ -59,7 +92,7 @@ def adaptive_quadrature(
     *,
     rtol: float = 1e-12,
     atol: float = 0.0,
-    max_depth: int = 12,
+    max_depth: int = _MAX_DEPTH,
 ) -> float:
     """Refine panel_quadrature dyadically until two levels agree.
 
@@ -74,10 +107,7 @@ def adaptive_quadrature(
     prev = None
     for depth in range(max_depth + 1):
         val = panel_quadrature(f, a, b, 2**depth)
-        if prev is not None and abs(val - prev) <= rtol * abs(val) + atol:
+        if _settled(val, prev, rtol, atol):
             return val
         prev = val
-    raise QuadratureNonConvergence(
-        f"quadrature did not settle within depth {max_depth} "
-        f"(last two values {prev!r} vs requested rtol {rtol:g})"
-    )
+    raise _unsettled(prev, rtol, max_depth)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import tunnelkit.potentials
 from hypothesis import given, settings, strategies as st
 
 from tunnelkit import (
@@ -13,6 +14,7 @@ from tunnelkit import (
     LambdaOutOfRange,
     PhysConstants,
     QuadratureNonConvergence,
+    TunnelkitError,
     action_slope,
     adaptive_quadrature,
     analyze,
@@ -21,11 +23,13 @@ from tunnelkit import (
     evaluate,
     evaluate_action,
     gamow_integral,
+    mirror,
     panel_quadrature,
     parabolic_fidelity,
     turning_points,
 )
 from tunnelkit.quadrature import _edges
+from util import DEEP_WELLS, deep_quartic, reference_gamow_parts, reference_slope
 
 
 class TestQuadrature:
@@ -170,6 +174,96 @@ class TestGamowIntegral:
         a = analyze(spec, C)
         with pytest.raises(QuadratureNonConvergence):
             gamow_integral(spec, C, a.V0 * (1.0 - 1e-9), a, rtol=1e-12)
+
+
+def _outcome(fn):
+    # a value, or the type and message of the error it raised
+    try:
+        return fn()
+    except TunnelkitError as exc:
+        return type(exc), str(exc)
+
+
+class TestActionKernel:
+    """One sample of v per pass serves I and dI/dE of both flanks; every
+    value must equal the per-integrand quadratures it replaced, bit for bit."""
+
+    @staticmethod
+    def check_against_reference(spec, a, e, rtol=1e-12):
+        def reference_action():
+            i_l, i_r = reference_gamow_parts(C, e, a, rtol)
+            return i_l + i_r
+
+        def reference_pair():
+            i_l, i_r = reference_gamow_parts(C, e, a, rtol)
+            return i_l, i_r, i_l + i_r, reference_slope(C, e, a, rtol)
+
+        def pair():
+            res = evaluate_action(spec, C, E=e, analysis=a, rtol=rtol)
+            return res.I_L, res.I_R, res.I, res.I_slope
+
+        assert _outcome(pair) == _outcome(reference_pair)
+        assert _outcome(lambda: gamow_integral(spec, C, e, a, rtol=rtol)) == _outcome(
+            reference_action
+        )
+        assert _outcome(lambda: action_slope(spec, C, e, a, rtol=rtol)) == _outcome(
+            lambda: reference_slope(C, e, a, rtol)
+        )
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        spec=DEEP_WELLS,
+        mirrored=st.booleans(),
+        efrac=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_matches_the_per_integrand_reference_bit_for_bit(self, spec, mirrored, efrac):
+        if mirrored:
+            spec = mirror(spec)
+        a = analyze(spec, C)
+        lo = max(0.0, a.tilde_eps)
+        self.check_against_reference(spec, a, lo + (a.V0 - lo) * efrac)
+
+    def test_action_settles_where_the_slope_cannot(self):
+        # One part in 1e8 below the kinked top, I still converges to 1e-9
+        # while dI/dE, which diverges there, never does: I alone returns,
+        # and the pair fails on dI_L/dE with the reference's own message.
+        spec = DoubleOscillator(1.3, 0.9, 0.4, 8.0)
+        a = analyze(spec, C)
+        e = a.V0 * (1.0 - 1e-8)
+        i_l, i_r = reference_gamow_parts(C, e, a, rtol=1e-9)
+        assert gamow_integral(spec, C, e, a, rtol=1e-9) == i_l + i_r
+        with pytest.raises(QuadratureNonConvergence):
+            evaluate_action(spec, C, E=e, analysis=a, rtol=1e-9)
+        self.check_against_reference(spec, a, e, rtol=1e-9)
+
+    def test_the_first_failing_component_is_named(self):
+        # At 1e-9 below the top I_L fails first, so the pair reports its
+        # last value, as the per-integrand quadratures did.
+        spec = DoubleOscillator(1.3, 0.9, 0.4, 8.0)
+        a = analyze(spec, C)
+        e = a.V0 * (1.0 - 1e-9)
+        with pytest.raises(QuadratureNonConvergence):
+            evaluate_action(spec, C, E=e, analysis=a)
+        self.check_against_reference(spec, a, e)
+
+    def test_one_flank_refines_while_the_other_has_stopped(self, monkeypatch):
+        spec = deep_quartic(6.0, 1.0, 0.1)
+        a = analyze(spec, C)
+        e = a.tilde_eps + (a.V0 - a.tilde_eps) * 0.99
+        sizes = []
+        evaluate_v = tunnelkit.potentials.evaluate
+
+        def spy(spec, x, consts):
+            if np.ndim(x):
+                sizes.append(np.size(x))
+            return evaluate_v(spec, x, consts)
+
+        monkeypatch.setattr(tunnelkit.potentials, "evaluate", spy)
+        evaluate_action(spec, C, E=e, analysis=a)
+        # depths 0 and 1 of both flanks (2 x 48 nodes), then one flank alone
+        # at depth 2 (64 nodes) and 3 (128 nodes)
+        assert sizes == [96, 64, 128]
+        self.check_against_reference(spec, a, e)
 
 
 class TestActionSlope:

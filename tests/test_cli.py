@@ -15,7 +15,9 @@ import tunnelkit.cli
 import tunnelkit.oracle
 import tunnelkit.splitting
 from tunnelkit import (
+    DegenerateBarrier,
     DomainTooSmall,
+    EnergyBelowWellBottom,
     GridTooCoarse,
     WellStructureError,
     analyze,
@@ -399,6 +401,44 @@ class TestOracleCommand:
     def test_walls_through_the_right_well_are_too_small(self, orient):
         with pytest.raises(DomainTooSmall, match=r"need x_min <= -2\.49981 and x_max >= 6\.5002"):
             run_oracle(self.skewed(orient, -7.0, 3.0))
+
+
+    # E_bar = 0.5 over a 0.4 barrier, and E_bar = 1.5 under the right floor
+    # at 2: neither mean level has a sub-barrier action.
+    @pytest.mark.parametrize(
+        "tilde_eps,V0,flags,error",
+        [
+            (0.0, 0.4, ["gamow", "barrier_kink"], DegenerateBarrier),
+            (2.0, 6.0, ["eps_over_hw", "barrier_kink"], EnergyBelowWellBottom),
+        ],
+        ids=["mean_level_over_the_barrier", "mean_level_under_the_right_floor"],
+    )
+    def test_warn_flags_never_fail_the_spectrum(
+        self, tmp_path, capsys, tilde_eps, V0, flags, error
+    ):
+        doc = {
+            "schema": "tunnelkit/1",
+            "potential": {
+                "family": "double_oscillator",
+                "omega_L": 1.0,
+                "omega_R": 1.0,
+                "tilde_eps": tilde_eps,
+                "V0": V0,
+            },
+            "oracle_grid": {"x_min": -10.0, "x_max": 10.0, "n_points": 2001},
+        }
+        path = write_json(tmp_path, "no_action.json", doc)
+        assert main(["oracle", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["spectrum"] == run_oracle(parse_config(doc))[0]["spectrum"]
+        assert out["spectrum"]["splitting"] > 0.0
+        assert out["warn_flags"] == flags
+        # the semiclassical commands still refuse the same well
+        for command, runner in (("analyze", run_analyze), ("compare", run_compare)):
+            assert main([command, path]) == 3
+            assert "regime error" in capsys.readouterr().err
+            with pytest.raises(error):
+                runner(parse_config(doc))
 
 
 class TestCompare:

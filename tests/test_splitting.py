@@ -15,7 +15,6 @@ from tunnelkit import (
     K_FIRST_ORDER,
     OutOfSupportedRange,
     PhysConstants,
-    Polynomial,
     RootNotBracketed,
     action_slope,
     analyze,
@@ -32,7 +31,7 @@ from tunnelkit import (
     solve_quantization,
     splitting,
 )
-from util import sextic_coeffs, sextic_scale_for_depth
+from util import DEEP_WELLS, deep_quartic, deep_sextic
 
 
 class TestSpectralFunctions:
@@ -256,39 +255,6 @@ class TestSolveQuantization:
         assert len(calls) == 1
 
 
-def _deep_quartic(depth, a, bias):
-    # V0 / (hbar omega) = sqrt(alpha / 8) a^3 for alpha (x^2 - a^2)^2.
-    alpha = 8.0 * depth**2 / a**6
-    omega = math.sqrt(8.0 * alpha) * a
-    return BiasedQuartic(alpha, a, bias * omega / (2.0 * a))
-
-
-def _deep_sextic(depth, bias):
-    scale = sextic_scale_for_depth(depth)
-    # The tilt raises the right floor by twice its value, and omega_L is
-    # sqrt(8 (q0 - q1 + q2) scale) = 2.44 sqrt(scale): tilde_eps = bias hbar omega_L.
-    return Polynomial(tuple(sextic_coeffs(scale, 1.22 * math.sqrt(scale) * bias)))
-
-
-# Wells 4 to 8 level spacings deep with |eps| / (hbar omega_L) <= 0.3.
-DEEP_WELLS = st.one_of(
-    st.builds(
-        _deep_quartic,
-        st.floats(4.0, 8.0),
-        st.floats(0.8, 1.5),
-        st.floats(0.0, 0.15),
-    ),
-    st.builds(
-        DoubleOscillator,
-        st.just(1.0),
-        st.floats(0.85, 1.3),
-        st.floats(0.0, 0.15),
-        st.floats(4.0, 8.0),
-    ),
-    st.builds(_deep_sextic, st.floats(4.0, 8.0), st.floats(0.0, 0.1)),
-)
-
-
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(spec=DEEP_WELLS, mirrored=st.booleans())
 def test_newton_roots_match_the_bracketed_reference(spec, mirrored):
@@ -343,7 +309,7 @@ def test_analysis_and_splitting_are_mirror_invariant(spec):
     reason="delta_E_transcendental is 5.684e-14 against 5.861e-14: 16 ulp(E_bar = 28)",
 )
 def test_transcendental_splitting_resolves_a_seven_spacing_symmetric_well():
-    spec = _deep_quartic(7.0, 1.0, 0.0)
+    spec = deep_quartic(7.0, 1.0, 0.0)
     r = compute_splitting(spec, C)
     assert r.delta_E_transcendental == pytest.approx(r.delta_E, rel=1e-4, abs=0.0)
 
@@ -353,7 +319,7 @@ def test_transcendental_splitting_resolves_a_seven_spacing_symmetric_well():
     reason="E_bar + dE_plus rounds to E_bar = 32, so the Newton start leaves (lo_lim, E_bar)",
 )
 def test_newton_starts_inside_its_side_of_an_eight_spacing_symmetric_well():
-    spec = _deep_quartic(8.0, 1.0, 0.0)
+    spec = deep_quartic(8.0, 1.0, 0.0)
     a = analyze(spec, C)
     shifts = level_shifts(a, evaluate_action(spec, C, analysis=a))
     lo_lim, _ = splitting._energy_window(a)
@@ -370,11 +336,11 @@ def test_newton_starts_inside_its_side_of_an_eight_spacing_symmetric_well():
 # whose frequencies are.
 SCALED_WELLS = st.one_of(
     st.tuples(
-        st.builds(_deep_quartic, st.floats(4.0, 8.0), st.floats(0.8, 1.5), st.floats(0.02, 0.15)),
+        st.builds(deep_quartic, st.floats(4.0, 8.0), st.floats(0.8, 1.5), st.floats(0.02, 0.15)),
         st.floats(0.5, 2.0).map(lambda lam: PhysConstants(hbar=lam, mass=lam * lam)),
     ),
     st.tuples(
-        st.builds(_deep_sextic, st.floats(4.0, 8.0), st.floats(0.0, 0.05)),
+        st.builds(deep_sextic, st.floats(4.0, 8.0), st.floats(0.0, 0.05)),
         st.floats(0.5, 2.0).map(lambda lam: PhysConstants(hbar=lam, mass=lam * lam)),
     ),
     st.tuples(
