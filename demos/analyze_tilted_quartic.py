@@ -4,7 +4,8 @@ V(x) = 3 (x^2 - 1)^2 + 0.15 (x + 1) has wells near -1 and +1, a barrier
 of about 3 energy units, and a slight tilt that raises the right well.
 The barrier here is shallow (the mean doublet level sits close to the
 top), so this script also shows the degraded-regime behavior: the warn
-flags fire and the transcendental root solve falls back gracefully.
+flags fire and the row keeps the closed formula when the transcendental
+root solve finds no root.
 
 Run:  python3 demos/analyze_tilted_quartic.py
 """
@@ -58,9 +59,10 @@ print(f"Warn flags: {doc['warn_flags']}")
 print(
     "  'gamow' says the barrier transmission is too large for the deep-barrier\n"
     "  expansion to be trusted, and 'transcendental_unbracketed' says the root\n"
-    "  solve found no sign change near E_bar, so those fields are empty.  The\n"
-    "  closed formula still evaluates, and the ratio above quantifies how far\n"
-    "  it drifts in this regime (about 68 percent high)."
+    "  solve found no root with |zeta| < 0.4 below the barrier top, so those\n"
+    "  fields are empty.  The closed formula still evaluates, and the ratio\n"
+    "  above quantifies how far it drifts in this regime (about 68 percent\n"
+    "  high)."
 )
 print()
 print("Machine-readable document (excerpt):")

@@ -73,7 +73,8 @@ class LambdaOutOfRange(RegimeError):
 
 
 class RootNotBracketed(RegimeError):
-    """A root solve could not establish a sign change."""
+    """The quantization root solve found no root inside |zeta| < 0.4 and
+    its energy window."""
 
 
 class GridTooCoarse(RegimeError):

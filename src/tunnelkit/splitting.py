@@ -26,9 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._brent import brentq
-from .actions import ActionResult, evaluate_action, gamow_integral
-from .errors import DomainError, OutOfSupportedRange, RegimeError, RootNotBracketed
+from .actions import ActionResult, evaluate_action
+from .errors import DomainError, OutOfSupportedRange, RootNotBracketed
 from .potentials import DEFAULT_CONSTANTS, PhysConstants, WellAnalysis, analyze
 
 __all__ = [
@@ -64,15 +63,13 @@ _LANCZOS_COEFFS = (
 _GAMMA_LO = 0.25
 _GAMMA_HI = 2.5
 
-# Doublet formalism bound on |zeta|: the bracketed solve clamps f's
-# arguments to it and the Newton solve falls back when an iterate leaves it.
+# Doublet formalism bound on |zeta|: a Newton iterate that leaves it
+# ends the solve with RootNotBracketed.
 _ZETA_CLAMP = 0.4
 _NEWTON_STEPS = 10
-# Margin doublings of the bracketed solve's search for a sign change.
-_MAX_EXPAND = 60
-# Root tolerance |E - root| <= _ROOT_XTOL + _ROOT_RTOL |E| of both solves.
-_ROOT_XTOL = 1e-15
-_ROOT_RTOL = 8.9e-16
+# Newton stops once |step| <= _STEP_RTOL |delta|: four roundings of the
+# offset delta = E - E_bar.
+_STEP_RTOL = 4 * 8.9e-16
 
 
 def _lanczos_core(z: float) -> float:
@@ -202,12 +199,14 @@ class QuantizationResult:
     residual_minus: float
 
 
-def _zetas(analysis: WellAnalysis, E: float):
-    # Excitation above each well's harmonic ground level: (zeta_L, zeta_R).
-    hbar = analysis.consts.hbar
+def _zetas(analysis: WellAnalysis, delta: float):
+    # Excitation above each well's harmonic ground level, (zeta_L, zeta_R),
+    # at E = E_bar + delta.  The ground levels sit at E_bar -/+ eps/2, so
+    # neither zeta needs E itself.
+    hbar, half_eps = analysis.consts.hbar, 0.5 * analysis.eps
     return (
-        E / (hbar * analysis.omega_L) - 0.5,
-        (E - analysis.tilde_eps) / (hbar * analysis.omega_R) - 0.5,
+        (half_eps + delta) / (hbar * analysis.omega_L),
+        (delta - half_eps) / (hbar * analysis.omega_R),
     )
 
 
@@ -243,97 +242,31 @@ def _dlnf(zeta: float) -> float:
     )
 
 
-def _newton_root(spec, consts, analysis, E, lo, hi, rtol):
-    """Newton iteration on the quantization residual from E.
+def _newton_root(spec, consts, analysis, delta, lo, hi, rtol):
+    """Newton iteration on the quantization residual in the offset
+    delta = E - E_bar, started from delta.
 
-    Returns (root, residual at the root), or None when an iterate leaves
-    (lo, hi) or |zeta| < 0.4, the action raises a RegimeError, or the
-    step has not settled after _NEWTON_STEPS iterates.
+    Returns (root offset, residual at the root), or None when an iterate
+    leaves (lo, hi) or |zeta| < 0.4, or the step has not settled after
+    _NEWTON_STEPS iterates.  A RegimeError of the action propagates.
     """
     hbar = analysis.consts.hbar
     dzl, dzr = 1.0 / (hbar * analysis.omega_L), 1.0 / (hbar * analysis.omega_R)
     for _ in range(_NEWTON_STEPS):
-        zl, zr = _zetas(analysis, E)
-        if not (lo < E < hi and abs(zl) < _ZETA_CLAMP and abs(zr) < _ZETA_CLAMP):
+        zl, zr = _zetas(analysis, delta)
+        if not (lo < delta < hi and abs(zl) < _ZETA_CLAMP and abs(zr) < _ZETA_CLAMP):
             return None
-        try:
-            act = evaluate_action(spec, consts, E, analysis, rtol=rtol)
-        except RegimeError:
-            return None
+        act = evaluate_action(spec, consts, analysis.E_bar + delta, analysis, rtol=rtol)
         tail = f_of_zeta(zl) * f_of_zeta(zr) * math.exp(-2.0 * act.I)
         res = zl * zr - tail
         slope = dzl * zr + zl * dzr - tail * (
             _dlnf(zl) * dzl + _dlnf(zr) * dzr - 2.0 * act.I_slope
         )
         step = res / slope
-        if abs(step) <= _ROOT_XTOL + _ROOT_RTOL * abs(E):
-            return E, res
-        E -= step
+        if abs(step) <= _STEP_RTOL * abs(delta):
+            return delta, res
+        delta -= step
     return None
-
-
-def _solve_bracketed(spec, consts, analysis, shifts, rtol) -> QuantizationResult:
-    """Bracket-and-brentq solve of the quantization condition.
-
-    The residual function is negative at E_bar and positive once the
-    product zeta_L zeta_R dominates, so each root is bracketed between
-    E_bar and a margin of ten times the quadratic-expansion shift,
-    doubling the margin (within the physical energy window) until the
-    sign flips; brentq then polishes to machine precision.  While
-    probing, the arguments of f are clamped to [-0.4, 0.4] (the domain
-    where the doublet formalism is meaningful): far from
-    the roots the product term dominates the sign, and the physical
-    roots themselves sit well inside the clamp, so the root set is
-    unchanged while f stays inside its domain.
-
-    Raises RootNotBracketed if a sign change cannot be established.
-    """
-
-    def residual(E):
-        zl, zr = _zetas(analysis, E)
-        fl = f_of_zeta(min(_ZETA_CLAMP, max(-_ZETA_CLAMP, zl)))
-        fr = f_of_zeta(min(_ZETA_CLAMP, max(-_ZETA_CLAMP, zr)))
-        act = gamow_integral(spec, consts, E, analysis, rtol=rtol)
-        return zl * zr - fl * fr * math.exp(-2.0 * act)
-
-    e_bar = analysis.E_bar
-    lo_lim, hi_lim = _energy_window(analysis)
-
-    def bracket_edge(first_margin):
-        margin = first_margin
-        for _ in range(_MAX_EXPAND):
-            cand = min(max(e_bar + margin, lo_lim), hi_lim)
-            if residual(cand) > 0.0:
-                return cand
-            if cand in (lo_lim, hi_lim):
-                break
-            margin *= 2.0
-        raise RootNotBracketed(
-            "no sign change of the quantization residual within the "
-            f"energy window around E_bar = {e_bar:g}"
-        )
-
-    lo = bracket_edge(10.0 * shifts.dE_plus)
-    hi = bracket_edge(10.0 * shifts.dE_minus)
-    e_plus = float(brentq(residual, lo, e_bar, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL, maxiter=200))
-    e_minus = float(brentq(residual, e_bar, hi, xtol=_ROOT_XTOL, rtol=_ROOT_RTOL, maxiter=200))
-    return _quantization_result(analysis, (e_plus, residual(e_plus)), (e_minus, residual(e_minus)))
-
-
-def _quantization_result(analysis, plus, minus) -> QuantizationResult:
-    (e_plus, res_plus), (e_minus, res_minus) = plus, minus
-    zl_p, zr_p = _zetas(analysis, e_plus)
-    zl_m, zr_m = _zetas(analysis, e_minus)
-    return QuantizationResult(
-        E_plus=e_plus,
-        E_minus=e_minus,
-        zeta_L_plus=zl_p,
-        zeta_R_plus=zr_p,
-        zeta_L_minus=zl_m,
-        zeta_R_minus=zr_m,
-        residual_plus=res_plus,
-        residual_minus=res_minus,
-    )
 
 
 def solve_quantization(
@@ -347,24 +280,23 @@ def solve_quantization(
     """Solve zeta_L zeta_R = f(zeta_L) f(zeta_R) exp(-2 I(E)) for both
     doublet roots.
 
-    Each root is found by Newton's method started from the
-    quadratic-expansion level E_bar + dE_pm of ``level_shifts``, which is
-    already close to it.  The derivative of the residual is analytic:
-    dI/dE comes with I from one ``evaluate_action`` call per iterate, and
+    Each root is found by Newton's method on its offset delta = E - E_bar,
+    started from the quadratic-expansion shift dE_pm of ``level_shifts``,
+    which is already close to it.  The zetas come from delta alone,
+    zeta_L = (eps/2 + delta) / (hbar w_L) and
+    zeta_R = (delta - eps/2) / (hbar w_R), and only the action is taken at
+    E_bar + delta, so a splitting far below ulp(E_bar) keeps its digits.
+    The derivative of the residual is analytic: dI/dE comes with I from
+    one ``evaluate_action`` call per iterate, and
     d(ln f)/dzeta = -pi tan(pi zeta) - psi(1 - zeta) + ln(zeta + 1/2).
-    Iteration stops once the Newton step is below the tolerance
-    1e-15 + 8.9e-16 |E| that the bracketed solve gives brentq; on deep
-    wells that takes one or two action evaluations per root.
+    Iteration stops once the Newton step is below 4 x 8.9e-16 |delta|;
+    on deep wells that takes one to three action evaluations per root.
 
-    Newton is safeguarded.  If an iterate leaves its side of the energy
-    window, (lo_lim, E_bar) for E_plus and (E_bar, hi_lim) for E_minus,
-    or leaves |zeta| < 0.4, or the action raises a RegimeError, or the
-    step has not settled within ten iterates, both roots are instead
-    found by the bracket-and-brentq search of ``_solve_bracketed``, which
-    also serves as the reference in the tests.
-
-    Raises RootNotBracketed if the fallback cannot establish a sign
-    change.
+    Raises RootNotBracketed when a root is not found: an iterate leaves
+    its side of the energy window, (lo_lim, E_bar) for E_plus and
+    (E_bar, hi_lim) for E_minus, or leaves |zeta| < 0.4, or the step has
+    not settled within ten iterates.  A RegimeError of the action
+    propagates with its own cause.
     """
     if analysis is None:
         analysis = analyze(spec, consts)
@@ -373,15 +305,28 @@ def solve_quantization(
     shifts = level_shifts(analysis, action)
     e_bar = analysis.E_bar
     lo_lim, hi_lim = _energy_window(analysis)
-    plus = _newton_root(spec, consts, analysis, e_bar + shifts.dE_plus, lo_lim, e_bar, rtol)
+    plus = _newton_root(spec, consts, analysis, shifts.dE_plus, lo_lim - e_bar, 0.0, rtol)
     minus = None
     if plus is not None:
-        minus = _newton_root(
-            spec, consts, analysis, e_bar + shifts.dE_minus, e_bar, hi_lim, rtol
-        )
+        minus = _newton_root(spec, consts, analysis, shifts.dE_minus, 0.0, hi_lim - e_bar, rtol)
     if minus is None:
-        return _solve_bracketed(spec, consts, analysis, shifts, rtol)
-    return _quantization_result(analysis, plus, minus)
+        raise RootNotBracketed(
+            "no sign change of the quantization residual within the "
+            f"energy window around E_bar = {e_bar:g}"
+        )
+    (d_plus, res_plus), (d_minus, res_minus) = plus, minus
+    zl_p, zr_p = _zetas(analysis, d_plus)
+    zl_m, zr_m = _zetas(analysis, d_minus)
+    return QuantizationResult(
+        E_plus=e_bar + d_plus,
+        E_minus=e_bar + d_minus,
+        zeta_L_plus=zl_p,
+        zeta_R_plus=zr_p,
+        zeta_L_minus=zl_m,
+        zeta_R_minus=zr_m,
+        residual_plus=res_plus,
+        residual_minus=res_minus,
+    )
 
 
 @dataclass(frozen=True)
@@ -393,7 +338,9 @@ class SplittingResult:
     transcendental roots (None when the solve was skipped).  The four
     splittings are also kept flat: ``I_bar`` is ``action.I``, ``delta_E``
     the closed formula, ``delta_E_quadratic`` the gap of the shifts and
-    ``delta_E_transcendental`` the gap of the roots (NaN without them).
+    ``delta_E_transcendental`` the gap of the roots (NaN without them),
+    read from zeta_L, which is affine in the root's offset from E_bar,
+    rather than from E_minus - E_plus, which rounds to ulp(E_bar).
     """
 
     action: ActionResult
@@ -437,5 +384,9 @@ def compute_splitting(
         I_bar=action.I,
         delta_E=math.hypot(analysis.eps, shifts.delta),
         delta_E_quadratic=shifts.dE_minus - shifts.dE_plus,
-        delta_E_transcendental=math.nan if roots is None else roots.E_minus - roots.E_plus,
+        delta_E_transcendental=(
+            math.nan
+            if roots is None
+            else analysis.consts.hbar * analysis.omega_L * (roots.zeta_L_minus - roots.zeta_L_plus)
+        ),
     )

@@ -536,21 +536,45 @@ class TestExitCodes:
         assert "regime error" in r.stderr
 
     def test_sweep_below_the_curves_own_bias_is_a_regime_error(self, tmp_path):
-        # The shape's own tilde_eps is 1.713; dialing below it puts the
-        # probed energies under the curve's right floor.
+        # The shape's own tilde_eps is 1.713; dialed to -1.0, the mean level
+        # E_bar = 1.505 itself lies under the curve's right floor.
         path = write_json(
             tmp_path,
             "below.json",
             {
                 "schema": "tunnelkit/1",
                 "potential": {"family": "polynomial", "coeffs": [0, 0, -4, 0.3, 1]},
-                "sweep": {"parameter": "tilde_eps", "from": 1.0, "to": 2.0, "steps": 11},
+                "sweep": {"parameter": "tilde_eps", "from": -1.0, "to": 0.0, "steps": 11},
             },
         )
         r = cli("sweep", path)
         assert r.returncode == 3
         assert "regime error" in r.stderr
-        assert "below the right well floor" in r.stderr
+        assert "E = 1.50474 is below the right well floor" in r.stderr
+
+    def test_sweep_rows_past_the_zeta_bound_are_flagged_unbracketed(self, tmp_path):
+        # Dialed from 1.0 to 2.0 the same curve keeps every mean level above
+        # its right floor.  From tilde_eps = 1.7 on, zeta_R of a root leaves
+        # |zeta| < 0.4, so those rows keep the unsolved splitting and the
+        # sweep still succeeds.
+        path = write_json(
+            tmp_path,
+            "above.json",
+            {
+                "schema": "tunnelkit/1",
+                "potential": {"family": "polynomial", "coeffs": [0, 0, -4, 0.3, 1]},
+                "sweep": {"parameter": "tilde_eps", "from": 1.0, "to": 2.0, "steps": 11},
+            },
+        )
+        out = tmp_path / "out.csv"
+        assert main(["sweep", path, "--format", "csv", "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        assert len(rows) == 11
+        for row in rows:
+            cells = dict(zip(header.split(","), row.split(",")))
+            unbracketed = float(cells["tilde_eps"]) >= 1.7
+            assert ("transcendental_unbracketed" in cells["warn_flags"]) == unbracketed
+            assert (cells["dE_trans_plus"] == cells["dE_trans_minus"] == "") == unbracketed
 
     def test_equal_well_floors_end_in_a_classified_outcome(self, tmp_path):
         path = write_json(

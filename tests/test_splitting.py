@@ -31,7 +31,7 @@ from tunnelkit import (
     solve_quantization,
     splitting,
 )
-from util import DEEP_WELLS, deep_quartic, deep_sextic
+from util import BRACKET_RTOL, BRACKET_XTOL, DEEP_WELLS, deep_quartic, deep_sextic, solve_bracketed
 
 
 class TestSpectralFunctions:
@@ -237,22 +237,18 @@ class TestSolveQuantization:
         with pytest.raises(RootNotBracketed):
             solve_quantization(BiasedQuartic(3.0, 1.0, 0.15), C)
 
-    def test_newton_falls_back_to_the_bracketed_solve(self, monkeypatch):
-        # eps = 0.45 hbar omega_L puts zeta_L of the upper root beyond 0.4,
-        # where only the clamped, bracketed solve applies.
+    def test_root_beyond_the_zeta_bound_is_not_bracketed(self):
+        # eps = 0.45 hbar omega_L puts zeta_L of the upper root at 0.450,
+        # beyond the doublet bound 0.4.  The bracketed reference still
+        # "finds" it, but only by evaluating f(0.4) in place of f(0.45):
+        # the root of a different equation.
         spec = DoubleOscillator(1.0, 1.3, 0.3, 4.0)
         a = analyze(spec, C)
         act = evaluate_action(spec, C, analysis=a)
-        reference = splitting._solve_bracketed(spec, C, a, level_shifts(a, act), 1e-12)
-        calls = []
-
-        def spy(*args):
-            calls.append(args)
-            return reference
-
-        monkeypatch.setattr(splitting, "_solve_bracketed", spy)
-        assert solve_quantization(spec, C, analysis=a, action=act) is reference
-        assert len(calls) == 1
+        clamped = solve_bracketed(spec, C, a, level_shifts(a, act), 1e-12)
+        assert clamped.zeta_L_minus == pytest.approx(0.450, abs=5e-4)
+        with pytest.raises(RootNotBracketed, match="no sign change"):
+            solve_quantization(spec, C, analysis=a, action=act)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -264,21 +260,58 @@ def test_newton_roots_match_the_bracketed_reference(spec, mirrored):
     act = evaluate_action(spec, C, analysis=a)
     shifts = level_shifts(a, act)
     lo_lim, hi_lim = splitting._energy_window(a)
-    # deep wells take the Newton path on both sides, not the fallback
-    assert splitting._newton_root(
-        spec, C, a, a.E_bar + shifts.dE_plus, lo_lim, a.E_bar, 1e-12
-    )
-    assert splitting._newton_root(
-        spec, C, a, a.E_bar + shifts.dE_minus, a.E_bar, hi_lim, 1e-12
-    )
-    q = solve_quantization(spec, C, analysis=a, action=act)
-    ref = splitting._solve_bracketed(spec, C, a, shifts, 1e-12)
-    assert q.E_plus == pytest.approx(ref.E_plus, rel=1e-12)
-    assert q.E_minus == pytest.approx(ref.E_minus, rel=1e-12)
-    assert q.E_minus - q.E_plus == pytest.approx(ref.E_minus - ref.E_plus, rel=1e-12)
+    # deep wells find both roots by Newton from the quadratic shifts
+    assert splitting._newton_root(spec, C, a, shifts.dE_plus, lo_lim - a.E_bar, 0.0, 1e-12)
+    assert splitting._newton_root(spec, C, a, shifts.dE_minus, 0.0, hi_lim - a.E_bar, 1e-12)
+    r = compute_splitting(spec, C, analysis=a, action=act)
+    q = r.roots
+    ref = solve_bracketed(spec, C, a, shifts, 1e-12)
+    assert q.E_plus == pytest.approx(ref.E_plus, rel=1e-12, abs=0.0)
+    assert q.E_minus == pytest.approx(ref.E_minus, rel=1e-12, abs=0.0)
+    # The reference's gap carries its own root tolerance on each root.
+    gap = r.delta_E_transcendental
+    ref_tol = 2.0 * (BRACKET_XTOL + BRACKET_RTOL * abs(a.E_bar))
+    assert abs(gap - (ref.E_minus - ref.E_plus)) <= 1e-12 * gap + ref_tol
     scale = max(abs(q.zeta_L_plus), abs(q.zeta_R_plus), 1e-12)
     assert abs(q.residual_plus) < 1e-10 * scale
     assert abs(q.residual_minus) < 1e-10 * scale
+
+
+# Wells 1 to 8 level spacings deep with biases up to 0.4 hbar omega_L, so
+# that the shallow, strongly biased end puts roots past |zeta| = 0.4.
+WIDE_WELLS = st.one_of(
+    st.builds(deep_quartic, st.floats(1.0, 8.0), st.floats(0.8, 1.5), st.floats(0.0, 0.4)),
+    st.builds(
+        DoubleOscillator,
+        st.just(1.0),
+        st.floats(0.7, 1.3),
+        st.floats(0.0, 0.4),
+        st.floats(1.0, 8.0),
+    ),
+    st.builds(deep_sextic, st.floats(1.0, 8.0), st.floats(0.0, 0.3)),
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(spec=WIDE_WELLS, mirrored=st.booleans())
+def test_newton_finds_every_root_the_reference_finds_inside_the_zeta_bound(spec, mirrored):
+    # Where the bracketed reference finds both roots with |zeta| < 0.4, its
+    # clamp is inactive and it solves the same equation as Newton, which
+    # must then succeed too.  Elsewhere there is nothing to compare.
+    if mirrored:
+        spec = mirror(spec)
+    a = analyze(spec, C)
+    act = evaluate_action(spec, C, analysis=a)
+    try:
+        ref = solve_bracketed(spec, C, a, level_shifts(a, act), 1e-12)
+    except RootNotBracketed:
+        return
+    zetas = (ref.zeta_L_plus, ref.zeta_R_plus, ref.zeta_L_minus, ref.zeta_R_minus)
+    if max(abs(z) for z in zetas) >= 0.4:
+        return
+    q = solve_quantization(spec, C, analysis=a, action=act)
+    assert q.E_plus == pytest.approx(ref.E_plus, rel=1e-12, abs=0.0)
+    assert q.E_minus == pytest.approx(ref.E_minus, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -301,34 +334,39 @@ def test_analysis_and_splitting_are_mirror_invariant(spec):
     assert t.delta_E == pytest.approx(r.delta_E, rel=1e-12)
 
 
-# The transcendental roots are solved in absolute E, so their difference
-# is a multiple of ulp(E_bar).  On symmetric quartics that loses the
-# splitting once it nears ulp(E_bar); solving for E - E_bar would keep it.
-@pytest.mark.xfail(
-    strict=True,
-    reason="delta_E_transcendental is 5.684e-14 against 5.861e-14: 16 ulp(E_bar = 28)",
-)
-def test_transcendental_splitting_resolves_a_seven_spacing_symmetric_well():
-    spec = deep_quartic(7.0, 1.0, 0.0)
+# On symmetric quartics 7 to 10 spacings deep the splitting is at most a
+# few ulp(E_bar), so two roots in absolute E would lose it.  The solve
+# works on the offsets from E_bar and keeps it to rounding.
+@pytest.mark.parametrize("depth", [7.0, 8.0, 9.0, 10.0])
+def test_transcendental_splitting_resolves_deep_symmetric_wells(depth):
+    spec = deep_quartic(depth, 1.0, 0.0)
     r = compute_splitting(spec, C)
     assert r.delta_E_transcendental == pytest.approx(r.delta_E, rel=1e-4, abs=0.0)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="E_bar + dE_plus rounds to E_bar = 32, so the Newton start leaves (lo_lim, E_bar)",
-)
 def test_newton_starts_inside_its_side_of_an_eight_spacing_symmetric_well():
+    # E_bar + dE_plus rounds to E_bar = 32; the offset dE_plus does not.
     spec = deep_quartic(8.0, 1.0, 0.0)
     a = analyze(spec, C)
     shifts = level_shifts(a, evaluate_action(spec, C, analysis=a))
     lo_lim, _ = splitting._energy_window(a)
-    assert splitting._newton_root(spec, C, a, a.E_bar + shifts.dE_plus, lo_lim, a.E_bar, 1e-12)
+    assert a.E_bar + shifts.dE_plus == a.E_bar
+    assert splitting._newton_root(spec, C, a, shifts.dE_plus, lo_lim - a.E_bar, 0.0, 1e-12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(spec=DEEP_WELLS, mirrored=st.booleans())
+def test_the_three_routes_agree_on_deep_wells(spec, mirrored):
+    if mirrored:
+        spec = mirror(spec)
+    r = compute_splitting(spec, C)
+    assert r.delta_E_quadratic == pytest.approx(r.delta_E, rel=1e-4, abs=0.0)
+    assert r.delta_E_transcendental == pytest.approx(r.delta_E, rel=1e-4, abs=0.0)
 
 
 # Deep wells whose doublet is split mostly by the bias, |eps| >= 0.02 hbar
 # omega_L, so that every route resolves it well above ulp(E_bar) (the
-# symmetric limit is the xfail pair above).  The sextic's frequency ratio
+# symmetric limit is pinned above).  The sextic's frequency ratio
 # alone gives eps = -0.115 hbar omega_L, and its tilt adds at most 0.05.
 # Each shape comes with the constants that should leave every energy
 # unchanged: (hbar, m) -> (lam hbar, lam^2 m) for the smooth families,
@@ -380,7 +418,12 @@ class TestComputeSplitting:
         assert r.delta_E == level_splitting(a.eps, r.shifts.delta)
         assert r.delta_E_quadratic == r.shifts.dE_minus - r.shifts.dE_plus
         assert r.roots == solve_quantization(spec, C, analysis=a, action=act)
-        assert r.delta_E_transcendental == r.roots.E_minus - r.roots.E_plus
+        assert r.delta_E_transcendental == C.hbar * a.omega_L * (
+            r.roots.zeta_L_minus - r.roots.zeta_L_plus
+        )
+        assert r.delta_E_transcendental == pytest.approx(
+            r.roots.E_minus - r.roots.E_plus, rel=1e-12, abs=0.0
+        )
         assert r.delta_E_transcendental == pytest.approx(r.delta_E, rel=1e-4)
 
     def test_solve_flag_off_leaves_transcendental_fields_empty(self):

@@ -9,10 +9,16 @@ from tunnelkit import (
     BiasedQuartic,
     DoubleOscillator,
     Polynomial,
+    QuantizationResult,
+    RootNotBracketed,
     adaptive_quadrature,
     analyze,
+    f_of_zeta,
+    gamow_integral,
+    splitting,
     turning_points,
 )
+from tunnelkit._brent import brentq
 
 # Linear coefficient that pins the well-frequency ratio of the pinned sextic
 # (minima at x = -1 and x = +1) to exactly 1.3 while keeping both minima at
@@ -123,6 +129,83 @@ def reference_slope(consts, E, analysis, rtol=1e-12):
     val = adaptive_quadrature(left, 0.0, math.sqrt(analysis.x_m - a_bar), rtol=rtol)
     val += adaptive_quadrature(right, 0.0, math.sqrt(b_bar - analysis.x_m), rtol=rtol)
     return -val / hbar
+
+
+# The bracketed reference's constants: the bound on f's arguments, the
+# margin doublings of its search for a sign change, and the root tolerance
+# |E - root| <= BRACKET_XTOL + BRACKET_RTOL |E| it gives brentq.
+ZETA_CLAMP = 0.4
+MAX_EXPAND = 60
+BRACKET_XTOL = 1e-15
+BRACKET_RTOL = 8.9e-16
+
+
+def absolute_zetas(analysis, E):
+    """(zeta_L, zeta_R) formed from the absolute energy E."""
+    hbar = analysis.consts.hbar
+    return (
+        E / (hbar * analysis.omega_L) - 0.5,
+        (E - analysis.tilde_eps) / (hbar * analysis.omega_R) - 0.5,
+    )
+
+
+def solve_bracketed(spec, consts, analysis, shifts, rtol):
+    """Bracket-and-brentq solve of the quantization condition in absolute E:
+    the reference for the Newton solve.
+
+    The residual function is negative at E_bar and positive once the
+    product zeta_L zeta_R dominates, so each root is bracketed between
+    E_bar and a margin of ten times the quadratic-expansion shift,
+    doubling the margin (within the physical energy window) until the
+    sign flips; brentq then polishes to machine precision.  While
+    probing, the arguments of f are clamped to [-0.4, 0.4]: far from the
+    roots the product term dominates the sign, so the root set is
+    unchanged for roots with |zeta| < 0.4 while f stays inside its
+    domain.  A root beyond the clamp is the root of a different equation.
+
+    Raises RootNotBracketed if a sign change cannot be established.
+    """
+
+    def residual(E):
+        zl, zr = absolute_zetas(analysis, E)
+        fl = f_of_zeta(min(ZETA_CLAMP, max(-ZETA_CLAMP, zl)))
+        fr = f_of_zeta(min(ZETA_CLAMP, max(-ZETA_CLAMP, zr)))
+        act = gamow_integral(spec, consts, E, analysis, rtol=rtol)
+        return zl * zr - fl * fr * math.exp(-2.0 * act)
+
+    e_bar = analysis.E_bar
+    lo_lim, hi_lim = splitting._energy_window(analysis)
+
+    def bracket_edge(first_margin):
+        margin = first_margin
+        for _ in range(MAX_EXPAND):
+            cand = min(max(e_bar + margin, lo_lim), hi_lim)
+            if residual(cand) > 0.0:
+                return cand
+            if cand in (lo_lim, hi_lim):
+                break
+            margin *= 2.0
+        raise RootNotBracketed(
+            "no sign change of the quantization residual within the "
+            f"energy window around E_bar = {e_bar:g}"
+        )
+
+    lo = bracket_edge(10.0 * shifts.dE_plus)
+    hi = bracket_edge(10.0 * shifts.dE_minus)
+    e_plus = float(brentq(residual, lo, e_bar, xtol=BRACKET_XTOL, rtol=BRACKET_RTOL, maxiter=200))
+    e_minus = float(brentq(residual, e_bar, hi, xtol=BRACKET_XTOL, rtol=BRACKET_RTOL, maxiter=200))
+    zl_p, zr_p = absolute_zetas(analysis, e_plus)
+    zl_m, zr_m = absolute_zetas(analysis, e_minus)
+    return QuantizationResult(
+        E_plus=e_plus,
+        E_minus=e_minus,
+        zeta_L_plus=zl_p,
+        zeta_R_plus=zr_p,
+        zeta_L_minus=zl_m,
+        zeta_R_minus=zr_m,
+        residual_plus=residual(e_plus),
+        residual_minus=residual(e_minus),
+    )
 
 
 def rel_diff(a, b):

@@ -10,7 +10,11 @@ those with an "oracle_grid".  Each run contributes
 of the ``TunnelkitError`` it raised.  The script prints the number of
 outputs and their combined sha256; two source trees that print the same
 line write the same bytes on the corpus.  It exits 1 when a run raises
-anything other than a ``TunnelkitError``.
+anything other than a ``TunnelkitError``.  ``tools/output_digest.txt``
+holds the line of the committed sources, so a change of any output
+shows as a diff against it:
+
+    python3 tools/output_digest.py src | diff - tools/output_digest.txt
 
 The corpus:
 
