@@ -12,7 +12,13 @@ NaN, ``RuntimeError`` when ``maxiter`` iterations do not converge.
 
 import math
 
-__all__ = ["brentq"]
+import numpy as np
+
+__all__ = ["brentq", "brentq_rows"]
+
+# Fewest roots that ``brentq_rows`` solves in lockstep on arrays; below
+# it the array bookkeeping costs more than the scalar loop.
+_LOCKSTEP_ROOTS = 12
 
 
 def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
@@ -73,3 +79,80 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) 
             xcur += delta if sbis > 0 else -delta
         fcur = call(xcur)
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
+def brentq_rows(f, a, b, xtol: float, rtol: float, maxiter: int = 100):
+    """``brentq`` on many brackets at once: for each row i, a root of
+    ``f(x, i)`` in [a[i], b[i]].
+
+    Each row takes the scalar port's steps, operation for operation, on
+    the same floats ``f`` returns, so every root is bit for bit the one
+    ``brentq`` finds for that row alone.  From _LOCKSTEP_ROOTS rows on,
+    the rows step in lockstep on arrays and leave as they settle; fewer
+    rows run the scalar loop.  Errors are those of ``brentq``, for the
+    first row that meets one.  Returns an array of the roots.
+    """
+    if len(a) < _LOCKSTEP_ROOTS:
+        return np.array([
+            brentq(lambda x, row=row: f(x, row), lo, hi, xtol=xtol, rtol=rtol, maxiter=maxiter)
+            for row, (lo, hi) in enumerate(zip(a, b))
+        ])
+
+    def call(x, rows):
+        fx = np.array([f(xi, row) for xi, row in zip(x.tolist(), rows.tolist())])
+        if np.isnan(fx).any():
+            bad = x[np.isnan(fx)][0]
+            raise ValueError(f"The function value at x={bad} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    out = np.empty(xpre.size)
+    rows = np.arange(xpre.size)
+    fpre, fcur = call(xpre, rows), call(xcur, rows)
+    out[fcur == 0.0] = xcur[fcur == 0.0]
+    out[fpre == 0.0] = xpre[fpre == 0.0]
+    keep = (fpre != 0.0) & (fcur != 0.0)
+    if ((fpre[keep] < 0.0) == (fcur[keep] < 0.0)).any():
+        raise ValueError("f(a) and f(b) must have different signs")
+    rows, xpre, xcur, fpre, fcur = rows[keep], xpre[keep], xcur[keep], fpre[keep], fcur[keep]
+    xblk = fblk = spre = scur = np.zeros(rows.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(maxiter):
+            flip = (fpre != 0.0) & (fcur != 0.0) & ((fpre < 0.0) != (fcur < 0.0))
+            xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
+            step = xcur - xpre
+            spre, scur = np.where(flip, step, spre), np.where(flip, step, scur)
+            swap = np.abs(fblk) < np.abs(fcur)
+            xpre, xcur, xblk = np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+            fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+            delta = (xtol + rtol * np.abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            done = (fcur == 0.0) | (np.abs(sbis) < delta)
+            if done.any():
+                out[rows[done]] = xcur[done]
+                left = ~done
+                if not left.any():
+                    return out
+                rows, xpre, xcur, xblk = rows[left], xpre[left], xcur[left], xblk[left]
+                fpre, fcur, fblk = fpre[left], fcur[left], fblk[left]
+                spre, scur, delta, sbis = spre[left], scur[left], delta[left], sbis[left]
+            # interpolate (secant) or extrapolate (inverse quadratic)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            stry = np.where(
+                xpre == xblk,
+                -fcur * (xcur - xpre) / (fcur - fpre),
+                -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre)),
+            )
+            short = (
+                (np.abs(spre) > delta)
+                & (np.abs(fcur) < np.abs(fpre))
+                & (2 * np.abs(stry) < np.minimum(np.abs(spre), 3 * np.abs(sbis) - delta))
+            )
+            spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+            xpre, fpre = xcur, fcur
+            xcur = np.where(np.abs(scur) > delta, xcur + scur, xcur + np.where(sbis > 0, delta, -delta))
+            fcur = call(xcur, rows)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+

@@ -9,12 +9,20 @@ at both ends; substituting x = a_bar + t^2 (mirrored at b_bar) and
 splitting at the barrier maximum turns each half into an analytic
 integrand, which the dyadic Gauss-Legendre refinement then nails.
 
-I and dI/dE come from one kernel: each refinement pass samples the
-potential once on the t-nodes of both flanks, and that one sample set
-serves the integrands of I and of dI/dE alike.  Each of the four
-components (I and dI/dE on either flank) keeps its own stopping depth, so
-each value is bit for bit what a quadrature of its integrand alone gives,
-and a caller asking for I alone never waits on a slope that cannot settle.
+I and dI/dE come from one kernel over a vector of energies on one curve
+(``action_rows``; the points of a bias sweep differ only in energy and
+in the dialed floor).  The turning points of every row and both flanks
+are found together by Brent's method in lockstep.  Each refinement pass
+then samples the potential once on a (rows x nodes) block of t-nodes of
+both flanks, and that one sample set serves the integrands of I and of
+dI/dE alike.  Each (row, integrand, flank) component keeps its own
+stopping depth, and only rows with a component still open go on to the
+next pass.  So each value is bit for bit what a quadrature of its
+integrand alone at that energy gives, in a batch of any size, and a
+caller asking for I alone never waits on a slope that cannot settle.
+``turning_points``, ``gamow_integral``, ``action_slope`` and
+``evaluate_action`` are one-row calls of the kernel; a row whose energy
+or quadrature fails carries its own error, which a one-row call raises.
 
 Also provided: the exact closed form for the piecewise-parabolic
 double-oscillator family, and the small-E expansion of I built from the
@@ -27,11 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._brent import brentq
+from ._brent import brentq_rows
 from .errors import (
     EnergyAboveBarrier,
     EnergyBelowWellBottom,
     LambdaOutOfRange,
+    TunnelkitError,
 )
 from .potentials import (
     DEFAULT_CONSTANTS,
@@ -43,9 +52,9 @@ from .potentials import (
 )
 from .quadrature import (
     _MAX_DEPTH,
+    _ORDER,
     _panel_nodes,
     _panel_sum,
-    _settled,
     _unsettled,
     adaptive_quadrature,
 )
@@ -57,6 +66,7 @@ __all__ = [
     "gamow_integral",
     "action_slope",
     "evaluate_action",
+    "action_rows",
     "double_oscillator_action",
     "asymptotic_action",
     "parabolic_fidelity",
@@ -77,43 +87,85 @@ class ActionResult:
     I_R: float
 
 
+# Most t-nodes one pass of the action kernel samples in one block; more
+# open (row, flank) pairs than that are sampled in chunks.
+_PASS_NODES = 2**16
+
+
 def _ensure_analysis(spec, consts, analysis):
     if analysis is None:
         return analyze(spec, consts)
     return analysis
 
 
+def _one(outcome):
+    # the value of a one-row call, or the error of its row
+    if isinstance(outcome, TunnelkitError):
+        raise outcome
+    return outcome
+
+
+def _energy_error(analysis, E, right_floor):
+    """The RegimeError of an energy with no pair of inner turning points on
+    the curve of ``analysis``, or None.
+
+    E must lie strictly between the higher well floor, of the analysis's
+    own tilde_eps (which a bias sweep dials), and the barrier top.
+    ``right_floor`` is v(x_R) of the curve.
+    """
+    if E >= analysis.V0:
+        return EnergyAboveBarrier(f"E = {E:g} is not below the barrier top {analysis.V0:g}")
+    floor = max(0.0, analysis.tilde_eps)
+    if E <= floor:
+        return EnergyBelowWellBottom(f"E = {E:g} does not exceed the higher well floor {floor:g}")
+    # v(x_L) = 0 < E, but a dialed tilde_eps (a bias sweep on a fixed
+    # shape) can put the curve's own right floor above E: no crossing there.
+    if right_floor - E > 0.0:
+        return EnergyBelowWellBottom(
+            f"E = {E:g} is below the right well floor {right_floor:g} of the potential curve"
+        )
+    return None
+
+
+def _turning_rows(analysis, E):
+    """Inner turning points (a_bar, b_bar), as arrays, at each energy of E.
+
+    Every energy must pass ``_energy_error``.  Solves v(x) = E on the
+    barrier flanks [x_L, x_m] and [x_m, x_R] by Brent's method, all rows
+    and both flanks at once (``brentq_rows``), so each root is bit for
+    bit the one ``brentq`` finds for it alone.
+    """
+    k = len(E)
+    consts, shift, curve = analysis.consts, analysis.zero_shift, analysis.spec.derivative
+    target = list(E) * 2
+
+    def shifted(x, row):
+        return curve(x, 0, consts) - shift - target[row]
+
+    x = brentq_rows(
+        shifted,
+        [analysis.x_L] * k + [analysis.x_m] * k,
+        [analysis.x_m] * k + [analysis.x_R] * k,
+        xtol=1e-15,
+        rtol=8.9e-16,
+    )
+    return x[:k], x[k:]
+
+
 def turning_points(spec, consts: PhysConstants, E: float, analysis: WellAnalysis | None = None):
     """Inner classical turning points (a_bar, b_bar) at energy E.
 
     Solves v(x) = E on the barrier flanks [x_L, x_m] and [x_m, x_R] of
-    the normalized potential.  E must lie strictly between the higher
-    well floor and the barrier top.
+    the normalized potential.  E must lie strictly
+    between the higher well floor and the barrier top.
     """
     analysis = _ensure_analysis(spec, consts, analysis)
-    if E >= analysis.V0:
-        raise EnergyAboveBarrier(
-            f"E = {E:g} is not below the barrier top {analysis.V0:g}"
-        )
-    floor = max(0.0, analysis.tilde_eps)
-    if E <= floor:
-        raise EnergyBelowWellBottom(
-            f"E = {E:g} does not exceed the higher well floor {floor:g}"
-        )
-
-    def shifted(x):
-        return analysis.v(float(x)) - E
-
-    # v(x_L) = 0 < E, but a dialed tilde_eps (a bias sweep on a fixed
-    # shape) can put the curve's own right floor above E: no crossing there.
-    if shifted(analysis.x_R) > 0.0:
-        raise EnergyBelowWellBottom(
-            f"E = {E:g} is below the right well floor "
-            f"{analysis.v(analysis.x_R):g} of the potential curve"
-        )
-    a_bar = brentq(shifted, analysis.x_L, analysis.x_m, xtol=1e-15, rtol=8.9e-16)
-    b_bar = brentq(shifted, analysis.x_m, analysis.x_R, xtol=1e-15, rtol=8.9e-16)
-    return float(a_bar), float(b_bar)
+    right_floor = analysis.v(analysis.x_R)
+    error = _energy_error(analysis, E, right_floor)
+    if error is not None:
+        raise error
+    a_bar, b_bar = _turning_rows(analysis, [float(E)])
+    return float(a_bar[0]), float(b_bar[0])
 
 
 def _momentum(two_t, w, m):
@@ -126,58 +178,124 @@ def _inverse_momentum(two_t, w, m):
     return two_t * m / np.sqrt(np.maximum(w, 1e-300))
 
 
-def _flank_integrals(consts, E, analysis, a_bar, b_bar, rtol, integrands):
-    """Both barrier flanks of each integrand, before the factor 1/hbar.
+def _flank_integrals(consts, analysis, E, a_bar, b_bar, rtol, integrands):
+    """Both barrier flanks of each integrand at every energy of E, before
+    the factor 1/hbar.
 
     The left flank runs as x = a_bar + t^2 from a_bar to x_m, the right
-    one as x = b_bar - t^2 from b_bar back to x_m.  Each refinement pass
-    calls v once on the t-nodes of every flank that still has an open
-    component and forms all the open integrands from that one sample; the
-    first pass takes depths 0 and 1 together, since almost every component
-    stops at depth 1.  Each (integrand, flank) component stops at its own
-    depth with exactly the value adaptive_quadrature gives it alone.  The
-    first component still open at the last depth, integrands in the order
-    given and the left flank first, raises QuadratureNonConvergence.
+    one as x = b_bar - t^2 from b_bar back to x_m.  A (row, flank) pair
+    is open while one of its integrands is.  Each refinement pass calls v
+    once on a (pairs x nodes) block of the t-nodes of the open pairs and
+    forms every integrand from that one sample; the first pass takes
+    depths 0 and 1 together, since almost every component stops at depth
+    1.  A pass that would sample more than _PASS_NODES nodes runs in
+    chunks of pairs.  Each (row, integrand, flank) component stops at its
+    own depth with exactly the value adaptive_quadrature gives it alone.
 
-    Returns one (left, right) pair per integrand.
+    Returns (values, errors): values[i] is an array (2, rows) of the left
+    and right flanks of integrand i, and errors maps each row with a
+    component still open at the last depth to the QuadratureNonConvergence
+    of the first such component, integrands in the order given and the
+    left flank first.
     """
     m = consts.mass
     two_m = 2.0 * m
-    tops = (math.sqrt(analysis.x_m - a_bar), math.sqrt(b_bar - analysis.x_m))
-    comps = [(f, flank) for f in integrands for flank in (0, 1)]
-    done = {c: 0.0 for c in comps if tops[c[1]] == 0.0}
-    last = dict.fromkeys(comps)
+    k = E.size
+    base = np.concatenate([a_bar, b_bar])  # pair p is row p % k, flank p // k
+    sign = np.repeat([1.0, -1.0], k)
+    energy = np.concatenate([E, E])
+    tops = np.sqrt(np.concatenate([analysis.x_m - a_bar, b_bar - analysis.x_m]))
+    n = len(integrands)
+    value = np.zeros((n, 2 * k))
+    last = np.full((n, 2 * k), np.nan)
+    # a zero-width flank is 0.0, as adaptive_quadrature gives it
+    open_ = np.repeat([tops != 0.0], n, axis=0)
     depths = (0, 1)
-    while depths[0] <= _MAX_DEPTH:
-        open_comps = [c for c in comps if c not in done]
-        if not open_comps:
-            break
-        blocks = [
-            (flank, *_panel_nodes(0.0, tops[flank], 2**depth))
-            for flank in sorted({flank for _, flank in open_comps})
-            for depth in depths
-        ]
-        x = np.concatenate(
-            [a_bar + t * t if flank == 0 else b_bar - t * t for flank, t, _ in blocks]
-        )
-        two_t = 2.0 * np.concatenate([t for _, t, _ in blocks])
-        w = two_m * (analysis.v(x) - E)
-        vals = {f: f(two_t, w, m) for f in {f for f, _ in open_comps}}
-        start = 0
-        for flank, t, half in blocks:
-            stop = start + t.size
-            for c in open_comps:
-                if c[1] == flank and c not in done:
-                    val = _panel_sum(vals[c[0]][start:stop], half)
-                    if _settled(val, last[c], rtol):
-                        done[c] = val
-                    last[c] = val
-            start = stop
+    while depths[0] <= _MAX_DEPTH and open_.any():
+        pairs = np.flatnonzero(open_.any(axis=0))
+        chunk = max(1, _PASS_NODES // sum(_ORDER * 2**d for d in depths))
+        for start in range(0, pairs.size, chunk):
+            p = pairs[start:start + chunk]
+            blocks = [_panel_nodes(0.0, tops[p], 2**d) for d in depths]
+            t = np.concatenate([nodes for nodes, _ in blocks], axis=1)
+            x = base[p, None] + sign[p, None] * (t * t)
+            w = two_m * (analysis.v(x) - energy[p, None])
+            two_t = 2.0 * t
+            for i, f in enumerate(integrands):
+                still = open_[i, p]
+                if not still.any():
+                    continue
+                vals = f(two_t, w, m)
+                col = 0
+                for nodes, half in blocks:
+                    s = _panel_sum(vals[:, col:col + nodes.shape[1]], half)
+                    col += nodes.shape[1]
+                    settled = still & (np.abs(s - last[i, p]) <= rtol * np.abs(s))
+                    value[i, p[settled]] = s[settled]
+                    last[i, p] = np.where(still, s, last[i, p])
+                    still &= ~settled
+                open_[i, p] = still
         depths = (depths[-1] + 1,)
-    for c in comps:
-        if c not in done:
-            raise _unsettled(last[c], rtol, _MAX_DEPTH)
-    return [(done[f, 0], done[f, 1]) for f in integrands]
+    stuck, last = open_.reshape(n, 2, k), last.reshape(n, 2, k)
+    errors = {}
+    for row in np.flatnonzero(stuck.any(axis=(0, 1))).tolist():
+        i, flank = next((i, f) for i in range(n) for f in (0, 1) if stuck[i, f, row])
+        errors[row] = _unsettled(float(last[i, flank, row]), rtol, _MAX_DEPTH)
+    return [value[i].reshape(2, k) for i in range(n)], errors
+
+
+def _action_rows(consts, analyses, E, rtol, integrands):
+    """The action kernel over energies of one curve.
+
+    ``analyses`` holds one WellAnalysis per energy; they share one curve
+    and may differ in tilde_eps (a dialed bias), which sets each row's
+    higher well floor.  Returns one entry per row: (a_bar, b_bar,
+    [(left, right) of each integrand, before 1/hbar]) as floats, or the
+    TunnelkitError the row's energy or quadrature raises.
+    """
+    curve = analyses[0]
+    right_floor = curve.v(curve.x_R)
+    out = [_energy_error(a, e, right_floor) for a, e in zip(analyses, E)]
+    good = [r for r, error in enumerate(out) if error is None]
+    if not good:
+        return out
+    energies = [float(E[r]) for r in good]
+    a_bar, b_bar = _turning_rows(curve, energies)
+    energies = np.array(energies)
+    values, errors = _flank_integrals(consts, curve, energies, a_bar, b_bar, rtol, integrands)
+    a_bar, b_bar = a_bar.tolist(), b_bar.tolist()
+    flanks = [v.T.tolist() for v in values]
+    for j, r in enumerate(good):
+        out[r] = errors[j] if j in errors else (a_bar[j], b_bar[j], [f[j] for f in flanks])
+    return out
+
+
+def action_rows(consts: PhysConstants, analyses, E, *, rtol: float = 1e-12):
+    """``evaluate_action`` at every energy of E in one batch.
+
+    E[i] is taken on analyses[i]; the analyses share one curve and may
+    differ in tilde_eps alone, as the points of a bias sweep do.  Returns
+    one entry per energy: its ActionResult, or the TunnelkitError that
+    ``evaluate_action`` raises there.
+    """
+    hbar = consts.hbar
+    out = []
+    for e, row in zip(E, _action_rows(consts, analyses, E, rtol, (_momentum, _inverse_momentum))):
+        if isinstance(row, TunnelkitError):
+            out.append(row)
+            continue
+        a_bar, b_bar, ((i_l, i_r), (s_l, s_r)) = row
+        i_l, i_r = i_l / hbar, i_r / hbar
+        out.append(ActionResult(
+            E=float(e),
+            a_bar=a_bar,
+            b_bar=b_bar,
+            I=i_l + i_r,
+            I_slope=-(s_l + s_r) / hbar,
+            I_L=i_l,
+            I_R=i_r,
+        ))
+    return out
 
 
 def gamow_integral(
@@ -190,8 +308,7 @@ def gamow_integral(
 ) -> float:
     """Barrier action I(E) by turning-point-regularized quadrature."""
     analysis = _ensure_analysis(spec, consts, analysis)
-    a_bar, b_bar = turning_points(spec, consts, E, analysis)
-    [(i_l, i_r)] = _flank_integrals(consts, E, analysis, a_bar, b_bar, rtol, (_momentum,))
+    _, _, [(i_l, i_r)] = _one(_action_rows(consts, [analysis], [E], rtol, (_momentum,))[0])
     return i_l / consts.hbar + i_r / consts.hbar
 
 
@@ -209,10 +326,7 @@ def action_slope(
     endpoint singularities, leaving an analytic integrand.
     """
     analysis = _ensure_analysis(spec, consts, analysis)
-    a_bar, b_bar = turning_points(spec, consts, E, analysis)
-    [(s_l, s_r)] = _flank_integrals(
-        consts, E, analysis, a_bar, b_bar, rtol, (_inverse_momentum,)
-    )
+    _, _, [(s_l, s_r)] = _one(_action_rows(consts, [analysis], [E], rtol, (_inverse_momentum,))[0])
     return -(s_l + s_r) / consts.hbar
 
 
@@ -228,20 +342,7 @@ def evaluate_action(
     analysis = _ensure_analysis(spec, consts, analysis)
     if E is None:
         E = analysis.E_bar
-    a_bar, b_bar = turning_points(spec, consts, E, analysis)
-    (i_l, i_r), (s_l, s_r) = _flank_integrals(
-        consts, E, analysis, a_bar, b_bar, rtol, (_momentum, _inverse_momentum)
-    )
-    i_l, i_r = i_l / consts.hbar, i_r / consts.hbar
-    return ActionResult(
-        E=float(E),
-        a_bar=a_bar,
-        b_bar=b_bar,
-        I=i_l + i_r,
-        I_slope=-(s_l + s_r) / consts.hbar,
-        I_L=i_l,
-        I_R=i_r,
-    )
+    return _one(action_rows(consts, [analysis], [E], rtol=rtol)[0])
 
 
 def _shape_factor(lam: float) -> float:

@@ -39,7 +39,7 @@ from dataclasses import asdict, fields, replace
 
 import numpy as np
 
-from .actions import evaluate_action, gamow_integral
+from .actions import gamow_integral
 from .config import RunConfig, SCHEMA, load_config
 from .errors import (
     ConfigError,
@@ -51,7 +51,12 @@ from .errors import (
 )
 from .oracle import eigen_lowest_two
 from .potentials import Mirrored, WellAnalysis, analyze
-from .splitting import K_FIRST_ORDER, QuantizationResult, compute_splitting
+from .splitting import (
+    K_FIRST_ORDER,
+    QuantizationResult,
+    compute_splitting,
+    compute_splittings,
+)
 
 __all__ = [
     "CSV_HEADER",
@@ -155,28 +160,23 @@ def _warn_flags(config: RunConfig, analysis: WellAnalysis | None, I_bar: float |
     return flags
 
 
-def _point(config: RunConfig, analysis: WellAnalysis, oracle=None):
+def _point(config: RunConfig, analysis: WellAnalysis, outcome, oracle=None):
     """One bias point: its JSON row, its SplittingResult and its Spectrum.
 
-    The splitting runs first.  When the quantization equation has no
+    ``outcome`` is the point's (result, error) pair from
+    ``compute_splittings``.  When the quantization equation has no
     sub-barrier root (shallow barriers: the upper doublet member merges
     with the continuum above V0) the point keeps the unsolved splitting
-    and flags "transcendental_unbracketed"; both attempts share one
-    action at E_bar.  Then come the warn flags, and only then
-    ``oracle(analysis)``, which returns the point's Spectrum (None
-    without an oracle), so a regime error of the splitting is raised
-    before any error of the eigensolve.
+    and flags "transcendental_unbracketed"; any other error is raised
+    here.  Then come the warn flags, and only then ``oracle(analysis)``,
+    which returns the point's Spectrum (None without an oracle), so a
+    regime error of the splitting is raised before any error of the
+    eigensolve.
     """
-    spec, consts, rtol = config.potential, config.constants, config.tolerances.quad_rtol
-    action = evaluate_action(spec, consts, analysis=analysis, rtol=rtol)
-    try:
-        result = compute_splitting(spec, consts, analysis=analysis, action=action, rtol=rtol)
-        fallback = []
-    except RootNotBracketed:
-        result = compute_splitting(
-            spec, consts, analysis=analysis, action=action, solve=False, rtol=rtol
-        )
-        fallback = ["transcendental_unbracketed"]
+    result, error = outcome
+    if error is not None and (result is None or not isinstance(error, RootNotBracketed)):
+        raise error
+    fallback = [] if error is None else ["transcendental_unbracketed"]
     flags = _warn_flags(config, analysis, result.I_bar) + fallback
     spectrum = None if oracle is None else oracle(analysis)
     row = {
@@ -219,7 +219,8 @@ def run_analyze(config: RunConfig):
     oracle = None if grid is None else (
         lambda a: eigen_lowest_two(spec, consts, grid, analysis=a)
     )
-    row, result, spectrum = _point(config, analysis, oracle)
+    [outcome] = compute_splittings(consts, [analysis], rtol=config.tolerances.quad_rtol)
+    row, result, spectrum = _point(config, analysis, outcome, oracle)
     doc = _base_doc("analyze", config)
     doc["well"] = {key: getattr(analysis, key) for key in _WELL_KEYS}
     doc["action"] = asdict(result.action)
@@ -264,7 +265,11 @@ def run_sweep(config: RunConfig):
         sweep.start + i * (sweep.stop - sweep.start) / (sweep.steps - 1)
         for i in range(sweep.steps)
     ]
-    rows = [_point(config, replace(base, tilde_eps=v), oracle)[0] for v in values]
+    # the points differ only in the dialed bias: one batch solves them
+    # all, and each point then raises its own error in the sweep's order
+    points = [replace(base, tilde_eps=v) for v in values]
+    outcomes = compute_splittings(consts, points, rtol=config.tolerances.quad_rtol)
+    rows = [_point(config, p, o, oracle)[0] for p, o in zip(points, outcomes)]
 
     x = np.array(values)
     y = np.log(np.array([row["splitting"]["delta"] for row in rows]))

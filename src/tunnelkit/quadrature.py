@@ -8,13 +8,15 @@ deterministic error control and makes "refine one level further"
 directly testable.
 
 ``panel_quadrature`` and ``adaptive_quadrature`` integrate one callable.
-The barrier-action kernel in ``actions`` refines several integrals at
-once: one sample set of the potential per pass serves I and dI/dE on both
-barrier flanks, and each of these components keeps its own stopping
-depth.  It shares ``_panel_nodes``, ``_panel_sum``, ``_settled`` and
-``_unsettled`` with ``adaptive_quadrature``, so each component gets
-exactly the value, or the error, that ``adaptive_quadrature`` gives it
-alone.
+The barrier-action kernel in ``actions`` refines many integrals at once:
+one sample set of the potential per pass, on a (rows x nodes) block,
+serves I and dI/dE on both barrier flanks at every energy of a batch,
+and each of these components keeps its own stopping depth.
+``_panel_nodes`` and ``_panel_sum`` take one right end or an array of
+them (one row each), and give every row the bits it gets alone; with
+``_unsettled`` and the stopping test of ``_settled`` they let each
+component get exactly the value, or the error, that
+``adaptive_quadrature`` gives it alone.
 """
 
 import numpy as np
@@ -31,30 +33,39 @@ _INDEX_CACHE: dict[int, np.ndarray] = {}
 _MAX_DEPTH = 12
 
 
-def _edges(a: float, b: float, panels: int) -> np.ndarray:
+def _edges(a: float, b, panels: int) -> np.ndarray:
     # np.linspace(a, b, panels + 1) by linspace's own arithmetic, bit for
-    # bit, without its per-call overhead.
+    # bit, without its per-call overhead.  An array b gives one row of
+    # edges per right end.
     try:
         idx = _INDEX_CACHE[panels]
     except KeyError:
         idx = _INDEX_CACHE[panels] = np.arange(panels + 1, dtype=float)
-    edges = idx * ((b - a) / panels) + a
-    edges[-1] = b
+    b = np.asarray(b, dtype=float)
+    edges = idx * ((b - a) / panels)[..., None] + a
+    edges[..., -1] = b
     return edges
 
 
-def _panel_nodes(a: float, b: float, panels: int):
+def _panel_nodes(a: float, b, panels: int):
     """All nodes of ``panels`` equal panels on [a, b], flat, and the panel
-    half-widths that ``_panel_sum`` weighs the values at those nodes by."""
+    half-widths that ``_panel_sum`` weighs the values at those nodes by.
+
+    An array b gives one row of nodes and one of half-widths per right
+    end, each equal bit for bit to what that b alone gives.
+    """
     edges = _edges(a, b, panels)
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    half = 0.5 * (edges[1:] - edges[:-1])
-    return (mid[:, None] + half[:, None] * _NODES[None, :]).ravel(), half
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    nodes = mid[..., None] + half[..., None] * _NODES
+    return nodes.reshape(*half.shape[:-1], panels * _ORDER), half
 
 
-def _panel_sum(vals: np.ndarray, half: np.ndarray) -> float:
-    """Composite rule from the values at the nodes of ``_panel_nodes``."""
-    return float((half * (vals.reshape(half.size, _ORDER) @ _WEIGHTS)).sum())
+def _panel_sum(vals: np.ndarray, half: np.ndarray):
+    """Composite rule from the values at the nodes of ``_panel_nodes``:
+    a float, or one per row of rows of nodes."""
+    sums = (half * (vals.reshape(*half.shape, _ORDER) @ _WEIGHTS)).sum(axis=-1)
+    return float(sums) if sums.ndim == 0 else sums
 
 
 def _settled(val: float, prev: float | None, rtol: float, atol: float = 0.0) -> bool:

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import ActionResult, evaluate_action
-from .errors import DomainError, OutOfSupportedRange, RootNotBracketed
+from .actions import ActionResult, action_rows, evaluate_action
+from .errors import DomainError, OutOfSupportedRange, RootNotBracketed, TunnelkitError
 from .potentials import DEFAULT_CONSTANTS, PhysConstants, WellAnalysis, analyze
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "solve_quantization",
     "SplittingResult",
     "compute_splitting",
+    "compute_splittings",
 ]
 
 K_FIRST_ORDER = float(np.euler_gamma) - math.log(2.0)
@@ -242,31 +243,109 @@ def _dlnf(zeta: float) -> float:
     )
 
 
-def _newton_root(spec, consts, analysis, delta, lo, hi, rtol):
+def _newton_root(consts, analyses, deltas, windows, rtol):
     """Newton iteration on the quantization residual in the offset
-    delta = E - E_bar, started from delta.
+    delta = E - E_bar, run in lockstep on rows that share one curve.
 
-    Returns (root offset, residual at the root), or None when an iterate
-    leaves (lo, hi) or |zeta| < 0.4, or the step has not settled after
-    _NEWTON_STEPS iterates.  A RegimeError of the action propagates.
+    Row i starts from deltas[i] on analyses[i] and searches the open
+    window windows[i] = (lo, hi) of offsets.  Every iterate takes the
+    actions of all open rows in one ``action_rows`` batch; each row's
+    iterates depend on its own data alone.  Returns one entry per row:
+    (root offset, residual at the root); or the cause that ended it, an
+    iterate that left the window or |zeta| < 0.4, or a step not settled
+    after _NEWTON_STEPS iterates; or the TunnelkitError of its action.
     """
-    hbar = analysis.consts.hbar
-    dzl, dzr = 1.0 / (hbar * analysis.omega_L), 1.0 / (hbar * analysis.omega_R)
+    out = [None] * len(analyses)
+    deltas = list(deltas)
+    open_rows = range(len(analyses))
     for _ in range(_NEWTON_STEPS):
-        zl, zr = _zetas(analysis, delta)
-        if not (lo < delta < hi and abs(zl) < _ZETA_CLAMP and abs(zr) < _ZETA_CLAMP):
-            return None
-        act = evaluate_action(spec, consts, analysis.E_bar + delta, analysis, rtol=rtol)
-        tail = f_of_zeta(zl) * f_of_zeta(zr) * math.exp(-2.0 * act.I)
-        res = zl * zr - tail
-        slope = dzl * zr + zl * dzr - tail * (
-            _dlnf(zl) * dzl + _dlnf(zr) * dzr - 2.0 * act.I_slope
-        )
-        step = res / slope
-        if abs(step) <= _STEP_RTOL * abs(delta):
-            return delta, res
-        delta -= step
-    return None
+        probe, zetas = [], {}
+        for r in open_rows:
+            (lo, hi), delta = windows[r], deltas[r]
+            zl, zr = zetas[r] = _zetas(analyses[r], delta)
+            if not lo < delta < hi:
+                out[r] = "iterate left the energy window"
+            elif not abs(zl) < _ZETA_CLAMP:
+                out[r] = f"iterate left |zeta| < {_ZETA_CLAMP:g} (zeta_L = {zl:.3f})"
+            elif not abs(zr) < _ZETA_CLAMP:
+                out[r] = f"iterate left |zeta| < {_ZETA_CLAMP:g} (zeta_R = {zr:.3f})"
+            else:
+                probe.append(r)
+        acts = action_rows(
+            consts,
+            [analyses[r] for r in probe],
+            [analyses[r].E_bar + deltas[r] for r in probe],
+            rtol=rtol,
+        ) if probe else []
+        open_rows = []
+        for r, act in zip(probe, acts):
+            if isinstance(act, TunnelkitError):
+                out[r] = act
+                continue
+            analysis, delta, (zl, zr) = analyses[r], deltas[r], zetas[r]
+            hbar = analysis.consts.hbar
+            dzl, dzr = 1.0 / (hbar * analysis.omega_L), 1.0 / (hbar * analysis.omega_R)
+            tail = f_of_zeta(zl) * f_of_zeta(zr) * math.exp(-2.0 * act.I)
+            res = zl * zr - tail
+            slope = dzl * zr + zl * dzr - tail * (
+                _dlnf(zl) * dzl + _dlnf(zr) * dzr - 2.0 * act.I_slope
+            )
+            step = res / slope
+            if abs(step) <= _STEP_RTOL * abs(delta):
+                out[r] = (delta, res)
+            else:
+                deltas[r] = delta - step
+                open_rows.append(r)
+    for r in open_rows:
+        out[r] = f"step not settled in {_NEWTON_STEPS} iterates"
+    return out
+
+
+def _solve_rows(consts, analyses, shifts, rtol):
+    """The roots of each point, E_plus and E_minus of all points in one
+    lockstep: per point a QuantizationResult, or the error that
+    ``solve_quantization`` raises there.
+
+    A point's outcome is the one the order E_plus, then E_minus, gives:
+    the error of E_plus comes first, and E_minus counts only when E_plus
+    was found.
+    """
+    rows, starts, windows = [], [], []
+    for analysis, shift in zip(analyses, shifts):
+        lo_lim, hi_lim = _energy_window(analysis)
+        rows += [analysis, analysis]
+        starts += [shift.dE_plus, shift.dE_minus]
+        windows += [(lo_lim - analysis.E_bar, 0.0), (0.0, hi_lim - analysis.E_bar)]
+    ends = _newton_root(consts, rows, starts, windows, rtol)
+    out = []
+    for i, analysis in enumerate(analyses):
+        found = []
+        for end in ends[2 * i:2 * i + 2]:
+            if isinstance(end, str):
+                end = RootNotBracketed(
+                    "no sign change of the quantization residual within the "
+                    f"energy window around E_bar = {analysis.E_bar:g}"
+                )
+            if isinstance(end, TunnelkitError):
+                out.append(end)
+                break
+            found.append(end)
+        else:
+            (d_plus, res_plus), (d_minus, res_minus) = found
+            e_bar = analysis.E_bar
+            zl_p, zr_p = _zetas(analysis, d_plus)
+            zl_m, zr_m = _zetas(analysis, d_minus)
+            out.append(QuantizationResult(
+                E_plus=e_bar + d_plus,
+                E_minus=e_bar + d_minus,
+                zeta_L_plus=zl_p,
+                zeta_R_plus=zr_p,
+                zeta_L_minus=zl_m,
+                zeta_R_minus=zr_m,
+                residual_plus=res_plus,
+                residual_minus=res_minus,
+            ))
+    return out
 
 
 def solve_quantization(
@@ -287,46 +366,29 @@ def solve_quantization(
     zeta_R = (delta - eps/2) / (hbar w_R), and only the action is taken at
     E_bar + delta, so a splitting far below ulp(E_bar) keeps its digits.
     The derivative of the residual is analytic: dI/dE comes with I from
-    one ``evaluate_action`` call per iterate, and
+    one action evaluation per iterate, and
     d(ln f)/dzeta = -pi tan(pi zeta) - psi(1 - zeta) + ln(zeta + 1/2).
     Iteration stops once the Newton step is below 4 x 8.9e-16 |delta|;
     on deep wells that takes one to three action evaluations per root.
+    The two roots iterate in lockstep, their actions taken in one batch
+    of the action kernel; this is the one-point case of the batch that
+    ``compute_splittings`` runs over all the points of a bias sweep.
 
-    Raises RootNotBracketed when a root is not found: an iterate leaves
-    its side of the energy window, (lo_lim, E_bar) for E_plus and
-    (E_bar, hi_lim) for E_minus, or leaves |zeta| < 0.4, or the step has
-    not settled within ten iterates.  A RegimeError of the action
-    propagates with its own cause.
+    Raises RootNotBracketed, naming the root and the cause, when a root
+    is not found: an iterate leaves its side of the energy window,
+    (lo_lim, E_bar) for E_plus and (E_bar, hi_lim) for E_minus, or leaves
+    |zeta| < 0.4, or the step has not settled within ten iterates.  A
+    RegimeError of the action propagates with its own cause.  E_plus is
+    reported before E_minus.
     """
     if analysis is None:
         analysis = analyze(spec, consts)
     if action is None:
         action = evaluate_action(spec, consts, analysis=analysis, rtol=rtol)
-    shifts = level_shifts(analysis, action)
-    e_bar = analysis.E_bar
-    lo_lim, hi_lim = _energy_window(analysis)
-    plus = _newton_root(spec, consts, analysis, shifts.dE_plus, lo_lim - e_bar, 0.0, rtol)
-    minus = None
-    if plus is not None:
-        minus = _newton_root(spec, consts, analysis, shifts.dE_minus, 0.0, hi_lim - e_bar, rtol)
-    if minus is None:
-        raise RootNotBracketed(
-            "no sign change of the quantization residual within the "
-            f"energy window around E_bar = {e_bar:g}"
-        )
-    (d_plus, res_plus), (d_minus, res_minus) = plus, minus
-    zl_p, zr_p = _zetas(analysis, d_plus)
-    zl_m, zr_m = _zetas(analysis, d_minus)
-    return QuantizationResult(
-        E_plus=e_bar + d_plus,
-        E_minus=e_bar + d_minus,
-        zeta_L_plus=zl_p,
-        zeta_R_plus=zr_p,
-        zeta_L_minus=zl_m,
-        zeta_R_minus=zr_m,
-        residual_plus=res_plus,
-        residual_minus=res_minus,
-    )
+    [roots] = _solve_rows(consts, [analysis], [level_shifts(analysis, action)], rtol)
+    if isinstance(roots, TunnelkitError):
+        raise roots
+    return roots
 
 
 @dataclass(frozen=True)
@@ -352,6 +414,60 @@ class SplittingResult:
     delta_E_transcendental: float
 
 
+def _splitting_result(analysis, action, shifts, roots):
+    return SplittingResult(
+        action=action,
+        shifts=shifts,
+        roots=roots,
+        I_bar=action.I,
+        delta_E=math.hypot(analysis.eps, shifts.delta),
+        delta_E_quadratic=shifts.dE_minus - shifts.dE_plus,
+        delta_E_transcendental=(
+            math.nan
+            if roots is None
+            else analysis.consts.hbar * analysis.omega_L * (roots.zeta_L_minus - roots.zeta_L_plus)
+        ),
+    )
+
+
+def compute_splittings(
+    consts: PhysConstants,
+    analyses,
+    *,
+    actions=None,
+    rtol: float = 1e-12,
+):
+    """``compute_splitting`` with the solve at every point of a bias
+    sweep, in a few batches of the action kernel.
+
+    The analyses share one curve and may differ in tilde_eps alone.
+    ``actions`` optionally holds each point's action at E_bar.  The
+    actions at E_bar come in one batch, then both roots of all points
+    iterate in lockstep.  Returns one (result, error) pair per point:
+    (SplittingResult, None) when both roots were found; (result without
+    roots, error) when the solve failed, the error being the
+    RootNotBracketed or action error that ``compute_splitting`` raises;
+    and (None, error) when the action at E_bar failed.  Each point's
+    values and error are those of its own ``compute_splitting`` call.
+    """
+    if actions is None:
+        actions = action_rows(consts, analyses, [a.E_bar for a in analyses], rtol=rtol)
+    points = [i for i, act in enumerate(actions) if not isinstance(act, TunnelkitError)]
+    shifts = {i: level_shifts(analyses[i], actions[i]) for i in points}
+    roots = dict(zip(points, _solve_rows(
+        consts, [analyses[i] for i in points], [shifts[i] for i in points], rtol
+    )))
+    out = []
+    for i, (analysis, action) in enumerate(zip(analyses, actions)):
+        if i not in roots:
+            out.append((None, action))
+        elif isinstance(roots[i], TunnelkitError):
+            out.append((_splitting_result(analysis, action, shifts[i], None), roots[i]))
+        else:
+            out.append((_splitting_result(analysis, action, shifts[i], roots[i]), None))
+    return out
+
+
 def compute_splitting(
     spec,
     consts: PhysConstants = DEFAULT_CONSTANTS,
@@ -367,26 +483,16 @@ def compute_splitting(
     splitting, the quadratic-expansion level shifts, and (when ``solve``
     is true) the transcendental roots.  With ``solve=False`` ``roots`` is
     None.  A caller that already holds the action at E_bar passes it as
-    ``action``, as for ``solve_quantization``.
+    ``action``, as for ``solve_quantization``.  The solve is the
+    one-point case of ``compute_splittings``.
     """
     if analysis is None:
         analysis = analyze(spec, consts)
     if action is None:
         action = evaluate_action(spec, consts, analysis=analysis, rtol=rtol)
-    shifts = level_shifts(analysis, action)
-    roots = None
-    if solve:
-        roots = solve_quantization(spec, consts, analysis=analysis, action=action, rtol=rtol)
-    return SplittingResult(
-        action=action,
-        shifts=shifts,
-        roots=roots,
-        I_bar=action.I,
-        delta_E=math.hypot(analysis.eps, shifts.delta),
-        delta_E_quadratic=shifts.dE_minus - shifts.dE_plus,
-        delta_E_transcendental=(
-            math.nan
-            if roots is None
-            else analysis.consts.hbar * analysis.omega_L * (roots.zeta_L_minus - roots.zeta_L_plus)
-        ),
-    )
+    if not solve:
+        return _splitting_result(analysis, action, level_shifts(analysis, action), None)
+    [(result, error)] = compute_splittings(consts, [analysis], actions=[action], rtol=rtol)
+    if error is not None:
+        raise error
+    return result

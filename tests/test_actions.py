@@ -1,4 +1,5 @@
 """Barrier actions: quadrature, closed forms, slopes, asymptotic expansion."""
+import dataclasses
 import math
 
 import numpy as np
@@ -28,8 +29,15 @@ from tunnelkit import (
     parabolic_fidelity,
     turning_points,
 )
+from tunnelkit.actions import action_rows
 from tunnelkit.quadrature import _edges
-from util import DEEP_WELLS, deep_quartic, reference_gamow_parts, reference_slope
+from util import (
+    DEEP_WELLS,
+    deep_quartic,
+    reference_action,
+    reference_gamow_parts,
+    reference_slope,
+)
 
 
 class TestQuadrature:
@@ -264,6 +272,50 @@ class TestActionKernel:
         # at depth 2 (64 nodes) and 3 (128 nodes)
         assert sizes == [96, 64, 128]
         self.check_against_reference(spec, a, e)
+
+
+class TestActionBatch:
+    """``action_rows`` takes many energies on one curve at once; every row
+    must be what the per-point kernel it replaced (tests/util.py: scalar
+    brentq turning points and one dict entry per component) gives at that
+    energy alone, bit for bit."""
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        spec=DEEP_WELLS,
+        mirrored=st.booleans(),
+        rows=st.lists(
+            st.tuples(st.floats(-0.05, 1.05), st.floats(-1.0, 1.0)), min_size=1, max_size=123
+        ),
+    )
+    def test_each_row_is_the_per_point_kernel(self, spec, mirrored, rows):
+        # Each row dials the bias by up to one level spacing, as a sweep
+        # does, and takes an energy from below its floor to above the top.
+        if mirrored:
+            spec = mirror(spec)
+        a = analyze(spec, C)
+        analyses, energies = [], []
+        for frac, dial in rows:
+            dialed = dataclasses.replace(a, tilde_eps=a.tilde_eps + dial * C.hbar * a.omega_L)
+            floor = max(0.0, dialed.tilde_eps)
+            analyses.append(dialed)
+            energies.append(floor + (a.V0 - floor) * frac)
+        batch = action_rows(C, analyses, energies)
+        assert len(batch) == len(rows)
+        for dialed, e, row in zip(analyses, energies, batch):
+            got = (type(row), str(row)) if isinstance(row, TunnelkitError) else row
+            assert got == _outcome(lambda: reference_action(C, dialed, e))
+
+    def test_one_row_calls_are_the_batch(self):
+        spec = BiasedQuartic(0.7, 2.3, 0.3)
+        a = analyze(spec, C)
+        energies = [a.V0 * f for f in (0.2, 0.35, 0.5, 0.8)]
+        batch = action_rows(C, [a] * 4, energies)
+        for e, row in zip(energies, batch):
+            assert evaluate_action(spec, C, E=e, analysis=a) == row
+            assert turning_points(spec, C, e, a) == (row.a_bar, row.b_bar)
+            assert gamow_integral(spec, C, e, a) == row.I_L + row.I_R
+            assert action_slope(spec, C, e, a) == row.I_slope
 
 
 class TestActionSlope:

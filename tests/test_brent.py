@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
 from tunnelkit import DEFAULT_CONSTANTS as C, BiasedQuartic, DoubleOscillator, Polynomial, analyze
-from tunnelkit._brent import brentq
+from tunnelkit._brent import _LOCKSTEP_ROOTS, brentq, brentq_rows
 from util import sextic_coeffs
 
 
@@ -64,6 +64,36 @@ def test_turning_point_flanks_take_scipys_steps(spec, frac):
     for lo, hi in ((a.x_L, a.x_m), (a.x_m, a.x_R)):
         root = _assert_same_steps(shifted, lo, hi, xtol=1e-15, rtol=8.9e-16)
         assert isinstance(root, float)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(spec=WELLS, fracs=st.lists(st.floats(0.02, 0.98), min_size=1, max_size=3 * _LOCKSTEP_ROOTS))
+def test_rows_find_each_rows_scalar_root(spec, fracs):
+    # Both flanks at every energy: fewer rows than _LOCKSTEP_ROOTS run the
+    # scalar loop, more run in lockstep; each root is brentq's alone.
+    a = analyze(spec, C)
+    floor = max(0.0, a.tilde_eps)
+    energies = [floor + frac * (a.V0 - floor) for frac in fracs] * 2
+    n = len(fracs)
+    lo = [a.x_L] * n + [a.x_m] * n
+    hi = [a.x_m] * n + [a.x_R] * n
+
+    def shifted(x, row):
+        return a.v(float(x)) - energies[row]
+
+    roots = brentq_rows(shifted, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    assert roots.tolist() == [
+        brentq(lambda x, row=row: shifted(x, row), lo[row], hi[row], xtol=1e-15, rtol=8.9e-16)
+        for row in range(2 * n)
+    ]
+
+
+@pytest.mark.parametrize("count", [1, _LOCKSTEP_ROOTS])
+def test_rows_raise_brentqs_errors(count):
+    with pytest.raises(ValueError, match="different signs"):
+        brentq_rows(lambda x, row: x * x + 1.0, [-1.0] * count, [1.0] * count, 1e-15, 8.9e-16)
+    with pytest.raises(RuntimeError, match="Failed to converge after 2 iterations"):
+        brentq_rows(lambda x, row: x**3 - 2.0, [0.0] * count, [2.0] * count, 1e-15, 8.9e-16, maxiter=2)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

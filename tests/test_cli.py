@@ -16,6 +16,7 @@ import tunnelkit.oracle
 import tunnelkit.splitting
 from tunnelkit import (
     DegenerateBarrier,
+    TunnelkitError,
     DomainTooSmall,
     EnergyBelowWellBottom,
     GridTooCoarse,
@@ -27,6 +28,7 @@ from tunnelkit import (
     parse_config,
     Polynomial,
 )
+from tunnelkit.actions import ActionResult, action_rows
 from tunnelkit.cli import (
     CSV_HEADER,
     _splitting_doc,
@@ -36,7 +38,7 @@ from tunnelkit.cli import (
     run_oracle,
     run_sweep,
 )
-from util import sextic_coeffs, sextic_scale_for_depth
+from util import reference_point, sextic_coeffs, sextic_scale_for_depth
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -268,6 +270,88 @@ class TestSweep:
         _, first = run_sweep(parse_config(DO_SWEEP))
         _, second = run_sweep(parse_config(DO_SWEEP))
         assert first == second
+
+
+def _sweep_doc(potential, start, stop, steps=21):
+    return {
+        "schema": "tunnelkit/1",
+        "potential": potential,
+        "sweep": {"parameter": "tilde_eps", "from": start, "to": stop, "steps": steps},
+    }
+
+
+def _no_grid(doc):
+    return {k: v for k, v in doc.items() if k != "oracle_grid"}
+
+
+# Sweeps whose points are solved in one batch: all rows solved, all rows
+# falling back (the README example), rows flagged past the zeta bound, a
+# mirrored sextic, and a sweep whose first point fails.
+BATCHED_SWEEPS = {
+    "double_oscillator": DO_SWEEP,
+    "readme": _no_grid(readme_config()),
+    "quartic": _sweep_doc(
+        {"family": "biased_quartic", "alpha": 1.0, "a": 2.1, "beta": 0.05}, -0.1, 0.4
+    ),
+    "sextic_mirror": _sweep_doc(
+        {"family": "polynomial", "coeffs": [float(c) for c in sextic_coeffs(20.0)], "mirror": True},
+        0.0,
+        0.3,
+    ),
+    "past_the_zeta_bound": _sweep_doc(
+        {"family": "polynomial", "coeffs": [0, 0, -4, 0.3, 1]}, 1.0, 2.0, steps=11
+    ),
+    "below_the_curves_bias": _sweep_doc(
+        {"family": "polynomial", "coeffs": [0, 0, -4, 0.3, 1]}, -1.0, 0.0, steps=11
+    ),
+}
+
+
+class TestBatchedSweep:
+    """``run_sweep`` solves its points in one batch; every row, or the
+    error, must be what building the points one by one gives."""
+
+    @staticmethod
+    def point_by_point(config):
+        base = analyze(config.potential, config.constants, orient=config.orient, require_wkb=True)
+        sweep = config.sweep
+        rows = []
+        for i in range(sweep.steps):
+            value = sweep.start + i * (sweep.stop - sweep.start) / (sweep.steps - 1)
+            try:
+                rows.append(reference_point(config, dataclasses.replace(base, tilde_eps=value)))
+            except TunnelkitError as exc:
+                return type(exc), str(exc)
+        return rows
+
+    @pytest.mark.parametrize("name", list(BATCHED_SWEEPS))
+    def test_rows_are_the_point_by_point_rows(self, name):
+        config = parse_config(BATCHED_SWEEPS[name])
+        try:
+            got = run_sweep(config)[0]["rows"]
+        except TunnelkitError as exc:
+            got = type(exc), str(exc)
+        # bit for bit, which is stronger than the 1e-12 the batch promises
+        assert got == self.point_by_point(config)
+
+    def test_the_failing_sweep_raises_its_first_points_error(self):
+        with pytest.raises(EnergyBelowWellBottom, match="E = 1.50474 is below the right well floor"):
+            run_sweep(parse_config(BATCHED_SWEEPS["below_the_curves_bias"]))
+
+    def test_rows_past_the_zeta_bound_are_the_flagged_ones(self):
+        doc, _ = run_sweep(parse_config(BATCHED_SWEEPS["past_the_zeta_bound"]))
+        flagged = [
+            row["tilde_eps"] for row in doc["rows"] if "transcendental_unbracketed" in row["warn_flags"]
+        ]
+        assert flagged == [row["tilde_eps"] for row in doc["rows"] if row["tilde_eps"] >= 1.7]
+        assert len(flagged) == 4
+
+    @pytest.mark.parametrize("name", ["readme", "quartic", "past_the_zeta_bound"])
+    def test_reruns_are_byte_identical(self, name):
+        config = parse_config(BATCHED_SWEEPS[name])
+        first, second = run_sweep(config), run_sweep(config)
+        assert json.dumps(first[0]) == json.dumps(second[0])
+        assert first[1] == second[1]
 
 
 class TestOracleCommand:
@@ -795,12 +879,11 @@ class TestReadmeConfig:
         energies = []
 
         def spy(*args, **kwargs):
-            act = evaluate_action(*args, **kwargs)
-            energies.append(act.E)
-            return act
+            acts = action_rows(*args, **kwargs)
+            energies.extend(act.E for act in acts if isinstance(act, ActionResult))
+            return acts
 
-        monkeypatch.setattr(tunnelkit.cli, "evaluate_action", spy, raising=False)
-        monkeypatch.setattr(tunnelkit.splitting, "evaluate_action", spy)
+        monkeypatch.setattr(tunnelkit.splitting, "action_rows", spy)
         config = parse_config(readme_config())
         doc, _ = runner(config)
         spied = list(energies)

@@ -261,8 +261,14 @@ def test_newton_roots_match_the_bracketed_reference(spec, mirrored):
     shifts = level_shifts(a, act)
     lo_lim, hi_lim = splitting._energy_window(a)
     # deep wells find both roots by Newton from the quadratic shifts
-    assert splitting._newton_root(spec, C, a, shifts.dE_plus, lo_lim - a.E_bar, 0.0, 1e-12)
-    assert splitting._newton_root(spec, C, a, shifts.dE_minus, 0.0, hi_lim - a.E_bar, 1e-12)
+    ends = splitting._newton_root(
+        C,
+        [a, a],
+        [shifts.dE_plus, shifts.dE_minus],
+        [(lo_lim - a.E_bar, 0.0), (0.0, hi_lim - a.E_bar)],
+        1e-12,
+    )
+    assert all(isinstance(end, tuple) for end in ends), ends
     r = compute_splitting(spec, C, analysis=a, action=act)
     q = r.roots
     ref = solve_bracketed(spec, C, a, shifts, 1e-12)
@@ -351,7 +357,8 @@ def test_newton_starts_inside_its_side_of_an_eight_spacing_symmetric_well():
     shifts = level_shifts(a, evaluate_action(spec, C, analysis=a))
     lo_lim, _ = splitting._energy_window(a)
     assert a.E_bar + shifts.dE_plus == a.E_bar
-    assert splitting._newton_root(spec, C, a, shifts.dE_plus, lo_lim - a.E_bar, 0.0, 1e-12)
+    [end] = splitting._newton_root(C, [a], [shifts.dE_plus], [(lo_lim - a.E_bar, 0.0)], 1e-12)
+    assert isinstance(end, tuple), end
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -6,19 +6,26 @@ from hypothesis import strategies as st
 
 from tunnelkit import (
     DEFAULT_CONSTANTS,
+    ActionResult,
     BiasedQuartic,
     DoubleOscillator,
+    EnergyAboveBarrier,
+    EnergyBelowWellBottom,
     Polynomial,
     QuantizationResult,
     RootNotBracketed,
     adaptive_quadrature,
     analyze,
+    compute_splitting,
+    evaluate_action,
     f_of_zeta,
     gamow_integral,
     splitting,
     turning_points,
 )
 from tunnelkit._brent import brentq
+from tunnelkit.cli import _splitting_doc, _warn_flags
+from tunnelkit.quadrature import _MAX_DEPTH, _panel_nodes, _panel_sum, _settled, _unsettled
 
 # Linear coefficient that pins the well-frequency ratio of the pinned sextic
 # (minima at x = -1 and x = +1) to exactly 1.3 while keeping both minima at
@@ -129,6 +136,125 @@ def reference_slope(consts, E, analysis, rtol=1e-12):
     val = adaptive_quadrature(left, 0.0, math.sqrt(analysis.x_m - a_bar), rtol=rtol)
     val += adaptive_quadrature(right, 0.0, math.sqrt(b_bar - analysis.x_m), rtol=rtol)
     return -val / hbar
+
+
+def reference_turning_points(analysis, E):
+    """(a_bar, b_bar) by one scalar brentq per flank, with the energy
+    checks of the per-point kernel: the reference for the batched
+    turning points."""
+    if E >= analysis.V0:
+        raise EnergyAboveBarrier(f"E = {E:g} is not below the barrier top {analysis.V0:g}")
+    floor = max(0.0, analysis.tilde_eps)
+    if E <= floor:
+        raise EnergyBelowWellBottom(f"E = {E:g} does not exceed the higher well floor {floor:g}")
+
+    def shifted(x):
+        return analysis.v(float(x)) - E
+
+    if shifted(analysis.x_R) > 0.0:
+        raise EnergyBelowWellBottom(
+            f"E = {E:g} is below the right well floor "
+            f"{analysis.v(analysis.x_R):g} of the potential curve"
+        )
+    a_bar = brentq(shifted, analysis.x_L, analysis.x_m, xtol=1e-15, rtol=8.9e-16)
+    b_bar = brentq(shifted, analysis.x_m, analysis.x_R, xtol=1e-15, rtol=8.9e-16)
+    return float(a_bar), float(b_bar)
+
+
+def _momentum(two_t, w, m):
+    return two_t * np.sqrt(np.maximum(w, 0.0))
+
+
+def _inverse_momentum(two_t, w, m):
+    return two_t * m / np.sqrt(np.maximum(w, 1e-300))
+
+
+def reference_flank_integrals(consts, E, analysis, a_bar, b_bar, rtol, integrands):
+    """Both flanks of each integrand at one energy, one dict entry per
+    (integrand, flank) component: the per-point kernel that the batched
+    one replaced.  Each pass samples v once on the open flanks; each
+    component stops at its own depth, and the first one still open at the
+    last depth raises QuadratureNonConvergence."""
+    m = consts.mass
+    two_m = 2.0 * m
+    tops = (math.sqrt(analysis.x_m - a_bar), math.sqrt(b_bar - analysis.x_m))
+    comps = [(f, flank) for f in integrands for flank in (0, 1)]
+    done = {c: 0.0 for c in comps if tops[c[1]] == 0.0}
+    last = dict.fromkeys(comps)
+    depths = (0, 1)
+    while depths[0] <= _MAX_DEPTH:
+        open_comps = [c for c in comps if c not in done]
+        if not open_comps:
+            break
+        blocks = [
+            (flank, *_panel_nodes(0.0, tops[flank], 2**depth))
+            for flank in sorted({flank for _, flank in open_comps})
+            for depth in depths
+        ]
+        x = np.concatenate(
+            [a_bar + t * t if flank == 0 else b_bar - t * t for flank, t, _ in blocks]
+        )
+        two_t = 2.0 * np.concatenate([t for _, t, _ in blocks])
+        w = two_m * (analysis.v(x) - E)
+        vals = {f: f(two_t, w, m) for f in {f for f, _ in open_comps}}
+        start = 0
+        for flank, t, half in blocks:
+            stop = start + t.size
+            for c in open_comps:
+                if c[1] == flank and c not in done:
+                    val = _panel_sum(vals[c[0]][start:stop], half)
+                    if _settled(val, last[c], rtol):
+                        done[c] = val
+                    last[c] = val
+            start = stop
+        depths = (depths[-1] + 1,)
+    for c in comps:
+        if c not in done:
+            raise _unsettled(last[c], rtol, _MAX_DEPTH)
+    return [(done[f, 0], done[f, 1]) for f in integrands]
+
+
+def reference_action(consts, analysis, E, rtol=1e-12):
+    """The ActionResult of the per-point kernel at energy E."""
+    a_bar, b_bar = reference_turning_points(analysis, E)
+    (i_l, i_r), (s_l, s_r) = reference_flank_integrals(
+        consts, E, analysis, a_bar, b_bar, rtol, (_momentum, _inverse_momentum)
+    )
+    i_l, i_r = i_l / consts.hbar, i_r / consts.hbar
+    return ActionResult(
+        E=float(E),
+        a_bar=a_bar,
+        b_bar=b_bar,
+        I=i_l + i_r,
+        I_slope=-(s_l + s_r) / consts.hbar,
+        I_L=i_l,
+        I_R=i_r,
+    )
+
+
+def reference_point(config, analysis):
+    """The JSON row of one bias point built point by point, in the order
+    the sweep used before its points were batched: the action at E_bar,
+    then the root solve, falling back to the unsolved splitting when no
+    root is bracketed."""
+    spec, consts, rtol = config.potential, config.constants, config.tolerances.quad_rtol
+    action = evaluate_action(spec, consts, analysis=analysis, rtol=rtol)
+    try:
+        result = compute_splitting(spec, consts, analysis=analysis, action=action, rtol=rtol)
+        fallback = []
+    except RootNotBracketed:
+        result = compute_splitting(
+            spec, consts, analysis=analysis, action=action, solve=False, rtol=rtol
+        )
+        fallback = ["transcendental_unbracketed"]
+    return {
+        "tilde_eps": analysis.tilde_eps,
+        "eps": analysis.eps,
+        "E_bar": analysis.E_bar,
+        "splitting": _splitting_doc(analysis.E_bar, result),
+        "oracle": None,
+        "warn_flags": _warn_flags(config, analysis, result.I_bar) + fallback,
+    }
 
 
 # The bracketed reference's constants: the bound on f's arguments, the
