@@ -27,8 +27,11 @@ families no potential realizes the dialed bias exactly and the columns
 stay empty.
 
 A bias point, of ``analyze`` or of one sweep step, is built once as a
-JSON row (``_point``), and its CSV line is rendered from that row alone
-(``_csv_row``), so the two formats cannot disagree.
+JSON row (``_point``), and its CSV line is rendered from that row
+(``_csv_row``), so the two formats cannot disagree.  Only the CSV's
+``dE_trans_plus``/``dE_trans_minus`` come from the solved offsets of the
+roots themselves, which the JSON's ``E_trans_plus``/``E_trans_minus``
+round to ulp(E_bar).
 """
 
 import argparse
@@ -74,7 +77,8 @@ CSV_HEADER = (
     "dE_trans_plus,dE_trans_minus,oracle_E0,oracle_E1,oracle_split,warn_flags"
 )
 COMPARE_HEADER = "method,delta_E,rel_err_vs_oracle"
-_ROOT_FIELDS = [f.name for f in fields(QuantizationResult)]
+# the JSON keys of the roots; their solved offsets go to the CSV alone
+_ROOT_FIELDS = [f.name for f in fields(QuantizationResult) if not f.name.startswith("delta_")]
 # the WellAnalysis attributes of an analyze "well" block, in JSON order
 _WELL_KEYS = (
     "x_L", "x_R", "x_m", "omega_L", "omega_R", "tilde_eps", "eps", "E_bar", "V0",
@@ -116,7 +120,9 @@ def _splitting_doc(e_bar, result):
     # JSON names and key order of a splitting block; the nine root keys
     # are null when the root solve was skipped.
     shifts = result.shifts
-    roots = dict.fromkeys(_ROOT_FIELDS) if result.roots is None else asdict(result.roots)
+    roots = dict.fromkeys(_ROOT_FIELDS)
+    if result.roots is not None:
+        roots = {key: getattr(result.roots, key) for key in _ROOT_FIELDS}
     doc = {
         "I_bar": result.I_bar,
         "I_slope": result.action.I_slope,
@@ -190,14 +196,15 @@ def _point(config: RunConfig, analysis: WellAnalysis, outcome, oracle=None):
     return row, result, spectrum
 
 
-def _csv_row(row) -> str:
-    """The CSV_HEADER line of a point, read from its JSON row."""
+def _csv_row(row, roots) -> str:
+    """The CSV_HEADER line of a point, read from its JSON row and, for the
+    offsets dE_trans_plus/dE_trans_minus, from its roots (None when the
+    solve was skipped)."""
     e_bar, split, oracle = row["E_bar"], row["splitting"], row["oracle"] or {}
-    trans = (split["E_trans_plus"], split["E_trans_minus"])
     return _cells(
         [row["tilde_eps"], row["eps"], e_bar]
         + [split[k] for k in ("I_bar", "I_slope", "delta", "delta_E", "E_plus", "E_minus")]
-        + [None if e is None else e - e_bar for e in trans]
+        + ([None, None] if roots is None else [roots.delta_plus, roots.delta_minus])
         + [oracle.get(k) for k in ("E0", "E1", "splitting")]
         + [";".join(row["warn_flags"])]
     )
@@ -229,7 +236,7 @@ def run_analyze(config: RunConfig):
     if spectrum is not None:
         doc["oracle"]["wkb_ratio"] = result.delta_E / spectrum.splitting
     doc["warn_flags"] = row["warn_flags"]
-    line = _csv_row(row)
+    line = _csv_row(row, result.roots)
     doc["csv"] = {"header": CSV_HEADER, "row": line}
     return doc, _csv_text(CSV_HEADER, [line])
 
@@ -269,7 +276,11 @@ def run_sweep(config: RunConfig):
     # all, and each point then raises its own error in the sweep's order
     points = [replace(base, tilde_eps=v) for v in values]
     outcomes = compute_splittings(consts, points, rtol=config.tolerances.quad_rtol)
-    rows = [_point(config, p, o, oracle)[0] for p, o in zip(points, outcomes)]
+    rows, lines = [], []
+    for point, outcome in zip(points, outcomes):
+        row, result, _ = _point(config, point, outcome, oracle)
+        rows.append(row)
+        lines.append(_csv_row(row, result.roots))
 
     x = np.array(values)
     y = np.log(np.array([row["splitting"]["delta"] for row in rows]))
@@ -278,7 +289,6 @@ def run_sweep(config: RunConfig):
     slope = rows[0]["splitting"]["I_slope"]  # dI/dE at the start point's E_bar
     w_l, w_r = base.omega_L, base.omega_R
     c1_analytic = 0.25 * K_FIRST_ORDER / (consts.hbar * w_l) * (w_r - w_l) / w_r - 0.5 * slope
-    lines = [_csv_row(row) for row in rows]
     doc = _base_doc("sweep", config)
     # the sweep block as the config spells it ("from", "to")
     doc["sweep"] = {f.metadata.get("key", f.name): getattr(sweep, f.name) for f in fields(sweep)}

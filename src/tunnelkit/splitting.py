@@ -198,6 +198,9 @@ class QuantizationResult:
     zeta_R_minus: float
     residual_plus: float
     residual_minus: float
+    # the solved offsets E_pm - E_bar, which E_pm rounds to ulp(E_bar)
+    delta_plus: float
+    delta_minus: float
 
 
 def _zetas(analysis: WellAnalysis, delta: float):
@@ -344,6 +347,8 @@ def _solve_rows(consts, analyses, shifts, rtol):
                 zeta_R_minus=zr_m,
                 residual_plus=res_plus,
                 residual_minus=res_minus,
+                delta_plus=d_plus,
+                delta_minus=d_minus,
             ))
     return out
 

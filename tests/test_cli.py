@@ -120,6 +120,23 @@ def solve_sizes(monkeypatch):
 
 
 class TestAnalyze:
+    def test_csv_offsets_keep_a_splitting_below_ulp_of_the_mean_level(self):
+        # Eight spacings deep and symmetric: E_trans_pm both round to
+        # E_bar = 32, while the solved offsets keep the 3.45e-16 gap.
+        doc = {
+            "schema": "tunnelkit/1",
+            "potential": {"family": "biased_quartic", "alpha": 512, "a": 1, "beta": 0},
+        }
+        jdoc, csv_text = run_analyze(parse_config(doc))
+        header, line = csv_text.splitlines()
+        cells = dict(zip(header.split(","), line.split(",")))
+        split = jdoc["splitting"]
+        assert split["E_trans_plus"] == split["E_trans_minus"] == 32.0
+        gap = split["delta_E_transcendental"]
+        assert gap == pytest.approx(3.45e-16, rel=1e-3)
+        offsets = float(cells["dE_trans_minus"]) - float(cells["dE_trans_plus"])
+        assert offsets == pytest.approx(gap, rel=1e-12, abs=0.0)
+
     def test_reference_tilted_quartic_report(self):
         doc, csv_text = run_analyze(parse_config(TILTED_QUARTIC))
         s = doc["splitting"]

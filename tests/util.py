@@ -331,6 +331,8 @@ def solve_bracketed(spec, consts, analysis, shifts, rtol):
         zeta_R_minus=zr_m,
         residual_plus=residual(e_plus),
         residual_minus=residual(e_minus),
+        delta_plus=e_plus - e_bar,
+        delta_minus=e_minus - e_bar,
     )
 
 
