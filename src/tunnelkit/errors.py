@@ -74,7 +74,10 @@ class LambdaOutOfRange(RegimeError):
 
 class RootNotBracketed(RegimeError):
     """The quantization root solve found no root inside |zeta| < 0.4 and
-    its energy window."""
+    its energy window.  The message names the root (E_plus or E_minus)
+    and what ended its Newton iteration: an iterate that left the energy
+    window or |zeta| < 0.4 (with that zeta), or a step that did not
+    settle."""
 
 
 class GridTooCoarse(RegimeError):

@@ -323,11 +323,10 @@ def _solve_rows(consts, analyses, shifts, rtol):
     out = []
     for i, analysis in enumerate(analyses):
         found = []
-        for end in ends[2 * i:2 * i + 2]:
+        for name, end in zip(("E_plus", "E_minus"), ends[2 * i:2 * i + 2]):
             if isinstance(end, str):
                 end = RootNotBracketed(
-                    "no sign change of the quantization residual within the "
-                    f"energy window around E_bar = {analysis.E_bar:g}"
+                    f"no quantization root {name} near E_bar = {analysis.E_bar:g}: {end}"
                 )
             if isinstance(end, TunnelkitError):
                 out.append(end)

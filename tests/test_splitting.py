@@ -234,8 +234,15 @@ class TestSolveQuantization:
         assert q.E_plus < a.E_bar < q.E_minus
 
     def test_shallow_barrier_cannot_bracket_roots(self):
-        with pytest.raises(RootNotBracketed):
+        with pytest.raises(RootNotBracketed, match="E_minus near E_bar = 2.59924: iterate left the energy window"):
             solve_quantization(BiasedQuartic(3.0, 1.0, 0.15), C)
+
+    def test_a_step_that_does_not_settle_is_named(self, monkeypatch):
+        # The deep quartic's E_plus takes two iterates; allowed one, it
+        # ends unsettled, and E_minus is not reported.
+        monkeypatch.setattr(splitting, "_NEWTON_STEPS", 1)
+        with pytest.raises(RootNotBracketed, match="E_plus near .*: step not settled in 1 iterates"):
+            solve_quantization(BiasedQuartic(1.0, 2.1), C)
 
     def test_root_beyond_the_zeta_bound_is_not_bracketed(self):
         # eps = 0.45 hbar omega_L puts zeta_L of the upper root at 0.450,
@@ -247,7 +254,7 @@ class TestSolveQuantization:
         act = evaluate_action(spec, C, analysis=a)
         clamped = solve_bracketed(spec, C, a, level_shifts(a, act), 1e-12)
         assert clamped.zeta_L_minus == pytest.approx(0.450, abs=5e-4)
-        with pytest.raises(RootNotBracketed, match="no sign change"):
+        with pytest.raises(RootNotBracketed, match=r"E_minus .*: iterate left \|zeta\| < 0\.4 \(zeta_L = 0\.450\)"):
             solve_quantization(spec, C, analysis=a, action=act)
 
 
