@@ -192,56 +192,59 @@ def _flank_integrals(consts, analysis, E, a_bar, b_bar, rtol, integrands):
     chunks of pairs.  Each (row, integrand, flank) component stops at its
     own depth with exactly the value adaptive_quadrature gives it alone.
 
-    Returns (values, errors): values[i] is an array (2, rows) of the left
-    and right flanks of integrand i, and errors maps each row with a
+    Returns (values, errors): values[i, flank, row] is the left (flank 0)
+    or right flank of integrand i at each row, and errors maps each row with a
     component still open at the last depth to the QuadratureNonConvergence
     of the first such component, integrands in the order given and the
     left flank first.
     """
     m = consts.mass
     two_m = 2.0 * m
-    k = E.size
+    k, n = E.size, len(integrands)
     base = np.concatenate([a_bar, b_bar])  # pair p is row p % k, flank p // k
     sign = np.repeat([1.0, -1.0], k)
     energy = np.concatenate([E, E])
     tops = np.sqrt(np.concatenate([analysis.x_m - a_bar, b_bar - analysis.x_m]))
-    n = len(integrands)
-    value = np.zeros((n, 2 * k))
-    last = np.full((n, 2 * k), np.nan)
+    # value, last value and openness of each (integrand, pair) component;
     # a zero-width flank is 0.0, as adaptive_quadrature gives it
+    value = np.zeros((n, 2 * k))
+    last = np.full((n, 2 * k), np.nan)  # so that depth 0 never settles
     open_ = np.repeat([tops != 0.0], n, axis=0)
     depths = (0, 1)
-    while depths[0] <= _MAX_DEPTH and open_.any():
-        pairs = np.flatnonzero(open_.any(axis=0))
+    while depths[0] <= _MAX_DEPTH:
+        live = open_.any(axis=0)
+        if not live.any():
+            break
         chunk = max(1, _PASS_NODES // sum(_ORDER * 2**d for d in depths))
-        for start in range(0, pairs.size, chunk):
-            p = pairs[start:start + chunk]
+        pairs = np.flatnonzero(live)
+        # all pairs open (the first pass, mostly) take views, not copies
+        spans = [slice(None)] if pairs.size == 2 * k <= chunk else [
+            pairs[start:start + chunk] for start in range(0, pairs.size, chunk)
+        ]
+        for p in spans:
             blocks = [_panel_nodes(0.0, tops[p], 2**d) for d in depths]
             t = np.concatenate([nodes for nodes, _ in blocks], axis=1)
-            x = base[p, None] + sign[p, None] * (t * t)
-            w = two_m * (analysis.v(x) - energy[p, None])
+            w = two_m * (analysis.v(base[p, None] + sign[p, None] * (t * t)) - energy[p, None])
             two_t = 2.0 * t
-            for i, f in enumerate(integrands):
-                still = open_[i, p]
-                if not still.any():
-                    continue
-                vals = f(two_t, w, m)
-                col = 0
-                for nodes, half in blocks:
-                    s = _panel_sum(vals[:, col:col + nodes.shape[1]], half)
-                    col += nodes.shape[1]
-                    settled = still & (np.abs(s - last[i, p]) <= rtol * np.abs(s))
-                    value[i, p[settled]] = s[settled]
-                    last[i, p] = np.where(still, s, last[i, p])
-                    still &= ~settled
-                open_[i, p] = still
+            vals = np.stack([f(two_t, w, m) for f in integrands])
+            still, prev, got = open_[:, p], last[:, p], value[:, p]
+            col = 0
+            for nodes, half in blocks:
+                sums = _panel_sum(vals[:, :, col:col + nodes.shape[1]], half)
+                col += nodes.shape[1]
+                settled = still & (np.abs(sums - prev) <= rtol * np.abs(sums))
+                got = np.where(settled, sums, got)
+                prev = sums
+                still = still ^ settled
+            open_[:, p], last[:, p], value[:, p] = still, prev, got
         depths = (depths[-1] + 1,)
-    stuck, last = open_.reshape(n, 2, k), last.reshape(n, 2, k)
     errors = {}
-    for row in np.flatnonzero(stuck.any(axis=(0, 1))).tolist():
-        i, flank = next((i, f) for i in range(n) for f in (0, 1) if stuck[i, f, row])
-        errors[row] = _unsettled(float(last[i, flank, row]), rtol, _MAX_DEPTH)
-    return [value[i].reshape(2, k) for i in range(n)], errors
+    if open_.any():
+        stuck, last = open_.reshape(n, 2, k), last.reshape(n, 2, k)
+        for row in np.flatnonzero(stuck.any(axis=(0, 1))).tolist():
+            i, flank = next((i, f) for i in range(n) for f in (0, 1) if stuck[i, f, row])
+            errors[row] = _unsettled(float(last[i, flank, row]), rtol, _MAX_DEPTH)
+    return value.reshape(n, 2, k), errors
 
 
 def _action_rows(consts, analyses, E, rtol, integrands):
@@ -263,10 +266,9 @@ def _action_rows(consts, analyses, E, rtol, integrands):
     a_bar, b_bar = _turning_rows(curve, energies)
     energies = np.array(energies)
     values, errors = _flank_integrals(consts, curve, energies, a_bar, b_bar, rtol, integrands)
-    a_bar, b_bar = a_bar.tolist(), b_bar.tolist()
-    flanks = [v.T.tolist() for v in values]
-    for j, r in enumerate(good):
-        out[r] = errors[j] if j in errors else (a_bar[j], b_bar[j], [f[j] for f in flanks])
+    rows = zip(a_bar.tolist(), b_bar.tolist(), values.transpose(2, 0, 1).tolist())
+    for j, (r, row) in enumerate(zip(good, rows)):
+        out[r] = errors[j] if j in errors else row
     return out
 
 

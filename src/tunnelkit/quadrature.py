@@ -64,7 +64,7 @@ def _panel_nodes(a: float, b, panels: int):
 def _panel_sum(vals: np.ndarray, half: np.ndarray):
     """Composite rule from the values at the nodes of ``_panel_nodes``:
     a float, or one per row of rows of nodes."""
-    sums = (half * (vals.reshape(*half.shape, _ORDER) @ _WEIGHTS)).sum(axis=-1)
+    sums = (half * (vals.reshape(*vals.shape[:-1], -1, _ORDER) @ _WEIGHTS)).sum(axis=-1)
     return float(sums) if sums.ndim == 0 else sums
 
 
