@@ -256,6 +256,8 @@ def _action_rows(consts, analyses, E, rtol, integrands):
     [(left, right) of each integrand, before 1/hbar]) as floats, or the
     TunnelkitError the row's energy or quadrature raises.
     """
+    if not analyses:
+        return []
     curve = analyses[0]
     right_floor = curve.v(curve.x_R)
     out = [_energy_error(a, e, right_floor) for a, e in zip(analyses, E)]

@@ -78,7 +78,9 @@ CSV_HEADER = (
 )
 COMPARE_HEADER = "method,delta_E,rel_err_vs_oracle"
 # the JSON keys of the roots; their solved offsets go to the CSV alone
-_ROOT_FIELDS = [f.name for f in fields(QuantizationResult) if not f.name.startswith("delta_")]
+_ROOT_FIELDS = [
+    f.name for f in fields(QuantizationResult) if f.name not in ("delta_plus", "delta_minus")
+]
 # the WellAnalysis attributes of an analyze "well" block, in JSON order
 _WELL_KEYS = (
     "x_L", "x_R", "x_m", "omega_L", "omega_R", "tilde_eps", "eps", "E_bar", "V0",
@@ -180,7 +182,7 @@ def _point(config: RunConfig, analysis: WellAnalysis, outcome, oracle=None):
     eigensolve.
     """
     result, error = outcome
-    if error is not None and (result is None or not isinstance(error, RootNotBracketed)):
+    if error is not None and not isinstance(error, RootNotBracketed):
         raise error
     fallback = [] if error is None else ["transcendental_unbracketed"]
     flags = _warn_flags(config, analysis, result.I_bar) + fallback

@@ -279,7 +279,7 @@ def _newton_root(consts, analyses, deltas, windows, rtol):
             [analyses[r] for r in probe],
             [analyses[r].E_bar + deltas[r] for r in probe],
             rtol=rtol,
-        ) if probe else []
+        )
         open_rows = []
         for r, act in zip(probe, acts):
             if isinstance(act, TunnelkitError):
@@ -304,52 +304,35 @@ def _newton_root(consts, analyses, deltas, windows, rtol):
     return out
 
 
-def _solve_rows(consts, analyses, shifts, rtol):
-    """The roots of each point, E_plus and E_minus of all points in one
-    lockstep: per point a QuantizationResult, or the error that
-    ``solve_quantization`` raises there.
-
-    A point's outcome is the one the order E_plus, then E_minus, gives:
-    the error of E_plus comes first, and E_minus counts only when E_plus
-    was found.
-    """
-    rows, starts, windows = [], [], []
-    for analysis, shift in zip(analyses, shifts):
-        lo_lim, hi_lim = _energy_window(analysis)
-        rows += [analysis, analysis]
-        starts += [shift.dE_plus, shift.dE_minus]
-        windows += [(lo_lim - analysis.E_bar, 0.0), (0.0, hi_lim - analysis.E_bar)]
-    ends = _newton_root(consts, rows, starts, windows, rtol)
-    out = []
-    for i, analysis in enumerate(analyses):
-        found = []
-        for name, end in zip(("E_plus", "E_minus"), ends[2 * i:2 * i + 2]):
-            if isinstance(end, str):
-                end = RootNotBracketed(
-                    f"no quantization root {name} near E_bar = {analysis.E_bar:g}: {end}"
-                )
-            if isinstance(end, TunnelkitError):
-                out.append(end)
-                break
-            found.append(end)
-        else:
-            (d_plus, res_plus), (d_minus, res_minus) = found
-            e_bar = analysis.E_bar
-            zl_p, zr_p = _zetas(analysis, d_plus)
-            zl_m, zr_m = _zetas(analysis, d_minus)
-            out.append(QuantizationResult(
-                E_plus=e_bar + d_plus,
-                E_minus=e_bar + d_minus,
-                zeta_L_plus=zl_p,
-                zeta_R_plus=zr_p,
-                zeta_L_minus=zl_m,
-                zeta_R_minus=zr_m,
-                residual_plus=res_plus,
-                residual_minus=res_minus,
-                delta_plus=d_plus,
-                delta_minus=d_minus,
-            ))
-    return out
+def _roots(analysis, plus, minus):
+    """(QuantizationResult, None) from the ends of a point's two Newton
+    rows, or (None, error) with the error that E_plus, then E_minus,
+    ended with: the TunnelkitError of an action, or RootNotBracketed
+    naming the root and the cause."""
+    for name, end in (("E_plus", plus), ("E_minus", minus)):
+        if isinstance(end, str):
+            end = RootNotBracketed(
+                f"no quantization root {name} near E_bar = {analysis.E_bar:g}: {end}"
+            )
+        if isinstance(end, TunnelkitError):
+            return None, end
+    (d_plus, res_plus), (d_minus, res_minus) = plus, minus
+    e_bar = analysis.E_bar
+    zl_p, zr_p = _zetas(analysis, d_plus)
+    zl_m, zr_m = _zetas(analysis, d_minus)
+    roots = QuantizationResult(
+        E_plus=e_bar + d_plus,
+        E_minus=e_bar + d_minus,
+        zeta_L_plus=zl_p,
+        zeta_R_plus=zr_p,
+        zeta_L_minus=zl_m,
+        zeta_R_minus=zr_m,
+        residual_plus=res_plus,
+        residual_minus=res_minus,
+        delta_plus=d_plus,
+        delta_minus=d_minus,
+    )
+    return roots, None
 
 
 def solve_quantization(
@@ -389,10 +372,10 @@ def solve_quantization(
         analysis = analyze(spec, consts)
     if action is None:
         action = evaluate_action(spec, consts, analysis=analysis, rtol=rtol)
-    [roots] = _solve_rows(consts, [analysis], [level_shifts(analysis, action)], rtol)
-    if isinstance(roots, TunnelkitError):
-        raise roots
-    return roots
+    [(result, error)] = compute_splittings(consts, [analysis], actions=[action], rtol=rtol)
+    if error is not None:
+        raise error
+    return result.roots
 
 
 @dataclass(frozen=True)
@@ -458,17 +441,19 @@ def compute_splittings(
         actions = action_rows(consts, analyses, [a.E_bar for a in analyses], rtol=rtol)
     points = [i for i, act in enumerate(actions) if not isinstance(act, TunnelkitError)]
     shifts = {i: level_shifts(analyses[i], actions[i]) for i in points}
-    roots = dict(zip(points, _solve_rows(
-        consts, [analyses[i] for i in points], [shifts[i] for i in points], rtol
-    )))
-    out = []
-    for i, (analysis, action) in enumerate(zip(analyses, actions)):
-        if i not in roots:
-            out.append((None, action))
-        elif isinstance(roots[i], TunnelkitError):
-            out.append((_splitting_result(analysis, action, shifts[i], None), roots[i]))
-        else:
-            out.append((_splitting_result(analysis, action, shifts[i], roots[i]), None))
+    # two Newton rows per point, E_plus and E_minus, all in one lockstep
+    rows, starts, windows = [], [], []
+    for i in points:
+        analysis = analyses[i]
+        lo_lim, hi_lim = _energy_window(analysis)
+        rows += [analysis, analysis]
+        starts += [shifts[i].dE_plus, shifts[i].dE_minus]
+        windows += [(lo_lim - analysis.E_bar, 0.0), (0.0, hi_lim - analysis.E_bar)]
+    ends = iter(_newton_root(consts, rows, starts, windows, rtol))
+    out = [(None, action) for action in actions]
+    for i in points:
+        roots, error = _roots(analyses[i], next(ends), next(ends))
+        out[i] = (_splitting_result(analyses[i], actions[i], shifts[i], roots), error)
     return out
 
 
