@@ -262,6 +262,8 @@ def _newton_root(consts, analyses, deltas, windows, rtol):
     deltas = list(deltas)
     open_rows = range(len(analyses))
     for _ in range(_NEWTON_STEPS):
+        if not open_rows:
+            break
         probe, zetas = [], {}
         for r in open_rows:
             (lo, hi), delta = windows[r], deltas[r]

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import tunnelkit.actions
 import tunnelkit.potentials
 from hypothesis import given, settings, strategies as st
 
@@ -192,6 +193,11 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
+def _outcomes(rows):
+    # the rows of a batch, each error as its type and message
+    return [(type(r), str(r)) if isinstance(r, TunnelkitError) else r for r in rows]
+
+
 class TestActionKernel:
     """One sample of v per pass serves I and dI/dE of both flanks; every
     value must equal the per-integrand quadratures it replaced, bit for bit."""
@@ -300,11 +306,22 @@ class TestActionBatch:
             floor = max(0.0, dialed.tilde_eps)
             analyses.append(dialed)
             energies.append(floor + (a.V0 - floor) * frac)
-        batch = action_rows(C, analyses, energies)
-        assert len(batch) == len(rows)
-        for dialed, e, row in zip(analyses, energies, batch):
-            got = (type(row), str(row)) if isinstance(row, TunnelkitError) else row
-            assert got == _outcome(lambda: reference_action(C, dialed, e))
+        batch = _outcomes(action_rows(C, analyses, energies))
+        assert batch == [
+            _outcome(lambda: reference_action(C, dialed, e)) for dialed, e in zip(analyses, energies)
+        ]
+
+    def test_passes_sampled_in_chunks_give_the_same_rows(self, monkeypatch):
+        # Room for two pairs per block at depths 0 and 1, one at depth 2
+        # on: every pass of a 9-row batch runs in chunks.
+        spec = deep_quartic(6.0, 1.0, 0.1)
+        a = analyze(spec, C)
+        lo = max(0.0, a.tilde_eps)
+        energies = [lo + (a.V0 - lo) * f for f in (0.05, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.99, 0.999)]
+        whole = _outcomes(action_rows(C, [a] * 9, energies))
+        monkeypatch.setattr(tunnelkit.actions, "_PASS_NODES", 100)
+        assert _outcomes(action_rows(C, [a] * 9, energies)) == whole
+        assert whole == [_outcome(lambda: reference_action(C, a, e)) for e in energies]
 
     def test_one_row_calls_are_the_batch(self):
         spec = BiasedQuartic(0.7, 2.3, 0.3)
