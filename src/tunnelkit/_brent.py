@@ -16,9 +16,12 @@ import numpy as np
 
 __all__ = ["brentq", "brentq_rows"]
 
-# Fewest roots that ``brentq_rows`` solves in lockstep on arrays; below
-# it the array bookkeeping costs more than the scalar loop.
-_LOCKSTEP_ROOTS = 12
+# Fewest roots that ``brentq_rows`` solves in lockstep on arrays.  A
+# lockstep iterate costs some 70 array calls whatever the row count, the
+# scalar loop a few Python steps per root; on the quartic, sextic and
+# double-oscillator turning points the two broke even at 64 to 70 roots
+# (x86-64, Python 3.11, numpy 2.4).
+_LOCKSTEP_ROOTS = 64
 
 
 def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:

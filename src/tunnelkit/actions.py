@@ -156,8 +156,8 @@ def turning_points(spec, consts: PhysConstants, E: float, analysis: WellAnalysis
     """Inner classical turning points (a_bar, b_bar) at energy E.
 
     Solves v(x) = E on the barrier flanks [x_L, x_m] and [x_m, x_R] of
-    the normalized potential.  E must lie strictly
-    between the higher well floor and the barrier top.
+    the normalized potential, as a one-row call of the batched solve.  E
+    must lie strictly between the higher well floor and the barrier top.
     """
     analysis = _ensure_analysis(spec, consts, analysis)
     right_floor = analysis.v(analysis.x_R)

@@ -15,6 +15,10 @@ Three routes of increasing fidelity, all driven by the barrier action:
    zeta_R = (E - tilde_eps)/(hbar w_R) - 1/2 count the excitation above
    each well's harmonic ground level.
 
+``compute_splittings`` runs all three at every point of a bias sweep at
+once: one batch of the action kernel for the mean levels, then the two
+roots of every point in lockstep.
+
 The spectral weight f(zeta) = cos(pi zeta) Gamma(1 - zeta) g(zeta) / (2 pi)
 with g(zeta) = sqrt(2 pi) exp((zeta + 1/2)(ln(zeta + 1/2) - 1)) carries
 the anharmonic matching between the well and barrier regions; its
