@@ -46,7 +46,6 @@ from .errors import (
     LambdaOutOfRange,
     NonConvexMinimum,
     NumericsError,
-    OutOfSupportedRange,
     QuadratureNonConvergence,
     RegimeError,
     RootNotBracketed,
@@ -78,7 +77,6 @@ from .splitting import (
     delta_first_order,
     f_of_zeta,
     g_of_zeta,
-    gamma_fn,
     level_shifts,
     level_splitting,
     solve_quantization,
@@ -109,7 +107,6 @@ __all__ = [
     "Mirrored",
     "NonConvexMinimum",
     "NumericsError",
-    "OutOfSupportedRange",
     "PhysConstants",
     "Polynomial",
     "QuadratureNonConvergence",
@@ -140,7 +137,6 @@ __all__ = [
     "evaluate_d2",
     "f_of_zeta",
     "g_of_zeta",
-    "gamma_fn",
     "gamow_integral",
     "level_shifts",
     "level_splitting",

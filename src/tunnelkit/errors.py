@@ -24,7 +24,6 @@ __all__ = [
     "NumericsError",
     "QuadratureNonConvergence",
     "DomainError",
-    "OutOfSupportedRange",
 ]
 
 
@@ -99,6 +98,3 @@ class QuadratureNonConvergence(NumericsError):
 class DomainError(TunnelkitError, ValueError):
     """Function evaluated outside its mathematical domain."""
 
-
-class OutOfSupportedRange(DomainError):
-    """Argument outside the interval the implementation supports."""

@@ -31,12 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .actions import ActionResult, action_rows, evaluate_action
-from .errors import DomainError, OutOfSupportedRange, RootNotBracketed, TunnelkitError
+from .errors import DomainError, RootNotBracketed, TunnelkitError
 from .potentials import DEFAULT_CONSTANTS, PhysConstants, WellAnalysis, analyze
 
 __all__ = [
     "K_FIRST_ORDER",
-    "gamma_fn",
     "g_of_zeta",
     "f_of_zeta",
     "delta_first_order",
@@ -52,22 +51,6 @@ __all__ = [
 
 K_FIRST_ORDER = float(np.euler_gamma) - math.log(2.0)
 
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_GAMMA_LO = 0.25
-_GAMMA_HI = 2.5
-
 # Doublet formalism bound on |zeta|: a Newton iterate that leaves it
 # ends the solve with RootNotBracketed.
 _ZETA_CLAMP = 0.4
@@ -75,34 +58,6 @@ _NEWTON_STEPS = 10
 # Newton stops once |step| <= _STEP_RTOL |delta|: four roundings of the
 # offset delta = E - E_bar.
 _STEP_RTOL = 4 * 8.9e-16
-
-
-def _lanczos_core(z: float) -> float:
-    # Valid for z >= 0.5; relative error ~ 1e-15 on the range used here.
-    w = z - 1.0
-    x = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        x += _LANCZOS_COEFFS[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (w + 0.5) * math.exp(-t) * x
-
-
-def gamma_fn(z: float) -> float:
-    """Gamma function on the window [0.25, 2.5] needed by f_of_zeta.
-
-    Uses a fixed nine-term rational core, with the reflection identity
-    Gamma(z) = pi / (sin(pi z) Gamma(1 - z)) covering z < 1/2.  Arguments
-    outside the window raise OutOfSupportedRange rather than silently
-    extrapolating.
-    """
-    z = float(z)
-    if not _GAMMA_LO <= z <= _GAMMA_HI:
-        raise OutOfSupportedRange(
-            f"gamma_fn supports [{_GAMMA_LO}, {_GAMMA_HI}], got {z:g}"
-        )
-    if z < 0.5:
-        return math.pi / (math.sin(math.pi * z) * _lanczos_core(1.0 - z))
-    return _lanczos_core(z)
 
 
 def g_of_zeta(zeta: float) -> float:
@@ -118,11 +73,16 @@ def f_of_zeta(zeta: float) -> float:
     """Spectral weight f(zeta) = cos(pi zeta) Gamma(1 - zeta) g(zeta) / (2 pi).
 
     f(0) = 1/sqrt(4 e pi) and d(ln f)/dzeta at 0 equals K_FIRST_ORDER.
-    The usable domain is -1/2 < zeta <= 3/4, set by g and by the gamma
-    window.
+    Gamma comes from ``math.gamma``.  The domain is -1/2 < zeta < 1: g
+    rejects zeta <= -1/2, and zeta >= 1 reaches the first pole of
+    Gamma(1 - zeta); both raise DomainError.
     """
     zeta = float(zeta)
-    return math.cos(math.pi * zeta) * gamma_fn(1.0 - zeta) * g_of_zeta(zeta) / (2.0 * math.pi)
+    if zeta >= 1.0:
+        raise DomainError(f"f_of_zeta requires zeta < 1, got {zeta:g}")
+    # g first, so that its domain check precedes an overflowing Gamma
+    g = g_of_zeta(zeta)
+    return math.cos(math.pi * zeta) * math.gamma(1.0 - zeta) * g / (2.0 * math.pi)
 
 
 def delta_first_order(analysis: WellAnalysis, I_bar: float) -> float:

