@@ -14,137 +14,19 @@ Typical use:
     >>> result.delta_E  # doctest: +SKIP
 """
 
-from .actions import (
-    ActionResult,
-    AsymptoticActionParts,
-    action_slope,
-    asymptotic_action,
-    double_oscillator_action,
-    evaluate_action,
-    gamow_integral,
-    parabolic_fidelity,
-    turning_points,
-)
-from .config import (
-    RunConfig,
-    SweepSpec,
-    Tolerances,
-    ValidityThresholds,
-    load_config,
-    parse_config,
-)
-from .errors import (
-    ConfigError,
-    DegenerateBarrier,
-    DomainError,
-    DomainTooSmall,
-    EnergyAboveBarrier,
-    EnergyBelowWellBottom,
-    FewerThanTwoMinima,
-    FitIllConditioned,
-    GridTooCoarse,
-    LambdaOutOfRange,
-    NonConvexMinimum,
-    NumericsError,
-    QuadratureNonConvergence,
-    RegimeError,
-    RootNotBracketed,
-    TunnelkitError,
-    WellStructureError,
-)
-from .oracle import GridSpec, Spectrum, default_grid, eigen_lowest_two
-from .potentials import (
-    DEFAULT_CONSTANTS,
-    BiasedQuartic,
-    DoubleOscillator,
-    Mirrored,
-    PhysConstants,
-    Polynomial,
-    WellAnalysis,
-    analyze,
-    evaluate,
-    evaluate_d1,
-    evaluate_d2,
-    mirror,
-)
-from .quadrature import adaptive_quadrature, panel_quadrature
-from .splitting import (
-    K_FIRST_ORDER,
-    LevelShifts,
-    QuantizationResult,
-    SplittingResult,
-    compute_splitting,
-    delta_first_order,
-    f_of_zeta,
-    g_of_zeta,
-    level_shifts,
-    level_splitting,
-    solve_quantization,
-)
+from . import actions, config, errors, oracle, potentials, quadrature, splitting
+from .actions import *
+from .config import *
+from .errors import *
+from .oracle import *
+from .potentials import *
+from .quadrature import *
+from .splitting import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "ActionResult",
-    "AsymptoticActionParts",
-    "BiasedQuartic",
-    "ConfigError",
-    "DEFAULT_CONSTANTS",
-    "DegenerateBarrier",
-    "DomainError",
-    "DomainTooSmall",
-    "DoubleOscillator",
-    "EnergyAboveBarrier",
-    "EnergyBelowWellBottom",
-    "FewerThanTwoMinima",
-    "FitIllConditioned",
-    "GridSpec",
-    "GridTooCoarse",
-    "K_FIRST_ORDER",
-    "LambdaOutOfRange",
-    "LevelShifts",
-    "Mirrored",
-    "NonConvexMinimum",
-    "NumericsError",
-    "PhysConstants",
-    "Polynomial",
-    "QuadratureNonConvergence",
-    "QuantizationResult",
-    "RegimeError",
-    "RootNotBracketed",
-    "RunConfig",
-    "Spectrum",
-    "SplittingResult",
-    "SweepSpec",
-    "Tolerances",
-    "TunnelkitError",
-    "ValidityThresholds",
-    "WellAnalysis",
-    "WellStructureError",
-    "action_slope",
-    "adaptive_quadrature",
-    "analyze",
-    "asymptotic_action",
-    "compute_splitting",
-    "default_grid",
-    "delta_first_order",
-    "double_oscillator_action",
-    "eigen_lowest_two",
-    "evaluate",
-    "evaluate_action",
-    "evaluate_d1",
-    "evaluate_d2",
-    "f_of_zeta",
-    "g_of_zeta",
-    "gamow_integral",
-    "level_shifts",
-    "level_splitting",
-    "load_config",
-    "mirror",
-    "panel_quadrature",
-    "parabolic_fidelity",
-    "parse_config",
-    "solve_quantization",
-    "turning_points",
+__all__ = ["__version__"] + [
+    name
+    for module in (actions, config, errors, oracle, potentials, quadrature, splitting)
+    for name in module.__all__
 ]

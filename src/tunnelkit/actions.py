@@ -66,7 +66,6 @@ __all__ = [
     "gamow_integral",
     "action_slope",
     "evaluate_action",
-    "action_rows",
     "double_oscillator_action",
     "asymptotic_action",
     "parabolic_fidelity",

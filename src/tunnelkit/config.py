@@ -39,7 +39,6 @@ from .oracle import GridSpec
 from .potentials import FAMILIES, Mirrored, PhysConstants
 
 __all__ = [
-    "SCHEMA",
     "SweepSpec",
     "Tolerances",
     "ValidityThresholds",

@@ -46,7 +46,6 @@ __all__ = [
     "solve_quantization",
     "SplittingResult",
     "compute_splitting",
-    "compute_splittings",
 ]
 
 K_FIRST_ORDER = float(np.euler_gamma) - math.log(2.0)
