@@ -323,8 +323,9 @@ def solve_quantization(
     Iteration stops once the Newton step is below 4 x 8.9e-16 |delta|;
     on deep wells that takes one to three action evaluations per root.
     The two roots iterate in lockstep, their actions taken in one batch
-    of the action kernel; this is the one-point case of the batch that
-    ``compute_splittings`` runs over all the points of a bias sweep.
+    of the action kernel.  These are the roots of ``compute_splitting``,
+    the one-point case of the batch that ``compute_splittings`` runs over
+    all the points of a bias sweep.
 
     Raises RootNotBracketed, naming the root and the cause, when a root
     is not found: an iterate leaves its side of the energy window,
@@ -333,14 +334,7 @@ def solve_quantization(
     RegimeError of the action propagates with its own cause.  E_plus is
     reported before E_minus.
     """
-    if analysis is None:
-        analysis = analyze(spec, consts)
-    if action is None:
-        action = evaluate_action(spec, consts, analysis=analysis, rtol=rtol)
-    [(result, error)] = compute_splittings(consts, [analysis], actions=[action], rtol=rtol)
-    if error is not None:
-        raise error
-    return result.roots
+    return compute_splitting(spec, consts, analysis=analysis, action=action, rtol=rtol).roots
 
 
 @dataclass(frozen=True)
