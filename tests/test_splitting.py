@@ -1,4 +1,5 @@
 """Spectral functions, doublet formulas, and the quantization solver."""
+import collections
 import dataclasses
 import math
 
@@ -12,10 +13,12 @@ from tunnelkit import (
     DEFAULT_CONSTANTS as C,
     DomainError,
     DoubleOscillator,
+    EnergyBelowWellBottom,
     K_FIRST_ORDER,
     PhysConstants,
     Polynomial,
     RootNotBracketed,
+    TunnelkitError,
     action_slope,
     analyze,
     compute_splitting,
@@ -30,6 +33,7 @@ from tunnelkit import (
     solve_quantization,
     splitting,
 )
+from tunnelkit.splitting import compute_splittings
 from util import BRACKET_RTOL, BRACKET_XTOL, DEEP_WELLS, deep_quartic, deep_sextic, solve_bracketed
 
 
@@ -473,6 +477,33 @@ class TestComputeSplitting:
             r.roots.E_minus - r.roots.E_plus, rel=1e-12, abs=0.0
         )
         assert r.delta_E_transcendental == pytest.approx(r.delta_E, rel=1e-4)
+
+    def test_each_point_of_a_batch_is_its_own_compute_splitting(self):
+        # Dialed as run_sweep dials them, these points end in all four
+        # outcomes: solved; RootNotBracketed; an EnergyBelowWellBottom of a
+        # Newton iterate, which keeps the result without roots; and one of
+        # the action at E_bar, which leaves no result.
+        spec = Polynomial((0.0, 0.0, -4.0, 0.3, 1.0))
+        base = analyze(spec, C, require_wkb=True)
+        points = [dataclasses.replace(base, tilde_eps=-1.0 + i * 3.0 / 30) for i in range(31)]
+        outcomes = []
+        for point, (result, error) in zip(points, compute_splittings(C, points)):
+            try:
+                expected = compute_splitting(spec, C, analysis=point)
+            except TunnelkitError as exc:
+                assert type(error) is type(exc) and str(error) == str(exc)
+                if result is not None:
+                    assert result == compute_splitting(spec, C, analysis=point, solve=False)
+                outcomes.append((type(error), result is not None))
+            else:
+                assert error is None and result == expected
+                outcomes.append((None, True))
+        assert collections.Counter(outcomes) == {
+            (None, True): 19,
+            (RootNotBracketed, True): 4,
+            (EnergyBelowWellBottom, True): 3,
+            (EnergyBelowWellBottom, False): 5,
+        }
 
     def test_solve_flag_off_leaves_transcendental_fields_empty(self):
         spec = BiasedQuartic(3.0, 1.0, 0.15)
