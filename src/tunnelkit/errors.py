@@ -97,4 +97,3 @@ class QuadratureNonConvergence(NumericsError):
 
 class DomainError(TunnelkitError, ValueError):
     """Function evaluated outside its mathematical domain."""
-
