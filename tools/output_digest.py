@@ -20,10 +20,12 @@ The corpus:
 
 * the ``perfbench/inputs.py`` inputs of seeds 1-3: 12 ``wells``,
   4 ``bias_sweeps`` and 4 ``oracle_wells`` each;
+* a ``"richardson": false`` twin of each of those oracle inputs;
 * the config of README.md;
 * for each double oscillator among those oracle inputs, a 5-step bias
-  sweep on a 2001-point grid, and its ``"mirror": true`` twin on walls
-  symmetric about x = 0.
+  sweep on a 2001-point grid, its ``"mirror": true`` twin on walls
+  symmetric about x = 0, and the ``"orient": "keep"`` twin of that one;
+* the single well V = x^2 / 2 on a 2001-point grid over [-8, 8].
 """
 
 import hashlib
@@ -47,6 +49,10 @@ def corpus():
         docs += [(f"sweep:{seed}:{i}", d) for i, d in enumerate(inputs.bias_sweeps(seed, 4))]
         oracle = inputs.oracle_wells(seed, 4)
         docs += [(f"oracle:{seed}:{i}", d) for i, d in enumerate(oracle)]
+        docs += [
+            (f"oracle_plain:{seed}:{i}", dict(d, oracle_grid=dict(d["oracle_grid"], richardson=False)))
+            for i, d in enumerate(oracle)
+        ]
         for i, d in enumerate(oracle):
             pot, grid = d["potential"], d["oracle_grid"]
             if pot["family"] != "double_oscillator":
@@ -61,9 +67,17 @@ def corpus():
                 potential=dict(pot, mirror=True),
                 oracle_grid=dict(plain["oracle_grid"], x_min=-wall, x_max=wall),
             )
-            docs += [(f"do_sweep:{seed}:{i}", plain), (f"do_sweep_mirror:{seed}:{i}", mirrored)]
+            kept = dict(mirrored, potential=dict(mirrored["potential"], orient="keep"))
+            docs += [
+                (f"do_sweep:{seed}:{i}", plain),
+                (f"do_sweep_mirror:{seed}:{i}", mirrored),
+                (f"do_sweep_mirror_keep:{seed}:{i}", kept),
+            ]
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     docs.append(("readme", json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))))
+    single = {"family": "polynomial", "coeffs": [0, 0, 0.5]}
+    grid = {"x_min": -8.0, "x_max": 8.0, "n_points": 2001}
+    docs.append(("single_well", {"schema": "tunnelkit/1", "potential": single, "oracle_grid": grid}))
     return docs
 
 
