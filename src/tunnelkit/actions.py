@@ -23,6 +23,8 @@ caller asking for I alone never waits on a slope that cannot settle.
 ``turning_points``, ``gamow_integral``, ``action_slope`` and
 ``evaluate_action`` are one-row calls of the kernel; a row whose energy
 or quadrature fails carries its own error, which a one-row call raises.
+hbar and m come from the analysis the kernel works on; a ``consts``
+argument beside it only builds a missing analysis.
 
 Also provided: the exact closed form for the piecewise-parabolic
 double-oscillator family, and the small-E expansion of I built from the
@@ -155,16 +157,13 @@ def turning_points(spec, consts: PhysConstants, E: float, analysis: WellAnalysis
     """Inner classical turning points (a_bar, b_bar) at energy E.
 
     Solves v(x) = E on the barrier flanks [x_L, x_m] and [x_m, x_R] of
-    the normalized potential, as a one-row call of the batched solve.  E
-    must lie strictly between the higher well floor and the barrier top.
+    the normalized potential, as a one-row call of the action kernel with
+    no integrands, so with no quadrature and no tolerance.  E must lie
+    strictly between the higher well floor and the barrier top.
     """
     analysis = _ensure_analysis(spec, consts, analysis)
-    right_floor = analysis.v(analysis.x_R)
-    error = _energy_error(analysis, E, right_floor)
-    if error is not None:
-        raise error
-    a_bar, b_bar = _turning_rows(analysis, [float(E)])
-    return float(a_bar[0]), float(b_bar[0])
+    a_bar, b_bar, _ = _one(_action_rows([analysis], [E], 0.0, ())[0])
+    return a_bar, b_bar
 
 
 def _momentum(two_t, w, m):
@@ -177,7 +176,7 @@ def _inverse_momentum(two_t, w, m):
     return two_t * m / np.sqrt(np.maximum(w, 1e-300))
 
 
-def _flank_integrals(consts, analysis, E, a_bar, b_bar, rtol, integrands):
+def _flank_integrals(analysis, E, a_bar, b_bar, rtol, integrands):
     """Both barrier flanks of each integrand at every energy of E, before
     the factor 1/hbar.
 
@@ -197,7 +196,7 @@ def _flank_integrals(consts, analysis, E, a_bar, b_bar, rtol, integrands):
     of the first such component, integrands in the order given and the
     left flank first.
     """
-    m = consts.mass
+    m = analysis.consts.mass
     two_m = 2.0 * m
     k, n = E.size, len(integrands)
     base = np.concatenate([a_bar, b_bar])  # pair p is row p % k, flank p // k
@@ -242,11 +241,11 @@ def _flank_integrals(consts, analysis, E, a_bar, b_bar, rtol, integrands):
         stuck, last = open_.reshape(n, 2, k), last.reshape(n, 2, k)
         for row in np.flatnonzero(stuck.any(axis=(0, 1))).tolist():
             i, flank = next((i, f) for i in range(n) for f in (0, 1) if stuck[i, f, row])
-            errors[row] = _unsettled(float(last[i, flank, row]), rtol, _MAX_DEPTH)
+            errors[row] = _unsettled(float(last[i, flank, row]), rtol)
     return value.reshape(n, 2, k), errors
 
 
-def _action_rows(consts, analyses, E, rtol, integrands):
+def _action_rows(analyses, E, rtol, integrands):
     """The action kernel over energies of one curve.
 
     ``analyses`` holds one WellAnalysis per energy; they share one curve
@@ -266,14 +265,14 @@ def _action_rows(consts, analyses, E, rtol, integrands):
     energies = [float(E[r]) for r in good]
     a_bar, b_bar = _turning_rows(curve, energies)
     energies = np.array(energies)
-    values, errors = _flank_integrals(consts, curve, energies, a_bar, b_bar, rtol, integrands)
+    values, errors = _flank_integrals(curve, energies, a_bar, b_bar, rtol, integrands)
     rows = zip(a_bar.tolist(), b_bar.tolist(), values.transpose(2, 0, 1).tolist())
     for j, (r, row) in enumerate(zip(good, rows)):
         out[r] = errors[j] if j in errors else row
     return out
 
 
-def action_rows(consts: PhysConstants, analyses, E, *, rtol: float = 1e-12):
+def action_rows(analyses, E, *, rtol: float = 1e-12):
     """``evaluate_action`` at every energy of E in one batch.
 
     E[i] is taken on analyses[i]; the analyses share one curve and may
@@ -281,12 +280,13 @@ def action_rows(consts: PhysConstants, analyses, E, *, rtol: float = 1e-12):
     one entry per energy: its ActionResult, or the TunnelkitError that
     ``evaluate_action`` raises there.
     """
-    hbar = consts.hbar
     out = []
-    for e, row in zip(E, _action_rows(consts, analyses, E, rtol, (_momentum, _inverse_momentum))):
+    rows = _action_rows(analyses, E, rtol, (_momentum, _inverse_momentum))
+    for analysis, e, row in zip(analyses, E, rows):
         if isinstance(row, TunnelkitError):
             out.append(row)
             continue
+        hbar = analysis.consts.hbar
         a_bar, b_bar, ((i_l, i_r), (s_l, s_r)) = row
         i_l, i_r = i_l / hbar, i_r / hbar
         out.append(ActionResult(
@@ -311,8 +311,8 @@ def gamow_integral(
 ) -> float:
     """Barrier action I(E) by turning-point-regularized quadrature."""
     analysis = _ensure_analysis(spec, consts, analysis)
-    _, _, [(i_l, i_r)] = _one(_action_rows(consts, [analysis], [E], rtol, (_momentum,))[0])
-    return i_l / consts.hbar + i_r / consts.hbar
+    _, _, [(i_l, i_r)] = _one(_action_rows([analysis], [E], rtol, (_momentum,))[0])
+    return i_l / analysis.consts.hbar + i_r / analysis.consts.hbar
 
 
 def action_slope(
@@ -329,8 +329,8 @@ def action_slope(
     endpoint singularities, leaving an analytic integrand.
     """
     analysis = _ensure_analysis(spec, consts, analysis)
-    _, _, [(s_l, s_r)] = _one(_action_rows(consts, [analysis], [E], rtol, (_inverse_momentum,))[0])
-    return -(s_l + s_r) / consts.hbar
+    _, _, [(s_l, s_r)] = _one(_action_rows([analysis], [E], rtol, (_inverse_momentum,))[0])
+    return -(s_l + s_r) / analysis.consts.hbar
 
 
 def evaluate_action(
@@ -345,7 +345,7 @@ def evaluate_action(
     analysis = _ensure_analysis(spec, consts, analysis)
     if E is None:
         E = analysis.E_bar
-    return _one(action_rows(consts, [analysis], [E], rtol=rtol)[0])
+    return _one(action_rows([analysis], [E], rtol=rtol)[0])
 
 
 def _shape_factor(lam: float) -> float:
@@ -423,7 +423,7 @@ def asymptotic_action(
     either energy fraction is not below 0.3.
     """
     analysis = _ensure_analysis(spec, consts, analysis)
-    m, hbar = consts.mass, consts.hbar
+    m, hbar = analysis.consts.mass, analysis.consts.hbar
     e_bar = analysis.E_bar
     te = analysis.tilde_eps
     lam_l = e_bar / analysis.V0

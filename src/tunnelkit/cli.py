@@ -59,6 +59,7 @@ from .splitting import (
     QuantizationResult,
     compute_splitting,
     compute_splittings,
+    level_splitting,
 )
 
 __all__ = [
@@ -118,10 +119,10 @@ def _potential_doc(spec):
     return doc
 
 
-def _splitting_doc(e_bar, result):
+def _splitting_doc(result):
     # JSON names and key order of a splitting block; the nine root keys
     # are null when the root solve was skipped.
-    shifts = result.shifts
+    e_bar, shifts = result.analysis.E_bar, result.shifts
     roots = dict.fromkeys(_ROOT_FIELDS)
     if result.roots is not None:
         roots = {key: getattr(result.roots, key) for key in _ROOT_FIELDS}
@@ -191,7 +192,7 @@ def _point(config: RunConfig, analysis: WellAnalysis, outcome, oracle=None):
         "tilde_eps": analysis.tilde_eps,
         "eps": analysis.eps,
         "E_bar": analysis.E_bar,
-        "splitting": _splitting_doc(analysis.E_bar, result),
+        "splitting": _splitting_doc(result),
         "oracle": None if spectrum is None else _spectrum_doc(spectrum),
         "warn_flags": flags,
     }
@@ -228,7 +229,7 @@ def run_analyze(config: RunConfig):
     oracle = None if grid is None else (
         lambda a: eigen_lowest_two(spec, consts, grid, analysis=a)
     )
-    [outcome] = compute_splittings(consts, [analysis], rtol=config.tolerances.quad_rtol)
+    [outcome] = compute_splittings([analysis], rtol=config.tolerances.quad_rtol)
     row, result, spectrum = _point(config, analysis, outcome, oracle)
     doc = _base_doc("analyze", config)
     doc["well"] = {key: getattr(analysis, key) for key in _WELL_KEYS}
@@ -277,7 +278,7 @@ def run_sweep(config: RunConfig):
     # the points differ only in the dialed bias: one batch solves them
     # all, and each point then raises its own error in the sweep's order
     points = [replace(base, tilde_eps=v) for v in values]
-    outcomes = compute_splittings(consts, points, rtol=config.tolerances.quad_rtol)
+    outcomes = compute_splittings(points, rtol=config.tolerances.quad_rtol)
     rows, lines = [], []
     for point, outcome in zip(points, outcomes):
         row, result, _ = _point(config, point, outcome, oracle)
@@ -374,7 +375,7 @@ def run_compare(config: RunConfig):
         * math.exp(-result.I_bar)
     )
     methods = [
-        ("zeroth_order", math.hypot(analysis.eps, delta_zeroth)),
+        ("zeroth_order", level_splitting(analysis.eps, delta_zeroth)),
         ("first_order", result.delta_E),
         ("transcendental", result.delta_E_transcendental),
         ("oracle", spectrum.splitting),

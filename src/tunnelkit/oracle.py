@@ -174,8 +174,9 @@ def eigen_lowest_two(
     well, where the Dirichlet box would still bias the doublet.  The walls
     lie on the axis of ``spec``, also when ``analysis`` runs on its mirror.
 
-    Single-well potentials are accepted too (the two lowest box levels
-    of the raw potential are returned, with no floor shift and no
+    hbar and m come from ``analysis``; ``consts`` builds it, and serves
+    single-well potentials, which are accepted too (the two lowest box
+    levels of the raw potential are returned, with no floor shift and no
     double-well domain check); they need an explicit ``grid``.
     """
     if analysis is None:
@@ -190,9 +191,9 @@ def eigen_lowest_two(
             )
         grid = default_grid(spec, consts, analysis)
     if analysis is not None:
-        c = analysis.consts
-        ell_l = math.sqrt(c.hbar / (c.mass * analysis.omega_L))
-        ell_r = math.sqrt(c.hbar / (c.mass * analysis.omega_R))
+        consts = analysis.consts
+        ell_l = math.sqrt(consts.hbar / (consts.mass * analysis.omega_L))
+        ell_r = math.sqrt(consts.hbar / (consts.mass * analysis.omega_R))
         lo, hi = analysis.x_L - 5.0 * ell_l, analysis.x_R + 5.0 * ell_r
         flipped = _flipped(spec, analysis)
         if flipped:

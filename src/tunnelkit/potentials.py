@@ -13,7 +13,7 @@ members, and every caller goes through them:
     derivative(x, k, consts) the k-th derivative of V at x, k = 0..3, for
                              a float or a float ndarray x, returned as
                              the same kind
-    scan_window(consts)      the default (lo, hi) range that ``analyze``
+    scan_window(consts)      the (lo, hi) range that ``analyze``
                              scans for stationary points
 
 ``Mirrored`` delegates each of them to its inner family, with x -> -x.
@@ -428,15 +428,14 @@ def analyze(
     spec,
     consts: PhysConstants = DEFAULT_CONSTANTS,
     *,
-    window=None,
     orient: str = "auto",
     require_wkb: bool = False,
 ) -> WellAnalysis:
     """Locate the two wells and the barrier; derive the energy bookkeeping.
 
     Minima and the interior maximum are bracketed on a uniform scan of
-    V' (4096 samples over ``window`` or a family default) and
-    refined to better than 1e-12 relative.  The potential is then
+    V' (4096 samples over the family's ``scan_window``) and refined to
+    better than 1e-12 relative.  The potential is then
     renormalized so v(x_L) = 0 with the deeper well on the left; set
     ``orient="keep"`` to preserve the user's axis (tilde_eps may then be
     negative).
@@ -444,7 +443,6 @@ def analyze(
     Args:
         spec: potential description.
         consts: hbar and mass.
-        window: optional (lo, hi) scan range override.
         orient: "auto" mirrors so V(x_L) <= V(x_R); "keep" never mirrors.
         require_wkb: when True, raise DegenerateBarrier if the barrier
             top does not exceed E_bar (shallow wells are otherwise
@@ -456,7 +454,7 @@ def analyze(
     """
     if orient not in ("auto", "keep"):
         raise ConfigError(f'orient must be "auto" or "keep", got {orient!r}')
-    analysis = _locate(spec, consts, window, orient)
+    analysis = _locate(spec, consts, None, orient)
     if require_wkb and analysis.V0 <= analysis.E_bar:
         raise DegenerateBarrier(
             f"barrier height {analysis.V0:g} does not exceed mean level "
@@ -466,7 +464,8 @@ def analyze(
 
 
 def _locate(spec, consts, window, orient):
-    # the geometry of ``analyze``, without its argument and WKB checks
+    # the geometry of ``analyze``, without its argument and WKB checks; only
+    # the mirror recursion passes a window, the mirror of the one scanned
     try:
         kink = spec.kink
     except AttributeError:

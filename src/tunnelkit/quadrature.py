@@ -73,9 +73,9 @@ def _settled(val: float, prev: float | None, rtol: float, atol: float = 0.0) -> 
     return prev is not None and abs(val - prev) <= rtol * abs(val) + atol
 
 
-def _unsettled(last: float, rtol: float, max_depth: int) -> QuadratureNonConvergence:
+def _unsettled(last: float, rtol: float) -> QuadratureNonConvergence:
     return QuadratureNonConvergence(
-        f"quadrature did not settle within depth {max_depth} "
+        f"quadrature did not settle within depth {_MAX_DEPTH} "
         f"(last two values {last!r} vs requested rtol {rtol:g})"
     )
 
@@ -103,22 +103,21 @@ def adaptive_quadrature(
     *,
     rtol: float = 1e-12,
     atol: float = 0.0,
-    max_depth: int = _MAX_DEPTH,
 ) -> float:
     """Refine panel_quadrature dyadically until two levels agree.
 
     Depth d uses 2**d panels.  Convergence is declared when successive
     depths differ by at most ``rtol * |I| + atol``; the finer value is
-    returned.  Raises QuadratureNonConvergence at ``max_depth``.
+    returned.  Raises QuadratureNonConvergence past depth _MAX_DEPTH = 12.
     """
     if b < a:
         raise ValueError("adaptive_quadrature needs a <= b")
     if b == a:
         return 0.0
     prev = None
-    for depth in range(max_depth + 1):
+    for depth in range(_MAX_DEPTH + 1):
         val = panel_quadrature(f, a, b, 2**depth)
         if _settled(val, prev, rtol, atol):
             return val
         prev = val
-    raise _unsettled(prev, rtol, max_depth)
+    raise _unsettled(prev, rtol)

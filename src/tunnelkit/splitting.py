@@ -151,7 +151,12 @@ def level_splitting(eps: float, delta: float) -> float:
 
 @dataclass(frozen=True)
 class QuantizationResult:
-    """Roots of the quantization condition and per-root diagnostics."""
+    """Roots of the quantization condition and per-root diagnostics.
+
+    The zeta of the well a biased root sits in is the cancellation
+    (delta +/- eps/2) / (hbar w) of that well, so it keeps only absolute
+    accuracy; the gap is read from zeta_L.
+    """
 
     E_plus: float
     E_minus: float
@@ -209,7 +214,7 @@ def _dlnf(zeta: float) -> float:
     )
 
 
-def _newton_root(consts, analyses, deltas, windows, rtol):
+def _newton_root(analyses, deltas, windows, rtol):
     """Newton iteration on the quantization residual in the offset
     delta = E - E_bar, run in lockstep on rows that share one curve.
 
@@ -240,7 +245,6 @@ def _newton_root(consts, analyses, deltas, windows, rtol):
             else:
                 probe.append(r)
         acts = action_rows(
-            consts,
             [analyses[r] for r in probe],
             [analyses[r].E_bar + deltas[r] for r in probe],
             rtol=rtol,
@@ -305,7 +309,6 @@ def solve_quantization(
     consts: PhysConstants = DEFAULT_CONSTANTS,
     *,
     analysis: WellAnalysis | None = None,
-    action: ActionResult | None = None,
     rtol: float = 1e-12,
 ) -> QuantizationResult:
     """Solve zeta_L zeta_R = f(zeta_L) f(zeta_R) exp(-2 I(E)) for both
@@ -334,55 +337,49 @@ def solve_quantization(
     RegimeError of the action propagates with its own cause.  E_plus is
     reported before E_minus.
     """
-    return compute_splitting(spec, consts, analysis=analysis, action=action, rtol=rtol).roots
+    return compute_splitting(spec, consts, analysis=analysis, rtol=rtol).roots
 
 
 @dataclass(frozen=True)
 class SplittingResult:
     """Doublet observables from all three routes at one bias point.
 
-    ``action`` is the ActionResult at E_bar that the routes were built
-    from, ``shifts`` the quadratic-expansion levels and ``roots`` the
-    transcendental roots (None when the solve was skipped).  The four
-    splittings are also kept flat: ``I_bar`` is ``action.I``, ``delta_E``
-    the closed formula, ``delta_E_quadratic`` the gap of the shifts and
-    ``delta_E_transcendental`` the gap of the roots (NaN without them),
-    read from zeta_L, which is affine in the root's offset from E_bar,
-    rather than from E_minus - E_plus, which rounds to ulp(E_bar).
+    ``action`` is the ActionResult at E_bar of ``analysis`` that the
+    routes were built from, ``shifts`` the quadratic-expansion levels and
+    ``roots`` the transcendental roots (None when the solve was skipped).
+    The four splittings are read off them: ``I_bar`` is ``action.I``,
+    ``delta_E`` the closed formula, ``delta_E_quadratic`` the gap of the
+    shifts and ``delta_E_transcendental`` the gap of the roots (NaN without
+    them), read from zeta_L, which is affine in the root's offset from
+    E_bar, rather than from E_minus - E_plus, which rounds to ulp(E_bar).
     """
 
+    analysis: WellAnalysis
     action: ActionResult
     shifts: LevelShifts
     roots: QuantizationResult | None
-    I_bar: float
-    delta_E: float
-    delta_E_quadratic: float
-    delta_E_transcendental: float
+
+    @property
+    def I_bar(self) -> float:
+        return self.action.I
+
+    @property
+    def delta_E(self) -> float:
+        return level_splitting(self.analysis.eps, self.shifts.delta)
+
+    @property
+    def delta_E_quadratic(self) -> float:
+        return self.shifts.dE_minus - self.shifts.dE_plus
+
+    @property
+    def delta_E_transcendental(self) -> float:
+        if self.roots is None:
+            return math.nan
+        a, roots = self.analysis, self.roots
+        return a.consts.hbar * a.omega_L * (roots.zeta_L_minus - roots.zeta_L_plus)
 
 
-def _splitting_result(analysis, action, shifts, roots):
-    return SplittingResult(
-        action=action,
-        shifts=shifts,
-        roots=roots,
-        I_bar=action.I,
-        delta_E=math.hypot(analysis.eps, shifts.delta),
-        delta_E_quadratic=shifts.dE_minus - shifts.dE_plus,
-        delta_E_transcendental=(
-            math.nan
-            if roots is None
-            else analysis.consts.hbar * analysis.omega_L * (roots.zeta_L_minus - roots.zeta_L_plus)
-        ),
-    )
-
-
-def compute_splittings(
-    consts: PhysConstants,
-    analyses,
-    *,
-    actions=None,
-    rtol: float = 1e-12,
-):
+def compute_splittings(analyses, *, actions=None, rtol: float = 1e-12):
     """``compute_splitting`` with the solve at every point of a bias
     sweep, in a few batches of the action kernel.
 
@@ -397,7 +394,7 @@ def compute_splittings(
     values and error are those of its own ``compute_splitting`` call.
     """
     if actions is None:
-        actions = action_rows(consts, analyses, [a.E_bar for a in analyses], rtol=rtol)
+        actions = action_rows(analyses, [a.E_bar for a in analyses], rtol=rtol)
     points = [i for i, act in enumerate(actions) if not isinstance(act, TunnelkitError)]
     shifts = {i: level_shifts(analyses[i], actions[i]) for i in points}
     # two Newton rows per point, E_plus and E_minus, all in one lockstep
@@ -408,11 +405,11 @@ def compute_splittings(
         rows += [analysis, analysis]
         starts += [shifts[i].dE_plus, shifts[i].dE_minus]
         windows += [(lo_lim - analysis.E_bar, 0.0), (0.0, hi_lim - analysis.E_bar)]
-    ends = iter(_newton_root(consts, rows, starts, windows, rtol))
+    ends = iter(_newton_root(rows, starts, windows, rtol))
     out = [(None, action) for action in actions]
     for i in points:
         roots, error = _roots(analyses[i], next(ends), next(ends))
-        out[i] = (_splitting_result(analyses[i], actions[i], shifts[i], roots), error)
+        out[i] = (SplittingResult(analyses[i], actions[i], shifts[i], roots), error)
     return out
 
 
@@ -421,7 +418,6 @@ def compute_splitting(
     consts: PhysConstants = DEFAULT_CONSTANTS,
     *,
     analysis: WellAnalysis | None = None,
-    action: ActionResult | None = None,
     solve: bool = True,
     rtol: float = 1e-12,
 ) -> SplittingResult:
@@ -430,17 +426,16 @@ def compute_splitting(
     Computes the barrier action and slope at E_bar, the first-order
     splitting, the quadratic-expansion level shifts, and (when ``solve``
     is true) the transcendental roots.  With ``solve=False`` ``roots`` is
-    None.  A caller that already holds the action at E_bar passes it as
-    ``action``, as for ``solve_quantization``.  The solve is the
-    one-point case of ``compute_splittings``.
+    None.  hbar and m come from ``analysis``; ``consts`` only builds it
+    when it is not given.  The solve is the one-point case of
+    ``compute_splittings``.
     """
     if analysis is None:
         analysis = analyze(spec, consts)
-    if action is None:
-        action = evaluate_action(spec, consts, analysis=analysis, rtol=rtol)
+    action = evaluate_action(spec, consts, analysis=analysis, rtol=rtol)
     if not solve:
-        return _splitting_result(analysis, action, level_shifts(analysis, action), None)
-    [(result, error)] = compute_splittings(consts, [analysis], actions=[action], rtol=rtol)
+        return SplittingResult(analysis, action, level_shifts(analysis, action), None)
+    [(result, error)] = compute_splittings([analysis], actions=[action], rtol=rtol)
     if error is not None:
         raise error
     return result

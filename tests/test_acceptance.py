@@ -66,7 +66,7 @@ def random_well_batch():
         closed = level_splitting(a.eps, delta)
         shifts = level_shifts(a, act)
         quadratic = shifts.dE_minus - shifts.dE_plus
-        roots = solve_quantization(spec, C, analysis=a, action=act)
+        roots = solve_quantization(spec, C, analysis=a)
         transcendental = roots.E_minus - roots.E_plus
         batch.append((spec, closed, quadratic, transcendental))
     return batch

@@ -71,7 +71,7 @@ class TestQuadrature:
             return 1.0 / np.sqrt(np.abs(x))
 
         with pytest.raises(QuadratureNonConvergence):
-            adaptive_quadrature(singular, 0.0, 1.0, rtol=1e-12, max_depth=8)
+            adaptive_quadrature(singular, 0.0, 1.0, rtol=1e-12)
 
 
 class TestTurningPoints:
@@ -306,7 +306,7 @@ class TestActionBatch:
             floor = max(0.0, dialed.tilde_eps)
             analyses.append(dialed)
             energies.append(floor + (a.V0 - floor) * frac)
-        batch = _outcomes(action_rows(C, analyses, energies))
+        batch = _outcomes(action_rows(analyses, energies))
         assert batch == [
             _outcome(lambda: reference_action(C, dialed, e)) for dialed, e in zip(analyses, energies)
         ]
@@ -318,16 +318,16 @@ class TestActionBatch:
         a = analyze(spec, C)
         lo = max(0.0, a.tilde_eps)
         energies = [lo + (a.V0 - lo) * f for f in (0.05, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.99, 0.999)]
-        whole = _outcomes(action_rows(C, [a] * 9, energies))
+        whole = _outcomes(action_rows([a] * 9, energies))
         monkeypatch.setattr(tunnelkit.actions, "_PASS_NODES", 100)
-        assert _outcomes(action_rows(C, [a] * 9, energies)) == whole
+        assert _outcomes(action_rows([a] * 9, energies)) == whole
         assert whole == [_outcome(lambda: reference_action(C, a, e)) for e in energies]
 
     def test_one_row_calls_are_the_batch(self):
         spec = BiasedQuartic(0.7, 2.3, 0.3)
         a = analyze(spec, C)
         energies = [a.V0 * f for f in (0.2, 0.35, 0.5, 0.8)]
-        batch = action_rows(C, [a] * 4, energies)
+        batch = action_rows([a] * 4, energies)
         for e, row in zip(energies, batch):
             assert evaluate_action(spec, C, E=e, analysis=a) == row
             assert turning_points(spec, C, e, a) == (row.a_bar, row.b_bar)

@@ -116,7 +116,6 @@ class TestFamilyProtocol:
 
         calls = [lambda fn=fn: fn(Spring(), 0.5) for fn in DERIVATIVES] + [
             lambda: analyze(Spring()),
-            lambda: analyze(Spring(), window=(-1.0, 1.0)),
             lambda: Mirrored(Spring()),
         ]
         for call in calls:

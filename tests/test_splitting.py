@@ -22,7 +22,9 @@ from tunnelkit import (
     action_slope,
     analyze,
     compute_splitting,
+    default_grid,
     delta_first_order,
+    eigen_lowest_two,
     evaluate_action,
     f_of_zeta,
     g_of_zeta,
@@ -231,7 +233,7 @@ class TestSolveQuantization:
         clamped = solve_bracketed(spec, C, a, level_shifts(a, act), 1e-12)
         assert clamped.zeta_L_minus == pytest.approx(0.450, abs=5e-4)
         with pytest.raises(RootNotBracketed, match=r"E_minus .*: iterate left \|zeta\| < 0\.4 \(zeta_L = 0\.450\)"):
-            solve_quantization(spec, C, analysis=a, action=act)
+            solve_quantization(spec, C, analysis=a)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -245,14 +247,13 @@ def test_newton_roots_match_the_bracketed_reference(spec, mirrored):
     lo_lim, hi_lim = splitting._energy_window(a)
     # deep wells find both roots by Newton from the quadratic shifts
     ends = splitting._newton_root(
-        C,
         [a, a],
         [shifts.dE_plus, shifts.dE_minus],
         [(lo_lim - a.E_bar, 0.0), (0.0, hi_lim - a.E_bar)],
         1e-12,
     )
     assert all(isinstance(end, tuple) for end in ends), ends
-    r = compute_splitting(spec, C, analysis=a, action=act)
+    r = compute_splitting(spec, C, analysis=a)
     q = r.roots
     ref = solve_bracketed(spec, C, a, shifts, 1e-12)
     assert q.E_plus == pytest.approx(ref.E_plus, rel=1e-12, abs=0.0)
@@ -298,7 +299,7 @@ def test_newton_finds_every_root_the_reference_finds_inside_the_zeta_bound(spec,
     zetas = (ref.zeta_L_plus, ref.zeta_R_plus, ref.zeta_L_minus, ref.zeta_R_minus)
     if max(abs(z) for z in zetas) >= 0.4:
         return
-    q = solve_quantization(spec, C, analysis=a, action=act)
+    q = solve_quantization(spec, C, analysis=a)
     assert q.E_plus == pytest.approx(ref.E_plus, rel=1e-12, abs=0.0)
     assert q.E_minus == pytest.approx(ref.E_minus, rel=1e-12, abs=0.0)
 
@@ -340,7 +341,7 @@ def test_newton_starts_inside_its_side_of_an_eight_spacing_symmetric_well():
     shifts = level_shifts(a, evaluate_action(spec, C, analysis=a))
     lo_lim, _ = splitting._energy_window(a)
     assert a.E_bar + shifts.dE_plus == a.E_bar
-    [end] = splitting._newton_root(C, [a], [shifts.dE_plus], [(lo_lim - a.E_bar, 0.0)], 1e-12)
+    [end] = splitting._newton_root([a], [shifts.dE_plus], [(lo_lim - a.E_bar, 0.0)], 1e-12)
     assert isinstance(end, tuple), end
 
 
@@ -458,6 +459,41 @@ def test_hbar_and_mass_twins_give_the_same_doublet(spec, mirrored):
             assert twin_zetas[root] == pytest.approx(pair, rel=0.0, abs=tol), (consts, root)
 
 
+
+def _outcome(call):
+    # the repr of a call's value, which shows every bit of its floats, or
+    # the type and message of the TunnelkitError it raised
+    try:
+        return repr(call())
+    except TunnelkitError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# hbar and m enter every route together, in the action and in each zeta,
+# so a call handed an analysis takes both from it.  The constants passed
+# beside the analysis only build a missing one.
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(spec=DEEP_WELLS)
+def test_hbar_and_mass_come_from_the_analysis(spec):
+    for twin, consts in (
+        (_hbar_twin(spec), PhysConstants(hbar=4.0)),
+        (_mass_twin(spec), PhysConstants(mass=4.0)),
+    ):
+        a = analyze(twin, consts)
+        grid = dataclasses.replace(default_grid(twin, consts, a), n_points=401, richardson=False)
+        calls = {
+            "gamow_integral": lambda c: gamow_integral(twin, c, a.E_bar, a),
+            "action_slope": lambda c: action_slope(twin, c, a.E_bar, a),
+            "evaluate_action": lambda c: evaluate_action(twin, c, analysis=a),
+            "compute_splitting": lambda c: compute_splitting(twin, c, analysis=a),
+            "solve_quantization": lambda c: solve_quantization(twin, c, analysis=a),
+            "eigen_lowest_two": lambda c: eigen_lowest_two(twin, c, grid, analysis=a),
+        }
+        for name, call in calls.items():
+            own = _outcome(lambda: call(consts))
+            assert _outcome(lambda: call(C)) == own, (consts, name)
+
+
 class TestComputeSplitting:
     def test_collects_all_three_routes(self):
         spec = DoubleOscillator(1.0, 1.4, 0.1, 8.0)
@@ -469,7 +505,7 @@ class TestComputeSplitting:
         assert r.shifts == level_shifts(a, act)
         assert r.delta_E == level_splitting(a.eps, r.shifts.delta)
         assert r.delta_E_quadratic == r.shifts.dE_minus - r.shifts.dE_plus
-        assert r.roots == solve_quantization(spec, C, analysis=a, action=act)
+        assert r.roots == solve_quantization(spec, C, analysis=a)
         assert r.delta_E_transcendental == C.hbar * a.omega_L * (
             r.roots.zeta_L_minus - r.roots.zeta_L_plus
         )
@@ -487,7 +523,7 @@ class TestComputeSplitting:
         base = analyze(spec, C, require_wkb=True)
         points = [dataclasses.replace(base, tilde_eps=-1.0 + i * 3.0 / 30) for i in range(31)]
         outcomes = []
-        for point, (result, error) in zip(points, compute_splittings(C, points)):
+        for point, (result, error) in zip(points, compute_splittings(points)):
             try:
                 expected = compute_splitting(spec, C, analysis=point)
             except TunnelkitError as exc:

@@ -17,7 +17,6 @@ from tunnelkit import (
     adaptive_quadrature,
     analyze,
     compute_splitting,
-    evaluate_action,
     f_of_zeta,
     gamow_integral,
     splitting,
@@ -210,7 +209,7 @@ def reference_flank_integrals(consts, E, analysis, a_bar, b_bar, rtol, integrand
         depths = (depths[-1] + 1,)
     for c in comps:
         if c not in done:
-            raise _unsettled(last[c], rtol, _MAX_DEPTH)
+            raise _unsettled(last[c], rtol)
     return [(done[f, 0], done[f, 1]) for f in integrands]
 
 
@@ -233,25 +232,21 @@ def reference_action(consts, analysis, E, rtol=1e-12):
 
 
 def reference_point(config, analysis):
-    """The JSON row of one bias point built point by point, in the order
-    the sweep used before its points were batched: the action at E_bar,
-    then the root solve, falling back to the unsolved splitting when no
-    root is bracketed."""
+    """The JSON row of one bias point built point by point, as the sweep
+    built it before its points were batched: the root solve, falling back
+    to the unsolved splitting when no root is bracketed."""
     spec, consts, rtol = config.potential, config.constants, config.tolerances.quad_rtol
-    action = evaluate_action(spec, consts, analysis=analysis, rtol=rtol)
     try:
-        result = compute_splitting(spec, consts, analysis=analysis, action=action, rtol=rtol)
+        result = compute_splitting(spec, consts, analysis=analysis, rtol=rtol)
         fallback = []
     except RootNotBracketed:
-        result = compute_splitting(
-            spec, consts, analysis=analysis, action=action, solve=False, rtol=rtol
-        )
+        result = compute_splitting(spec, consts, analysis=analysis, solve=False, rtol=rtol)
         fallback = ["transcendental_unbracketed"]
     return {
         "tilde_eps": analysis.tilde_eps,
         "eps": analysis.eps,
         "E_bar": analysis.E_bar,
-        "splitting": _splitting_doc(analysis.E_bar, result),
+        "splitting": _splitting_doc(result),
         "oracle": None,
         "warn_flags": _warn_flags(config, analysis, result.I_bar) + fallback,
     }
