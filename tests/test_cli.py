@@ -861,9 +861,10 @@ class TestReadmeConfig:
         [("analyze", 0), ("sweep", 0), ("oracle", 0), ("compare", 3)],
     )
     def test_documented_config_exit_codes(self, tmp_path, capsys, command, code):
-        # The shape's own tilde_eps is 0.29999, so the sweep starts at 0.3;
-        # the barrier is too shallow for a sub-barrier root, so compare
-        # (which has no fallback) is a regime error.
+        # The sweep starts at the shape's own tilde_eps, 0.29999 (from 0.0
+        # it completes as well, below); the barrier is too shallow for a
+        # sub-barrier root, so compare (which has no fallback) is a regime
+        # error.
         path = write_json(tmp_path, "run.json", readme_config())
         out = tmp_path / "out.txt"
         assert main([command, path, "--out", str(out)]) == code
@@ -872,6 +873,21 @@ class TestReadmeConfig:
             assert out.read_text()
         else:
             assert "regime error" in err
+
+    def test_sweep_from_zero_completes(self, tmp_path):
+        # Swept from 0.0, below the shape's own tilde_eps, every point's
+        # E_bar still lies above the curve's right floor: the sweep exits
+        # 0, and each row keeps the unsolved splitting of a shallow barrier.
+        doc = readme_config()
+        doc["sweep"]["from"] = 0.0
+        path = write_json(tmp_path, "run.json", doc)
+        out = tmp_path / "out.csv"
+        assert main(["sweep", path, "--out", str(out)]) == 0
+        header, *rows = out.read_text().splitlines()
+        assert header == CSV_HEADER
+        assert len(rows) == 11
+        assert float(rows[0].split(",")[0]) == 0.0
+        assert [row.rsplit(",", 1)[1] for row in rows] == ["gamow;transcendental_unbracketed"] * 11
 
     @pytest.mark.parametrize("command", ["analyze", "sweep"])
     def test_fallback_rows_leave_the_root_cells_empty(self, tmp_path, command):
@@ -920,7 +936,7 @@ class TestReadmeConfig:
                 solve=False,
                 rtol=config.tolerances.quad_rtol,
             )
-            assert point["splitting"] == _splitting_doc(dialed.E_bar, unsolved)
+            assert point["splitting"] == _splitting_doc(unsolved)
 
 
 class TestProcessOutput:
@@ -945,8 +961,8 @@ class TestProcessOutput:
         assert r.returncode == 0
         assert json.loads(out.read_text())["command"] == "analyze"
 
-    def test_thread_count_does_not_change_the_bytes(self, tmp_path):
-        # Sweep points run in one thread; two processes write the same bytes.
+    def test_reruns_write_the_same_bytes(self, tmp_path):
+        # Two processes running the same sweep write the same bytes.
         path = write_json(tmp_path, "sweep.json", DO_SWEEP)
         first = cli("sweep", path)
         second = cli("sweep", path)

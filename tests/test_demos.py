@@ -1,13 +1,25 @@
-"""Each demo script runs to completion, so the documented demos cannot go stale."""
+"""Each demo script and the README's quick start run to completion, so the
+documented examples cannot go stale."""
 import pathlib
+import re
 import runpy
 
 import pytest
 
-DEMOS = sorted((pathlib.Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(path, capsys):
     runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out
+
+
+def test_readme_quick_start_runs(capsys):
+    # the README's python block, found as tools/output_digest.py finds its
+    # json block
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out
