@@ -4,12 +4,24 @@ Independent check on the semiclassical formulas: discretize
 
     H = -(hbar^2 / 2m) d^2/dx^2 + v(x)
 
-on a uniform grid with Dirichlet walls, solve the tridiagonal
-eigenproblem for the two lowest levels with bisection (LAPACK stebz via
-scipy), and sharpen with one step of Richardson extrapolation in the
-grid spacing.  The potential is the normalized v(x) (zero at the lower
-well floor), so the eigenvalues compare directly with E_bar and the
-doublet shifts.
+on a uniform grid with Dirichlet walls, find its two lowest levels, and
+sharpen them with one step of Richardson extrapolation in the grid
+spacing.  The potential is the normalized v(x) (zero at the lower well
+floor), so the eigenvalues compare directly with E_bar and the doublet
+shifts.
+
+The levels of a grid come from block inverse iteration (Golub and Van
+Loan, Matrix Computations, sections 8.2.2 and 8.4; Parlett, The
+Symmetric Eigenvalue Problem).  A coarse seed grid over the same walls
+is solved for its three lowest levels and their vectors by bisection
+(LAPACK stebz and stein, through ``eigh_tridiagonal``).  Its two vectors,
+interpolated onto the grid, go through shifted tridiagonal solves (LAPACK
+gtsv), shift j being seed level j, and a Rayleigh-Ritz step summed
+without cancellation, until the Ritz values settle.  Inertia proves them
+the two lowest: H - lo factors as LDL^T (LAPACK pttrf), and a Sturm count
+(stebz) puts exactly two levels in (lo, hi].  Bisection alone would carry
+its stopping tolerance, eps times the 1-norm of H, which grows as 1/h^2,
+into the doublet gap.
 
 This is the only module that needs scipy, and it imports
 ``scipy.linalg`` on the first solve, inside ``eigh_tridiagonal``: that
@@ -137,12 +149,151 @@ def eigh_tridiagonal(d, e, **kwargs):
     return solve(d, e, **kwargs)
 
 
-def _lowest_two_on_grid(v, consts: PhysConstants, x: np.ndarray) -> tuple[float, float]:
+# The seed grid halves the grid, (n + 1) // 2 nodes at twice the spacing,
+# until it has fewer than _SEED_POINTS nodes: a grid of n nodes and its
+# Richardson partner of 2n - 1 share one seed.
+_SEED_POINTS = 1024
+# A grid's Ritz pair has settled when no Ritz value moves by more than
+# _SETTLE times the pair's kinetic plus absolute potential energy in a
+# sweep; a pair still moving after _MAX_SWEEPS sweeps is not resolved.
+_SETTLE = 1e-12
+_MAX_SWEEPS = 8
+_UNRESOLVED = "the seed grid does not resolve the wells; bring the walls closer"
+
+
+def _hamiltonian(v, consts: PhysConstants, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """(t, v on the interior nodes): H = tridiag(-t, 2t + v, -t), t = hbar^2 / (2 m h^2)."""
     h = x[1] - x[0]
-    diag = consts.hbar ** 2 / (consts.mass * h * h) + np.asarray(v(x[1:-1]), dtype=float)
-    off = np.full(x.size - 3, -consts.hbar ** 2 / (2.0 * consts.mass * h * h))
-    vals = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, 1))
-    return float(vals[0]), float(vals[1])
+    return consts.hbar ** 2 / (2.0 * consts.mass * h * h), np.asarray(v(x[1:-1]), dtype=float)
+
+
+def _seed(v, consts: PhysConstants, grid: GridSpec, n_points: int, snap: bool):
+    """Nodes, three lowest levels and their vectors on the seed grid of n_points."""
+    m = n_points
+    while m >= _SEED_POINTS:
+        m = (m + 1) // 2
+    x = _grid_nodes(grid, m, snap)
+    t, vx = _hamiltonian(v, consts, x)
+    levels, vectors = eigh_tridiagonal(
+        vx + 2.0 * t, np.full(m - 3, -t), select="i", select_range=(0, 2)
+    )
+    return x, levels, vectors
+
+
+def _rayleigh_ritz(block: np.ndarray, t: float, vx: np.ndarray):
+    """Orthonormalize the two columns of ``block``, turn them into Ritz vectors.
+
+    The 2x2 matrix is summed from differences, t sum dq_i dq_j + sum v q_i
+    q_j with the walls as zeros, never from 2t + v, whose rounding in t
+    would swamp the doublet gap.  Returns the ascending Ritz values and the
+    pair's kinetic plus absolute potential energy, the scale of their
+    rounding.
+    """
+    q0, q1 = block[:, 0], block[:, 1]
+    q0 /= np.linalg.norm(q0)
+    size = np.linalg.norm(q1)
+    for _ in range(2):  # Gram-Schmidt, repeated once if it cancels most of q1
+        q1 -= (q0 @ q1) * q0
+        size, before = np.linalg.norm(q1), size
+        if size > 0.5 * before:
+            break
+    q1 /= size
+    steps = np.diff(block, axis=0)
+    kinetic = t * (steps.T @ steps + np.outer(block[0], block[0]) + np.outer(block[-1], block[-1]))
+    del steps
+    potential = block.T @ (vx[:, None] * block)
+    levels, rotation = np.linalg.eigh(kinetic + potential)
+    block[:] = block @ rotation
+    return levels, np.trace(kinetic) + np.abs(np.diag(potential)).sum()
+
+
+def _polish(t: float, vx: np.ndarray, block: np.ndarray, shifts, where: str):
+    """Two lowest levels by block inverse iteration from the start ``block``.
+
+    Column j is solved with H - shifts[j] in each sweep, then the block
+    goes through Rayleigh-Ritz, until the Ritz values settle.
+    """
+    from scipy.linalg.lapack import dgtsv
+
+    n = vx.size
+    lower, diag, upper = np.empty(n - 1), np.empty(n), np.empty(n - 1)
+    levels = np.asarray(shifts, dtype=float)
+    for _ in range(_MAX_SWEEPS):
+        for j, shift in enumerate(shifts):
+            lower.fill(-t)
+            upper.fill(-t)
+            np.add(vx, 2.0 * t - shift, out=diag)
+            solved, info = dgtsv(
+                lower, diag, upper, block[:, j : j + 1],
+                overwrite_dl=1, overwrite_d=1, overwrite_du=1, overwrite_b=1,
+            )[3:]
+            if info != 0:
+                raise GridTooCoarse(f"H - {shift:g} is singular on {where}")
+            block[:, j : j + 1] = solved
+        previous = levels
+        levels, scale = _rayleigh_ritz(block, t, vx)
+        if np.abs(levels - previous).max() <= _SETTLE * scale:
+            return levels
+    raise GridTooCoarse(
+        f"the Ritz pair did not settle in {_MAX_SWEEPS} sweeps on {where}; {_UNRESOLVED}"
+    )
+
+
+def _prove_lowest(t: float, vx: np.ndarray, levels, ceiling: float, where: str):
+    """Raise GridTooCoarse unless ``levels`` are the two lowest of H.
+
+    By inertia: H - lo is positive definite (its LDL^T factorization runs
+    through), and a Sturm count puts exactly two levels in (lo, hi], hi
+    halfway from the upper level to ``ceiling``, the seed's third level.
+    """
+    from scipy.linalg.lapack import dpttrf, dstebz
+
+    if not ceiling > levels[1]:
+        raise GridTooCoarse(
+            f"the seed's third level {ceiling:g} is not above the second level "
+            f"{levels[1]:g} of {where}; {_UNRESOLVED}"
+        )
+    hi = 0.5 * (levels[1] + ceiling)
+    lo = levels[0] - (hi - levels[1])
+    diag, off = vx + (2.0 * t - lo), np.full(vx.size - 1, -t)
+    if dpttrf(diag, off, overwrite_d=1, overwrite_e=1)[2] != 0:
+        raise GridTooCoarse(
+            f"a level of {where} lies below {lo:g}, under the two found; {_UNRESOLVED}"
+        )
+    np.add(vx, 2.0 * t, out=diag)
+    off.fill(-t)
+    # range 1: the levels in (lo, hi]; a tolerance of hi - lo stops the
+    # bisection at once, as only their count is wanted
+    count, _, _, _, info = dstebz(diag, off, 1, lo, hi, 0, 0, hi - lo, "E")
+    if info != 0 or count != 2:
+        raise GridTooCoarse(
+            f"a Sturm count puts {count} levels of {where} in ({lo:g}, {hi:g}], "
+            f"not 2; {_UNRESOLVED}"
+        )
+
+
+def _lowest_two_on_grid(
+    v, consts: PhysConstants, grid: GridSpec, n_points: int, snap: bool, seed
+) -> tuple[float, float]:
+    """Two lowest levels of the n_points-point Hamiltonian, proven lowest.
+
+    ``seed`` is ``_seed`` of this grid: its vectors, linearly interpolated
+    onto the grid, start the block inverse iteration, its two lowest
+    levels are the shifts and its third bounds the inertia proof.  So the
+    levels are a function of the grid alone, whether it is solved on its
+    own or as a Richardson partner.
+    """
+    x_seed, levels, vectors = seed
+    x = _grid_nodes(grid, n_points, snap)
+    t, vx = _hamiltonian(v, consts, x)
+    block = np.empty((vx.size, 2), order="F")
+    for j in range(2):
+        block[:, j] = np.interp(x[1:-1], x_seed, np.pad(vectors[:, j], 1))
+    where = f"the {n_points}-point grid seeded from {x_seed.size} points"
+    ritz = _polish(t, vx, block, levels[:2], where)
+    del block
+    _prove_lowest(t, vx, ritz, levels[2], where)
+    return float(ritz[0]), float(ritz[1])
 
 
 def _grid_nodes(grid: GridSpec, n_points: int, snap_zero: bool) -> np.ndarray:
@@ -156,12 +307,15 @@ def _grid_nodes(grid: GridSpec, n_points: int, snap_zero: bool) -> np.ndarray:
     return (np.arange(n_points) - i_star) * h
 
 
+_ANALYZE = object()  # eigen_lowest_two's analysis when the caller gives none
+
+
 def eigen_lowest_two(
     spec,
     consts: PhysConstants = DEFAULT_CONSTANTS,
     grid: GridSpec | None = None,
     *,
-    analysis: WellAnalysis | None = None,
+    analysis: WellAnalysis | None = _ANALYZE,
 ) -> Spectrum:
     """Two lowest Dirichlet eigenvalues of the normalized well.
 
@@ -178,8 +332,11 @@ def eigen_lowest_two(
     single-well potentials, which are accepted too (the two lowest box
     levels of the raw potential are returned, with no floor shift and no
     double-well domain check); they need an explicit ``grid``.
+    ``analysis`` left out is ``analyze(spec, consts)``, or None when that
+    raises WellStructureError; None given says that ``spec`` has no two
+    wells, so a caller that already tried ``analyze`` does not repeat it.
     """
-    if analysis is None:
+    if analysis is _ANALYZE:
         try:
             analysis = analyze(spec, consts)
         except WellStructureError:
@@ -210,14 +367,15 @@ def eigen_lowest_two(
     else:
         v = lambda x: evaluate(spec, x, consts)  # noqa: E731
     snap = spec.kink
-    x_c = _grid_nodes(grid, grid.n_points, snap)
-    coarse = e0_c, e1_c = _lowest_two_on_grid(v, consts, x_c)
+    seed = _seed(v, consts, grid, grid.n_points, snap)
+    coarse = e0_c, e1_c = _lowest_two_on_grid(v, consts, grid, grid.n_points, snap, seed)
     if not grid.richardson:
         return Spectrum(
             E0=e0_c, E1=e1_c, splitting=e1_c - e0_c, est_error=math.nan, coarse=coarse
         )
-    x_f = _grid_nodes(grid, 2 * grid.n_points - 1, snap)
-    fine = e0_f, e1_f = _lowest_two_on_grid(v, consts, x_f)
+    fine = e0_f, e1_f = _lowest_two_on_grid(
+        v, consts, grid, 2 * grid.n_points - 1, snap, seed
+    )
     split_c, split_f = e1_c - e0_c, e1_f - e0_f
     if abs(split_f - split_c) > 0.1 * abs(split_f):
         raise GridTooCoarse(

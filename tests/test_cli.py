@@ -13,6 +13,7 @@ import pytest
 
 import tunnelkit.cli
 import tunnelkit.oracle
+import tunnelkit.potentials
 import tunnelkit.splitting
 from tunnelkit import (
     DegenerateBarrier,
@@ -31,6 +32,7 @@ from tunnelkit import (
 from tunnelkit.actions import ActionResult, action_rows
 from tunnelkit.cli import (
     CSV_HEADER,
+    _spectrum_doc,
     _splitting_doc,
     main,
     run_analyze,
@@ -107,15 +109,15 @@ def write_json(tmp_path, name, doc):
 
 @pytest.fixture
 def solve_sizes(monkeypatch):
-    """Matrix size of every tridiagonal eigensolve, in call order."""
+    """Matrix size (interior nodes) of every per-grid solve, in call order."""
     sizes = []
-    solve = tunnelkit.oracle.eigh_tridiagonal
+    solve = tunnelkit.oracle._lowest_two_on_grid
 
-    def spy(d, e, **kwargs):
-        sizes.append(d.size)
-        return solve(d, e, **kwargs)
+    def spy(v, consts, grid, n_points, *args):
+        sizes.append(n_points - 2)
+        return solve(v, consts, grid, n_points, *args)
 
-    monkeypatch.setattr(tunnelkit.oracle, "eigh_tridiagonal", spy)
+    monkeypatch.setattr(tunnelkit.oracle, "_lowest_two_on_grid", spy)
     return sizes
 
 
@@ -467,6 +469,40 @@ class TestOracleCommand:
         with pytest.raises(GridTooCoarse, match="grid doubling"):
             run_oracle(config)
         assert solve_sizes == [99, 199]
+
+    def test_a_single_well_is_analyzed_once(self, monkeypatch):
+        # under "keep" too: the eigensolver used to analyze it again, "auto"
+        doc = {
+            "schema": "tunnelkit/1",
+            "potential": {"family": "polynomial", "coeffs": [0, 0, 0.5], "orient": "keep"},
+            "oracle_grid": {"x_min": -8.0, "x_max": 8.0, "n_points": 2001},
+        }
+        config = parse_config(doc)
+        spec, consts, grid = config.potential, config.constants, config.oracle_grid
+        expected = _spectrum_doc(eigen_lowest_two(spec, consts, grid))
+        orients = []
+        real = tunnelkit.potentials.analyze
+
+        def spy(*args, **kwargs):
+            orients.append(kwargs.get("orient"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tunnelkit.cli, "analyze", spy)
+        monkeypatch.setattr(tunnelkit.oracle, "analyze", spy)
+        out, _ = run_oracle(config)
+        assert orients == ["keep"]
+        assert out["spectrum"] == expected
+
+    def test_unresolved_seed_is_a_regime_error(self, tmp_path, capsys):
+        doc = {
+            "schema": "tunnelkit/1",
+            "potential": {"family": "biased_quartic", "alpha": 1.0, "a": 2.1},
+            "oracle_grid": {"x_min": -400.0, "x_max": 400.0, "n_points": 20001},
+        }
+        assert main(["oracle", write_json(tmp_path, "wide.json", doc)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("regime error: the Ritz pair did not settle")
+        assert "seeded from 626 points" in err
 
     def test_grid_is_required(self):
         cfg = {

@@ -1,7 +1,10 @@
 """Finite-difference eigensolver: accuracy, convergence, and guard rails."""
+import dataclasses
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tunnelkit import (
     BiasedQuartic,
@@ -17,6 +20,8 @@ from tunnelkit import (
     default_grid,
     eigen_lowest_two,
 )
+from tunnelkit import oracle
+from util import DEEP_WELLS, reference_lowest_two
 
 HARMONIC = Polynomial((0.0, 0.0, 0.5))
 HARMONIC_GRID = GridSpec(-8.0, 8.0, 2001, richardson=True)
@@ -78,7 +83,7 @@ class TestHarmonicReference:
 
 
 class TestDoubleWellAccuracy:
-    @pytest.mark.parametrize("v0,expected_ratio", [(8.0, 0.9908), (10.0, 0.9807)])
+    @pytest.mark.parametrize("v0,expected_ratio", [(8.0, 0.9908), (10.0, 0.9930)])
     def test_symmetric_parabolic_doublet_matches_the_root_solve(
         self, v0, expected_ratio
     ):
@@ -127,7 +132,84 @@ class TestDoubleWellAccuracy:
         sp = eigen_lowest_two(
             spec, C, GridSpec(-4.8, 4.8, 8001, richardson=True), analysis=a
         )
-        assert sp.splitting == pytest.approx(1.684249724576e-06, rel=1e-4)
+        assert sp.splitting == pytest.approx(1.683085e-06, rel=1e-4)
+
+
+class TestBisectionReference:
+    """The levels of each grid against LAPACK bisection at abstol 2 tiny."""
+
+    @staticmethod
+    def assert_within_bisection_noise(spec, grid, analysis=None):
+        sp = eigen_lowest_two(spec, C, grid, analysis=analysis)
+        e0, e1, noise = reference_lowest_two(spec, C, grid, analysis)
+        # measured: at most 0.16 noise over these wells and grids
+        assert abs(sp.E0 - e0) <= noise
+        assert abs(sp.E1 - e1) <= noise
+
+    @settings(max_examples=24, deadline=None, derandomize=True, database=None)
+    @given(DEEP_WELLS, st.sampled_from([2001, 4001, 8001, 16001]))
+    def test_deep_wells(self, spec, n):
+        a = analyze(spec, C)
+        grid = dataclasses.replace(default_grid(spec, C, a), n_points=n, richardson=False)
+        self.assert_within_bisection_noise(spec, grid, a)
+
+    @pytest.mark.parametrize("n", [2001, 16001])
+    def test_single_well(self, n):
+        self.assert_within_bisection_noise(HARMONIC, GridSpec(-8.0, 8.0, n, richardson=False))
+
+    @pytest.mark.parametrize("n", [2001, 16001])
+    def test_kinked_double_oscillator_off_centre(self, n):
+        # the walls miss x = 0 on the natural spacing, so a node is snapped on
+        spec = DoubleOscillator(1.0, 1.3, 0.05, 9.0)
+        a = analyze(spec, C)
+        self.assert_within_bisection_noise(spec, GridSpec(-10.37, 10.11, n, richardson=False), a)
+
+
+def test_deep_quartic_richardson_gap_holds_across_grid_doublings():
+    # The gap is 1.683085e-6 on levels near 2.9: bisection's absolute
+    # tolerance, eps times the 1-norm of H, moved it by up to 7e-3 here.
+    spec = BiasedQuartic(1.0, 2.1)
+    a = analyze(spec, C)
+    grid = default_grid(spec, C, a)
+    gaps = [
+        eigen_lowest_two(spec, C, dataclasses.replace(grid, n_points=n), analysis=a).splitting
+        for n in (8001, 16001, 32001, 64001)
+    ]
+    assert max(gaps) / min(gaps) - 1.0 <= 1e-6
+    assert gaps[0] == pytest.approx(1.683085e-06, rel=1e-6)
+
+
+class TestInertiaProof:
+    """``_prove_lowest`` on the harmonic grid, whose levels it must tell apart."""
+
+    @pytest.fixture
+    def harmonic(self):
+        x = np.linspace(-8.0, 8.0, 401)
+        t, vx = oracle._hamiltonian(lambda x: 0.5 * x * x, C, x)
+        levels = oracle.eigh_tridiagonal(
+            vx + 2.0 * t, np.full(vx.size - 1, -t), eigvals_only=True,
+            select="i", select_range=(0, 3),
+        )
+        return t, vx, levels
+
+    def test_the_two_lowest_pass(self, harmonic):
+        t, vx, levels = harmonic
+        oracle._prove_lowest(t, vx, levels[:2], levels[2], "the grid")
+
+    def test_a_level_below_the_pair_is_found(self, harmonic):
+        t, vx, levels = harmonic
+        with pytest.raises(GridTooCoarse, match="lies below"):
+            oracle._prove_lowest(t, vx, levels[1:3], levels[3], "the grid")
+
+    def test_a_third_level_under_the_ceiling_is_counted(self, harmonic):
+        t, vx, levels = harmonic
+        with pytest.raises(GridTooCoarse, match="puts 3 levels"):
+            oracle._prove_lowest(t, vx, levels[:2], levels[3] + 0.5, "the grid")
+
+    def test_a_ceiling_under_the_pair_is_refused(self, harmonic):
+        t, vx, levels = harmonic
+        with pytest.raises(GridTooCoarse, match="not above"):
+            oracle._prove_lowest(t, vx, levels[:2], levels[1], "the grid")
 
 
 class TestGuardRails:
@@ -140,6 +222,13 @@ class TestGuardRails:
         spec = BiasedQuartic(1.0, 2.1)
         with pytest.raises(GridTooCoarse, match="grid doubling"):
             eigen_lowest_two(spec, C, GridSpec(-5.5, 5.5, 101))
+
+    def test_seed_too_coarse_for_the_wells(self):
+        # walls 190 well separations out: the 626-node seed grid puts more
+        # than a decay length between nodes, and the Ritz pair never settles
+        spec = BiasedQuartic(1.0, 2.1)
+        with pytest.raises(GridTooCoarse, match="seeded from 626 points"):
+            eigen_lowest_two(spec, C, GridSpec(-400.0, 400.0, 20001))
 
     def test_single_well_requires_an_explicit_grid(self):
         with pytest.raises(ConfigError, match="explicit grid"):

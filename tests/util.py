@@ -1,4 +1,5 @@
 """Shared builders used across the test modules."""
+import dataclasses
 import math
 
 import numpy as np
@@ -17,11 +18,13 @@ from tunnelkit import (
     adaptive_quadrature,
     analyze,
     compute_splitting,
+    evaluate,
     f_of_zeta,
     gamow_integral,
     splitting,
     turning_points,
 )
+from tunnelkit import oracle
 from tunnelkit._brent import brentq
 from tunnelkit.cli import _splitting_doc, _warn_flags
 from tunnelkit.quadrature import _MAX_DEPTH, _panel_nodes, _panel_sum, _settled, _unsettled
@@ -329,6 +332,36 @@ def solve_bracketed(spec, consts, analysis, shifts, rtol):
         delta_plus=e_plus - e_bar,
         delta_minus=e_minus - e_bar,
     )
+
+
+def reference_lowest_two(spec, consts, grid, analysis=None):
+    """(E0, E1, noise) of the grid's n-point Hamiltonian by LAPACK bisection
+    (stebz) at abstol 2 tiny: the solver eigen_lowest_two used before block
+    inverse iteration, kept as its reference.
+
+    The levels are those of ``Spectrum.coarse``: of analysis.v on the axis
+    the oracle solves on, or of the raw potential when ``analysis`` is None.
+    Bisection on the rounded matrix is only as good as its backward error,
+    so ``noise`` is eps times the 1-norm of H, where its levels are noise.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    if analysis is None:
+        v = lambda x: evaluate(spec, x, consts)  # noqa: E731
+    else:
+        v, consts = analysis.v, analysis.consts
+        if oracle._flipped(spec, analysis):
+            grid = dataclasses.replace(grid, x_min=-grid.x_max, x_max=-grid.x_min)
+    x = oracle._grid_nodes(grid, grid.n_points, spec.kink)
+    h = x[1] - x[0]
+    diag = consts.hbar**2 / (consts.mass * h * h) + np.asarray(v(x[1:-1]), dtype=float)
+    off = np.full(x.size - 3, -consts.hbar**2 / (2.0 * consts.mass * h * h))
+    vals = eigh_tridiagonal(
+        diag, off, eigvals_only=True, select="i", select_range=(0, 1),
+        tol=2.0 * np.finfo(float).tiny,
+    )
+    noise = np.finfo(float).eps * (np.abs(diag).max() + 2.0 * abs(off[0]))
+    return float(vals[0]), float(vals[1]), float(noise)
 
 
 def rel_diff(a, b):
