@@ -217,7 +217,7 @@ def _polish(t: float, vx: np.ndarray, block: np.ndarray, shifts, where: str):
 
     n = vx.size
     lower, diag, upper = np.empty(n - 1), np.empty(n), np.empty(n - 1)
-    levels = np.asarray(shifts, dtype=float)
+    levels = shifts
     for _ in range(_MAX_SWEEPS):
         for j, shift in enumerate(shifts):
             lower.fill(-t)

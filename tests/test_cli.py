@@ -494,6 +494,8 @@ class TestOracleCommand:
         assert out["spectrum"] == expected
 
     def test_unresolved_seed_is_a_regime_error(self, tmp_path, capsys):
+        # walls 190 well separations out: the 626-node seed grid puts more
+        # than a decay length between nodes, and the Ritz pair never settles
         doc = {
             "schema": "tunnelkit/1",
             "potential": {"family": "biased_quartic", "alpha": 1.0, "a": 2.1},

@@ -223,13 +223,6 @@ class TestGuardRails:
         with pytest.raises(GridTooCoarse, match="grid doubling"):
             eigen_lowest_two(spec, C, GridSpec(-5.5, 5.5, 101))
 
-    def test_seed_too_coarse_for_the_wells(self):
-        # walls 190 well separations out: the 626-node seed grid puts more
-        # than a decay length between nodes, and the Ritz pair never settles
-        spec = BiasedQuartic(1.0, 2.1)
-        with pytest.raises(GridTooCoarse, match="seeded from 626 points"):
-            eigen_lowest_two(spec, C, GridSpec(-400.0, 400.0, 20001))
-
     def test_single_well_requires_an_explicit_grid(self):
         with pytest.raises(ConfigError, match="explicit grid"):
             eigen_lowest_two(HARMONIC, C, None)

@@ -342,7 +342,7 @@ def reference_lowest_two(spec, consts, grid, analysis=None):
     The levels are those of ``Spectrum.coarse``: of analysis.v on the axis
     the oracle solves on, or of the raw potential when ``analysis`` is None.
     Bisection on the rounded matrix is only as good as its backward error,
-    so ``noise`` is eps times the 1-norm of H, where its levels are noise.
+    so its levels are known to ``noise``, eps times the 1-norm of H.
     """
     from scipy.linalg import eigh_tridiagonal
 
