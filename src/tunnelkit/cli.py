@@ -52,7 +52,7 @@ from .errors import (
     TunnelkitError,
     WellStructureError,
 )
-from .oracle import eigen_lowest_two
+from .oracle import _spectrum, eigen_lowest_two
 from .potentials import Mirrored, WellAnalysis, analyze
 from .splitting import (
     K_FIRST_ORDER,
@@ -321,13 +321,17 @@ def run_oracle(config: RunConfig):
         analysis = analyze(spec, consts, orient=config.orient)
     except WellStructureError:
         analysis = None
-    spectrum = eigen_lowest_two(spec, consts, grid, analysis=analysis)
+
+    def solve(g):
+        if analysis is None:  # no two wells: the raw potential, not analyzed again
+            return _spectrum(spec, consts, g, None)
+        return eigen_lowest_two(spec, consts, g, analysis=analysis)
+
+    spectrum = solve(grid)
     n_fine = 2 * grid.n_points - 1
     (e0_c, e1_c), fine = spectrum.coarse, spectrum.fine
     if fine is None:  # no Richardson: the fine grid is not solved yet
-        fine = eigen_lowest_two(
-            spec, consts, replace(grid, n_points=n_fine), analysis=analysis
-        ).coarse
+        fine = solve(replace(grid, n_points=n_fine)).coarse
     e0_f, e1_f = fine
     # The action only feeds the gamow flag, and a flag never fails a run:
     # with E_bar at or over the barrier top nothing is forbidden (exp(-I)

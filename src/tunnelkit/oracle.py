@@ -19,9 +19,11 @@ interpolated onto the grid, go through shifted tridiagonal solves (LAPACK
 gtsv), shift j being seed level j, and a Rayleigh-Ritz step summed
 without cancellation, until the Ritz values settle.  Inertia proves them
 the two lowest: H - lo factors as LDL^T (LAPACK pttrf), and a Sturm count
-(stebz) puts exactly two levels in (lo, hi].  Bisection alone would carry
-its stopping tolerance, eps times the 1-norm of H, which grows as 1/h^2,
-into the doublet gap.
+(stebz) puts exactly two levels in (lo, hi].  A pair that does not settle
+or is not proven is solved again from the next finer seed, up to the grid
+itself, so a seed too coarse for the wells costs time, not the answer.
+Bisection alone would carry its stopping tolerance, eps times the 1-norm
+of H, which grows as 1/h^2, into the doublet gap.
 
 This is the only module that needs scipy, and it imports
 ``scipy.linalg`` on the first solve, inside ``eigh_tridiagonal``: that
@@ -149,16 +151,17 @@ def eigh_tridiagonal(d, e, **kwargs):
     return solve(d, e, **kwargs)
 
 
-# The seed grid halves the grid, (n + 1) // 2 nodes at twice the spacing,
-# until it has fewer than _SEED_POINTS nodes: a grid of n nodes and its
-# Richardson partner of 2n - 1 share one seed.
+# A grid's seeds are its halvings, (n + 1) // 2 nodes at twice the spacing
+# at a time, from the first with fewer than _SEED_POINTS nodes up to the
+# grid itself: the coarsest seeds it, and each finer one only when the
+# coarser gave no settled, proven pair.  A grid of n nodes and its
+# Richardson partner of 2n - 1 share every seed up to n.
 _SEED_POINTS = 1024
 # A grid's Ritz pair has settled when no Ritz value moves by more than
 # _SETTLE times the pair's kinetic plus absolute potential energy in a
 # sweep; a pair still moving after _MAX_SWEEPS sweeps is not resolved.
 _SETTLE = 1e-12
 _MAX_SWEEPS = 8
-_UNRESOLVED = "the seed grid does not resolve the wells; bring the walls closer"
 
 
 def _hamiltonian(v, consts: PhysConstants, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -167,17 +170,31 @@ def _hamiltonian(v, consts: PhysConstants, x: np.ndarray) -> tuple[float, np.nda
     return consts.hbar ** 2 / (2.0 * consts.mass * h * h), np.asarray(v(x[1:-1]), dtype=float)
 
 
+def _seed_sizes(n_points: int) -> list[int]:
+    """The node counts of the seeds of an n_points grid, coarsest first."""
+    sizes = [n_points]
+    while sizes[-1] >= _SEED_POINTS:
+        sizes.append((sizes[-1] + 1) // 2)
+    return sizes[::-1]
+
+
 def _seed(v, consts: PhysConstants, grid: GridSpec, n_points: int, snap: bool):
-    """Nodes, three lowest levels and their vectors on the seed grid of n_points."""
-    m = n_points
-    while m >= _SEED_POINTS:
-        m = (m + 1) // 2
-    x = _grid_nodes(grid, m, snap)
+    """Nodes, three lowest levels and their vectors on the n_points seed grid."""
+    x = _grid_nodes(grid, n_points, snap)
     t, vx = _hamiltonian(v, consts, x)
     levels, vectors = eigh_tridiagonal(
-        vx + 2.0 * t, np.full(m - 3, -t), select="i", select_range=(0, 2)
+        vx + 2.0 * t, np.full(n_points - 3, -t), select="i", select_range=(0, 2)
     )
     return x, levels, vectors
+
+
+def _sum_of_products(a: np.ndarray, b: np.ndarray) -> float:
+    """sum a * b in numpy's own einsum loop.
+
+    Not a BLAS dot product: BLAS splits a long sum among its threads, so
+    the last bits of the levels would follow the machine's core count.
+    """
+    return float(np.einsum("i,i->", a, b))
 
 
 def _rayleigh_ritz(block: np.ndarray, t: float, vx: np.ndarray):
@@ -190,20 +207,28 @@ def _rayleigh_ritz(block: np.ndarray, t: float, vx: np.ndarray):
     rounding.
     """
     q0, q1 = block[:, 0], block[:, 1]
-    q0 /= np.linalg.norm(q0)
-    size = np.linalg.norm(q1)
+    q0 /= math.sqrt(_sum_of_products(q0, q0))
+    size = math.sqrt(_sum_of_products(q1, q1))
     for _ in range(2):  # Gram-Schmidt, repeated once if it cancels most of q1
-        q1 -= (q0 @ q1) * q0
-        size, before = np.linalg.norm(q1), size
+        q1 -= _sum_of_products(q0, q1) * q0
+        size, before = math.sqrt(_sum_of_products(q1, q1)), size
         if size > 0.5 * before:
             break
     q1 /= size
-    steps = np.diff(block, axis=0)
-    kinetic = t * (steps.T @ steps + np.outer(block[0], block[0]) + np.outer(block[-1], block[-1]))
-    del steps
-    potential = block.T @ (vx[:, None] * block)
-    levels, rotation = np.linalg.eigh(kinetic + potential)
-    block[:] = block @ rotation
+    d0, d1 = np.diff(q0), np.diff(q1)
+    k01 = _sum_of_products(d0, d1)
+    kinetic = np.array([[_sum_of_products(d0, d0), k01], [k01, _sum_of_products(d1, d1)]])
+    del d0, d1
+    kinetic = t * (kinetic + np.outer(block[0], block[0]) + np.outer(block[-1], block[-1]))
+    vq0 = vx * q0
+    v01 = _sum_of_products(vq0, q1)
+    potential = np.array([[_sum_of_products(vq0, q0), v01], [v01, _sum_of_products(vx * q1, q1)]])
+    del vq0
+    levels, ((r00, r01), (r10, r11)) = np.linalg.eigh(kinetic + potential)
+    turned = r00 * q0 + r10 * q1  # block @ rotation, one column at a time
+    q1 *= r11
+    q1 += r01 * q0
+    q0[:] = turned
     return levels, np.trace(kinetic) + np.abs(np.diag(potential)).sum()
 
 
@@ -234,9 +259,7 @@ def _polish(t: float, vx: np.ndarray, block: np.ndarray, shifts, where: str):
         levels, scale = _rayleigh_ritz(block, t, vx)
         if np.abs(levels - previous).max() <= _SETTLE * scale:
             return levels
-    raise GridTooCoarse(
-        f"the Ritz pair did not settle in {_MAX_SWEEPS} sweeps on {where}; {_UNRESOLVED}"
-    )
+    raise GridTooCoarse(f"the Ritz pair did not settle in {_MAX_SWEEPS} sweeps on {where}")
 
 
 def _prove_lowest(t: float, vx: np.ndarray, levels, ceiling: float, where: str):
@@ -251,14 +274,14 @@ def _prove_lowest(t: float, vx: np.ndarray, levels, ceiling: float, where: str):
     if not ceiling > levels[1]:
         raise GridTooCoarse(
             f"the seed's third level {ceiling:g} is not above the second level "
-            f"{levels[1]:g} of {where}; {_UNRESOLVED}"
+            f"{levels[1]:g} of {where}"
         )
     hi = 0.5 * (levels[1] + ceiling)
     lo = levels[0] - (hi - levels[1])
     diag, off = vx + (2.0 * t - lo), np.full(vx.size - 1, -t)
     if dpttrf(diag, off, overwrite_d=1, overwrite_e=1)[2] != 0:
         raise GridTooCoarse(
-            f"a level of {where} lies below {lo:g}, under the two found; {_UNRESOLVED}"
+            f"a level of {where} lies below {lo:g}, under the two found"
         )
     np.add(vx, 2.0 * t, out=diag)
     off.fill(-t)
@@ -267,33 +290,44 @@ def _prove_lowest(t: float, vx: np.ndarray, levels, ceiling: float, where: str):
     count, _, _, _, info = dstebz(diag, off, 1, lo, hi, 0, 0, hi - lo, "E")
     if info != 0 or count != 2:
         raise GridTooCoarse(
-            f"a Sturm count puts {count} levels of {where} in ({lo:g}, {hi:g}], "
-            f"not 2; {_UNRESOLVED}"
+            f"a Sturm count puts {count} levels of {where} in ({lo:g}, {hi:g}], not 2"
         )
 
 
 def _lowest_two_on_grid(
-    v, consts: PhysConstants, grid: GridSpec, n_points: int, snap: bool, seed
+    v, consts: PhysConstants, grid: GridSpec, n_points: int, snap: bool, seeds: dict
 ) -> tuple[float, float]:
     """Two lowest levels of the n_points-point Hamiltonian, proven lowest.
 
-    ``seed`` is ``_seed`` of this grid: its vectors, linearly interpolated
-    onto the grid, start the block inverse iteration, its two lowest
-    levels are the shifts and its third bounds the inertia proof.  So the
-    levels are a function of the grid alone, whether it is solved on its
-    own or as a Richardson partner.
+    Each seed of ``_seed_sizes(n_points)`` in turn, until one gives a
+    settled pair that inertia proves lowest: its vectors, linearly
+    interpolated onto the grid, start the block inverse iteration, its two
+    lowest levels are the shifts and its third bounds the inertia proof.
+    The last seed is the grid itself, whose own vectors leave the pair
+    unresolved only when the grid cannot tell its levels apart.  ``seeds``
+    holds the seeds solved so far by node count.  So the levels are a
+    function of the grid alone, whether it is solved on its own or as a
+    Richardson partner.
     """
-    x_seed, levels, vectors = seed
     x = _grid_nodes(grid, n_points, snap)
     t, vx = _hamiltonian(v, consts, x)
-    block = np.empty((vx.size, 2), order="F")
-    for j in range(2):
-        block[:, j] = np.interp(x[1:-1], x_seed, np.pad(vectors[:, j], 1))
-    where = f"the {n_points}-point grid seeded from {x_seed.size} points"
-    ritz = _polish(t, vx, block, levels[:2], where)
-    del block
-    _prove_lowest(t, vx, ritz, levels[2], where)
-    return float(ritz[0]), float(ritz[1])
+    for m in _seed_sizes(n_points):
+        if m not in seeds:
+            seeds[m] = _seed(v, consts, grid, m, snap)
+        x_seed, levels, vectors = seeds[m]
+        block = np.empty((vx.size, 2), order="F")
+        for j in range(2):
+            block[:, j] = np.interp(x[1:-1], x_seed, np.pad(vectors[:, j], 1))
+        where = f"the {n_points}-point grid seeded from {m} points"
+        try:
+            ritz = _polish(t, vx, block, levels[:2], where)
+            del block  # the proof's two arrays take its memory
+            _prove_lowest(t, vx, ritz, levels[2], where)
+        except GridTooCoarse as exc:
+            failure = exc
+            continue
+        return float(ritz[0]), float(ritz[1])
+    raise GridTooCoarse(f"no seed gives a proven pair, the grid itself included: {failure}")
 
 
 def _grid_nodes(grid: GridSpec, n_points: int, snap_zero: bool) -> np.ndarray:
@@ -307,15 +341,12 @@ def _grid_nodes(grid: GridSpec, n_points: int, snap_zero: bool) -> np.ndarray:
     return (np.arange(n_points) - i_star) * h
 
 
-_ANALYZE = object()  # eigen_lowest_two's analysis when the caller gives none
-
-
 def eigen_lowest_two(
     spec,
     consts: PhysConstants = DEFAULT_CONSTANTS,
     grid: GridSpec | None = None,
     *,
-    analysis: WellAnalysis | None = _ANALYZE,
+    analysis: WellAnalysis | None = None,
 ) -> Spectrum:
     """Two lowest Dirichlet eigenvalues of the normalized well.
 
@@ -332,15 +363,21 @@ def eigen_lowest_two(
     single-well potentials, which are accepted too (the two lowest box
     levels of the raw potential are returned, with no floor shift and no
     double-well domain check); they need an explicit ``grid``.
-    ``analysis`` left out is ``analyze(spec, consts)``, or None when that
-    raises WellStructureError; None given says that ``spec`` has no two
-    wells, so a caller that already tried ``analyze`` does not repeat it.
+    ``analysis`` None is ``analyze(spec, consts)``, or the raw potential
+    when that raises WellStructureError.
     """
-    if analysis is _ANALYZE:
+    if analysis is None:
         try:
             analysis = analyze(spec, consts)
         except WellStructureError:
             analysis = None
+    return _spectrum(spec, consts, grid, analysis)
+
+
+def _spectrum(
+    spec, consts: PhysConstants, grid: GridSpec | None, analysis: WellAnalysis | None
+) -> Spectrum:
+    """``eigen_lowest_two`` of an analysis already made; None: no two wells."""
     if grid is None:
         if analysis is None:
             raise ConfigError(
@@ -366,15 +403,14 @@ def eigen_lowest_two(
         v = analysis.v
     else:
         v = lambda x: evaluate(spec, x, consts)  # noqa: E731
-    snap = spec.kink
-    seed = _seed(v, consts, grid, grid.n_points, snap)
-    coarse = e0_c, e1_c = _lowest_two_on_grid(v, consts, grid, grid.n_points, snap, seed)
+    snap, seeds = spec.kink, {}
+    coarse = e0_c, e1_c = _lowest_two_on_grid(v, consts, grid, grid.n_points, snap, seeds)
     if not grid.richardson:
         return Spectrum(
             E0=e0_c, E1=e1_c, splitting=e1_c - e0_c, est_error=math.nan, coarse=coarse
         )
     fine = e0_f, e1_f = _lowest_two_on_grid(
-        v, consts, grid, 2 * grid.n_points - 1, snap, seed
+        v, consts, grid, 2 * grid.n_points - 1, snap, seeds
     )
     split_c, split_f = e1_c - e0_c, e1_f - e0_f
     if abs(split_f - split_c) > 0.1 * abs(split_f):

@@ -493,18 +493,44 @@ class TestOracleCommand:
         assert orients == ["keep"]
         assert out["spectrum"] == expected
 
-    def test_unresolved_seed_is_a_regime_error(self, tmp_path, capsys):
-        # walls 190 well separations out: the 626-node seed grid puts more
-        # than a decay length between nodes, and the Ritz pair never settles
+    def test_walls_far_out_are_solved_from_a_finer_seed(self, tmp_path, capsys, monkeypatch):
+        # walls 190 well separations out: the 626-node seed puts 1.3 length
+        # units between nodes against a decay length of 0.41, its pair never
+        # settles, and each grid is solved again from the 1251-node seed
         doc = {
             "schema": "tunnelkit/1",
             "potential": {"family": "biased_quartic", "alpha": 1.0, "a": 2.1},
             "oracle_grid": {"x_min": -400.0, "x_max": 400.0, "n_points": 20001},
         }
-        assert main(["oracle", write_json(tmp_path, "wide.json", doc)]) == 3
+        seeds = []
+        seed = tunnelkit.oracle._seed
+
+        def spy(v, consts, grid, n_points, snap):
+            seeds.append(n_points)
+            return seed(v, consts, grid, n_points, snap)
+
+        monkeypatch.setattr(tunnelkit.oracle, "_seed", spy)
+        assert main(["oracle", write_json(tmp_path, "wide.json", doc)]) == 0
+        assert seeds == [626, 1251]
+        out = json.loads(capsys.readouterr().out)
+        # the gap of the default walls' Richardson pair, 1.683085e-6
+        assert out["spectrum"]["splitting"] == pytest.approx(1.683085e-06, rel=1e-4)
+
+    def test_unresolved_levels_are_a_regime_error(self, tmp_path, capsys):
+        # three deep wells, the outer two alike: the second and third levels
+        # coincide to rounding, so no seed, the grid itself included, gives
+        # a pair that inertia proves to be the two lowest
+        doc = {
+            "schema": "tunnelkit/1",
+            "potential": {"family": "polynomial", "coeffs": [0, 0, 162, 0, -36, 0, 2]},
+            "oracle_grid": {"x_min": -5.0, "x_max": 5.0, "n_points": 2001},
+        }
+        assert main(["oracle", write_json(tmp_path, "triple.json", doc)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("regime error: the Ritz pair did not settle")
-        assert "seeded from 626 points" in err
+        assert err.startswith(
+            "regime error: no seed gives a proven pair, the grid itself included: "
+        )
+        assert "of the 2001-point grid seeded from 2001 points" in err
 
     def test_grid_is_required(self):
         cfg = {

@@ -1,6 +1,9 @@
 """Finite-difference eigensolver: accuracy, convergence, and guard rails."""
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -157,6 +160,13 @@ class TestBisectionReference:
     def test_single_well(self, n):
         self.assert_within_bisection_noise(HARMONIC, GridSpec(-8.0, 8.0, n, richardson=False))
 
+    def test_walls_far_out(self):
+        # the first seed, 626 nodes 1.3 apart, is too coarse for wells whose
+        # decay length is 0.41; the pair comes from the next finer one
+        spec = BiasedQuartic(1.0, 2.1)
+        grid = GridSpec(-400.0, 400.0, 20001, richardson=False)
+        self.assert_within_bisection_noise(spec, grid, analyze(spec, C))
+
     @pytest.mark.parametrize("n", [2001, 16001])
     def test_kinked_double_oscillator_off_centre(self, n):
         # the walls miss x = 0 on the natural spacing, so a node is snapped on
@@ -177,6 +187,36 @@ def test_deep_quartic_richardson_gap_holds_across_grid_doublings():
     ]
     assert max(gaps) / min(gaps) - 1.0 <= 1e-6
     assert gaps[0] == pytest.approx(1.683085e-06, rel=1e-6)
+
+
+def test_levels_do_not_follow_the_blas_thread_count():
+    # BLAS splits a long dot product among its threads, and the split moves
+    # the last bits: with the Rayleigh-Ritz sums in BLAS, 1 and 2 threads
+    # gave E0 0x1.7489d57e48a4dp+1 and 0x1.7489d57e48a44p+1 here
+    script = (
+        "from tunnelkit import BiasedQuartic, GridSpec, eigen_lowest_two\n"
+        "sp = eigen_lowest_two(BiasedQuartic(1.0, 2.1), grid=GridSpec(-4.8, 4.8, 32001))\n"
+        "print(*(e.hex() for e in (sp.E0, sp.E1, *sp.coarse, *sp.fine)))\n"
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        r = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env
+        )
+        assert r.returncode == 0, r.stderr
+        outputs.append(r.stdout)
+    assert outputs[0] == outputs[1]
+
+
+class TestSeeds:
+    def test_each_halving_up_to_the_grid_itself(self):
+        assert oracle._seed_sizes(20001) == [626, 1251, 2501, 5001, 10001, 20001]
+        assert oracle._seed_sizes(1023) == [1023]
+
+    @pytest.mark.parametrize("n", [513, 1001, 8001, 16001])
+    def test_a_richardson_partner_shares_the_seeds_of_its_grid(self, n):
+        assert oracle._seed_sizes(2 * n - 1)[:-1] == oracle._seed_sizes(n)
 
 
 class TestInertiaProof:
@@ -222,6 +262,13 @@ class TestGuardRails:
         spec = BiasedQuartic(1.0, 2.1)
         with pytest.raises(GridTooCoarse, match="grid doubling"):
             eigen_lowest_two(spec, C, GridSpec(-5.5, 5.5, 101))
+
+    def test_analysis_none_is_analyzed(self):
+        spec = BiasedQuartic(1.0, 2.1)
+        grid = GridSpec(-4.8, 4.8, 2001)
+        assert eigen_lowest_two(spec, C, grid, analysis=None) == eigen_lowest_two(
+            spec, C, grid, analysis=analyze(spec, C)
+        )
 
     def test_single_well_requires_an_explicit_grid(self):
         with pytest.raises(ConfigError, match="explicit grid"):
