@@ -20,6 +20,10 @@ The corpus:
 
 * the ``perfbench/inputs.py`` inputs of seeds 1-3: 12 ``wells``,
   4 ``bias_sweeps`` and 4 ``oracle_wells`` each;
+* the ``"mirror": true, "orient": "keep"`` twin of each quartic and
+  polynomial among those ``wells`` and ``bias_sweeps``, and the x -> -x
+  twin of each polynomial among them (odd coefficients negated, no
+  ``"mirror"``): a bare well with the deeper well on the right;
 * a ``"richardson": false`` twin of each of those oracle inputs;
 * the config of README.md;
 * for each double oscillator among those oracle inputs, a 5-step bias
@@ -38,6 +42,22 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 
 
+def _smooth_twins(name, seed, group):
+    # the "mirror": true, "orient": "keep" twin of each quartic and
+    # polynomial, and the x -> -x twin of each polynomial
+    docs = []
+    for i, d in enumerate(group):
+        pot = d["potential"]
+        if pot["family"] == "double_oscillator":
+            continue
+        docs.append((f"{name}_mirror_keep:{seed}:{i}", dict(d, potential=dict(pot, mirror=True, orient="keep"))))
+        if pot["family"] == "polynomial":
+            coeffs = [-c if k % 2 else c for k, c in enumerate(pot["coeffs"])]
+            bare = {"family": "polynomial", "coeffs": coeffs}
+            docs.append((f"{name}_reflected:{seed}:{i}", dict(d, potential=bare)))
+    return docs
+
+
 def corpus():
     """(label, config document) pairs, in a fixed order."""
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -45,8 +65,9 @@ def corpus():
 
     docs = []
     for seed in SEEDS:
-        docs += [(f"wells:{seed}:{i}", d) for i, d in enumerate(inputs.wells(seed, 12))]
-        docs += [(f"sweep:{seed}:{i}", d) for i, d in enumerate(inputs.bias_sweeps(seed, 4))]
+        for name, group in (("wells", inputs.wells(seed, 12)), ("sweep", inputs.bias_sweeps(seed, 4))):
+            docs += [(f"{name}:{seed}:{i}", d) for i, d in enumerate(group)]
+            docs += _smooth_twins(name, seed, group)
         oracle = inputs.oracle_wells(seed, 4)
         docs += [(f"oracle:{seed}:{i}", d) for i, d in enumerate(oracle)]
         docs += [
