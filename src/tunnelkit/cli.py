@@ -53,7 +53,7 @@ from .errors import (
     WellStructureError,
 )
 from .oracle import _spectrum, eigen_lowest_two
-from .potentials import Mirrored, WellAnalysis, analyze
+from .potentials import Mirrored, WellAnalysis, _unwrap, analyze
 from .splitting import (
     K_FIRST_ORDER,
     QuantizationResult,
@@ -110,11 +110,10 @@ def _csv_text(header, lines) -> str:
 
 
 def _potential_doc(spec):
-    mirrored = isinstance(spec, Mirrored)
-    fields = asdict(spec.inner if mirrored else spec)
-    doc = {"family": spec.family}
-    doc.update((k, list(v) if isinstance(v, tuple) else v) for k, v in fields.items())
-    if mirrored:
+    family, odd = _unwrap(spec)
+    doc = {"family": family.family}
+    doc.update((k, list(v) if isinstance(v, tuple) else v) for k, v in asdict(family).items())
+    if odd:
         doc["mirror"] = True
     return doc
 
@@ -259,13 +258,12 @@ def run_sweep(config: RunConfig):
     base = analyze(spec, consts, orient=config.orient, require_wkb=True)
     oracle = None
     if spec.kink and config.oracle_grid is not None:
-        mirrored = isinstance(spec, Mirrored)
-        inner = spec.inner if mirrored else spec
+        family, odd = _unwrap(spec)
 
         def oracle(dialed):
             # the member of the family that realizes the dialed bias
-            member = replace(inner, tilde_eps=dialed.tilde_eps)
-            member_spec = Mirrored(member) if mirrored else member
+            member = replace(family, tilde_eps=dialed.tilde_eps)
+            member_spec = Mirrored(member) if odd else member
             member_analysis = analyze(member_spec, consts, orient=config.orient)
             return eigen_lowest_two(
                 member_spec, consts, config.oracle_grid, analysis=member_analysis

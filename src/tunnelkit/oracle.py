@@ -40,9 +40,9 @@ from ._brent import brentq
 from .errors import ConfigError, DomainTooSmall, GridTooCoarse, WellStructureError
 from .potentials import (
     DEFAULT_CONSTANTS,
-    Mirrored,
     PhysConstants,
     WellAnalysis,
+    _unwrap,
     analyze,
     evaluate,
 )
@@ -90,10 +90,7 @@ class Spectrum:
 def _flipped(spec, analysis: WellAnalysis) -> bool:
     # whether analysis runs on the mirror of the axis of spec: each
     # Mirrored wrapper, and so auto-orientation, reflects the axis once
-    def odd(s):  # an odd number of Mirrored wrappers
-        return isinstance(s, Mirrored) and not odd(s.inner)
-
-    return odd(spec) != odd(analysis.spec)
+    return _unwrap(spec)[1] != _unwrap(analysis.spec)[1]
 
 
 def _outer_turning_point(analysis: WellAnalysis, side: str, E: float) -> float:

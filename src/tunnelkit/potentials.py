@@ -3,7 +3,7 @@
 This module is the only one that knows which families exist:
 ``FAMILIES`` maps each config name to its class.  Each family
 (``BiasedQuartic``, ``DoubleOscillator``, ``Polynomial`` and the
-reflection wrapper ``Mirrored``) is a frozen dataclass with four
+reflection wrapper ``Mirrored``) is a frozen dataclass with three
 members, and every caller goes through them:
 
     family                   the config name of the family
@@ -13,17 +13,19 @@ members, and every caller goes through them:
     derivative(x, k, consts) the k-th derivative of V at x, k = 0..3, for
                              a float or a float ndarray x, returned as
                              the same kind
-    scan_window(consts)      the (lo, hi) range that ``analyze``
-                             scans for stationary points
 
 ``Mirrored`` delegates each of them to its inner family, with x -> -x.
+The families that ``analyze`` scans for stationary points (all but the
+double oscillator) have a fourth member, ``scan_window(consts)``, the
+(lo, hi) range of that scan.
 
 Everything downstream (actions, splitting formulas, the eigensolver)
 works in the convention that the potential is shifted so the deeper well
 floor sits at V = 0 and lies to the LEFT of the barrier.  ``analyze``
-locates the wells and the barrier, renormalizes, and (by default)
-mirrors the axis when the user's potential has the deeper well on the
-right.
+locates the wells and the barrier of the bare family under any
+``Mirrored`` wrappers, renormalizes, and reflects that geometry at most
+once: onto the axis of the spec given or, by default, onto the axis with
+the deeper well on the left.
 """
 
 import math
@@ -165,11 +167,6 @@ class DoubleOscillator:
             return m * omega**2 * (x - x0)
         return m * omega**2 if k == 2 else 0.0
 
-    def scan_window(self, consts):
-        # ``analyze`` never scans this family; twice the well positions,
-        # as for the quartic
-        return (2.0 * self.x_left(consts), 2.0 * self.x_right(consts))
-
 
 @dataclass(frozen=True)
 class Polynomial:
@@ -266,10 +263,6 @@ class Mirrored:
         out = self.inner.derivative(-x, k, consts)
         return -out if k % 2 else out
 
-    def scan_window(self, consts):
-        lo, hi = self.inner.scan_window(consts)
-        return (-hi, -lo)
-
 
 def _not_a_spec(obj):
     return TypeError(f"not a potential spec: {type(obj).__name__}")
@@ -278,6 +271,16 @@ def _not_a_spec(obj):
 def mirror(spec):
     """Reflect a spec through the origin (unwraps an existing Mirrored)."""
     return spec.inner if isinstance(spec, Mirrored) else Mirrored(spec)
+
+
+def _unwrap(spec):
+    # (family, odd): the bare family under the Mirrored wrappers of spec,
+    # and whether there is an odd number of them, i.e. whether spec is
+    # the family on the reflected axis
+    odd = False
+    while isinstance(spec, Mirrored):
+        spec, odd = spec.inner, not odd
+    return spec, odd
 
 
 def _derivative(spec, x, k, consts):
@@ -396,34 +399,6 @@ def _stationary_points(spec, consts, window, n):
     return out
 
 
-def _analyze_double_oscillator(spec, consts):
-    inner = spec.inner if isinstance(spec, Mirrored) else spec
-    if isinstance(spec, Mirrored):
-        # mirror of a double oscillator: wells swap sides and labels
-        x_L, x_R = -inner.x_right(consts), -inner.x_left(consts)
-        omega_L, omega_R = inner.omega_R, inner.omega_L
-        tilde_eps = -inner.tilde_eps
-        zero_shift = inner.tilde_eps
-    else:
-        x_L, x_R = inner.x_left(consts), inner.x_right(consts)
-        omega_L, omega_R = inner.omega_L, inner.omega_R
-        tilde_eps = inner.tilde_eps
-        zero_shift = 0.0
-    return WellAnalysis(
-        spec=spec,
-        consts=consts,
-        x_L=x_L,
-        x_R=x_R,
-        x_m=0.0,
-        omega_L=omega_L,
-        omega_R=omega_R,
-        tilde_eps=tilde_eps,
-        V0=inner.V0 - zero_shift,
-        zero_shift=zero_shift,
-        mirrored=isinstance(spec, Mirrored),
-    )
-
-
 def analyze(
     spec,
     consts: PhysConstants = DEFAULT_CONSTANTS,
@@ -433,12 +408,19 @@ def analyze(
 ) -> WellAnalysis:
     """Locate the two wells and the barrier; derive the energy bookkeeping.
 
-    Minima and the interior maximum are bracketed on a uniform scan of
-    V' (4096 samples over the family's ``scan_window``) and refined to
-    better than 1e-12 relative.  The potential is then
-    renormalized so v(x_L) = 0 with the deeper well on the left; set
-    ``orient="keep"`` to preserve the user's axis (tilde_eps may then be
-    negative).
+    The geometry is that of the bare family under any ``Mirrored``
+    wrappers, on its own axis: in closed form for the double oscillator;
+    otherwise the minima and the interior maximum are bracketed on a
+    uniform scan of V' (4096 samples over the family's ``scan_window``)
+    and refined to better than 1e-12 relative.  The geometry is then
+    reflected at most once, onto the axis with the deeper well on the
+    left (the axis of ``spec`` when the floors are equal), and the
+    potential renormalized so v(x_L) = 0.  Set ``orient="keep"`` to stay
+    on the axis of ``spec`` (tilde_eps may then be negative).
+
+    ``spec`` of the result is the spec given, or ``mirror(spec)`` when
+    the geometry is reflected; for the double oscillator, nested mirrors
+    collapse to the bare family or one ``Mirrored`` of it.
 
     Args:
         spec: potential description.
@@ -454,7 +436,7 @@ def analyze(
     """
     if orient not in ("auto", "keep"):
         raise ConfigError(f'orient must be "auto" or "keep", got {orient!r}')
-    analysis = _locate(spec, consts, None, orient)
+    analysis = _locate(spec, consts, orient)
     if require_wkb and analysis.V0 <= analysis.E_bar:
         raise DegenerateBarrier(
             f"barrier height {analysis.V0:g} does not exceed mean level "
@@ -463,26 +445,57 @@ def analyze(
     return analysis
 
 
-def _locate(spec, consts, window, orient):
-    # the geometry of ``analyze``, without its argument and WKB checks; only
-    # the mirror recursion passes a window, the mirror of the one scanned
+def _locate(spec, consts, orient):
+    # the geometry of ``analyze``, without its argument and WKB checks: the
+    # bare family's wells (lo, hi) and barrier, reflected at most once
+    family, odd = _unwrap(spec)
     try:
-        kink = spec.kink
+        kink = family.kink
     except AttributeError:
         raise _not_a_spec(spec) from None
     if kink:
-        # exact geometry; the kink maximum defeats a slope-based scan.
-        # Mirrored(Mirrored(s)) is s, so nested mirrors collapse to at
-        # most one before the geometry reads the family's own fields.
-        while isinstance(spec, Mirrored) and isinstance(spec.inner, Mirrored):
-            spec = spec.inner.inner
-        if isinstance(spec, Mirrored) and orient == "auto" and spec.inner.tilde_eps > 0.0:
-            spec = spec.inner
-        return _analyze_double_oscillator(spec, consts)
+        # exact geometry; the kink maximum defeats a slope-based scan
+        x_lo, x_hi, x_m = family.x_left(consts), family.x_right(consts), 0.0
+        omega_lo, omega_hi = family.omega_L, family.omega_R
+        v_lo, v_hi, v_m = 0.0, family.tilde_eps, family.V0
+    else:
+        x_lo, x_hi, x_m = _wells_and_barrier(family, consts)
+        omega_lo, omega_hi = (
+            math.sqrt(evaluate_d2(family, x, consts) / consts.mass) for x in (x_lo, x_hi)
+        )
+        v_lo, v_hi, v_m = (evaluate(family, x, consts) for x in (x_lo, x_hi, x_m))
 
-    if window is None:
-        window = spec.scan_window(consts)
-    stationary = _stationary_points(spec, consts, window, _SCAN_POINTS)
+    if orient == "keep":
+        flip = odd
+    else:
+        # the deeper well on the left; with equal floors, the axis of spec
+        flip = v_lo >= v_hi if odd else v_lo > v_hi
+    if family.kink:
+        spec = Mirrored(family) if flip else family
+    elif flip != odd:
+        spec = mirror(spec)
+    if flip:
+        x_lo, x_hi, x_m = 0.0 - x_hi, 0.0 - x_lo, 0.0 - x_m
+        omega_lo, omega_hi, v_lo, v_hi = omega_hi, omega_lo, v_hi, v_lo
+    return WellAnalysis(
+        spec=spec,
+        consts=consts,
+        x_L=x_lo,
+        x_R=x_hi,
+        x_m=x_m,
+        omega_L=omega_lo,
+        omega_R=omega_hi,
+        tilde_eps=v_hi - v_lo,
+        V0=v_m - v_lo,
+        zero_shift=v_lo,
+        mirrored=isinstance(spec, Mirrored),
+    )
+
+
+def _wells_and_barrier(family, consts):
+    # (x_lo, x_hi, x_m) of a scanned family on its own axis
+    window = family.scan_window(consts)
+    stationary = _stationary_points(family, consts, window, _SCAN_POINTS)
     minima = [x for x, kind in stationary if kind == "min"]
     maxima = [x for x, kind in stationary if kind == "max"]
     if len(minima) < 2:
@@ -495,33 +508,11 @@ def _locate(spec, consts, window, orient):
         )
     x_lo, x_hi = minima
     for x in (x_lo, x_hi):
-        if not evaluate_d2(spec, x, consts) > 0.0:
+        if not evaluate_d2(family, x, consts) > 0.0:
             raise NonConvexMinimum(f"V'' <= 0 at detected minimum x = {x:.12g}")
     interior = [x for x in maxima if x_lo < x < x_hi]
     if len(interior) != 1:
         raise WellStructureError(
             f"expected one interior maximum between wells, found {len(interior)}"
         )
-    x_m = interior[0]
-
-    v_lo = evaluate(spec, x_lo, consts)
-    v_hi = evaluate(spec, x_hi, consts)
-    if v_lo > v_hi and orient == "auto":
-        # "keep": with (nearly) equal floors, rounding can make the other
-        # floor look lower from either side; mirror at most once.
-        return _locate(mirror(spec), consts, (-window[1], -window[0]), "keep")
-
-    m = consts.mass
-    return WellAnalysis(
-        spec=spec,
-        consts=consts,
-        x_L=x_lo,
-        x_R=x_hi,
-        x_m=x_m,
-        omega_L=math.sqrt(evaluate_d2(spec, x_lo, consts) / m),
-        omega_R=math.sqrt(evaluate_d2(spec, x_hi, consts) / m),
-        tilde_eps=v_hi - v_lo,
-        V0=evaluate(spec, x_m, consts) - v_lo,
-        zero_shift=v_lo,
-        mirrored=isinstance(spec, Mirrored),
-    )
+    return x_lo, x_hi, interior[0]

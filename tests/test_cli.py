@@ -896,6 +896,33 @@ class TestMirroredGrid:
         assert mirrored == plain
 
 
+class TestMirroredSmoothWell:
+    @pytest.mark.parametrize(
+        "potential,start,stop",
+        [
+            ({"family": "biased_quartic", "alpha": 3.0, "a": 1.0, "beta": 0.15}, 0.2, 0.4),
+            ({"family": "polynomial", "coeffs": [0, 0, -4, 0.3, 1]}, 0.3, 0.8),
+            ({"family": "polynomial", "coeffs": [float(c) for c in sextic_coeffs(20.0, 0.05)]}, 0.0, 0.3),
+        ],
+        ids=["quartic", "polynomial", "sextic"],
+    )
+    def test_a_mirrored_config_writes_the_plain_output(self, potential, start, stop):
+        # "auto" analyzes the mirror of a left-deep well on the plain axis
+        def outputs(potential):
+            config = parse_config(_sweep_doc(potential, start, stop, steps=5))
+            (analyzed, analyze_csv), (swept, sweep_csv) = run_analyze(config), run_sweep(config)
+            return (
+                {key: analyzed[key] for key in ("well", "action", "splitting")},
+                {key: swept[key] for key in ("rows", "fit")},
+                analyze_csv,
+                sweep_csv,
+            )
+
+        plain = outputs(potential)
+        assert not plain[0]["well"]["mirrored"]
+        assert outputs(dict(potential, mirror=True)) == plain
+
+
 class TestParser:
     def test_help_lists_the_commands(self, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", "200")

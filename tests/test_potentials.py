@@ -24,8 +24,9 @@ from tunnelkit import (
     evaluate_d2,
     mirror,
 )
+import tunnelkit.potentials
 from tunnelkit.potentials import _evaluate_d3, _stationary_points
-from util import SEXTIC_Q1, sextic_coeffs
+from util import DEEP_WELLS, SEXTIC_Q1, sextic_coeffs
 
 FAMILIES = [
     BiasedQuartic(3.0, 1.0, 0.15),
@@ -101,11 +102,9 @@ class TestFamilyProtocol:
         np.testing.assert_array_equal(fn(Mirrored(spec), xs), sign * fn(spec, -xs))
 
     @pytest.mark.parametrize("spec", FAMILIES, ids=FAMILY_IDS)
-    def test_mirror_delegates_family_kink_and_window(self, spec):
+    def test_mirror_delegates_family_and_kink(self, spec):
         flipped = Mirrored(spec)
         assert (flipped.family, flipped.kink) == (spec.family, spec.kink)
-        lo, hi = spec.scan_window(C)
-        assert flipped.scan_window(C) == (-hi, -lo)
 
     def test_only_the_double_oscillator_has_a_kink(self):
         assert [spec.kink for spec in FAMILIES] == [False, True, False]
@@ -439,3 +438,49 @@ class TestNestedMirrors:
         assert twice.spec == Mirrored(Mirrored(spec))
         assert twice.mirrored
         assert _geometry(twice) == {**_geometry(analyze(spec, C)), "mirrored": True}
+
+
+class TestOrientOnce:
+    """``analyze`` locates the bare family once and reflects the result."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [BiasedQuartic(3.0, 1.0, -0.15), Polynomial((0.0, 0.0, -4.0, -0.3, 1.0))],
+        ids=["quartic", "polynomial"],
+    )
+    def test_a_right_deep_well_is_scanned_once(self, spec, monkeypatch):
+        scans = []
+
+        def spy(*args):
+            scans.append(args)
+            return _stationary_points(*args)
+
+        monkeypatch.setattr(tunnelkit.potentials, "_stationary_points", spy)
+        a = analyze(spec, C)
+        assert a.mirrored and a.tilde_eps > 0.0
+        assert len(scans) == 1
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(spec=DEEP_WELLS)
+    def test_the_kept_mirror_is_the_exact_reflection(self, spec):
+        a = analyze(spec, C, orient="keep")
+        b = analyze(mirror(spec), C, orient="keep")
+        assert (b.spec, b.consts, b.mirrored) == (mirror(spec), a.consts, True)
+        # the floors trade places: the right floor of a is the one b
+        # measures from, and b sees the same curve on the other axis
+        assert _geometry(b) == {
+            "consts": a.consts,
+            "x_L": 0.0 - a.x_R,
+            "x_R": 0.0 - a.x_L,
+            "x_m": 0.0 - a.x_m,
+            "omega_L": a.omega_R,
+            "omega_R": a.omega_L,
+            "tilde_eps": -a.tilde_eps,
+            "V0": b.V0,
+            "zero_shift": evaluate(spec, a.x_R, C),
+            "mirrored": True,
+        }
+        assert math.copysign(1.0, b.x_m) == math.copysign(1.0, 0.0 - a.x_m)
+        assert (b.v(b.x_L), b.v(b.x_R)) == (0.0, b.tilde_eps)
+        # the same barrier top measured from the other floor: one rounding
+        assert abs(b.V0 - (a.V0 - a.tilde_eps)) <= 2.0 * math.ulp(b.V0)
