@@ -183,9 +183,11 @@ def _zetas(analysis: WellAnalysis, delta: float):
 
 
 def _energy_window(analysis: WellAnalysis):
-    # Open energy interval (lo_lim, hi_lim) searched for the two roots.
+    # Open energy interval (lo_lim, hi_lim) searched for the two roots,
+    # above both floors of the curve; a bias dialed below the curve's own
+    # leaves its right floor v(x_R) above tilde_eps.
     e_bar = analysis.E_bar
-    floor = max(0.0, analysis.tilde_eps)
+    floor = max(0.0, analysis.tilde_eps, analysis.v(analysis.x_R))
     return floor + 1e-3 * (e_bar - floor), analysis.V0 - 1e-3 * (analysis.V0 - e_bar)
 
 

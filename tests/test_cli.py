@@ -305,7 +305,8 @@ def _no_grid(doc):
 
 # Sweeps whose points are solved in one batch: all rows solved, all rows
 # falling back (the README example), rows flagged past the zeta bound, a
-# mirrored sextic, and a sweep whose first point fails.
+# mirrored sextic, rows flagged where a Newton iterate would fall under
+# the curve's right floor, and a sweep whose first point fails.
 BATCHED_SWEEPS = {
     "double_oscillator": DO_SWEEP,
     "readme": _no_grid(readme_config()),
@@ -319,6 +320,9 @@ BATCHED_SWEEPS = {
     ),
     "past_the_zeta_bound": _sweep_doc(
         {"family": "polynomial", "coeffs": [0, 0, -4, 0.3, 1]}, 1.0, 2.0, steps=11
+    ),
+    "iterates_under_the_right_floor": _sweep_doc(
+        {"family": "polynomial", "coeffs": [0, 0, -4, 0.3, 1]}, -0.5, 0.5, steps=11
     ),
     "below_the_curves_bias": _sweep_doc(
         {"family": "polynomial", "coeffs": [0, 0, -4, 0.3, 1]}, -1.0, 0.0, steps=11
@@ -356,6 +360,19 @@ class TestBatchedSweep:
     def test_the_failing_sweep_raises_its_first_points_error(self):
         with pytest.raises(EnergyBelowWellBottom, match="E = 1.50474 is below the right well floor"):
             run_sweep(parse_config(BATCHED_SWEEPS["below_the_curves_bias"]))
+
+    def test_iterates_under_the_right_floor_flag_their_rows(self, tmp_path, capsys):
+        # E_bar clears the curve's right floor 1.71319 from tilde_eps -0.5
+        # on, but the first Newton iterates of the three lowest points do
+        # not: their roots fall back, and the sweep still ends
+        path = write_json(tmp_path, "under.json", BATCHED_SWEEPS["iterates_under_the_right_floor"])
+        assert main(["sweep", path, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        flagged = [
+            row["tilde_eps"] for row in rows if "transcendental_unbracketed" in row["warn_flags"]
+        ]
+        assert flagged == [row["tilde_eps"] for row in rows[:3]]
+        assert all(row["E_bar"] > 1.71319 for row in rows)
 
     def test_rows_past_the_zeta_bound_are_the_flagged_ones(self):
         doc, _ = run_sweep(parse_config(BATCHED_SWEEPS["past_the_zeta_bound"]))
