@@ -470,7 +470,7 @@ def _locate(spec, consts, orient):
     else:
         # the deeper well on the left; with equal floors, the axis of spec
         flip = v_lo >= v_hi if odd else v_lo > v_hi
-    if family.kink:
+    if kink:
         spec = Mirrored(family) if flip else family
     elif flip != odd:
         spec = mirror(spec)
