@@ -21,9 +21,10 @@ The corpus:
 * the ``perfbench/inputs.py`` inputs of seeds 1-3: 12 ``wells``,
   4 ``bias_sweeps`` and 4 ``oracle_wells`` each;
 * the ``"mirror": true, "orient": "keep"`` twin of each quartic and
-  polynomial among those ``wells`` and ``bias_sweeps``, and the x -> -x
-  twin of each polynomial among them (odd coefficients negated, no
-  ``"mirror"``): a bare well with the deeper well on the right;
+  polynomial among those ``wells`` and ``bias_sweeps`` (``wells`` 3 and
+  11 are mirrored already, so their twin only keeps the axis), and the
+  x -> -x twin of each polynomial among them (odd coefficients negated,
+  no ``"mirror"``): a bare well with the deeper well on the right;
 * a ``"richardson": false`` twin of each of those oracle inputs;
 * the config of README.md;
 * for each double oscillator among those oracle inputs, a 5-step bias
