@@ -16,12 +16,13 @@ import numpy as np
 
 __all__ = ["brentq", "brentq_rows"]
 
-# Fewest roots that ``brentq_rows`` solves in lockstep on arrays.  A
-# lockstep iterate costs some 70 array calls whatever the row count, the
-# scalar loop a few Python steps per root; on the quartic, sextic and
-# double-oscillator turning points the two broke even at 64 to 70 roots
-# (x86-64, Python 3.11, numpy 2.4).
-_LOCKSTEP_ROOTS = 64
+# Fewest roots that ``brentq_rows`` solves in lockstep on arrays.  On the
+# quartic, sextic and double-oscillator turning points, a lockstep solve
+# took 10 or 11 iterates (one array call of f and some 40 other array
+# operations each) and 1.0 to 1.3 ms at any row count from 2 to 72, the
+# scalar loop 20 to 27 us per root; the two broke even at 48 to 60 roots
+# (x86-64, one core, Python 3.11, numpy 2.4).
+_LOCKSTEP_ROOTS = 52
 
 
 def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
@@ -88,12 +89,18 @@ def brentq_rows(f, a, b, xtol: float, rtol: float, maxiter: int = 100):
     """``brentq`` on many brackets at once: for each row i, a root of
     ``f(x, i)`` in [a[i], b[i]].
 
-    Each row takes the scalar port's steps, operation for operation, on
-    the same floats ``f`` returns, so every root is bit for bit the one
-    ``brentq`` finds for that row alone.  From _LOCKSTEP_ROOTS rows on,
-    the rows step in lockstep on arrays and leave as they settle; fewer
-    rows run the scalar loop.  Errors are those of ``brentq``, for the
-    first row that meets one.  Returns an array of the roots.
+    From _LOCKSTEP_ROOTS rows on, the rows step in lockstep on arrays and
+    leave as they settle: each iterate is one call ``f(x, rows)`` on the
+    float array of the open rows' abscissae and the int array of their
+    row indices, returning the array of values.  Fewer rows run the
+    scalar loop, which calls ``f(x, row)`` with a float and an int.  Each
+    row takes the scalar port's steps, operation for operation, so every
+    root is bit for bit the one ``brentq`` finds for that row alone as
+    long as ``f`` gives each element of an array the bits it gives that
+    float.  Errors are those of ``brentq``, for the first row that meets
+    one; a NaN value is an error on either path, while an overflow or
+    invalid operation inside the array call is not.  Returns an array of
+    the roots.
     """
     if len(a) < _LOCKSTEP_ROOTS:
         return np.array([
@@ -102,9 +109,12 @@ def brentq_rows(f, a, b, xtol: float, rtol: float, maxiter: int = 100):
         ])
 
     def call(x, rows):
-        fx = np.array([f(xi, row) for xi, row in zip(x.tolist(), rows.tolist())])
+        # f on floats warns of no overflow or invalid operation: the NaN
+        # check below is the one signal, as in brentq
+        with np.errstate(all="ignore"):
+            fx = np.asarray(f(x, rows), dtype=float)
         if np.isnan(fx).any():
-            bad = x[np.isnan(fx)][0]
+            bad = float(x[np.isnan(fx)][0])
             raise ValueError(f"The function value at x={bad} is NaN; solver cannot continue.")
         return fx
 

@@ -133,15 +133,18 @@ def _turning_rows(analysis, E):
 
     Every energy must pass ``_energy_error``.  Solves v(x) = E on the
     barrier flanks [x_L, x_m] and [x_m, x_R] by Brent's method, all rows
-    and both flanks at once (``brentq_rows``), so each root is bit for
-    bit the one ``brentq`` finds for it alone.
+    and both flanks at once (``brentq_rows``).  The flank function takes
+    a float and a row index, or, on the lockstep path, an array of
+    abscissae and the array of their rows; each family's ``derivative``
+    gives arrays the bits it gives floats, so each root is bit for bit
+    the one ``brentq`` finds for it alone.
     """
     k = len(E)
     consts, shift, curve = analysis.consts, analysis.zero_shift, analysis.spec.derivative
-    target = list(E) * 2
+    target = np.concatenate([E, E])
 
-    def shifted(x, row):
-        return curve(x, 0, consts) - shift - target[row]
+    def shifted(x, rows):
+        return curve(x, 0, consts) - shift - target[rows]
 
     x = brentq_rows(
         shifted,

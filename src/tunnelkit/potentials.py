@@ -101,7 +101,8 @@ class BiasedQuartic:
 
     def derivative(self, x, k, consts):
         if k == 0:
-            return self.alpha * (x * x - self.a**2) ** 2 + self.beta * (x + self.a)
+            w = x * x - self.a**2
+            return self.alpha * (w * w) + self.beta * (x + self.a)
         if k == 1:
             return 4.0 * self.alpha * x * (x * x - self.a**2) + self.beta
         if k == 2:
@@ -161,7 +162,7 @@ class DoubleOscillator:
         else:
             omega, x0 = self.omega_R, self.x_right(consts)
         if k == 0:
-            out = 0.5 * m * omega**2 * (x - x0) ** 2
+            out = 0.5 * m * omega**2 * ((x - x0) * (x - x0))
             return out if left else self.tilde_eps + out
         if k == 1:
             return m * omega**2 * (x - x0)

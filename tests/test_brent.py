@@ -6,11 +6,12 @@ sequence, not only the same root.
 """
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
-from tunnelkit import DEFAULT_CONSTANTS as C, BiasedQuartic, DoubleOscillator, Polynomial, analyze
+from tunnelkit import DEFAULT_CONSTANTS as C, BiasedQuartic, DoubleOscillator, Mirrored, Polynomial, analyze
 from tunnelkit._brent import _LOCKSTEP_ROOTS, brentq, brentq_rows
 from util import sextic_coeffs
 
@@ -40,13 +41,23 @@ def _assert_same_steps(f, a, b, **kwargs):
     return port[0]
 
 
-WELLS = st.one_of(
-    st.builds(BiasedQuartic, st.floats(0.3, 40.0), st.floats(0.6, 2.0), st.floats(0.0, 0.5)),
+FAMILIES = st.one_of(
+    # beta up to a third of the largest tilt, 8 alpha a^3 / 3^1.5, that
+    # leaves two wells
+    st.builds(
+        lambda alpha, a, tilt: BiasedQuartic(alpha, a, tilt * alpha * a**3),
+        st.floats(0.3, 40.0),
+        st.floats(0.6, 2.0),
+        st.floats(0.0, 0.5),
+    ),
     st.builds(
         DoubleOscillator, st.floats(0.5, 2.0), st.floats(0.5, 2.0), st.floats(0.0, 0.5), st.floats(1.0, 12.0)
     ),
     st.builds(lambda s, t: Polynomial(tuple(sextic_coeffs(s, t))), st.floats(1.0, 400.0), st.floats(0.0, 1.0)),
 )
+# each family as given and reflected; the double oscillator's flanks end
+# on its kink, x_m = 0.0
+WELLS = st.one_of(FAMILIES, FAMILIES.map(Mirrored))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -67,25 +78,28 @@ def test_turning_point_flanks_take_scipys_steps(spec, frac):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(spec=WELLS, fracs=st.lists(st.floats(0.02, 0.98), min_size=1, max_size=3 * _LOCKSTEP_ROOTS))
-def test_rows_find_each_rows_scalar_root(spec, fracs):
-    # Both flanks at every energy: fewer rows than _LOCKSTEP_ROOTS run the
-    # scalar loop, more run in lockstep; each root is brentq's alone.
+@given(spec=WELLS, data=st.data())
+def test_rows_find_each_rows_scalar_root(spec, data):
+    # Both flanks at every energy, with fewer roots than _LOCKSTEP_ROOTS
+    # (the scalar loop) and then with more (lockstep, f taking arrays):
+    # each root is the one brentq finds for its row with a float f.
     a = analyze(spec, C)
     floor = max(0.0, a.tilde_eps)
-    energies = [floor + frac * (a.V0 - floor) for frac in fracs] * 2
-    n = len(fracs)
-    lo = [a.x_L] * n + [a.x_m] * n
-    hi = [a.x_m] * n + [a.x_R] * n
+    for min_size, max_size in [(1, (_LOCKSTEP_ROOTS - 1) // 2), ((_LOCKSTEP_ROOTS + 1) // 2, _LOCKSTEP_ROOTS)]:
+        fracs = data.draw(st.lists(st.floats(0.02, 0.98), min_size=min_size, max_size=max_size))
+        energies = np.array([floor + frac * (a.V0 - floor) for frac in fracs] * 2)
+        n = len(fracs)
+        lo = [a.x_L] * n + [a.x_m] * n
+        hi = [a.x_m] * n + [a.x_R] * n
 
-    def shifted(x, row):
-        return a.v(float(x)) - energies[row]
+        def shifted(x, rows):
+            return a.v(x) - energies[rows]
 
-    roots = brentq_rows(shifted, lo, hi, xtol=1e-15, rtol=8.9e-16)
-    assert roots.tolist() == [
-        brentq(lambda x, row=row: shifted(x, row), lo[row], hi[row], xtol=1e-15, rtol=8.9e-16)
-        for row in range(2 * n)
-    ]
+        roots = brentq_rows(shifted, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        assert roots.tolist() == [
+            brentq(lambda x: a.v(x) - e, lo[row], hi[row], xtol=1e-15, rtol=8.9e-16)
+            for row, e in enumerate(energies.tolist())
+        ]
 
 
 @pytest.mark.parametrize("count", [1, _LOCKSTEP_ROOTS])
@@ -94,6 +108,13 @@ def test_rows_raise_brentqs_errors(count):
         brentq_rows(lambda x, row: x * x + 1.0, [-1.0] * count, [1.0] * count, 1e-15, 8.9e-16)
     with pytest.raises(RuntimeError, match="Failed to converge after 2 iterations"):
         brentq_rows(lambda x, row: x**3 - 2.0, [0.0] * count, [2.0] * count, 1e-15, 8.9e-16, maxiter=2)
+    # NaN above x = 0.3 from an overflow times zero, which numpy warns of
+    # on arrays and floats do not: the NaN check still raises first
+    def overflow_nan(x, row):
+        return x - 0.5 + (x - 0.3 + abs(x - 0.3)) * 1e308 * 1e308 * 0.0
+
+    with pytest.raises(ValueError, match=r"^The function value at x=1\.0 is NaN; solver cannot continue\.$"):
+        brentq_rows(overflow_nan, [0.0] * count, [1.0] * count, 1e-15, 8.9e-16)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

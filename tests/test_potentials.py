@@ -101,6 +101,19 @@ class TestFamilyProtocol:
             assert fn(Mirrored(spec), float(x)) == sign * fn(spec, float(-x))
         np.testing.assert_array_equal(fn(Mirrored(spec), xs), sign * fn(spec, -xs))
 
+    @pytest.mark.parametrize("mirrored", [False, True], ids=["plain", "mirrored"])
+    @pytest.mark.parametrize("spec", FAMILIES, ids=FAMILY_IDS)
+    def test_arrays_get_each_floats_bits(self, spec, mirrored):
+        # lockstep root solves call a family on arrays and must get the
+        # bits of its float calls; y ** 2 on a float rounds through pow
+        # and misses y * y by an ulp now and then
+        if mirrored:
+            spec = Mirrored(spec)
+        xs = np.append(np.random.default_rng(1).uniform(-2.5, 2.5, 20000), 0.0)
+        for k in range(4):
+            floats = [spec.derivative(float(x), k, C) for x in xs]
+            assert _bits(spec.derivative(xs, k, C)) == _bits(floats)
+
     @pytest.mark.parametrize("spec", FAMILIES, ids=FAMILY_IDS)
     def test_mirror_delegates_family_and_kink(self, spec):
         flipped = Mirrored(spec)
