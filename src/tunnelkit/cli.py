@@ -52,7 +52,7 @@ from .errors import (
     TunnelkitError,
     WellStructureError,
 )
-from .oracle import _spectrum, eigen_lowest_two
+from .oracle import _flipped, _spectrum, eigen_lowest_two
 from .potentials import Mirrored, WellAnalysis, _unwrap, analyze
 from .splitting import (
     K_FIRST_ORDER,
@@ -258,12 +258,21 @@ def run_sweep(config: RunConfig):
     base = analyze(spec, consts, orient=config.orient, require_wkb=True)
     oracle = None
     if spec.kink and config.oracle_grid is not None:
-        family, odd = _unwrap(spec)
+        family, _ = _unwrap(spec)
+        flipped = _flipped(spec, base)
 
         def oracle(dialed):
-            # the member of the family that realizes the dialed bias
-            member = replace(family, tilde_eps=dialed.tilde_eps)
-            member_spec = Mirrored(member) if odd else member
+            # the member of the family that realizes the dialed well: built
+            # on the axis of the analysis, then seen from the config's axis,
+            # on which the grid's walls lie
+            member = replace(
+                family,
+                omega_L=dialed.omega_L,
+                omega_R=dialed.omega_R,
+                tilde_eps=dialed.tilde_eps,
+                V0=dialed.V0,
+            )
+            member_spec = Mirrored(member) if flipped else member
             member_analysis = analyze(member_spec, consts, orient=config.orient)
             return eigen_lowest_two(
                 member_spec, consts, config.oracle_grid, analysis=member_analysis
