@@ -141,10 +141,14 @@ def _turning_rows(analysis, E):
     """
     k = len(E)
     consts, shift, curve = analysis.consts, analysis.zero_shift, analysis.spec.derivative
-    target = np.concatenate([E, E])
+    target = list(E) * 2
+    targets = np.array(target)
 
     def shifted(x, rows):
-        return curve(x, 0, consts) - shift - target[rows]
+        # rows is an int on the scalar loop, where a list item keeps the
+        # arithmetic on Python floats, and an int array in lockstep
+        e = target[rows] if type(rows) is int else targets[rows]
+        return curve(x, 0, consts) - shift - e
 
     x = brentq_rows(
         shifted,
