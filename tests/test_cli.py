@@ -912,26 +912,33 @@ class TestMirroredGrid:
         _, mirrored = runner(config(dict(potential, mirror=True), -8.0, 9.0))
         assert mirrored == plain
 
-    def test_a_kept_mirror_solves_its_own_members(self):
-        # "keep" analyzes the mirrored double oscillator on the config's
-        # axis, where the wells trade frequencies and the barrier stands
-        # V0 - tilde_eps above the left floor: each oracle member is that
-        # well with the dialed bias, on the same walls.  Dyadic tilde_eps
-        # and V0 make V0 - tilde_eps exact.
+    @pytest.mark.parametrize(
+        "mirrored,plain",
+        [
+            # "keep" stays on the config's axis, where the wells trade
+            # frequencies and the barrier stands V0 - tilde_eps above the
+            # left floor (dyadic values make that exact)
+            ({"omega_L": 1.0, "omega_R": 1.25, "tilde_eps": 0.125, "V0": 4.0, "orient": "keep"},
+             {"omega_L": 1.25, "omega_R": 1.0, "tilde_eps": 0.125, "V0": 3.875}),
+            # "auto" reflects equal floors onto the config's axis too
+            ({"omega_L": 1.0, "omega_R": 1.25, "tilde_eps": 0.0, "V0": 4.0},
+             {"omega_L": 1.25, "omega_R": 1.0, "tilde_eps": 0.0, "V0": 4.0}),
+        ],
+        ids=["keep", "auto_equal_floors"],
+    )
+    def test_a_mirror_analyzed_on_its_axis_solves_its_own_members(self, mirrored, plain):
+        # each oracle member is the analyzed well with the dialed bias, on
+        # the same walls: the plain double oscillator the analysis sees
         def oracle_columns(potential):
             doc, _ = run_sweep(parse_config({
                 "schema": "tunnelkit/1",
-                "potential": potential,
+                "potential": dict(potential, family="double_oscillator"),
                 "oracle_grid": {"x_min": -9.0, "x_max": 8.0, "n_points": 2001},
                 "sweep": {"parameter": "tilde_eps", "from": 0.125, "to": 0.25, "steps": 5},
             }))
             return [row["oracle"] for row in doc["rows"]]
 
-        kept = {"family": "double_oscillator", "omega_L": 1.0, "omega_R": 1.25,
-                "tilde_eps": 0.125, "V0": 4.0, "mirror": True, "orient": "keep"}
-        reflected = {"family": "double_oscillator", "omega_L": 1.25, "omega_R": 1.0,
-                     "tilde_eps": 0.125, "V0": 3.875}
-        assert oracle_columns(kept) == oracle_columns(reflected)
+        assert oracle_columns(dict(mirrored, mirror=True)) == oracle_columns(plain)
 
 
 class TestMirroredSmoothWell:
