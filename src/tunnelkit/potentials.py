@@ -12,7 +12,10 @@ members, and every caller goes through them:
                              geometry and a grid node on x = 0
     derivative(x, k, consts) the k-th derivative of V at x, k = 0..3, for
                              a float or a float ndarray x, returned as
-                             the same kind
+                             the same kind; each element of an array
+                             gets the bits that float gets (so squares
+                             are y * y: y ** 2 on a float goes through
+                             pow, which can miss by an ulp)
 
 ``Mirrored`` delegates each of them to its inner family, with x -> -x.
 The families that ``analyze`` scans for stationary points (all but the
