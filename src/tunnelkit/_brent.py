@@ -90,14 +90,14 @@ def brentq_rows(f, a, b, xtol: float, rtol: float, maxiter: int = 100):
     ``f(x, i)`` in [a[i], b[i]].
 
     From _LOCKSTEP_ROOTS rows on, the rows step in lockstep on arrays and
-    leave as they settle: each iterate is one call ``f(x, rows)`` on the
-    float array of the open rows' abscissae and the int array of their
-    row indices, returning the array of values.  Fewer rows run the
-    scalar loop, which calls ``f(x, row)`` with a float and an int.  Each
-    row takes the scalar port's steps, operation for operation, so every
-    root is bit for bit the one ``brentq`` finds for that row alone as
-    long as ``f`` gives each element of an array the bits it gives that
-    float.  Errors are those of ``brentq``, for the first row that meets
+    stay in place: a settled row's lane runs on, but is not read.  Each
+    iterate is one call ``f(x, rows)`` on the float array of the open
+    rows' abscissae and the int array of their row indices, returning the
+    array of values.  Fewer rows run the scalar loop, which calls
+    ``f(x, row)`` with a float and an int.  Each row takes the scalar
+    port's steps, operation for operation, so every root is bit for bit
+    the one ``brentq`` finds for that row alone as long as ``f`` gives
+    each element of an array the bits it gives that float.  Errors are those of ``brentq``, for the first row that meets
     one; a NaN value is an error on either path, while an overflow or
     invalid operation inside the array call is not.  Returns an array of
     the roots.
@@ -124,12 +124,11 @@ def brentq_rows(f, a, b, xtol: float, rtol: float, maxiter: int = 100):
     fpre, fcur = call(xpre, rows), call(xcur, rows)
     out[fcur == 0.0] = xcur[fcur == 0.0]
     out[fpre == 0.0] = xpre[fpre == 0.0]
-    keep = (fpre != 0.0) & (fcur != 0.0)
-    if ((fpre[keep] < 0.0) == (fcur[keep] < 0.0)).any():
+    live = (fpre != 0.0) & (fcur != 0.0)
+    if ((fpre[live] < 0.0) == (fcur[live] < 0.0)).any():
         raise ValueError("f(a) and f(b) must have different signs")
-    rows, xpre, xcur, fpre, fcur = rows[keep], xpre[keep], xcur[keep], fpre[keep], fcur[keep]
     xblk = fblk = spre = scur = np.zeros(rows.size)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         for _ in range(maxiter):
             flip = (fpre != 0.0) & (fcur != 0.0) & ((fpre < 0.0) != (fcur < 0.0))
             xblk, fblk = np.where(flip, xpre, xblk), np.where(flip, fpre, fblk)
@@ -140,15 +139,11 @@ def brentq_rows(f, a, b, xtol: float, rtol: float, maxiter: int = 100):
             fpre, fcur, fblk = np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
             delta = (xtol + rtol * np.abs(xcur)) / 2
             sbis = (xblk - xcur) / 2
-            done = (fcur == 0.0) | (np.abs(sbis) < delta)
-            if done.any():
-                out[rows[done]] = xcur[done]
-                left = ~done
-                if not left.any():
-                    return out
-                rows, xpre, xcur, xblk = rows[left], xpre[left], xcur[left], xblk[left]
-                fpre, fcur, fblk = fpre[left], fcur[left], fblk[left]
-                spre, scur, delta, sbis = spre[left], scur[left], delta[left], sbis[left]
+            done = live & ((fcur == 0.0) | (np.abs(sbis) < delta))
+            out[done] = xcur[done]
+            live &= ~done
+            if not live.any():
+                return out
             # interpolate (secant) or extrapolate (inverse quadratic)
             dpre = (fpre - fcur) / (xpre - xcur)
             dblk = (fblk - fcur) / (xblk - xcur)
@@ -165,7 +160,9 @@ def brentq_rows(f, a, b, xtol: float, rtol: float, maxiter: int = 100):
             spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
             xpre, fpre = xcur, fcur
             xcur = np.where(np.abs(scur) > delta, xcur + scur, xcur + np.where(sbis > 0, delta, -delta))
-            fcur = call(xcur, rows)
+            # fpre holds fcur's array: the open rows' values go into a copy
+            fcur = fcur.copy()
+            fcur[live] = call(xcur[live], rows[live])
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
