@@ -14,7 +14,7 @@ The levels of a grid come from block inverse iteration (Golub and Van
 Loan, Matrix Computations, sections 8.2.2 and 8.4; Parlett, The
 Symmetric Eigenvalue Problem).  A coarse seed grid over the same walls
 is solved for its three lowest levels and their vectors by bisection
-(LAPACK stebz and stein, through ``eigh_tridiagonal``).  Its two vectors,
+(LAPACK stebz and stein, through scipy's ``eigh_tridiagonal``).  Its two vectors,
 interpolated onto the grid, go through shifted tridiagonal solves (LAPACK
 gtsv), shift j being seed level j, and a Rayleigh-Ritz step summed
 without cancellation, until the Ritz values settle.  Inertia proves them
@@ -26,9 +26,9 @@ Bisection alone would carry its stopping tolerance, eps times the 1-norm
 of H, which grows as 1/h^2, into the doublet gap.
 
 This is the only module that needs scipy, and it imports
-``scipy.linalg`` on the first solve, inside ``eigh_tridiagonal``: that
-import takes longer than a whole semiclassical analysis, so
-``import tunnelkit`` and the runs that never solve leave scipy unloaded.
+``scipy.linalg`` on the first solve, inside ``_seed``: that import takes
+longer than a whole semiclassical analysis, so ``import tunnelkit`` and
+the runs that never solve leave scipy unloaded.
 """
 
 import math
@@ -137,17 +137,6 @@ def default_grid(
     return GridSpec(x_min=x_min, x_max=x_max)
 
 
-def eigh_tridiagonal(d, e, **kwargs):
-    """``scipy.linalg.eigh_tridiagonal``, with scipy imported on first use.
-
-    The name is looked up on ``scipy.linalg`` at every call, so a wrapper
-    placed there later is the one called.
-    """
-    from scipy.linalg import eigh_tridiagonal as solve
-
-    return solve(d, e, **kwargs)
-
-
 # A grid's seeds are its halvings, (n + 1) // 2 nodes at twice the spacing
 # at a time, from the first with fewer than _SEED_POINTS nodes up to the
 # grid itself: the coarsest seeds it, and each finer one only when the
@@ -177,6 +166,8 @@ def _seed_sizes(n_points: int) -> list[int]:
 
 def _seed(v, consts: PhysConstants, grid: GridSpec, n_points: int, snap: bool):
     """Nodes, three lowest levels and their vectors on the n_points seed grid."""
+    from scipy.linalg import eigh_tridiagonal
+
     x = _grid_nodes(grid, n_points, snap)
     t, vx = _hamiltonian(v, consts, x)
     levels, vectors = eigh_tridiagonal(

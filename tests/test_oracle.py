@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from tunnelkit import (
     BiasedQuartic,
@@ -226,7 +227,7 @@ class TestInertiaProof:
     def harmonic(self):
         x = np.linspace(-8.0, 8.0, 401)
         t, vx = oracle._hamiltonian(lambda x: 0.5 * x * x, C, x)
-        levels = oracle.eigh_tridiagonal(
+        levels = eigh_tridiagonal(
             vx + 2.0 * t, np.full(vx.size - 1, -t), eigvals_only=True,
             select="i", select_range=(0, 3),
         )
