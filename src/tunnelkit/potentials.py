@@ -422,9 +422,9 @@ def analyze(
     potential renormalized so v(x_L) = 0.  Set ``orient="keep"`` to stay
     on the axis of ``spec`` (tilde_eps may then be negative).
 
-    ``spec`` of the result is the spec given, or ``mirror(spec)`` when
-    the geometry is reflected; for the double oscillator, nested mirrors
-    collapse to the bare family or one ``Mirrored`` of it.
+    ``spec`` of the result is the bare family, or one ``Mirrored`` of it
+    when the geometry is reflected: nested mirrors collapse, for every
+    family.
 
     Args:
         spec: potential description.
@@ -474,10 +474,7 @@ def _locate(spec, consts, orient):
     else:
         # the deeper well on the left; with equal floors, the axis of spec
         flip = v_lo >= v_hi if odd else v_lo > v_hi
-    if kink:
-        spec = Mirrored(family) if flip else family
-    elif flip != odd:
-        spec = mirror(spec)
+    spec = Mirrored(family) if flip else family
     if flip:
         x_lo, x_hi, x_m = 0.0 - x_hi, 0.0 - x_lo, 0.0 - x_m
         omega_lo, omega_hi, v_lo, v_hi = omega_hi, omega_lo, v_hi, v_lo
@@ -492,7 +489,7 @@ def _locate(spec, consts, orient):
         tilde_eps=v_hi - v_lo,
         V0=v_m - v_lo,
         zero_shift=v_lo,
-        mirrored=isinstance(spec, Mirrored),
+        mirrored=flip,
     )
 
 

@@ -444,13 +444,12 @@ class TestNestedMirrors:
         assert _geometry(thrice) == _geometry(once)
         assert thrice.spec == once.spec
 
-    def test_doubly_mirrored_quartic_keeps_its_axis(self):
-        # not collapsed: the scan sees the same curve, flagged as mirrored
+    def test_doubly_mirrored_quartic_collapses(self):
+        # two reflections are none: the bare family on its own axis
         spec = BiasedQuartic(3.0, 1.0, 0.15)
         twice = analyze(Mirrored(Mirrored(spec)), C)
-        assert twice.spec == Mirrored(Mirrored(spec))
-        assert twice.mirrored
-        assert _geometry(twice) == {**_geometry(analyze(spec, C)), "mirrored": True}
+        assert twice.spec == spec
+        assert _geometry(twice) == _geometry(analyze(spec, C))
 
 
 class TestOrientOnce:
