@@ -375,8 +375,7 @@ def _stationary_points(spec, consts, window, n):
     tests; only the few brackets run Python code.
 
     Returns a sorted list of (x, kind) with kind "min" for an upward
-    crossing of V' and "max" for a downward one; refinements closer than
-    1e-10 of the window scale are merged.
+    crossing of V' and "max" for a downward one.
     """
     xs = np.linspace(window[0], window[1], n)
     d1 = evaluate_d1(spec, xs, consts)
@@ -392,15 +391,7 @@ def _stationary_points(spec, consts, window, n):
     for i in np.flatnonzero((lo != 0.0) & (lo * hi < 0.0)):
         root = brentq(slope, xs[i], xs[i + 1], xtol=1e-15, rtol=8.9e-16)
         found.append((float(root), "min" if lo[i] < 0.0 else "max"))
-
-    # dedupe near-coincident refinements
-    scale = max(abs(window[0]), abs(window[1]), 1.0)
-    out = []
-    for x, kind in sorted(found):
-        if out and abs(x - out[-1][0]) <= 1e-10 * scale:
-            continue
-        out.append((x, kind))
-    return out
+    return sorted(found)
 
 
 def analyze(
