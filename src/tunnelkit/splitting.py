@@ -151,12 +151,7 @@ def level_splitting(eps: float, delta: float) -> float:
 
 @dataclass(frozen=True)
 class QuantizationResult:
-    """Roots of the quantization condition and per-root diagnostics.
-
-    The zeta of the well a biased root sits in is the cancellation
-    (delta +/- eps/2) / (hbar w) of that well, so it keeps only absolute
-    accuracy; the gap is read from zeta_L.
-    """
+    """Roots of the quantization condition and per-root diagnostics."""
 
     E_plus: float
     E_minus: float
@@ -180,6 +175,18 @@ def _zetas(analysis: WellAnalysis, delta: float):
         (half_eps + delta) / (hbar * analysis.omega_L),
         (delta - half_eps) / (hbar * analysis.omega_R),
     )
+
+
+def _root_zetas(analysis: WellAnalysis, delta: float, tail: float):
+    # (zeta_L, zeta_R) of a root at offset delta, where the condition's
+    # right side is tail.  The zeta of the well the root sits in, the
+    # smaller one, is the cancellation delta -/+ eps/2 in _zetas, rounding
+    # noise of eps/2; the condition zeta_L zeta_R = tail gives it from the
+    # other zeta instead.
+    zl, zr = _zetas(analysis, delta)
+    if abs(zl) < abs(zr):
+        return tail / zr, zr
+    return zl, tail / zl
 
 
 def _energy_window(analysis: WellAnalysis):
@@ -224,9 +231,10 @@ def _newton_root(analyses, deltas, windows, rtol):
     window windows[i] = (lo, hi) of offsets.  Every iterate takes the
     actions of all open rows in one ``action_rows`` batch; each row's
     iterates depend on its own data alone.  Returns one entry per row:
-    (root offset, residual at the root); or the cause that ended it, an
-    iterate that left the window or |zeta| < 0.4, or a step not settled
-    after _NEWTON_STEPS iterates; or the TunnelkitError of its action.
+    (root offset, residual at the root, f(zeta_L) f(zeta_R) exp(-2 I)
+    there); or the cause that ended it, an iterate that left the window
+    or |zeta| < 0.4, or a step not settled after _NEWTON_STEPS iterates;
+    or the TunnelkitError of its action.
     """
     out = [None] * len(analyses)
     deltas = list(deltas)
@@ -266,7 +274,7 @@ def _newton_root(analyses, deltas, windows, rtol):
             )
             step = res / slope
             if abs(step) <= _STEP_RTOL * abs(delta):
-                out[r] = (delta, res)
+                out[r] = (delta, res, tail)
             else:
                 deltas[r] = delta - step
                 open_rows.append(r)
@@ -287,10 +295,10 @@ def _roots(analysis, plus, minus):
             )
         if isinstance(end, TunnelkitError):
             return None, end
-    (d_plus, res_plus), (d_minus, res_minus) = plus, minus
+    (d_plus, res_plus, tail_plus), (d_minus, res_minus, tail_minus) = plus, minus
     e_bar = analysis.E_bar
-    zl_p, zr_p = _zetas(analysis, d_plus)
-    zl_m, zr_m = _zetas(analysis, d_minus)
+    zl_p, zr_p = _root_zetas(analysis, d_plus, tail_plus)
+    zl_m, zr_m = _root_zetas(analysis, d_minus, tail_minus)
     roots = QuantizationResult(
         E_plus=e_bar + d_plus,
         E_minus=e_bar + d_minus,
