@@ -5,10 +5,11 @@ records the abscissae each solver evaluates and requires the same
 sequence, not only the same root.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq as scipy_brentq
 
 from tunnelkit import DEFAULT_CONSTANTS as C, BiasedQuartic, DoubleOscillator, Mirrored, Polynomial, analyze
@@ -100,6 +101,46 @@ def test_rows_find_each_rows_scalar_root(spec, data):
             brentq(lambda x: a.v(x) - e, lo[row], hi[row], xtol=1e-15, rtol=8.9e-16)
             for row, e in enumerate(energies.tolist())
         ]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.floats(-3.0, 3.0),
+            st.sampled_from(["lo", "hi", "both", "open"]),
+            st.floats(0.01, 4.0),
+            # a settled row's far end may be huge: its lane, run on unread,
+            # then overflows
+            st.one_of(st.floats(0.01, 4.0), st.just(1.7e308)),
+        ),
+        min_size=_LOCKSTEP_ROOTS,
+        max_size=2 * _LOCKSTEP_ROOTS,
+    )
+)
+def test_rows_settled_at_an_end_run_on_unread(rows):
+    # Rows whose f is exactly 0 at a bracket end settle before the first
+    # iterate, among open rows: each root is still the one brentq finds
+    # for its row alone, and the lanes run on without a warning.
+    kinds = {kind for _, kind, _, _ in rows}
+    assume("open" in kinds and len(kinds) > 1)
+    r = [root for root, _, _, _ in rows]
+    lo, hi = [], []
+    for root, kind, width, far in rows:
+        lo.append({"lo": root, "both": root, "hi": root - far}.get(kind, root - width))
+        hi.append({"hi": root, "both": root, "lo": root + far}.get(kind, root + 0.5 * width))
+
+    def cubic(x, r):
+        d = x - r
+        return d * d * d + d
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = brentq_rows(lambda x, rows: cubic(x, np.array(r)[rows]), lo, hi, xtol=1e-15, rtol=8.9e-16)
+    assert roots.tolist() == [
+        brentq(lambda x: cubic(x, r[row]), lo[row], hi[row], xtol=1e-15, rtol=8.9e-16)
+        for row in range(len(rows))
+    ]
 
 
 @pytest.mark.parametrize("count", [1, _LOCKSTEP_ROOTS])

@@ -1,6 +1,7 @@
 """Spectral functions, doublet formulas, and the quantization solver."""
 import collections
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,7 @@ from tunnelkit import (
     K_FIRST_ORDER,
     PhysConstants,
     Polynomial,
+    QuadratureNonConvergence,
     RootNotBracketed,
     TunnelkitError,
     action_slope,
@@ -32,9 +34,12 @@ from tunnelkit import (
     level_shifts,
     level_splitting,
     mirror,
+    parse_config,
     solve_quantization,
     splitting,
 )
+from tunnelkit import cli
+from tunnelkit.actions import action_rows
 from tunnelkit.splitting import compute_splittings
 from util import BRACKET_RTOL, BRACKET_XTOL, DEEP_WELLS, deep_quartic, deep_sextic, solve_bracketed
 
@@ -535,6 +540,53 @@ class TestComputeSplitting:
             (RootNotBracketed, True): 7,
             (EnergyBelowWellBottom, False): 5,
         }
+
+    def test_an_action_error_in_a_newton_iterate_ends_the_solve(self, monkeypatch, tmp_path, capsys):
+        # The second action_rows batch fails on its first row: an iterate
+        # of E_plus (the first iterate where the mean level's action came
+        # in the first batch, the second in compute_splitting).  Its error
+        # is the solve's, raised by every caller and never read as an
+        # unbracketed root.
+        error = QuadratureNonConvergence("injected into a Newton iterate")
+
+        def inject():
+            batches = []
+
+            def second_fails(analyses, E, *, rtol):
+                rows = action_rows(analyses, E, rtol=rtol)
+                batches.append(len(rows))
+                if len(batches) == 2:
+                    rows[0] = error
+                return rows
+
+            monkeypatch.setattr(splitting, "action_rows", second_fails)
+            return batches
+
+        spec = DoubleOscillator(1.0, 1.4, 0.1, 8.0)
+        a = analyze(spec, C, require_wkb=True)
+        batches = inject()
+        [(result, err)] = compute_splittings([a])
+        assert len(batches) >= 2 and err is error
+        assert result.roots is None and result == compute_splitting(spec, C, analysis=a, solve=False)
+        batches = inject()
+        with pytest.raises(QuadratureNonConvergence) as raised:
+            compute_splitting(spec, C, analysis=a)
+        assert len(batches) >= 2 and raised.value is error
+        doc = {
+            "schema": "tunnelkit/1",
+            "potential": {
+                "family": "double_oscillator", "omega_L": 1.0, "omega_R": 1.4, "tilde_eps": 0.1, "V0": 8.0,
+            },
+        }
+        inject()
+        with pytest.raises(QuadratureNonConvergence) as raised:
+            cli.run_analyze(parse_config(doc))
+        assert raised.value is error
+        path = tmp_path / "analyze.json"
+        path.write_text(json.dumps(doc))
+        inject()
+        assert cli.main(["analyze", str(path)]) == 4
+        assert capsys.readouterr().err == "numerical error: injected into a Newton iterate\n"
 
     def test_solve_flag_off_leaves_transcendental_fields_empty(self):
         spec = BiasedQuartic(3.0, 1.0, 0.15)
