@@ -97,10 +97,10 @@ def brentq_rows(f, a, b, xtol: float, rtol: float, maxiter: int = 100):
     ``f(x, row)`` with a float and an int.  Each row takes the scalar
     port's steps, operation for operation, so every root is bit for bit
     the one ``brentq`` finds for that row alone as long as ``f`` gives
-    each element of an array the bits it gives that float.  Errors are those of ``brentq``, for the first row that meets
-    one; a NaN value is an error on either path, while an overflow or
-    invalid operation inside the array call is not.  Returns an array of
-    the roots.
+    each element of an array the bits it gives that float.  Errors are
+    those of ``brentq``, for the first row that meets one; a NaN value is
+    an error on either path, while an overflow or invalid operation inside
+    the array call is not.  Returns an array of the roots.
     """
     if len(a) < _LOCKSTEP_ROOTS:
         return np.array([

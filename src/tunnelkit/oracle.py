@@ -14,7 +14,7 @@ The levels of a grid come from block inverse iteration (Golub and Van
 Loan, Matrix Computations, sections 8.2.2 and 8.4; Parlett, The
 Symmetric Eigenvalue Problem).  A coarse seed grid over the same walls
 is solved for its three lowest levels and their vectors by bisection
-(LAPACK stebz and stein, through scipy's ``eigh_tridiagonal``).  Its two vectors,
+(LAPACK stebz and stein, through ``eigh_tridiagonal``).  Its two vectors,
 interpolated onto the grid, go through shifted tridiagonal solves (LAPACK
 gtsv), shift j being seed level j, and a Rayleigh-Ritz step summed
 without cancellation, until the Ritz values settle.  Inertia proves them

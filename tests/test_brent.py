@@ -125,18 +125,24 @@ def test_rows_settled_at_an_end_run_on_unread(rows):
     kinds = {kind for _, kind, _, _ in rows}
     assume("open" in kinds and len(kinds) > 1)
     r = [root for root, _, _, _ in rows]
-    lo, hi = [], []
-    for root, kind, width, far in rows:
-        lo.append({"lo": root, "both": root, "hi": root - far}.get(kind, root - width))
-        hi.append({"hi": root, "both": root, "lo": root + far}.get(kind, root + 0.5 * width))
+    lo, hi = zip(*(
+        {
+            "lo": (root, root + far),
+            "hi": (root - far, root),
+            "both": (root, root),
+            "open": (root - width, root + 0.5 * width),
+        }[kind]
+        for root, kind, width, far in rows
+    ))
 
     def cubic(x, r):
         d = x - r
         return d * d * d + d
 
+    r_rows = np.array(r)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        roots = brentq_rows(lambda x, rows: cubic(x, np.array(r)[rows]), lo, hi, xtol=1e-15, rtol=8.9e-16)
+        roots = brentq_rows(lambda x, rows: cubic(x, r_rows[rows]), lo, hi, xtol=1e-15, rtol=8.9e-16)
     assert roots.tolist() == [
         brentq(lambda x: cubic(x, r[row]), lo[row], hi[row], xtol=1e-15, rtol=8.9e-16)
         for row in range(len(rows))
