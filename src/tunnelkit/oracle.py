@@ -17,11 +17,14 @@ is solved for its three lowest levels and their vectors by bisection
 (LAPACK stebz and stein, through ``eigh_tridiagonal``).  Its two vectors,
 interpolated onto the grid, go through shifted tridiagonal solves (LAPACK
 gtsv), shift j being seed level j, and a Rayleigh-Ritz step summed
-without cancellation, until the Ritz values settle.  Inertia proves them
-the two lowest: H - lo factors as LDL^T (LAPACK pttrf), and a Sturm count
-(stebz) puts exactly two levels in (lo, hi].  A pair that does not settle
-or is not proven is solved again from the next finer seed, up to the grid
-itself, so a seed too coarse for the wells costs time, not the answer.
+without cancellation and rotated in closed form, until a residual bound
+certifies them: the quadratic bound of a Ritz pair puts each level of H
+within (|r0|^2 + |r1|^2) / (hi - theta_1) of its Ritz value.  Inertia
+proves them the two lowest, and so every other level above hi: H - lo
+factors as LDL^T (LAPACK pttrf), and a Sturm count (stebz) puts exactly
+two levels in (lo, hi].  A pair that is not certified or not proven is
+solved again from the next finer seed, up to the grid itself, so a seed
+too coarse for the wells costs time, not the answer.
 Bisection alone would carry its stopping tolerance, eps times the 1-norm
 of H, which grows as 1/h^2, into the doublet gap.
 
@@ -140,12 +143,13 @@ def default_grid(
 # A grid's seeds are its halvings, (n + 1) // 2 nodes at twice the spacing
 # at a time, from the first with fewer than _SEED_POINTS nodes up to the
 # grid itself: the coarsest seeds it, and each finer one only when the
-# coarser gave no settled, proven pair.  A grid of n nodes and its
+# coarser gave no certified, proven pair.  A grid of n nodes and its
 # Richardson partner of 2n - 1 share every seed up to n.
 _SEED_POINTS = 1024
-# A grid's Ritz pair has settled when no Ritz value moves by more than
-# _SETTLE times the pair's kinetic plus absolute potential energy in a
-# sweep; a pair still moving after _MAX_SWEEPS sweeps is not resolved.
+# A grid's Ritz pair is certified when a residual bound puts each level of
+# H within _SETTLE times the pair's kinetic plus absolute potential energy
+# of its Ritz value; a pair not certified after _MAX_SWEEPS sweeps is not
+# resolved.
 _SETTLE = 1e-12
 _MAX_SWEEPS = 8
 
@@ -185,6 +189,49 @@ def _sum_of_products(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i->", a, b))
 
 
+def _eigh2(a: float, b: float, c: float):
+    """Ascending eigenvalues of [[a, b], [b, c]] and the unit vector (cs, sn) of the lower.
+
+    The closed-form rotation of LAPACK dlaev2: the eigenvalue of larger
+    magnitude from the half sum and the half discriminant, the other as
+    the determinant over it, so neither comes from a difference of the two.
+    The upper eigenvalue's vector is (-sn, cs).  Plain float arithmetic,
+    with no BLAS or LAPACK kernel picked per CPU.
+    """
+    sm, df, tb = a + c, a - c, b + b
+    adf, ab = abs(df), abs(tb)
+    acmx, acmn = (a, c) if abs(a) > abs(c) else (c, a)
+    if adf > ab:
+        rt = adf * math.sqrt(1.0 + (ab / adf) ** 2)
+    elif adf < ab:
+        rt = ab * math.sqrt(1.0 + (adf / ab) ** 2)
+    else:
+        rt = ab * math.sqrt(2.0)
+    if sm == 0.0:
+        rt1, rt2, sgn1 = 0.5 * rt, -0.5 * rt, 1.0
+    else:
+        rt1 = 0.5 * (sm + math.copysign(rt, sm))
+        rt2 = (acmx / rt1) * acmn - (b / rt1) * b
+        sgn1 = math.copysign(1.0, sm)
+    # the unit vector (cs1, sn1) of rt1
+    cs = df + rt if df >= 0.0 else df - rt
+    if abs(cs) > ab:
+        ct = -tb / cs
+        sn1 = 1.0 / math.sqrt(1.0 + ct * ct)
+        cs1 = ct * sn1
+    elif ab == 0.0:
+        cs1, sn1 = 1.0, 0.0
+    else:
+        tn = -cs / tb
+        cs1 = 1.0 / math.sqrt(1.0 + tn * tn)
+        sn1 = tn * cs1
+    if (sgn1 > 0.0) == (df >= 0.0):
+        cs1, sn1 = -sn1, cs1
+    if rt1 > rt2:  # rt1 is the upper level, so the lower one's vector is (-sn1, cs1)
+        return rt2, rt1, -sn1, cs1
+    return rt1, rt2, cs1, sn1
+
+
 def _rayleigh_ritz(block: np.ndarray, t: float, vx: np.ndarray):
     """Orthonormalize the two columns of ``block``, turn them into Ritz vectors.
 
@@ -204,33 +251,71 @@ def _rayleigh_ritz(block: np.ndarray, t: float, vx: np.ndarray):
             break
     q1 /= size
     d0, d1 = np.diff(q0), np.diff(q1)
-    k01 = _sum_of_products(d0, d1)
-    kinetic = np.array([[_sum_of_products(d0, d0), k01], [k01, _sum_of_products(d1, d1)]])
+    (a0, a1), (b0, b1) = block[0], block[-1]  # the nodes next to the walls
+    k00 = t * (_sum_of_products(d0, d0) + a0 * a0 + b0 * b0)
+    k01 = t * (_sum_of_products(d0, d1) + a0 * a1 + b0 * b1)
+    k11 = t * (_sum_of_products(d1, d1) + a1 * a1 + b1 * b1)
     del d0, d1
-    kinetic = t * (kinetic + np.outer(block[0], block[0]) + np.outer(block[-1], block[-1]))
     vq0 = vx * q0
-    v01 = _sum_of_products(vq0, q1)
-    potential = np.array([[_sum_of_products(vq0, q0), v01], [v01, _sum_of_products(vx * q1, q1)]])
+    v00, v01 = _sum_of_products(vq0, q0), _sum_of_products(vq0, q1)
     del vq0
-    levels, ((r00, r01), (r10, r11)) = np.linalg.eigh(kinetic + potential)
-    turned = r00 * q0 + r10 * q1  # block @ rotation, one column at a time
-    q1 *= r11
-    q1 += r01 * q0
+    v11 = _sum_of_products(vx * q1, q1)
+    low, high, cs, sn = _eigh2(k00 + v00, k01 + v01, k11 + v11)
+    turned = cs * q0 + sn * q1  # block @ rotation, one column at a time
+    q1 *= cs
+    q1 -= sn * q0
     q0[:] = turned
-    return levels, np.trace(kinetic) + np.abs(np.diag(potential)).sum()
+    return (low, high), k00 + k11 + abs(v00) + abs(v11)
 
 
-def _polish(t: float, vx: np.ndarray, block: np.ndarray, shifts, where: str):
+def _squared_residuals(t: float, vx: np.ndarray, block: np.ndarray, levels, diag, lower) -> float:
+    """|r_0|^2 + |r_1|^2, r_j = (H - theta_j) q_j for the Ritz pair in ``block``.
+
+    Each r_j is formed in the buffer ``diag`` as (v - theta_j) q_j +
+    t (d_i-1 - d_i), d_i = q_i+1 - q_i (in ``lower``) with the walls as
+    zeros: from differences, as the Ritz values are, since 2t + v - theta_j
+    would round by eps t, which grows as 1/h^2.  Each |r_j| carries an
+    allowance for its rounding before it is squared.
+    """
+    squares = 0.0
+    for j, level in enumerate(levels):
+        q = block[:, j]
+        np.subtract(q[1:], q[:-1], out=lower)
+        lower *= t
+        kinetic = math.sqrt(_sum_of_products(lower, lower) + (t * q[0]) ** 2 + (t * q[-1]) ** 2)
+        np.subtract(vx, level, out=diag)
+        diag *= q
+        potential = math.sqrt(_sum_of_products(diag, diag))
+        diag[:-1] -= lower
+        diag[1:] += lower
+        diag[0] += t * q[0]
+        diag[-1] += t * q[-1]
+        # entry i rounds three times over at most
+        # |(v_i - theta_j) q_i| + t |d_i-1| + t |d_i|
+        rounding = 3.0 * math.ulp(1.0) * (potential + 2.0 * kinetic)
+        squares += (math.sqrt(_sum_of_products(diag, diag)) + rounding) ** 2
+    return squares
+
+
+def _polish(t: float, vx: np.ndarray, block: np.ndarray, shifts, ceiling: float, where: str):
     """Two lowest levels by block inverse iteration from the start ``block``.
 
     Column j is solved with H - shifts[j] in each sweep, then the block
-    goes through Rayleigh-Ritz, until the Ritz values settle.
+    goes through Rayleigh-Ritz, until a residual bound certifies the Ritz
+    values.  The bound is the quadratic one of a Ritz pair (Parlett, The
+    Symmetric Eigenvalue Problem, chapter 11; Mathias, SIAM J. Matrix
+    Anal. Appl. 19 (1998) 541): each level of H lies within
+    (|r0|^2 + |r1|^2) / gap of its Ritz value, r_j = (H - theta_j) q_j and
+    gap the distance to the rest of the spectrum.  Once ``_prove_lowest``
+    puts exactly two levels in (lo, hi] and none below lo, every other
+    level lies above hi, halfway from theta_1 to ``ceiling``, so gap is at
+    least hi - theta_1.  The pair is returned once that bound is within
+    _SETTLE of its scale.  Block keeps the Ritz vectors.
     """
     from scipy.linalg.lapack import dgtsv
 
     n = vx.size
     lower, diag, upper = np.empty(n - 1), np.empty(n), np.empty(n - 1)
-    levels = shifts
     for _ in range(_MAX_SWEEPS):
         for j, shift in enumerate(shifts):
             lower.fill(-t)
@@ -243,11 +328,25 @@ def _polish(t: float, vx: np.ndarray, block: np.ndarray, shifts, where: str):
             if info != 0:
                 raise GridTooCoarse(f"H - {shift:g} is singular on {where}")
             block[:, j : j + 1] = solved
-        previous = levels
         levels, scale = _rayleigh_ritz(block, t, vx)
-        if np.abs(levels - previous).max() <= _SETTLE * scale:
+        gap = _halfway(levels, ceiling, where) - levels[1]
+        bound = _squared_residuals(t, vx, block, levels, diag, lower) / gap
+        if bound <= _SETTLE * scale:
             return levels
-    raise GridTooCoarse(f"the Ritz pair did not settle in {_MAX_SWEEPS} sweeps on {where}")
+    raise GridTooCoarse(
+        f"the residual bound {bound:g} of the Ritz pair is above {_SETTLE:g} of its "
+        f"scale after {_MAX_SWEEPS} sweeps on {where}"
+    )
+
+
+def _halfway(levels, ceiling: float, where: str) -> float:
+    """hi, halfway from the upper level to ``ceiling``, the seed's third level."""
+    if not ceiling > levels[1]:
+        raise GridTooCoarse(
+            f"the seed's third level {ceiling:g} is not above the second level "
+            f"{levels[1]:g} of {where}"
+        )
+    return 0.5 * (levels[1] + ceiling)
 
 
 def _prove_lowest(t: float, vx: np.ndarray, levels, ceiling: float, where: str):
@@ -255,16 +354,11 @@ def _prove_lowest(t: float, vx: np.ndarray, levels, ceiling: float, where: str):
 
     By inertia: H - lo is positive definite (its LDL^T factorization runs
     through), and a Sturm count puts exactly two levels in (lo, hi], hi
-    halfway from the upper level to ``ceiling``, the seed's third level.
+    given by ``_halfway``.
     """
     from scipy.linalg.lapack import dpttrf, dstebz
 
-    if not ceiling > levels[1]:
-        raise GridTooCoarse(
-            f"the seed's third level {ceiling:g} is not above the second level "
-            f"{levels[1]:g} of {where}"
-        )
-    hi = 0.5 * (levels[1] + ceiling)
+    hi = _halfway(levels, ceiling, where)
     lo = levels[0] - (hi - levels[1])
     diag, off = vx + (2.0 * t - lo), np.full(vx.size - 1, -t)
     if dpttrf(diag, off, overwrite_d=1, overwrite_e=1)[2] != 0:
@@ -288,7 +382,7 @@ def _lowest_two_on_grid(
     """Two lowest levels of the n_points-point Hamiltonian, proven lowest.
 
     Each seed of ``_seed_sizes(n_points)`` in turn, until one gives a
-    settled pair that inertia proves lowest: its vectors, linearly
+    certified pair that inertia proves lowest: its vectors, linearly
     interpolated onto the grid, start the block inverse iteration, its two
     lowest levels are the shifts and its third bounds the inertia proof.
     The last seed is the grid itself, whose own vectors leave the pair
@@ -308,13 +402,13 @@ def _lowest_two_on_grid(
             block[:, j] = np.interp(x[1:-1], x_seed, np.pad(vectors[:, j], 1))
         where = f"the {n_points}-point grid seeded from {m} points"
         try:
-            ritz = _polish(t, vx, block, levels[:2], where)
+            ritz = _polish(t, vx, block, levels[:2], levels[2], where)
             del block  # the proof's two arrays take its memory
             _prove_lowest(t, vx, ritz, levels[2], where)
         except GridTooCoarse as exc:
             failure = exc
             continue
-        return float(ritz[0]), float(ritz[1])
+        return ritz
     raise GridTooCoarse(f"no seed gives a proven pair, the grid itself included: {failure}")
 
 

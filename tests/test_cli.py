@@ -512,8 +512,9 @@ class TestOracleCommand:
 
     def test_walls_far_out_are_solved_from_a_finer_seed(self, tmp_path, capsys, monkeypatch):
         # walls 190 well separations out: the 626-node seed puts 1.3 length
-        # units between nodes against a decay length of 0.41, its pair never
-        # settles, and each grid is solved again from the 1251-node seed
+        # units between nodes against a decay length of 0.41, no sweep from
+        # it certifies a pair, and each grid is solved again from the
+        # 1251-node seed
         doc = {
             "schema": "tunnelkit/1",
             "potential": {"family": "biased_quartic", "alpha": 1.0, "a": 2.1},

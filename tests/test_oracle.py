@@ -1,5 +1,6 @@
 """Finite-difference eigensolver: accuracy, convergence, and guard rails."""
 import dataclasses
+import json
 import math
 import os
 import subprocess
@@ -251,6 +252,134 @@ class TestInertiaProof:
         t, vx, levels = harmonic
         with pytest.raises(GridTooCoarse, match="not above"):
             oracle._prove_lowest(t, vx, levels[:2], levels[1], "the grid")
+
+
+class TestRitzStep:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+        st.sampled_from([1.0, 1e-9, 0.0]),
+    )
+    def test_closed_form_rotation_is_an_ascending_eigendecomposition(self, a, b, c, scale):
+        b *= scale  # a tiny or zero coupling, as a doublet's Ritz matrix has
+        low, high, cs, sn = oracle._eigh2(a, b, c)
+        m = np.array([[a, b], [b, c]])
+        reference = np.linalg.eigvalsh(m)
+        size = np.abs(m).max()
+        assert low <= high
+        assert abs(low - reference[0]) <= 4e-16 * size
+        assert abs(high - reference[1]) <= 4e-16 * size
+        assert abs(cs * cs + sn * sn - 1.0) <= 4e-16
+        # (cs, sn) belongs to the lower level and (-sn, cs) to the upper
+        assert np.abs(m @ [cs, sn] - low * np.array([cs, sn])).max() <= 1e-15 * size
+        assert np.abs(m @ [-sn, cs] - high * np.array([-sn, cs])).max() <= 1e-15 * size
+
+    def test_ritz_vectors_stay_orthonormal(self):
+        spec = BiasedQuartic(1.0, 2.1)
+        a = analyze(spec, C)
+        x = np.linspace(-4.8, 4.8, 8001)
+        t, vx = oracle._hamiltonian(a.v, C, x)
+        rng = np.random.default_rng(7)
+        block = np.asfortranarray(rng.standard_normal((vx.size, 2)))
+        levels, _ = oracle._rayleigh_ritz(block, t, vx)
+        assert levels[0] <= levels[1]
+        gram = block.T @ block
+        assert np.abs(gram - np.eye(2)).max() <= 1e-15
+
+
+class TestCertificate:
+    """``_polish`` returns a Ritz pair only once a residual bound certifies it."""
+
+    @staticmethod
+    def ritz_steps(monkeypatch):
+        steps = []
+        ritz = oracle._rayleigh_ritz
+
+        def spy(block, t, vx):
+            steps.append(vx.size)
+            return ritz(block, t, vx)
+
+        monkeypatch.setattr(oracle, "_rayleigh_ritz", spy)
+        return steps
+
+    def test_each_grid_is_certified_after_one_sweep(self, monkeypatch):
+        # the default 8001-point grid and its 16001-point Richardson partner:
+        # one sweep each, that is one Rayleigh-Ritz step and two solves
+        from scipy.linalg import lapack
+
+        solves = []
+        dgtsv = lapack.dgtsv
+
+        def spy(dl, d, du, b, **kwargs):
+            solves.append(d.size)
+            return dgtsv(dl, d, du, b, **kwargs)
+
+        steps = self.ritz_steps(monkeypatch)
+        monkeypatch.setattr(lapack, "dgtsv", spy)
+        sp = eigen_lowest_two(BiasedQuartic(1.0, 2.1))
+        assert steps == [7999, 15999]
+        assert solves == [7999, 7999, 15999, 15999]
+        assert sp.splitting == pytest.approx(1.683085e-06, rel=1e-6)
+
+    @pytest.fixture
+    def far_start(self):
+        # the seed's second and third vectors on an 8001-point grid: the
+        # first of them is the pair's upper level, the second is no part of it
+        spec = BiasedQuartic(1.0, 2.1)
+        a = analyze(spec, C)
+        grid = dataclasses.replace(default_grid(spec, C, a), n_points=8001, richardson=False)
+        x = oracle._grid_nodes(grid, grid.n_points, False)
+        t, vx = oracle._hamiltonian(a.v, C, x)
+        m = oracle._seed_sizes(grid.n_points)[0]
+        x_seed, levels, vectors = oracle._seed(a.v, C, grid, m, False)
+        block = np.empty((vx.size, 2), order="F")
+        for j in range(2):
+            block[:, j] = np.interp(x[1:-1], x_seed, np.pad(vectors[:, j + 1], 1))
+        return spec, a, grid, t, vx, block, levels
+
+    def test_a_far_start_sweeps_until_certified(self, far_start, monkeypatch):
+        spec, a, grid, t, vx, block, levels = far_start
+        steps = self.ritz_steps(monkeypatch)
+        ritz = oracle._polish(t, vx, block, levels[:2], levels[2], "the grid")
+        assert len(steps) > 1
+        e0, e1, noise = reference_lowest_two(spec, C, grid, a)
+        assert abs(ritz[0] - e0) <= noise
+        assert abs(ritz[1] - e1) <= noise
+        # the bound again, in extended precision from 2t + v: the pair
+        # returned is certified, its scale being at least E0 + E1 as v >= 0
+        h, q = np.longdouble(t), block.astype(np.longdouble)
+        squares = 0.0
+        for j, level in enumerate(ritz):
+            r = (vx + 2.0 * h - np.longdouble(level)) * q[:, j]
+            r[:-1] -= h * q[1:, j]
+            r[1:] -= h * q[:-1, j]
+            squares += float(np.sum(r * r))
+        gap = 0.5 * (levels[2] - ritz[1])
+        assert squares / gap <= oracle._SETTLE * (ritz[0] + ritz[1])
+
+    def test_a_pair_no_sweep_certifies_is_refused_by_its_bound(self, far_start, monkeypatch):
+        spec, a, grid, t, vx, block, levels = far_start
+        monkeypatch.setattr(oracle, "_MAX_SWEEPS", 1)
+        with pytest.raises(GridTooCoarse, match=r"the residual bound \S+ of the Ritz pair is above"):
+            oracle._polish(t, vx, block, levels[:2], levels[2], "the grid")
+
+    def test_an_uncertified_grid_is_a_regime_error(self, tmp_path, monkeypatch, capsys):
+        from tunnelkit.cli import main
+
+        doc = {
+            "schema": "tunnelkit/1",
+            "potential": {"family": "biased_quartic", "alpha": 1.0, "a": 2.1},
+            "oracle_grid": {"x_min": -4.8, "x_max": 4.8, "n_points": 2001, "richardson": False},
+        }
+        path = tmp_path / "quartic.json"
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr(oracle, "_SETTLE", 0.0)  # no bound is small enough
+        assert main(["oracle", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "regime error: no seed gives a proven pair, the grid itself included: "
+            "the residual bound "
+        )
 
 
 class TestGuardRails:
