@@ -19,12 +19,14 @@ interpolated onto the grid, go through shifted tridiagonal solves (LAPACK
 gtsv), shift j being seed level j, and a Rayleigh-Ritz step summed
 without cancellation and rotated in closed form, until a residual bound
 certifies them: the quadratic bound of a Ritz pair puts each level of H
-within (|r0|^2 + |r1|^2) / (hi - theta_1) of its Ritz value.  Inertia
-proves them the two lowest, and so every other level above hi: H - lo
-factors as LDL^T (LAPACK pttrf), and a Sturm count (stebz) puts exactly
-two levels in (lo, hi].  A pair that is not certified or not proven is
-solved again from the next finer seed, up to the grid itself, so a seed
-too coarse for the wells costs time, not the answer.
+within (|r0|^2 + |r1|^2) / (hi - theta_1) of its Ritz value, and on grids
+too fine for it, a bound on the residuals weighed by (H - sigma)^-1
+does.  Inertia proves them the two lowest, and so every other level
+above hi: H - lo factors as LDL^T (LAPACK pttrf), and a Sturm count
+(stebz) puts exactly two levels in (lo, hi].  A pair that is not
+certified or not proven is solved again from the next finer seed, up to
+the grid itself, so a seed too coarse for the wells costs time, not the
+answer.
 Bisection alone would carry its stopping tolerance, eps times the 1-norm
 of H, which grows as 1/h^2, into the doublet gap.
 
@@ -192,44 +194,22 @@ def _sum_of_products(a: np.ndarray, b: np.ndarray) -> float:
 def _eigh2(a: float, b: float, c: float):
     """Ascending eigenvalues of [[a, b], [b, c]] and the unit vector (cs, sn) of the lower.
 
-    The closed-form rotation of LAPACK dlaev2: the eigenvalue of larger
-    magnitude from the half sum and the half discriminant, the other as
-    the determinant over it, so neither comes from a difference of the two.
-    The upper eigenvalue's vector is (-sn, cs).  Plain float arithmetic,
-    with no BLAS or LAPACK kernel picked per CPU.
+    The symmetric Schur rotation (Golub and Van Loan, Matrix Computations,
+    section 8.5.2): tn is the tangent of the smaller rotation angle, so
+    each level is a diagonal entry moved by tn b, never a difference of
+    the two.  The upper level's vector is (-sn, cs).  Plain float
+    arithmetic, with no BLAS or LAPACK kernel picked per CPU.
     """
-    sm, df, tb = a + c, a - c, b + b
-    adf, ab = abs(df), abs(tb)
-    acmx, acmn = (a, c) if abs(a) > abs(c) else (c, a)
-    if adf > ab:
-        rt = adf * math.sqrt(1.0 + (ab / adf) ** 2)
-    elif adf < ab:
-        rt = ab * math.sqrt(1.0 + (adf / ab) ** 2)
-    else:
-        rt = ab * math.sqrt(2.0)
-    if sm == 0.0:
-        rt1, rt2, sgn1 = 0.5 * rt, -0.5 * rt, 1.0
-    else:
-        rt1 = 0.5 * (sm + math.copysign(rt, sm))
-        rt2 = (acmx / rt1) * acmn - (b / rt1) * b
-        sgn1 = math.copysign(1.0, sm)
-    # the unit vector (cs1, sn1) of rt1
-    cs = df + rt if df >= 0.0 else df - rt
-    if abs(cs) > ab:
-        ct = -tb / cs
-        sn1 = 1.0 / math.sqrt(1.0 + ct * ct)
-        cs1 = ct * sn1
-    elif ab == 0.0:
-        cs1, sn1 = 1.0, 0.0
-    else:
-        tn = -cs / tb
-        cs1 = 1.0 / math.sqrt(1.0 + tn * tn)
-        sn1 = tn * cs1
-    if (sgn1 > 0.0) == (df >= 0.0):
-        cs1, sn1 = -sn1, cs1
-    if rt1 > rt2:  # rt1 is the upper level, so the lower one's vector is (-sn1, cs1)
-        return rt2, rt1, -sn1, cs1
-    return rt1, rt2, cs1, sn1
+    if b == 0.0:
+        return (a, c, 1.0, 0.0) if a <= c else (c, a, 0.0, 1.0)
+    tau = (c - a) / (b + b)
+    tn = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+    cs = 1.0 / math.hypot(1.0, tn)
+    sn = tn * cs
+    low, high = a - tn * b, c + tn * b  # the levels of (cs, -sn) and (sn, cs)
+    if low <= high:
+        return low, high, cs, -sn
+    return high, low, sn, cs
 
 
 def _rayleigh_ritz(block: np.ndarray, t: float, vx: np.ndarray):
@@ -268,33 +248,67 @@ def _rayleigh_ritz(block: np.ndarray, t: float, vx: np.ndarray):
     return (low, high), k00 + k11 + abs(v00) + abs(v11)
 
 
-def _squared_residuals(t: float, vx: np.ndarray, block: np.ndarray, levels, diag, lower) -> float:
-    """|r_0|^2 + |r_1|^2, r_j = (H - theta_j) q_j for the Ritz pair in ``block``.
+def _residual(t: float, vx: np.ndarray, q: np.ndarray, level: float, out, lower) -> float:
+    """r = (H - level) q in ``out``; returns the allowance for its rounding in |r|.
 
-    Each r_j is formed in the buffer ``diag`` as (v - theta_j) q_j +
-    t (d_i-1 - d_i), d_i = q_i+1 - q_i (in ``lower``) with the walls as
-    zeros: from differences, as the Ritz values are, since 2t + v - theta_j
-    would round by eps t, which grows as 1/h^2.  Each |r_j| carries an
-    allowance for its rounding before it is squared.
+    r is formed as (v - level) q + t (d_i-1 - d_i), d_i = q_i+1 - q_i (in
+    ``lower``) with the walls as zeros: from differences, as the Ritz
+    values are, since 2t + v - level would round by eps t, which grows as
+    1/h^2.
     """
-    squares = 0.0
-    for j, level in enumerate(levels):
-        q = block[:, j]
-        np.subtract(q[1:], q[:-1], out=lower)
-        lower *= t
-        kinetic = math.sqrt(_sum_of_products(lower, lower) + (t * q[0]) ** 2 + (t * q[-1]) ** 2)
-        np.subtract(vx, level, out=diag)
-        diag *= q
-        potential = math.sqrt(_sum_of_products(diag, diag))
-        diag[:-1] -= lower
-        diag[1:] += lower
-        diag[0] += t * q[0]
-        diag[-1] += t * q[-1]
-        # entry i rounds three times over at most
-        # |(v_i - theta_j) q_i| + t |d_i-1| + t |d_i|
-        rounding = 3.0 * math.ulp(1.0) * (potential + 2.0 * kinetic)
-        squares += (math.sqrt(_sum_of_products(diag, diag)) + rounding) ** 2
-    return squares
+    np.subtract(q[1:], q[:-1], out=lower)
+    lower *= t
+    kinetic = math.sqrt(_sum_of_products(lower, lower) + (t * q[0]) ** 2 + (t * q[-1]) ** 2)
+    np.subtract(vx, level, out=out)
+    out *= q
+    potential = math.sqrt(_sum_of_products(out, out))
+    out[:-1] -= lower
+    out[1:] += lower
+    out[0] += t * q[0]
+    out[-1] += t * q[-1]
+    # entry i rounds three times over at most
+    # |(v_i - level) q_i| + t |d_i-1| + t |d_i|
+    return 3.0 * math.ulp(1.0) * (potential + 2.0 * kinetic)
+
+
+def _weighted_bound(t: float, vx: np.ndarray, block: np.ndarray, levels, gap: float, lower):
+    """The bound on |theta_j - lambda_j| from residuals weighed by (H - sigma)^-1.
+
+    sigma = lo - gap, lo = theta_0 - gap as in ``_prove_lowest``.  Write
+    each Ritz vector as its part in the span of the two lowest
+    eigenvectors plus z_j in the rest.  Each theta_j exceeds lambda_j by
+    at most sum_j z_j^T (H - lambda_0) z_j, and on an eigenvector of level
+    lambda > hi, z_j is r_j / (lambda - theta_j), so that sum is at most
+    (hi - sigma)(hi - lo) / gap^2 times sum_j r_j^T (H - sigma)^-1 r_j.
+    This weighting leaves the many high levels that the rounding of a
+    stored vector excites, about eps t in |r|, with about eps^2 t in the
+    bound, where |r|^2 / gap grows as 1/h^4.  H - sigma is positive
+    definite, with every level more than gap above sigma, once the proof
+    puts none at or below lo; a failed LDL^T factorization returns inf.
+    The factorization's own rounding, a relative error of about eps t /
+    gap in each r_j^T (H - sigma)^-1 r_j, is not counted.
+    """
+    from scipy.linalg.lapack import dpttrf, dpttrs
+
+    sigma = levels[0] - 2.0 * gap
+    d, e, info = dpttrf(
+        vx + (2.0 * t - sigma), np.full(vx.size - 1, -t), overwrite_d=1, overwrite_e=1
+    )
+    if info != 0:
+        return math.inf
+    residuals = np.empty((vx.size, 2), order="F")
+    allowances = [
+        _residual(t, vx, block[:, j], level, residuals[:, j], lower)
+        for j, level in enumerate(levels)
+    ]
+    weighed = dpttrs(d, e, residuals)[0]
+    # (H - sigma)^-1 has no level above 1 / gap: an error a in r_j weighs a / sqrt(gap) at most
+    squares = sum(
+        (math.sqrt(_sum_of_products(r, w)) + allowance / math.sqrt(gap)) ** 2
+        for r, w, allowance in zip(residuals.T, weighed.T, allowances)
+    )
+    spread = levels[1] - levels[0]
+    return (3.0 * gap + spread) * (2.0 * gap + spread) / (gap * gap) * squares
 
 
 def _polish(t: float, vx: np.ndarray, block: np.ndarray, shifts, ceiling: float, where: str):
@@ -309,8 +323,13 @@ def _polish(t: float, vx: np.ndarray, block: np.ndarray, shifts, ceiling: float,
     gap the distance to the rest of the spectrum.  Once ``_prove_lowest``
     puts exactly two levels in (lo, hi] and none below lo, every other
     level lies above hi, halfway from theta_1 to ``ceiling``, so gap is at
-    least hi - theta_1.  The pair is returned once that bound is within
-    _SETTLE of its scale.  Block keeps the Ritz vectors.
+    least hi - theta_1.  On a grid so fine that the rounding of the stored
+    vectors keeps that bound up, ``_weighted_bound`` gives the certificate.
+    The pair is returned once the bound is within _SETTLE of its scale.
+    Either bound holds for the pair as stored up to a term of order eps
+    times the scale, from the rounding of the Ritz values and of the
+    orthonormality of q0 and q1, which neither counts.  Block keeps the
+    Ritz vectors.
     """
     from scipy.linalg.lapack import dgtsv
 
@@ -330,7 +349,13 @@ def _polish(t: float, vx: np.ndarray, block: np.ndarray, shifts, ceiling: float,
             block[:, j : j + 1] = solved
         levels, scale = _rayleigh_ritz(block, t, vx)
         gap = _halfway(levels, ceiling, where) - levels[1]
-        bound = _squared_residuals(t, vx, block, levels, diag, lower) / gap
+        squares = 0.0
+        for j, level in enumerate(levels):
+            allowance = _residual(t, vx, block[:, j], level, diag, lower)
+            squares += (math.sqrt(_sum_of_products(diag, diag)) + allowance) ** 2
+        bound = squares / gap
+        if bound > _SETTLE * scale:
+            bound = _weighted_bound(t, vx, block, levels, gap, lower)
         if bound <= _SETTLE * scale:
             return levels
     raise GridTooCoarse(
@@ -408,7 +433,7 @@ def _lowest_two_on_grid(
         except GridTooCoarse as exc:
             failure = exc
             continue
-        return ritz
+        return float(ritz[0]), float(ritz[1])
     raise GridTooCoarse(f"no seed gives a proven pair, the grid itself included: {failure}")
 
 

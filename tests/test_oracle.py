@@ -1,5 +1,6 @@
 """Finite-difference eigensolver: accuracy, convergence, and guard rails."""
 import dataclasses
+import decimal
 import json
 import math
 import os
@@ -254,22 +255,37 @@ class TestInertiaProof:
             oracle._prove_lowest(t, vx, levels[:2], levels[1], "the grid")
 
 
+EPS = math.ulp(1.0)
+# Ritz matrix entries: zero or of magnitude 1e-6 to 1e3, clear of the
+# subnormals, where no relative tolerance holds
+ENTRIES = st.just(0.0) | st.builds(
+    lambda m, sign: sign * m, st.floats(1e-6, 1e3), st.sampled_from([1.0, -1.0])
+)
+
+
 class TestRitzStep:
+    @staticmethod
+    def exact_levels(a, b, c):
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            a, b, c = decimal.Decimal(a), decimal.Decimal(b), decimal.Decimal(c)
+            mean, radius = (a + c) / 2, (((a - c) / 2) ** 2 + b * b).sqrt()
+            return float(mean - radius), float(mean + radius)
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(
-        st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
-        st.sampled_from([1.0, 1e-9, 0.0]),
-    )
+    @given(ENTRIES, ENTRIES, ENTRIES, st.sampled_from([1.0, 1e-9, 0.0]))
     def test_closed_form_rotation_is_an_ascending_eigendecomposition(self, a, b, c, scale):
         b *= scale  # a tiny or zero coupling, as a doublet's Ritz matrix has
         low, high, cs, sn = oracle._eigh2(a, b, c)
         m = np.array([[a, b], [b, c]])
-        reference = np.linalg.eigvalsh(m)
+        exact = self.exact_levels(a, b, c)
         size = np.abs(m).max()
         assert low <= high
-        assert abs(low - reference[0]) <= 4e-16 * size
-        assert abs(high - reference[1]) <= 4e-16 * size
-        assert abs(cs * cs + sn * sn - 1.0) <= 4e-16
+        # within three roundings of the exact levels; np.linalg.eigvalsh
+        # itself strays up to about 2.5 eps times the size
+        assert abs(low - exact[0]) <= 3.0 * EPS * size
+        assert abs(high - exact[1]) <= 3.0 * EPS * size
+        assert abs(cs * cs + sn * sn - 1.0) <= 1e-15
         # (cs, sn) belongs to the lower level and (-sn, cs) to the upper
         assert np.abs(m @ [cs, sn] - low * np.array([cs, sn])).max() <= 1e-15 * size
         assert np.abs(m @ [-sn, cs] - high * np.array([-sn, cs])).max() <= 1e-15 * size
@@ -319,6 +335,29 @@ class TestCertificate:
         sp = eigen_lowest_two(BiasedQuartic(1.0, 2.1))
         assert steps == [7999, 15999]
         assert solves == [7999, 7999, 15999, 15999]
+        assert sp.splitting == pytest.approx(1.683085e-06, rel=1e-6)
+
+    def test_a_grid_past_the_quadratic_bounds_reach_is_certified(self, monkeypatch):
+        # on 1536001 nodes the rounding of the stored Ritz vectors keeps
+        # |r|^2 / gap above _SETTLE of the scale; the residual weighed by
+        # (H - sigma)^-1 certifies the coarsest seed's pair after one sweep
+        spec = BiasedQuartic(1.0, 2.1)
+        a = analyze(spec, C)
+        grid = dataclasses.replace(default_grid(spec, C, a), n_points=1536001, richardson=False)
+        steps = self.ritz_steps(monkeypatch)
+        bounds = []
+        weighted = oracle._weighted_bound
+
+        def spy(*args):
+            bounds.append(weighted(*args))
+            return bounds[-1]
+
+        monkeypatch.setattr(oracle, "_weighted_bound", spy)
+        sp = eigen_lowest_two(spec, C, grid, analysis=a)
+        assert steps == [1535999]
+        assert len(bounds) == 1 and bounds[0] <= oracle._SETTLE * (sp.E0 + sp.E1)
+        assert type(sp.E0) is float and type(sp.E1) is float
+        # the default grid's Richardson gap, to its est_error
         assert sp.splitting == pytest.approx(1.683085e-06, rel=1e-6)
 
     @pytest.fixture
