@@ -21,12 +21,13 @@ without cancellation and rotated in closed form, until a residual bound
 certifies them: the quadratic bound of a Ritz pair puts each level of H
 within (|r0|^2 + |r1|^2) / (hi - theta_1) of its Ritz value, and on grids
 too fine for it, a bound on the residuals weighed by (H - sigma)^-1
-does.  Inertia proves them the two lowest, and so every other level
-above hi: H - lo factors as LDL^T (LAPACK pttrf), and a Sturm count
-(stebz) puts exactly two levels in (lo, hi].  A pair that is not
-certified or not proven is solved again from the next finer seed, up to
-the grid itself, so a seed too coarse for the wells costs time, not the
-answer.
+does.  One Sturm count (stebz) proves them the two lowest, and so every
+other level above hi, the one fact the bounds rest on: by Cauchy
+interlacing the two lowest levels lie at or below the Ritz values, so
+when exactly two levels lie at or below hi, they are those two.  A pair
+that is not certified or not proven is solved again from the next finer
+seed, up to the grid itself, so a seed too coarse for the wells costs
+time, not the answer.
 Bisection alone would carry its stopping tolerance, eps times the 1-norm
 of H, which grows as 1/h^2, into the doublet gap.
 
@@ -271,22 +272,28 @@ def _residual(t: float, vx: np.ndarray, q: np.ndarray, level: float, out, lower)
     return 3.0 * math.ulp(1.0) * (potential + 2.0 * kinetic)
 
 
-def _weighted_bound(t: float, vx: np.ndarray, block: np.ndarray, levels, gap: float, lower):
+def _weighted_bound(t: float, vx: np.ndarray, residuals: np.ndarray, allowances, levels, gap: float):
     """The bound on |theta_j - lambda_j| from residuals weighed by (H - sigma)^-1.
 
-    sigma = lo - gap, lo = theta_0 - gap as in ``_prove_lowest``.  Write
-    each Ritz vector as its part in the span of the two lowest
+    sigma = theta_0 - 2 gap.  Column j of ``residuals`` is r_j =
+    (H - theta_j) q_j, and ``allowances[j]`` the rounding of its norm.
+    Write each Ritz vector as its part in the span of the two lowest
     eigenvectors plus z_j in the rest.  Each theta_j exceeds lambda_j by
     at most sum_j z_j^T (H - lambda_0) z_j, and on an eigenvector of level
-    lambda > hi, z_j is r_j / (lambda - theta_j), so that sum is at most
-    (hi - sigma)(hi - lo) / gap^2 times sum_j r_j^T (H - sigma)^-1 r_j.
-    This weighting leaves the many high levels that the rounding of a
-    stored vector excites, about eps t in |r|, with about eps^2 t in the
-    bound, where |r|^2 / gap grows as 1/h^4.  H - sigma is positive
-    definite, with every level more than gap above sigma, once the proof
-    puts none at or below lo; a failed LDL^T factorization returns inf.
-    The factorization's own rounding, a relative error of about eps t /
-    gap in each r_j^T (H - sigma)^-1 r_j, is not counted.
+    lambda > hi = theta_1 + gap, z_j is r_j / (lambda - theta_j), so that
+    sum is at most (hi - sigma)(hi - lambda_0) / gap^2 times
+    sum_j r_j^T (H - sigma)^-1 r_j.  The caller has |r0|^2 + |r1|^2 below
+    gap^2, so two levels lie within gap of the pair (Kahan's theorem;
+    Parlett, The Symmetric Eigenvalue Problem, chapter 11); once the Sturm
+    count of ``_polish`` puts no level but lambda_0 and lambda_1 at or
+    below hi, they are those two, and lambda_0 > theta_0 - gap.  So
+    hi - lambda_0 < 2 gap + (theta_1 - theta_0), and every level lies more
+    than gap above sigma: H - sigma is positive definite, and a failed
+    LDL^T factorization returns inf.  This weighting leaves the many high
+    levels that the rounding of a stored vector excites, about eps t in
+    |r|, with about eps^2 t in the bound, where |r|^2 / gap grows as
+    1/h^4.  The factorization's own rounding, a relative error of about
+    eps t / gap in each r_j^T (H - sigma)^-1 r_j, is not counted.
     """
     from scipy.linalg.lapack import dpttrf, dpttrs
 
@@ -296,11 +303,6 @@ def _weighted_bound(t: float, vx: np.ndarray, block: np.ndarray, levels, gap: fl
     )
     if info != 0:
         return math.inf
-    residuals = np.empty((vx.size, 2), order="F")
-    allowances = [
-        _residual(t, vx, block[:, j], level, residuals[:, j], lower)
-        for j, level in enumerate(levels)
-    ]
     weighed = dpttrs(d, e, residuals)[0]
     # (H - sigma)^-1 has no level above 1 / gap: an error a in r_j weighs a / sqrt(gap) at most
     squares = sum(
@@ -316,25 +318,30 @@ def _polish(t: float, vx: np.ndarray, block: np.ndarray, shifts, ceiling: float,
 
     Column j is solved with H - shifts[j] in each sweep, then the block
     goes through Rayleigh-Ritz, until a residual bound certifies the Ritz
-    values.  The bound is the quadratic one of a Ritz pair (Parlett, The
-    Symmetric Eigenvalue Problem, chapter 11; Mathias, SIAM J. Matrix
-    Anal. Appl. 19 (1998) 541): each level of H lies within
+    values theta_0 <= theta_1.  The bound is the quadratic one of a Ritz
+    pair (Parlett, The Symmetric Eigenvalue Problem, chapter 11; Mathias,
+    SIAM J. Matrix Anal. Appl. 19 (1998) 541): each level of H lies within
     (|r0|^2 + |r1|^2) / gap of its Ritz value, r_j = (H - theta_j) q_j and
-    gap the distance to the rest of the spectrum.  Once ``_prove_lowest``
-    puts exactly two levels in (lo, hi] and none below lo, every other
-    level lies above hi, halfway from theta_1 to ``ceiling``, so gap is at
+    gap the distance to the rest of the spectrum.  With every level but
+    the two lowest above hi, halfway from theta_1 to ``ceiling``, gap is at
     least hi - theta_1.  On a grid so fine that the rounding of the stored
     vectors keeps that bound up, ``_weighted_bound`` gives the certificate.
-    The pair is returned once the bound is within _SETTLE of its scale.
-    Either bound holds for the pair as stored up to a term of order eps
-    times the scale, from the rounding of the Ritz values and of the
-    orthonormality of q0 and q1, which neither counts.  Block keeps the
-    Ritz vectors.
+    Once the bound is within _SETTLE of the pair's scale, one Sturm count
+    (LAPACK stebz) proves that fact: by Cauchy interlacing the two lowest
+    levels lie at or below theta_0 and theta_1 (Parlett, chapter 10), so
+    a count of exactly two levels at or below hi puts every other level
+    above it.  Either bound holds for the pair as stored up to a term of
+    order eps times the scale, from the rounding of the Ritz values and of
+    the orthonormality of q0 and q1, which neither counts.  Block keeps
+    the Ritz vectors.
     """
-    from scipy.linalg.lapack import dgtsv
+    from scipy.linalg.lapack import dgtsv, dstebz
 
     n = vx.size
-    lower, diag, upper = np.empty(n - 1), np.empty(n), np.empty(n - 1)
+    # the pair's residuals; their columns are the diagonal and the
+    # superdiagonal of the solves, and the diagonal of the count
+    residuals, lower = np.empty((n, 2), order="F"), np.empty(n - 1)
+    diag, upper = residuals[:, 0], residuals[:-1, 1]
     for _ in range(_MAX_SWEEPS):
         for j, shift in enumerate(shifts):
             lower.fill(-t)
@@ -348,57 +355,43 @@ def _polish(t: float, vx: np.ndarray, block: np.ndarray, shifts, ceiling: float,
                 raise GridTooCoarse(f"H - {shift:g} is singular on {where}")
             block[:, j : j + 1] = solved
         levels, scale = _rayleigh_ritz(block, t, vx)
-        gap = _halfway(levels, ceiling, where) - levels[1]
-        squares = 0.0
-        for j, level in enumerate(levels):
-            allowance = _residual(t, vx, block[:, j], level, diag, lower)
-            squares += (math.sqrt(_sum_of_products(diag, diag)) + allowance) ** 2
+        if not ceiling > levels[1]:
+            raise GridTooCoarse(
+                f"the seed's third level {ceiling:g} is not above the second level "
+                f"{levels[1]:g} of {where}"
+            )
+        hi = 0.5 * (levels[1] + ceiling)
+        gap = hi - levels[1]
+        allowances = [
+            _residual(t, vx, block[:, j], level, residuals[:, j], lower)
+            for j, level in enumerate(levels)
+        ]
+        squares = sum(
+            (math.sqrt(_sum_of_products(r, r)) + allowance) ** 2
+            for r, allowance in zip(residuals.T, allowances)
+        )
         bound = squares / gap
+        if _SETTLE * scale < bound < gap:
+            bound = _weighted_bound(t, vx, residuals, allowances, levels, gap)
         if bound > _SETTLE * scale:
-            bound = _weighted_bound(t, vx, block, levels, gap, lower)
-        if bound <= _SETTLE * scale:
-            return levels
+            continue
+        # every level is at least min(v), a Gershgorin bound of H, so the
+        # levels in (floor, hi] are all those at or below hi; a tolerance
+        # of hi - floor stops the bisection after its first step, as only
+        # their count is wanted
+        np.add(vx, 2.0 * t, out=diag)
+        lower.fill(-t)
+        floor = vx.min() - gap
+        count, _, _, _, info = dstebz(diag, lower, 1, floor, hi, 0, 0, hi - floor, "E")
+        if info != 0 or count != 2:
+            raise GridTooCoarse(
+                f"a Sturm count puts {count} levels of {where} at or below {hi:g}, not 2"
+            )
+        return levels
     raise GridTooCoarse(
         f"the residual bound {bound:g} of the Ritz pair is above {_SETTLE:g} of its "
         f"scale after {_MAX_SWEEPS} sweeps on {where}"
     )
-
-
-def _halfway(levels, ceiling: float, where: str) -> float:
-    """hi, halfway from the upper level to ``ceiling``, the seed's third level."""
-    if not ceiling > levels[1]:
-        raise GridTooCoarse(
-            f"the seed's third level {ceiling:g} is not above the second level "
-            f"{levels[1]:g} of {where}"
-        )
-    return 0.5 * (levels[1] + ceiling)
-
-
-def _prove_lowest(t: float, vx: np.ndarray, levels, ceiling: float, where: str):
-    """Raise GridTooCoarse unless ``levels`` are the two lowest of H.
-
-    By inertia: H - lo is positive definite (its LDL^T factorization runs
-    through), and a Sturm count puts exactly two levels in (lo, hi], hi
-    given by ``_halfway``.
-    """
-    from scipy.linalg.lapack import dpttrf, dstebz
-
-    hi = _halfway(levels, ceiling, where)
-    lo = levels[0] - (hi - levels[1])
-    diag, off = vx + (2.0 * t - lo), np.full(vx.size - 1, -t)
-    if dpttrf(diag, off, overwrite_d=1, overwrite_e=1)[2] != 0:
-        raise GridTooCoarse(
-            f"a level of {where} lies below {lo:g}, under the two found"
-        )
-    np.add(vx, 2.0 * t, out=diag)
-    off.fill(-t)
-    # range 1: the levels in (lo, hi]; a tolerance of hi - lo stops the
-    # bisection at once, as only their count is wanted
-    count, _, _, _, info = dstebz(diag, off, 1, lo, hi, 0, 0, hi - lo, "E")
-    if info != 0 or count != 2:
-        raise GridTooCoarse(
-            f"a Sturm count puts {count} levels of {where} in ({lo:g}, {hi:g}], not 2"
-        )
 
 
 def _lowest_two_on_grid(
@@ -407,14 +400,14 @@ def _lowest_two_on_grid(
     """Two lowest levels of the n_points-point Hamiltonian, proven lowest.
 
     Each seed of ``_seed_sizes(n_points)`` in turn, until one gives a
-    certified pair that inertia proves lowest: its vectors, linearly
+    certified pair that a Sturm count proves lowest: its vectors, linearly
     interpolated onto the grid, start the block inverse iteration, its two
-    lowest levels are the shifts and its third bounds the inertia proof.
-    The last seed is the grid itself, whose own vectors leave the pair
-    unresolved only when the grid cannot tell its levels apart.  ``seeds``
-    holds the seeds solved so far by node count.  So the levels are a
-    function of the grid alone, whether it is solved on its own or as a
-    Richardson partner.
+    lowest levels are the shifts and its third sets the bound hi of the
+    count.  The last seed is the grid itself, whose own vectors leave the
+    pair unresolved only when the grid cannot tell its levels apart.
+    ``seeds`` holds the seeds solved so far by node count.  So the levels
+    are a function of the grid alone, whether it is solved on its own or
+    as a Richardson partner.
     """
     x = _grid_nodes(grid, n_points, snap)
     t, vx = _hamiltonian(v, consts, x)
@@ -428,8 +421,6 @@ def _lowest_two_on_grid(
         where = f"the {n_points}-point grid seeded from {m} points"
         try:
             ritz = _polish(t, vx, block, levels[:2], levels[2], where)
-            del block  # the proof's two arrays take its memory
-            _prove_lowest(t, vx, ritz, levels[2], where)
         except GridTooCoarse as exc:
             failure = exc
             continue

@@ -223,36 +223,63 @@ class TestSeeds:
 
 
 class TestInertiaProof:
-    """``_prove_lowest`` on the harmonic grid, whose levels it must tell apart."""
+    """``_polish``'s Sturm count on the harmonic grid, whose levels it must tell apart.
+
+    Each pair starts from its own eigenvectors, so the residual bound
+    certifies it after one sweep and the count alone decides.
+    """
 
     @pytest.fixture
     def harmonic(self):
         x = np.linspace(-8.0, 8.0, 401)
         t, vx = oracle._hamiltonian(lambda x: 0.5 * x * x, C, x)
-        levels = eigh_tridiagonal(
-            vx + 2.0 * t, np.full(vx.size - 1, -t), eigvals_only=True,
-            select="i", select_range=(0, 3),
+        levels, vectors = eigh_tridiagonal(
+            vx + 2.0 * t, np.full(vx.size - 1, -t), select="i", select_range=(0, 3)
         )
-        return t, vx, levels
+
+        def polish(pair, ceiling):
+            block = np.asfortranarray(vectors[:, pair])
+            return oracle._polish(t, vx, block, levels[pair], ceiling, "the grid")
+
+        return levels, polish
 
     def test_the_two_lowest_pass(self, harmonic):
-        t, vx, levels = harmonic
-        oracle._prove_lowest(t, vx, levels[:2], levels[2], "the grid")
+        levels, polish = harmonic
+        ritz = polish([0, 1], levels[2])
+        assert ritz == pytest.approx(levels[:2], abs=1e-12)
 
     def test_a_level_below_the_pair_is_found(self, harmonic):
-        t, vx, levels = harmonic
-        with pytest.raises(GridTooCoarse, match="lies below"):
-            oracle._prove_lowest(t, vx, levels[1:3], levels[3], "the grid")
+        levels, polish = harmonic
+        with pytest.raises(GridTooCoarse, match="puts 3 levels of the grid at or below"):
+            polish([1, 2], levels[3])
 
     def test_a_third_level_under_the_ceiling_is_counted(self, harmonic):
-        t, vx, levels = harmonic
+        levels, polish = harmonic
         with pytest.raises(GridTooCoarse, match="puts 3 levels"):
-            oracle._prove_lowest(t, vx, levels[:2], levels[3] + 0.5, "the grid")
+            polish([0, 1], levels[3] + 0.5)
 
     def test_a_ceiling_under_the_pair_is_refused(self, harmonic):
-        t, vx, levels = harmonic
+        levels, polish = harmonic
         with pytest.raises(GridTooCoarse, match="not above"):
-            oracle._prove_lowest(t, vx, levels[:2], levels[1], "the grid")
+            polish([0, 1], levels[0])
+
+    def test_one_count_proves_each_grid(self, monkeypatch):
+        # the default 8001-point grid and its Richardson partner: one Sturm
+        # count each, and no LDL^T factorization on the quadratic bound's path
+        from scipy.linalg import lapack
+
+        calls = []
+        for name in ("dstebz", "dpttrf"):
+            real = getattr(lapack, name)
+
+            def spy(*args, name=name, real=real, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(lapack, name, spy)
+        sp = eigen_lowest_two(BiasedQuartic(1.0, 2.1))
+        assert calls == ["dstebz", "dstebz"]
+        assert sp.splitting == pytest.approx(1.683085e-06, rel=1e-6)
 
 
 EPS = math.ulp(1.0)
