@@ -22,7 +22,10 @@ The sweep command dials the spectral bias tilde_eps while keeping the
 potential shape fixed: eps, E_bar, and the action I(E_bar) are
 recomputed per point on the same curve.  Oracle columns are filled only
 for the double-oscillator family, where the dialed bias corresponds to
-an actual member of the family that can be rediagonalized; for other
+an actual member of the family that can be rediagonalized, on either
+sign of the bias: below zero, where the right well is the deeper, the
+member is the mirror of the family with its wells swapped, and its
+levels are measured from the floor at x_L, as E_bar is.  For other
 families no potential realizes the dialed bias exactly and the columns
 stay empty.
 
@@ -265,15 +268,31 @@ def run_sweep(config: RunConfig):
             # the member of the family that realizes the dialed well: built
             # on the axis of the analysis, then seen from the config's axis,
             # on which the grid's walls lie
-            member = replace(
-                family,
-                omega_L=dialed.omega_L,
-                omega_R=dialed.omega_R,
-                tilde_eps=dialed.tilde_eps,
-                V0=dialed.V0,
-            )
-            member_spec = Mirrored(member) if flipped else member
-            member_analysis = analyze(member_spec, consts, orient=config.orient)
+            te = dialed.tilde_eps
+            if te >= 0.0:
+                member = replace(
+                    family,
+                    omega_L=dialed.omega_L,
+                    omega_R=dialed.omega_R,
+                    tilde_eps=te,
+                    V0=dialed.V0,
+                )
+                member_spec = Mirrored(member) if flipped else member
+                member_analysis = analyze(member_spec, consts, orient=config.orient)
+            else:
+                # the right well is the deeper: the member is the mirror of
+                # the family with the wells swapped, analyzed on the axis of
+                # the analysis, so that its levels are measured from the
+                # floor at x_L as the row's are
+                member = Mirrored(replace(
+                    family,
+                    omega_L=dialed.omega_R,
+                    omega_R=dialed.omega_L,
+                    tilde_eps=-te,
+                    V0=dialed.V0 - te,
+                ))
+                member_spec = member.inner if flipped else member
+                member_analysis = analyze(member, consts, orient="keep")
             return eigen_lowest_two(
                 member_spec, consts, config.oracle_grid, analysis=member_analysis
             )

@@ -807,9 +807,8 @@ class TestExitCodes:
 
     def test_sweep_point_splitting_runs_before_its_member_is_built(self, tmp_path, capsys):
         # The first point dials tilde_eps = -0.6: its E_bar lies under the
-        # curve's right floor (exit 3), and the family member it would
-        # rediagonalize, DoubleOscillator(tilde_eps=-0.6), is invalid (exit
-        # 2).  The splitting comes first, so the regime error wins.
+        # curve's right floor (exit 3).  The splitting comes first, so its
+        # regime error ends the run before the point's member is solved.
         doc = {
             "schema": "tunnelkit/1",
             "potential": {
@@ -940,6 +939,37 @@ class TestMirroredGrid:
             return [row["oracle"] for row in doc["rows"]]
 
         assert oracle_columns(dict(mirrored, mirror=True)) == oracle_columns(plain)
+
+
+    @pytest.mark.parametrize(
+        "orientation",
+        [{}, {"orient": "keep"}, {"mirror": True, "orient": "keep"}],
+        ids=["auto", "keep", "mirror_keep"],
+    )
+    def test_a_sweep_through_zero_bias_fills_every_oracle_row(self, tmp_path, capsys, orientation):
+        # below zero bias the right well is the deeper, and the member is
+        # the mirror of the family with the wells swapped; its levels are
+        # measured from the floor at x_L, as E_bar is
+        potential = {"family": "double_oscillator", "omega_L": 1.0, "omega_R": 1.2,
+                     "tilde_eps": 0.1, "V0": 6.0, **orientation}
+        doc = {
+            "schema": "tunnelkit/1",
+            "potential": potential,
+            "oracle_grid": {"x_min": -9.0, "x_max": 9.0, "n_points": 2001},
+            "sweep": {"parameter": "tilde_eps", "from": -0.3, "to": 0.3, "steps": 7},
+        }
+        path = write_json(tmp_path, "through.json", doc)
+        assert main(["sweep", path, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert min(row["tilde_eps"] for row in rows) < 0.0
+        for row in rows:
+            oracle = row["oracle"]
+            assert abs(0.5 * (oracle["E0"] + oracle["E1"]) - row["E_bar"]) < 1e-5
+        if "mirror" in orientation:
+            # the row at the bias of the config's own well solves that well
+            [own] = [row for row in rows if row["tilde_eps"] == -0.1]
+            out, _ = run_oracle(parse_config(dict(doc, potential=potential)))
+            assert own["oracle"] == out["spectrum"]
 
 
 class TestMirroredSmoothWell:
