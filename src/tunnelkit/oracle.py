@@ -72,6 +72,10 @@ class GridSpec:
             raise ConfigError(
                 f"x_max = {self.x_max:g} must exceed x_min = {self.x_min:g}"
             )
+        if not math.isfinite(self.x_max - self.x_min):
+            raise ConfigError(
+                f"the span of the walls [{self.x_min:g}, {self.x_max:g}] overflows"
+            )
         if self.n_points < 64:
             raise ConfigError(f"n_points = {self.n_points} is below the minimum of 64")
 
@@ -158,9 +162,23 @@ _MAX_SWEEPS = 8
 
 
 def _hamiltonian(v, consts: PhysConstants, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """(t, v on the interior nodes): H = tridiag(-t, 2t + v, -t), t = hbar^2 / (2 m h^2)."""
+    """(t, v on the interior nodes): H = tridiag(-t, 2t + v, -t), t = hbar^2 / (2 m h^2).
+
+    Raises ConfigError when t is not finite and positive or v is not
+    finite on every node: walls so far apart or so close that the spacing
+    or the potential overflows.
+    """
     h = x[1] - x[0]
-    return consts.hbar ** 2 / (2.0 * consts.mass * h * h), np.asarray(v(x[1:-1]), dtype=float)
+    with np.errstate(all="ignore"):
+        t = consts.hbar ** 2 / (2.0 * consts.mass * h * h)
+        vx = np.asarray(v(x[1:-1]), dtype=float)
+    if not (0.0 < t < math.inf and np.isfinite(vx).all()):
+        raise ConfigError(
+            f"walls [{x[0]:g}, {x[-1]:g}] with n_points = {x.size} give no finite "
+            f"Hamiltonian: t = {t:g}, and v is not finite on "
+            f"{np.count_nonzero(~np.isfinite(vx))} nodes"
+        )
+    return t, vx
 
 
 def _seed_sizes(n_points: int) -> list[int]:

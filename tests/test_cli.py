@@ -534,6 +534,19 @@ class TestOracleCommand:
         # the gap of the default walls' Richardson pair, 1.683085e-6
         assert out["spectrum"]["splitting"] == pytest.approx(1.683085e-06, rel=1e-4)
 
+    @pytest.mark.parametrize("command", ["oracle", "analyze"])
+    def test_walls_where_v_overflows_are_a_config_error(self, tmp_path, capsys, command):
+        # the spacing, 2e298, squares past the largest float, and so does
+        # v on every interior node
+        doc = dict(
+            readme_config(), oracle_grid={"x_min": -1e300, "x_max": 1e300, "n_points": 101}
+        )
+        assert main([command, write_json(tmp_path, "huge.json", doc)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: walls [-1e+300, 1e+300] with n_points = 101 give no finite "
+            "Hamiltonian: t = 0, and v is not finite on 98 nodes\n"
+        )
+
     def test_unresolved_levels_are_a_regime_error(self, tmp_path, capsys):
         # three deep wells, the outer two alike: the second and third levels
         # coincide to rounding, so no seed, the grid itself included, gives

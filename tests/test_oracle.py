@@ -46,6 +46,10 @@ class TestGridSpec:
         with pytest.raises(ConfigError):
             GridSpec(-math.inf, 2.0, 2001)
 
+    def test_rejects_walls_whose_span_overflows(self):
+        with pytest.raises(ConfigError, match="span"):
+            GridSpec(-1.7e308, 1.7e308, 2001)
+
 
 class TestHarmonicReference:
     def test_ground_state_with_extrapolation(self):
