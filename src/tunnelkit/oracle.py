@@ -290,7 +290,9 @@ def _residual(t: float, vx: np.ndarray, q: np.ndarray, level: float, out, lower)
     return 3.0 * math.ulp(1.0) * (potential + 2.0 * kinetic)
 
 
-def _weighted_bound(t: float, vx: np.ndarray, residuals: np.ndarray, allowances, levels, gap: float):
+def _weighted_bound(
+    t: float, vx: np.ndarray, residuals: np.ndarray, allowances, levels, gap: float
+):
     """The bound on |theta_j - lambda_j| from residuals weighed by (H - sigma)^-1.
 
     sigma = theta_0 - 2 gap.  Column j of ``residuals`` is r_j =
@@ -389,7 +391,7 @@ def _polish(t: float, vx: np.ndarray, block: np.ndarray, shifts, ceiling: float,
             for r, allowance in zip(residuals.T, allowances)
         )
         bound = squares / gap
-        if _SETTLE * scale < bound < gap:
+        if _SETTLE * scale < bound < gap:  # the weighted bound needs squares < gap^2
             bound = _weighted_bound(t, vx, residuals, allowances, levels, gap)
         if bound > _SETTLE * scale:
             continue

@@ -550,7 +550,7 @@ class TestOracleCommand:
     def test_unresolved_levels_are_a_regime_error(self, tmp_path, capsys):
         # three deep wells, the outer two alike: the second and third levels
         # coincide to rounding, so no seed, the grid itself included, gives
-        # a pair that inertia proves to be the two lowest
+        # a pair that a Sturm count proves to be the two lowest
         doc = {
             "schema": "tunnelkit/1",
             "potential": {"family": "polynomial", "coeffs": [0, 0, 162, 0, -36, 0, 2]},
