@@ -66,15 +66,11 @@ class GridSpec:
     richardson: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
-            raise ConfigError("grid walls must be finite")
+        if not math.isfinite(self.x_max - self.x_min):
+            raise ConfigError("grid walls and the span between them must be finite")
         if not self.x_max > self.x_min:
             raise ConfigError(
                 f"x_max = {self.x_max:g} must exceed x_min = {self.x_min:g}"
-            )
-        if not math.isfinite(self.x_max - self.x_min):
-            raise ConfigError(
-                f"the span of the walls [{self.x_min:g}, {self.x_max:g}] overflows"
             )
         if self.n_points < 64:
             raise ConfigError(f"n_points = {self.n_points} is below the minimum of 64")
