@@ -953,7 +953,6 @@ class TestMirroredGrid:
 
         assert oracle_columns(dict(mirrored, mirror=True)) == oracle_columns(plain)
 
-
     @pytest.mark.parametrize(
         "orientation",
         [{}, {"orient": "keep"}, {"mirror": True, "orient": "keep"}],
@@ -981,7 +980,7 @@ class TestMirroredGrid:
         if "mirror" in orientation:
             # the row at the bias of the config's own well solves that well
             [own] = [row for row in rows if row["tilde_eps"] == -0.1]
-            out, _ = run_oracle(parse_config(dict(doc, potential=potential)))
+            out, _ = run_oracle(parse_config(doc))
             assert own["oracle"] == out["spectrum"]
 
 
