@@ -264,8 +264,12 @@ class TestInertiaProof:
 
     def test_a_ceiling_under_the_pair_is_refused(self, harmonic):
         levels, polish = harmonic
-        with pytest.raises(GridTooCoarse, match="not above"):
-            polish([0, 1], levels[0])
+        # a ceiling equal to the pair's own theta_1 leaves no gap: each call
+        # starts from the same eigenvectors, so theta_1 repeats bit for bit
+        ritz = polish([0, 1], levels[2])
+        for ceiling in (ritz[1], levels[0]):
+            with pytest.raises(GridTooCoarse, match="not above"):
+                polish([0, 1], ceiling)
 
     def test_one_count_proves_each_grid(self, monkeypatch):
         # the default 8001-point grid and its Richardson partner: one Sturm
