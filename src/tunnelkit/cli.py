@@ -56,7 +56,7 @@ from .errors import (
     WellStructureError,
 )
 from .oracle import _flipped, _spectrum, eigen_lowest_two
-from .potentials import Mirrored, WellAnalysis, _unwrap, analyze
+from .potentials import Mirrored, WellAnalysis, _unwrap, analyze, mirror
 from .splitting import (
     K_FIRST_ORDER,
     QuantizationResult,
@@ -265,9 +265,12 @@ def run_sweep(config: RunConfig):
         flipped = _flipped(spec, base)
 
         def oracle(dialed):
-            # the member of the family that realizes the dialed well: built
-            # on the axis of the analysis, then seen from the config's axis,
-            # on which the grid's walls lie
+            # the member of the family that realizes the dialed well, built
+            # on the axis of the analysis: below zero bias, where the right
+            # well is the deeper, the mirror of the family with the wells
+            # swapped, so that its levels are measured from the floor at
+            # x_L as the row's are.  It is analyzed on that axis, then seen
+            # from the config's axis, on which the grid's walls lie.
             te = dialed.tilde_eps
             if te >= 0.0:
                 member = replace(
@@ -277,13 +280,7 @@ def run_sweep(config: RunConfig):
                     tilde_eps=te,
                     V0=dialed.V0,
                 )
-                member_spec = Mirrored(member) if flipped else member
-                member_analysis = analyze(member_spec, consts, orient=config.orient)
             else:
-                # the right well is the deeper: the member is the mirror of
-                # the family with the wells swapped, analyzed on the axis of
-                # the analysis, so that its levels are measured from the
-                # floor at x_L as the row's are
                 member = Mirrored(replace(
                     family,
                     omega_L=dialed.omega_R,
@@ -291,8 +288,8 @@ def run_sweep(config: RunConfig):
                     tilde_eps=-te,
                     V0=dialed.V0 - te,
                 ))
-                member_spec = member.inner if flipped else member
-                member_analysis = analyze(member, consts, orient="keep")
+            member_analysis = analyze(member, consts, orient="keep")
+            member_spec = mirror(member) if flipped else member
             return eigen_lowest_two(
                 member_spec, consts, config.oracle_grid, analysis=member_analysis
             )
