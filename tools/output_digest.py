@@ -31,8 +31,9 @@ The corpus:
   sweep on a 2001-point grid, its ``"mirror": true`` twin on walls
   symmetric about x = 0, and the ``"orient": "keep"`` twin of that one;
   then a 5-step sweep through zero bias, from -(tilde_eps + 0.05 omega_L)
-  to tilde_eps + 0.05 omega_L, on the same grid, and its
-  ``"orient": "keep"`` twin;
+  to tilde_eps + 0.05 omega_L, on the same grid, its
+  ``"orient": "keep"`` twin, and its ``"mirror": true`` twin on the
+  symmetric walls, which "auto" analyzes on the reflected axis;
 * the single well V = x^2 / 2 on a 2001-point grid over [-8, 8].
 """
 
@@ -96,12 +97,14 @@ def corpus():
             reach = te + 0.05 * pot["omega_L"]
             through = dict(plain, sweep=dict(sweep, **{"from": -reach, "to": reach}))
             through_kept = dict(through, potential=dict(pot, orient="keep"))
+            through_mirrored = dict(mirrored, sweep=through["sweep"])
             docs += [
                 (f"do_sweep:{seed}:{i}", plain),
                 (f"do_sweep_mirror:{seed}:{i}", mirrored),
                 (f"do_sweep_mirror_keep:{seed}:{i}", kept),
                 (f"do_sweep_zero:{seed}:{i}", through),
                 (f"do_sweep_zero_keep:{seed}:{i}", through_kept),
+                (f"do_sweep_zero_mirror:{seed}:{i}", through_mirrored),
             ]
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     docs.append(("readme", json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))))
