@@ -160,9 +160,7 @@ _MAX_SWEEPS = 8
 def _hamiltonian(v, consts: PhysConstants, x: np.ndarray) -> tuple[float, np.ndarray]:
     """(t, v on the interior nodes): H = tridiag(-t, 2t + v, -t), t = hbar^2 / (2 m h^2).
 
-    Raises ConfigError when t is not finite and positive or v is not
-    finite on every node: walls so far apart or so close that the spacing
-    or the potential overflows.
+    Raises ConfigError unless t is finite and positive and v finite on every node.
     """
     h = x[1] - x[0]
     with np.errstate(all="ignore"):
@@ -286,30 +284,26 @@ def _residual(t: float, vx: np.ndarray, q: np.ndarray, level: float, out, lower)
     return 3.0 * math.ulp(1.0) * (potential + 2.0 * kinetic)
 
 
-def _weighted_bound(
-    t: float, vx: np.ndarray, residuals: np.ndarray, allowances, levels, gap: float
-):
+def _weighted_bound(t: float, vx: np.ndarray, residuals, allowances, levels, gap: float):
     """The bound on |theta_j - lambda_j| from residuals weighed by (H - sigma)^-1.
 
-    sigma = theta_0 - 2 gap.  Column j of ``residuals`` is r_j =
-    (H - theta_j) q_j, and ``allowances[j]`` the rounding of its norm.
-    Write each Ritz vector as its part in the span of the two lowest
+    sigma = theta_0 - 2 gap; column j of ``residuals`` is r_j =
+    (H - theta_j) q_j, ``allowances[j]`` the rounding of its norm.  Write
+    each Ritz vector as its part in the span of the two lowest
     eigenvectors plus z_j in the rest.  Each theta_j exceeds lambda_j by
     at most sum_j z_j^T (H - lambda_0) z_j, and on an eigenvector of level
     lambda > hi = theta_1 + gap, z_j is r_j / (lambda - theta_j), so that
     sum is at most (hi - sigma)(hi - lambda_0) / gap^2 times
-    sum_j r_j^T (H - sigma)^-1 r_j.  The caller has |r0|^2 + |r1|^2 below
-    gap^2, so two levels lie within gap of the pair (Kahan's theorem;
-    Parlett, The Symmetric Eigenvalue Problem, chapter 11); once the Sturm
-    count of ``_polish`` puts no level but lambda_0 and lambda_1 at or
-    below hi, they are those two, and lambda_0 > theta_0 - gap.  So
-    hi - lambda_0 < 2 gap + (theta_1 - theta_0), and every level lies more
-    than gap above sigma: H - sigma is positive definite, and a failed
-    LDL^T factorization returns inf.  This weighting leaves the many high
-    levels that the rounding of a stored vector excites, about eps t in
-    |r|, with about eps^2 t in the bound, where |r|^2 / gap grows as
-    1/h^4.  The factorization's own rounding, a relative error of about
-    eps t / gap in each r_j^T (H - sigma)^-1 r_j, is not counted.
+    sum_j r_j^T (H - sigma)^-1 r_j.  As the caller has |r0|^2 + |r1|^2 <
+    gap^2, two levels lie within gap of the pair (Kahan's theorem;
+    Parlett, chapter 11), and its Sturm count makes them lambda_0 and
+    lambda_1: so lambda_0 > theta_0 - gap, every level lies more than gap
+    above sigma, and H - sigma is positive definite; a failed LDL^T
+    factorization returns inf.  This weighting leaves the many high levels
+    that the rounding of a stored vector excites, about eps t in |r|, with
+    about eps^2 t in the bound, where |r|^2 / gap grows as 1/h^4.  The
+    factorization's own rounding, a relative error of about eps t / gap in
+    each r_j^T (H - sigma)^-1 r_j, is not counted.
     """
     from scipy.linalg.lapack import dpttrf, dpttrs
 
@@ -354,8 +348,7 @@ def _polish(t: float, vx: np.ndarray, block: np.ndarray, shifts, ceiling: float,
     from scipy.linalg.lapack import dgtsv, dstebz
 
     n = vx.size
-    # the pair's residuals; their columns are the diagonal and the
-    # superdiagonal of the solves, and the diagonal of the count
+    # the pair's residuals; their columns double as the solves' and the count's diagonals
     residuals, lower = np.empty((n, 2), order="F"), np.empty(n - 1)
     diag, upper = residuals[:, 0], residuals[:-1, 1]
     for _ in range(_MAX_SWEEPS):
@@ -391,10 +384,9 @@ def _polish(t: float, vx: np.ndarray, block: np.ndarray, shifts, ceiling: float,
             bound = _weighted_bound(t, vx, residuals, allowances, levels, gap)
         if bound > _SETTLE * scale:
             continue
-        # every level is at least min(v), a Gershgorin bound of H, so the
-        # levels in (floor, hi] are all those at or below hi; a tolerance
-        # of hi - floor stops the bisection after its first step, as only
-        # their count is wanted
+        # every level is at least min(v) (Gershgorin), so the levels in (floor, hi]
+        # are all those at or below hi; a tolerance of hi - floor stops the
+        # bisection after its first step, as only their count is wanted
         np.add(vx, 2.0 * t, out=diag)
         lower.fill(-t)
         floor = vx.min() - gap
