@@ -308,8 +308,16 @@ def run_sweep(config: RunConfig):
         rows.append(row)
         lines.append(_csv_row(row, result.roots))
 
+    deltas = [row["splitting"]["delta"] for row in rows]
+    if 0.0 in deltas:
+        # ln Delta is fitted, and a Delta that underflowed to 0 has no log
+        row = rows[deltas.index(0.0)]
+        raise FitIllConditioned(
+            f"delta underflows to 0 at tilde_eps = {row['tilde_eps']:.17g} "
+            f"(I_bar = {row['splitting']['I_bar']:g}), so ln(delta) cannot be fitted"
+        )
     x = np.array(values)
-    y = np.log(np.array([row["splitting"]["delta"] for row in rows]))
+    y = np.log(np.array(deltas))
     design = np.column_stack([np.ones_like(x), x, x * x])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     slope = rows[0]["splitting"]["I_slope"]  # dI/dE at the start point's E_bar

@@ -36,7 +36,8 @@ class ConfigError(TunnelkitError):
 
 
 class FitIllConditioned(ConfigError):
-    """Sweep fit requested with too few points or a zero-width range."""
+    """Sweep fit requested with too few points or a zero-width range, or
+    on a splitting that underflows to 0."""
 
 
 class RegimeError(TunnelkitError):

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -747,6 +748,40 @@ class TestExitCodes:
         assert r.returncode == 3
         assert "regime error" in r.stderr
         assert "E = 1.50474 is below the right well floor" in r.stderr
+
+    def test_sweep_whose_splitting_underflows_is_a_config_error(self, tmp_path, capsys):
+        # I_bar = 844.7, so delta underflows to 0 on every row: ln(delta)
+        # has nothing to fit, and the sweep is refused before the log.
+        path = write_json(
+            tmp_path,
+            "underflow.json",
+            {
+                "schema": "tunnelkit/1",
+                "potential": {
+                    "family": "biased_quartic",
+                    "alpha": 62.64365154815492,
+                    "a": 3.845467281649521,
+                    "beta": -3.2396766803991324,
+                },
+                "sweep": {
+                    "parameter": "tilde_eps",
+                    "from": 0.0634162680636503,
+                    "to": 0.630445146288632,
+                    "steps": 11,
+                },
+            },
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["sweep", path])
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert (
+            "config error: delta underflows to 0 at tilde_eps = 0.063416268063650305 "
+            "(I_bar = 844.696)" in err
+        )
 
     def test_sweep_rows_past_the_zeta_bound_are_flagged_unbracketed(self, tmp_path):
         # Dialed from 1.0 to 2.0 the same curve keeps every mean level above
