@@ -20,6 +20,10 @@ stopping depth, and only rows with a component still open go on to the
 next pass.  So each value is bit for bit what a quadrature of its
 integrand alone at that energy gives, in a batch of any size, and a
 caller asking for I alone never waits on a slope that cannot settle.
+The first pass takes depths 0 and 1 together, its nodes built in one
+broadcast from fixed edge tables.  Almost every component settles
+there, and the kernel then returns from that one sample; a component
+still open seeds the refinement loop, which goes on from depth 2.
 ``turning_points``, ``gamow_integral``, ``action_slope`` and
 ``evaluate_action`` are one-row calls of the kernel; a row whose energy
 or quadrature fails carries its own error, which a one-row call raises.
@@ -54,6 +58,7 @@ from .potentials import (
 )
 from .quadrature import (
     _MAX_DEPTH,
+    _NODES,
     _ORDER,
     _panel_nodes,
     _panel_sum,
@@ -91,6 +96,16 @@ class ActionResult:
 # Most t-nodes one pass of the action kernel samples in one block; more
 # open (row, flank) pairs than that are sampled in chunks.
 _PASS_NODES = 2**16
+
+# The panels of the kernel's first pass on [0, top], as edge tables:
+# depth 0's one panel, then depth 1's two.  Edge j of depth d is
+# j * (top / 2**d) + 0.0, and each depth's last edge is top itself, as
+# quadrature._edges gives them.
+_FIRST_PANELS = np.array([1.0, 2.0, 2.0])  # 2**d of each panel's depth
+_FIRST_LO = np.array([0.0, 0.0, 1.0])  # index j of each panel's left edge
+_FIRST_HI = np.array([1.0, 1.0, 2.0])  # and of its right edge
+_FIRST_ENDS = [0, 2]  # the panels whose right edge is top
+_FIRST_NODES = 3 * _ORDER
 
 
 def _ensure_analysis(spec, consts, analysis):
@@ -191,11 +206,15 @@ def _flank_integrals(analysis, E, a_bar, b_bar, rtol, integrands):
     one as x = b_bar - t^2 from b_bar back to x_m.  A (row, flank) pair
     is open while one of its integrands is.  Each refinement pass calls v
     once on a (pairs x nodes) block of the t-nodes of the open pairs and
-    forms every integrand from that one sample; the first pass takes
-    depths 0 and 1 together, since almost every component stops at depth
-    1.  A pass that would sample more than _PASS_NODES nodes runs in
-    chunks of pairs.  Each (row, integrand, flank) component stops at its
-    own depth with exactly the value adaptive_quadrature gives it alone.
+    forms every integrand from that one sample.  The first pass takes
+    depths 0 and 1 of every pair together, with its nodes from the
+    _FIRST_* edge tables, and returns at once when every component
+    settles at depth 1, as almost every one does.  Otherwise its sums
+    seed the loop, which goes on from depth 2 with the open pairs.  A
+    first pass with a zero-width flank, or over _PASS_NODES nodes, is left
+    to the loop, which samples a pass over _PASS_NODES nodes in chunks of
+    pairs.  Each (row, integrand, flank) component stops at its own depth
+    with exactly the value adaptive_quadrature gives it alone.
 
     Returns (values, errors): values[i, flank, row] is the left (flank 0)
     or right flank of integrand i at each row, and errors maps each row with a
@@ -210,28 +229,50 @@ def _flank_integrals(analysis, E, a_bar, b_bar, rtol, integrands):
     sign = np.repeat([1.0, -1.0], k)
     energy = np.concatenate([E, E])
     tops = np.sqrt(np.concatenate([analysis.x_m - a_bar, b_bar - analysis.x_m]))
-    # value, last value and openness of each (integrand, pair) component;
-    # a zero-width flank is 0.0, as adaptive_quadrature gives it
-    value = np.zeros((n, 2 * k))
-    last = np.full((n, 2 * k), np.nan)  # so that depth 0 never settles
-    open_ = np.repeat([tops != 0.0], n, axis=0)
-    depths = (0, 1)
+
+    def sample(p, t):
+        # every integrand at the t-nodes of pairs p, from one call of v
+        w = two_m * (analysis.v(base[p, None] + sign[p, None] * (t * t)) - energy[p, None])
+        two_t = 2.0 * t
+        return np.array([f(two_t, w, m) for f in integrands])
+
+    if n and tops.all() and 2 * k * _FIRST_NODES <= _PASS_NODES:
+        # the loop's first pass, with quadrature._panel_nodes' arithmetic
+        step = tops[:, None] / _FIRST_PANELS
+        lo = _FIRST_LO * step + 0.0
+        hi = _FIRST_HI * step + 0.0
+        hi[:, _FIRST_ENDS] = tops[:, None]
+        half = 0.5 * (hi - lo)
+        t = (0.5 * (hi + lo))[..., None] + half[..., None] * _NODES
+        vals = sample(slice(None), t.reshape(2 * k, _FIRST_NODES))
+        # one product per depth, as the loop forms them
+        first = _panel_sum(vals[:, :, :_ORDER], half[:, :1])
+        last = _panel_sum(vals[:, :, _ORDER:], half[:, 1:])
+        settled = np.abs(last - first) <= rtol * np.abs(last)
+        if settled.all():
+            return last.reshape(n, 2, k), {}
+        value, open_, depths = np.where(settled, last, 0.0), ~settled, (2,)
+    else:
+        # value, last value and openness of each (integrand, pair)
+        # component; a zero-width flank is 0.0, as adaptive_quadrature
+        # gives it
+        value = np.zeros((n, 2 * k))
+        last = np.full((n, 2 * k), np.nan)  # so that depth 0 never settles
+        open_ = np.repeat([tops != 0.0], n, axis=0)
+        depths = (0, 1)
     while depths[0] <= _MAX_DEPTH:
         live = open_.any(axis=0)
         if not live.any():
             break
         chunk = max(1, _PASS_NODES // sum(_ORDER * 2**d for d in depths))
         pairs = np.flatnonzero(live)
-        # all pairs open (the first pass, mostly) take views, not copies
+        # all pairs open take views, not copies
         spans = [slice(None)] if pairs.size == 2 * k <= chunk else [
             pairs[start:start + chunk] for start in range(0, pairs.size, chunk)
         ]
         for p in spans:
             blocks = [_panel_nodes(0.0, tops[p], 2**d) for d in depths]
-            t = np.concatenate([nodes for nodes, _ in blocks], axis=1)
-            w = two_m * (analysis.v(base[p, None] + sign[p, None] * (t * t)) - energy[p, None])
-            two_t = 2.0 * t
-            vals = np.stack([f(two_t, w, m) for f in integrands])
+            vals = sample(p, np.concatenate([nodes for nodes, _ in blocks], axis=1))
             still, prev, got = open_[:, p], last[:, p], value[:, p]
             col = 0
             for nodes, half in blocks:

@@ -16,7 +16,10 @@ and each of these components keeps its own stopping depth.
 them (one row each), and give every row the bits it gets alone; with
 ``_unsettled`` and the stopping test of ``_settled`` they let each
 component get exactly the value, or the error, that
-``adaptive_quadrature`` gives it alone.
+``adaptive_quadrature`` gives it alone.  The kernel's first pass builds
+the nodes of depths 0 and 1 from edge tables of its own, by the
+arithmetic of ``_edges`` and ``_panel_nodes``, and sums each depth with
+``_panel_sum``; later passes take their nodes from ``_panel_nodes``.
 """
 
 import numpy as np

@@ -32,10 +32,12 @@ from tunnelkit import (
 )
 from tunnelkit.actions import action_rows
 from tunnelkit.quadrature import _edges
+from tunnelkit.splitting import compute_splittings
 from util import (
     DEEP_WELLS,
     deep_quartic,
     reference_action,
+    reference_flank_integrals,
     reference_gamow_parts,
     reference_slope,
 )
@@ -193,6 +195,20 @@ def _outcome(fn):
         return type(exc), str(exc)
 
 
+def sampled_sizes(monkeypatch):
+    """The size of every array call of v, in call order."""
+    sizes = []
+    evaluate_v = tunnelkit.potentials.evaluate
+
+    def spy(spec, x, consts):
+        if np.ndim(x):
+            sizes.append(np.size(x))
+        return evaluate_v(spec, x, consts)
+
+    monkeypatch.setattr(tunnelkit.potentials, "evaluate", spy)
+    return sizes
+
+
 def _outcomes(rows):
     # the rows of a batch, each error as its type and message
     return [(type(r), str(r)) if isinstance(r, TunnelkitError) else r for r in rows]
@@ -279,6 +295,39 @@ class TestActionKernel:
         assert sizes == [96, 64, 128]
         self.check_against_reference(spec, a, e)
 
+    def test_each_flank_stops_at_its_own_depth(self, monkeypatch):
+        # An integrand of t alone, with no rounding of v in it: on [0, T]
+        # one 16-node panel of 2t (2 + cos(36 t)) is exact to about 1e-16
+        # once T is below 0.5, and off by about 1e-7 at T = 0.92.  The
+        # right flank of this well (T = 0.46) settles at depth 1; the left
+        # one is 4 times as long and refines to depth 3.
+        spec = DoubleOscillator(1.0, 16.0, 0.0, 20.0)
+        a = analyze(spec, C)
+        e = a.E_bar
+        a_bar, b_bar = turning_points(spec, C, e, a)
+        sizes = sampled_sizes(monkeypatch)
+
+        def wavy(two_t, w, m):
+            return two_t * (2.0 + np.cos(18.0 * two_t))
+
+        values, errors = tunnelkit.actions._flank_integrals(
+            a, np.array([e]), np.array([a_bar]), np.array([b_bar]), 1e-12, (wavy,)
+        )
+        # depths 0 and 1 of both flanks, then the left flank alone at
+        # depths 2 and 3
+        assert sizes == [96, 64, 128]
+        assert errors == {}
+        assert [tuple(values[0, :, 0].tolist())] == reference_flank_integrals(
+            C, e, a, a_bar, b_bar, 1e-12, (wavy,)
+        )
+
+    def test_a_settled_first_pass_samples_v_once(self, monkeypatch):
+        spec = deep_quartic(6.0, 1.0, 0.1)
+        a = analyze(spec, C)
+        sizes = sampled_sizes(monkeypatch)
+        evaluate_action(spec, C, analysis=a)
+        assert sizes == [96]
+
 
 class TestActionBatch:
     """``action_rows`` takes many energies on one curve at once; every row
@@ -322,6 +371,22 @@ class TestActionBatch:
         monkeypatch.setattr(tunnelkit.actions, "_PASS_NODES", 100)
         assert _outcomes(action_rows([a] * 9, energies)) == whole
         assert whole == [_outcome(lambda: reference_action(C, a, e)) for e in energies]
+
+    def test_each_batch_of_a_sweep_samples_v_once(self, monkeypatch):
+        # 41 points dialed by up to 0.1 of a level spacing, every component
+        # settled at depth 1: one call of v on 96 nodes per row at E_bar,
+        # then on 96 nodes per row of each Newton iterate of both roots.
+        spec = deep_quartic(6.0, 1.0, 0.1)
+        a = analyze(spec, C)
+        points = [
+            dataclasses.replace(a, tilde_eps=a.tilde_eps + 0.1 * i / 40 * C.hbar * a.omega_L)
+            for i in range(41)
+        ]
+        sizes = sampled_sizes(monkeypatch)
+        outcomes = compute_splittings(points)
+        assert all(error is None for _, error in outcomes)
+        assert len(sizes) >= 2
+        assert sizes == [41 * 96] + [82 * 96] * (len(sizes) - 1)
 
     def test_one_row_calls_are_the_batch(self):
         spec = BiasedQuartic(0.7, 2.3, 0.3)
