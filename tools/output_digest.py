@@ -31,9 +31,10 @@ The corpus:
   sweep on a 2001-point grid, its ``"mirror": true`` twin on walls
   symmetric about x = 0, and the ``"orient": "keep"`` twin of that one;
   then a 5-step sweep through zero bias, from -(tilde_eps + 0.05 omega_L)
-  to tilde_eps + 0.05 omega_L, on the same grid, its
-  ``"orient": "keep"`` twin, and its ``"mirror": true`` twin on the
-  symmetric walls, which "auto" analyzes on the reflected axis;
+  to tilde_eps + 0.05 omega_L, on the same grid, its ``"mirror": true``
+  twin on the symmetric walls, which "auto" analyzes on the reflected
+  axis, and the ``"orient": "keep"`` twin of that one, which keeps the
+  config's axis, where the bias runs negative;
 * the single well V = x^2 / 2 on a 2001-point grid over [-8, 8].
 """
 
@@ -96,8 +97,8 @@ def corpus():
             kept = dict(mirrored, potential=dict(mirrored["potential"], orient="keep"))
             reach = te + 0.05 * pot["omega_L"]
             through = dict(plain, sweep=dict(sweep, **{"from": -reach, "to": reach}))
-            through_kept = dict(through, potential=dict(pot, orient="keep"))
             through_mirrored = dict(mirrored, sweep=through["sweep"])
+            through_kept = dict(kept, sweep=through["sweep"])
             docs += [
                 (f"do_sweep:{seed}:{i}", plain),
                 (f"do_sweep_mirror:{seed}:{i}", mirrored),
