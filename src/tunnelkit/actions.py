@@ -20,10 +20,10 @@ stopping depth, and only rows with a component still open go on to the
 next pass.  So each value is bit for bit what a quadrature of its
 integrand alone at that energy gives, in a batch of any size, and a
 caller asking for I alone never waits on a slope that cannot settle.
-The first pass takes depths 0 and 1 together, its nodes built in one
-broadcast from fixed edge tables.  Almost every component settles
-there, and the kernel then returns from that one sample; a component
-still open seeds the refinement loop, which goes on from depth 2.
+The first pass takes depths 0 and 1 of every pair together.  Almost
+every component settles there, and the kernel then returns from that
+one sample; the pairs with a component still open go on one depth per
+pass from depth 2.
 ``turning_points``, ``gamow_integral``, ``action_slope`` and
 ``evaluate_action`` are one-row calls of the kernel; a row whose energy
 or quadrature fails carries its own error, which a one-row call raises.
@@ -58,10 +58,9 @@ from .potentials import (
 )
 from .quadrature import (
     _MAX_DEPTH,
-    _NODES,
     _ORDER,
     _panel_nodes,
-    _panel_sum,
+    _panel_sums,
     _unsettled,
     adaptive_quadrature,
 )
@@ -96,17 +95,6 @@ class ActionResult:
 # Most t-nodes one pass of the action kernel samples in one block; more
 # open (row, flank) pairs than that are sampled in chunks.
 _PASS_NODES = 2**16
-
-# The panels of the kernel's first pass on [0, top], as edge tables:
-# depth 0's one panel, then depth 1's two.  Edge j of depth d is
-# j * (top / 2**d) + 0.0, and each depth's last edge is top itself, as
-# quadrature._edges gives them.
-_FIRST_PANELS = np.array([1.0, 2.0, 2.0])  # 2**d of each panel's depth
-_FIRST_LO = np.array([0.0, 0.0, 1.0])  # index j of each panel's left edge
-_FIRST_HI = np.array([1.0, 1.0, 2.0])  # and of its right edge
-_FIRST_ENDS = [0, 2]  # the panels whose right edge is top
-_FIRST_NODES = 3 * _ORDER
-
 
 def _ensure_analysis(spec, consts, analysis):
     if analysis is None:
@@ -204,17 +192,15 @@ def _flank_integrals(analysis, E, a_bar, b_bar, rtol, integrands):
 
     The left flank runs as x = a_bar + t^2 from a_bar to x_m, the right
     one as x = b_bar - t^2 from b_bar back to x_m.  A (row, flank) pair
-    is open while one of its integrands is.  Each refinement pass calls v
-    once on a (pairs x nodes) block of the t-nodes of the open pairs and
-    forms every integrand from that one sample.  The first pass takes
-    depths 0 and 1 of every pair together, with its nodes from the
-    _FIRST_* edge tables, and returns at once when every component
-    settles at depth 1, as almost every one does.  Otherwise its sums
-    seed the loop, which goes on from depth 2 with the open pairs.  A
-    first pass with a zero-width flank, or over _PASS_NODES nodes, is left
-    to the loop, which samples a pass over _PASS_NODES nodes in chunks of
-    pairs.  Each (row, integrand, flank) component stops at its own depth
-    with exactly the value adaptive_quadrature gives it alone.
+    is open while one of its integrands is.  Each pass calls v once on a
+    (pairs x nodes) block of the t-nodes of the open pairs, once per chunk
+    of pairs past _PASS_NODES nodes, and forms every integrand from that
+    sample.  The first pass takes depths 0 and 1 of every pair and
+    returns when every component settles, as almost every one does (a
+    zero-width flank sums to 0.0 at both); each later pass takes the open
+    pairs one depth further.  Each (row, integrand, flank) component
+    stops at its own depth with exactly the value adaptive_quadrature
+    gives it alone.
 
     Returns (values, errors): values[i, flank, row] is the left (flank 0)
     or right flank of integrand i at each row, and errors maps each row with a
@@ -225,65 +211,44 @@ def _flank_integrals(analysis, E, a_bar, b_bar, rtol, integrands):
     m = analysis.consts.mass
     two_m = 2.0 * m
     k, n = E.size, len(integrands)
+    if not n:
+        return np.empty((0, 2, k)), {}
     base = np.concatenate([a_bar, b_bar])  # pair p is row p % k, flank p // k
     sign = np.repeat([1.0, -1.0], k)
     energy = np.concatenate([E, E])
     tops = np.sqrt(np.concatenate([analysis.x_m - a_bar, b_bar - analysis.x_m]))
 
-    def sample(p, t):
-        # every integrand at the t-nodes of pairs p, from one call of v
+    def chunk_sums(p, counts):
+        # every integrand's sums on each count of panels at pairs p: one v call
+        t, half = _panel_nodes(0.0, tops[p], counts)
         w = two_m * (analysis.v(base[p, None] + sign[p, None] * (t * t)) - energy[p, None])
         two_t = 2.0 * t
-        return np.array([f(two_t, w, m) for f in integrands])
+        return _panel_sums(np.array([f(two_t, w, m) for f in integrands]), half, counts)
 
-    if n and tops.all() and 2 * k * _FIRST_NODES <= _PASS_NODES:
-        # the loop's first pass, with quadrature._panel_nodes' arithmetic
-        step = tops[:, None] / _FIRST_PANELS
-        lo = _FIRST_LO * step + 0.0
-        hi = _FIRST_HI * step + 0.0
-        hi[:, _FIRST_ENDS] = tops[:, None]
-        half = 0.5 * (hi - lo)
-        t = (0.5 * (hi + lo))[..., None] + half[..., None] * _NODES
-        vals = sample(slice(None), t.reshape(2 * k, _FIRST_NODES))
-        # one product per depth, as the loop forms them
-        first = _panel_sum(vals[:, :, :_ORDER], half[:, :1])
-        last = _panel_sum(vals[:, :, _ORDER:], half[:, 1:])
-        settled = np.abs(last - first) <= rtol * np.abs(last)
-        if settled.all():
-            return last.reshape(n, 2, k), {}
-        value, open_, depths = np.where(settled, last, 0.0), ~settled, (2,)
-    else:
-        # value, last value and openness of each (integrand, pair)
-        # component; a zero-width flank is 0.0, as adaptive_quadrature
-        # gives it
-        value = np.zeros((n, 2 * k))
-        last = np.full((n, 2 * k), np.nan)  # so that depth 0 never settles
-        open_ = np.repeat([tops != 0.0], n, axis=0)
-        depths = (0, 1)
-    while depths[0] <= _MAX_DEPTH:
+    def sums(pairs, counts):
+        # chunk_sums at the pairs, in chunks of at most _PASS_NODES nodes;
+        # all pairs in one chunk take views, not copies
+        chunk = max(1, _PASS_NODES // (_ORDER * sum(counts)))
+        if len(pairs) == 2 * k <= chunk:
+            return chunk_sums(slice(None), counts)
+        parts = [chunk_sums(pairs[s:s + chunk], counts) for s in range(0, len(pairs), chunk)]
+        return [np.concatenate(part, axis=1) for part in zip(*parts)]
+
+    first, last = sums(range(2 * k), (1, 2))
+    settled = np.abs(last - first) <= rtol * np.abs(last)
+    if settled.all():
+        return last.reshape(n, 2, k), {}
+    # value and openness of each (integrand, pair) component
+    value, open_ = np.where(settled, last, 0.0), ~settled
+    for depth in range(2, _MAX_DEPTH + 1):
         live = open_.any(axis=0)
         if not live.any():
             break
-        chunk = max(1, _PASS_NODES // sum(_ORDER * 2**d for d in depths))
-        pairs = np.flatnonzero(live)
-        # all pairs open take views, not copies
-        spans = [slice(None)] if pairs.size == 2 * k <= chunk else [
-            pairs[start:start + chunk] for start in range(0, pairs.size, chunk)
-        ]
-        for p in spans:
-            blocks = [_panel_nodes(0.0, tops[p], 2**d) for d in depths]
-            vals = sample(p, np.concatenate([nodes for nodes, _ in blocks], axis=1))
-            still, prev, got = open_[:, p], last[:, p], value[:, p]
-            col = 0
-            for nodes, half in blocks:
-                sums = _panel_sum(vals[:, :, col:col + nodes.shape[1]], half)
-                col += nodes.shape[1]
-                settled = still & (np.abs(sums - prev) <= rtol * np.abs(sums))
-                got = np.where(settled, sums, got)
-                prev = sums
-                still = still ^ settled
-            open_[:, p], last[:, p], value[:, p] = still, prev, got
-        depths = (depths[-1] + 1,)
+        [got] = sums(np.flatnonzero(live), (2**depth,))
+        settled = open_[:, live] & (np.abs(got - last[:, live]) <= rtol * np.abs(got))
+        value[:, live] = np.where(settled, got, value[:, live])
+        open_[:, live] ^= settled
+        last[:, live] = got
     errors = {}
     if open_.any():
         stuck, last = open_.reshape(n, 2, k), last.reshape(n, 2, k)

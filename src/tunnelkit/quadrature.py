@@ -12,15 +12,16 @@ The barrier-action kernel in ``actions`` refines many integrals at once:
 one sample set of the potential per pass, on a (rows x nodes) block,
 serves I and dI/dE on both barrier flanks at every energy of a batch,
 and each of these components keeps its own stopping depth.
-``_panel_nodes`` and ``_panel_sum`` take one right end or an array of
-them (one row each), and give every row the bits it gets alone; with
+``_panel_nodes`` builds the nodes of one pass, of one panel count or of
+several (the kernel's first pass takes 1 and 2 panels at once), and
+``_panel_sums`` sums each count; both take one right end or an array of
+them (one row each), and give every row the bits it gets alone.  With
 ``_unsettled`` and the stopping test of ``_settled`` they let each
 component get exactly the value, or the error, that
-``adaptive_quadrature`` gives it alone.  The kernel's first pass builds
-the nodes of depths 0 and 1 from edge tables of its own, by the
-arithmetic of ``_edges`` and ``_panel_nodes``, and sums each depth with
-``_panel_sum``; later passes take their nodes from ``_panel_nodes``.
+``adaptive_quadrature`` gives it alone.  No other module places nodes.
 """
+
+import functools
 
 import numpy as np
 
@@ -31,44 +32,58 @@ __all__ = ["panel_quadrature", "adaptive_quadrature"]
 # Gauss-Legendre order per panel, and its nodes and weights on [-1, 1]
 _ORDER = 16
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_ORDER)
-_INDEX_CACHE: dict[int, np.ndarray] = {}
 # deepest dyadic level: 2**12 panels
 _MAX_DEPTH = 12
 
 
-def _edges(a: float, b, panels: int) -> np.ndarray:
-    # np.linspace(a, b, panels + 1) by linspace's own arithmetic, bit for
-    # bit, without its per-call overhead.  An array b gives one row of
-    # edges per right end.
-    try:
-        idx = _INDEX_CACHE[panels]
-    except KeyError:
-        idx = _INDEX_CACHE[panels] = np.arange(panels + 1, dtype=float)
-    b = np.asarray(b, dtype=float)
-    edges = idx * ((b - a) / panels)[..., None] + a
-    edges[..., -1] = b
-    return edges
+@functools.cache
+def _tables(counts: tuple[int, ...]):
+    # for each panel of each count: the count, and the indices j of its
+    # left and right edges, j * ((b - a) / count) + a; and the panels
+    # whose right edge is b itself
+    per = np.repeat(np.array(counts, dtype=float), counts)
+    left = np.concatenate([np.arange(count, dtype=float) for count in counts])
+    return per, left, left + 1.0, np.cumsum(counts) - 1
 
 
-def _panel_nodes(a: float, b, panels: int):
-    """All nodes of ``panels`` equal panels on [a, b], flat, and the panel
-    half-widths that ``_panel_sum`` weighs the values at those nodes by.
+def _panel_nodes(a: float, b, counts: tuple[int, ...]):
+    """The nodes of ``count`` equal panels on [a, b] for each count, flat
+    and in the order of counts, and the panel half-widths that
+    ``_panel_sums`` weighs their values by.
 
-    An array b gives one row of nodes and one of half-widths per right
-    end, each equal bit for bit to what that b alone gives.
+    The edges are np.linspace(a, b, count + 1) by linspace's own
+    arithmetic, bit for bit, without its per-call overhead.  An array b
+    gives one row of nodes and half-widths per right end, each equal bit
+    for bit to what that b alone gives.
     """
-    edges = _edges(a, b, panels)
-    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
-    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
-    nodes = mid[..., None] + half[..., None] * _NODES
-    return nodes.reshape(*half.shape[:-1], panels * _ORDER), half
+    per, left, right, ends = _tables(counts)
+    b = np.asarray(b, dtype=float)[..., None]
+    width = b - a
+    step = width / per
+    lo, hi = left * step, right * step
+    if np.count_nonzero(step) < step.size:
+        # where the step underflows to 0, linspace scales j / count instead
+        lo = np.where(step == 0, left / per * width, lo)
+        hi = np.where(step == 0, right / per * width, hi)
+    lo, hi = lo + a, hi + a
+    hi[..., ends] = b
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (hi + lo))[..., None] + half[..., None] * _NODES
+    return nodes.reshape(*half.shape[:-1], half.shape[-1] * _ORDER), half
 
 
-def _panel_sum(vals: np.ndarray, half: np.ndarray):
-    """Composite rule from the values at the nodes of ``_panel_nodes``:
-    a float, or one per row of rows of nodes."""
-    sums = (half * (vals.reshape(*vals.shape[:-1], -1, _ORDER) @ _WEIGHTS)).sum(axis=-1)
-    return float(sums) if sums.ndim == 0 else sums
+def _panel_sums(vals: np.ndarray, half: np.ndarray, counts: tuple[int, ...]):
+    """The composite rule of each count from the values at the nodes of
+    ``_panel_nodes``: a list with one sum, or one per row of rows of
+    nodes, per count.  Each count takes its own product with the weights;
+    one product over all counts moves bits."""
+    sums, start = [], 0
+    for count in counts:
+        stop = start + count
+        panels = vals[..., start * _ORDER:stop * _ORDER].reshape(*vals.shape[:-1], count, _ORDER)
+        sums.append((half[..., start:stop] * (panels @ _WEIGHTS)).sum(axis=-1))
+        start = stop
+    return sums
 
 
 def _settled(val: float, prev: float | None, rtol: float, atol: float = 0.0) -> bool:
@@ -95,8 +110,8 @@ def panel_quadrature(f, a: float, b: float, panels: int) -> float:
         The composite quadrature value.
     """
     # all nodes of all panels in one flat evaluation
-    pts, half = _panel_nodes(a, b, panels)
-    return _panel_sum(np.asarray(f(pts), dtype=float), half)
+    pts, half = _panel_nodes(a, b, (panels,))
+    return float(_panel_sums(np.asarray(f(pts), dtype=float), half, (panels,))[0])
 
 
 def adaptive_quadrature(

@@ -31,7 +31,7 @@ from tunnelkit import (
     turning_points,
 )
 from tunnelkit.actions import action_rows
-from tunnelkit.quadrature import _edges
+from tunnelkit.quadrature import _NODES, _panel_nodes, _panel_sums
 from tunnelkit.splitting import compute_splittings
 from util import (
     DEEP_WELLS,
@@ -53,7 +53,26 @@ class TestQuadrature:
     def test_panel_edges_are_linspace_bit_for_bit(self, a, width, panels):
         # asymptotic_action integrates from x_L < 0, the barrier actions from 0.
         b = a + width
-        assert np.array_equal(_edges(a, b, panels), np.linspace(a, b, panels + 1))
+        edges = np.linspace(a, b, panels + 1)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * _NODES
+        got, got_half = _panel_nodes(a, b, (panels,))
+        assert np.array_equal(got, nodes.ravel())
+        assert np.array_equal(got_half, half)
+
+    def test_a_pass_of_two_counts_is_each_count_alone(self):
+        # the action kernel's first pass takes depths 0 and 1 of every
+        # flank from one call of the builder
+        b = np.array([0.0, 1e-300, 0.3, 1.0, 7.25, 123.456])
+        vals = np.cos(3.0 * b[:, None] * np.arange(48.0))
+        nodes, half = _panel_nodes(0.0, b, (1, 2))
+        one, one_half = _panel_nodes(0.0, b, (1,))
+        two, two_half = _panel_nodes(0.0, b, (2,))
+        assert np.array_equal(nodes, np.concatenate([one, two], axis=1))
+        assert np.array_equal(half, np.concatenate([one_half, two_half], axis=1))
+        sums = _panel_sums(vals, half, (1, 2))
+        assert np.array_equal(sums[0], _panel_sums(vals[:, :16], one_half, (1,))[0])
+        assert np.array_equal(sums[1], _panel_sums(vals[:, 16:], two_half, (2,))[0])
 
     def test_adaptive_quadrature_matches_analytic_integral(self):
         val = adaptive_quadrature(np.sin, 0.0, math.pi, rtol=1e-13)
@@ -327,6 +346,36 @@ class TestActionKernel:
         sizes = sampled_sizes(monkeypatch)
         evaluate_action(spec, C, analysis=a)
         assert sizes == [96]
+
+    def test_a_zero_width_flank_is_zero_in_the_one_pass(self):
+        # a_bar = x_m on the middle row: its left flank has all its nodes
+        # at t = 0, so both depths sum to 0.0 and it settles at once, as
+        # adaptive_quadrature gives a zero-width interval 0.0.
+        spec = BiasedQuartic(0.7, 2.3, 0.3)
+        a = analyze(spec, C)
+        energies = [a.V0 * f for f in (0.2, 0.5, 0.8)]
+        turns = [turning_points(spec, C, e, a) for e in energies]
+        a_bar = np.array([turns[0][0], a.x_m, turns[2][0]])
+        b_bar = np.array([b for _, b in turns])
+        integrands = (tunnelkit.actions._momentum, tunnelkit.actions._inverse_momentum)
+        values, errors = tunnelkit.actions._flank_integrals(
+            a, np.array(energies), a_bar, b_bar, 1e-12, integrands
+        )
+        assert errors == {}
+        assert values[:, 0, 1].tolist() == [0.0, 0.0]
+        assert not np.signbit(values[:, 0, 1]).any()
+        for row, e in enumerate(energies):
+            assert [tuple(pair) for pair in values[:, :, row].tolist()] == (
+                reference_flank_integrals(C, e, a, a_bar[row], b_bar[row], 1e-12, integrands)
+            )
+
+    def test_turning_points_make_no_array_call_of_v(self, monkeypatch):
+        spec = deep_quartic(6.0, 1.0, 0.1)
+        a = analyze(spec, C)
+        sizes = sampled_sizes(monkeypatch)
+        a_bar, b_bar = turning_points(spec, C, a.E_bar, a)
+        assert a.x_L < a_bar < a.x_m < b_bar < a.x_R
+        assert sizes == []
 
 
 class TestActionBatch:

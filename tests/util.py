@@ -27,7 +27,7 @@ from tunnelkit import (
 from tunnelkit import oracle
 from tunnelkit._brent import brentq
 from tunnelkit.cli import _splitting_doc, _warn_flags
-from tunnelkit.quadrature import _MAX_DEPTH, _panel_nodes, _panel_sum, _settled, _unsettled
+from tunnelkit.quadrature import _MAX_DEPTH, _panel_nodes, _panel_sums, _settled, _unsettled
 
 # Linear coefficient that pins the well-frequency ratio of the pinned sextic
 # (minima at x = -1 and x = +1) to exactly 1.3 while keeping both minima at
@@ -189,7 +189,7 @@ def reference_flank_integrals(consts, E, analysis, a_bar, b_bar, rtol, integrand
         if not open_comps:
             break
         blocks = [
-            (flank, *_panel_nodes(0.0, tops[flank], 2**depth))
+            (flank, *_panel_nodes(0.0, tops[flank], (2**depth,)))
             for flank in sorted({flank for _, flank in open_comps})
             for depth in depths
         ]
@@ -204,7 +204,7 @@ def reference_flank_integrals(consts, E, analysis, a_bar, b_bar, rtol, integrand
             stop = start + t.size
             for c in open_comps:
                 if c[1] == flank and c not in done:
-                    val = _panel_sum(vals[c[0]][start:stop], half)
+                    val = float(_panel_sums(vals[c[0]][start:stop], half, (half.size,))[0])
                     if _settled(val, last[c], rtol):
                         done[c] = val
                     last[c] = val
