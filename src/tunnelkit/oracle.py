@@ -510,14 +510,19 @@ def _spectrum(
     else:
         v = lambda x: evaluate(spec, x, consts)  # noqa: E731
     snap, seeds = spec.kink, {}
-    coarse = e0_c, e1_c = _lowest_two_on_grid(v, consts, grid, grid.n_points, snap, seeds)
-    if not grid.richardson:
-        return Spectrum(
-            E0=e0_c, E1=e1_c, splitting=e1_c - e0_c, est_error=math.nan, coarse=coarse
+    try:
+        coarse = e0_c, e1_c = _lowest_two_on_grid(v, consts, grid, grid.n_points, snap, seeds)
+        if not grid.richardson:
+            return Spectrum(
+                E0=e0_c, E1=e1_c, splitting=e1_c - e0_c, est_error=math.nan, coarse=coarse
+            )
+        fine = e0_f, e1_f = _lowest_two_on_grid(
+            v, consts, grid, 2 * grid.n_points - 1, snap, seeds
         )
-    fine = e0_f, e1_f = _lowest_two_on_grid(
-        v, consts, grid, 2 * grid.n_points - 1, snap, seeds
-    )
+    except MemoryError:
+        raise ConfigError(
+            f"n_points = {grid.n_points} is too large: its oracle grid cannot be allocated"
+        ) from None
     split_c, split_f = e1_c - e0_c, e1_f - e0_f
     if abs(split_f - split_c) > 0.1 * abs(split_f):
         raise GridTooCoarse(

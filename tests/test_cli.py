@@ -548,6 +548,17 @@ class TestOracleCommand:
             "Hamiltonian: t = 0, and v is not finite on 98 nodes\n"
         )
 
+    def test_a_grid_too_large_to_allocate_is_a_config_error(self, tmp_path, capsys):
+        # 10^12 nodes need 7.28 TiB for the nodes alone; the very first
+        # allocation fails, so nothing gets allocated
+        config = readme_config()
+        doc = dict(config, oracle_grid=dict(config["oracle_grid"], n_points=10**12))
+        assert main(["oracle", write_json(tmp_path, "vast.json", doc)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: n_points = 1000000000000 is too large: its oracle grid "
+            "cannot be allocated\n"
+        )
+
     def test_unresolved_levels_are_a_regime_error(self, tmp_path, capsys):
         # three deep wells, the outer two alike: the second and third levels
         # coincide to rounding, so no seed, the grid itself included, gives
