@@ -214,12 +214,12 @@ def _flank_integrals(analysis, E, a_bar, b_bar, rtol, integrands):
     if not n:
         return np.empty((0, 2, k)), {}
     base = np.concatenate([a_bar, b_bar])  # pair p is row p % k, flank p // k
-    sign = np.repeat([1.0, -1.0], k)
+    sign = np.array([1.0, -1.0]).repeat(k)
     energy = np.concatenate([E, E])
     tops = np.sqrt(np.concatenate([analysis.x_m - a_bar, b_bar - analysis.x_m]))
 
     def chunk_sums(p, counts):
-        # every integrand's sums on each count of panels at pairs p: one v call
+        # each integrand's sums of each count at the pairs p, from one call of v
         t, half = _panel_nodes(0.0, tops[p], counts)
         w = two_m * (analysis.v(base[p, None] + sign[p, None] * (t * t)) - energy[p, None])
         two_t = 2.0 * t

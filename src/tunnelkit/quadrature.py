@@ -12,13 +12,12 @@ The barrier-action kernel in ``actions`` refines many integrals at once:
 one sample set of the potential per pass, on a (rows x nodes) block,
 serves I and dI/dE on both barrier flanks at every energy of a batch,
 and each of these components keeps its own stopping depth.
-``_panel_nodes`` builds the nodes of one pass, of one panel count or of
-several (the kernel's first pass takes 1 and 2 panels at once), and
-``_panel_sums`` sums each count; both take one right end or an array of
-them (one row each), and give every row the bits it gets alone.  With
-``_unsettled`` and the stopping test of ``_settled`` they let each
-component get exactly the value, or the error, that
-``adaptive_quadrature`` gives it alone.  No other module places nodes.
+``_panel_nodes`` builds the nodes of a pass of one panel count or of
+several (the kernel's first pass takes 1 and 2), and ``_panel_sums``
+sums each count; both take one right end or an array of them (one row
+each) and give every row the bits it gets alone.  With ``_unsettled``
+and the stopping test of ``_settled`` they give each component exactly
+the value, or the error, that ``adaptive_quadrature`` gives it alone.
 """
 
 import functools
@@ -38,12 +37,13 @@ _MAX_DEPTH = 12
 
 @functools.cache
 def _tables(counts: tuple[int, ...]):
-    # for each panel of each count: the count, and the indices j of its
-    # left and right edges, j * ((b - a) / count) + a; and the panels
-    # whose right edge is b itself
+    # Edge j of a count is j * ((b - a) / count) + a.  For the left and
+    # then the right edges of all panels: the count and j; then the
+    # number of panels, and the right edges that are b itself.
     per = np.repeat(np.array(counts, dtype=float), counts)
     left = np.concatenate([np.arange(count, dtype=float) for count in counts])
-    return per, left, left + 1.0, np.cumsum(counts) - 1
+    ends = left.size + np.cumsum(counts) - 1
+    return np.tile(per, 2), np.concatenate([left, left + 1.0]), left.size, ends
 
 
 def _panel_nodes(a: float, b, counts: tuple[int, ...]):
@@ -56,26 +56,26 @@ def _panel_nodes(a: float, b, counts: tuple[int, ...]):
     gives one row of nodes and half-widths per right end, each equal bit
     for bit to what that b alone gives.
     """
-    per, left, right, ends = _tables(counts)
+    per, index, panels, ends = _tables(counts)
     b = np.asarray(b, dtype=float)[..., None]
     width = b - a
     step = width / per
-    lo, hi = left * step, right * step
+    edges = index * step
     if np.count_nonzero(step) < step.size:
         # where the step underflows to 0, linspace scales j / count instead
-        lo = np.where(step == 0, left / per * width, lo)
-        hi = np.where(step == 0, right / per * width, hi)
-    lo, hi = lo + a, hi + a
-    hi[..., ends] = b
+        edges = np.where(step == 0, index / per * width, edges)
+    edges += a
+    edges[..., ends] = b
+    lo, hi = edges[..., :panels], edges[..., panels:]
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (hi + lo))[..., None] + half[..., None] * _NODES
-    return nodes.reshape(*half.shape[:-1], half.shape[-1] * _ORDER), half
+    return nodes.reshape(*half.shape[:-1], panels * _ORDER), half
 
 
 def _panel_sums(vals: np.ndarray, half: np.ndarray, counts: tuple[int, ...]):
     """The composite rule of each count from the values at the nodes of
-    ``_panel_nodes``: a list with one sum, or one per row of rows of
-    nodes, per count.  Each count takes its own product with the weights;
+    ``_panel_nodes``, one entry per count: a sum, or one per row of rows
+    of nodes.  Each count takes its own product with the weights, since
     one product over all counts moves bits."""
     sums, start = [], 0
     for count in counts:
