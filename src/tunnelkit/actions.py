@@ -31,9 +31,7 @@ hbar and m come from the analysis the kernel works on; a ``consts``
 argument beside it only builds a missing analysis.
 
 Also provided: the exact closed form for the piecewise-parabolic
-double-oscillator family, and the small-E expansion of I built from the
-zero-energy action plus a logarithmic turning-point correction with the
-well-shape constants A_L, A_R.
+double-oscillator family.
 """
 
 import math
@@ -53,7 +51,6 @@ from .potentials import (
     DoubleOscillator,
     PhysConstants,
     WellAnalysis,
-    _evaluate_d3,
     analyze,
 )
 from .quadrature import (
@@ -62,19 +59,15 @@ from .quadrature import (
     _panel_nodes,
     _panel_sums,
     _unsettled,
-    adaptive_quadrature,
 )
 
 __all__ = [
     "ActionResult",
-    "AsymptoticActionParts",
     "turning_points",
     "gamow_integral",
     "action_slope",
     "evaluate_action",
     "double_oscillator_action",
-    "asymptotic_action",
-    "parabolic_fidelity",
 ]
 
 
@@ -388,116 +381,3 @@ def double_oscillator_action(params: DoubleOscillator, consts: PhysConstants, E_
     i_l = params.V0 / (hbar * params.omega_L) * _shape_factor(lam_l)
     i_r = (params.V0 - tilde_eps) / (hbar * params.omega_R) * _shape_factor(lam_r)
     return i_l, i_r
-
-
-# energy fraction E / V0 of either well beyond which the expansion is untrusted
-_LAMBDA_MAX = 0.3
-
-
-@dataclass(frozen=True)
-class AsymptoticActionParts:
-    """Ingredients of the small-energy action expansion."""
-
-    I_L0: float
-    I_R0: float
-    A_L: float
-    A_R: float
-    lambda_L: float
-    lambda_R: float
-
-
-def asymptotic_action(
-    spec,
-    consts: PhysConstants = DEFAULT_CONSTANTS,
-    analysis: WellAnalysis | None = None,
-    *,
-    rtol: float = 1e-12,
-):
-    """Small-energy expansion of I(E_bar) about the zero-energy action.
-
-    Each half action is expanded as
-
-        I_L(E) ~= I_L(0) - (E / hbar omega_L) [ln(2 (x_m - x_L) / rho_L)
-                                               + A_L + 1/2]
-
-    with rho_L = sqrt(2 E / (m omega_L^2)) the parabolic turning-point
-    distance, and
-
-        A_L = integral_{x_L}^{x_m} [m omega_L / sqrt(2 m V(x))
-                                    - 1 / (x - x_L)] dx,
-
-    whose 1/(x - x_L) counterterm is exactly the parabolic limit of the
-    main term, so the combined integrand stays finite at the well floor.
-    The right well mirrors with V - tilde_eps and 1/(x_R - x).  Error is
-    O(E^2) relative to the exact quadrature; the leftover gap is reported
-    by callers rather than asserted against a universal constant.
-
-    Returns (AsymptoticActionParts, I_asym).  Raises LambdaOutOfRange if
-    either energy fraction is not below 0.3.
-    """
-    analysis = _ensure_analysis(spec, consts, analysis)
-    m, hbar = analysis.consts.mass, analysis.consts.hbar
-    e_bar = analysis.E_bar
-    te = analysis.tilde_eps
-    lam_l = e_bar / analysis.V0
-    lam_r = (e_bar - te) / (analysis.V0 - te)
-    for name, lam in (("lambda_L", lam_l), ("lambda_R", lam_r)):
-        if not 0.0 < lam < _LAMBDA_MAX:
-            raise LambdaOutOfRange(
-                f"{name} = {lam:g} outside (0, {_LAMBDA_MAX:g}); expansion untrusted"
-            )
-    x_l, x_r, x_m = analysis.x_L, analysis.x_R, analysis.x_m
-    v = analysis.v
-    w_l, w_r = analysis.omega_L, analysis.omega_R
-
-    def sqrt_v_left(x):
-        return np.sqrt(np.maximum(2.0 * m * v(x), 0.0))
-
-    def sqrt_v_right(x):
-        return np.sqrt(np.maximum(2.0 * m * (v(x) - te), 0.0))
-
-    i_l0 = adaptive_quadrature(sqrt_v_left, x_l, x_m, rtol=rtol) / hbar
-    i_r0 = adaptive_quadrature(sqrt_v_right, x_m, x_r, rtol=rtol) / hbar
-
-    def a_left(x):
-        return m * w_l / sqrt_v_left(x) - 1.0 / (x - x_l)
-
-    def a_right(x):
-        return m * w_r / sqrt_v_right(x) - 1.0 / (x_r - x)
-
-    a_l = adaptive_quadrature(a_left, x_l, x_m, rtol=rtol, atol=1e-13)
-    a_r = adaptive_quadrature(a_right, x_m, x_r, rtol=rtol, atol=1e-13)
-
-    rho_l = math.sqrt(2.0 * e_bar / m) / w_l
-    rho_r = math.sqrt(2.0 * (e_bar - te) / m) / w_r
-    i_asym = (
-        i_l0
-        - e_bar / (hbar * w_l) * (math.log(2.0 * (x_m - x_l) / rho_l) + a_l + 0.5)
-        + i_r0
-        - (e_bar - te) / (hbar * w_r) * (math.log(2.0 * (x_r - x_m) / rho_r) + a_r + 0.5)
-    )
-    parts = AsymptoticActionParts(
-        I_L0=i_l0, I_R0=i_r0, A_L=a_l, A_R=a_r, lambda_L=lam_l, lambda_R=lam_r
-    )
-    return parts, i_asym
-
-
-def parabolic_fidelity(analysis: WellAnalysis, E: float | None = None):
-    """Ratio of cubic to quadratic Taylor term at each inner turning point.
-
-    A small value means the well is effectively parabolic out to the
-    turning point at energy E (default E_bar); no threshold is imposed,
-    the number is a diagnostic for the caller.
-    Returns (ratio_left, ratio_right).
-    """
-    if E is None:
-        E = analysis.E_bar
-    a_bar, b_bar = turning_points(analysis.spec, analysis.consts, E, analysis)
-    spec, consts = analysis.spec, analysis.consts
-    r_l = abs(float(_evaluate_d3(spec, analysis.x_L, consts))) * (a_bar - analysis.x_L) / (
-        3.0 * float(analysis.v2(analysis.x_L))
-    )
-    r_r = abs(float(_evaluate_d3(spec, analysis.x_R, consts))) * (analysis.x_R - b_bar) / (
-        3.0 * float(analysis.v2(analysis.x_R))
-    )
-    return r_l, r_r

@@ -314,20 +314,15 @@ def evaluate_d2(spec, x, consts: PhysConstants = DEFAULT_CONSTANTS):
     return _derivative(spec, x, 2, consts)
 
 
-def _evaluate_d3(spec, x, consts: PhysConstants = DEFAULT_CONSTANTS):
-    # third derivative; only needed for the anharmonicity diagnostic
-    return _derivative(spec, x, 3, consts)
-
-
 @dataclass(frozen=True)
 class WellAnalysis:
     """Well/barrier geometry and the derived energy bookkeeping.
 
     Positions refer to the axis of ``spec`` (which is the mirrored spec
     when ``mirrored`` is set).  ``zero_shift`` is the constant already
-    subtracted so that v(x_L) = 0; the convenience accessors ``v``,
-    ``v1``, ``v2`` evaluate the normalized potential.  Two properties
-    follow from tilde_eps, so a dialed bias carries them along:
+    subtracted so that v(x_L) = 0; the accessor ``v`` evaluates the
+    normalized potential.  Two properties follow from tilde_eps, so a
+    dialed bias carries them along:
 
     eps   = tilde_eps + hbar (omega_R - omega_L) / 2   (bias between
             unperturbed ground levels)
@@ -356,12 +351,6 @@ class WellAnalysis:
 
     def v(self, x):
         return evaluate(self.spec, x, self.consts) - self.zero_shift
-
-    def v1(self, x):
-        return evaluate_d1(self.spec, x, self.consts)
-
-    def v2(self, x):
-        return evaluate_d2(self.spec, x, self.consts)
 
 
 def _stationary_points(spec, consts, window, n):

@@ -13,21 +13,18 @@ from tunnelkit import (
     DEFAULT_CONSTANTS as C,
     DoubleOscillator,
     EnergyAboveBarrier,
-    LambdaOutOfRange,
     PhysConstants,
     QuadratureNonConvergence,
     TunnelkitError,
     action_slope,
     adaptive_quadrature,
     analyze,
-    asymptotic_action,
     double_oscillator_action,
     evaluate,
     evaluate_action,
     gamow_integral,
     mirror,
     panel_quadrature,
-    parabolic_fidelity,
     turning_points,
 )
 from tunnelkit.actions import action_rows
@@ -37,6 +34,7 @@ from util import (
     DEEP_WELLS,
     deep_quartic,
     reference_action,
+    reference_asymptotic_action,
     reference_flank_integrals,
     reference_gamow_parts,
     reference_slope,
@@ -51,7 +49,8 @@ class TestQuadrature:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(a=st.floats(-20.0, 20.0), width=st.floats(0.0, 20.0), panels=st.integers(1, 4096))
     def test_panel_edges_are_linspace_bit_for_bit(self, a, width, panels):
-        # asymptotic_action integrates from x_L < 0, the barrier actions from 0.
+        # panel_quadrature takes any a: the tests' reference expansion starts
+        # at x_L < 0, the barrier actions at 0.
         b = a + width
         edges = np.linspace(a, b, panels + 1)
         half = 0.5 * (edges[1:] - edges[:-1])
@@ -487,6 +486,7 @@ class TestActionSlope:
 
 
 class TestAsymptoticAction:
+    # the small-energy expansion of I(E_bar), on its reference in tests/util.py
     @pytest.mark.parametrize(
         "alpha,a",
         [(1.0, 2.1), (1.0, 3.0), (0.5, 2.5), (2.0, 1.9), (1.0, 1.9)],
@@ -495,27 +495,15 @@ class TestAsymptoticAction:
         # For V = alpha (x^2 - a^2)^2 the soft-edge counterterm integral has
         # the exact value ln 2 on both sides, a sharp cross-check of the
         # regularized integrand.
-        spec = BiasedQuartic(alpha, a)
-        parts, _ = asymptotic_action(spec, C)
-        assert parts.A_L == pytest.approx(math.log(2.0), abs=1e-12)
-        assert parts.A_R == pytest.approx(parts.A_L, abs=1e-12)
+        _, _, a_l, a_r, _ = reference_asymptotic_action(C, analyze(BiasedQuartic(alpha, a), C))
+        assert a_l == pytest.approx(math.log(2.0), abs=1e-12)
+        assert a_r == pytest.approx(a_l, abs=1e-12)
 
     def test_parabolic_wells_have_zero_counterterm(self):
-        spec = DoubleOscillator(1.0, 1.3, 0.05, 9.0)
-        parts, _ = asymptotic_action(spec, C)
-        assert parts.A_L == pytest.approx(0.0, abs=1e-12)
-        assert parts.A_R == pytest.approx(0.0, abs=1e-12)
-
-    def test_zero_energy_actions_are_exact_well_to_barrier_integrals(self):
-        spec = BiasedQuartic(1.0, 2.1)
-        a = analyze(spec, C)
-        parts, _ = asymptotic_action(spec, C, a)
-
-        def momentum(x):
-            return np.sqrt(2.0 * C.mass * a.v(x)) / C.hbar
-
-        i_l0 = adaptive_quadrature(momentum, a.x_L, a.x_m, rtol=1e-10)
-        assert parts.I_L0 == pytest.approx(i_l0, rel=1e-8)
+        a = analyze(DoubleOscillator(1.0, 1.3, 0.05, 9.0), C)
+        _, _, a_l, a_r, _ = reference_asymptotic_action(C, a)
+        assert a_l == pytest.approx(0.0, abs=1e-12)
+        assert a_r == pytest.approx(0.0, abs=1e-12)
 
     def test_expansion_error_shrinks_as_hbar_drops(self):
         spec = BiasedQuartic(1.0, 2.3)
@@ -523,7 +511,7 @@ class TestAsymptoticAction:
         for hbar in (1.0, 0.5, 0.25):
             consts = PhysConstants(hbar=hbar, mass=1.0)
             a = analyze(spec, consts)
-            _, i_asym = asymptotic_action(spec, consts, a)
+            *_, i_asym = reference_asymptotic_action(consts, a)
             exact = gamow_integral(spec, consts, a.E_bar, a)
             gaps.append(abs(i_asym - exact))
         ratios = [gaps[i] / gaps[i + 1] for i in range(len(gaps) - 1)]
@@ -536,29 +524,13 @@ class TestAsymptoticAction:
     def test_parabolic_expansion_gap_is_the_quadratic_term(self):
         spec = DoubleOscillator(1.0, 1.0, 0.0, 10.0)
         a = analyze(spec, C)
-        _, i_asym = asymptotic_action(spec, C, a)
+        *_, i_asym = reference_asymptotic_action(C, a)
         exact = gamow_integral(spec, C, a.E_bar, a)
         lam = a.E_bar / a.V0
         # Closed-form expansion of the parabolic action leaves lam^2/8 per
         # side at second order, i.e. (V0 / hbar omega) lam^2 / 4 in total.
         predicted_gap = (a.V0 / (C.hbar * a.omega_L)) * lam**2 / 4.0
         assert abs(i_asym - exact) == pytest.approx(predicted_gap, rel=0.05)
-
-    def test_mean_level_too_high_for_the_expansion_is_rejected(self):
-        with pytest.raises(LambdaOutOfRange):
-            asymptotic_action(BiasedQuartic(1.0, 1.2), C)
-
-
-class TestParabolicFidelity:
-    def test_more_anharmonic_wells_score_worse(self):
-        quartic = analyze(BiasedQuartic(1.0, 2.1), C)
-        parabolic = analyze(DoubleOscillator(1.0, 1.0, 0.0, 10.0), C)
-        f_quartic_l, f_quartic_r = parabolic_fidelity(quartic)
-        f_parab_l, f_parab_r = parabolic_fidelity(parabolic)
-        assert f_parab_l == pytest.approx(0.0, abs=1e-10)
-        assert f_parab_r == pytest.approx(0.0, abs=1e-10)
-        assert f_quartic_l > f_parab_l
-        assert f_quartic_r == pytest.approx(f_quartic_l, rel=1e-10)
 
 
 class TestEnergyIdentities:

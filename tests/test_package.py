@@ -3,7 +3,7 @@ import tunnelkit
 
 PUBLIC = {
     "__version__",
-    "ActionResult", "AsymptoticActionParts", "BiasedQuartic", "ConfigError",
+    "ActionResult", "BiasedQuartic", "ConfigError",
     "DEFAULT_CONSTANTS", "DegenerateBarrier", "DomainError", "DomainTooSmall",
     "DoubleOscillator", "EnergyAboveBarrier", "EnergyBelowWellBottom",
     "FewerThanTwoMinima", "FitIllConditioned", "GridSpec", "GridTooCoarse",
@@ -13,12 +13,12 @@ PUBLIC = {
     "RootNotBracketed", "RunConfig", "Spectrum", "SplittingResult", "SweepSpec",
     "Tolerances", "TunnelkitError", "ValidityThresholds", "WellAnalysis",
     "WellStructureError",
-    "action_slope", "adaptive_quadrature", "analyze", "asymptotic_action",
+    "action_slope", "adaptive_quadrature", "analyze",
     "compute_splitting", "default_grid", "delta_first_order",
     "double_oscillator_action", "eigen_lowest_two", "evaluate",
     "evaluate_action", "evaluate_d1", "evaluate_d2", "f_of_zeta", "g_of_zeta",
     "gamow_integral", "level_shifts", "level_splitting", "load_config", "mirror",
-    "panel_quadrature", "parabolic_fidelity", "parse_config",
+    "panel_quadrature", "parse_config",
     "solve_quantization", "turning_points",
 }
 

@@ -140,6 +140,46 @@ def reference_slope(consts, E, analysis, rtol=1e-12):
     return -val / hbar
 
 
+def reference_asymptotic_action(consts, analysis, rtol=1e-12):
+    """Small-energy expansion of I(E_bar) about the zero-energy action:
+    (I_L0, I_R0, A_L, A_R, I_asym).  Each half action is expanded as
+
+        I_L(E) ~= I_L(0) - (E / hbar omega_L) [ln(2 (x_m - x_L) / rho_L) + A_L + 1/2]
+
+    with rho_L = sqrt(2 E / m) / omega_L and A_L the integral over
+    [x_L, x_m] of m omega_L / sqrt(2 m V(x)) - 1 / (x - x_L), whose
+    counterterm is the parabolic limit of the main term.  The right well
+    mirrors with V - tilde_eps and 1 / (x_R - x).  The error is O(E^2)."""
+    m, hbar = consts.mass, consts.hbar
+    e_bar, te, v = analysis.E_bar, analysis.tilde_eps, analysis.v
+    x_l, x_r, x_m = analysis.x_L, analysis.x_R, analysis.x_m
+    w_l, w_r = analysis.omega_L, analysis.omega_R
+
+    def p_left(x):
+        return np.sqrt(np.maximum(2.0 * m * v(x), 0.0))
+
+    def p_right(x):
+        return np.sqrt(np.maximum(2.0 * m * (v(x) - te), 0.0))
+
+    i_l0 = adaptive_quadrature(p_left, x_l, x_m, rtol=rtol) / hbar
+    i_r0 = adaptive_quadrature(p_right, x_m, x_r, rtol=rtol) / hbar
+    a_l = adaptive_quadrature(
+        lambda x: m * w_l / p_left(x) - 1.0 / (x - x_l), x_l, x_m, rtol=rtol, atol=1e-13
+    )
+    a_r = adaptive_quadrature(
+        lambda x: m * w_r / p_right(x) - 1.0 / (x_r - x), x_m, x_r, rtol=rtol, atol=1e-13
+    )
+    rho_l = math.sqrt(2.0 * e_bar / m) / w_l
+    rho_r = math.sqrt(2.0 * (e_bar - te) / m) / w_r
+    i_asym = (
+        i_l0
+        - e_bar / (hbar * w_l) * (math.log(2.0 * (x_m - x_l) / rho_l) + a_l + 0.5)
+        + i_r0
+        - (e_bar - te) / (hbar * w_r) * (math.log(2.0 * (x_r - x_m) / rho_r) + a_r + 0.5)
+    )
+    return i_l0, i_r0, a_l, a_r, i_asym
+
+
 def reference_turning_points(analysis, E):
     """(a_bar, b_bar) by one scalar brentq per flank, with the energy
     checks of the per-point kernel: the reference for the batched
