@@ -8,13 +8,31 @@ runs in the same order on IEEE doubles, so it returns the same bits as
 without importing ``scipy.optimize``.  Errors follow scipy too:
 ``ValueError`` when the ends have the same sign or the callback returns
 NaN, ``RuntimeError`` when ``maxiter`` iterations do not converge.
+``brentq_rows``, and the package's callers of ``brentq`` through
+``classified``, raise them as ``NumericsError``s of the same type.
 """
 
 import math
 
 import numpy as np
 
+from .errors import NumericsError
+
 __all__ = ["brentq", "brentq_rows"]
+
+
+class _Unsolvable(NumericsError, ValueError):
+    """The ends of a bracket have one sign, or the function is NaN."""
+
+
+class _NoConvergence(NumericsError, RuntimeError):
+    """``maxiter`` iterations did not converge."""
+
+
+def classified(exc):
+    """A ValueError or RuntimeError of brentq as a NumericsError of its type."""
+    return (_Unsolvable if isinstance(exc, ValueError) else _NoConvergence)(*exc.args)
+
 
 # Fewest roots that ``brentq_rows`` solves in lockstep on arrays.  On the
 # quartic, sextic and double-oscillator turning points, a lockstep solve
@@ -98,15 +116,18 @@ def brentq_rows(f, a, b, xtol: float, rtol: float, maxiter: int = 100):
     port's steps, operation for operation, so every root is bit for bit
     the one ``brentq`` finds for that row alone as long as ``f`` gives
     each element of an array the bits it gives that float.  Errors are
-    those of ``brentq``, for the first row that meets one; a NaN value is
-    an error on either path, while an overflow or invalid operation inside
-    the array call is not.  Returns an array of the roots.
+    ``brentq``'s as ``NumericsError``s, for the first row that meets one;
+    a NaN value is an error on either path, while an overflow or invalid
+    operation inside the array call is not.  Returns an array of the roots.
     """
     if len(a) < _LOCKSTEP_ROOTS:
-        return np.array([
-            brentq(lambda x, row=row: f(x, row), lo, hi, xtol=xtol, rtol=rtol, maxiter=maxiter)
-            for row, (lo, hi) in enumerate(zip(a, b))
-        ])
+        try:
+            return np.array([
+                brentq(lambda x, row=row: f(x, row), lo, hi, xtol=xtol, rtol=rtol, maxiter=maxiter)
+                for row, (lo, hi) in enumerate(zip(a, b))
+            ])
+        except (ValueError, RuntimeError) as exc:
+            raise classified(exc) from None
 
     def call(x, rows):
         # f on floats warns of no overflow or invalid operation: the NaN
@@ -115,7 +136,7 @@ def brentq_rows(f, a, b, xtol: float, rtol: float, maxiter: int = 100):
             fx = np.asarray(f(x, rows), dtype=float)
         if np.isnan(fx).any():
             bad = float(x[np.isnan(fx)][0])
-            raise ValueError(f"The function value at x={bad} is NaN; solver cannot continue.")
+            raise _Unsolvable(f"The function value at x={bad} is NaN; solver cannot continue.")
         return fx
 
     xpre, xcur = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -126,7 +147,7 @@ def brentq_rows(f, a, b, xtol: float, rtol: float, maxiter: int = 100):
     out[fpre == 0.0] = xpre[fpre == 0.0]
     live = (fpre != 0.0) & (fcur != 0.0)
     if ((fpre[live] < 0.0) == (fcur[live] < 0.0)).any():
-        raise ValueError("f(a) and f(b) must have different signs")
+        raise _Unsolvable("f(a) and f(b) must have different signs")
     xblk = fblk = spre = scur = np.zeros(rows.size)
     with np.errstate(all="ignore"):
         for _ in range(maxiter):
@@ -163,6 +184,6 @@ def brentq_rows(f, a, b, xtol: float, rtol: float, maxiter: int = 100):
             # fpre holds fcur's array: the open rows' values go into a copy
             fcur = fcur.copy()
             fcur[live] = call(xcur[live], rows[live])
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise _NoConvergence(f"Failed to converge after {maxiter} iterations.")
 
 

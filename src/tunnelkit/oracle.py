@@ -42,7 +42,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._brent import brentq
+from ._brent import brentq, classified
 from .errors import ConfigError, DomainTooSmall, GridTooCoarse, WellStructureError
 from .potentials import (
     DEFAULT_CONSTANTS,
@@ -114,7 +114,10 @@ def _outer_turning_point(analysis: WellAnalysis, side: str, E: float) -> float:
     else:
         raise ConfigError("potential does not confine; no outer wall found")
     lo, hi = (x0 + sign * d, x0) if side == "left" else (x0, x0 + sign * d)
-    return float(brentq(lambda x: analysis.v(x) - E, lo, hi, xtol=1e-12, rtol=8.9e-16))
+    try:
+        return float(brentq(lambda x: analysis.v(x) - E, lo, hi, xtol=1e-12, rtol=8.9e-16))
+    except (ValueError, RuntimeError) as exc:
+        raise classified(exc) from None
 
 
 def default_grid(

@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._brent import brentq
+from ._brent import brentq, classified
 from .errors import (
     ConfigError,
     DegenerateBarrier,
@@ -63,6 +63,14 @@ __all__ = [
 ]
 
 
+def _check_square(owner, name, value):
+    # value ** 2 on a float raises OverflowError where y * y gives inf
+    try:
+        value**2
+    except OverflowError:
+        raise ConfigError(f"{owner} {name} = {value:g} overflows when squared") from None
+
+
 @dataclass(frozen=True)
 class PhysConstants:
     """Problem-wide constants; natural units hbar = mass = 1 by default."""
@@ -73,6 +81,7 @@ class PhysConstants:
     def __post_init__(self):
         if not (self.hbar > 0.0 and self.mass > 0.0):
             raise ConfigError("PhysConstants requires hbar > 0 and mass > 0")
+        _check_square("PhysConstants", "hbar", self.hbar)
 
 
 DEFAULT_CONSTANTS = PhysConstants()
@@ -99,6 +108,7 @@ class BiasedQuartic:
     def __post_init__(self):
         if not (self.alpha > 0.0 and self.a > 0.0):
             raise ConfigError("BiasedQuartic requires alpha > 0 and a > 0")
+        _check_square("BiasedQuartic", "a", self.a)
         if not math.isfinite(self.beta):
             raise ConfigError("BiasedQuartic beta must be finite")
 
@@ -140,6 +150,8 @@ class DoubleOscillator:
     def __post_init__(self):
         if not (self.omega_L > 0.0 and self.omega_R > 0.0):
             raise ConfigError("DoubleOscillator frequencies must be positive")
+        _check_square("DoubleOscillator", "omega_L", self.omega_L)
+        _check_square("DoubleOscillator", "omega_R", self.omega_R)
         if not (self.V0 > self.tilde_eps >= 0.0):
             raise ConfigError("DoubleOscillator requires V0 > tilde_eps >= 0")
 
@@ -377,9 +389,14 @@ def _stationary_points(spec, consts, window, n):
     for i in np.flatnonzero(d1 == 0.0):
         kind = "min" if evaluate_d2(spec, xs[i], consts) > 0.0 else "max"
         found.append((float(xs[i]), kind))
-    for i in np.flatnonzero((lo != 0.0) & (lo * hi < 0.0)):
-        root = brentq(slope, xs[i], xs[i + 1], xtol=1e-15, rtol=8.9e-16)
-        found.append((float(root), "min" if lo[i] < 0.0 else "max"))
+    with np.errstate(over="ignore"):  # an overflowed lo * hi keeps its sign
+        brackets = np.flatnonzero((lo != 0.0) & (lo * hi < 0.0))
+    try:
+        for i in brackets:
+            root = brentq(slope, xs[i], xs[i + 1], xtol=1e-15, rtol=8.9e-16)
+            found.append((float(root), "min" if lo[i] < 0.0 else "max"))
+    except (ValueError, RuntimeError) as exc:
+        raise classified(exc) from None
     return sorted(found)
 
 

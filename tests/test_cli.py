@@ -845,6 +845,77 @@ class TestExitCodes:
         assert '"alpha" in "potential" must be finite' in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "command,doc,cause",
+        [
+            (
+                "oracle",
+                {
+                    "potential": {"family": "polynomial", "coeffs": [0, 0, 0.5]},
+                    "constants": {"hbar": 1e200},
+                    "oracle_grid": {"x_min": -8.0, "x_max": 8.0, "n_points": 101},
+                },
+                "PhysConstants hbar = 1e+200",
+            ),
+            (
+                "analyze",
+                {"potential": {"family": "biased_quartic", "alpha": 1.0, "a": 1.4e154}},
+                "BiasedQuartic a = 1.4e+154",
+            ),
+            (
+                "oracle",
+                {
+                    "potential": {
+                        "family": "double_oscillator",
+                        "omega_L": 1e200,
+                        "omega_R": 1e200,
+                        "tilde_eps": 0.0,
+                        "V0": 5.0,
+                    },
+                    "oracle_grid": {"x_min": -1.0, "x_max": 1.0, "n_points": 101},
+                },
+                "DoubleOscillator omega_L = 1e+200",
+            ),
+        ],
+        ids=["hbar", "quartic_a", "omega"],
+    )
+    def test_a_field_whose_square_overflows_is_a_config_error(
+        self, tmp_path, capsys, command, doc, cause
+    ):
+        # a float's ** raises OverflowError where y * y and numpy give inf
+        doc = {"schema": "tunnelkit/1", **doc}
+        assert main([command, write_json(tmp_path, "huge.json", doc)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {cause} overflows when squared\n"
+        )
+
+    @pytest.mark.parametrize(
+        "potential,message",
+        [
+            (
+                # omega_L ** 2 underflows to 0 and meets an infinite square at x = 0
+                {
+                    "family": "double_oscillator",
+                    "omega_L": 1e-300,
+                    "omega_R": 1.0,
+                    "tilde_eps": 0.0,
+                    "V0": 5.0,
+                },
+                "The function value at x=0.0 is NaN; solver cannot continue.",
+            ),
+            (
+                # V' overflows on the brackets of its stationary points
+                {"family": "polynomial", "coeffs": [0, 0, -1e200, 0, 1]},
+                "Failed to converge after 100 iterations.",
+            ),
+        ],
+        ids=["nan", "no_convergence"],
+    )
+    def test_a_failed_root_solve_is_a_numerical_error(self, tmp_path, capsys, potential, message):
+        doc = {"schema": "tunnelkit/1", "potential": potential}
+        assert main(["analyze", write_json(tmp_path, "root.json", doc)]) == 4
+        assert capsys.readouterr().err == f"numerical error: {message}\n"
+
+    @pytest.mark.parametrize(
         "data,message",
         [
             (b"\xff\xfe" + json.dumps(TILTED_QUARTIC).encode("utf-16-le"), "not UTF-8 text"),
