@@ -46,20 +46,8 @@ from .errors import (
     LambdaOutOfRange,
     TunnelkitError,
 )
-from .potentials import (
-    DEFAULT_CONSTANTS,
-    DoubleOscillator,
-    PhysConstants,
-    WellAnalysis,
-    analyze,
-)
-from .quadrature import (
-    _MAX_DEPTH,
-    _ORDER,
-    _panel_nodes,
-    _panel_sums,
-    _unsettled,
-)
+from .potentials import DEFAULT_CONSTANTS, DoubleOscillator, PhysConstants, WellAnalysis, analyze
+from .quadrature import _MAX_DEPTH, _ORDER, _panel_nodes, _panel_sums, _unsettled
 
 __all__ = [
     "ActionResult",

@@ -8,16 +8,16 @@ deterministic error control and makes "refine one level further"
 directly testable.
 
 ``panel_quadrature`` and ``adaptive_quadrature`` integrate one callable.
-The barrier-action kernel in ``actions`` refines many integrals at once:
-one sample set of the potential per pass, on a (rows x nodes) block,
-serves I and dI/dE on both barrier flanks at every energy of a batch,
-and each of these components keeps its own stopping depth.
+No command calls them; they stay as the action kernel's reference in the
+tests and as sites that ``perfbench/tracing.py`` wraps.  The barrier-action
+kernel in ``actions`` refines many integrals at once: one sample of the
+potential per pass serves I and dI/dE on both barrier flanks at every
+energy of a batch, and each component keeps its own stopping depth.
 ``_panel_nodes`` builds the nodes of a pass of one panel count or of
 several (the kernel's first pass takes 1 and 2), and ``_panel_sums``
-sums each count; both take one right end or an array of them (one row
-each) and give every row the bits it gets alone.  With ``_unsettled``
-and the stopping test of ``_settled`` they give each component exactly
-the value, or the error, that ``adaptive_quadrature`` gives it alone.
+sums each count, for one right end or an array of them; every row gets
+the bits it gets alone.  With ``_unsettled`` and ``_settled``'s test they
+give each component exactly what ``adaptive_quadrature`` gives it alone.
 """
 
 import functools
