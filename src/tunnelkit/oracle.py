@@ -21,13 +21,15 @@ without cancellation and rotated in closed form, until a residual bound
 certifies them: the quadratic bound of a Ritz pair puts each level of H
 within (|r0|^2 + |r1|^2) / (hi - theta_1) of its Ritz value, and on grids
 too fine for it, a bound on the residuals weighed by (H - sigma)^-1
-does.  One Sturm count (stebz) proves them the two lowest, and so every
-other level above hi, the one fact the bounds rest on: by Cauchy
-interlacing the two lowest levels lie at or below the Ritz values, so
-when exactly two levels lie at or below hi, they are those two.  A pair
-that is not certified or not proven is solved again from the next finer
-seed, up to the grid itself, so a seed too coarse for the wells costs
-time, not the answer.
+does.  One Sturm count proves them the two lowest, and so every other
+level above hi, the one fact the bounds rest on: by Cauchy interlacing
+the two lowest levels lie at or below the Ritz values, so when exactly
+two levels lie at or below hi, they are those two.  By Sylvester's law
+of inertia the count is the number of pivots at or below zero of one
+LDL^T factorization of H - hi (LAPACK pttrf).  A pair that is not
+certified or not proven is solved again from the next finer seed, up to
+the grid itself, so a seed too coarse for the wells costs time, not the
+answer.
 Bisection alone would carry its stopping tolerance, eps times the 1-norm
 of H, which grows as 1/h^2, into the doublet gap.
 
@@ -38,6 +40,7 @@ the runs that never solve leave scipy unloaded.
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -326,6 +329,42 @@ def _weighted_bound(t: float, vx: np.ndarray, residuals, allowances, levels, gap
     return (3.0 * gap + spread) * (2.0 * gap + spread) / (gap * gap) * squares
 
 
+def _levels_at_or_below(t: float, vx: np.ndarray, shift: float, diag, lower) -> int:
+    """How many levels of H lie at or below ``shift``, from one LDL^T pass.
+
+    By Sylvester's law of inertia that is the number of pivots at or below
+    zero of the LDL^T factorization of H - shift.  LAPACK pttrf factors
+    H - shift in place in ``diag`` and ``lower`` and stops at each such
+    pivot; here the pivot eliminates its node, a zero one taken as -pivmin
+    as LAPACK's Sturm counts (stebz) take it, and pttrf resumes on the
+    nodes after it: one call, plus one per level counted.  The elimination
+    is in Python floats, which overflow to inf where a numpy scalar would
+    warn.  pttrf's wrapper takes no single node, so a last one left alone
+    is counted here.
+    """
+    from scipy.linalg.lapack import dpttrf
+
+    t = float(t)
+    np.add(vx, 2.0 * t - shift, out=diag)
+    lower.fill(-t)
+    pivmin = sys.float_info.min * max(1.0, t) * max(1.0, t)
+    count, k, n = 0, 0, diag.size
+    while k < n - 1:
+        factors, _, info = dpttrf(diag[k:], lower[k:], overwrite_d=1, overwrite_e=1)
+        if info == 0:
+            return count
+        count += 1
+        pivot = float(factors[info - 1])
+        k += info  # the node after the pivot, which pttrf left as it was
+        if k < n:
+            if pivot == 0.0:  # -0.0 too
+                pivot = -pivmin
+            diag[k] = float(diag[k]) - t * (t / pivot)  # pttrf's order, e = -t
+    if k == n - 1:
+        count += float(diag[k]) <= 0.0
+    return count
+
+
 def _polish(t: float, vx: np.ndarray, block: np.ndarray, shifts, ceiling: float, where: str):
     """Two lowest levels by block inverse iteration from the start ``block``.
 
@@ -340,15 +379,15 @@ def _polish(t: float, vx: np.ndarray, block: np.ndarray, shifts, ceiling: float,
     least hi - theta_1.  On a grid so fine that the rounding of the stored
     vectors keeps that bound up, ``_weighted_bound`` gives the certificate.
     Once the bound is within _SETTLE of the pair's scale, one Sturm count
-    (LAPACK stebz) proves that fact: by Cauchy interlacing the two lowest
-    levels lie at or below theta_0 and theta_1 (Parlett, chapter 10), so
-    a count of exactly two levels at or below hi puts every other level
-    above it.  Either bound holds for the pair as stored up to a term of
-    order eps times the scale, from the rounding of the Ritz values and of
-    the orthonormality of q0 and q1, which neither counts.  Block keeps
-    the Ritz vectors.
+    (``_levels_at_or_below``, one LDL^T pass over H - hi) proves that
+    fact: by Cauchy interlacing the two lowest levels lie at or below
+    theta_0 and theta_1 (Parlett, chapter 10), so a count of exactly two
+    levels at or below hi puts every other level above it.  Either bound
+    holds for the pair as stored up to a term of order eps times the
+    scale, from the rounding of the Ritz values and of the orthonormality
+    of q0 and q1, which neither counts.  Block keeps the Ritz vectors.
     """
-    from scipy.linalg.lapack import dgtsv, dstebz
+    from scipy.linalg.lapack import dgtsv
 
     n = vx.size
     # the pair's residuals; their columns double as the solves' and the count's diagonals
@@ -387,14 +426,8 @@ def _polish(t: float, vx: np.ndarray, block: np.ndarray, shifts, ceiling: float,
             bound = _weighted_bound(t, vx, residuals, allowances, levels, gap)
         if bound > _SETTLE * scale:
             continue
-        # every level is at least min(v) (Gershgorin), so the levels in (floor, hi]
-        # are all those at or below hi; a tolerance of hi - floor stops the
-        # bisection after its first step, as only their count is wanted
-        np.add(vx, 2.0 * t, out=diag)
-        lower.fill(-t)
-        floor = vx.min() - gap
-        count, _, _, _, info = dstebz(diag, lower, 1, floor, hi, 0, 0, hi - floor, "E")
-        if info != 0 or count != 2:
+        count = _levels_at_or_below(t, vx, hi, diag, lower)
+        if count != 2:
             raise GridTooCoarse(
                 f"a Sturm count puts {count} levels of {where} at or below {hi:g}, not 2"
             )

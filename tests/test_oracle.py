@@ -6,11 +6,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz
 
 from tunnelkit import (
     BiasedQuartic,
@@ -25,6 +27,7 @@ from tunnelkit import (
     compute_splitting,
     default_grid,
     eigen_lowest_two,
+    evaluate,
 )
 from tunnelkit import oracle
 from util import DEEP_WELLS, reference_lowest_two
@@ -272,12 +275,14 @@ class TestInertiaProof:
                 polish([0, 1], ceiling)
 
     def test_one_count_proves_each_grid(self, monkeypatch):
-        # the default 8001-point grid and its Richardson partner: one Sturm
-        # count each, and no LDL^T factorization on the quadratic bound's path
+        # the default 8001-point grid and its Richardson partner: one LDL^T
+        # pass each, a pttrf call at the start and after each of the two
+        # levels below hi, and no weighted bound (no pttrs) on the quadratic
+        # bound's path
         from scipy.linalg import lapack
 
         calls = []
-        for name in ("dstebz", "dpttrf"):
+        for name in ("dstebz", "dpttrf", "dpttrs"):
             real = getattr(lapack, name)
 
             def spy(*args, name=name, real=real, **kwargs):
@@ -286,8 +291,108 @@ class TestInertiaProof:
 
             monkeypatch.setattr(lapack, name, spy)
         sp = eigen_lowest_two(BiasedQuartic(1.0, 2.1))
-        assert calls == ["dstebz", "dstebz"]
+        assert calls == ["dpttrf"] * 6
         assert sp.splitting == pytest.approx(1.683085e-06, rel=1e-6)
+
+
+# a single well and two double wells on walls clear of their levels
+COUNT_WELLS = {
+    "harmonic": (HARMONIC, -8.0, 8.0),
+    "quartic": (BiasedQuartic(1.0, 2.1, 0.1), -4.8, 4.8),
+    "double_oscillator": (DoubleOscillator(1.0, 1.3, 0.05, 9.0), -10.4, 10.1),
+}
+
+
+class TestLevelCount:
+    """``_levels_at_or_below`` against LAPACK's Sturm count (stebz) of the same H - shift."""
+
+    @staticmethod
+    def grid(name, n):
+        spec, x_min, x_max = COUNT_WELLS[name]
+        return oracle._hamiltonian(
+            lambda x: evaluate(spec, x, C), C, np.linspace(x_min, x_max, n)
+        )
+
+    @staticmethod
+    def assert_count_is_stebz(t, vx, shift):
+        n = vx.size
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)  # none, whatever the pivots
+            count = oracle._levels_at_or_below(t, vx, shift, np.empty(n), np.empty(n - 1))
+        # stebz on the very diagonal the count factors, over (vl, 0]: every
+        # level of H - shift lies above vl (Gershgorin)
+        shifted = vx + (2.0 * t - shift)
+        vl = min(shifted.min() - 2.0 * t, 0.0) - 1.0
+        reference, _, _, _, info = dstebz(shifted, np.full(n - 1, -t), 1, vl, 0.0, 0, 0, 0.0, "E")
+        assert info == 0
+        assert type(count) is int and count == reference
+        return count
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        st.sampled_from(sorted(COUNT_WELLS)),
+        st.integers(64, 600),
+        st.booleans(),
+        st.floats(0.0, 1.0),
+    )
+    def test_matches_stebz(self, name, n, on_diagonal, u):
+        # the shift is a diagonal entry of H, or it runs from below min(v)
+        # to above the eighth level
+        t, vx = self.grid(name, n)
+        if on_diagonal:
+            shift = vx[int(u * (vx.size - 1))] + 2.0 * t
+        else:
+            levels = eigh_tridiagonal(
+                vx + 2.0 * t, np.full(vx.size - 1, -t), eigvals_only=True,
+                select="i", select_range=(0, 8),
+            )
+            low = vx.min() - 1.0
+            shift = low + u * (levels[8] + 1.0 - low)
+        self.assert_count_is_stebz(t, vx, shift)
+
+    @pytest.fixture
+    def dyadic(self):
+        # spacing 1/16: t = 128 and the harmonic v are exact binary fractions
+        t, vx = self.grid("harmonic", 257)
+        assert t == 128.0
+        return t, vx
+
+    def test_a_zero_pivot_counts_as_negative(self, dyadic):
+        t, vx = dyadic
+        shift = vx[0] + 2.0 * t
+        assert vx[0] + (2.0 * t - shift) == 0.0  # the first pivot
+        assert self.assert_count_is_stebz(t, vx, shift) > 0
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_a_tiny_pivot_whose_multiplier_overflows(self, dyadic, sign):
+        # the first pivot is the least subnormal, and t over it overflows:
+        # positive, pttrf's second pivot is -inf; negative, the count's own
+        # elimination makes it +inf
+        t, vx = dyadic
+        vx = vx.copy()
+        vx[0] = sign * 5e-324
+        assert abs(float(t) / float(vx[0])) == math.inf
+        assert self.assert_count_is_stebz(t, vx, 2.0 * t) > 0
+
+    @pytest.mark.parametrize("last", [False, True])
+    def test_a_negative_pivot_next_to_the_wall(self, dyadic, last):
+        # every pivot is positive up to node n - 2, which leaves a one-node
+        # remainder: positive, or negative too
+        t, vx = dyadic
+        vx = vx.copy()
+        vx[-2] = -10.0 * t
+        if last:
+            vx[-1] = -10.0 * t
+        assert self.assert_count_is_stebz(t, vx, 0.0) == 1 + last
+
+    def test_a_shift_below_min_v_counts_none(self, dyadic):
+        t, vx = dyadic
+        assert self.assert_count_is_stebz(t, vx, vx.min() - 1e-3) == 0
+
+    def test_a_shift_above_the_fifth_level_counts_five(self, dyadic):
+        # harmonic levels near 0.5, 1.5, ..., 4.5, and the sixth near 5.5
+        t, vx = dyadic
+        assert self.assert_count_is_stebz(t, vx, 5.0) == 5
 
 
 EPS = math.ulp(1.0)
