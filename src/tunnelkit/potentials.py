@@ -32,6 +32,7 @@ the deeper well on the left.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -111,6 +112,14 @@ class BiasedQuartic:
         _check_square("BiasedQuartic", "a", self.a)
         if not math.isfinite(self.beta):
             raise ConfigError("BiasedQuartic beta must be finite")
+        # V, its derivatives and their partial products are largest in size
+        # at the ends of the scan window
+        ends = (-2.0 * self.a, 2.0 * self.a)
+        if not all(math.isfinite(self.derivative(x, k, None)) for x in ends for k in range(4)):
+            raise ConfigError(
+                f"BiasedQuartic a = {self.a:g} takes V past the float range on its "
+                f"scan window [-2a, 2a], with alpha = {self.alpha:g}"
+            )
 
     def derivative(self, x, k, consts):
         if k == 0:
@@ -150,8 +159,11 @@ class DoubleOscillator:
     def __post_init__(self):
         if not (self.omega_L > 0.0 and self.omega_R > 0.0):
             raise ConfigError("DoubleOscillator frequencies must be positive")
-        _check_square("DoubleOscillator", "omega_L", self.omega_L)
-        _check_square("DoubleOscillator", "omega_R", self.omega_R)
+        for name in ("omega_L", "omega_R"):
+            omega = getattr(self, name)
+            _check_square("DoubleOscillator", name, omega)
+            if omega * omega < sys.float_info.min:
+                raise ConfigError(f"DoubleOscillator {name} = {omega:g} underflows when squared")
         if not (self.V0 > self.tilde_eps >= 0.0):
             raise ConfigError("DoubleOscillator requires V0 > tilde_eps >= 0")
 
@@ -457,6 +469,12 @@ def _locate(spec, consts, orient):
     if kink:
         # exact geometry; the kink maximum defeats a slope-based scan
         x_lo, x_hi, x_m = family.x_left(consts), family.x_right(consts), 0.0
+        for name, x in (("omega_L", x_lo), ("omega_R", x_hi)):
+            if not math.isfinite(x * x):
+                raise ConfigError(
+                    f"DoubleOscillator {name} = {getattr(family, name):g} puts its well "
+                    f"at x = {x:g}, whose square overflows"
+                )
         omega_lo, omega_hi = family.omega_L, family.omega_R
         v_lo, v_hi, v_m = 0.0, family.tilde_eps, family.V0
     else:

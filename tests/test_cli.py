@@ -889,26 +889,93 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize(
+        "fields,message",
+        [
+            # omega_L ** 2 is 0, which met an infinite square at x = 0 (a NaN)
+            (
+                {"omega_L": 1e-300},
+                "DoubleOscillator omega_L = 1e-300 underflows when squared",
+            ),
+            # omega_L ** 2 is subnormal, and x_L ** 2 overflowed on the scan
+            (
+                {"omega_L": 1e-160},
+                "DoubleOscillator omega_L = 1e-160 underflows when squared",
+            ),
+            (
+                {"omega_R": 1e-150, "V0": 1e10},
+                "DoubleOscillator omega_R = 1e-150 puts its well at x = 1.41421e+155, "
+                "whose square overflows",
+            ),
+        ],
+        ids=["omega_L_1e-300", "omega_L_1e-160", "x_R"],
+    )
+    def test_a_double_oscillator_out_of_float_range_is_a_config_error(
+        self, tmp_path, capsys, fields, message
+    ):
+        potential = {
+            "family": "double_oscillator",
+            "omega_L": 1.0,
+            "omega_R": 1.0,
+            "tilde_eps": 0.0,
+            "V0": 5.0,
+            **fields,
+        }
+        doc = {"schema": "tunnelkit/1", "potential": potential}
+        assert main(["analyze", write_json(tmp_path, "scale.json", doc)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_a_double_oscillator_whose_squares_stay_normal_is_analyzed(self, tmp_path):
+        # omega_L ** 2 = 1e-300 and x_L ** 2 = 1e301 are normal floats; a
+        # RuntimeWarning on the way fails this test
+        potential = {
+            "family": "double_oscillator",
+            "omega_L": 1e-150,
+            "omega_R": 1.0,
+            "tilde_eps": 0.0,
+            "V0": 5.0,
+        }
+        doc = {"schema": "tunnelkit/1", "potential": potential}
+        assert main(["analyze", write_json(tmp_path, "scale.json", doc)]) == 0
+
+    @pytest.mark.parametrize("a", [1.3e154, 1e100, 1e77])
+    def test_a_quartic_whose_v_overflows_on_its_scan_window_is_a_config_error(
+        self, tmp_path, capsys, a
+    ):
+        # 9 alpha a^4, V at x = 2a, is past the largest float; a ** 2 is not
+        doc = {
+            "schema": "tunnelkit/1",
+            "potential": {"family": "biased_quartic", "alpha": 1.0, "a": a},
+        }
+        assert main(["analyze", write_json(tmp_path, "wide.json", doc)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: BiasedQuartic a = {a:g} takes V past the float range on "
+            "its scan window [-2a, 2a], with alpha = 1\n"
+        )
+
+    def test_a_quartic_whose_v_stays_finite_keeps_its_quadrature_error(
+        self, tmp_path, capsys
+    ):
+        # 9 alpha a^4 = 9e304 is finite: the wells are analyzed, and the
+        # action's quadrature does not settle on their scale
+        doc = {
+            "schema": "tunnelkit/1",
+            "potential": {"family": "biased_quartic", "alpha": 1.0, "a": 1e76},
+        }
+        assert main(["analyze", write_json(tmp_path, "wide.json", doc)]) == 4
+        assert capsys.readouterr().err.startswith(
+            "numerical error: quadrature did not settle"
+        )
+
+    @pytest.mark.parametrize(
         "potential,message",
         [
-            (
-                # omega_L ** 2 underflows to 0 and meets an infinite square at x = 0
-                {
-                    "family": "double_oscillator",
-                    "omega_L": 1e-300,
-                    "omega_R": 1.0,
-                    "tilde_eps": 0.0,
-                    "V0": 5.0,
-                },
-                "The function value at x=0.0 is NaN; solver cannot continue.",
-            ),
             (
                 # V' overflows on the brackets of its stationary points
                 {"family": "polynomial", "coeffs": [0, 0, -1e200, 0, 1]},
                 "Failed to converge after 100 iterations.",
             ),
         ],
-        ids=["nan", "no_convergence"],
+        ids=["no_convergence"],
     )
     def test_a_failed_root_solve_is_a_numerical_error(self, tmp_path, capsys, potential, message):
         doc = {"schema": "tunnelkit/1", "potential": potential}
