@@ -8,8 +8,8 @@ runs in the same order on IEEE doubles, so it returns the same bits as
 without importing ``scipy.optimize``.  Errors follow scipy too:
 ``ValueError`` when the ends have the same sign or the callback returns
 NaN, ``RuntimeError`` when ``maxiter`` iterations do not converge.
-``brentq_rows``, and the package's callers of ``brentq`` through
-``classified``, raise them as ``NumericsError``s of the same type.
+``brentq_rows``, the package's one entry point, raises them as
+``NumericsError``s of the same type; ``brentq`` is its scalar loop.
 """
 
 import math
@@ -27,11 +27,6 @@ class _Unsolvable(NumericsError, ValueError):
 
 class _NoConvergence(NumericsError, RuntimeError):
     """``maxiter`` iterations did not converge."""
-
-
-def classified(exc):
-    """A ValueError or RuntimeError of brentq as a NumericsError of its type."""
-    return (_Unsolvable if isinstance(exc, ValueError) else _NoConvergence)(*exc.args)
 
 
 # Fewest roots that ``brentq_rows`` solves in lockstep on arrays.  On the
@@ -112,10 +107,11 @@ def brentq_rows(f, a, b, xtol: float, rtol: float, maxiter: int = 100):
     iterate is one call ``f(x, rows)`` on the float array of the open
     rows' abscissae and the int array of their row indices, returning the
     array of values.  Fewer rows run the scalar loop, which calls
-    ``f(x, row)`` with a float and an int.  Each row takes the scalar
-    port's steps, operation for operation, so every root is bit for bit
-    the one ``brentq`` finds for that row alone as long as ``f`` gives
-    each element of an array the bits it gives that float.  Errors are
+    ``f(x, row)`` with a float and an int, so a caller with one bracket
+    gets exactly ``brentq``'s steps.  Each row takes the scalar port's
+    steps, operation for operation, so every root is bit for bit the one
+    ``brentq`` finds for that row alone as long as ``f`` gives each
+    element of an array the bits it gives that float.  Errors are
     ``brentq``'s as ``NumericsError``s, for the first row that meets one;
     a NaN value is an error on either path, while an overflow or invalid
     operation inside the array call is not.  Returns an array of the roots.
@@ -127,7 +123,8 @@ def brentq_rows(f, a, b, xtol: float, rtol: float, maxiter: int = 100):
                 for row, (lo, hi) in enumerate(zip(a, b))
             ])
         except (ValueError, RuntimeError) as exc:
-            raise classified(exc) from None
+            error = _Unsolvable if isinstance(exc, ValueError) else _NoConvergence
+            raise error(*exc.args) from None
 
     def call(x, rows):
         # f on floats warns of no overflow or invalid operation: the NaN

@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._brent import brentq, classified
+from ._brent import brentq_rows
 from .errors import ConfigError, DomainTooSmall, GridTooCoarse, WellStructureError
 from .potentials import (
     DEFAULT_CONSTANTS,
@@ -117,10 +117,8 @@ def _outer_turning_point(analysis: WellAnalysis, side: str, E: float) -> float:
     else:
         raise ConfigError("potential does not confine; no outer wall found")
     lo, hi = (x0 + sign * d, x0) if side == "left" else (x0, x0 + sign * d)
-    try:
-        return float(brentq(lambda x: analysis.v(x) - E, lo, hi, xtol=1e-12, rtol=8.9e-16))
-    except (ValueError, RuntimeError) as exc:
-        raise classified(exc) from None
+    [x] = brentq_rows(lambda x, row: analysis.v(x) - E, [lo], [hi], xtol=1e-12, rtol=8.9e-16)
+    return float(x)
 
 
 def default_grid(

@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._brent import brentq, classified
+from ._brent import brentq_rows
 from .errors import (
     ConfigError,
     DegenerateBarrier,
@@ -394,21 +394,22 @@ def _stationary_points(spec, consts, window, n):
     d1 = evaluate_d1(spec, xs, consts)
     lo, hi = d1[:-1], d1[1:]
 
-    def slope(x):
-        return evaluate_d1(spec, x, consts)
-
     found = []
     for i in np.flatnonzero(d1 == 0.0):
         kind = "min" if evaluate_d2(spec, xs[i], consts) > 0.0 else "max"
         found.append((float(xs[i]), kind))
     with np.errstate(over="ignore"):  # an overflowed lo * hi keeps its sign
         brackets = np.flatnonzero((lo != 0.0) & (lo * hi < 0.0))
-    try:
-        for i in brackets:
-            root = brentq(slope, xs[i], xs[i + 1], xtol=1e-15, rtol=8.9e-16)
-            found.append((float(root), "min" if lo[i] < 0.0 else "max"))
-    except (ValueError, RuntimeError) as exc:
-        raise classified(exc) from None
+    roots = brentq_rows(
+        lambda x, row: evaluate_d1(spec, x, consts),
+        xs[brackets],
+        xs[brackets + 1],
+        xtol=1e-15,
+        rtol=8.9e-16,
+    )
+    found += [
+        (root, "min" if lo[i] < 0.0 else "max") for root, i in zip(roots.tolist(), brackets)
+    ]
     return sorted(found)
 
 

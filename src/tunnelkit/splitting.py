@@ -389,12 +389,11 @@ class SplittingResult:
         return a.consts.hbar * a.omega_L * (roots.zeta_L_minus - roots.zeta_L_plus)
 
 
-def compute_splittings(analyses, *, actions=None, rtol: float = 1e-12):
+def compute_splittings(analyses, *, rtol: float = 1e-12):
     """``compute_splitting`` with the solve at every point of a bias
     sweep, in a few batches of the action kernel.
 
-    The analyses share one curve and may differ in tilde_eps alone.
-    ``actions`` optionally holds each point's action at E_bar.  The
+    The analyses share one curve and may differ in tilde_eps alone.  The
     actions at E_bar come in one batch, then both roots of all points
     iterate in lockstep.  Returns one (result, error) pair per point:
     (SplittingResult, None) when both roots were found; (result without
@@ -403,8 +402,7 @@ def compute_splittings(analyses, *, actions=None, rtol: float = 1e-12):
     and (None, error) when the action at E_bar failed.  Each point's
     values and error are those of its own ``compute_splitting`` call.
     """
-    if actions is None:
-        actions = action_rows(analyses, [a.E_bar for a in analyses], rtol=rtol)
+    actions = action_rows(analyses, [a.E_bar for a in analyses], rtol=rtol)
     points = [i for i, act in enumerate(actions) if not isinstance(act, TunnelkitError)]
     shifts = {i: level_shifts(analyses[i], actions[i]) for i in points}
     # two Newton rows per point, E_plus and E_minus, all in one lockstep
@@ -437,15 +435,15 @@ def compute_splitting(
     splitting, the quadratic-expansion level shifts, and (when ``solve``
     is true) the transcendental roots.  With ``solve=False`` ``roots`` is
     None.  hbar and m come from ``analysis``; ``consts`` only builds it
-    when it is not given.  The solve is the one-point case of
-    ``compute_splittings``.
+    when it is not given.  With ``solve`` the result is the one-point
+    case of ``compute_splittings``, which raises its error.
     """
     if analysis is None:
         analysis = analyze(spec, consts)
-    action = evaluate_action(spec, consts, analysis=analysis, rtol=rtol)
     if not solve:
+        action = evaluate_action(spec, consts, analysis=analysis, rtol=rtol)
         return SplittingResult(analysis, action, level_shifts(analysis, action), None)
-    [(result, error)] = compute_splittings([analysis], actions=[action], rtol=rtol)
+    [(result, error)] = compute_splittings([analysis], rtol=rtol)
     if error is not None:
         raise error
     return result
