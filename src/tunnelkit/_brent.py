@@ -80,7 +80,10 @@ def brentq(f, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) 
                 # extrapolate
                 dpre = (fpre - fcur) / (xpre - xcur)
                 dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                denom = dblk * dpre * (fblk - fpre)
+                # C divides an underflowed denominator into +-inf or NaN,
+                # which fails the short-step test below: inf bisects alike
+                stry = -fcur * (fblk * dblk - fpre * dpre) / denom if denom else math.inf
             if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
                 # good short step
                 spre, scur = scur, stry

@@ -182,6 +182,18 @@ def test_polynomials_take_scipys_steps(roots, power, lo, width, tol):
     _assert_same_steps(f, lo, lo + width, xtol=tol[0], rtol=tol[1])
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e-300])
+def test_an_underflowed_denominator_bisects_as_scipy_does(scale):
+    # f is so small that the inverse-quadratic denominator
+    # dblk * dpre * (fblk - fpre) underflows to 0: scipy's C divides into
+    # inf or NaN, fails the short-step test and bisects
+    def f(x):
+        d = x - 0.3
+        return scale * (d * d * d + 0.5 * d)
+
+    assert _assert_same_steps(f, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16) == 0.3
+
+
 def test_same_sign_ends_raise_value_error():
     port, ref = _both(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-15, rtol=8.9e-16)
     assert port == ref

@@ -982,6 +982,23 @@ class TestExitCodes:
         assert main(["analyze", write_json(tmp_path, "root.json", doc)]) == 4
         assert capsys.readouterr().err == f"numerical error: {message}\n"
 
+    def test_an_underflowed_brent_denominator_bisects(self, tmp_path, capsys):
+        # V' is below 1e-112 on the scan window, and the inverse-quadratic
+        # denominator of its stationary points' Brent steps underflows to 0
+        doc = {
+            "schema": "tunnelkit/1",
+            "potential": {
+                "family": "biased_quartic",
+                "alpha": 2.5262682534183503e-111,
+                "a": 0.0251262186202353,
+            },
+            "constants": {"hbar": 0.7449, "mass": 0.1126},
+        }
+        assert main(["analyze", write_json(tmp_path, "flat.json", doc)]) == 3
+        assert capsys.readouterr().err == (
+            "regime error: barrier height 1.0069e-117 does not exceed mean level 3.9647e-57\n"
+        )
+
     @pytest.mark.parametrize(
         "data,message",
         [
