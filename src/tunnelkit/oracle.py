@@ -46,7 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._brent import brentq_rows
-from .errors import ConfigError, DomainTooSmall, GridTooCoarse, WellStructureError
+from .errors import ConfigError, DomainTooSmall, GridTooCoarse, NumericsError, WellStructureError
 from .potentials import (
     DEFAULT_CONSTANTS,
     PhysConstants,
@@ -189,13 +189,16 @@ def _seed_sizes(n_points: int) -> list[int]:
 
 def _seed(v, consts: PhysConstants, grid: GridSpec, n_points: int, snap: bool):
     """Nodes, three lowest levels and their vectors on the n_points seed grid."""
-    from scipy.linalg import eigh_tridiagonal
+    from scipy.linalg import LinAlgError, eigh_tridiagonal
 
     x = _grid_nodes(grid, n_points, snap)
     t, vx = _hamiltonian(v, consts, x)
-    levels, vectors = eigh_tridiagonal(
-        vx + 2.0 * t, np.full(n_points - 3, -t), select="i", select_range=(0, 2)
-    )
+    try:
+        levels, vectors = eigh_tridiagonal(
+            vx + 2.0 * t, np.full(n_points - 3, -t), select="i", select_range=(0, 2)
+        )
+    except LinAlgError as exc:
+        raise NumericsError(f"the {n_points}-point seed grid is not solved: {exc}") from None
     return x, levels, vectors
 
 

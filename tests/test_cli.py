@@ -999,6 +999,20 @@ class TestExitCodes:
             "regime error: barrier height 1.0069e-117 does not exceed mean level 3.9647e-57\n"
         )
 
+    def test_an_unsolved_seed_grid_is_a_numerical_error(self, tmp_path, capsys):
+        # t = hbar^2 / (2 m h^2) is about 2e244: LAPACK's bisection does not converge
+        doc = {
+            "schema": "tunnelkit/1",
+            "potential": {"family": "biased_quartic", "alpha": 0.302, "a": 0.282, "beta": -1.16e24},
+            "constants": {"hbar": 0.40, "mass": 9.1e-246},
+            "oracle_grid": {"x_min": -23.0, "x_max": 23.0, "n_points": 64},
+        }
+        assert main(["oracle", write_json(tmp_path, "light.json", doc)]) == 4
+        assert capsys.readouterr().err == (
+            "numerical error: the 64-point seed grid is not solved: stebz "
+            "(eigh_tridiagonal) did not converge (LAPACK info=4)\n"
+        )
+
     @pytest.mark.parametrize(
         "data,message",
         [
