@@ -44,6 +44,7 @@ from .errors import (
     EnergyAboveBarrier,
     EnergyBelowWellBottom,
     LambdaOutOfRange,
+    NumericsError,
     TunnelkitError,
 )
 from .potentials import DEFAULT_CONSTANTS, DoubleOscillator, PhysConstants, WellAnalysis, analyze
@@ -259,10 +260,19 @@ def _action_rows(analyses, E, rtol, integrands):
     energies = [float(E[r]) for r in good]
     a_bar, b_bar = _turning_rows(curve, energies)
     energies = np.array(energies)
-    values, errors = _flank_integrals(curve, energies, a_bar, b_bar, rtol, integrands)
+    # An integrand past the float range makes its integral inf or NaN, and
+    # the row an error: so with a mass so large that the turning points
+    # sit within Brent's tolerance of the wells, where a node that is not
+    # forbidden divides the slope's integrand by sqrt(1e-300).
+    with np.errstate(all="ignore"):
+        values, errors = _flank_integrals(curve, energies, a_bar, b_bar, rtol, integrands)
     rows = zip(a_bar.tolist(), b_bar.tolist(), values.transpose(2, 0, 1).tolist())
     for j, (r, row) in enumerate(zip(good, rows)):
-        out[r] = errors[j] if j in errors else row
+        if j in errors:
+            row = errors[j]
+        elif not all(math.isfinite(v) for pair in row[2] for v in pair):
+            row = NumericsError(f"the action's integrands leave the float range at E = {E[r]:g}")
+        out[r] = row
     return out
 
 

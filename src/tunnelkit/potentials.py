@@ -235,10 +235,12 @@ class Polynomial:
     @cached_property
     def _derivative_coeffs(self):
         # coefficients of the k-th derivative, k = 0..3, exactly as
-        # npoly.polyder gives them
-        return (self.coeffs,) + tuple(
-            tuple(float(c) for c in npoly.polyder(self.coeffs, k)) for k in (1, 2, 3)
-        )
+        # npoly.polyder gives them; one past the float range is inf, which
+        # scan_window refuses
+        with np.errstate(over="ignore"):
+            return (self.coeffs,) + tuple(
+                tuple(float(c) for c in npoly.polyder(self.coeffs, k)) for k in (1, 2, 3)
+            )
 
     def derivative(self, x, k, consts):
         # Horner in npoly.polyval's own operation order, so floats and
@@ -251,14 +253,40 @@ class Polynomial:
 
     def scan_window(self, consts):
         if self.window is not None:
-            return self.window
-        roots = npoly.polyroots(npoly.polyder(self.coeffs))
-        real = roots.real[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))]
-        if real.size == 0:
-            raise FewerThanTwoMinima("polynomial has no real stationary points")
-        lo, hi = float(np.min(real)), float(np.max(real))
-        pad = 0.25 * (hi - lo) + 1e-3 * (1.0 + abs(hi) + abs(lo))
-        return (lo - pad, hi + pad)
+            lo, hi = self.window
+        else:
+            # the stationary points are the eigenvalues of a matrix of the
+            # coefficients of V' over its leading one
+            d1 = self._derivative_coeffs[1]
+            lead = next(c for c in reversed(d1) if c)
+            if not all(math.isfinite(c / lead) for c in d1):
+                raise self._out_of_range("put a ratio of the coefficients of V'")
+            roots = npoly.polyroots(d1)
+            real = roots.real[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))]
+            if real.size == 0:
+                raise FewerThanTwoMinima("polynomial has no real stationary points")
+            lo, hi = float(np.min(real)), float(np.max(real))
+            pad = 0.25 * (hi - lo) + 1e-3 * (1.0 + abs(hi) + abs(lo))
+            lo, hi = lo - pad, hi + pad
+        # On |x| <= r, r >= 1, each partial sum and product of Horner's
+        # rule is at most sum |c_i| r^i in size, for V and each derivative;
+        # the scan steps by (hi - lo) / (n - 1)
+        r = max(1.0, abs(lo), abs(hi))
+        bounds = [hi - lo]
+        for coeffs in self._derivative_coeffs:
+            bound = 0.0
+            for c in reversed(coeffs):
+                bound = abs(c) + bound * r
+            bounds.append(bound)
+        if not all(math.isfinite(bound) for bound in bounds):
+            raise self._out_of_range(
+                f"take V or a derivative on the scan window [{lo:g}, {hi:g}]"
+            )
+        return (lo, hi)
+
+    def _out_of_range(self, what):
+        coeffs = ", ".join(f"{c:g}" for c in self.coeffs)
+        return ConfigError(f"Polynomial coeffs [{coeffs}] {what} past the float range")
 
 
 # config name -> family class: the one list of the families

@@ -701,6 +701,11 @@ class TestCompare:
         assert wins >= 8
 
 
+HEAVY_OSCILLATOR = {
+    "family": "double_oscillator", "omega_L": 1.0, "omega_R": 1.1, "tilde_eps": 0.05, "V0": 8.0,
+}
+
+
 class TestExitCodes:
     def test_unsupported_schema(self, tmp_path):
         path = write_json(
@@ -967,20 +972,41 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize(
-        "potential,message",
+        "coeffs,cause",
         [
+            # the scan window reaches past x = 2.8e299
             (
-                # V' overflows on the brackets of its stationary points
-                {"family": "polynomial", "coeffs": [0, 0, -1e200, 0, 1]},
-                "Failed to converge after 100 iterations.",
+                [0, 0, -4, 0.3, 1e-300],
+                "take V or a derivative on the scan window [-2.81475e+299, 5.6475e+298]",
+            ),
+            # the third derivative is 2.4e308
+            (
+                [0, 0, -1e307, 0, 1e307],
+                "take V or a derivative on the scan window [-1.06307, 1.06307]",
+            ),
+            # x^4 overflows on the window; the Brent steps at the barrier top
+            # x = 0 overflowed, bisected, and did not converge in 100
+            (
+                [0, 0, -1e200, 0, 1],
+                "take V or a derivative on the scan window [-1.06207e+100, 1.06207e+100]",
+            ),
+            # the companion matrix of V' would hold 1.95e252 / 1.6e-281
+            (
+                [0, 1.95e252, -2.4e90, 3.3e-17, 4.05e-282],
+                "put a ratio of the coefficients of V'",
             ),
         ],
-        ids=["no_convergence"],
+        ids=["tiny_lead", "huge_d3", "huge_v", "huge_ratio"],
     )
-    def test_a_failed_root_solve_is_a_numerical_error(self, tmp_path, capsys, potential, message):
-        doc = {"schema": "tunnelkit/1", "potential": potential}
-        assert main(["analyze", write_json(tmp_path, "root.json", doc)]) == 4
-        assert capsys.readouterr().err == f"numerical error: {message}\n"
+    def test_a_polynomial_past_the_float_range_is_a_config_error(
+        self, tmp_path, capsys, coeffs, cause
+    ):
+        doc = {"schema": "tunnelkit/1", "potential": {"family": "polynomial", "coeffs": coeffs}}
+        assert main(["analyze", write_json(tmp_path, "wide.json", doc)]) == 2
+        named = ", ".join(f"{c:g}" for c in coeffs)
+        assert capsys.readouterr().err == (
+            f"config error: Polynomial coeffs [{named}] {cause} past the float range\n"
+        )
 
     def test_an_underflowed_brent_denominator_bisects(self, tmp_path, capsys):
         # V' is below 1e-112 on the scan window, and the inverse-quadratic
@@ -1012,6 +1038,27 @@ class TestExitCodes:
             "numerical error: the 64-point seed grid is not solved: stebz "
             "(eigh_tridiagonal) did not converge (LAPACK info=4)\n"
         )
+
+    @pytest.mark.parametrize(
+        "potential,mass,message",
+        [
+            (HEAVY_OSCILLATOR, 1e250, "quadrature did not settle within depth 12"),
+            (HEAVY_OSCILLATOR, 9e253, "quadrature did not settle within depth 12"),
+            (
+                {"family": "polynomial", "coeffs": [0, 0, -4, 0, 1]},
+                1e200,
+                "the action's integrands leave the float range at E = 2e-100\n",
+            ),
+        ],
+        ids=["oscillator_1e250", "oscillator_9e253", "polynomial_1e200"],
+    )
+    def test_a_heavy_mass_is_a_numerical_error(self, tmp_path, capsys, potential, mass, message):
+        # the turning points lie within Brent's absolute tolerance of the
+        # wells, so nodes beside them are not forbidden, and there the
+        # slope's integrand overflows
+        doc = {"schema": "tunnelkit/1", "potential": potential, "constants": {"mass": mass}}
+        assert main(["analyze", write_json(tmp_path, "heavy.json", doc)]) == 4
+        assert capsys.readouterr().err.startswith(f"numerical error: {message}")
 
     @pytest.mark.parametrize(
         "data,message",
