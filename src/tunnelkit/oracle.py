@@ -102,14 +102,22 @@ def _flipped(spec, analysis: WellAnalysis) -> bool:
     return _unwrap(spec)[1] != _unwrap(analysis.spec)[1]
 
 
+def _decay_lengths(analysis: WellAnalysis) -> tuple[float, float]:
+    """sqrt(hbar / (m omega)) of the left and the right well."""
+    c = analysis.consts
+    lengths = []
+    for name, omega in (("omega_L", analysis.omega_L), ("omega_R", analysis.omega_R)):
+        if c.mass * omega == 0.0:
+            raise ConfigError(f"mass {c.mass:g} times {name} = {omega:g} underflows")
+        lengths.append(math.sqrt(c.hbar / (c.mass * omega)))
+    return lengths[0], lengths[1]
+
+
 def _outer_turning_point(analysis: WellAnalysis, side: str, E: float) -> float:
     """Solve v(x) = E outside the well on the given side ("left"/"right")."""
     x0 = analysis.x_L if side == "left" else analysis.x_R
     sign = -1.0 if side == "left" else 1.0
-    step = math.sqrt(
-        analysis.consts.hbar / (analysis.consts.mass * max(analysis.omega_L, analysis.omega_R))
-    )
-    d = step
+    d = min(_decay_lengths(analysis))
     for _ in range(200):
         if analysis.v(x0 + sign * d) > E:
             break
@@ -138,8 +146,7 @@ def default_grid(
         analysis = analyze(spec, consts)
     c = analysis.consts
     e_hi = analysis.E_bar + 10.0 * c.hbar * max(analysis.omega_L, analysis.omega_R)
-    ell_l = math.sqrt(c.hbar / (c.mass * analysis.omega_L))
-    ell_r = math.sqrt(c.hbar / (c.mass * analysis.omega_R))
+    ell_l, ell_r = _decay_lengths(analysis)
     x_min = _outer_turning_point(analysis, "left", e_hi) - 5.0 * ell_l
     x_max = _outer_turning_point(analysis, "right", e_hi) + 5.0 * ell_r
     if _flipped(spec, analysis):
@@ -176,7 +183,7 @@ def _hamiltonian(v, consts: PhysConstants, x: np.ndarray) -> tuple[float, np.nda
             f"Hamiltonian: t = {t:g}, and v is not finite on "
             f"{np.count_nonzero(~np.isfinite(vx))} nodes"
         )
-    return t, vx
+    return float(t), vx
 
 
 def _seed_sizes(n_points: int) -> list[int]:
@@ -239,11 +246,15 @@ def _rayleigh_ritz(block: np.ndarray, t: float, vx: np.ndarray):
     q_j with the walls as zeros, never from 2t + v, whose rounding in t
     would swamp the doublet gap.  Returns the ascending Ritz values and the
     pair's kinetic plus absolute potential energy, the scale of their
-    rounding.
+    rounding.  Raises GridTooCoarse when a column is zero or not finite, as
+    a solve with a nearly singular H - shift leaves it.
     """
     q0, q1 = block[:, 0], block[:, 1]
-    q0 /= math.sqrt(_sum_of_products(q0, q0))
-    size = math.sqrt(_sum_of_products(q1, q1))
+    squares = _sum_of_products(q0, q0), _sum_of_products(q1, q1)
+    if not all(0.0 < square < math.inf for square in squares):
+        raise GridTooCoarse("the iterated vectors vanish or overflow")
+    q0 /= math.sqrt(squares[0])
+    size = math.sqrt(squares[1])
     for _ in range(2):  # Gram-Schmidt, repeated once if it cancels most of q1
         q1 -= _sum_of_products(q0, q1) * q0
         size, before = math.sqrt(_sum_of_products(q1, q1)), size
@@ -251,7 +262,7 @@ def _rayleigh_ritz(block: np.ndarray, t: float, vx: np.ndarray):
             break
     q1 /= size
     d0, d1 = np.diff(q0), np.diff(q1)
-    (a0, a1), (b0, b1) = block[0], block[-1]  # the nodes next to the walls
+    (a0, a1), (b0, b1) = block[0].tolist(), block[-1].tolist()  # the nodes next to the walls
     k00 = t * (_sum_of_products(d0, d0) + a0 * a0 + b0 * b0)
     k01 = t * (_sum_of_products(d0, d1) + a0 * a1 + b0 * b1)
     k11 = t * (_sum_of_products(d1, d1) + a1 * a1 + b1 * b1)
@@ -407,13 +418,13 @@ def _polish(t: float, vx: np.ndarray, block: np.ndarray, shifts, ceiling: float,
                 raise GridTooCoarse(f"H - {shift:g} is singular on {where}")
             block[:, j : j + 1] = solved
         levels, scale = _rayleigh_ritz(block, t, vx)
-        if not ceiling > levels[1]:
+        hi = 0.5 * (levels[1] + ceiling)
+        gap = hi - levels[1]
+        if not gap > 0.0:  # the bounds divide by it
             raise GridTooCoarse(
                 f"the seed's third level {ceiling:g} is not above the second level "
                 f"{levels[1]:g} of {where}"
             )
-        hi = 0.5 * (levels[1] + ceiling)
-        gap = hi - levels[1]
         allowances = [
             _residual(t, vx, block[:, j], level, residuals[:, j], lower)
             for j, level in enumerate(levels)
@@ -497,8 +508,8 @@ def eigen_lowest_two(
     grid (2n - 1 nodes, spacing exactly h/2) and the levels are
     extrapolated as (4 E_fine - E_coarse) / 3; est_error is the larger
     of the two extrapolation increments.  Raises GridTooCoarse when the
-    two grids disagree on the gap by more than ten percent, and
-    DomainTooSmall when a wall is closer than five decay lengths to its
+    two grids disagree on the gap by more than ten percent or the gap is
+    not positive, and DomainTooSmall when a wall is closer than five decay lengths to its
     well, where the Dirichlet box would still bias the doublet.  The walls
     lie on the axis of ``spec``, also when ``analysis`` runs on its mirror.
 
@@ -514,7 +525,12 @@ def eigen_lowest_two(
             analysis = analyze(spec, consts)
         except WellStructureError:
             analysis = None
-    return _spectrum(spec, consts, grid, analysis)
+    spectrum = _spectrum(spec, consts, grid, analysis)
+    if not spectrum.splitting > 0.0:  # its callers divide by it
+        raise GridTooCoarse(
+            f"the doublet gap is {spectrum.splitting:g} on the grid; increase n_points"
+        )
+    return spectrum
 
 
 def _spectrum(
@@ -529,8 +545,7 @@ def _spectrum(
         grid = default_grid(spec, consts, analysis)
     if analysis is not None:
         consts = analysis.consts
-        ell_l = math.sqrt(consts.hbar / (consts.mass * analysis.omega_L))
-        ell_r = math.sqrt(consts.hbar / (consts.mass * analysis.omega_R))
+        ell_l, ell_r = _decay_lengths(analysis)
         lo, hi = analysis.x_L - 5.0 * ell_l, analysis.x_R + 5.0 * ell_r
         flipped = _flipped(spec, analysis)
         if flipped:

@@ -1040,6 +1040,83 @@ class TestExitCodes:
         )
 
     @pytest.mark.parametrize(
+        "command,doc,code,message",
+        [
+            # E1 == E0 on the grid: analyze and compare divide by the gap
+            (
+                "analyze",
+                {
+                    "potential": {"family": "biased_quartic", "alpha": 1.0, "a": 4.0},
+                    "oracle_grid": {"x_min": -8.0, "x_max": 8.0, "n_points": 501, "richardson": False},
+                },
+                3,
+                "regime error: the doublet gap is 0 on the grid; increase n_points",
+            ),
+            (
+                "oracle",
+                {
+                    "potential": {"family": "double_oscillator", "omega_L": 1.091022224970456e-129,
+                                  "omega_R": 1.0, "tilde_eps": 0.0, "V0": 6.007249319720353e-237},
+                    "constants": {"hbar": 0.4173607550686218, "mass": 6.007249319720353e-237},
+                    "oracle_grid": {"x_min": -3.0937948949832648, "x_max": 1.3704375478982846,
+                                    "n_points": 370},
+                },
+                2,
+                "config error: mass 6.00725e-237 times omega_L = 1.09102e-129 underflows",
+            ),
+            # v reaches 1e272 at the nodes, and a shift at a diagonal entry
+            # leaves a solve infinite
+            (
+                "oracle",
+                {
+                    "potential": {"family": "polynomial",
+                                  "coeffs": [-1.0421505558402072e+68, -1.0, -1.0, 0.0, 1.0]},
+                    "oracle_grid": {"x_min": -1.0, "x_max": 1.0421505558402072e+68, "n_points": 64,
+                                    "richardson": False},
+                },
+                3,
+                "regime error: no seed gives a proven pair, the grid itself included: the "
+                "iterated vectors vanish or overflow",
+            ),
+            # the seed's second and third levels are 1 ulp apart
+            (
+                "oracle",
+                {
+                    "potential": {"family": "polynomial", "coeffs": [
+                        -1.8762081107313213, 0.0, -6.210971730094722, -0.01, 1.1627569938494708e+151,
+                    ]},
+                    "constants": {"hbar": 0.43034712057767305},
+                    "oracle_grid": {"x_min": -1.0, "x_max": 1.0, "n_points": 281},
+                },
+                3,
+                "regime error: no seed gives a proven pair, the grid itself included: the "
+                "seed's third level 1.89172e+141 is not above the second level",
+            ),
+            # the Rayleigh-Ritz matrix overflowed in numpy scalars, where
+            # floats give the limit
+            (
+                "oracle",
+                {
+                    "potential": {"family": "biased_quartic", "alpha": 2.4708450579716265e+155,
+                                  "a": 0.1},
+                    "constants": {"hbar": 0.38457563017125085, "mass": 1.2098099159478002},
+                    "oracle_grid": {"x_min": -1.0, "x_max": 8.88034544029244, "n_points": 64,
+                                    "richardson": False},
+                },
+                0,
+                "",
+            ),
+        ],
+        ids=["zero_gap", "mass_omega", "infinite_solve", "no_gap_to_hi", "huge_ritz_matrix"],
+    )
+    def test_an_oracle_grid_it_cannot_solve_is_classified(
+        self, tmp_path, capsys, command, doc, code, message
+    ):
+        doc = {"schema": "tunnelkit/1", **doc}
+        assert main([command, write_json(tmp_path, "grid.json", doc)]) == code
+        assert capsys.readouterr().err.startswith(message)
+
+    @pytest.mark.parametrize(
         "potential,mass,message",
         [
             (HEAVY_OSCILLATOR, 1e250, "quadrature did not settle within depth 12"),
