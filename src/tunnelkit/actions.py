@@ -260,10 +260,10 @@ def _action_rows(analyses, E, rtol, integrands):
     energies = [float(E[r]) for r in good]
     a_bar, b_bar = _turning_rows(curve, energies)
     energies = np.array(energies)
-    # An integrand past the float range makes its integral inf or NaN, and
-    # the row an error: so with a mass so large that the turning points
-    # sit within Brent's tolerance of the wells, where a node that is not
-    # forbidden divides the slope's integrand by sqrt(1e-300).
+    # An integral that is not finite makes its row an error.  A mass so
+    # large that the turning points sit within Brent's tolerance of the
+    # wells gives one: at a node that is not forbidden, the slope's
+    # integrand is divided by sqrt(1e-300) and overflows.
     with np.errstate(all="ignore"):
         values, errors = _flank_integrals(curve, energies, a_bar, b_bar, rtol, integrands)
     rows = zip(a_bar.tolist(), b_bar.tolist(), values.transpose(2, 0, 1).tolist())
