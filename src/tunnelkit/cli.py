@@ -17,6 +17,12 @@ set by the validity thresholds:
     gamow         exp(-I_bar) exceeds max_gamow
     barrier_kink  piecewise-parabolic barrier top (V'' jumps at x = 0);
                   semiclassical error terms assume a smooth barrier
+    delta_underflow
+                  the splitting Delta underflows to 0 (a barrier of
+                  several hundred I_bar): delta and delta_E read 0
+    transcendental_unbracketed
+                  no sub-barrier root of the quantization condition; the
+                  transcendental fields are empty
 
 The sweep command dials the spectral bias tilde_eps while keeping the
 potential shape fixed: eps, E_bar, and the action I(E_bar) are
@@ -179,16 +185,19 @@ def _point(config: RunConfig, analysis: WellAnalysis, outcome, oracle=None):
     sub-barrier root (shallow barriers: the upper doublet member merges
     with the continuum above V0) the point keeps the unsolved splitting
     and flags "transcendental_unbracketed"; any other error is raised
-    here.  Then come the warn flags, and only then ``oracle(analysis)``,
-    which returns the point's Spectrum (None without an oracle), so a
-    regime error of the splitting is raised before any error of the
-    eigensolve.
+    here.  Then come the warn flags, "delta_underflow" among them when
+    Delta underflows to 0, and only then ``oracle(analysis)``, which
+    returns the point's Spectrum (None without an oracle), so a regime
+    error of the splitting is raised before any error of the eigensolve.
     """
     result, error = outcome
     if error is not None and not isinstance(error, RootNotBracketed):
         raise error
-    fallback = [] if error is None else ["transcendental_unbracketed"]
-    flags = _warn_flags(config, analysis, result.I_bar) + fallback
+    flags = _warn_flags(config, analysis, result.I_bar)
+    if result.shifts.delta == 0.0:
+        flags.append("delta_underflow")
+    if error is not None:
+        flags.append("transcendental_unbracketed")
     spectrum = None if oracle is None else oracle(analysis)
     row = {
         "tilde_eps": analysis.tilde_eps,

@@ -14,7 +14,7 @@ The levels of a grid come from block inverse iteration (Golub and Van
 Loan, Matrix Computations, sections 8.2.2 and 8.4; Parlett, The
 Symmetric Eigenvalue Problem).  A coarse seed grid over the same walls
 is solved for its three lowest levels and their vectors by bisection
-(LAPACK stebz and stein, through ``eigh_tridiagonal``).  Its two vectors,
+(LAPACK stebz, then stein for the vectors).  Its two vectors,
 interpolated onto the grid, go through shifted tridiagonal solves (LAPACK
 gtsv), shift j being seed level j, and a Rayleigh-Ritz step summed
 without cancellation and rotated in closed form, until a residual bound
@@ -33,14 +33,22 @@ answer.
 Bisection alone would carry its stopping tolerance, eps times the 1-norm
 of H, which grows as 1/h^2, into the doublet gap.
 
-This is the only module that needs scipy, and it imports
-``scipy.linalg`` on the first solve, inside ``_seed``: that import takes
-longer than a whole semiclassical analysis, so ``import tunnelkit`` and
-the runs that never solve leave scipy unloaded.
+This is the only module that needs scipy, and of scipy it loads only the
+compiled LAPACK extension, on the first solve (``_lapack``), falling
+back to ``scipy.linalg.lapack`` when the extension cannot be loaded.
+Importing ``scipy.linalg`` for its five routines would take longer than
+a whole semiclassical analysis, so ``import tunnelkit`` and the runs
+that never solve leave scipy unloaded, and a solve loads no Python
+module of scipy.
 """
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import sys
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -194,19 +202,87 @@ def _seed_sizes(n_points: int) -> list[int]:
     return sizes[::-1]
 
 
-def _seed(v, consts: PhysConstants, grid: GridSpec, n_points: int, snap: bool):
-    """Nodes, three lowest levels and their vectors on the n_points seed grid."""
-    from scipy.linalg import LinAlgError, eigh_tridiagonal
+_FLAPACK = "scipy.linalg._flapack"
 
+
+def _load_flapack():
+    """scipy's ``linalg/_flapack`` extension, loaded from its file without importing scipy.
+
+    Raises ImportError or OSError when scipy or the file is not found or
+    does not load.  Loading a single-phase extension enters it in
+    ``sys.modules`` under its name; that entry is put back as it was, so
+    that a later ``import scipy.linalg`` loads the package in full (and
+    gets the same routines from the interpreter's extension cache).
+    """
+    scipy = importlib.util.find_spec("scipy")  # finds the package, imports nothing
+    roots = [] if scipy is None else scipy.submodule_search_locations or []
+    for root in roots:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", "_flapack" + suffix)
+            if not os.path.isfile(path):
+                continue
+            loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, path)
+            before = sys.modules.get(_FLAPACK)
+            try:
+                spec = importlib.util.spec_from_loader(_FLAPACK, loader)
+                module = importlib.util.module_from_spec(spec)
+                loader.exec_module(module)
+                return module
+            finally:
+                if before is None:
+                    sys.modules.pop(_FLAPACK, None)
+                else:
+                    sys.modules[_FLAPACK] = before
+    raise ImportError(f"no linalg/_flapack extension in the scipy package at {roots}")
+
+
+_LOADING = threading.Lock()  # _load_flapack's entry in sys.modules is one thread's at a time
+
+
+@functools.cache
+def _lapack():
+    """The LAPACK routines of the solver: dstebz, dstein, dgtsv, dpttrf and dpttrs.
+
+    scipy's compiled ``_flapack`` module: the one ``scipy.linalg`` has
+    loaded already, or else loaded directly by ``_load_flapack``.  The
+    extension is private to scipy; when it cannot be found or loaded, the
+    public ``scipy.linalg.lapack``, which wraps the same routines.
+    """
+    try:
+        with _LOADING:
+            return sys.modules.get(_FLAPACK) or _load_flapack()
+    except (ImportError, OSError):
+        from scipy.linalg import lapack
+
+        return lapack
+
+
+def _seed(v, consts: PhysConstants, grid: GridSpec, n_points: int, snap: bool):
+    """Nodes, three lowest levels and their vectors on the n_points seed grid.
+
+    The levels by bisection (stebz, to its default tolerance, in the
+    block order stein takes), their vectors by inverse iteration (stein),
+    then both sorted ascending: the steps of scipy's ``eigh_tridiagonal``
+    with ``select="i"``.
+    """
     x = _grid_nodes(grid, n_points, snap)
     t, vx = _hamiltonian(v, consts, x)
-    try:
-        levels, vectors = eigh_tridiagonal(
-            vx + 2.0 * t, np.full(n_points - 3, -t), select="i", select_range=(0, 2)
+    lapack = _lapack()
+    d, e = vx + 2.0 * t, np.full(n_points - 3, -t)
+    unsolved = f"the {n_points}-point seed grid is not solved"
+    m, levels, iblock, isplit, info = lapack.dstebz(d, e, 2, 0.0, 1.0, 1, 3, 0.0, "B")
+    if info != 0:
+        raise NumericsError(
+            f"{unsolved}: stebz (eigh_tridiagonal) did not converge (LAPACK info={info})"
         )
-    except LinAlgError as exc:
-        raise NumericsError(f"the {n_points}-point seed grid is not solved: {exc}") from None
-    return x, levels, vectors
+    levels = levels[:m]
+    vectors, info = lapack.dstein(d, e, levels, iblock, isplit)
+    if info != 0:
+        raise NumericsError(
+            f"{unsolved}: stein (eigh_tridiagonal) {info} eigenvectors failed to converge"
+        )
+    order = np.argsort(levels)
+    return x, levels[order], vectors[:, order]
 
 
 def _sum_of_products(a: np.ndarray, b: np.ndarray) -> float:
@@ -323,15 +399,14 @@ def _weighted_bound(t: float, vx: np.ndarray, residuals, allowances, levels, gap
     factorization's own rounding, a relative error of about eps t / gap in
     each r_j^T (H - sigma)^-1 r_j, is not counted.
     """
-    from scipy.linalg.lapack import dpttrf, dpttrs
-
+    lapack = _lapack()
     sigma = levels[0] - 2.0 * gap
-    d, e, info = dpttrf(
+    d, e, info = lapack.dpttrf(
         vx + (2.0 * t - sigma), np.full(vx.size - 1, -t), overwrite_d=1, overwrite_e=1
     )
     if info != 0:
         return math.inf
-    weighed = dpttrs(d, e, residuals)[0]
+    weighed = lapack.dpttrs(d, e, residuals)[0]
     # (H - sigma)^-1 has no level above 1 / gap: an error a in r_j weighs a / sqrt(gap) at most
     squares = sum(
         (math.sqrt(_sum_of_products(r, w)) + allowance / math.sqrt(gap)) ** 2
@@ -354,8 +429,7 @@ def _levels_at_or_below(t: float, vx: np.ndarray, shift: float, diag, lower) -> 
     warn.  pttrf's wrapper takes no single node, so a last one left alone
     is counted here.
     """
-    from scipy.linalg.lapack import dpttrf
-
+    dpttrf = _lapack().dpttrf
     t = float(t)
     np.add(vx, 2.0 * t - shift, out=diag)
     lower.fill(-t)
@@ -399,8 +473,7 @@ def _polish(t: float, vx: np.ndarray, block: np.ndarray, shifts, ceiling: float,
     scale, from the rounding of the Ritz values and of the orthonormality
     of q0 and q1, which neither counts.  Block keeps the Ritz vectors.
     """
-    from scipy.linalg.lapack import dgtsv
-
+    dgtsv = _lapack().dgtsv
     n = vx.size
     # the pair's residuals; their columns double as the solves' and the count's diagonals
     residuals, lower = np.empty((n, 2), order="F"), np.empty(n - 1)

@@ -766,6 +766,24 @@ class TestExitCodes:
         assert "regime error" in r.stderr
         assert "E = 1.50474 is below the right well floor" in r.stderr
 
+    def test_analyze_whose_splitting_underflows_is_flagged(self, tmp_path, capsys):
+        # I_bar = 1368.9: exp(-I_bar) underflows, and delta and delta_E read
+        # 0.  A flag never fails a run, so analyze still exits 0.
+        doc = {
+            "schema": "tunnelkit/1",
+            "potential": {"family": "biased_quartic", "alpha": 1, "a": 9, "beta": 0},
+        }
+        path = write_json(tmp_path, "underflow.json", doc)
+        assert main(["analyze", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["splitting"]["I_bar"] == pytest.approx(1368.9129, rel=1e-6)
+        assert out["splitting"]["delta"] == out["splitting"]["delta_E"] == 0.0
+        assert out["warn_flags"] == ["delta_underflow", "transcendental_unbracketed"]
+        assert main(["analyze", path, "--format", "csv"]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.endswith(",0,0,12.727922061357855,12.727922061357855,,,,,,"
+                            "delta_underflow;transcendental_unbracketed")
+
     def test_sweep_whose_splitting_underflows_is_a_config_error(self, tmp_path, capsys):
         # I_bar = 844.7, so delta underflows to 0 on every row: ln(delta)
         # has nothing to fit, and the sweep is refused before the log.
@@ -1572,8 +1590,9 @@ class TestProcessOutput:
         assert len(first.stdout) > 200
 
     def test_semiclassical_runs_load_no_scipy(self):
-        # scipy is imported by the first eigensolve only.  The README
-        # config without its grid runs analyze and sweep with no solve.
+        # scipy's LAPACK extension is loaded by the first eigensolve only.
+        # The README config without its grid runs analyze and sweep with
+        # no solve.
         doc = readme_config()
         del doc["oracle_grid"]
         script = (

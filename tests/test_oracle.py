@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -22,18 +23,32 @@ from tunnelkit import (
     DoubleOscillator,
     GridSpec,
     GridTooCoarse,
+    PhysConstants,
     Polynomial,
     analyze,
     compute_splitting,
     default_grid,
     eigen_lowest_two,
     evaluate,
+    mirror,
 )
 from tunnelkit import oracle
-from util import DEEP_WELLS, reference_lowest_two
+from util import DEEP_WELLS, deep_quartic, reference_lowest_two
 
 HARMONIC = Polynomial((0.0, 0.0, 0.5))
 HARMONIC_GRID = GridSpec(-8.0, 8.0, 2001, richardson=True)
+LAPACK_ROUTINES = ("dstebz", "dstein", "dgtsv", "dpttrf", "dpttrs")
+
+
+def spied_lapack(monkeypatch):
+    """A namespace of the real routines that ``oracle._lapack()`` returns for the test.
+
+    Each routine is an attribute the test may monkeypatch with a spy.
+    """
+    real = oracle._lapack()
+    lapack = types.SimpleNamespace(**{name: getattr(real, name) for name in LAPACK_ROUTINES})
+    monkeypatch.setattr(oracle, "_lapack", lambda: lapack)
+    return lapack
 
 
 class TestGridSpec:
@@ -278,11 +293,11 @@ class TestInertiaProof:
         # the default 8001-point grid and its Richardson partner: one LDL^T
         # pass each, a pttrf call at the start and after each of the two
         # levels below hi, and no weighted bound (no pttrs) on the quadratic
-        # bound's path
-        from scipy.linalg import lapack
-
-        calls = []
-        for name in ("dstebz", "dpttrf", "dpttrs"):
+        # bound's path; stebz bisects the one seed the two grids share, of
+        # 1001 nodes, and counts no grid's levels
+        lapack = spied_lapack(monkeypatch)
+        calls, seeds = [], []
+        for name in ("dpttrf", "dpttrs"):
             real = getattr(lapack, name)
 
             def spy(*args, name=name, real=real, **kwargs):
@@ -290,8 +305,16 @@ class TestInertiaProof:
                 return real(*args, **kwargs)
 
             monkeypatch.setattr(lapack, name, spy)
+        stebz = lapack.dstebz
+
+        def seed_spy(d, *args):
+            seeds.append(d.size)
+            return stebz(d, *args)
+
+        monkeypatch.setattr(lapack, "dstebz", seed_spy)
         sp = eigen_lowest_two(BiasedQuartic(1.0, 2.1))
         assert calls == ["dpttrf"] * 6
+        assert seeds == [999]
         assert sp.splitting == pytest.approx(1.683085e-06, rel=1e-6)
 
 
@@ -461,8 +484,7 @@ class TestCertificate:
     def test_each_grid_is_certified_after_one_sweep(self, monkeypatch):
         # the default 8001-point grid and its 16001-point Richardson partner:
         # one sweep each, that is one Rayleigh-Ritz step and two solves
-        from scipy.linalg import lapack
-
+        lapack = spied_lapack(monkeypatch)
         solves = []
         dgtsv = lapack.dgtsv
 
@@ -601,3 +623,128 @@ class TestGuardRails:
         assert auto.x_min == pytest.approx(keep.x_min, rel=1e-9)
         assert auto.x_max == pytest.approx(keep.x_max, rel=1e-9)
         assert eigen_lowest_two(spec, C, auto) == eigen_lowest_two(spec, C)
+
+
+# a quartic and a double oscillator on walls clear of their levels, with and
+# without Richardson; Spectrum reprs, whose floats round-trip, compare bits
+ROUTE_CASES = [
+    (spec, GridSpec(x_min, x_max, 2001, richardson=richardson))
+    for _, (spec, x_min, x_max) in list(COUNT_WELLS.items())[1:]
+    for richardson in (False, True)
+]
+ROUTE_SCRIPT = """\
+import json, sys
+from tunnelkit import BiasedQuartic, DoubleOscillator, GridSpec, eigen_lowest_two, oracle
+
+def solve():
+    return [repr(eigen_lowest_two(spec, grid=grid)) for spec, grid in eval(sys.argv[1])]
+
+direct, route = solve(), oracle._lapack().__name__
+loaded = sorted(name for name in sys.modules if name.startswith("scipy.linalg"))
+import scipy.linalg
+oracle._lapack.cache_clear()
+later = solve()
+same = all(getattr(scipy.linalg.lapack, name) is getattr(oracle._lapack(), name)
+           for name in ("dstebz", "dstein", "dgtsv", "dpttrf", "dpttrs"))
+levels = scipy.linalg.eigh_tridiagonal([2.0, 2.0, 2.0], [-1.0, -1.0], eigvals_only=True)
+print(json.dumps({"direct": direct, "route": route, "loaded": loaded, "later": later,
+                  "same_routines": same, "levels": levels.tolist()}))
+"""
+
+
+@pytest.fixture(scope="module")
+def fresh_process():
+    """What ROUTE_SCRIPT saw in a fresh process: ROUTE_CASES solved before and after
+    ``import scipy.linalg``, and the scipy.linalg modules loaded before it."""
+    r = subprocess.run(
+        [sys.executable, "-c", ROUTE_SCRIPT, repr(ROUTE_CASES)], capture_output=True, text=True
+    )
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout)
+
+
+class TestLapackRoute:
+    """The solver's LAPACK routines come from scipy's extension, not from ``scipy.linalg``."""
+
+    def test_a_solve_loads_no_scipy_linalg_module(self, fresh_process):
+        assert fresh_process["route"] == "scipy.linalg._flapack"
+        assert fresh_process["loaded"] == []
+
+    def test_the_direct_route_gives_the_bits_of_scipy_linalg(self, fresh_process):
+        # in this process scipy.linalg is loaded, and its extension serves
+        assert fresh_process["direct"] == [
+            repr(eigen_lowest_two(spec, grid=grid)) for spec, grid in ROUTE_CASES
+        ]
+
+    def test_a_later_import_of_scipy_linalg_works(self, fresh_process):
+        assert fresh_process["same_routines"]
+        assert fresh_process["later"] == fresh_process["direct"]
+        assert fresh_process["levels"] == pytest.approx([2.0 - math.sqrt(2.0), 2.0, 2.0 + math.sqrt(2.0)])
+
+    @pytest.mark.parametrize("failure", [ImportError, OSError])
+    def test_the_fallback_gives_the_same_bits(self, monkeypatch, fresh_process, failure):
+        from scipy.linalg import lapack
+
+        def unloadable():
+            raise failure("the extension cannot be loaded")
+
+        monkeypatch.setattr(oracle, "_load_flapack", unloadable)
+        monkeypatch.delitem(sys.modules, oracle._FLAPACK)
+        oracle._lapack.cache_clear()
+        try:
+            assert oracle._lapack() is lapack
+            fallback = [repr(eigen_lowest_two(spec, grid=grid)) for spec, grid in ROUTE_CASES]
+        finally:
+            oracle._lapack.cache_clear()
+        assert fallback == fresh_process["direct"]
+
+    def test_loading_leaves_sys_modules_as_it_was(self):
+        before = sys.modules[oracle._FLAPACK]
+        module = oracle._load_flapack()
+        assert sys.modules[oracle._FLAPACK] is before
+        assert all(getattr(module, name) is getattr(before, name) for name in LAPACK_ROUTINES)
+
+
+# wells 4 to 8 level spacings deep, as DEEP_WELLS draws them, with a bias of
+# at least 1e-3 hbar omega_L: a gap the grid resolves, and floors that differ,
+# so that "auto" solves a well and its mirror on one axis (with equal floors
+# each keeps its own axis, and the levels agree only to rounding)
+QUARTICS = st.builds(deep_quartic, st.floats(4.0, 8.0), st.floats(0.8, 1.5), st.floats(5e-4, 0.15))
+OSCILLATORS = st.builds(
+    DoubleOscillator, st.just(1.0), st.floats(0.85, 1.3), st.floats(1e-3, 0.15), st.floats(4.0, 8.0)
+)
+# (hbar, m) -> (lam hbar, lam^2 m) leaves hbar^2 / 2m, and with it H, as it
+# was, but t = hbar^2 / (2 m h^2) and the walls round otherwise: each level
+# moves by a few ulps of the level scale, and Richardson's (4 E_fine -
+# E_coarse) / 3 by up to 5/3 as much.  So the margin is on the scale of E1,
+# not on the gap's, which would tie it to the barrier's depth.  Measured: at
+# most 17 ulps of E1 in E0 and 25 in the gap (3.4e-12 of the gap itself)
+# over 360 quartics of this range; the margin is about 4 times that.
+SCALING_MARGIN = 96 * math.ulp(1.0)
+
+
+class TestInvariants:
+    """Properties of the spectrum over generated wells."""
+
+    @settings(max_examples=24, deadline=None, derandomize=True, database=None)
+    @given(st.one_of(QUARTICS, OSCILLATORS), st.booleans())
+    def test_the_mirror_on_the_reflected_walls_is_the_plain_spectrum(self, spec, richardson):
+        grid = dataclasses.replace(default_grid(spec, C), n_points=2001, richardson=richardson)
+        reflected = dataclasses.replace(grid, x_min=-grid.x_max, x_max=-grid.x_min)
+        assert repr(eigen_lowest_two(mirror(spec), C, reflected)) == repr(
+            eigen_lowest_two(spec, C, grid)
+        )
+
+    @settings(max_examples=24, deadline=None, derandomize=True, database=None)
+    @given(QUARTICS, st.floats(0.5, 3.0), st.booleans())
+    def test_hbar_and_mass_scaling_keeps_the_doublet(self, spec, lam, richardson):
+        def solve(consts):
+            grid = default_grid(spec, consts)
+            return eigen_lowest_two(
+                spec, consts, dataclasses.replace(grid, n_points=2001, richardson=richardson)
+            )
+
+        plain = solve(C)
+        scaled = solve(PhysConstants(hbar=lam * C.hbar, mass=lam * lam * C.mass))
+        assert abs(scaled.E0 - plain.E0) <= SCALING_MARGIN * plain.E1
+        assert abs(scaled.splitting - plain.splitting) <= SCALING_MARGIN * plain.E1

@@ -1,0 +1,39 @@
+"""tools/output_digest.py: its --diff mode."""
+import importlib.util
+import math
+import pathlib
+import shutil
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "output_digest.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("output_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_two_identical_trees_differ_in_no_output(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    r = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT / "src"), "--diff", str(tmp_path / "src")],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    [line] = r.stdout.splitlines()
+    assert line.startswith("0 of ") and line.endswith(f" outputs differ from {tmp_path / 'src'}")
+
+
+def test_moves_name_the_largest_relative_move_of_each_field():
+    tool = load_tool()
+    old = ("", {"rows": [{"d": 1.0}, {"d": 4.0}], "flags": ["gamow"], "n": 3}, "E0,flags\n2.0,\n")
+    new = ("", {"rows": [{"d": 1.5}, {"d": 4.0}], "flags": ["kink"], "n": 3}, "E0,flags\n2.0,x\n")
+    assert tool.moves(old, new) == {"rows[].d": 0.5, "flags[]": "changed", "csv.flags": "changed"}
+    zero = ("", {"d": 0.0, "e": math.nan}, "")
+    assert tool.moves(zero, ("", {"d": 1e-300, "e": math.nan}, "")) == {"d": math.inf}
+    error = ("", {"error": "GridTooCoarse: ...\n"}, "")
+    assert tool.moves(old, error) == {"structure": "changed"}

@@ -16,6 +16,16 @@ shows as a diff against it:
 
     python3 tools/output_digest.py src | diff - tools/output_digest.txt
 
+With ``--diff OLD_SRC`` it runs the corpus on both trees, one after the
+other in the same process, and lists each output of SRC that differs
+from OLD_SRC's, with the largest relative move |new - old| / |old| of
+each numeric field of its JSON document and CSV (a field of the rows of
+a sweep counts once, over all rows; ``changed`` marks a field that is
+not a number, ``structure`` an output whose fields differ); it exits 1
+when any output differs:
+
+    python3 tools/output_digest.py src --diff ../parent/src
+
 The corpus:
 
 * the ``perfbench/inputs.py`` inputs of seeds 1-3: 12 ``wells``,
@@ -38,8 +48,10 @@ The corpus:
 * the single well V = x^2 / 2 on a 2001-point grid over [-8, 8].
 """
 
+import argparse
 import hashlib
 import json
+import math
 import pathlib
 import re
 import sys
@@ -115,19 +127,49 @@ def corpus():
     return docs
 
 
-def main(argv):
-    if len(argv) != 2:
-        print("usage: python3 tools/output_digest.py SRC", file=sys.stderr)
-        return 2
-    src = pathlib.Path(argv[1]).resolve()
-    sys.path.insert(0, str(src))
-    import tunnelkit
-    from tunnelkit import cli
+def _fields(value, path):
+    # (path, leaf) of each leaf of a JSON value; list items share a path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _fields(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _fields(item, path + "[]")
+    else:
+        yield path, value
 
+
+def _csv_fields(csv_text):
+    header, *lines = csv_text.splitlines() or [""]
+    for line in lines:
+        for name, cell in zip(header.split(","), line.split(",")):
+            try:
+                yield f"csv.{name}", float(cell)
+            except ValueError:
+                yield f"csv.{name}", cell
+
+
+def run_corpus(src):
+    """{"label runner": (text, document, csv)} of the corpus on the ``tunnelkit`` of SRC.
+
+    ``text`` is what the digest hashes; the document and the CSV text are
+    the run's, or {"error": text} and "" for a run that raised.  Returns
+    the runs, None when ``tunnelkit`` cannot be imported from SRC, and a
+    flag that is true when a run leaked an error that is not a
+    ``TunnelkitError``.
+    """
+    for name in [name for name in sys.modules if name.split(".")[0] == "tunnelkit"]:
+        del sys.modules[name]  # a tree imported before
+    sys.path.insert(0, str(src))
+    try:
+        import tunnelkit
+        from tunnelkit import cli
+    finally:
+        sys.path.remove(str(src))
     if src not in pathlib.Path(tunnelkit.__file__).resolve().parents:
         print(f"tunnelkit was imported from {tunnelkit.__file__}, not {src}", file=sys.stderr)
-        return 2
-    digest, count, failed = hashlib.sha256(), 0, False
+        return None, True
+    runs, failed = {}, False
     for label, doc in corpus():
         runners = [cli.run_analyze]
         if "sweep" in doc:
@@ -140,13 +182,77 @@ def main(argv):
                 text = json.dumps(out, indent=2) + "\n" + csv_text
             except tunnelkit.TunnelkitError as exc:
                 text = f"{type(exc).__name__}: {exc}\n"
+                out, csv_text = {"error": text}, ""
             except Exception as exc:  # a leak past the error hierarchy
                 print(f"{label} {runner.__name__}: {type(exc).__name__}: {exc}", file=sys.stderr)
                 text, failed = f"leaked {type(exc).__name__}: {exc}\n", True
-            digest.update(f"{label} {runner.__name__}\n{text}".encode())
-            count += 1
-    print(f"{count} outputs sha256 {digest.hexdigest()}")
-    return 1 if failed else 0
+                out, csv_text = {"error": text}, ""
+            runs[f"{label} {runner.__name__}"] = text, out, csv_text
+    return runs, failed
+
+
+def moves(old_run, new_run):
+    """{path: largest relative move} of the fields of one output, in path order.
+
+    Each run is its (text, document, csv) of ``run_corpus``.
+    A number's move is |new - old| / |old| (inf from 0, 0 between equal
+    values, NaN included); a leaf that is not a number and differs is
+    "changed".  Outputs whose paths differ give {"structure": "changed"}.
+    """
+    old_fields, new_fields = (
+        [*_fields(out, ""), *_csv_fields(csv_text)] for _, out, csv_text in (old_run, new_run)
+    )
+    if [path for path, _ in old_fields] != [path for path, _ in new_fields]:
+        return {"structure": "changed"}
+    largest = {}
+    for (path, old), (_, new) in zip(old_fields, new_fields):
+        numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (old, new))
+        if numbers and (old == new or math.isnan(old) and math.isnan(new)):
+            move = 0.0
+        elif numbers:
+            move = abs(new - old) / abs(old) if old else math.inf
+        else:
+            move = 0.0 if old == new else "changed"
+        if move != 0.0 and (path not in largest or move == "changed" or move > largest[path]):
+            largest[path] = move
+    return largest
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(
+        prog="python3 tools/output_digest.py",
+        description="sha256 of the CLI output of a fixed corpus, or its diff against another tree",
+    )
+    parser.add_argument("src", type=pathlib.Path, help="the src directory to import tunnelkit from")
+    parser.add_argument("--diff", type=pathlib.Path, metavar="OLD_SRC",
+                        help="list the outputs that differ from those of OLD_SRC")
+    args = parser.parse_args(argv[1:])
+    if args.diff is None:
+        runs, failed = run_corpus(args.src.resolve())
+        if runs is None:
+            return 2
+        digest = hashlib.sha256()
+        for key, (text, _, _) in runs.items():
+            digest.update(f"{key}\n{text}".encode())
+        print(f"{len(runs)} outputs sha256 {digest.hexdigest()}")
+        return 1 if failed else 0
+    old, old_failed = run_corpus(args.diff.resolve())
+    runs, failed = run_corpus(args.src.resolve())
+    if old is None or runs is None:
+        return 2
+    differ = 0
+    for key in [*runs, *(key for key in old if key not in runs)]:
+        if key in runs and key in old and runs[key][0] == old[key][0]:
+            continue
+        differ += 1
+        if key not in runs or key not in old:
+            print(f"{key}: only in {'OLD_SRC' if key in old else 'SRC'}")
+            continue
+        print(f"{key}:")
+        for path, move in moves(old[key], runs[key]).items():
+            print(f"  {path} {move if isinstance(move, str) else f'{move:.3g}'}")
+    print(f"{differ} of {len(runs)} outputs differ from {args.diff}")
+    return 1 if differ or failed or old_failed else 0
 
 
 if __name__ == "__main__":
