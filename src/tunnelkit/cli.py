@@ -66,6 +66,7 @@ from .potentials import Mirrored, WellAnalysis, _unwrap, analyze, mirror
 from .splitting import (
     K_FIRST_ORDER,
     QuantizationResult,
+    _delta_prefactor,
     compute_splitting,
     compute_splittings,
     level_splitting,
@@ -360,18 +361,12 @@ def run_oracle(config: RunConfig):
     try:
         analysis = analyze(spec, consts, orient=config.orient)
     except WellStructureError:
-        analysis = None
-
-    def solve(g):
-        if analysis is None:  # no two wells: the raw potential, not analyzed again
-            return _spectrum(spec, consts, g, None)
-        return eigen_lowest_two(spec, consts, g, analysis=analysis)
-
-    spectrum = solve(grid)
+        analysis = None  # no two wells: the raw potential, not analyzed again
+    spectrum = _spectrum(spec, consts, grid, analysis)
     n_fine = 2 * grid.n_points - 1
     (e0_c, e1_c), fine = spectrum.coarse, spectrum.fine
     if fine is None:  # no Richardson: the fine grid is not solved yet
-        fine = solve(replace(grid, n_points=n_fine)).coarse
+        fine = _spectrum(spec, consts, replace(grid, n_points=n_fine), analysis).coarse
     e0_f, e1_f = fine
     # The action only feeds the gamow flag, and a flag never fails a run:
     # with E_bar at or over the barrier top nothing is forbidden (exp(-I)
@@ -412,12 +407,7 @@ def run_compare(config: RunConfig):
         spec, consts, analysis=analysis, rtol=config.tolerances.quad_rtol
     )
     spectrum = eigen_lowest_two(spec, consts, config.oracle_grid, analysis=analysis)
-    delta_zeroth = (
-        consts.hbar
-        * math.sqrt(analysis.omega_L * analysis.omega_R)
-        / math.sqrt(math.e * math.pi)
-        * math.exp(-result.I_bar)
-    )
+    delta_zeroth = _delta_prefactor(analysis) * math.exp(-result.I_bar)
     methods = [
         ("zeroth_order", level_splitting(analysis.eps, delta_zeroth)),
         ("first_order", result.delta_E),

@@ -179,19 +179,27 @@ _MAX_SWEEPS = 8
 def _hamiltonian(v, consts: PhysConstants, x: np.ndarray) -> tuple[float, np.ndarray]:
     """(t, v on the interior nodes): H = tridiag(-t, 2t + v, -t), t = hbar^2 / (2 m h^2).
 
-    Raises ConfigError unless t is finite and positive and v finite on every node.
+    Raises ConfigError unless t > 0 and v and 2t + v are finite on every node.
     """
     h = x[1] - x[0]
     with np.errstate(all="ignore"):
-        t = consts.hbar ** 2 / (2.0 * consts.mass * h * h)
+        t = float(consts.hbar ** 2 / (2.0 * consts.mass * h * h))
         vx = np.asarray(v(x[1:-1]), dtype=float)
-    if not (0.0 < t < math.inf and np.isfinite(vx).all()):
+        v_min, v_max = float(vx.min()), float(vx.max())  # nan when v is nan anywhere
+    walls = f"walls [{x[0]:g}, {x[-1]:g}] with n_points = {x.size}"
+    if not (0.0 < t < math.inf and math.isfinite(v_min) and math.isfinite(v_max)):
         raise ConfigError(
-            f"walls [{x[0]:g}, {x[-1]:g}] with n_points = {x.size} give no finite "
-            f"Hamiltonian: t = {t:g}, and v is not finite on "
+            f"{walls} give no finite Hamiltonian: t = {t:g}, and v is not finite on "
             f"{np.count_nonzero(~np.isfinite(vx))} nodes"
         )
-    return float(t), vx
+    if not math.isfinite(2.0 * t + v_max):  # with t > 0, the largest 2t + v
+        with np.errstate(over="ignore"):
+            overflows = np.count_nonzero(~np.isfinite(2.0 * t + vx))
+        raise ConfigError(
+            f"{walls} give a Hamiltonian whose diagonal 2t + v overflows: t = {t:g}, "
+            f"and 2t + v is not finite on {overflows} nodes"
+        )
+    return t, vx
 
 
 def _seed_sizes(n_points: int) -> list[int]:
@@ -591,25 +599,23 @@ def eigen_lowest_two(
     levels of the raw potential are returned, with no floor shift and no
     double-well domain check); they need an explicit ``grid``.
     ``analysis`` None is ``analyze(spec, consts)``, or the raw potential
-    when that raises WellStructureError.
+    when that raises WellStructureError.  Each refusal is ``_spectrum``'s.
     """
     if analysis is None:
         try:
             analysis = analyze(spec, consts)
         except WellStructureError:
             analysis = None
-    spectrum = _spectrum(spec, consts, grid, analysis)
-    if not spectrum.splitting > 0.0:  # its callers divide by it
-        raise GridTooCoarse(
-            f"the doublet gap is {spectrum.splitting:g} on the grid; increase n_points"
-        )
-    return spectrum
+    return _spectrum(spec, consts, grid, analysis)
 
 
 def _spectrum(
     spec, consts: PhysConstants, grid: GridSpec | None, analysis: WellAnalysis | None
 ) -> Spectrum:
-    """``eigen_lowest_two`` of an analysis already made; None: no two wells."""
+    """``eigen_lowest_two`` of an analysis already made; None: no two wells.
+
+    Each refusal that ``eigen_lowest_two`` documents is raised here alone.
+    """
     if grid is None:
         if analysis is None:
             raise ConfigError(
@@ -634,29 +640,27 @@ def _spectrum(
         v = analysis.v
     else:
         v = lambda x: evaluate(spec, x, consts)  # noqa: E731
-    snap, seeds = spec.kink, {}
+    snap, seeds, fine = spec.kink, {}, None
     try:
-        coarse = e0_c, e1_c = _lowest_two_on_grid(v, consts, grid, grid.n_points, snap, seeds)
-        if not grid.richardson:
-            return Spectrum(
-                E0=e0_c, E1=e1_c, splitting=e1_c - e0_c, est_error=math.nan, coarse=coarse
-            )
-        fine = e0_f, e1_f = _lowest_two_on_grid(
-            v, consts, grid, 2 * grid.n_points - 1, snap, seeds
-        )
+        coarse = e0, e1 = _lowest_two_on_grid(v, consts, grid, grid.n_points, snap, seeds)
+        if grid.richardson:
+            fine = _lowest_two_on_grid(v, consts, grid, 2 * grid.n_points - 1, snap, seeds)
     except MemoryError:
         raise ConfigError(
             f"n_points = {grid.n_points} is too large: its oracle grid cannot be allocated"
         ) from None
-    split_c, split_f = e1_c - e0_c, e1_f - e0_f
-    if abs(split_f - split_c) > 0.1 * abs(split_f):
-        raise GridTooCoarse(
-            f"doublet gap moved from {split_c:g} to {split_f:g} on grid "
-            "doubling; increase n_points"
-        )
-    e0 = (4.0 * e0_f - e0_c) / 3.0
-    e1 = (4.0 * e1_f - e1_c) / 3.0
-    est = max(abs(e0_f - e0_c), abs(e1_f - e1_c)) / 3.0
-    return Spectrum(
-        E0=e0, E1=e1, splitting=e1 - e0, est_error=est, coarse=coarse, fine=fine
-    )
+    est = math.nan
+    if fine is not None:
+        (e0_c, e1_c), (e0_f, e1_f) = coarse, fine
+        split_c, split_f = e1_c - e0_c, e1_f - e0_f
+        if abs(split_f - split_c) > 0.1 * abs(split_f):
+            raise GridTooCoarse(
+                f"doublet gap moved from {split_c:g} to {split_f:g} on grid "
+                "doubling; increase n_points"
+            )
+        e0 = (4.0 * e0_f - e0_c) / 3.0
+        e1 = (4.0 * e1_f - e1_c) / 3.0
+        est = max(abs(e0_f - e0_c), abs(e1_f - e1_c)) / 3.0
+    if not e1 - e0 > 0.0:  # its callers divide by it
+        raise GridTooCoarse(f"the doublet gap is {e1 - e0:g} on the grid; increase n_points")
+    return Spectrum(E0=e0, E1=e1, splitting=e1 - e0, est_error=est, coarse=coarse, fine=fine)

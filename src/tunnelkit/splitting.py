@@ -84,6 +84,12 @@ def f_of_zeta(zeta: float) -> float:
     return math.cos(math.pi * zeta) * math.gamma(1.0 - zeta) * g / (2.0 * math.pi)
 
 
+def _delta_prefactor(analysis: WellAnalysis) -> float:
+    """hbar sqrt(w_L w_R) / sqrt(e pi), the prefactor of Delta at every order in the bias."""
+    c = analysis.consts
+    return c.hbar * math.sqrt(analysis.omega_L * analysis.omega_R) / math.sqrt(math.e * math.pi)
+
+
 def delta_first_order(analysis: WellAnalysis, I_bar: float) -> float:
     """Tunneling matrix element Delta to first order in the bias.
 
@@ -96,10 +102,8 @@ def delta_first_order(analysis: WellAnalysis, I_bar: float) -> float:
     """
     c = analysis.consts
     wl, wr = analysis.omega_L, analysis.omega_R
-    k = K_FIRST_ORDER
-    prefactor = c.hbar * math.sqrt(wl * wr) / math.sqrt(math.e * math.pi)
-    correction = 1.0 + 0.25 * k * (analysis.eps / (c.hbar * wl)) * (wr - wl) / wr
-    return prefactor * correction * math.exp(-I_bar)
+    correction = 1.0 + 0.25 * K_FIRST_ORDER * (analysis.eps / (c.hbar * wl)) * (wr - wl) / wr
+    return _delta_prefactor(analysis) * correction * math.exp(-I_bar)
 
 
 @dataclass(frozen=True)

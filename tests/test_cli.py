@@ -512,6 +512,35 @@ class TestOracleCommand:
         assert orients == ["keep"]
         assert out["spectrum"] == expected
 
+    @pytest.mark.parametrize("richardson", [True, False])
+    @pytest.mark.parametrize(
+        "potential,walls",
+        [
+            ({"family": "polynomial", "coeffs": [80, 0, 40, 0, -35, 0, 5]}, 4.0),
+            ({"family": "biased_quartic", "alpha": 1.0, "a": 2.1, "beta": 0.2}, 4.8),
+        ],
+        ids=["three_wells", "double_well"],
+    )
+    def test_a_zero_gap_is_refused_with_or_without_two_wells(
+        self, monkeypatch, potential, walls, richardson
+    ):
+        # two equal levels from every grid, whatever the CPU's rounding
+        monkeypatch.setattr(tunnelkit.oracle, "_lowest_two_on_grid", lambda *args: (1.0, 1.0))
+        config = parse_config(
+            {
+                "schema": "tunnelkit/1",
+                "potential": potential,
+                "oracle_grid": {
+                    "x_min": -walls, "x_max": walls, "n_points": 2001, "richardson": richardson,
+                },
+            }
+        )
+        if potential["family"] == "polynomial":  # the path with no analysis
+            with pytest.raises(WellStructureError):
+                analyze(config.potential, config.constants, orient=config.orient)
+        with pytest.raises(GridTooCoarse, match="the doublet gap is 0 on the grid"):
+            run_oracle(config)
+
     def test_walls_far_out_are_solved_from_a_finer_seed(self, tmp_path, capsys, monkeypatch):
         # walls 190 well separations out: the 626-node seed puts 1.3 length
         # units between nodes against a decay length of 0.41, no sweep from
@@ -1125,8 +1154,25 @@ class TestExitCodes:
                 0,
                 "",
             ),
+            # t = hbar^2 / (2 m h^2) = 1.21e308 is finite, but 2t is not
+            (
+                "oracle",
+                {
+                    "potential": {"family": "polynomial", "coeffs": [0, 0, 0.5]},
+                    "constants": {"hbar": 1.0, "mass": 4.1e-306},
+                    "oracle_grid": {"x_min": -1.0, "x_max": 1.0, "n_points": 64,
+                                    "richardson": False},
+                },
+                2,
+                "config error: walls [-1, 1] with n_points = 64 give a Hamiltonian whose "
+                "diagonal 2t + v overflows: t = 1.21006e+308, and 2t + v is not finite on "
+                "62 nodes\n",
+            ),
         ],
-        ids=["zero_gap", "mass_omega", "infinite_solve", "no_gap_to_hi", "huge_ritz_matrix"],
+        ids=[
+            "zero_gap", "mass_omega", "infinite_solve", "no_gap_to_hi", "huge_ritz_matrix",
+            "diagonal_overflow",
+        ],
     )
     def test_an_oracle_grid_it_cannot_solve_is_classified(
         self, tmp_path, capsys, command, doc, code, message
