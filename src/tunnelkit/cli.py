@@ -362,11 +362,12 @@ def run_oracle(config: RunConfig):
         analysis = analyze(spec, consts, orient=config.orient)
     except WellStructureError:
         analysis = None  # no two wells: the raw potential, not analyzed again
-    spectrum = _spectrum(spec, consts, grid, analysis)
+    seeds = {}  # the two grids share their seeds, also without Richardson
+    spectrum = _spectrum(spec, consts, grid, analysis, seeds)
     n_fine = 2 * grid.n_points - 1
     (e0_c, e1_c), fine = spectrum.coarse, spectrum.fine
     if fine is None:  # no Richardson: the fine grid is not solved yet
-        fine = _spectrum(spec, consts, replace(grid, n_points=n_fine), analysis).coarse
+        fine = _spectrum(spec, consts, replace(grid, n_points=n_fine), analysis, seeds).coarse
     e0_f, e1_f = fine
     # The action only feeds the gamow flag, and a flag never fails a run:
     # with E_bar at or over the barrier top nothing is forbidden (exp(-I)

@@ -29,7 +29,11 @@ of inertia the count is the number of pivots at or below zero of one
 LDL^T factorization of H - hi (LAPACK pttrf).  A pair that is not
 certified or not proven is solved again from the next finer seed, up to
 the grid itself, so a seed too coarse for the wells costs time, not the
-answer.
+answer.  The seeds are the grid's halvings.  On two wells the first is
+the coarsest that keeps eight nodes in the narrower well's decay length
+sqrt(hbar / (m omega)), from which one sweep certified every grid
+measured, but never finer than the first halving under 1024 nodes,
+where a single well starts.
 Bisection alone would carry its stopping tolerance, eps times the 1-norm
 of H, which grows as 1/h^2, into the doublet gap.
 
@@ -163,11 +167,17 @@ def default_grid(
 
 
 # A grid's seeds are its halvings, (n + 1) // 2 nodes at twice the spacing
-# at a time, from the first with fewer than _SEED_POINTS nodes up to the
-# grid itself: the coarsest seeds it, and each finer one only when the
-# coarser gave no certified, proven pair.  A grid of n nodes and its
-# Richardson partner of 2n - 1 share every seed up to n.
+# at a time, up to the grid itself: the coarsest seeds it, and each finer
+# one only when the coarser gave no certified, proven pair.  The chain
+# starts at the first halving with fewer than _SEED_POINTS nodes or, on two
+# wells, at the coarsest that still puts _SEED_PER_DECAY nodes in the
+# narrower well's decay length sqrt(hbar / (m omega)), whichever is
+# coarser, and never under GridSpec's 64 nodes.  A grid of n nodes and its
+# Richardson partner of 2n - 1 share every seed up to n.  Measured over
+# deep quartics, sextics and double oscillators: from 6 nodes per decay
+# length up, one sweep certified every grid; under 5, every grid took two.
 _SEED_POINTS = 1024
+_SEED_PER_DECAY = 8
 # A grid's Ritz pair is certified when a residual bound puts each level of
 # H within _SETTLE times the pair's kinetic plus absolute potential energy
 # of its Ritz value; a pair not certified after _MAX_SWEEPS sweeps is not
@@ -202,10 +212,14 @@ def _hamiltonian(v, consts: PhysConstants, x: np.ndarray) -> tuple[float, np.nda
     return t, vx
 
 
-def _seed_sizes(n_points: int) -> list[int]:
-    """The node counts of the seeds of an n_points grid, coarsest first."""
+def _seed_sizes(n_points: int, fewest: float = math.inf) -> list[int]:
+    """The node counts of the seeds of an n_points grid, coarsest first.
+
+    A grid is halved while it has _SEED_POINTS nodes or more, or while
+    its halving keeps ``fewest`` nodes and 64.
+    """
     sizes = [n_points]
-    while sizes[-1] >= _SEED_POINTS:
+    while sizes[-1] >= _SEED_POINTS or (sizes[-1] + 1) // 2 >= max(fewest, 64):
         sizes.append((sizes[-1] + 1) // 2)
     return sizes[::-1]
 
@@ -532,11 +546,12 @@ def _polish(t: float, vx: np.ndarray, block: np.ndarray, shifts, ceiling: float,
 
 
 def _lowest_two_on_grid(
-    v, consts: PhysConstants, grid: GridSpec, n_points: int, snap: bool, seeds: dict
+    v, consts: PhysConstants, grid: GridSpec, n_points: int, snap: bool, seeds: dict,
+    fewest: float,
 ) -> tuple[float, float]:
     """Two lowest levels of the n_points-point Hamiltonian, proven lowest.
 
-    Each seed of ``_seed_sizes(n_points)`` in turn, until one gives a
+    Each seed of ``_seed_sizes(n_points, fewest)`` in turn, until one gives a
     certified pair that a Sturm count proves lowest: its vectors, linearly
     interpolated onto the grid, start the block inverse iteration, its two
     lowest levels are the shifts and its third sets the bound hi of the
@@ -548,7 +563,7 @@ def _lowest_two_on_grid(
     """
     x = _grid_nodes(grid, n_points, snap)
     t, vx = _hamiltonian(v, consts, x)
-    for m in _seed_sizes(n_points):
+    for m in _seed_sizes(n_points, fewest):
         if m not in seeds:
             seeds[m] = _seed(v, consts, grid, m, snap)
         x_seed, levels, vectors = seeds[m]
@@ -610,11 +625,15 @@ def eigen_lowest_two(
 
 
 def _spectrum(
-    spec, consts: PhysConstants, grid: GridSpec | None, analysis: WellAnalysis | None
+    spec, consts: PhysConstants, grid: GridSpec | None, analysis: WellAnalysis | None,
+    seeds: dict | None = None,
 ) -> Spectrum:
     """``eigen_lowest_two`` of an analysis already made; None: no two wells.
 
     Each refusal that ``eigen_lowest_two`` documents is raised here alone.
+    ``seeds`` holds the seeds solved so far on these walls, by node count:
+    a caller that solves another grid on the same walls passes the dict
+    of the first solve, so that no seed is solved twice.
     """
     if grid is None:
         if analysis is None:
@@ -622,9 +641,11 @@ def _spectrum(
                 "an explicit grid is required for potentials without two wells"
             )
         grid = default_grid(spec, consts, analysis)
+    fewest = math.inf  # no decay length sizes the seeds of a single well
     if analysis is not None:
         consts = analysis.consts
         ell_l, ell_r = _decay_lengths(analysis)
+        fewest = _SEED_PER_DECAY * (grid.x_max - grid.x_min) / min(ell_l, ell_r) + 1.0
         lo, hi = analysis.x_L - 5.0 * ell_l, analysis.x_R + 5.0 * ell_r
         flipped = _flipped(spec, analysis)
         if flipped:
@@ -640,11 +661,16 @@ def _spectrum(
         v = analysis.v
     else:
         v = lambda x: evaluate(spec, x, consts)  # noqa: E731
-    snap, seeds, fine = spec.kink, {}, None
+    snap, fine = spec.kink, None
+    seeds = {} if seeds is None else seeds
     try:
-        coarse = e0, e1 = _lowest_two_on_grid(v, consts, grid, grid.n_points, snap, seeds)
+        coarse = e0, e1 = _lowest_two_on_grid(
+            v, consts, grid, grid.n_points, snap, seeds, fewest
+        )
         if grid.richardson:
-            fine = _lowest_two_on_grid(v, consts, grid, 2 * grid.n_points - 1, snap, seeds)
+            fine = _lowest_two_on_grid(
+                v, consts, grid, 2 * grid.n_points - 1, snap, seeds, fewest
+            )
     except MemoryError:
         raise ConfigError(
             f"n_points = {grid.n_points} is too large: its oracle grid cannot be allocated"

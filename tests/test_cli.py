@@ -565,6 +565,31 @@ class TestOracleCommand:
         # the gap of the default walls' Richardson pair, 1.683085e-6
         assert out["spectrum"]["splitting"] == pytest.approx(1.683085e-06, rel=1e-4)
 
+    @pytest.mark.parametrize("richardson", [True, False])
+    def test_the_two_grids_solve_each_seed_once(self, monkeypatch, richardson):
+        # without Richardson the halving report still solves the 16001-point
+        # grid, from the seed the 8001-point grid already solved
+        seeds = []
+        seed = tunnelkit.oracle._seed
+
+        def spy(v, consts, grid, n_points, snap):
+            seeds.append(n_points)
+            return seed(v, consts, grid, n_points, snap)
+
+        monkeypatch.setattr(tunnelkit.oracle, "_seed", spy)
+        config = parse_config(
+            {
+                "schema": "tunnelkit/1",
+                "potential": {"family": "biased_quartic", "alpha": 1.0, "a": 2.1},
+                "oracle_grid": {
+                    "x_min": -4.8, "x_max": 4.8, "n_points": 8001, "richardson": richardson,
+                },
+            }
+        )
+        out, _ = run_oracle(config)
+        assert seeds == [251]
+        assert out["halving"]["n_fine"] == 16001
+
     @pytest.mark.parametrize("command", ["oracle", "analyze"])
     def test_walls_where_v_overflows_are_a_config_error(self, tmp_path, capsys, command):
         # the spacing, 2e298, squares past the largest float, and so does

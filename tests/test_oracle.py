@@ -234,14 +234,59 @@ def test_levels_do_not_follow_the_blas_thread_count():
     assert outputs[0] == outputs[1]
 
 
+def solved_seeds(monkeypatch):
+    """The node counts of the seeds ``oracle._seed`` solves, in order."""
+    sizes = []
+    seed = oracle._seed
+
+    def spy(v, consts, grid, n_points, snap):
+        sizes.append(n_points)
+        return seed(v, consts, grid, n_points, snap)
+
+    monkeypatch.setattr(oracle, "_seed", spy)
+    return sizes
+
+
 class TestSeeds:
     def test_each_halving_up_to_the_grid_itself(self):
         assert oracle._seed_sizes(20001) == [626, 1251, 2501, 5001, 10001, 20001]
         assert oracle._seed_sizes(1023) == [1023]
 
+    def test_halving_goes_on_while_it_keeps_the_fewest_nodes(self):
+        assert oracle._seed_sizes(8001, 251.0) == [251, 501, 1001, 2001, 4001, 8001]
+        assert oracle._seed_sizes(8001, 251.5) == [501, 1001, 2001, 4001, 8001]
+        # never finer than the first halving under _SEED_POINTS, never under 64 nodes
+        assert oracle._seed_sizes(8001, 5000.0) == oracle._seed_sizes(8001)
+        assert oracle._seed_sizes(8001, 0.0) == [126, 251, 501, 1001, 2001, 4001, 8001]
+
     @pytest.mark.parametrize("n", [513, 1001, 8001, 16001])
     def test_a_richardson_partner_shares_the_seeds_of_its_grid(self, n):
-        assert oracle._seed_sizes(2 * n - 1)[:-1] == oracle._seed_sizes(n)
+        for fewest in (math.inf, 100.0, 300.0, 0.0):
+            assert oracle._seed_sizes(2 * n - 1, fewest)[:-1] == oracle._seed_sizes(n, fewest)
+
+    def test_the_default_walls_seed_from_the_coarsest_halving_that_resolves_the_wells(
+        self, monkeypatch
+    ):
+        # one seed for the 8001-point grid and its 16001-point partner:
+        # 251 nodes, at least _SEED_PER_DECAY in the decay length, where
+        # the next halving, 126 nodes, would hold fewer
+        spec = BiasedQuartic(1.0, 2.1)
+        a = analyze(spec, C)
+        grid = default_grid(spec, C, a)
+        seeds = solved_seeds(monkeypatch)
+        eigen_lowest_two(spec, C, grid, analysis=a)
+        assert seeds == [251]
+        per_node = min(oracle._decay_lengths(a)) / (grid.x_max - grid.x_min)
+        assert 250 * per_node >= oracle._SEED_PER_DECAY > 125 * per_node
+
+    def test_a_solve_with_no_analysis_keeps_the_first_halving_under_the_cap(
+        self, monkeypatch
+    ):
+        # the harmonic well's decay length is 1, 16 times less than the span:
+        # a two-well rule would seed from 126 nodes
+        seeds = solved_seeds(monkeypatch)
+        eigen_lowest_two(HARMONIC, C, dataclasses.replace(HARMONIC_GRID, n_points=8001))
+        assert seeds == [1001]
 
 
 class TestInertiaProof:
@@ -294,7 +339,7 @@ class TestInertiaProof:
         # pass each, a pttrf call at the start and after each of the two
         # levels below hi, and no weighted bound (no pttrs) on the quadratic
         # bound's path; stebz bisects the one seed the two grids share, of
-        # 1001 nodes, and counts no grid's levels
+        # 251 nodes, and counts no grid's levels
         lapack = spied_lapack(monkeypatch)
         calls, seeds = [], []
         for name in ("dpttrf", "dpttrs"):
@@ -314,7 +359,7 @@ class TestInertiaProof:
         monkeypatch.setattr(lapack, "dstebz", seed_spy)
         sp = eigen_lowest_two(BiasedQuartic(1.0, 2.1))
         assert calls == ["dpttrf"] * 6
-        assert seeds == [999]
+        assert seeds == [249]
         assert sp.splitting == pytest.approx(1.683085e-06, rel=1e-6)
 
 
@@ -498,6 +543,15 @@ class TestCertificate:
         assert steps == [7999, 15999]
         assert solves == [7999, 7999, 15999, 15999]
         assert sp.splitting == pytest.approx(1.683085e-06, rel=1e-6)
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(DEEP_WELLS)
+    def test_each_deep_well_is_certified_after_one_sweep_from_its_seed(self, spec):
+        # a seed too coarse for the wells costs a second sweep on each grid
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            steps = self.ritz_steps(monkeypatch)
+            eigen_lowest_two(spec, C)
+        assert steps == [7999, 15999]
 
     def test_a_grid_past_the_quadratic_bounds_reach_is_certified(self, monkeypatch):
         # on 1536001 nodes the rounding of the stored Ritz vectors keeps

@@ -37,3 +37,30 @@ def test_moves_name_the_largest_relative_move_of_each_field():
     assert tool.moves(zero, ("", {"d": 1e-300, "e": math.nan}, "")) == {"d": math.inf}
     error = ("", {"error": "GridTooCoarse: ...\n"}, "")
     assert tool.moves(old, error) == {"structure": "changed"}
+
+
+def test_the_diff_closes_with_the_largest_move_of_each_numeric_field(monkeypatch, capsys):
+    tool = load_tool()
+    old = {
+        "a run_oracle": ("1", {"E0": 1.0, "E1": 2.0}, ""),
+        "b run_oracle": ("2", {"E0": 4.0, "E1": 2.0}, ""),
+        "c run_analyze": ("3", {"flags": ["gamow"]}, "E0\n1.0\n"),
+        "d run_analyze": ("4", {"E0": 1.0}, ""),
+    }
+    new = {
+        "a run_oracle": ("1'", {"E0": 1.5, "E1": 2.0}, ""),
+        "b run_oracle": ("2'", {"E0": 5.0, "E1": 3.0}, ""),
+        "c run_analyze": ("3'", {"flags": ["kink"]}, "E0\n1.1\n"),
+        "d run_analyze": ("4", {"E0": 1.0}, ""),
+    }
+    monkeypatch.setattr(tool, "run_corpus", lambda src: (old if src.name == "old" else new, False))
+    assert tool.main(["output_digest.py", "new", "--diff", "old"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    summary = lines.index("largest move of each numeric field over the outputs that differ:")
+    assert lines[summary + 1 :] == [
+        "  E0 0.5",
+        "  E1 0.5",
+        "  csv.E0 0.1",
+        "3 of 4 outputs differ from old",
+    ]
+    assert tool.largest_moves([{"x": "changed"}, {"structure": "changed"}]) == {}

@@ -21,8 +21,9 @@ other in the same process, and lists each output of SRC that differs
 from OLD_SRC's, with the largest relative move |new - old| / |old| of
 each numeric field of its JSON document and CSV (a field of the rows of
 a sweep counts once, over all rows; ``changed`` marks a field that is
-not a number, ``structure`` an output whose fields differ); it exits 1
-when any output differs:
+not a number, ``structure`` an output whose fields differ), then the
+largest relative move of each numeric field over all the outputs that
+differ; it exits 1 when any output differs:
 
     python3 tools/output_digest.py src --diff ../parent/src
 
@@ -218,6 +219,20 @@ def moves(old_run, new_run):
     return largest
 
 
+def largest_moves(found):
+    """{path: largest relative move} of each numeric field over several ``moves`` results.
+
+    Paths come in sorted order; "changed" and "structure" marks are left
+    out, as each output's own list names them.
+    """
+    largest = {}
+    for fields in found:
+        for path, move in fields.items():
+            if not isinstance(move, str) and move > largest.get(path, 0.0):
+                largest[path] = move
+    return dict(sorted(largest.items()))
+
+
 def main(argv):
     parser = argparse.ArgumentParser(
         prog="python3 tools/output_digest.py",
@@ -240,7 +255,7 @@ def main(argv):
     runs, failed = run_corpus(args.src.resolve())
     if old is None or runs is None:
         return 2
-    differ = 0
+    differ, found = 0, []
     for key in [*runs, *(key for key in old if key not in runs)]:
         if key in runs and key in old and runs[key][0] == old[key][0]:
             continue
@@ -249,8 +264,13 @@ def main(argv):
             print(f"{key}: only in {'OLD_SRC' if key in old else 'SRC'}")
             continue
         print(f"{key}:")
-        for path, move in moves(old[key], runs[key]).items():
+        found.append(moves(old[key], runs[key]))
+        for path, move in found[-1].items():
             print(f"  {path} {move if isinstance(move, str) else f'{move:.3g}'}")
+    if found:
+        print("largest move of each numeric field over the outputs that differ:")
+        for path, move in largest_moves(found).items():
+            print(f"  {path} {move:.3g}")
     print(f"{differ} of {len(runs)} outputs differ from {args.diff}")
     return 1 if differ or failed or old_failed else 0
 
