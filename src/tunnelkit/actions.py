@@ -12,7 +12,10 @@ integrand, which the dyadic Gauss-Legendre refinement then nails.
 I and dI/dE come from one kernel over a vector of energies on one curve
 (``action_rows``; the points of a bias sweep differ only in energy and
 in the dialed floor).  The turning points of every row and both flanks
-are found together by Brent's method in lockstep.  Each refinement pass
+come from safeguarded Newton steps started at the wells' harmonic
+turning points, finished at the crossing of v(x) - E in floats; a
+sweep's many roots take those steps in lockstep on arrays, and a
+handful of roots one at a time, to the same bits.  Each refinement pass
 then samples the potential once on a (rows x nodes) block of t-nodes of
 both flanks, and that one sample set serves the integrands of I and of
 dI/dE alike.  Each (row, integrand, flank) component keeps its own
@@ -35,11 +38,11 @@ double-oscillator family.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._brent import brentq_rows
 from .errors import (
     EnergyAboveBarrier,
     EnergyBelowWellBottom,
@@ -78,6 +81,20 @@ class ActionResult:
 # open (row, flank) pairs than that are sampled in chunks.
 _PASS_NODES = 2**16
 
+# Fewest turning points solved in lockstep on arrays; fewer run one at a
+# time on Python floats.  Near E_bar of 6-spacing wells the two broke even
+# at 36 to 48 roots: the double oscillator, the sextic and the quartic
+# (x86-64, one core, Python 3.11, numpy 2.4).
+_ARRAY_ROOTS = 40
+
+# Newton iterates a turning point may take, and its step tolerance
+# relative to |x|.
+_MAX_ITERATES = 100
+_EPS = sys.float_info.epsilon
+_STEP_TOL = 4.0 * _EPS
+# the least positive float: the crossing's bracket never has width 0
+_TINY = sys.float_info.min * _EPS
+
 def _ensure_analysis(spec, consts, analysis):
     if analysis is None:
         return analyze(spec, consts)
@@ -113,36 +130,187 @@ def _energy_error(analysis, E, right_floor):
     return None
 
 
-def _turning_rows(analysis, E):
+def _turning_rows(analysis, E, right_floor):
     """Inner turning points (a_bar, b_bar), as arrays, at each energy of E.
 
-    Every energy must pass ``_energy_error``.  Solves v(x) = E on the
-    barrier flanks [x_L, x_m] and [x_m, x_R] by Brent's method, all rows
-    and both flanks at once (``brentq_rows``).  The flank function takes
-    a float and a row index, or, on the lockstep path, an array of
-    abscissae and the array of their rows; each family's ``derivative``
-    gives arrays the bits it gives floats, so each root is bit for bit
-    the one ``brentq`` finds for it alone.
+    Every energy must pass ``_energy_error``; ``right_floor`` is v(x_R) of
+    the curve.  Each root of v(x) = E on the barrier flanks [x_L, x_m]
+    and [x_m, x_R] is found in two stages, with v and v' from the spec's
+    ``derivative``:
+
+    1. Safeguarded Newton steps on v(x) - E from the well's harmonic
+       turning point, x_L + sqrt(2E/m)/omega_L on the left and
+       x_R - sqrt(2(E - v(x_R))/m)/omega_R on the right.  Every iterate
+       narrows the flank to a bracket of the root; a start or a step
+       that is not strictly inside it is replaced by its midpoint.  The
+       stage ends on a step of at most 4 eps |x| (taking it), on
+       v(x) - E exactly 0, or on a bracket with no midpoint inside.
+    2. Around that estimate, the crossing of v(x) - E in floats: a
+       bracket of half-width eps |x| / 2 (about an ulp), widened 4-fold
+       until its ends lie on either side, is bisected down to two
+       adjacent floats.  The root is the one where v(x) < E, the
+       outermost float of the classically allowed region, whatever path
+       the first stage took.
+
+    A NaN value, or 100 Newton iterates without an end, is a
+    NumericsError.  Fewer than _ARRAY_ROOTS roots run one at a time on
+    Python floats; more run in lockstep on arrays.  Both take the same
+    operations in the same order, and each family's ``derivative`` gives
+    arrays the bits it gives floats, so each root is bit for bit the one
+    a one-row call finds.
     """
     k = len(E)
-    consts, shift, curve = analysis.consts, analysis.zero_shift, analysis.spec.derivative
-    target = list(E) * 2
-    targets = np.array(target)
-
-    def shifted(x, rows):
-        # rows is an int on the scalar loop, where a list item keeps the
-        # arithmetic on Python floats, and an int array in lockstep
-        e = target[rows] if type(rows) is int else targets[rows]
-        return curve(x, 0, consts) - shift - e
-
-    x = brentq_rows(
-        shifted,
-        [analysis.x_L] * k + [analysis.x_m] * k,
-        [analysis.x_m] * k + [analysis.x_R] * k,
-        xtol=1e-15,
-        rtol=8.9e-16,
-    )
+    m = analysis.consts.mass
+    # E - right_floor >= 0 by _energy_error, so no square root is negative
+    start = [analysis.x_L + math.sqrt(2.0 * e / m) / analysis.omega_L for e in E] + [
+        analysis.x_R - math.sqrt(2.0 * (e - right_floor) / m) / analysis.omega_R for e in E
+    ]
+    v, dv = _flank_functions(analysis)
+    args = (list(E) * 2, [analysis.x_L] * k + [analysis.x_m] * k, [analysis.x_m] * k + [analysis.x_R] * k)
+    rising = [True] * k + [False] * k  # v - E rises with x on the left flank
+    if 2 * k < _ARRAY_ROOTS:
+        x = np.array([
+            _crossing(v, e, lo, hi, _newton(v, dv, e, lo, hi, x, up), up)
+            for e, lo, hi, x, up in zip(*args, start, rising)
+        ])
+    else:
+        e, lo, hi, start, rising = (np.array(a) for a in (*args, start, rising))
+        with np.errstate(all="ignore"):
+            x = _crossing_rows(v, e, lo, hi, _newton_rows(v, dv, e, lo, hi, start, rising), rising)
     return x[:k], x[k:]
+
+
+def _flank_functions(analysis):
+    # v(x) - e and v'(x) from the spec, for a float or an array x
+    consts, shift, curve = analysis.consts, analysis.zero_shift, analysis.spec.derivative
+    return (lambda x, e: curve(x, 0, consts) - shift - e), (lambda x: curve(x, 1, consts))
+
+
+def _nan_error(x):
+    return NumericsError(f"v(x) is NaN at x = {x!r}: the turning points cannot be found")
+
+
+def _newton(v, dv, e, lo, hi, x, up):
+    # stage 1 of _turning_rows for one root, on Python floats
+    if not lo < x < hi:
+        x = lo + 0.5 * (hi - lo)
+    for _ in range(_MAX_ITERATES):
+        f = v(x, e)
+        if f == 0.0:
+            return x
+        if f != f:
+            raise _nan_error(x)
+        if (f > 0.0) == up:
+            hi = x
+        else:
+            lo = x
+        slope = dv(x)
+        # f / 0 is inf or NaN on arrays, whose step the bracket test
+        # sends to the midpoint; so does this one
+        step = f / slope if slope else math.inf
+        if abs(step) <= _STEP_TOL * abs(x):
+            return min(max(x - step, lo), hi)
+        new = x - step
+        if not lo < new < hi:
+            new = lo + 0.5 * (hi - lo)
+            if not lo < new < hi:
+                return x
+        x = new
+    raise _no_convergence(e)
+
+
+def _newton_rows(v, dv, e, lo, hi, x, up):
+    # _newton on arrays, the open roots in lockstep; a settled root
+    # leaves the arrays
+    rows = np.arange(x.size)
+    out = np.empty(x.size)
+    x = np.where((lo < x) & (x < hi), x, lo + 0.5 * (hi - lo))
+    for _ in range(_MAX_ITERATES):
+        f = v(x, e)
+        if np.isnan(f).any():
+            raise _nan_error(float(x[np.isnan(f)][0]))
+        side = (f > 0.0) == up
+        hi, lo = np.where(side, x, hi), np.where(side, lo, x)
+        step = f / dv(x)
+        newton = x - step
+        mid = lo + 0.5 * (hi - lo)
+        new = np.where((lo < newton) & (newton < hi), newton, mid)
+        converged = np.abs(step) <= _STEP_TOL * np.abs(x)
+        # a zero value, or a bracket with no midpoint inside, ends on x
+        stay = (f == 0.0) | ~(converged | ((lo < new) & (new < hi)))
+        done = stay | converged
+        if done.any():
+            root = np.where(stay, x, np.minimum(np.maximum(newton, lo), hi))
+            out[rows[done]] = root[done]
+            if done.all():
+                return out
+            keep = ~done
+            new, lo, hi, e, up, rows = (a[keep] for a in (new, lo, hi, e, up, rows))
+        x = new
+    raise _no_convergence(float(e[0]))
+
+
+def _no_convergence(e):
+    return NumericsError(
+        f"the turning point at E = {e:g} did not converge in {_MAX_ITERATES} Newton iterates"
+    )
+
+
+def _crossing(v, e, lo, hi, x, up):
+    # stage 2 of _turning_rows for one root, on Python floats
+    w = max(0.5 * _EPS * abs(x), _TINY)
+    while True:
+        a, b = max(x - w, lo), min(x + w, hi)
+        for p in (a, b):
+            f = v(p, e)
+            if f != f:
+                raise _nan_error(p)
+            if (f >= 0.0) == up:
+                hi = p
+            else:
+                lo = p
+        if a <= lo and hi <= b:
+            break
+        w *= 4.0
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return lo if up else hi
+        f = v(mid, e)
+        if f != f:
+            raise _nan_error(mid)
+        if (f >= 0.0) == up:
+            hi = mid
+        else:
+            lo = mid
+
+
+def _crossing_rows(v, e, lo, hi, x, up):
+    # _crossing on arrays, all roots in lockstep; a settled root's lanes
+    # are sampled on but not read
+    w = np.maximum(0.5 * _EPS * np.abs(x), _TINY)
+    wide = np.ones(x.size, dtype=bool)
+    while wide.any():
+        a, b = np.maximum(x - w, lo), np.minimum(x + w, hi)
+        ends, open_ends = np.concatenate([a, b]), np.tile(wide, 2)
+        f = v(ends, np.concatenate([e, e]))
+        if np.isnan(f[open_ends]).any():
+            raise _nan_error(float(ends[open_ends & np.isnan(f)][0]))
+        for p, fp in ((a, f[:x.size]), (b, f[x.size:])):
+            side = (fp >= 0.0) == up
+            hi, lo = np.where(wide & side, p, hi), np.where(wide & ~side, p, lo)
+        wide &= ~((a <= lo) & (hi <= b))
+        w = np.where(wide, w * 4.0, w)
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            return np.where(up, lo, hi)
+        f = v(mid, e)
+        if np.isnan(f[inside]).any():
+            raise _nan_error(float(mid[inside & np.isnan(f)][0]))
+        side = (f >= 0.0) == up
+        hi, lo = np.where(inside & side, mid, hi), np.where(inside & ~side, mid, lo)
 
 
 def turning_points(spec, consts: PhysConstants, E: float, analysis: WellAnalysis | None = None):
@@ -150,8 +318,10 @@ def turning_points(spec, consts: PhysConstants, E: float, analysis: WellAnalysis
 
     Solves v(x) = E on the barrier flanks [x_L, x_m] and [x_m, x_R] of
     the normalized potential, as a one-row call of the action kernel with
-    no integrands, so with no quadrature and no tolerance.  E must lie
-    strictly between the higher well floor and the barrier top.
+    no integrands, so with no quadrature and no tolerance: each root is
+    the outermost float of the flank's classically allowed region next
+    to the crossing of v(x) - E.  E must lie strictly between the higher
+    well floor and the barrier top.
     """
     analysis = _ensure_analysis(spec, consts, analysis)
     a_bar, b_bar, _ = _one(_action_rows([analysis], [E], 0.0, ())[0])
@@ -258,12 +428,12 @@ def _action_rows(analyses, E, rtol, integrands):
     if not good:
         return out
     energies = [float(E[r]) for r in good]
-    a_bar, b_bar = _turning_rows(curve, energies)
+    a_bar, b_bar = _turning_rows(curve, energies, right_floor)
     energies = np.array(energies)
     # An integral that is not finite makes its row an error.  A mass so
-    # large that the turning points sit within Brent's tolerance of the
-    # wells gives one: at a node that is not forbidden, the slope's
-    # integrand is divided by sqrt(1e-300) and overflows.
+    # large that the turning points lie within an ulp of the wells gives
+    # one: at a node that is not forbidden, the slope's integrand is
+    # divided by sqrt(1e-300) and overflows.
     with np.errstate(all="ignore"):
         values, errors = _flank_integrals(curve, energies, a_bar, b_bar, rtol, integrands)
     rows = zip(a_bar.tolist(), b_bar.tolist(), values.transpose(2, 0, 1).tolist())

@@ -13,6 +13,7 @@ from tunnelkit import (
     DEFAULT_CONSTANTS as C,
     DoubleOscillator,
     EnergyAboveBarrier,
+    NumericsError,
     PhysConstants,
     QuadratureNonConvergence,
     TunnelkitError,
@@ -124,6 +125,45 @@ class TestTurningPoints:
         a = analyze(spec, C)
         with pytest.raises(EnergyAboveBarrier):
             turning_points(spec, C, a.V0 * 1.01, a)
+
+    @pytest.mark.parametrize(
+        "spec", [BiasedQuartic(1.0, 2.1, 0.2), DoubleOscillator(1.3, 0.9, 0.4, 8.0)], ids=["quartic", "oscillator"]
+    )
+    def test_each_root_is_the_last_allowed_float(self, spec):
+        # v(x) < E at each root, and v(x) >= E at the next float toward
+        # the barrier top, on both paths
+        a = analyze(spec, C)
+        floor = max(0.0, a.tilde_eps)
+        energies = [floor + (a.V0 - floor) * (0.05 + 0.9 * i / 23) for i in range(24)]
+        rows = action_rows([a] * 24, energies) + [action_rows([a], [e])[0] for e in energies]
+        for e, row in zip(energies * 2, rows):
+            for x in (row.a_bar, row.b_bar):
+                assert a.v(x) < e <= a.v(math.nextafter(x, a.x_m))
+
+    def test_a_zero_slope_steps_to_the_midpoint_on_both_paths(self):
+        # v - E = (x - 0.5)^3 - 0.001 from x = 0.5, where v' = 0: no
+        # ZeroDivisionError on floats, and the same root on arrays
+        def v(x, e):
+            d = x - 0.5
+            return d * d * d - e
+
+        def dv(x):
+            return 3.0 * (x - 0.5) * (x - 0.5)
+
+        one = tunnelkit.actions._newton(v, dv, 0.001, 0.0, 1.0, 0.5, True)
+        with np.errstate(all="ignore"):
+            rows = tunnelkit.actions._newton_rows(
+                v, dv, np.full(2, 0.001), np.zeros(2), np.ones(2), np.full(2, 0.5), np.ones(2, dtype=bool)
+            )
+        assert rows.tolist() == [one, one]
+        assert one == pytest.approx(0.6, rel=1e-15)
+
+    def test_newton_steps_that_do_not_settle_are_a_numerical_error(self, monkeypatch):
+        a = analyze(BiasedQuartic(1.0, 2.1), C)
+        monkeypatch.setattr(tunnelkit.actions, "_MAX_ITERATES", 2)
+        for count in (1, 30):  # one root pair, and 60 roots in lockstep
+            with pytest.raises(NumericsError, match="did not converge in 2 Newton iterates"):
+                action_rows([a] * count, [a.E_bar] * count)
 
 
 class TestGamowIntegral:

@@ -19,6 +19,8 @@ import tunnelkit.potentials
 import tunnelkit.splitting
 from tunnelkit import (
     DegenerateBarrier,
+    DoubleOscillator,
+    PhysConstants,
     TunnelkitError,
     DomainTooSmall,
     EnergyBelowWellBottom,
@@ -31,7 +33,7 @@ from tunnelkit import (
     parse_config,
     Polynomial,
 )
-from tunnelkit.actions import ActionResult, action_rows
+from tunnelkit.actions import ActionResult, action_rows, double_oscillator_action
 from tunnelkit.cli import (
     CSV_HEADER,
     _spectrum_doc,
@@ -1209,23 +1211,40 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "potential,mass,message",
         [
-            (HEAVY_OSCILLATOR, 1e250, "quadrature did not settle within depth 12"),
-            (HEAVY_OSCILLATOR, 9e253, "quadrature did not settle within depth 12"),
+            # x^2 - a^2 near the wells keeps about ten digits: v - E at the
+            # quadrature's nodes is too coarse for it to settle at 1e-12
+            (
+                {"family": "biased_quartic", "alpha": 1.0, "a": 2.0},
+                1e20,
+                "quadrature did not settle within depth 12",
+            ),
+            # the turning points lie 5e-51 from the wells, below an ulp of
+            # x_L: nodes beside them are not forbidden, and there the slope's
+            # integrand overflows
             (
                 {"family": "polynomial", "coeffs": [0, 0, -4, 0, 1]},
                 1e200,
                 "the action's integrands leave the float range at E = 2e-100\n",
             ),
         ],
-        ids=["oscillator_1e250", "oscillator_9e253", "polynomial_1e200"],
+        ids=["quartic_1e20", "polynomial_1e200"],
     )
     def test_a_heavy_mass_is_a_numerical_error(self, tmp_path, capsys, potential, mass, message):
-        # the turning points lie within Brent's absolute tolerance of the
-        # wells, so nodes beside them are not forbidden, and there the
-        # slope's integrand overflows
         doc = {"schema": "tunnelkit/1", "potential": potential, "constants": {"mass": mass}}
         assert main(["analyze", write_json(tmp_path, "heavy.json", doc)]) == 4
         assert capsys.readouterr().err.startswith(f"numerical error: {message}")
+
+    @pytest.mark.parametrize("mass", [1e10, 1e250, 9e253, 1e300], ids=["1e10", "1e250", "9e253", "1e300"])
+    def test_a_heavy_double_oscillator_keeps_its_closed_form_action(self, tmp_path, capsys, mass):
+        # The oscillator's action does not depend on m.  Its turning points
+        # lie within sqrt(2 V0 / m) of x = 0 (4e-150 at m = 1e300), and
+        # Newton steps relative to |x| resolve them.
+        doc = {"schema": "tunnelkit/1", "potential": HEAVY_OSCILLATOR, "constants": {"mass": mass}}
+        assert main(["analyze", write_json(tmp_path, "heavy.json", doc)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        spec = DoubleOscillator(1.0, 1.1, 0.05, 8.0)
+        i_l, i_r = double_oscillator_action(spec, PhysConstants(1.0, mass), out["well"]["E_bar"])
+        assert out["action"]["I"] == pytest.approx(i_l + i_r, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize(
         "data,message",

@@ -182,8 +182,8 @@ def reference_asymptotic_action(consts, analysis, rtol=1e-12):
 
 def reference_turning_points(analysis, E):
     """(a_bar, b_bar) by one scalar brentq per flank, with the energy
-    checks of the per-point kernel: the reference for the batched
-    turning points."""
+    checks of the per-point kernel: the accuracy reference for the
+    Newton turning points."""
     if E >= analysis.V0:
         raise EnergyAboveBarrier(f"E = {E:g} is not below the barrier top {analysis.V0:g}")
     floor = max(0.0, analysis.tilde_eps)
@@ -257,8 +257,10 @@ def reference_flank_integrals(consts, E, analysis, a_bar, b_bar, rtol, integrand
 
 
 def reference_action(consts, analysis, E, rtol=1e-12):
-    """The ActionResult of the per-point kernel at energy E."""
-    a_bar, b_bar = reference_turning_points(analysis, E)
+    """The ActionResult of the per-point kernel at energy E, with the
+    turning points of a one-row ``turning_points`` call (the scalar
+    loop), so a batch's rows on the array path are checked against it."""
+    a_bar, b_bar = turning_points(analysis.spec, consts, E, analysis)
     (i_l, i_r), (s_l, s_r) = reference_flank_integrals(
         consts, E, analysis, a_bar, b_bar, rtol, (_momentum, _inverse_momentum)
     )
