@@ -38,7 +38,6 @@ double-oscillator family.
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +49,22 @@ from .errors import (
     NumericsError,
     TunnelkitError,
 )
-from .potentials import DEFAULT_CONSTANTS, DoubleOscillator, PhysConstants, WellAnalysis, analyze
+from .potentials import (
+    _EPS,
+    _MAX_ITERATES,
+    _STEP_TOL,
+    _TINY,
+    DEFAULT_CONSTANTS,
+    DoubleOscillator,
+    PhysConstants,
+    WellAnalysis,
+    _crossing,
+    _flank_functions,
+    _nan_error,
+    _newton,
+    _no_convergence,
+    analyze,
+)
 from .quadrature import _MAX_DEPTH, _ORDER, _panel_nodes, _panel_sums, _unsettled
 
 __all__ = [
@@ -87,13 +101,6 @@ _PASS_NODES = 2**16
 # (x86-64, one core, Python 3.11, numpy 2.4).
 _ARRAY_ROOTS = 40
 
-# Newton iterates a turning point may take, and its step tolerance
-# relative to |x|.
-_MAX_ITERATES = 100
-_EPS = sys.float_info.epsilon
-_STEP_TOL = 4.0 * _EPS
-# the least positive float: the crossing's bracket never has width 0
-_TINY = sys.float_info.min * _EPS
 
 def _ensure_analysis(spec, consts, analysis):
     if analysis is None:
@@ -135,22 +142,13 @@ def _turning_rows(analysis, E, right_floor):
 
     Every energy must pass ``_energy_error``; ``right_floor`` is v(x_R) of
     the curve.  Each root of v(x) = E on the barrier flanks [x_L, x_m]
-    and [x_m, x_R] is found in two stages, with v and v' from the spec's
-    ``derivative``:
-
-    1. Safeguarded Newton steps on v(x) - E from the well's harmonic
-       turning point, x_L + sqrt(2E/m)/omega_L on the left and
-       x_R - sqrt(2(E - v(x_R))/m)/omega_R on the right.  Every iterate
-       narrows the flank to a bracket of the root; a start or a step
-       that is not strictly inside it is replaced by its midpoint.  The
-       stage ends on a step of at most 4 eps |x| (taking it), on
-       v(x) - E exactly 0, or on a bracket with no midpoint inside.
-    2. Around that estimate, the crossing of v(x) - E in floats: a
-       bracket of half-width eps |x| / 2 (about an ulp), widened 4-fold
-       until its ends lie on either side, is bisected down to two
-       adjacent floats.  The root is the one where v(x) < E, the
-       outermost float of the classically allowed region, whatever path
-       the first stage took.
+    and [x_m, x_R], with v and v' from the spec's ``derivative``, takes
+    safeguarded Newton steps (``_newton``) from the well's harmonic
+    turning point, x_L + sqrt(2E/m)/omega_L on the left and
+    x_R - sqrt(2(E - v(x_R))/m)/omega_R on the right, and ends at the
+    crossing of v(x) - E in floats (``_crossing``): the float where
+    v(x) < E, the outermost float of the classically allowed region,
+    whatever path the Newton steps took.
 
     A NaN value, or 100 Newton iterates without an end, is a
     NumericsError.  Fewer than _ARRAY_ROOTS roots run one at a time on
@@ -178,45 +176,6 @@ def _turning_rows(analysis, E, right_floor):
         with np.errstate(all="ignore"):
             x = _crossing_rows(v, e, lo, hi, _newton_rows(v, dv, e, lo, hi, start, rising), rising)
     return x[:k], x[k:]
-
-
-def _flank_functions(analysis):
-    # v(x) - e and v'(x) from the spec, for a float or an array x
-    consts, shift, curve = analysis.consts, analysis.zero_shift, analysis.spec.derivative
-    return (lambda x, e: curve(x, 0, consts) - shift - e), (lambda x: curve(x, 1, consts))
-
-
-def _nan_error(x):
-    return NumericsError(f"v(x) is NaN at x = {x!r}: the turning points cannot be found")
-
-
-def _newton(v, dv, e, lo, hi, x, up):
-    # stage 1 of _turning_rows for one root, on Python floats
-    if not lo < x < hi:
-        x = lo + 0.5 * (hi - lo)
-    for _ in range(_MAX_ITERATES):
-        f = v(x, e)
-        if f == 0.0:
-            return x
-        if f != f:
-            raise _nan_error(x)
-        if (f > 0.0) == up:
-            hi = x
-        else:
-            lo = x
-        slope = dv(x)
-        # f / 0 is inf or NaN on arrays, whose step the bracket test
-        # sends to the midpoint; so does this one
-        step = f / slope if slope else math.inf
-        if abs(step) <= _STEP_TOL * abs(x):
-            return min(max(x - step, lo), hi)
-        new = x - step
-        if not lo < new < hi:
-            new = lo + 0.5 * (hi - lo)
-            if not lo < new < hi:
-                return x
-        x = new
-    raise _no_convergence(e)
 
 
 def _newton_rows(v, dv, e, lo, hi, x, up):
@@ -248,41 +207,6 @@ def _newton_rows(v, dv, e, lo, hi, x, up):
             new, lo, hi, e, up, rows = (a[keep] for a in (new, lo, hi, e, up, rows))
         x = new
     raise _no_convergence(float(e[0]))
-
-
-def _no_convergence(e):
-    return NumericsError(
-        f"the turning point at E = {e:g} did not converge in {_MAX_ITERATES} Newton iterates"
-    )
-
-
-def _crossing(v, e, lo, hi, x, up):
-    # stage 2 of _turning_rows for one root, on Python floats
-    w = max(0.5 * _EPS * abs(x), _TINY)
-    while True:
-        a, b = max(x - w, lo), min(x + w, hi)
-        for p in (a, b):
-            f = v(p, e)
-            if f != f:
-                raise _nan_error(p)
-            if (f >= 0.0) == up:
-                hi = p
-            else:
-                lo = p
-        if a <= lo and hi <= b:
-            break
-        w *= 4.0
-    while True:
-        mid = lo + 0.5 * (hi - lo)
-        if not lo < mid < hi:
-            return lo if up else hi
-        f = v(mid, e)
-        if f != f:
-            raise _nan_error(mid)
-        if (f >= 0.0) == up:
-            hi = mid
-        else:
-            lo = mid
 
 
 def _crossing_rows(v, e, lo, hi, x, up):

@@ -57,12 +57,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._brent import brentq_rows
 from .errors import ConfigError, DomainTooSmall, GridTooCoarse, NumericsError, WellStructureError
 from .potentials import (
     DEFAULT_CONSTANTS,
     PhysConstants,
     WellAnalysis,
+    _crossing,
+    _flank_functions,
+    _newton,
     _unwrap,
     analyze,
     evaluate,
@@ -126,9 +128,16 @@ def _decay_lengths(analysis: WellAnalysis) -> tuple[float, float]:
 
 
 def _outer_turning_point(analysis: WellAnalysis, side: str, E: float) -> float:
-    """Solve v(x) = E outside the well on the given side ("left"/"right")."""
-    x0 = analysis.x_L if side == "left" else analysis.x_R
-    sign = -1.0 if side == "left" else 1.0
+    """Solve v(x) = E outside the well on the given side ("left"/"right").
+
+    A bracket from the well's floor outward doubles from one decay length
+    until v > E at its far end.  Safeguarded Newton steps from the
+    harmonic turning point, finished at the crossing of v - E in floats,
+    give the root: the float next to it where v < E.
+    """
+    left = side == "left"
+    x0, omega = (analysis.x_L, analysis.omega_L) if left else (analysis.x_R, analysis.omega_R)
+    sign = -1.0 if left else 1.0
     d = min(_decay_lengths(analysis))
     for _ in range(200):
         if analysis.v(x0 + sign * d) > E:
@@ -136,9 +145,15 @@ def _outer_turning_point(analysis: WellAnalysis, side: str, E: float) -> float:
         d *= 2.0
     else:
         raise ConfigError("potential does not confine; no outer wall found")
-    lo, hi = (x0 + sign * d, x0) if side == "left" else (x0, x0 + sign * d)
-    [x] = brentq_rows(lambda x, row: analysis.v(x) - E, [lo], [hi], xtol=1e-12, rtol=8.9e-16)
-    return float(x)
+    depth = E - analysis.v(x0)
+    if depth < 0.0:
+        raise NumericsError(
+            f"E = {E:g} is below the {side} well floor {analysis.v(x0):g}: no outer turning point"
+        )
+    lo, hi = (x0 + sign * d, x0) if left else (x0, x0 + sign * d)
+    start = x0 + sign * math.sqrt(2.0 * depth / analysis.consts.mass) / omega
+    v, dv = _flank_functions(analysis)
+    return _crossing(v, E, lo, hi, _newton(v, dv, E, lo, hi, start, not left), not left)
 
 
 def default_grid(

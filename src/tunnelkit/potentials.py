@@ -18,9 +18,11 @@ members, and every caller goes through them:
                              pow, which can miss by an ulp)
 
 ``Mirrored`` delegates each of them to its inner family, with x -> -x.
-The families that ``analyze`` scans for stationary points (all but the
-double oscillator) have a fourth member, ``scan_window(consts)``, the
-(lo, hi) range of that scan.
+The families whose V' is a polynomial (all but the double oscillator)
+have a fourth member, ``slope_roots()``: the (lo, hi) scan window that
+holds the stationary points ``analyze`` looks at, and the sorted real
+roots of V' that matter there.  It raises ConfigError when V or a
+derivative leaves the float range on the window.
 
 Everything downstream (actions, splitting formulas, the eigensolver)
 works in the convention that the potential is shifted so the deeper well
@@ -39,12 +41,12 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from ._brent import brentq_rows
 from .errors import (
     ConfigError,
     DegenerateBarrier,
     FewerThanTwoMinima,
     NonConvexMinimum,
+    NumericsError,
     WellStructureError,
 )
 
@@ -87,8 +89,10 @@ class PhysConstants:
 
 DEFAULT_CONSTANTS = PhysConstants()
 
-# Uniform samples of V' over the scan window that bracket the stationary points.
-_SCAN_POINTS = 4096
+
+def _finite_at(spec, xs):
+    # whether V and its first three derivatives of spec are finite at each x of xs
+    return all(math.isfinite(spec.derivative(x, k, None)) for x in xs for k in range(4))
 
 
 @dataclass(frozen=True)
@@ -114,8 +118,7 @@ class BiasedQuartic:
             raise ConfigError("BiasedQuartic beta must be finite")
         # V, its derivatives and their partial products are largest in size
         # at the ends of the scan window
-        ends = (-2.0 * self.a, 2.0 * self.a)
-        if not all(math.isfinite(self.derivative(x, k, None)) for x in ends for k in range(4)):
+        if not _finite_at(self, (-2.0 * self.a, 2.0 * self.a)):
             raise ConfigError(
                 f"BiasedQuartic a = {self.a:g} takes V past the float range on its "
                 f"scan window [-2a, 2a], with alpha = {self.alpha:g}"
@@ -131,8 +134,9 @@ class BiasedQuartic:
             return 4.0 * self.alpha * (3.0 * x * x - self.a**2)
         return 24.0 * self.alpha * x
 
-    def scan_window(self, consts):
-        return (-2.0 * self.a, 2.0 * self.a)
+    def slope_roots(self):
+        slope = (self.beta, -4.0 * self.alpha * self.a**2, 0.0, 4.0 * self.alpha)
+        return (-2.0 * self.a, 2.0 * self.a), _real_roots(slope, 2.0 * self.a)
 
 
 @dataclass(frozen=True)
@@ -236,11 +240,18 @@ class Polynomial:
     def _derivative_coeffs(self):
         # coefficients of the k-th derivative, k = 0..3, exactly as
         # npoly.polyder gives them; one past the float range is inf, which
-        # scan_window refuses
+        # slope_roots refuses
         with np.errstate(over="ignore"):
             return (self.coeffs,) + tuple(
                 tuple(float(c) for c in npoly.polyder(self.coeffs, k)) for k in (1, 2, 3)
             )
+
+    @cached_property
+    def _size(self):
+        # on |x| <= r, r >= 1, each partial sum and product of Horner's rule
+        # is at most what Horner's rule on |coeffs| gives at x = r, for V and
+        # each derivative
+        return Polynomial(tuple(abs(c) for c in self.coeffs))
 
     def derivative(self, x, k, consts):
         # Horner in npoly.polyval's own operation order, so floats and
@@ -251,38 +262,30 @@ class Polynomial:
             out = c + out * x
         return out
 
-    def scan_window(self, consts):
+    def slope_roots(self):
+        d1 = self._derivative_coeffs[1]
         if self.window is not None:
             lo, hi = self.window
         else:
-            # the stationary points are the eigenvalues of a matrix of the
-            # coefficients of V' over its leading one
-            d1 = self._derivative_coeffs[1]
+            # the roots come from a matrix of the coefficients of V' over
+            # its leading one, which must stay in the float range
             lead = next(c for c in reversed(d1) if c)
             if not all(math.isfinite(c / lead) for c in d1):
                 raise self._out_of_range("put a ratio of the coefficients of V'")
-            roots = npoly.polyroots(d1)
-            real = roots.real[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))]
-            if real.size == 0:
+            roots = _real_roots(d1)
+            if roots.size == 0:
                 raise FewerThanTwoMinima("polynomial has no real stationary points")
-            lo, hi = float(np.min(real)), float(np.max(real))
+            lo, hi = float(roots[0]), float(roots[-1])
             pad = 0.25 * (hi - lo) + 1e-3 * (1.0 + abs(hi) + abs(lo))
             lo, hi = lo - pad, hi + pad
-        # On |x| <= r, r >= 1, each partial sum and product of Horner's
-        # rule is at most sum |c_i| r^i in size, for V and each derivative;
-        # the scan steps by (hi - lo) / (n - 1)
         r = max(1.0, abs(lo), abs(hi))
-        bounds = [hi - lo]
-        for coeffs in self._derivative_coeffs:
-            bound = 0.0
-            for c in reversed(coeffs):
-                bound = abs(c) + bound * r
-            bounds.append(bound)
-        if not all(math.isfinite(bound) for bound in bounds):
+        if not (math.isfinite(hi - lo) and _finite_at(self._size, (r,))):
             raise self._out_of_range(
                 f"take V or a derivative on the scan window [{lo:g}, {hi:g}]"
             )
-        return (lo, hi)
+        if self.window is not None:
+            roots = _real_roots(d1, r)
+        return (lo, hi), roots
 
     def _out_of_range(self, what):
         coeffs = ", ".join(f"{c:g}" for c in self.coeffs)
@@ -405,40 +408,168 @@ class WellAnalysis:
         return evaluate(self.spec, x, self.consts) - self.zero_shift
 
 
-def _stationary_points(spec, consts, window, n):
-    """Stationary points of V in ``window``, from a uniform scan of V'.
+# Newton iterates a root may take, and its step tolerance relative to |x|.
+_MAX_ITERATES = 100
+_EPS = sys.float_info.epsilon
+_STEP_TOL = 4.0 * _EPS
+# the least positive float: the crossing's bracket never has width 0
+_TINY = sys.float_info.min * _EPS
 
-    V' is sampled at ``n`` evenly spaced points.  A sample where V' is
-    exactly zero is a stationary point itself, classified by the sign of
-    V'' there.  Each pair of neighbouring samples where V' changes sign
-    brackets one root, refined by Brent iteration well past the 1e-12
-    relative target.  Both kinds of sample are found with whole-array
-    tests; only the few brackets run Python code.
 
-    Returns a sorted list of (x, kind) with kind "min" for an upward
-    crossing of V' and "max" for a downward one.
+def _flank_functions(analysis):
+    # v(x) - e and v'(x) from the spec, for a float or an array x
+    consts, shift, curve = analysis.consts, analysis.zero_shift, analysis.spec.derivative
+    return (lambda x, e: curve(x, 0, consts) - shift - e), (lambda x: curve(x, 1, consts))
+
+
+def _nan_error(x):
+    return NumericsError(f"the function is NaN at x = {x!r}: its root cannot be found")
+
+
+def _no_convergence(e):
+    return NumericsError(
+        f"the root of v(x) = E at E = {e:g} did not converge in {_MAX_ITERATES} Newton iterates"
+    )
+
+
+def _newton(v, dv, e, lo, hi, x, up):
+    """Safeguarded Newton steps on f(x) = v(x, e), with derivative dv(x),
+    from x toward a root in [lo, hi], on Python floats.
+
+    ``up`` tells that f rises through the root.  Every iterate narrows
+    [lo, hi] to a bracket of the root; a start or a step that is not
+    strictly inside it is replaced by its midpoint.  Ends on a step of at
+    most _STEP_TOL |x| (taking it), on f(x) exactly 0, or on a bracket
+    with no midpoint inside.  A NaN value, or _MAX_ITERATES iterates
+    without an end, is a NumericsError.
     """
-    xs = np.linspace(window[0], window[1], n)
-    d1 = evaluate_d1(spec, xs, consts)
-    lo, hi = d1[:-1], d1[1:]
+    if not lo < x < hi:
+        x = lo + 0.5 * (hi - lo)
+    for _ in range(_MAX_ITERATES):
+        f = v(x, e)
+        if f == 0.0:
+            return x
+        if f != f:
+            raise _nan_error(x)
+        if (f > 0.0) == up:
+            hi = x
+        else:
+            lo = x
+        slope = dv(x)
+        # f / 0 is inf or NaN on arrays, whose step the bracket test
+        # sends to the midpoint; so does this one
+        step = f / slope if slope else math.inf
+        if abs(step) <= _STEP_TOL * abs(x):
+            return min(max(x - step, lo), hi)
+        new = x - step
+        if not lo < new < hi:
+            new = lo + 0.5 * (hi - lo)
+            if not lo < new < hi:
+                return x
+        x = new
+    raise _no_convergence(e)
+
+
+def _crossing(v, e, lo, hi, x, up):
+    """The crossing of f(x) = v(x, e) through 0 in [lo, hi], near x, on
+    Python floats: the float next to it where f < 0.
+
+    ``up`` tells that f rises through the crossing.  A bracket of
+    half-width eps |x| / 2 (about an ulp) around x, widened 4-fold until
+    its ends lie on either side, is bisected down to two adjacent floats.
+    A NaN value is a NumericsError.
+    """
+    w = max(0.5 * _EPS * abs(x), _TINY)
+    while True:
+        a, b = max(x - w, lo), min(x + w, hi)
+        for p in (a, b):
+            f = v(p, e)
+            if f != f:
+                raise _nan_error(p)
+            if (f >= 0.0) == up:
+                hi = p
+            else:
+                lo = p
+        if a <= lo and hi <= b:
+            break
+        w *= 4.0
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            return lo if up else hi
+        f = v(mid, e)
+        if f != f:
+            raise _nan_error(mid)
+        if (f >= 0.0) == up:
+            hi = mid
+        else:
+            lo = mid
+
+
+def _real_roots(coeffs, r=None):
+    """The real roots, sorted, of the polynomial with ascending coefficients
+    ``coeffs``: the eigenvalues of its companion matrix with an imaginary
+    part under 1e-9 (1 + |root|).  Every coefficient must be finite.
+
+    Given r, each leading term under eps times the largest term on
+    |x| <= r is dropped first: it moves the polynomial there by less than
+    its rounding, and the roots it adds lie far outside, where they would
+    cost the roots inside their accuracy.  The matrix holds the
+    coefficients over the leading one; where such a ratio would overflow,
+    the roots are taken in y = x / 2**k instead, with the least k that
+    keeps every ratio under 2**1000.
+    """
+    logs = [math.log2(abs(c)) if c else -math.inf for c in coeffs]
+    n = max(i for i, size in enumerate(logs) if size > -math.inf)
+    if r is not None:
+        sizes = [size + i * math.log2(r) for i, size in enumerate(logs)]
+        while sizes[n] <= max(sizes) + math.log2(_EPS):
+            n -= 1
+    k = max([0] + [
+        math.ceil((logs[i] - logs[n] - 1000) / (n - i)) for i in range(n) if coeffs[i]
+    ])
+    roots = npoly.polyroots([math.ldexp(c, k * (i - n)) for i, c in enumerate(coeffs[:n + 1])])
+    return np.ldexp(roots.real[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))], k)
+
+
+def _stationary_points(spec, consts, window, roots):
+    """Stationary points of V in ``window``, from ``roots``, the sorted
+    real roots of V'.
+
+    Each distinct root in the window is bracketed by the midpoints to its
+    neighbours there, and by the window's ends past the first and the
+    last.  A root where V' keeps one sign across its bracket is an
+    inflection, and is dropped.  One where V' is exactly 0 is kept as it
+    is; every other one moves to the crossing of V' in floats on its
+    bracket, onto the float of the crossing's pair where |V'| is the
+    smaller (the one where V' < 0 on a tie).  V' is sampled at the
+    brackets' ends and at the roots in one call.
+
+    Returns a sorted list of (x, kind) with kind "min" where V' rises
+    through 0 and "max" where it falls.
+    """
+    lo, hi = window
+    x = sorted({r for r in roots.tolist() if lo <= r <= hi})
+    ends = [lo] + [a + 0.5 * (b - a) for a, b in zip(x, x[1:])] + [hi]
+    d1 = evaluate_d1(spec, np.array(ends + x), consts).tolist()
+    n = len(x)
+
+    def slope(p, e):
+        return spec.derivative(p, 1, consts)
 
     found = []
-    for i in np.flatnonzero(d1 == 0.0):
-        kind = "min" if evaluate_d2(spec, xs[i], consts) > 0.0 else "max"
-        found.append((float(xs[i]), kind))
-    with np.errstate(over="ignore"):  # an overflowed lo * hi keeps its sign
-        brackets = np.flatnonzero((lo != 0.0) & (lo * hi < 0.0))
-    roots = brentq_rows(
-        lambda x, row: evaluate_d1(spec, x, consts),
-        xs[brackets],
-        xs[brackets + 1],
-        xtol=1e-15,
-        rtol=8.9e-16,
-    )
-    found += [
-        (root, "min" if lo[i] < 0.0 else "max") for root, i in zip(roots.tolist(), brackets)
-    ]
-    return sorted(found)
+    for j, root in enumerate(x):
+        left, right = d1[j], d1[j + 1]
+        rising, falling = left < 0.0 or right > 0.0, left > 0.0 or right < 0.0
+        if rising == falling:
+            continue
+        if d1[n + 1 + j]:
+            root = _crossing(slope, 0.0, ends[j], ends[j + 1], root, rising)
+            past = math.nextafter(root, math.inf if rising else -math.inf)
+            if abs(slope(past, 0.0)) < abs(slope(root, 0.0)):
+                root = past
+        found.append((root, "min" if rising else "max"))
+    return found
 
 
 def analyze(
@@ -452,9 +583,10 @@ def analyze(
 
     The geometry is that of the bare family under any ``Mirrored``
     wrappers, on its own axis: in closed form for the double oscillator;
-    otherwise the minima and the interior maximum are bracketed on a
-    uniform scan of V' (4096 samples over the family's ``scan_window``)
-    and refined to better than 1e-12 relative.  The geometry is then
+    otherwise the minima and the interior maximum are the real roots of
+    V' in the family's scan window (``slope_roots``), from the eigenvalues
+    of its companion matrix, each finished on a float next to V''s sign
+    change in floats.  The geometry is then
     reflected at most once, onto the axis with the deeper well on the
     left (the axis of ``spec`` when the floors are equal), and the
     potential renormalized so v(x_L) = 0.  Set ``orient="keep"`` to stay
@@ -496,7 +628,7 @@ def _locate(spec, consts, orient):
     except AttributeError:
         raise _not_a_spec(spec) from None
     if kink:
-        # exact geometry; the kink maximum defeats a slope-based scan
+        # exact geometry; V' is no polynomial, and jumps at the kink maximum
         x_lo, x_hi, x_m = family.x_left(consts), family.x_right(consts), 0.0
         for name, x in (("omega_L", x_lo), ("omega_R", x_hi)):
             if not math.isfinite(x * x):
@@ -538,9 +670,9 @@ def _locate(spec, consts, orient):
 
 
 def _wells_and_barrier(family, consts):
-    # (x_lo, x_hi, x_m) of a scanned family on its own axis
-    window = family.scan_window(consts)
-    stationary = _stationary_points(family, consts, window, _SCAN_POINTS)
+    # (x_lo, x_hi, x_m) of a family with polynomial V' on its own axis
+    window, roots = family.slope_roots()
+    stationary = _stationary_points(family, consts, window, roots)
     minima = [x for x, kind in stationary if kind == "min"]
     maxima = [x for x, kind in stationary if kind == "max"]
     if len(minima) < 2:
@@ -559,5 +691,12 @@ def _wells_and_barrier(family, consts):
     if len(interior) != 1:
         raise WellStructureError(
             f"expected one interior maximum between wells, found {len(interior)}"
+        )
+    # wells whose barrier is below the rounding of V are no two wells
+    v_m = evaluate(family, interior[0], consts)
+    if not all(v_m > evaluate(family, x, consts) for x in minima):
+        raise FewerThanTwoMinima(
+            f"found 2 local minima in window {window}, but V at the maximum between "
+            f"them, x = {interior[0]:.12g}, does not exceed both floors"
         )
     return x_lo, x_hi, interior[0]

@@ -904,11 +904,17 @@ class TestExitCodes:
             "equal.json",
             {
                 "schema": "tunnelkit/1",
+                # floors equal but for rounding (see
+                # TestAnalyzeQuartic::test_equal_floors_mirror_at_most_once)
                 "potential": {
-                    "family": "biased_quartic",
-                    "alpha": 0.9971007842314095,
-                    "a": 1.6288123492366189,
-                    "beta": 0.0,
+                    "family": "polynomial",
+                    "coeffs": [
+                        -0.7008217478617969,
+                        -5.252305213632848,
+                        -9.707421835517414,
+                        0.6686193182191998,
+                        0.6291844552657135,
+                    ],
                 },
             },
         )
@@ -1083,9 +1089,29 @@ class TestExitCodes:
             f"config error: Polynomial coeffs [{named}] {cause} past the float range\n"
         )
 
+    def test_a_quartic_whose_slope_ratio_overflows_is_a_regime_error(self, tmp_path, capsys):
+        # beta / (4 alpha) = 1.8e372 overflows as an entry of the companion
+        # matrix of V'; its one real root lies near x = -1.2e124
+        doc = {
+            "schema": "tunnelkit/1",
+            "potential": {
+                "family": "biased_quartic",
+                "alpha": 5.205673908249191e-287,
+                "a": 0.6611037889181619,
+                "beta": 3.689615175251747e86,
+            },
+        }
+        assert main(["analyze", write_json(tmp_path, "steep.json", doc)]) == 3
+        assert capsys.readouterr().err == (
+            "regime error: found 0 local minima in window "
+            "(-1.3222075778363238, 1.3222075778363238), need 2\n"
+        )
+
     def test_an_underflowed_brent_denominator_bisects(self, tmp_path, capsys):
-        # V' is below 1e-112 on the scan window, and the inverse-quadratic
-        # denominator of its stationary points' Brent steps underflows to 0
+        # V' is below 1e-112 on the scan window, where the inverse-quadratic
+        # denominator of the Brent steps that once found its stationary
+        # points underflowed to 0; the companion roots and the crossing
+        # keep its outcome
         doc = {
             "schema": "tunnelkit/1",
             "potential": {

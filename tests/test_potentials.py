@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
-from scipy.optimize import brentq
 
 from tunnelkit import (
     BiasedQuartic,
@@ -25,7 +24,7 @@ from tunnelkit import (
     mirror,
 )
 import tunnelkit.potentials
-from tunnelkit.potentials import _derivative, _stationary_points
+from tunnelkit.potentials import _derivative, _real_roots, _stationary_points
 from util import DEEP_WELLS, SEXTIC_Q1, sextic_coeffs
 
 FAMILIES = [
@@ -187,8 +186,18 @@ class TestAnalyzeQuartic:
 
     def test_equal_floors_mirror_at_most_once(self):
         # Rounding makes the other floor look lower from either side, so
-        # auto orientation must not mirror back again.
-        a = analyze(BiasedQuartic(0.9971007842314095, 1.6288123492366189, 0.0), C)
+        # auto orientation must not mirror back again.  The well is
+        # k ((x - s)^4 - (c / k) (x - s)^2), expanded: a quartic symmetric
+        # about x = 0 no longer serves, since its wells are mirror floats
+        # with equal floors.
+        coeffs = (
+            -0.7008217478617969,
+            -5.252305213632848,
+            -9.707421835517414,
+            0.6686193182191998,
+            0.6291844552657135,
+        )
+        a = analyze(Polynomial(coeffs), C)
         assert a.mirrored
         assert abs(a.tilde_eps) < 1e-12 * a.V0
 
@@ -298,36 +307,23 @@ def test_sextic_linear_coefficient_value():
     assert SEXTIC_Q1 == pytest.approx(0.25650557620817843, abs=0.0)
 
 
-def _stationary_points_loop(spec, consts, window, n):
-    # The per-sample scan that _stationary_points replaced, kept as its
-    # reference: same brackets, same refinement, same dedupe.
+def _roots(spec, mirrored):
+    # the sorted real roots of V' of spec, or of its mirror
+    _, roots = spec.slope_roots()
+    return -roots[::-1] if mirrored else roots
+
+
+def _dense_sign_changes(spec, window, n=2**16 + 1):
+    # (kind, lo, hi) for each pair of neighbouring samples of V' across
+    # which it changes sign, on n uniform samples; a sample where V' is
+    # exactly 0 is skipped
     xs = np.linspace(window[0], window[1], n)
-    d1 = evaluate_d1(spec, xs, consts)
-
-    def slope(x):
-        return float(evaluate_d1(spec, float(x), consts))
-
-    found = []
-    for i in range(n - 1):
-        lo, hi = d1[i], d1[i + 1]
-        if lo == 0.0:
-            kind = "min" if float(evaluate_d2(spec, xs[i], consts)) > 0.0 else "max"
-            found.append((float(xs[i]), kind))
-            continue
-        if lo * hi < 0.0:
-            root = brentq(slope, xs[i], xs[i + 1], xtol=1e-15, rtol=8.9e-16)
-            found.append((float(root), "min" if lo < 0.0 else "max"))
-    if d1[-1] == 0.0:
-        kind = "min" if float(evaluate_d2(spec, xs[-1], consts)) > 0.0 else "max"
-        found.append((float(xs[-1]), kind))
-
-    scale = max(abs(window[0]), abs(window[1]), 1.0)
-    out = []
-    for x, kind in sorted(found):
-        if out and abs(x - out[-1][0]) <= 1e-10 * scale:
-            continue
-        out.append((x, kind))
-    return out
+    sign = np.sign(evaluate_d1(spec, xs, C))
+    xs, sign = xs[sign != 0.0], sign[sign != 0.0]
+    return [
+        ("min" if sign[i] < 0.0 else "max", xs[i], xs[i + 1])
+        for i in np.flatnonzero(sign[:-1] != sign[1:])
+    ]
 
 
 SCAN_WELLS = st.one_of(
@@ -347,28 +343,87 @@ class TestStationaryScan:
         mirrored=st.booleans(),
         centre=st.floats(-1.0, 1.0),
         width=st.floats(0.5, 8.0),
-        n=st.sampled_from([17, 256, 1001, 4096]),
     )
-    def test_matches_the_per_sample_loop(self, spec, mirrored, centre, width, n):
-        if mirrored:
-            spec = Mirrored(spec)
+    def test_each_point_is_a_zero_or_next_to_a_sign_change(self, spec, mirrored, centre, width):
+        # V' is exactly 0 at each point, or the point and a float next to
+        # it are a pair across which V' changes sign (from < 0 to >= 0
+        # toward the rising side), and V' is the smaller there in size
+        roots = _roots(spec, mirrored)
+        spec = Mirrored(spec) if mirrored else spec
         window = (centre - width / 2.0, centre + width / 2.0)
-        assert _stationary_points(spec, C, window, n) == _stationary_points_loop(
-            spec, C, window, n
-        )
+        for x, kind in _stationary_points(spec, C, window, roots):
+            assert window[0] <= x <= window[1]
+            slope = evaluate_d1(spec, x, C)
+            if slope != 0.0:
+                rising = math.inf if kind == "min" else -math.inf
+                near = evaluate_d1(spec, math.nextafter(x, rising if slope < 0.0 else -rising), C)
+                assert min(slope, near) < 0.0 <= max(slope, near)
+                assert abs(slope) <= abs(near)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        spec=SCAN_WELLS,
+        mirrored=st.booleans(),
+        centre=st.floats(-1.0, 1.0),
+        width=st.floats(0.5, 8.0),
+    )
+    def test_kinds_match_a_dense_scan(self, spec, mirrored, centre, width):
+        # the same minima and maxima, in order, as the sign changes of V'
+        # on 65537 samples, each between the two samples of its change
+        roots = _roots(spec, mirrored)
+        spec = Mirrored(spec) if mirrored else spec
+        window = (centre - width / 2.0, centre + width / 2.0)
+        found = _stationary_points(spec, C, window, roots)
+        dense = _dense_sign_changes(spec, window)
+        assert [kind for _, kind in found] == [kind for kind, _, _ in dense]
+        for (x, _), (_, lo, hi) in zip(found, dense):
+            assert lo <= x <= hi
 
     @pytest.mark.parametrize(
-        "window,n",
-        [((-2.0, 2.0), 4097), ((-2.0, 1.0), 3073)],
-        ids=["interior_nodes", "last_sample"],
+        "window", [(-2.0, 2.0), (-2.0, 1.0)], ids=["interior_nodes", "last_sample"]
     )
-    def test_exact_zero_samples_are_stationary_points(self, window, n):
-        # Both grids step by 2**-10, so x = -1, 0 and 1 are samples where
-        # V' is exactly zero; the second grid ends on x = 1.
+    def test_exact_zero_samples_are_stationary_points(self, window):
+        # V' is exactly zero at the roots x = -1, 0 and 1, which are kept
+        # as they are; the second window ends on x = 1
         spec = BiasedQuartic(1.0, 1.0, 0.0)
         expected = [(-1.0, "min"), (0.0, "max"), (1.0, "min")]
-        assert _stationary_points(spec, C, window, n) == expected
-        assert _stationary_points_loop(spec, C, window, n) == expected
+        assert _stationary_points(spec, C, window, _roots(spec, False)) == expected
+
+    def test_a_second_well_closer_than_a_scan_step_is_found(self):
+        # V' = 4 (x + 1)(x - 1)(x - 1.0003): the second well lies 3e-4 past
+        # the barrier top, under one step of a 4096-point scan of the
+        # window (7.3e-4)
+        spec = Polynomial((0.0, 4.0012, -2.0, -4.0 * 1.0003 / 3.0, 1.0))
+        a = analyze(spec, C)
+        assert a.x_L == pytest.approx(-1.0, abs=1e-9)
+        assert a.x_m == pytest.approx(1.0, abs=1e-9)
+        assert a.x_R == pytest.approx(1.0003, abs=1e-9)
+
+    def test_a_quartic_whose_slope_ratio_overflows_has_no_well(self):
+        # beta / (4 alpha) = 1.8e372 is past the float range: on the window
+        # V' is beta to within its rounding, and has no root there
+        spec = BiasedQuartic(5.205673908249191e-287, 0.6611037889181619, 3.689615175251747e86)
+        assert spec.slope_roots()[1].size == 0
+        with pytest.raises(FewerThanTwoMinima, match="found 0 local minima"):
+            analyze(spec, C)
+
+    def test_an_overflowing_ratio_takes_the_roots_in_a_scaled_variable(self):
+        # the same V' with no window: its one real root, near x = -1.2e124,
+        # is an eigenvalue of the companion matrix taken in x / 2**k
+        spec = BiasedQuartic(5.205673908249191e-287, 0.6611037889181619, 3.689615175251747e86)
+        slope = (spec.beta, -4.0 * spec.alpha * spec.a**2, 0.0, 4.0 * spec.alpha)
+        [root] = _real_roots(slope).tolist()
+        cube = spec.beta * 1e-300 / (4.0 * spec.alpha)  # -root^3 / 1e300
+        assert root == pytest.approx(-cube ** (1.0 / 3.0) * 1e100)
+
+    @pytest.mark.parametrize("lead", [1e-300, 1e-320])
+    def test_a_root_far_outside_a_pinned_window_is_dropped(self, lead):
+        # V' of V = x^4 - x^2 + lead x^6 has two more roots, a complex pair
+        # near +-i (2 / (3 lead))^(1/2), far outside [-2, 2]: the companion
+        # matrix of all five knows the three inside only to about eps * 1e150
+        a = analyze(Polynomial((0.0, 0.0, -1.0, 0.0, 1.0, 0.0, lead), window=(-2.0, 2.0)), C)
+        wells = (-math.sqrt(0.5), 0.0, math.sqrt(0.5))
+        assert (a.x_L, a.x_m, a.x_R) == pytest.approx(wells, abs=1e-15)
 
 
 def _polynomials():

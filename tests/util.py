@@ -25,7 +25,7 @@ from tunnelkit import (
     turning_points,
 )
 from tunnelkit import oracle
-from tunnelkit._brent import brentq
+from scipy.optimize import brentq
 from tunnelkit.cli import _splitting_doc, _warn_flags
 from tunnelkit.quadrature import _MAX_DEPTH, _panel_nodes, _panel_sums, _settled, _unsettled
 
