@@ -21,6 +21,7 @@ from tunnelkit import (
     DegenerateBarrier,
     DoubleOscillator,
     PhysConstants,
+    RootNotBracketed,
     TunnelkitError,
     DomainTooSmall,
     EnergyBelowWellBottom,
@@ -34,6 +35,8 @@ from tunnelkit import (
     Polynomial,
 )
 from tunnelkit.actions import ActionResult, action_rows, double_oscillator_action
+from tunnelkit.oracle import Spectrum
+from tunnelkit.splitting import LevelShifts, QuantizationResult, SplittingResult
 from tunnelkit.cli import (
     CSV_HEADER,
     _spectrum_doc,
@@ -761,6 +764,127 @@ class TestCompare:
 HEAVY_OSCILLATOR = {
     "family": "double_oscillator", "omega_L": 1.0, "omega_R": 1.1, "tilde_eps": 0.05, "V0": 8.0,
 }
+
+
+# A double oscillator whose bookkeeping reads in short decimals:
+# tilde_eps = eps = 0.1 and E_bar = 0.55.
+CELLS_WELL = {
+    "family": "double_oscillator", "omega_L": 1.0, "omega_R": 1.0, "tilde_eps": 0.1, "V0": 8.0,
+}
+CELLS_GRID = {"x_min": -9.0, "x_max": 9.0, "n_points": 1001, "richardson": True}
+
+
+def _crafted(analysis, delta=math.inf, I_slope=math.nan, offsets=(-0.0, 1e-300 / 7.0)):
+    """A SplittingResult with set values: I_bar = 1/3, E_plus = E_bar - 0.25,
+    E_minus NaN, and the roots' offsets (no roots when ``offsets`` is None)."""
+    action = ActionResult(
+        E=analysis.E_bar, a_bar=-1.0, b_bar=1.0, I=1.0 / 3.0, I_slope=I_slope, I_L=0.25, I_R=1.0 / 12.0
+    )
+    shifts = LevelShifts(dE_plus=-0.25, dE_minus=math.nan, b_prime=0.0, u=-1.0, delta=delta)
+    roots = None
+    if offsets is not None:
+        zeros = dict.fromkeys(("zeta_L_plus", "zeta_R_plus", "zeta_L_minus", "zeta_R_minus"), 0.0)
+        roots = QuantizationResult(
+            E_plus=0.3, E_minus=0.8, residual_plus=0.0, residual_minus=0.0,
+            delta_plus=offsets[0], delta_minus=offsets[1], **zeros,
+        )
+    return SplittingResult(analysis, action, shifts, roots)
+
+
+def _crafted_spectrum():
+    return Spectrum(
+        E0=-0.0, E1=math.inf, splitting=1.0 / 3.0, est_error=math.nan, coarse=(0.0, 1.0), fine=(0.0, 1.0)
+    )
+
+
+def _config(**blocks):
+    return parse_config({"schema": "tunnelkit/1", "potential": CELLS_WELL, **blocks})
+
+
+class TestCsvCells:
+    """Every CSV line, of every command, writes a None or NaN as an empty
+    cell, inf as "inf" and -0.0 as "-0", any other float with 17
+    significant digits, and a string (a flag list, a method) verbatim."""
+
+    def test_analyze_line(self, monkeypatch):
+        monkeypatch.setattr(
+            tunnelkit.cli, "compute_splittings", lambda points, rtol: [(_crafted(points[0]), None)]
+        )
+        monkeypatch.setattr(tunnelkit.cli, "eigen_lowest_two", lambda *args, **kwargs: _crafted_spectrum())
+        doc, text = run_analyze(_config(oracle_grid=CELLS_GRID))
+        assert text == CSV_HEADER + "\n" + doc["csv"]["row"] + "\n"
+        assert doc["csv"]["row"] == ",".join([
+            "0.10000000000000001",  # tilde_eps
+            "0.10000000000000001",  # eps
+            "0.55000000000000004",  # E_bar
+            "0.33333333333333331",  # I_bar
+            "",  # I_slope: NaN
+            "inf",  # delta
+            "inf",  # delta_E
+            "0.30000000000000004",  # E_plus
+            "",  # E_minus: NaN
+            "-0",  # dE_trans_plus
+            "1.4285714285714285e-301",  # dE_trans_minus
+            "-0",  # oracle_E0
+            "inf",  # oracle_E1
+            "0.33333333333333331",  # oracle_split
+            "gamow;barrier_kink",
+        ])
+
+    def test_sweep_lines(self, monkeypatch):
+        # even points solve their roots; odd ones fall back, so their root
+        # cells are None
+        def crafted(points, rtol):
+            return [
+                (_crafted(p, delta=0.5, I_slope=-math.inf, offsets=None), RootNotBracketed("no root"))
+                if i % 2 else (_crafted(p, delta=0.5, I_slope=-math.inf), None)
+                for i, p in enumerate(points)
+            ]
+
+        monkeypatch.setattr(tunnelkit.cli, "compute_splittings", crafted)
+        sweep = {"parameter": "tilde_eps", "from": 0.0, "to": 0.2, "steps": 5}
+        doc, text = run_sweep(_config(sweep=sweep))
+        lines = doc["csv"]["rows"]
+        assert text == CSV_HEADER + "\n" + "".join(line + "\n" for line in lines)
+        for i, (row, line) in enumerate(zip(doc["rows"], lines)):
+            split = row["splitting"]
+            numbers = [row["tilde_eps"], row["eps"], row["E_bar"], split["I_bar"]]
+            cells = line.split(",")
+            assert cells[:4] == [format(v, ".17g") for v in numbers]
+            assert cells[4:7] == ["-inf", "0.5", format(math.hypot(row["eps"], 0.5), ".17g")]
+            assert cells[7:9] == [format(split["E_plus"], ".17g"), ""]
+            assert cells[9:11] == (["", ""] if i % 2 else ["-0", "1.4285714285714285e-301"])
+            assert cells[11:14] == ["", "", ""]
+            flags = "gamow;barrier_kink" + (";transcendental_unbracketed" if i % 2 else "")
+            assert cells[14] == flags
+        assert lines[0].startswith("0,0,0.5,0.33333333333333331,")
+        assert lines[2].startswith("0.10000000000000001,0.10000000000000001,0.55000000000000004,")
+
+    def test_oracle_line(self, monkeypatch):
+        monkeypatch.setattr(tunnelkit.cli, "_spectrum", lambda *args: _crafted_spectrum())
+        doc, text = run_oracle(_config(oracle_grid=CELLS_GRID))
+        # est_error NaN is null in the JSON, and an empty cell
+        assert text == "E0,E1,splitting,est_error\n-0,inf,0.33333333333333331,\n"
+
+    def test_compare_lines(self, monkeypatch):
+        # no roots: the transcendental delta_E is NaN, and so its error
+        monkeypatch.setattr(
+            tunnelkit.cli, "compute_splitting",
+            lambda spec, consts, analysis, rtol: _crafted(analysis, offsets=None),
+        )
+        monkeypatch.setattr(tunnelkit.cli, "eigen_lowest_two", lambda *args, **kwargs: _crafted_spectrum())
+        doc, text = run_compare(_config(oracle_grid=CELLS_GRID))
+        exact, i_bar = 1.0 / 3.0, 1.0 / 3.0
+        prefactor = tunnelkit.cli._delta_prefactor(analyze(DoubleOscillator(1.0, 1.0, 0.1, 8.0)))
+        zeroth = math.hypot(0.1, prefactor * math.exp(-i_bar))
+        assert doc["csv"]["rows"] == [
+            f"zeroth_order,{zeroth:.17g},{abs(zeroth - exact) / exact:.17g}",
+            "first_order,inf,inf",
+            "transcendental,,",
+            "oracle,0.33333333333333331,0",
+        ]
+        lines = "".join(row + "\n" for row in doc["csv"]["rows"])
+        assert text == "method,delta_E,rel_err_vs_oracle\n" + lines
 
 
 class TestExitCodes:
