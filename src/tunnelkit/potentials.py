@@ -543,7 +543,9 @@ def _stationary_points(spec, consts, window, roots):
     is; every other one moves to the crossing of V' in floats on its
     bracket, onto the float of the crossing's pair where |V'| is the
     smaller (the one where V' < 0 on a tie).  V' is sampled at the
-    brackets' ends and at the roots in one call.
+    brackets' ends and at the roots in one call.  V' that underflows to
+    0 at both ends of a bracket raises FewerThanTwoMinima: the wells on
+    either side of that root are below the resolution of floats.
 
     Returns a sorted list of (x, kind) with kind "min" where V' rises
     through 0 and "max" where it falls.
@@ -560,6 +562,11 @@ def _stationary_points(spec, consts, window, roots):
     found = []
     for j, root in enumerate(x):
         left, right = d1[j], d1[j + 1]
+        if left == right == 0.0:
+            raise FewerThanTwoMinima(
+                f"V' underflows to 0 on both sides of its root x = {root:.12g}: "
+                "fewer than two wells in floats"
+            )
         rising, falling = left < 0.0 or right > 0.0, left > 0.0 or right < 0.0
         if rising == falling:
             continue

@@ -407,6 +407,14 @@ class TestStationaryScan:
         with pytest.raises(FewerThanTwoMinima, match="found 0 local minima"):
             analyze(spec, C)
 
+    def test_a_barrier_whose_slope_underflows_parts_no_wells(self):
+        # V = x^4 - 1e-300 x^2 - 1 has minima at +-7.1e-151 about a maximum
+        # at 0, but V' is about 1e-451 at the ends of that maximum's
+        # bracket and underflows to 0 there
+        spec = Polynomial((-1.0, 0.0, -1e-300, 0.0, 1.0))
+        with pytest.raises(FewerThanTwoMinima, match="fewer than two wells in floats"):
+            analyze(spec, C)
+
     def test_an_overflowing_ratio_takes_the_roots_in_a_scaled_variable(self):
         # the same V' with no window: its one real root, near x = -1.2e124,
         # is an eigenvalue of the companion matrix taken in x / 2**k
