@@ -166,16 +166,20 @@ def default_grid(
     The walls sit at the classical turning points of the energy
     E_bar + 10 hbar max(w_L, w_R), pushed outward by five harmonic decay
     lengths sqrt(hbar / (m w)) of the adjacent well, on the axis of
-    ``spec``.  The node count and Richardson setting are the ``GridSpec``
-    defaults.
+    ``spec``.  Where that energy lies below the right well's floor v(x_R)
+    (a bias of some 20 level spacings), the right wall is taken at
+    v(x_R) + 10 hbar w_R instead.  The node count and Richardson setting
+    are the ``GridSpec`` defaults.
     """
     if analysis is None:
         analysis = analyze(spec, consts)
     c = analysis.consts
     e_hi = analysis.E_bar + 10.0 * c.hbar * max(analysis.omega_L, analysis.omega_R)
+    right_floor = analysis.v(analysis.x_R)
+    e_right = e_hi if e_hi >= right_floor else right_floor + 10.0 * c.hbar * analysis.omega_R
     ell_l, ell_r = _decay_lengths(analysis)
     x_min = _outer_turning_point(analysis, "left", e_hi) - 5.0 * ell_l
-    x_max = _outer_turning_point(analysis, "right", e_hi) + 5.0 * ell_r
+    x_max = _outer_turning_point(analysis, "right", e_right) + 5.0 * ell_r
     if _flipped(spec, analysis):
         x_min, x_max = -x_max, -x_min
     return GridSpec(x_min=x_min, x_max=x_max)

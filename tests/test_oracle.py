@@ -669,6 +669,38 @@ class TestGuardRails:
         sp = eigen_lowest_two(spec, C, grid, analysis=a)
         assert sp.E0 < sp.E1
 
+    @pytest.mark.parametrize(
+        "spec, walls",
+        [
+            (DoubleOscillator(1.0, 1.3, 0.05, 9.0), (-14.458002611281403, 11.644217168988515)),
+            (BiasedQuartic(1.0, 2.1, 0.3), (-5.566246514259147, 5.559769595578402)),
+            (Polynomial((0.0, -0.05, 8.0, -4.0, 0.5)), (-4.1300010062710815, 8.12959087651818)),
+        ],
+    )
+    def test_default_walls_keep_their_bits(self, spec, walls):
+        # walls whose energy clears both floors; reprs round-trip
+        grid = default_grid(spec, C)
+        assert (grid.x_min, grid.x_max) == walls
+
+    def test_default_grid_takes_a_right_floor_above_its_energy(self):
+        # A bias of some 20 level spacings puts E_bar + 10 hbar max(w)
+        # under the right floor, so the right wall comes from
+        # v(x_R) + 10 hbar w_R.
+        spec, consts = BiasedQuartic(0.01, 5.0, 1.5), PhysConstants(hbar=0.01)
+        a = analyze(spec, consts)
+        assert not a.mirrored
+        e_hi = a.E_bar + 10.0 * consts.hbar * max(a.omega_L, a.omega_R)
+        right_floor = a.v(a.x_R)
+        assert e_hi < right_floor
+        grid = default_grid(spec, consts, a)
+        ell_l, ell_r = (math.sqrt(consts.hbar / (consts.mass * w)) for w in (a.omega_L, a.omega_R))
+        assert a.v(grid.x_min + 5.0 * ell_l) == pytest.approx(e_hi, rel=1e-12)
+        e_right = right_floor + 10.0 * consts.hbar * a.omega_R
+        assert a.v(grid.x_max - 5.0 * ell_r) == pytest.approx(e_right, rel=1e-12)
+        assert default_grid(mirror(spec), consts) == GridSpec(-grid.x_max, -grid.x_min)
+        sp = eigen_lowest_two(spec, consts)
+        assert 0.0 < sp.E0 < sp.E1
+
     def test_default_grid_lies_on_the_axis_of_the_spec(self):
         # the right well is the deeper one, so "auto" analyzes the mirror
         spec = Polynomial((0.0, -0.05, 8.0, -4.0, 0.5))
