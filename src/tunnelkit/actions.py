@@ -11,9 +11,11 @@ integrand, which the dyadic Gauss-Legendre refinement then nails.
 
 I and dI/dE come from one kernel over a vector of energies on one curve
 (``action_rows``; the points of a bias sweep differ only in energy and
-in the dialed floor).  The turning points of every row and both flanks
-come from safeguarded Newton steps started at the wells' harmonic
-turning points, finished at the crossing of v(x) - E in floats; a
+in the dialed floor).  Rows at equal energies share one solve: each
+distinct energy is computed once, and each row checks only its own
+floor.  The turning points of every energy and both flanks come from
+safeguarded Newton steps started at the wells' harmonic turning
+points, finished at the crossing of v(x) - E in floats; a
 sweep's many roots take those steps in lockstep on arrays, and a
 handful of roots one at a time, to the same bits.  Each refinement pass
 then samples the potential once on a (rows x nodes) block of t-nodes of
@@ -39,6 +41,7 @@ double-oscillator family.
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -342,31 +345,42 @@ def _action_rows(analyses, E, rtol, integrands):
     higher well floor.  Returns one entry per row: (a_bar, b_bar,
     [(left, right) of each integrand, before 1/hbar]) as floats, or the
     TunnelkitError the row's energy or quadrature raises.
+
+    A row's turning points and flank sums depend on the curve and its
+    energy alone, so each distinct energy of the rows that clear their
+    floors is solved once, and every row at that energy gets its entry.
     """
     if not analyses:
         return []
     curve = analyses[0]
     right_floor = curve.v(curve.x_R)
     out = [_energy_error(a, e, right_floor) for a, e in zip(analyses, E)]
-    good = [r for r, error in enumerate(out) if error is None]
-    if not good:
+    slot = {}  # each distinct energy -> its row of the solve
+    rows = [
+        (r, slot.setdefault(float(E[r]), len(slot))) for r, error in enumerate(out) if error is None
+    ]
+    if not rows:
         return out
-    energies = [float(E[r]) for r in good]
+    energies = list(slot)
     a_bar, b_bar = _turning_rows(curve, energies, right_floor)
-    energies = np.array(energies)
     # An integral that is not finite makes its row an error.  A mass so
     # large that the turning points lie within an ulp of the wells gives
     # one: at a node that is not forbidden, the slope's integrand is
     # divided by sqrt(1e-300) and overflows.
     with np.errstate(all="ignore"):
-        values, errors = _flank_integrals(curve, energies, a_bar, b_bar, rtol, integrands)
-    rows = zip(a_bar.tolist(), b_bar.tolist(), values.transpose(2, 0, 1).tolist())
-    for j, (r, row) in enumerate(zip(good, rows)):
-        if j in errors:
-            row = errors[j]
-        elif not all(math.isfinite(v) for pair in row[2] for v in pair):
-            row = NumericsError(f"the action's integrands leave the float range at E = {E[r]:g}")
-        out[r] = row
+        values, errors = _flank_integrals(curve, np.array(energies), a_bar, b_bar, rtol, integrands)
+    sums = values.transpose(2, 0, 1).tolist()
+    solved = list(zip(a_bar.tolist(), b_bar.tolist(), sums))
+    if not all(map(math.isfinite, chain.from_iterable(chain.from_iterable(sums)))):
+        for j, (e, pairs) in enumerate(zip(energies, sums)):
+            if not all(map(math.isfinite, chain.from_iterable(pairs))):
+                solved[j] = NumericsError(
+                    f"the action's integrands leave the float range at E = {e:g}"
+                )
+    for j, error in errors.items():  # a quadrature error comes first
+        solved[j] = error
+    for r, j in rows:
+        out[r] = solved[j]
     return out
 
 
@@ -379,23 +393,28 @@ def action_rows(analyses, E, *, rtol: float = 1e-12):
     ``evaluate_action`` raises there.
     """
     out = []
+    made = {}  # rows at one energy share its result
     rows = _action_rows(analyses, E, rtol, (_momentum, _inverse_momentum))
     for analysis, e, row in zip(analyses, E, rows):
         if isinstance(row, TunnelkitError):
             out.append(row)
             continue
-        hbar = analysis.consts.hbar
-        a_bar, b_bar, ((i_l, i_r), (s_l, s_r)) = row
-        i_l, i_r = i_l / hbar, i_r / hbar
-        out.append(ActionResult(
-            E=float(e),
-            a_bar=a_bar,
-            b_bar=b_bar,
-            I=i_l + i_r,
-            I_slope=-(s_l + s_r) / hbar,
-            I_L=i_l,
-            I_R=i_r,
-        ))
+        e = float(e)
+        result = made.get(e)
+        if result is None:
+            hbar = analysis.consts.hbar
+            a_bar, b_bar, ((i_l, i_r), (s_l, s_r)) = row
+            i_l, i_r = i_l / hbar, i_r / hbar
+            result = made[e] = ActionResult(
+                E=e,
+                a_bar=a_bar,
+                b_bar=b_bar,
+                I=i_l + i_r,
+                I_slope=-(s_l + s_r) / hbar,
+                I_L=i_l,
+                I_R=i_r,
+            )
+        out.append(result)
     return out
 
 

@@ -35,9 +35,9 @@ levels are measured from the floor at x_L, as E_bar is.  For other
 families no potential realizes the dialed bias exactly and the columns
 stay empty.
 
-A bias point, of ``analyze`` or of one sweep step, is built once as a
-JSON row (``_point``), and its CSV line is rendered from that row
-(``_csv_row``), so the two formats cannot disagree.  Only the CSV's
+A bias point, of ``analyze`` or of one sweep step, is built once
+(``_point``): its JSON row and its CSV line are written from the same
+values, so the two formats cannot disagree.  Only the CSV's
 ``dE_trans_plus``/``dE_trans_minus`` come from the solved offsets of the
 roots themselves, which the JSON's ``E_trans_plus``/``E_trans_minus``
 round to ulp(E_bar).
@@ -115,6 +115,18 @@ def _cells(values) -> str:
     )
 
 
+# The numeric cells of a CSV_HEADER line, up to its warn flags, as one
+# %-format per (roots solved, spectrum solved): the root offsets and the
+# oracle levels are empty cells when not computed.
+_LINE_FORMATS = {
+    (roots, spectrum): ",".join(
+        ["%.17g"] * 9 + ["%.17g" if roots else ""] * 2 + ["%.17g" if spectrum else ""] * 3 + [""]
+    )
+    for roots in (False, True)
+    for spectrum in (False, True)
+}
+
+
 def _csv_text(header, lines) -> str:
     return header + "\n" + "".join(line + "\n" for line in lines)
 
@@ -129,21 +141,27 @@ def _potential_doc(spec):
 
 
 def _splitting_doc(result):
-    # JSON names and key order of a splitting block; the nine root keys
-    # are null when the root solve was skipped.
+    """A point's JSON splitting block, and its CSV cells I_bar .. E_minus,
+    from one reading of ``result``.
+
+    The block keeps its JSON names and key order; its nine root keys are
+    null when the root solve was skipped.
+    """
     e_bar, shifts = result.analysis.E_bar, result.shifts
     roots = dict.fromkeys(_ROOT_FIELDS)
     if result.roots is not None:
         roots = {key: getattr(result.roots, key) for key in _ROOT_FIELDS}
+    i_bar, i_slope, delta_e = result.I_bar, result.action.I_slope, result.delta_E
+    e_plus, e_minus = e_bar + shifts.dE_plus, e_bar + shifts.dE_minus
     doc = {
-        "I_bar": result.I_bar,
-        "I_slope": result.action.I_slope,
+        "I_bar": i_bar,
+        "I_slope": i_slope,
         "delta": shifts.delta,
-        "delta_E": result.delta_E,
+        "delta_E": delta_e,
         "dE_plus": shifts.dE_plus,
         "dE_minus": shifts.dE_minus,
-        "E_plus": e_bar + shifts.dE_plus,
-        "E_minus": e_bar + shifts.dE_minus,
+        "E_plus": e_plus,
+        "E_minus": e_minus,
         "b_prime": shifts.b_prime,
         "u": shifts.u,
         "delta_E_quadratic": result.delta_E_quadratic,
@@ -152,7 +170,7 @@ def _splitting_doc(result):
         "delta_E_transcendental": _jf(result.delta_E_transcendental),
     }
     doc.update(roots)  # zeta_L_plus ... residual_minus
-    return doc
+    return doc, (i_bar, i_slope, shifts.delta, delta_e, e_plus, e_minus)
 
 
 def _spectrum_doc(spectrum):
@@ -179,7 +197,8 @@ def _warn_flags(config: RunConfig, analysis: WellAnalysis | None, I_bar: float |
 
 
 def _point(config: RunConfig, analysis: WellAnalysis, outcome, oracle=None):
-    """One bias point: its JSON row, its SplittingResult and its Spectrum.
+    """One bias point: its JSON row, its CSV_HEADER line, its
+    SplittingResult and its Spectrum.
 
     ``outcome`` is the point's (result, error) pair from
     ``compute_splittings``.  When the quantization equation has no
@@ -190,6 +209,10 @@ def _point(config: RunConfig, analysis: WellAnalysis, outcome, oracle=None):
     Delta underflows to 0, and only then ``oracle(analysis)``, which
     returns the point's Spectrum (None without an oracle), so a regime
     error of the splitting is raised before any error of the eigensolve.
+
+    The row and the line are written from the same values.  The line's
+    cells carry 17 significant digits, and a value not computed (None or
+    NaN) is an empty cell.
     """
     result, error = outcome
     if error is not None and not isinstance(error, RootNotBracketed):
@@ -200,29 +223,26 @@ def _point(config: RunConfig, analysis: WellAnalysis, outcome, oracle=None):
     if error is not None:
         flags.append("transcendental_unbracketed")
     spectrum = None if oracle is None else oracle(analysis)
+    split, cells = _splitting_doc(result)
+    tilde_eps, eps, e_bar = analysis.tilde_eps, analysis.eps, analysis.E_bar
     row = {
-        "tilde_eps": analysis.tilde_eps,
-        "eps": analysis.eps,
-        "E_bar": analysis.E_bar,
-        "splitting": _splitting_doc(result),
+        "tilde_eps": tilde_eps,
+        "eps": eps,
+        "E_bar": e_bar,
+        "splitting": split,
         "oracle": None if spectrum is None else _spectrum_doc(spectrum),
         "warn_flags": flags,
     }
-    return row, result, spectrum
-
-
-def _csv_row(row, roots) -> str:
-    """The CSV_HEADER line of a point, read from its JSON row and, for the
-    offsets dE_trans_plus/dE_trans_minus, from its roots (None when the
-    solve was skipped)."""
-    e_bar, split, oracle = row["E_bar"], row["splitting"], row["oracle"] or {}
-    return _cells(
-        [row["tilde_eps"], row["eps"], e_bar]
-        + [split[k] for k in ("I_bar", "I_slope", "delta", "delta_E", "E_plus", "E_minus")]
-        + ([None, None] if roots is None else [roots.delta_plus, roots.delta_minus])
-        + [oracle.get(k) for k in ("E0", "E1", "splitting")]
-        + [";".join(row["warn_flags"])]
-    )
+    values = (tilde_eps, eps, e_bar, *cells)
+    roots = result.roots
+    if roots is not None:
+        values += (roots.delta_plus, roots.delta_minus)
+    if spectrum is not None:
+        values += (spectrum.E0, spectrum.E1, spectrum.splitting)
+    text = _LINE_FORMATS[roots is not None, spectrum is not None] % values
+    if "nan" in text:  # a NaN is a value not computed
+        text = ",".join("" if cell == "nan" else cell for cell in text.split(","))
+    return row, text + ";".join(flags), result, spectrum
 
 
 def _base_doc(command: str, config: RunConfig):
@@ -242,7 +262,7 @@ def run_analyze(config: RunConfig):
         lambda a: eigen_lowest_two(spec, consts, grid, analysis=a)
     )
     [outcome] = compute_splittings([analysis], rtol=config.tolerances.quad_rtol)
-    row, result, spectrum = _point(config, analysis, outcome, oracle)
+    row, line, result, spectrum = _point(config, analysis, outcome, oracle)
     doc = _base_doc("analyze", config)
     doc["well"] = {key: getattr(analysis, key) for key in _WELL_KEYS}
     doc["action"] = asdict(result.action)
@@ -251,7 +271,6 @@ def run_analyze(config: RunConfig):
     if spectrum is not None:
         doc["oracle"]["wkb_ratio"] = result.delta_E / spectrum.splitting
     doc["warn_flags"] = row["warn_flags"]
-    line = _csv_row(row, result.roots)
     doc["csv"] = {"header": CSV_HEADER, "row": line}
     return doc, _csv_text(CSV_HEADER, [line])
 
@@ -310,13 +329,14 @@ def run_sweep(config: RunConfig):
     ]
     # the points differ only in the dialed bias: one batch solves them
     # all, and each point then raises its own error in the sweep's order
-    points = [replace(base, tilde_eps=v) for v in values]
+    fixed = (base.spec, base.consts, base.x_L, base.x_R, base.x_m, base.omega_L, base.omega_R)
+    points = [WellAnalysis(*fixed, v, base.V0, base.zero_shift, base.mirrored) for v in values]
     outcomes = compute_splittings(points, rtol=config.tolerances.quad_rtol)
     rows, lines = [], []
     for point, outcome in zip(points, outcomes):
-        row, result, _ = _point(config, point, outcome, oracle)
+        row, line, _, _ = _point(config, point, outcome, oracle)
         rows.append(row)
-        lines.append(_csv_row(row, result.roots))
+        lines.append(line)
 
     deltas = [row["splitting"]["delta"] for row in rows]
     if 0.0 in deltas:

@@ -174,11 +174,13 @@ def _zetas(analysis: WellAnalysis, delta: float):
     # Excitation above each well's harmonic ground level, (zeta_L, zeta_R),
     # at E = E_bar + delta.  The ground levels sit at E_bar -/+ eps/2, so
     # neither zeta needs E itself.
-    hbar, half_eps = analysis.consts.hbar, 0.5 * analysis.eps
-    return (
-        (half_eps + delta) / (hbar * analysis.omega_L),
-        (delta - half_eps) / (hbar * analysis.omega_R),
-    )
+    hbar = analysis.consts.hbar
+    return _zeta_pair(0.5 * analysis.eps, delta, hbar * analysis.omega_L, hbar * analysis.omega_R)
+
+
+def _zeta_pair(half_eps, delta, hw_l, hw_r):
+    # _zetas from half the bias and the quanta hbar w_L, hbar w_R
+    return (half_eps + delta) / hw_l, (delta - half_eps) / hw_r
 
 
 def _root_zetas(analysis: WellAnalysis, delta: float, tail: float):
@@ -193,12 +195,12 @@ def _root_zetas(analysis: WellAnalysis, delta: float, tail: float):
     return zl, tail / zl
 
 
-def _energy_window(analysis: WellAnalysis):
+def _energy_window(analysis: WellAnalysis, right_floor: float):
     # Open energy interval (lo_lim, hi_lim) searched for the two roots,
     # above both floors of the curve; a bias dialed below the curve's own
-    # leaves its right floor v(x_R) above tilde_eps.
+    # leaves its right floor, right_floor = v(x_R), above tilde_eps.
     e_bar = analysis.E_bar
-    floor = max(0.0, analysis.tilde_eps, analysis.v(analysis.x_R))
+    floor = max(0.0, analysis.tilde_eps, right_floor)
     return floor + 1e-3 * (e_bar - floor), analysis.V0 - 1e-3 * (analysis.V0 - e_bar)
 
 
@@ -229,7 +231,8 @@ def _dlnf(zeta: float) -> float:
 
 def _newton_root(analyses, deltas, windows, rtol):
     """Newton iteration on the quantization residual in the offset
-    delta = E - E_bar, run in lockstep on rows that share one curve.
+    delta = E - E_bar, run in lockstep on one or more rows that share one
+    curve.
 
     Row i starts from deltas[i] on analyses[i] and searches the open
     window windows[i] = (lo, hi) of offsets.  Every iterate takes the
@@ -242,6 +245,12 @@ def _newton_root(analyses, deltas, windows, rtol):
     """
     out = [None] * len(analyses)
     deltas = list(deltas)
+    # the quanta of the curve, and each row's mean level and half bias
+    hbar = analyses[0].consts.hbar
+    hw_l, hw_r = hbar * analyses[0].omega_L, hbar * analyses[0].omega_R
+    dzl, dzr = 1.0 / hw_l, 1.0 / hw_r
+    e_bars = [a.E_bar for a in analyses]
+    half_eps = [0.5 * a.eps for a in analyses]
     open_rows = range(len(analyses))
     for _ in range(_NEWTON_STEPS):
         if not open_rows:
@@ -249,7 +258,7 @@ def _newton_root(analyses, deltas, windows, rtol):
         probe, zetas = [], {}
         for r in open_rows:
             (lo, hi), delta = windows[r], deltas[r]
-            zl, zr = zetas[r] = _zetas(analyses[r], delta)
+            zl, zr = zetas[r] = _zeta_pair(half_eps[r], delta, hw_l, hw_r)
             if not lo < delta < hi:
                 out[r] = "iterate left the energy window"
             elif not abs(zl) < _ZETA_CLAMP:
@@ -259,18 +268,14 @@ def _newton_root(analyses, deltas, windows, rtol):
             else:
                 probe.append(r)
         acts = action_rows(
-            [analyses[r] for r in probe],
-            [analyses[r].E_bar + deltas[r] for r in probe],
-            rtol=rtol,
+            [analyses[r] for r in probe], [e_bars[r] + deltas[r] for r in probe], rtol=rtol
         )
         open_rows = []
         for r, act in zip(probe, acts):
             if isinstance(act, TunnelkitError):
                 out[r] = act
                 continue
-            analysis, delta, (zl, zr) = analyses[r], deltas[r], zetas[r]
-            hbar = analysis.consts.hbar
-            dzl, dzr = 1.0 / (hbar * analysis.omega_L), 1.0 / (hbar * analysis.omega_R)
+            delta, (zl, zr) = deltas[r], zetas[r]
             tail = f_of_zeta(zl) * f_of_zeta(zr) * math.exp(-2.0 * act.I)
             res = zl * zr - tail
             slope = dzl * zr + zl * dzr - tail * (
@@ -406,19 +411,23 @@ def compute_splittings(analyses, *, rtol: float = 1e-12):
     and (None, error) when the action at E_bar failed.  Each point's
     values and error are those of its own ``compute_splitting`` call.
     """
-    actions = action_rows(analyses, [a.E_bar for a in analyses], rtol=rtol)
+    e_bars = [a.E_bar for a in analyses]
+    actions = action_rows(analyses, e_bars, rtol=rtol)
+    out = [(None, action) for action in actions]
     points = [i for i, act in enumerate(actions) if not isinstance(act, TunnelkitError)]
+    if not points:
+        return out
     shifts = {i: level_shifts(analyses[i], actions[i]) for i in points}
+    right_floor = analyses[0].v(analyses[0].x_R)  # of the curve all points share
     # two Newton rows per point, E_plus and E_minus, all in one lockstep
     rows, starts, windows = [], [], []
     for i in points:
-        analysis = analyses[i]
-        lo_lim, hi_lim = _energy_window(analysis)
+        analysis, e_bar = analyses[i], e_bars[i]
+        lo_lim, hi_lim = _energy_window(analysis, right_floor)
         rows += [analysis, analysis]
         starts += [shifts[i].dE_plus, shifts[i].dE_minus]
-        windows += [(lo_lim - analysis.E_bar, 0.0), (0.0, hi_lim - analysis.E_bar)]
+        windows += [(lo_lim - e_bar, 0.0), (0.0, hi_lim - e_bar)]
     ends = iter(_newton_root(rows, starts, windows, rtol))
-    out = [(None, action) for action in actions]
     for i in points:
         roots, error = _roots(analyses[i], next(ends), next(ends))
         out[i] = (SplittingResult(analyses[i], actions[i], shifts[i], roots), error)

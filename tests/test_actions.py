@@ -13,6 +13,7 @@ from tunnelkit import (
     DEFAULT_CONSTANTS as C,
     DoubleOscillator,
     EnergyAboveBarrier,
+    EnergyBelowWellBottom,
     Mirrored,
     NumericsError,
     PhysConstants,
@@ -509,19 +510,71 @@ class TestActionBatch:
 
     def test_each_batch_of_a_sweep_samples_v_once(self, monkeypatch):
         # 41 points dialed by up to 0.1 of a level spacing, every component
-        # settled at depth 1: one call of v on 96 nodes per row at E_bar,
-        # then on 96 nodes per row of each Newton iterate of both roots.
+        # settled at depth 1: one call of v on 96 nodes per distinct energy
+        # of each batch, the 41 E_bar, then the 82 rows of each Newton
+        # iterate of both roots, whose lower roots share energies.
         spec = deep_quartic(6.0, 1.0, 0.1)
         a = analyze(spec, C)
         points = [
             dataclasses.replace(a, tilde_eps=a.tilde_eps + 0.1 * i / 40 * C.hbar * a.omega_L)
             for i in range(41)
         ]
+        batches = []
+
+        def spy(analyses, energies, **kwargs):
+            batches.append([float(e) for e in energies])
+            return action_rows(analyses, energies, **kwargs)
+
+        monkeypatch.setattr(tunnelkit.splitting, "action_rows", spy)
         sizes = sampled_sizes(monkeypatch)
         outcomes = compute_splittings(points)
         assert all(error is None for _, error in outcomes)
-        assert len(sizes) >= 2
-        assert sizes == [41 * 96] + [82 * 96] * (len(sizes) - 1)
+        assert [len(energies) for energies in batches] == [41] + [82] * (len(batches) - 1)
+        assert len(batches) >= 2 and len(set(batches[1])) < 82
+        assert sizes == [len(set(energies)) * 96 for energies in batches]
+
+    def test_repeated_energies_on_mixed_floors_are_their_one_row_calls(self):
+        # 20 energies, each taken by three rows dialed to different floors
+        # and shuffled, so the 60 rows hold 20 distinct energies (40 roots,
+        # the lockstep path) and some rows lie below their own floor.
+        spec = deep_quartic(6.0, 1.0, 0.1)
+        a = analyze(spec, C)
+        hw = C.hbar * a.omega_L
+        energies = [a.V0 * (0.02 + 0.045 * i) for i in range(20)]
+        rows = [(e, dial) for e in energies for dial in (-0.5, 0.0, 3.0)]
+        rows = rows[1::2] + rows[::2]
+        analyses = [dataclasses.replace(a, tilde_eps=a.tilde_eps + dial * hw) for _, dial in rows]
+        batch = _outcomes(action_rows(analyses, [e for e, _ in rows]))
+        assert batch == [
+            _outcome(lambda: evaluate_action(spec, C, E=e, analysis=dialed))
+            for (e, _), dialed in zip(rows, analyses)
+        ]
+        assert EnergyBelowWellBottom in [r[0] for r in batch if isinstance(r, tuple)]
+
+    def test_only_the_row_below_its_floor_is_refused(self):
+        spec = deep_quartic(6.0, 1.0, 0.1)
+        a = analyze(spec, C)
+        e = a.tilde_eps + 0.5 * C.hbar * a.omega_L
+        raised = dataclasses.replace(a, tilde_eps=e + C.hbar * a.omega_L)
+        low, high = action_rows([a, raised], [e, e])
+        assert low == evaluate_action(spec, C, E=e, analysis=a)
+        assert isinstance(high, EnergyBelowWellBottom)
+        assert str(high) == f"E = {e:g} does not exceed the higher well floor {raised.tilde_eps:g}"
+
+    def test_a_quadrature_error_reaches_every_row_at_its_energy(self):
+        # 1e-9 below the kinked top the quadrature does not settle
+        spec = DoubleOscillator(1.3, 0.9, 0.4, 8.0)
+        a = analyze(spec, C)
+        top, fine = a.V0 * (1.0 - 1e-9), a.E_bar
+        dialed = [dataclasses.replace(a, tilde_eps=a.tilde_eps * f) for f in (1.0, 0.5, 0.9, 0.1)]
+        batch = action_rows(dialed, [top, fine, top, top])
+        [error] = {type(batch[r]) for r in (0, 2, 3)}
+        assert error is QuadratureNonConvergence
+        assert batch[1] == evaluate_action(spec, C, E=fine, analysis=a)
+        assert _outcomes(batch) == [
+            _outcome(lambda: evaluate_action(spec, C, E=e, analysis=d))
+            for d, e in zip(dialed, [top, fine, top, top])
+        ]
 
     def test_one_row_calls_are_the_batch(self):
         spec = BiasedQuartic(0.7, 2.3, 0.3)

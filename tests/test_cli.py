@@ -1795,7 +1795,7 @@ class TestReadmeConfig:
                 solve=False,
                 rtol=config.tolerances.quad_rtol,
             )
-            assert point["splitting"] == _splitting_doc(unsolved)
+            assert point["splitting"] == _splitting_doc(unsolved)[0]
 
 
 class TestProcessOutput:

@@ -249,7 +249,7 @@ def test_newton_roots_match_the_bracketed_reference(spec, mirrored):
     a = analyze(spec, C)
     act = evaluate_action(spec, C, analysis=a)
     shifts = level_shifts(a, act)
-    lo_lim, hi_lim = splitting._energy_window(a)
+    lo_lim, hi_lim = splitting._energy_window(a, a.v(a.x_R))
     # deep wells find both roots by Newton from the quadratic shifts
     ends = splitting._newton_root(
         [a, a],
@@ -344,7 +344,7 @@ def test_newton_starts_inside_its_side_of_an_eight_spacing_symmetric_well():
     spec = deep_quartic(8.0, 1.0, 0.0)
     a = analyze(spec, C)
     shifts = level_shifts(a, evaluate_action(spec, C, analysis=a))
-    lo_lim, _ = splitting._energy_window(a)
+    lo_lim, _ = splitting._energy_window(a, a.v(a.x_R))
     assert a.E_bar + shifts.dE_plus == a.E_bar
     [end] = splitting._newton_root([a], [shifts.dE_plus], [(lo_lim - a.E_bar, 0.0)], 1e-12)
     assert isinstance(end, tuple), end

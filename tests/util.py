@@ -291,7 +291,7 @@ def reference_point(config, analysis):
         "tilde_eps": analysis.tilde_eps,
         "eps": analysis.eps,
         "E_bar": analysis.E_bar,
-        "splitting": _splitting_doc(result),
+        "splitting": _splitting_doc(result)[0],
         "oracle": None,
         "warn_flags": _warn_flags(config, analysis, result.I_bar) + fallback,
     }
@@ -340,7 +340,7 @@ def solve_bracketed(spec, consts, analysis, shifts, rtol):
         return zl * zr - fl * fr * math.exp(-2.0 * act)
 
     e_bar = analysis.E_bar
-    lo_lim, hi_lim = splitting._energy_window(analysis)
+    lo_lim, hi_lim = splitting._energy_window(analysis, analysis.v(analysis.x_R))
 
     def bracket_edge(first_margin):
         margin = first_margin
