@@ -14,10 +14,10 @@ I and dI/dE come from one kernel over a vector of energies on one curve
 in the dialed floor).  Rows at equal energies share one solve: each
 distinct energy is computed once, and each row checks only its own
 floor.  The turning points of every energy and both flanks come from
-safeguarded Newton steps started at the wells' harmonic turning
-points, finished at the crossing of v(x) - E in floats; a
-sweep's many roots take those steps in lockstep on arrays, and a
-handful of roots one at a time, to the same bits.  Each refinement pass
+``potentials._flank_roots``: safeguarded Newton steps started at the
+wells' harmonic turning points, finished next to a sign change of
+v(x) - E in floats; a sweep's many roots take those steps in lockstep
+on arrays, and a handful of roots one at a time, to the same bits.  Each refinement pass
 then samples the potential once on a (rows x nodes) block of t-nodes of
 both flanks, and that one sample set serves the integrands of I and of
 dI/dE alike.  Each (row, integrand, flank) component keeps its own
@@ -53,19 +53,11 @@ from .errors import (
     TunnelkitError,
 )
 from .potentials import (
-    _EPS,
-    _MAX_ITERATES,
-    _STEP_TOL,
-    _TINY,
     DEFAULT_CONSTANTS,
     DoubleOscillator,
     PhysConstants,
     WellAnalysis,
-    _crossing,
-    _flank_functions,
-    _nan_error,
-    _newton,
-    _no_convergence,
+    _flank_roots,
     analyze,
 )
 from .quadrature import _MAX_DEPTH, _ORDER, _panel_nodes, _panel_sums, _unsettled
@@ -97,12 +89,6 @@ class ActionResult:
 # Most t-nodes one pass of the action kernel samples in one block; more
 # open (row, flank) pairs than that are sampled in chunks.
 _PASS_NODES = 2**16
-
-# Fewest turning points solved in lockstep on arrays; fewer run one at a
-# time on Python floats.  Near E_bar of 6-spacing wells the two broke even
-# at 36 to 48 roots: the double oscillator, the sextic and the quartic
-# (x86-64, one core, Python 3.11, numpy 2.4).
-_ARRAY_ROOTS = 40
 
 
 def _ensure_analysis(spec, consts, analysis):
@@ -144,21 +130,14 @@ def _turning_rows(analysis, E, right_floor):
     """Inner turning points (a_bar, b_bar), as arrays, at each energy of E.
 
     Every energy must pass ``_energy_error``; ``right_floor`` is v(x_R) of
-    the curve.  Each root of v(x) = E on the barrier flanks [x_L, x_m]
-    and [x_m, x_R], with v and v' from the spec's ``derivative``, takes
-    safeguarded Newton steps (``_newton``) from the well's harmonic
+    the curve.  Each is the root of v(x) = E on a barrier flank, [x_L, x_m]
+    or [x_m, x_R], that ``_flank_roots`` reaches from the well's harmonic
     turning point, x_L + sqrt(2E/m)/omega_L on the left and
-    x_R - sqrt(2(E - v(x_R))/m)/omega_R on the right, and ends at the
-    crossing of v(x) - E in floats (``_crossing``): the float where
-    v(x) < E, the outermost float of the classically allowed region,
-    whatever path the Newton steps took.
-
-    A NaN value, or 100 Newton iterates without an end, is a
-    NumericsError.  Fewer than _ARRAY_ROOTS roots run one at a time on
-    Python floats; more run in lockstep on arrays.  Both take the same
-    operations in the same order, and each family's ``derivative`` gives
-    arrays the bits it gives floats, so each root is bit for bit the one
-    a one-row call finds.
+    x_R - sqrt(2(E - v(x_R))/m)/omega_R on the right: a float where
+    v(x) < E next to one where v(x) >= E.  Where rounding makes v - E
+    change sign more than once there, that start picks the sign change,
+    and a row equals its one-row call because both take the same steps
+    from the same start.
     """
     k = len(E)
     m = analysis.consts.mass
@@ -166,78 +145,10 @@ def _turning_rows(analysis, E, right_floor):
     start = [analysis.x_L + math.sqrt(2.0 * e / m) / analysis.omega_L for e in E] + [
         analysis.x_R - math.sqrt(2.0 * (e - right_floor) / m) / analysis.omega_R for e in E
     ]
-    v, dv = _flank_functions(analysis)
-    args = (list(E) * 2, [analysis.x_L] * k + [analysis.x_m] * k, [analysis.x_m] * k + [analysis.x_R] * k)
+    lo, hi = [analysis.x_L] * k + [analysis.x_m] * k, [analysis.x_m] * k + [analysis.x_R] * k
     rising = [True] * k + [False] * k  # v - E rises with x on the left flank
-    if 2 * k < _ARRAY_ROOTS:
-        x = np.array([
-            _crossing(v, e, lo, hi, _newton(v, dv, e, lo, hi, x, up), up)
-            for e, lo, hi, x, up in zip(*args, start, rising)
-        ])
-    else:
-        e, lo, hi, start, rising = (np.array(a) for a in (*args, start, rising))
-        with np.errstate(all="ignore"):
-            x = _crossing_rows(v, e, lo, hi, _newton_rows(v, dv, e, lo, hi, start, rising), rising)
+    x = _flank_roots(analysis, list(E) * 2, lo, hi, start, rising)
     return x[:k], x[k:]
-
-
-def _newton_rows(v, dv, e, lo, hi, x, up):
-    # _newton on arrays, the open roots in lockstep; a settled root
-    # leaves the arrays
-    rows = np.arange(x.size)
-    out = np.empty(x.size)
-    x = np.where((lo < x) & (x < hi), x, lo + 0.5 * (hi - lo))
-    for _ in range(_MAX_ITERATES):
-        f = v(x, e)
-        if np.isnan(f).any():
-            raise _nan_error(float(x[np.isnan(f)][0]))
-        side = (f > 0.0) == up
-        hi, lo = np.where(side, x, hi), np.where(side, lo, x)
-        step = f / dv(x)
-        newton = x - step
-        mid = lo + 0.5 * (hi - lo)
-        new = np.where((lo < newton) & (newton < hi), newton, mid)
-        converged = np.abs(step) <= _STEP_TOL * np.abs(x)
-        # a zero value, or a bracket with no midpoint inside, ends on x
-        stay = (f == 0.0) | ~(converged | ((lo < new) & (new < hi)))
-        done = stay | converged
-        if done.any():
-            root = np.where(stay, x, np.minimum(np.maximum(newton, lo), hi))
-            out[rows[done]] = root[done]
-            if done.all():
-                return out
-            keep = ~done
-            new, lo, hi, e, up, rows = (a[keep] for a in (new, lo, hi, e, up, rows))
-        x = new
-    raise _no_convergence(float(e[0]))
-
-
-def _crossing_rows(v, e, lo, hi, x, up):
-    # _crossing on arrays, all roots in lockstep; a settled root's lanes
-    # are sampled on but not read
-    w = np.maximum(0.5 * _EPS * np.abs(x), _TINY)
-    wide = np.ones(x.size, dtype=bool)
-    while wide.any():
-        a, b = np.maximum(x - w, lo), np.minimum(x + w, hi)
-        ends, open_ends = np.concatenate([a, b]), np.tile(wide, 2)
-        f = v(ends, np.concatenate([e, e]))
-        if np.isnan(f[open_ends]).any():
-            raise _nan_error(float(ends[open_ends & np.isnan(f)][0]))
-        for p, fp in ((a, f[:x.size]), (b, f[x.size:])):
-            side = (fp >= 0.0) == up
-            hi, lo = np.where(wide & side, p, hi), np.where(wide & ~side, p, lo)
-        wide &= ~((a <= lo) & (hi <= b))
-        w = np.where(wide, w * 4.0, w)
-    while True:
-        mid = lo + 0.5 * (hi - lo)
-        inside = (lo < mid) & (mid < hi)
-        if not inside.any():
-            return np.where(up, lo, hi)
-        f = v(mid, e)
-        if np.isnan(f[inside]).any():
-            raise _nan_error(float(mid[inside & np.isnan(f)][0]))
-        side = (f >= 0.0) == up
-        hi, lo = np.where(inside & side, mid, hi), np.where(inside & ~side, mid, lo)
 
 
 def turning_points(spec, consts: PhysConstants, E: float, analysis: WellAnalysis | None = None):
@@ -245,14 +156,15 @@ def turning_points(spec, consts: PhysConstants, E: float, analysis: WellAnalysis
 
     Solves v(x) = E on the barrier flanks [x_L, x_m] and [x_m, x_R] of
     the normalized potential, as a one-row call of the action kernel with
-    no integrands, so with no quadrature and no tolerance: each root is
-    the outermost float of the flank's classically allowed region next
-    to the crossing of v(x) - E.  E must lie strictly between the higher
-    well floor and the barrier top.
+    no integrands, so with no quadrature and no tolerance: each root is a
+    float where v(x) < E next to one where v(x) >= E, at the sign change
+    of v(x) - E that the Newton steps from the well's harmonic turning
+    point reach.  E must lie strictly between the higher well floor and
+    the barrier top.
     """
     analysis = _ensure_analysis(spec, consts, analysis)
-    a_bar, b_bar, _ = _one(_action_rows([analysis], [E], 0.0, ())[0])
-    return a_bar, b_bar
+    row = _one(_action_rows([analysis], [E], 0.0, ())[0])
+    return row.a_bar, row.b_bar
 
 
 def _momentum(two_t, w, m):
@@ -342,13 +254,14 @@ def _action_rows(analyses, E, rtol, integrands):
 
     ``analyses`` holds one WellAnalysis per energy; they share one curve
     and may differ in tilde_eps (a dialed bias), which sets each row's
-    higher well floor.  Returns one entry per row: (a_bar, b_bar,
-    [(left, right) of each integrand, before 1/hbar]) as floats, or the
-    TunnelkitError the row's energy or quadrature raises.
+    higher well floor.  ``integrands`` holds ``_momentum`` (for I),
+    ``_inverse_momentum`` (for dI/dE), both or neither.  Returns one entry
+    per row: its ActionResult, whose fields of an integrand not asked for
+    are NaN, or the TunnelkitError the row's energy or quadrature raises.
 
     A row's turning points and flank sums depend on the curve and its
     energy alone, so each distinct energy of the rows that clear their
-    floors is solved once, and every row at that energy gets its entry.
+    floors is solved once, and every row at that energy gets its result.
     """
     if not analyses:
         return []
@@ -369,11 +282,18 @@ def _action_rows(analyses, E, rtol, integrands):
     # divided by sqrt(1e-300) and overflows.
     with np.errstate(all="ignore"):
         values, errors = _flank_integrals(curve, np.array(energies), a_bar, b_bar, rtol, integrands)
-    sums = values.transpose(2, 0, 1).tolist()
-    solved = list(zip(a_bar.tolist(), b_bar.tolist(), sums))
-    if not all(map(math.isfinite, chain.from_iterable(chain.from_iterable(sums)))):
-        for j, (e, pairs) in enumerate(zip(energies, sums)):
-            if not all(map(math.isfinite, chain.from_iterable(pairs))):
+    flanks = dict(zip(integrands, values.tolist()))  # integrand -> [left, right] sums
+    unasked = [[math.nan] * len(energies)] * 2
+    (i_l, i_r), (s_l, s_r) = (flanks.get(f, unasked) for f in (_momentum, _inverse_momentum))
+    hbar = curve.consts.hbar
+    solved = [
+        ActionResult(e, a, b, il / hbar + ir / hbar, -(sl + sr) / hbar, il / hbar, ir / hbar)
+        for e, a, b, il, ir, sl, sr in zip(energies, a_bar.tolist(), b_bar.tolist(), i_l, i_r, s_l, s_r)
+    ]
+    sums = list(chain.from_iterable(flanks.values()))  # each flank of each integrand asked for
+    if not all(map(math.isfinite, chain.from_iterable(sums))):
+        for j, e in enumerate(energies):
+            if not all(math.isfinite(flank[j]) for flank in sums):
                 solved[j] = NumericsError(
                     f"the action's integrands leave the float range at E = {e:g}"
                 )
@@ -392,30 +312,7 @@ def action_rows(analyses, E, *, rtol: float = 1e-12):
     one entry per energy: its ActionResult, or the TunnelkitError that
     ``evaluate_action`` raises there.
     """
-    out = []
-    made = {}  # rows at one energy share its result
-    rows = _action_rows(analyses, E, rtol, (_momentum, _inverse_momentum))
-    for analysis, e, row in zip(analyses, E, rows):
-        if isinstance(row, TunnelkitError):
-            out.append(row)
-            continue
-        e = float(e)
-        result = made.get(e)
-        if result is None:
-            hbar = analysis.consts.hbar
-            a_bar, b_bar, ((i_l, i_r), (s_l, s_r)) = row
-            i_l, i_r = i_l / hbar, i_r / hbar
-            result = made[e] = ActionResult(
-                E=e,
-                a_bar=a_bar,
-                b_bar=b_bar,
-                I=i_l + i_r,
-                I_slope=-(s_l + s_r) / hbar,
-                I_L=i_l,
-                I_R=i_r,
-            )
-        out.append(result)
-    return out
+    return _action_rows(analyses, E, rtol, (_momentum, _inverse_momentum))
 
 
 def gamow_integral(
@@ -428,8 +325,7 @@ def gamow_integral(
 ) -> float:
     """Barrier action I(E) by turning-point-regularized quadrature."""
     analysis = _ensure_analysis(spec, consts, analysis)
-    _, _, [(i_l, i_r)] = _one(_action_rows([analysis], [E], rtol, (_momentum,))[0])
-    return i_l / analysis.consts.hbar + i_r / analysis.consts.hbar
+    return _one(_action_rows([analysis], [E], rtol, (_momentum,))[0]).I
 
 
 def action_slope(
@@ -446,8 +342,7 @@ def action_slope(
     endpoint singularities, leaving an analytic integrand.
     """
     analysis = _ensure_analysis(spec, consts, analysis)
-    _, _, [(s_l, s_r)] = _one(_action_rows([analysis], [E], rtol, (_inverse_momentum,))[0])
-    return -(s_l + s_r) / analysis.consts.hbar
+    return _one(_action_rows([analysis], [E], rtol, (_inverse_momentum,))[0]).I_slope
 
 
 def evaluate_action(

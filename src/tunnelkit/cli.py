@@ -5,7 +5,8 @@ corresponding pipeline, and emits either a structured JSON document or
 CSV with a frozen schema.  Exit codes are a stable contract:
 
     0  success
-    2  config error (bad file, bad schema, missing keys, bad sweep)
+    2  config error (a config file that cannot be read or an output file
+       that cannot be written, bad schema, missing keys, bad sweep)
     3  regime error (no double well, barrier too low, energy below a
        well floor, root not bracketed, grid too coarse, domain too small)
     4  numerical non-convergence or any other internal failure
@@ -37,7 +38,8 @@ stay empty.
 
 A bias point, of ``analyze`` or of one sweep step, is built once
 (``_point``): its JSON row and its CSV line are written from the same
-values, so the two formats cannot disagree.  Only the CSV's
+values, so the two formats cannot disagree.  Every CSV line, of every
+command, is written by one function (``_line``).  Only the CSV's
 ``dE_trans_plus``/``dE_trans_minus`` come from the solved offsets of the
 roots themselves, which the JSON's ``E_trans_plus``/``E_trans_minus``
 round to ulp(E_bar).
@@ -106,13 +108,16 @@ def _jf(x):
     return x
 
 
-def _cells(values) -> str:
-    # one CSV line; an empty cell is a value not computed (no grid, or
-    # the root solve fell back)
-    return ",".join(
-        v if isinstance(v, str) else "" if v is None or math.isnan(v) else f"{v:.17g}"
-        for v in values
-    )
+def _line(form, values) -> str:
+    """One CSV line: the %-format ``form`` of ``values``, its numbers as
+    %.17g.  A value not computed (None or NaN: no grid, or the root solve
+    fell back) is an empty cell."""
+    if None in values:
+        values = tuple(math.nan if v is None else v for v in values)
+    text = form % values
+    if "nan" in text:
+        text = ",".join("" if cell == "nan" else cell for cell in text.split(","))
+    return text
 
 
 # The numeric cells of a CSV_HEADER line, up to its warn flags, as one
@@ -239,10 +244,8 @@ def _point(config: RunConfig, analysis: WellAnalysis, outcome, oracle=None):
         values += (roots.delta_plus, roots.delta_minus)
     if spectrum is not None:
         values += (spectrum.E0, spectrum.E1, spectrum.splitting)
-    text = _LINE_FORMATS[roots is not None, spectrum is not None] % values
-    if "nan" in text:  # a NaN is a value not computed
-        text = ",".join("" if cell == "nan" else cell for cell in text.split(","))
-    return row, text + ";".join(flags), result, spectrum
+    line = _line(_LINE_FORMATS[roots is not None, spectrum is not None], values)
+    return row, line + ";".join(flags), result, spectrum
 
 
 def _base_doc(command: str, config: RunConfig):
@@ -415,7 +418,8 @@ def run_oracle(config: RunConfig):
     }
     doc["warn_flags"] = _warn_flags(config, analysis, i_bar)
     header = ",".join(doc["spectrum"])  # E0,E1,splitting,est_error
-    return doc, _csv_text(header, [_cells(doc["spectrum"].values())])
+    line = _line("%.17g,%.17g,%.17g,%.17g", tuple(doc["spectrum"].values()))
+    return doc, _csv_text(header, [line])
 
 
 def run_compare(config: RunConfig):
@@ -443,7 +447,7 @@ def run_compare(config: RunConfig):
         }
         for name, value in methods
     ]
-    lines = [_cells(entry.values()) for entry in table]
+    lines = [_line("%s,%.17g,%.17g", tuple(entry.values())) for entry in table]
     doc = _base_doc("compare", config)
     doc["oracle"] = _spectrum_doc(spectrum)
     doc["methods"] = table
@@ -494,8 +498,11 @@ def main(argv=None) -> int:
         doc, csv_text = runner(config)
         text = csv_text if out_format == "csv" else json.dumps(doc, indent=2) + "\n"
         if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            try:
+                with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write output file {args.out}: {exc}") from exc
         else:
             sys.stdout.write(text)
         if args.command == "sweep" and out_format == "csv":

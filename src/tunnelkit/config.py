@@ -66,6 +66,8 @@ class SweepSpec:
             )
         if self.steps < 1:
             raise ConfigError('"steps" in "sweep" must be at least 1')
+        if not math.isfinite(self.stop - self.start):
+            raise ConfigError('the span from "from" to "to" in "sweep" must be finite')
 
 
 @dataclass(frozen=True)

@@ -62,9 +62,7 @@ from .potentials import (
     DEFAULT_CONSTANTS,
     PhysConstants,
     WellAnalysis,
-    _crossing,
-    _flank_functions,
-    _newton,
+    _flank_roots,
     _unwrap,
     analyze,
     evaluate,
@@ -75,7 +73,14 @@ __all__ = ["GridSpec", "Spectrum", "default_grid", "eigen_lowest_two"]
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform Dirichlet grid: n_points nodes including both walls."""
+    """Uniform Dirichlet grid: n_points nodes including both walls.
+
+    A grid is refused before anything is allocated when its largest
+    solve, the (2 n_points - 1)-point partner with Richardson, would hold
+    its nodes and the potential on them, 16 bytes a node, in more than
+    sys.maxsize bytes: no process can address that, and numpy refuses an
+    array near that size outright rather than failing to allocate it.
+    """
 
     x_min: float
     x_max: float
@@ -91,6 +96,13 @@ class GridSpec:
             )
         if self.n_points < 64:
             raise ConfigError(f"n_points = {self.n_points} is below the minimum of 64")
+        nodes = 2 * self.n_points - 1 if self.richardson else self.n_points
+        if 16 * nodes > sys.maxsize:
+            raise _too_large(self.n_points)
+
+
+def _too_large(n_points):
+    return ConfigError(f"n_points = {n_points} is too large: its oracle grid cannot be allocated")
 
 
 @dataclass(frozen=True)
@@ -131,9 +143,8 @@ def _outer_turning_point(analysis: WellAnalysis, side: str, E: float) -> float:
     """Solve v(x) = E outside the well on the given side ("left"/"right").
 
     A bracket from the well's floor outward doubles from one decay length
-    until v > E at its far end.  Safeguarded Newton steps from the
-    harmonic turning point, finished at the crossing of v - E in floats,
-    give the root: the float next to it where v < E.
+    until v > E at its far end.  ``_flank_roots`` solves it from the
+    harmonic turning point: a float where v < E next to one where v >= E.
     """
     left = side == "left"
     x0, omega = (analysis.x_L, analysis.omega_L) if left else (analysis.x_R, analysis.omega_R)
@@ -152,8 +163,7 @@ def _outer_turning_point(analysis: WellAnalysis, side: str, E: float) -> float:
         )
     lo, hi = (x0 + sign * d, x0) if left else (x0, x0 + sign * d)
     start = x0 + sign * math.sqrt(2.0 * depth / analysis.consts.mass) / omega
-    v, dv = _flank_functions(analysis)
-    return _crossing(v, E, lo, hi, _newton(v, dv, E, lo, hi, start, not left), not left)
+    return float(_flank_roots(analysis, [E], [lo], [hi], [start], [not left])[0])
 
 
 def default_grid(
@@ -691,9 +701,7 @@ def _spectrum(
                 v, consts, grid, 2 * grid.n_points - 1, snap, seeds, fewest
             )
     except MemoryError:
-        raise ConfigError(
-            f"n_points = {grid.n_points} is too large: its oracle grid cannot be allocated"
-        ) from None
+        raise _too_large(grid.n_points) from None
     est = math.nan
     if fine is not None:
         (e0_c, e1_c), (e0_f, e1_f) = coarse, fine

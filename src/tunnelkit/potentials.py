@@ -30,7 +30,8 @@ floor sits at V = 0 and lies to the LEFT of the barrier.  ``analyze``
 locates the wells and the barrier of the bare family under any
 ``Mirrored`` wrappers, renormalizes, and reflects that geometry at most
 once: onto the axis of the spec given or, by default, onto the axis with
-the deeper well on the left.
+the deeper well on the left.  The roots of v(x) = E on a flank of a well,
+for the action kernel and the oracle's walls, come from ``_flank_roots``.
 """
 
 import math
@@ -414,12 +415,37 @@ _EPS = sys.float_info.epsilon
 _STEP_TOL = 4.0 * _EPS
 # the least positive float: the crossing's bracket never has width 0
 _TINY = sys.float_info.min * _EPS
+# Fewest flank roots solved in lockstep on arrays; fewer run one at a
+# time on Python floats.  Near E_bar of 6-spacing wells the two broke even
+# at 36 to 48 roots: the double oscillator, the sextic and the quartic
+# (x86-64, one core, Python 3.11, numpy 2.4).
+_ARRAY_ROOTS = 40
 
 
-def _flank_functions(analysis):
-    # v(x) - e and v'(x) from the spec, for a float or an array x
+def _flank_roots(analysis, e, lo, hi, start, up):
+    """Roots of v(x) = e[i] in [lo[i], hi[i]] on the curve of ``analysis``,
+    one per entry of the equal-length sequences, as an array.
+
+    ``up[i]`` tells that v - e[i] rises with x through the root.  Each
+    root takes safeguarded Newton steps (``_newton``) from start[i], with
+    v' from the spec's ``derivative``, and ends next to a sign change of
+    v - e[i] in floats (``_crossing``), the one those steps reach.  Fewer
+    than _ARRAY_ROOTS roots run one at a time on Python floats, more in
+    lockstep on arrays (``_newton_rows``, ``_crossing_rows``).  Both paths
+    take the same steps in the same order, and each family's
+    ``derivative`` gives arrays the bits it gives floats, so each root is
+    bit for bit what a call for it alone finds.
+    """
     consts, shift, curve = analysis.consts, analysis.zero_shift, analysis.spec.derivative
-    return (lambda x, e: curve(x, 0, consts) - shift - e), (lambda x: curve(x, 1, consts))
+    v, dv = (lambda x, e: curve(x, 0, consts) - shift - e), (lambda x: curve(x, 1, consts))
+    if len(e) < _ARRAY_ROOTS:
+        return np.array([
+            _crossing(v, level, a, b, _newton(v, dv, level, a, b, x, rises), rises)
+            for level, a, b, x, rises in zip(e, lo, hi, start, up)
+        ])
+    e, lo, hi, start, up = (np.array(a) for a in (e, lo, hi, start, up))
+    with np.errstate(all="ignore"):
+        return _crossing_rows(v, e, lo, hi, _newton_rows(v, dv, e, lo, hi, start, up), up)
 
 
 def _nan_error(x):
@@ -471,13 +497,16 @@ def _newton(v, dv, e, lo, hi, x, up):
 
 
 def _crossing(v, e, lo, hi, x, up):
-    """The crossing of f(x) = v(x, e) through 0 in [lo, hi], near x, on
-    Python floats: the float next to it where f < 0.
+    """A crossing of f(x) = v(x, e) through 0 in [lo, hi], near x, on
+    Python floats: of two adjacent floats where f changes sign, the one
+    where f < 0.
 
     ``up`` tells that f rises through the crossing.  A bracket of
     half-width eps |x| / 2 (about an ulp) around x, widened 4-fold until
     its ends lie on either side, is bisected down to two adjacent floats.
-    A NaN value is a NumericsError.
+    The rounding of f can change its sign more than once near a root;
+    the bisection then ends next to one of those sign changes, and x
+    picks which.  A NaN value is a NumericsError.
     """
     w = max(0.5 * _EPS * abs(x), _TINY)
     while True:
@@ -504,6 +533,66 @@ def _crossing(v, e, lo, hi, x, up):
             hi = mid
         else:
             lo = mid
+
+
+def _newton_rows(v, dv, e, lo, hi, x, up):
+    # _newton on arrays: each root takes _newton's steps in _newton's
+    # order, the open roots in lockstep; a settled root leaves the arrays
+    rows = np.arange(x.size)
+    out = np.empty(x.size)
+    x = np.where((lo < x) & (x < hi), x, lo + 0.5 * (hi - lo))
+    for _ in range(_MAX_ITERATES):
+        f = v(x, e)
+        if np.isnan(f).any():
+            raise _nan_error(float(x[np.isnan(f)][0]))
+        side = (f > 0.0) == up
+        hi, lo = np.where(side, x, hi), np.where(side, lo, x)
+        step = f / dv(x)
+        newton = x - step
+        mid = lo + 0.5 * (hi - lo)
+        new = np.where((lo < newton) & (newton < hi), newton, mid)
+        converged = np.abs(step) <= _STEP_TOL * np.abs(x)
+        # a zero value, or a bracket with no midpoint inside, ends on x
+        stay = (f == 0.0) | ~(converged | ((lo < new) & (new < hi)))
+        done = stay | converged
+        if done.any():
+            root = np.where(stay, x, np.minimum(np.maximum(newton, lo), hi))
+            out[rows[done]] = root[done]
+            if done.all():
+                return out
+            keep = ~done
+            new, lo, hi, e, up, rows = (a[keep] for a in (new, lo, hi, e, up, rows))
+        x = new
+    raise _no_convergence(float(e[0]))
+
+
+def _crossing_rows(v, e, lo, hi, x, up):
+    # _crossing on arrays: each root takes _crossing's steps in its order,
+    # all roots in lockstep; a settled root's lanes are sampled on but not
+    # read
+    w = np.maximum(0.5 * _EPS * np.abs(x), _TINY)
+    wide = np.ones(x.size, dtype=bool)
+    while wide.any():
+        a, b = np.maximum(x - w, lo), np.minimum(x + w, hi)
+        ends, open_ends = np.concatenate([a, b]), np.tile(wide, 2)
+        f = v(ends, np.concatenate([e, e]))
+        if np.isnan(f[open_ends]).any():
+            raise _nan_error(float(ends[open_ends & np.isnan(f)][0]))
+        for p, fp in ((a, f[:x.size]), (b, f[x.size:])):
+            side = (fp >= 0.0) == up
+            hi, lo = np.where(wide & side, p, hi), np.where(wide & ~side, p, lo)
+        wide &= ~((a <= lo) & (hi <= b))
+        w = np.where(wide, w * 4.0, w)
+    while True:
+        mid = lo + 0.5 * (hi - lo)
+        inside = (lo < mid) & (mid < hi)
+        if not inside.any():
+            return np.where(up, lo, hi)
+        f = v(mid, e)
+        if np.isnan(f[inside]).any():
+            raise _nan_error(float(mid[inside & np.isnan(f)][0]))
+        side = (f >= 0.0) == up
+        hi, lo = np.where(inside & side, mid, hi), np.where(inside & ~side, mid, lo)
 
 
 def _real_roots(coeffs, r=None):

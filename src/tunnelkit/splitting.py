@@ -170,26 +170,22 @@ class QuantizationResult:
     delta_minus: float
 
 
-def _zetas(analysis: WellAnalysis, delta: float):
-    # Excitation above each well's harmonic ground level, (zeta_L, zeta_R),
-    # at E = E_bar + delta.  The ground levels sit at E_bar -/+ eps/2, so
-    # neither zeta needs E itself.
-    hbar = analysis.consts.hbar
-    return _zeta_pair(0.5 * analysis.eps, delta, hbar * analysis.omega_L, hbar * analysis.omega_R)
-
-
 def _zeta_pair(half_eps, delta, hw_l, hw_r):
-    # _zetas from half the bias and the quanta hbar w_L, hbar w_R
+    # Excitation above each well's harmonic ground level, (zeta_L, zeta_R),
+    # at E = E_bar + delta, from half the bias eps/2 and the quanta hbar w_L,
+    # hbar w_R.  The ground levels sit at E_bar -/+ eps/2, so neither zeta
+    # needs E itself.
     return (half_eps + delta) / hw_l, (delta - half_eps) / hw_r
 
 
 def _root_zetas(analysis: WellAnalysis, delta: float, tail: float):
     # (zeta_L, zeta_R) of a root at offset delta, where the condition's
     # right side is tail.  The zeta of the well the root sits in, the
-    # smaller one, is the cancellation delta -/+ eps/2 in _zetas, rounding
-    # noise of eps/2; the condition zeta_L zeta_R = tail gives it from the
-    # other zeta instead.
-    zl, zr = _zetas(analysis, delta)
+    # smaller one, is the cancellation delta -/+ eps/2 in _zeta_pair,
+    # rounding noise of eps/2; the condition zeta_L zeta_R = tail gives it
+    # from the other zeta instead.
+    hbar = analysis.consts.hbar
+    zl, zr = _zeta_pair(0.5 * analysis.eps, delta, hbar * analysis.omega_L, hbar * analysis.omega_R)
     if abs(zl) < abs(zr):
         return tail / zr, zr
     return zl, tail / zl

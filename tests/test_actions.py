@@ -141,6 +141,16 @@ def test_turning_points_are_brentqs_roots_to_rounding(spec, frac):
         assert abs(a.v(x) - E) <= abs(a.v(ref) - E) + 256 * quantum
 
 
+# a sextic of perfbench's bias_sweep inputs (seed 1, the second of six)
+# and an energy at which rounding makes v - E change sign three times
+# across four floats next to the left turning point
+SIGN_FLIP_SEXTIC = Polynomial((
+    665.9697777370652, 183.9329736566128, -1162.5593510175618, -364.56565014487995,
+    332.1598145764462, 182.28282507243998, 166.0799072882231,
+))
+SIGN_FLIP_E = 52.25718045981107
+
+
 class TestTurningPoints:
     def test_symmetric_quartic_at_half_depth(self):
         spec = BiasedQuartic(1.0, 1.0)
@@ -173,18 +183,42 @@ class TestTurningPoints:
             turning_points(spec, C, a.V0 * 1.01, a)
 
     @pytest.mark.parametrize(
-        "spec", [BiasedQuartic(1.0, 2.1, 0.2), DoubleOscillator(1.3, 0.9, 0.4, 8.0)], ids=["quartic", "oscillator"]
+        "spec,extra",
+        [
+            (BiasedQuartic(1.0, 2.1, 0.2), []),
+            (DoubleOscillator(1.3, 0.9, 0.4, 8.0), []),
+            (SIGN_FLIP_SEXTIC, [SIGN_FLIP_E]),
+        ],
+        ids=["quartic", "oscillator", "sextic"],
     )
-    def test_each_root_is_the_last_allowed_float(self, spec):
+    def test_each_root_is_the_last_allowed_float(self, spec, extra):
         # v(x) < E at each root, and v(x) >= E at the next float toward
-        # the barrier top, on both paths
+        # the barrier top, on both paths, and each batch row (the lockstep
+        # path) is its one-row call (the float path)
         a = analyze(spec, C)
         floor = max(0.0, a.tilde_eps)
-        energies = [floor + (a.V0 - floor) * (0.05 + 0.9 * i / 23) for i in range(24)]
-        rows = action_rows([a] * 24, energies) + [action_rows([a], [e])[0] for e in energies]
-        for e, row in zip(energies * 2, rows):
+        energies = [floor + (a.V0 - floor) * (0.05 + 0.9 * i / 23) for i in range(24)] + extra
+        batch = action_rows([a] * len(energies), energies)
+        one_row = [action_rows([a], [e])[0] for e in energies]
+        assert batch == one_row
+        for e, row in zip(energies, batch):
             for x in (row.a_bar, row.b_bar):
                 assert a.v(x) < e <= a.v(math.nextafter(x, a.x_m))
+
+    def test_the_start_picks_the_sign_change_a_root_ends_on(self):
+        # On four consecutive floats next to the left turning point v - E
+        # reads - + - +: two floats qualify as the root, and the Newton
+        # start decides which one the crossing ends on.
+        a = analyze(SIGN_FLIP_SEXTIC, C)
+        e = SIGN_FLIP_E
+        x = turning_points(SIGN_FLIP_SEXTIC, C, e, a)[0]
+        floats = [x]
+        for _ in range(3):
+            floats.append(math.nextafter(floats[-1], math.inf))
+        assert [a.v(p) < e for p in floats] == [True, False, True, False]
+        assert x == -0.8440533288381391
+        other = tunnelkit.potentials._flank_roots(a, [e], [a.x_L], [a.x_m], [-0.8440533279940858], [True])
+        assert other.tolist() == [floats[2]]
 
     def test_a_zero_slope_steps_to_the_midpoint_on_both_paths(self):
         # v - E = (x - 0.5)^3 - 0.001 from x = 0.5, where v' = 0: no
@@ -196,9 +230,9 @@ class TestTurningPoints:
         def dv(x):
             return 3.0 * (x - 0.5) * (x - 0.5)
 
-        one = tunnelkit.actions._newton(v, dv, 0.001, 0.0, 1.0, 0.5, True)
+        one = tunnelkit.potentials._newton(v, dv, 0.001, 0.0, 1.0, 0.5, True)
         with np.errstate(all="ignore"):
-            rows = tunnelkit.actions._newton_rows(
+            rows = tunnelkit.potentials._newton_rows(
                 v, dv, np.full(2, 0.001), np.zeros(2), np.ones(2), np.full(2, 0.5), np.ones(2, dtype=bool)
             )
         assert rows.tolist() == [one, one]
@@ -206,12 +240,11 @@ class TestTurningPoints:
 
     def test_newton_steps_that_do_not_settle_are_a_numerical_error(self, monkeypatch):
         a = analyze(BiasedQuartic(1.0, 2.1), C)
-        # the float path's limit lives in potentials, the array path's in actions
-        for module in (tunnelkit.potentials, tunnelkit.actions):
-            monkeypatch.setattr(module, "_MAX_ITERATES", 2)
+        # one limit for the float and the array path
+        monkeypatch.setattr(tunnelkit.potentials, "_MAX_ITERATES", 2)
         for count in (1, 30):  # one root pair, and 60 roots in lockstep
             with pytest.raises(NumericsError, match="did not converge in 2 Newton iterates"):
-                action_rows([a] * count, [a.E_bar] * count)
+                action_rows([a] * count, [a.E_bar + 0.01 * i for i in range(count)])
 
 
 class TestGamowIntegral:

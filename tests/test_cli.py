@@ -910,6 +910,36 @@ class TestExitCodes:
         assert r.returncode == 2
         assert "config error" in r.stderr
 
+    def test_an_output_file_that_cannot_be_written_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.json"
+        path = write_json(tmp_path, "ok.json", readme_config())
+        assert main(["analyze", path, "--out", str(out)]) == 2
+        _, err = capsys.readouterr()
+        assert err.startswith(f"config error: cannot write output file {out}: ")
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "oracle"])
+    @pytest.mark.parametrize("n_points", [2**60, 10**30])
+    def test_a_grid_past_any_address_space_is_a_config_error(self, tmp_path, capsys, command, n_points):
+        # GridSpec refuses these before any array is made: numpy would
+        # raise ValueError on them, not MemoryError
+        config = readme_config()
+        doc = dict(config, oracle_grid=dict(config["oracle_grid"], n_points=n_points))
+        assert main([command, write_json(tmp_path, "vast.json", doc)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: n_points = {n_points} is too large: its oracle grid "
+            "cannot be allocated\n"
+        )
+
+    def test_a_sweep_whose_span_overflows_is_a_config_error(self, tmp_path, capsys):
+        # to - from is inf, which would make the first bias 0 * inf = NaN
+        sweep = {"parameter": "tilde_eps", "from": -1.7e308, "to": 1.7e308, "steps": 11}
+        path = write_json(tmp_path, "span.json", dict(readme_config(), sweep=sweep))
+        assert main(["sweep", path]) == 2
+        assert capsys.readouterr().err == (
+            'config error: the span from "from" to "to" in "sweep" must be finite\n'
+        )
+
     def test_shallow_barrier_is_a_regime_error(self, tmp_path):
         path = write_json(
             tmp_path,
