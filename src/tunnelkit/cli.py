@@ -63,8 +63,8 @@ from .errors import (
     TunnelkitError,
     WellStructureError,
 )
-from .oracle import _flipped, _spectrum, eigen_lowest_two
-from .potentials import Mirrored, WellAnalysis, _unwrap, analyze, mirror
+from .oracle import _spectrum, eigen_lowest_two
+from .potentials import DoubleOscillator, Mirrored, WellAnalysis, _flipped, _unwrap, analyze, mirror
 from .splitting import (
     K_FIRST_ORDER,
     QuantizationResult,
@@ -293,33 +293,20 @@ def run_sweep(config: RunConfig):
     base = analyze(spec, consts, orient=config.orient, require_wkb=True)
     oracle = None
     if spec.kink and config.oracle_grid is not None:
-        family, _ = _unwrap(spec)
         flipped = _flipped(spec, base)
 
         def oracle(dialed):
-            # the member of the family that realizes the dialed well, built
-            # on the axis of the analysis: below zero bias, where the right
-            # well is the deeper, the mirror of the family with the wells
-            # swapped, so that its levels are measured from the floor at
-            # x_L as the row's are.  It is analyzed on that axis, then seen
-            # from the config's axis, on which the grid's walls lie.
-            te = dialed.tilde_eps
+            # the double oscillator of the dialed analysis, on its axis:
+            # below zero bias, where the right well is the deeper, the
+            # mirror of the one with the wells swapped, so that its levels
+            # are measured from the floor at x_L as the row's are.  It is
+            # analyzed on that axis, then seen from the config's axis, on
+            # which the grid's walls lie.
+            w_l, w_r, te, v0 = dialed.omega_L, dialed.omega_R, dialed.tilde_eps, dialed.V0
             if te >= 0.0:
-                member = replace(
-                    family,
-                    omega_L=dialed.omega_L,
-                    omega_R=dialed.omega_R,
-                    tilde_eps=te,
-                    V0=dialed.V0,
-                )
+                member = DoubleOscillator(w_l, w_r, te, v0)
             else:
-                member = Mirrored(replace(
-                    family,
-                    omega_L=dialed.omega_R,
-                    omega_R=dialed.omega_L,
-                    tilde_eps=-te,
-                    V0=dialed.V0 - te,
-                ))
+                member = Mirrored(DoubleOscillator(w_r, w_l, -te, v0 - te))
             member_analysis = analyze(member, consts, orient="keep")
             member_spec = mirror(member) if flipped else member
             return eigen_lowest_two(
@@ -333,7 +320,7 @@ def run_sweep(config: RunConfig):
     # the points differ only in the dialed bias: one batch solves them
     # all, and each point then raises its own error in the sweep's order
     fixed = (base.spec, base.consts, base.x_L, base.x_R, base.x_m, base.omega_L, base.omega_R)
-    points = [WellAnalysis(*fixed, v, base.V0, base.zero_shift, base.mirrored) for v in values]
+    points = [WellAnalysis(*fixed, v, base.V0, base.zero_shift) for v in values]
     outcomes = compute_splittings(points, rtol=config.tolerances.quad_rtol)
     rows, lines = [], []
     for point, outcome in zip(points, outcomes):
@@ -342,13 +329,19 @@ def run_sweep(config: RunConfig):
         lines.append(line)
 
     deltas = [row["splitting"]["delta"] for row in rows]
-    if 0.0 in deltas:
-        # ln Delta is fitted, and a Delta that underflowed to 0 has no log
-        row = rows[deltas.index(0.0)]
-        raise FitIllConditioned(
-            f"delta underflows to 0 at tilde_eps = {row['tilde_eps']:.17g} "
-            f"(I_bar = {row['splitting']['I_bar']:g}), so ln(delta) cannot be fitted"
-        )
+    for row, delta in zip(rows, deltas):
+        # ln Delta is fitted, and a Delta that underflowed to 0, or that
+        # the first-order factor made negative, has no log
+        if delta == 0.0:
+            raise FitIllConditioned(
+                f"delta underflows to 0 at tilde_eps = {row['tilde_eps']:.17g} "
+                f"(I_bar = {row['splitting']['I_bar']:g}), so ln(delta) cannot be fitted"
+            )
+        if not delta > 0.0:
+            raise FitIllConditioned(
+                f"delta = {delta:g} is not positive at tilde_eps = {row['tilde_eps']:.17g}, "
+                "so ln(delta) cannot be fitted"
+            )
     x = np.array(values)
     y = np.log(np.array(deltas))
     design = np.column_stack([np.ones_like(x), x, x * x])

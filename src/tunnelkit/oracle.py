@@ -63,7 +63,7 @@ from .potentials import (
     PhysConstants,
     WellAnalysis,
     _flank_roots,
-    _unwrap,
+    _flipped,
     analyze,
     evaluate,
 )
@@ -120,12 +120,6 @@ class Spectrum:
     est_error: float
     coarse: tuple[float, float]
     fine: tuple[float, float] | None = None
-
-
-def _flipped(spec, analysis: WellAnalysis) -> bool:
-    # whether analysis runs on the mirror of the axis of spec: each
-    # Mirrored wrapper, and so auto-orientation, reflects the axis once
-    return _unwrap(spec)[1] != _unwrap(analysis.spec)[1]
 
 
 def _decay_lengths(analysis: WellAnalysis) -> tuple[float, float]:

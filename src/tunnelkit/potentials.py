@@ -343,6 +343,12 @@ def _unwrap(spec):
     return spec, odd
 
 
+def _flipped(spec, analysis) -> bool:
+    # whether analysis runs on the mirror of the axis of spec: each
+    # Mirrored wrapper, and so auto-orientation, reflects the axis once
+    return _unwrap(spec)[1] != analysis.mirrored
+
+
 def _derivative(spec, x, k, consts):
     try:
         derivative = spec.derivative
@@ -374,11 +380,11 @@ def evaluate_d2(spec, x, consts: PhysConstants = DEFAULT_CONSTANTS):
 class WellAnalysis:
     """Well/barrier geometry and the derived energy bookkeeping.
 
-    Positions refer to the axis of ``spec`` (which is the mirrored spec
-    when ``mirrored`` is set).  ``zero_shift`` is the constant already
-    subtracted so that v(x_L) = 0; the accessor ``v`` evaluates the
-    normalized potential.  Two properties follow from tilde_eps, so a
-    dialed bias carries them along:
+    Positions refer to the axis of ``spec``: the bare family, or one
+    ``Mirrored`` of it, which ``mirrored`` reads.  ``zero_shift`` is the
+    constant already subtracted so that v(x_L) = 0; the accessor ``v``
+    evaluates the normalized potential.  Two properties follow from
+    tilde_eps, so a dialed bias carries them along:
 
     eps   = tilde_eps + hbar (omega_R - omega_L) / 2   (bias between
             unperturbed ground levels)
@@ -395,7 +401,10 @@ class WellAnalysis:
     tilde_eps: float
     V0: float
     zero_shift: float
-    mirrored: bool = False
+
+    @property
+    def mirrored(self):
+        return isinstance(self.spec, Mirrored)
 
     @property
     def eps(self):
@@ -684,9 +693,10 @@ def analyze(
     of its companion matrix, each finished on a float next to V''s sign
     change in floats.  The geometry is then
     reflected at most once, onto the axis with the deeper well on the
-    left (the axis of ``spec`` when the floors are equal), and the
-    potential renormalized so v(x_L) = 0.  Set ``orient="keep"`` to stay
-    on the axis of ``spec`` (tilde_eps may then be negative).
+    left (with equal floors, the softer well, so that eps >= 0, and with
+    equal frequencies too, the axis of ``spec``), and the potential
+    renormalized so v(x_L) = 0.  Set ``orient="keep"`` to stay on the
+    axis of ``spec`` (tilde_eps may then be negative).
 
     ``spec`` of the result is the bare family, or one ``Mirrored`` of it
     when the geometry is reflected: nested mirrors collapse, for every
@@ -744,8 +754,9 @@ def _locate(spec, consts, orient):
     if orient == "keep":
         flip = odd
     else:
-        # the deeper well on the left; with equal floors, the axis of spec
-        flip = v_lo >= v_hi if odd else v_lo > v_hi
+        # the deeper well on the left; with equal floors the softer one
+        # (eps >= 0), and with equal frequencies too, the axis of spec
+        flip = (v_lo, omega_lo, odd) > (v_hi, omega_hi, not odd)
     spec = Mirrored(family) if flip else family
     if flip:
         x_lo, x_hi, x_m = 0.0 - x_hi, 0.0 - x_lo, 0.0 - x_m
@@ -761,7 +772,6 @@ def _locate(spec, consts, orient):
         tilde_eps=v_hi - v_lo,
         V0=v_m - v_lo,
         zero_shift=v_lo,
-        mirrored=flip,
     )
 
 

@@ -994,26 +994,45 @@ class TestExitCodes:
         assert row.endswith(",0,0,12.727922061357855,12.727922061357855,,,,,,"
                             "delta_underflow;transcendental_unbracketed")
 
-    def test_sweep_whose_splitting_underflows_is_a_config_error(self, tmp_path, capsys):
-        # I_bar = 844.7, so delta underflows to 0 on every row: ln(delta)
-        # has nothing to fit, and the sweep is refused before the log.
-        path = write_json(
-            tmp_path,
-            "underflow.json",
-            {
-                "schema": "tunnelkit/1",
-                "potential": {
+    @pytest.mark.parametrize(
+        "potential,sweep,message",
+        [
+            # I_bar = 844.7, so delta underflows to 0 on every row
+            (
+                {
                     "family": "biased_quartic",
                     "alpha": 62.64365154815492,
                     "a": 3.845467281649521,
                     "beta": -3.2396766803991324,
                 },
-                "sweep": {
-                    "parameter": "tilde_eps",
-                    "from": 0.0634162680636503,
-                    "to": 0.630445146288632,
-                    "steps": 11,
-                },
+                {"from": 0.0634162680636503, "to": 0.630445146288632, "steps": 11},
+                "config error: delta underflows to 0 at tilde_eps = 0.063416268063650305 "
+                "(I_bar = 844.696), so ln(delta) cannot be fitted",
+            ),
+            # a right well 100 times stiffer makes the first-order factor
+            # 1 + (k/4)(eps/hbar omega_L)(omega_R - omega_L)/omega_R about
+            # -1.57 (k < 0), so delta is negative on every row
+            (
+                {"family": "double_oscillator", "omega_L": 1.0, "omega_R": 100.0,
+                 "tilde_eps": 40.0, "V0": 400.0},
+                {"from": 40.0, "to": 48.0, "steps": 5},
+                "config error: delta = -1.25417e-130 is not positive at tilde_eps = 40, "
+                "so ln(delta) cannot be fitted",
+            ),
+        ],
+        ids=["underflow", "negative"],
+    )
+    def test_sweep_whose_splitting_underflows_is_a_config_error(
+        self, tmp_path, capsys, potential, sweep, message
+    ):
+        # ln(delta) has nothing to fit, and the sweep is refused before the log
+        path = write_json(
+            tmp_path,
+            "underflow.json",
+            {
+                "schema": "tunnelkit/1",
+                "potential": potential,
+                "sweep": dict(sweep, parameter="tilde_eps"),
             },
         )
         with warnings.catch_warnings(record=True) as caught:
@@ -1023,10 +1042,7 @@ class TestExitCodes:
         assert code == 2
         out, err = capsys.readouterr()
         assert out == ""
-        assert (
-            "config error: delta underflows to 0 at tilde_eps = 0.063416268063650305 "
-            "(I_bar = 844.696)" in err
-        )
+        assert message in err
 
     def test_sweep_rows_past_the_zeta_bound_are_flagged_unbracketed(self, tmp_path):
         # Dialed from 1.0 to 2.0 the same curve keeps every mean level above
@@ -1642,7 +1658,8 @@ class TestMirroredGrid:
             # left floor (dyadic values make that exact)
             ({"omega_L": 1.0, "omega_R": 1.25, "tilde_eps": 0.125, "V0": 4.0, "orient": "keep"},
              {"omega_L": 1.25, "omega_R": 1.0, "tilde_eps": 0.125, "V0": 3.875}),
-            # "auto" reflects equal floors onto the config's axis too
+            # "auto" puts the softer of equal floors on the left, so both
+            # analyses see the same plain double oscillator
             ({"omega_L": 1.0, "omega_R": 1.25, "tilde_eps": 0.0, "V0": 4.0},
              {"omega_L": 1.25, "omega_R": 1.0, "tilde_eps": 0.0, "V0": 4.0}),
         ],

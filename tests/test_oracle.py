@@ -792,12 +792,17 @@ class TestLapackRoute:
 
 
 # wells 4 to 8 level spacings deep, as DEEP_WELLS draws them, with a bias of
-# at least 1e-3 hbar omega_L: a gap the grid resolves, and floors that differ,
-# so that "auto" solves a well and its mirror on one axis (with equal floors
-# each keeps its own axis, and the levels agree only to rounding)
+# at least 1e-3 hbar omega_L, or none for the oscillators: a gap the grid
+# resolves, and floors or else frequencies that differ, so that "auto" solves
+# a well and its mirror on one axis (the one oscillator whose wells match in
+# both is symmetric, its own mirror)
 QUARTICS = st.builds(deep_quartic, st.floats(4.0, 8.0), st.floats(0.8, 1.5), st.floats(5e-4, 0.15))
 OSCILLATORS = st.builds(
-    DoubleOscillator, st.just(1.0), st.floats(0.85, 1.3), st.floats(1e-3, 0.15), st.floats(4.0, 8.0)
+    DoubleOscillator,
+    st.just(1.0),
+    st.floats(0.85, 1.3),
+    st.one_of(st.just(0.0), st.floats(1e-3, 0.15)),
+    st.floats(4.0, 8.0),
 )
 # (hbar, m) -> (lam hbar, lam^2 m) leaves hbar^2 / 2m, and with it H, as it
 # was, but t = hbar^2 / (2 m h^2) and the walls round otherwise: each level

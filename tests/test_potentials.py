@@ -560,7 +560,6 @@ class TestOrientOnce:
             "tilde_eps": -a.tilde_eps,
             "V0": b.V0,
             "zero_shift": evaluate(spec, a.x_R, C),
-            "mirrored": True,
         }
         assert math.copysign(1.0, b.x_m) == math.copysign(1.0, 0.0 - a.x_m)
         assert (b.v(b.x_L), b.v(b.x_R)) == (0.0, b.tilde_eps)

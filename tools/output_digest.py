@@ -180,7 +180,7 @@ def run_corpus(src):
         for runner in runners:
             try:
                 out, csv_text = runner(tunnelkit.parse_config(doc))
-                text = json.dumps(out, indent=2) + "\n" + csv_text
+                text = json.dumps(out, indent=2, allow_nan=False) + "\n" + csv_text
             except tunnelkit.TunnelkitError as exc:
                 text = f"{type(exc).__name__}: {exc}\n"
                 out, csv_text = {"error": text}, ""
