@@ -21,6 +21,9 @@ set by the validity thresholds:
     delta_underflow
                   the splitting Delta underflows to 0 (a barrier of
                   several hundred I_bar): delta and delta_E read 0
+    delta_negative
+                  the first-order factor makes Delta negative (a far
+                  stiffer right well): delta has no physical reading
     transcendental_unbracketed
                   no sub-barrier root of the quantization condition; the
                   transcendental fields are empty
@@ -211,9 +214,10 @@ def _point(config: RunConfig, analysis: WellAnalysis, outcome, oracle=None):
     with the continuum above V0) the point keeps the unsolved splitting
     and flags "transcendental_unbracketed"; any other error is raised
     here.  Then come the warn flags, "delta_underflow" among them when
-    Delta underflows to 0, and only then ``oracle(analysis)``, which
-    returns the point's Spectrum (None without an oracle), so a regime
-    error of the splitting is raised before any error of the eigensolve.
+    Delta underflows to 0 and "delta_negative" when it is negative, and
+    only then ``oracle(analysis)``, which returns the point's Spectrum
+    (None without an oracle), so a regime error of the splitting is
+    raised before any error of the eigensolve.
 
     The row and the line are written from the same values.  The line's
     cells carry 17 significant digits, and a value not computed (None or
@@ -225,6 +229,8 @@ def _point(config: RunConfig, analysis: WellAnalysis, outcome, oracle=None):
     flags = _warn_flags(config, analysis, result.I_bar)
     if result.shifts.delta == 0.0:
         flags.append("delta_underflow")
+    elif result.shifts.delta < 0.0:
+        flags.append("delta_negative")
     if error is not None:
         flags.append("transcendental_unbracketed")
     spectrum = None if oracle is None else oracle(analysis)
@@ -445,6 +451,8 @@ def run_compare(config: RunConfig):
     doc["oracle"] = _spectrum_doc(spectrum)
     doc["methods"] = table
     doc["warn_flags"] = _warn_flags(config, analysis, result.I_bar)
+    if result.shifts.delta < 0.0:
+        doc["warn_flags"].append("delta_negative")
     doc["csv"] = {"header": COMPARE_HEADER, "rows": lines}
     return doc, _csv_text(COMPARE_HEADER, lines)
 

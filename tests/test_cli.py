@@ -994,6 +994,31 @@ class TestExitCodes:
         assert row.endswith(",0,0,12.727922061357855,12.727922061357855,,,,,,"
                             "delta_underflow;transcendental_unbracketed")
 
+    def test_analyze_whose_splitting_is_negative_is_flagged(self, tmp_path, capsys):
+        # A right well 100 times stiffer makes the first-order factor about
+        # -1.57, so delta is negative.  A flag never fails a run; a
+        # positive delta is not flagged.
+        negative = {
+            "schema": "tunnelkit/1",
+            "potential": {"family": "double_oscillator", "omega_L": 1.0, "omega_R": 100.0,
+                          "tilde_eps": 40.0, "V0": 400.0},
+        }
+        path = write_json(tmp_path, "negative.json", negative)
+        assert main(["analyze", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["splitting"]["delta"] == pytest.approx(-1.254165e-130, rel=1e-6)
+        assert out["warn_flags"] == [
+            "eps_over_hw", "barrier_kink", "delta_negative", "transcendental_unbracketed",
+        ]
+        assert main(["analyze", path, "--format", "csv"]) == 0
+        row = capsys.readouterr().out.splitlines()[1]
+        assert row.endswith(",eps_over_hw;barrier_kink;delta_negative;transcendental_unbracketed")
+        path = write_json(tmp_path, "positive.json", DO_SWEEP)
+        assert main(["analyze", path]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["splitting"]["delta"] > 0.0
+        assert "delta_negative" not in out["warn_flags"]
+
     @pytest.mark.parametrize(
         "potential,sweep,message",
         [
