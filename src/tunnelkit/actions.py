@@ -28,7 +28,10 @@ caller asking for I alone never waits on a slope that cannot settle.
 The first pass takes depths 0 and 1 of every pair together.  Almost
 every component settles there, and the kernel then returns from that
 one sample; the pairs with a component still open go on one depth per
-pass from depth 2.
+pass from depth 2.  Rows a caller marks tentative, guesses it can do
+without, stop after that first pass if it leaves one of their components
+open, and come back None, so a guess next to the barrier top, where the
+quadrature does not settle, costs one pass.
 ``turning_points``, ``gamow_integral``, ``action_slope`` and
 ``evaluate_action`` are one-row calls of the kernel; a row whose energy
 or quadrature fails carries its own error, which a one-row call raises.
@@ -177,7 +180,7 @@ def _inverse_momentum(two_t, w, m):
     return two_t * m / np.sqrt(np.maximum(w, 1e-300))
 
 
-def _flank_integrals(analysis, E, a_bar, b_bar, rtol, integrands):
+def _flank_integrals(analysis, E, a_bar, b_bar, rtol, integrands, tentative=None):
     """Both barrier flanks of each integrand at every energy of E, before
     the factor 1/hbar.
 
@@ -193,11 +196,15 @@ def _flank_integrals(analysis, E, a_bar, b_bar, rtol, integrands):
     stops at its own depth with exactly the value adaptive_quadrature
     gives it alone.
 
+    A row marked in the boolean array ``tentative`` takes the first pass
+    alone: if a component of it is still open after that pass, the row
+    stops there.
+
     Returns (values, errors): values[i, flank, row] is the left (flank 0)
     or right flank of integrand i at each row, and errors maps each row with a
     component still open at the last depth to the QuadratureNonConvergence
     of the first such component, integrands in the order given and the
-    left flank first.
+    left flank first, and each tentative row that stopped to None.
     """
     m = analysis.consts.mass
     two_m = 2.0 * m
@@ -231,6 +238,11 @@ def _flank_integrals(analysis, E, a_bar, b_bar, rtol, integrands):
         return last.reshape(n, 2, k), {}
     # value and openness of each (integrand, pair) component
     value, open_ = np.where(settled, last, 0.0), ~settled
+    errors = {}
+    if tentative is not None:
+        stopped = tentative & open_.reshape(n, 2, k).any(axis=(0, 1))
+        open_[:, np.tile(stopped, 2)] = False
+        errors = dict.fromkeys(np.flatnonzero(stopped).tolist())
     for depth in range(2, _MAX_DEPTH + 1):
         live = open_.any(axis=0)
         if not live.any():
@@ -240,7 +252,6 @@ def _flank_integrals(analysis, E, a_bar, b_bar, rtol, integrands):
         value[:, live] = np.where(settled, got, value[:, live])
         open_[:, live] ^= settled
         last[:, live] = got
-    errors = {}
     if open_.any():
         stuck, last = open_.reshape(n, 2, k), last.reshape(n, 2, k)
         for row in np.flatnonzero(stuck.any(axis=(0, 1))).tolist():
@@ -249,7 +260,7 @@ def _flank_integrals(analysis, E, a_bar, b_bar, rtol, integrands):
     return value.reshape(n, 2, k), errors
 
 
-def _action_rows(analyses, E, rtol, integrands):
+def _action_rows(analyses, E, rtol, integrands, tentative=0):
     """The action kernel over energies of one curve.
 
     ``analyses`` holds one WellAnalysis per energy; they share one curve
@@ -258,10 +269,13 @@ def _action_rows(analyses, E, rtol, integrands):
     ``_inverse_momentum`` (for dI/dE), both or neither.  Returns one entry
     per row: its ActionResult, whose fields of an integrand not asked for
     are NaN, or the TunnelkitError the row's energy or quadrature raises.
+    The last ``tentative`` rows are guesses the caller can do without:
+    one whose integrals do not all settle in the first pass is None.
 
     A row's turning points and flank sums depend on the curve and its
     energy alone, so each distinct energy of the rows that clear their
-    floors is solved once, and every row at that energy gets its result.
+    floors is solved once, and every row at that energy gets its result;
+    an energy is tentative when all its rows are.
     """
     if not analyses:
         return []
@@ -275,13 +289,19 @@ def _action_rows(analyses, E, rtol, integrands):
     if not rows:
         return out
     energies = list(slot)
+    only_tentative = None
+    if tentative:
+        firm = {j for r, j in rows if r < len(out) - tentative}
+        only_tentative = np.array([j not in firm for j in range(len(energies))])
     a_bar, b_bar = _turning_rows(curve, energies, right_floor)
     # An integral that is not finite makes its row an error.  A mass so
     # large that the turning points lie within an ulp of the wells gives
     # one: at a node that is not forbidden, the slope's integrand is
     # divided by sqrt(1e-300) and overflows.
     with np.errstate(all="ignore"):
-        values, errors = _flank_integrals(curve, np.array(energies), a_bar, b_bar, rtol, integrands)
+        values, errors = _flank_integrals(
+            curve, np.array(energies), a_bar, b_bar, rtol, integrands, only_tentative
+        )
     flanks = dict(zip(integrands, values.tolist()))  # integrand -> [left, right] sums
     unasked = [[math.nan] * len(energies)] * 2
     (i_l, i_r), (s_l, s_r) = (flanks.get(f, unasked) for f in (_momentum, _inverse_momentum))
@@ -297,22 +317,25 @@ def _action_rows(analyses, E, rtol, integrands):
                 solved[j] = NumericsError(
                     f"the action's integrands leave the float range at E = {e:g}"
                 )
-    for j, error in errors.items():  # a quadrature error comes first
+    for j, error in errors.items():  # a quadrature error or a stop comes first
         solved[j] = error
     for r, j in rows:
         out[r] = solved[j]
     return out
 
 
-def action_rows(analyses, E, *, rtol: float = 1e-12):
+def action_rows(analyses, E, *, rtol: float = 1e-12, tentative: int = 0):
     """``evaluate_action`` at every energy of E in one batch.
 
     E[i] is taken on analyses[i]; the analyses share one curve and may
     differ in tilde_eps alone, as the points of a bias sweep do.  Returns
     one entry per energy: its ActionResult, or the TunnelkitError that
-    ``evaluate_action`` raises there.
+    ``evaluate_action`` raises there.  The last ``tentative`` energies are
+    guesses: where one's quadrature does not settle in the kernel's first
+    pass, at depths 0 and 1, its entry is None instead of the deeper
+    passes, so a guess near the barrier top costs one pass.
     """
-    return _action_rows(analyses, E, rtol, (_momentum, _inverse_momentum))
+    return _action_rows(analyses, E, rtol, (_momentum, _inverse_momentum), tentative)
 
 
 def gamow_integral(

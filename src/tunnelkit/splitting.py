@@ -16,8 +16,12 @@ Three routes of increasing fidelity, all driven by the barrier action:
    each well's harmonic ground level.
 
 ``compute_splittings`` runs all three at every point of a bias sweep at
-once: one batch of the action kernel for the mean levels, then the two
-roots of every point in lockstep.
+once, the two roots of every point in lockstep.  Its first batch of the
+action kernel takes the mean levels and, on a sweep of more than one
+point, each point's zeroth-order levels E_bar -/+ |eps|/2 as well: on deep
+wells every Newton start lands on them bit for bit and settles there, so
+the whole sweep is that one batch.  Newton reads d(ln f)/dzeta only where
+it can move the slope's float.
 
 The spectral weight f(zeta) = cos(pi zeta) Gamma(1 - zeta) g(zeta) / (2 pi)
 with g(zeta) = sqrt(2 pi) exp((zeta + 1/2)(ln(zeta + 1/2) - 1)) carries
@@ -57,6 +61,10 @@ _NEWTON_STEPS = 10
 # Newton stops once |step| <= _STEP_RTOL |delta|: four roundings of the
 # offset delta = E - E_bar.
 _STEP_RTOL = 4 * 8.9e-16
+# A bound on |d(ln f)/dzeta| for |zeta| < _ZETA_CLAMP, where it stays
+# below 8.24: a Newton row whose slope term in d(ln f)/dzeta is bounded
+# this way below ulp(slope)/8 cannot move the slope's float, and skips it.
+_DLNF_BOUND = 16.0
 
 
 def g_of_zeta(zeta: float) -> float:
@@ -225,15 +233,24 @@ def _dlnf(zeta: float) -> float:
     )
 
 
-def _newton_root(analyses, deltas, windows, rtol):
+def _newton_root(analyses, deltas, windows, rtol, known=None):
     """Newton iteration on the quantization residual in the offset
     delta = E - E_bar, run in lockstep on one or more rows that share one
     curve.
 
     Row i starts from deltas[i] on analyses[i] and searches the open
-    window windows[i] = (lo, hi) of offsets.  Every iterate takes the
-    actions of all open rows in one ``action_rows`` batch; each row's
-    iterates depend on its own data alone.  Returns one entry per row:
+    window windows[i] = (lo, hi) of offsets.  known[i], when given and not
+    None, is the ``action_rows`` outcome at row i's start energy
+    E_bar + deltas[i], which its first iterate then takes as it is.  Every
+    iterate takes the actions of all other open rows in one
+    ``action_rows`` batch, and none when there are none; each row's
+    iterates depend on its own data alone.  The residual's slope is
+    head - tail * c, with head = zeta_L' zeta_R + zeta_L zeta_R' and
+    c = (ln f)'(zeta_L) zeta_L' + (ln f)'(zeta_R) zeta_R' - 2 dI/dE.  Where
+    |tail| (_DLNF_BOUND (zeta_L' + zeta_R') + 2 |dI/dE|) < ulp(head) / 8,
+    tail * c cannot move head's float, and the slope is head, taken
+    without the digammas of c: on deep wells, where tail ~ exp(-2 I), at
+    every row.  Returns one entry per row:
     (root offset, residual at the root, f(zeta_L) f(zeta_R) exp(-2 I)
     there); or the cause that ended it, an iterate that left the window
     or |zeta| < 0.4, or a step not settled after _NEWTON_STEPS iterates;
@@ -241,6 +258,7 @@ def _newton_root(analyses, deltas, windows, rtol):
     """
     out = [None] * len(analyses)
     deltas = list(deltas)
+    known = list(known) if known is not None else [None] * len(analyses)
     # the quanta of the curve, and each row's mean level and half bias
     hbar = analyses[0].consts.hbar
     hw_l, hw_r = hbar * analyses[0].omega_L, hbar * analyses[0].omega_R
@@ -263,20 +281,28 @@ def _newton_root(analyses, deltas, windows, rtol):
                 out[r] = f"iterate left |zeta| < {_ZETA_CLAMP:g} (zeta_R = {zr:.3f})"
             else:
                 probe.append(r)
-        acts = action_rows(
-            [analyses[r] for r in probe], [e_bars[r] + deltas[r] for r in probe], rtol=rtol
-        )
+        ask = [r for r in probe if known[r] is None]
+        if ask:
+            acts = action_rows(
+                [analyses[r] for r in ask], [e_bars[r] + deltas[r] for r in ask], rtol=rtol
+            )
+            for r, act in zip(ask, acts):
+                known[r] = act
         open_rows = []
-        for r, act in zip(probe, acts):
+        for r in probe:
+            act, known[r] = known[r], None
             if isinstance(act, TunnelkitError):
                 out[r] = act
                 continue
             delta, (zl, zr) = deltas[r], zetas[r]
             tail = f_of_zeta(zl) * f_of_zeta(zr) * math.exp(-2.0 * act.I)
             res = zl * zr - tail
-            slope = dzl * zr + zl * dzr - tail * (
-                _dlnf(zl) * dzl + _dlnf(zr) * dzr - 2.0 * act.I_slope
-            )
+            head = dzl * zr + zl * dzr
+            reach = abs(tail) * (_DLNF_BOUND * (dzl + dzr) + 2.0 * abs(act.I_slope))
+            if reach < math.ulp(head) / 8:
+                slope = head
+            else:
+                slope = head - tail * (_dlnf(zl) * dzl + _dlnf(zr) * dzr - 2.0 * act.I_slope)
             step = res / slope
             if abs(step) <= _STEP_RTOL * abs(delta):
                 out[r] = (delta, res, tail)
@@ -337,7 +363,9 @@ def solve_quantization(
     E_bar + delta, so a splitting far below ulp(E_bar) keeps its digits.
     The derivative of the residual is analytic: dI/dE comes with I from
     one action evaluation per iterate, and
-    d(ln f)/dzeta = -pi tan(pi zeta) - psi(1 - zeta) + ln(zeta + 1/2).
+    d(ln f)/dzeta = -pi tan(pi zeta) - psi(1 - zeta) + ln(zeta + 1/2),
+    which is skipped where its term, a multiple of f(zeta_L) f(zeta_R)
+    exp(-2 I), cannot move the derivative's float.
     Iteration stops once the Newton step is below 4 x 8.9e-16 |delta|;
     on deep wells that takes one to three action evaluations per root.
     The two roots iterate in lockstep, their actions taken in one batch
@@ -396,34 +424,57 @@ class SplittingResult:
 
 def compute_splittings(analyses, *, rtol: float = 1e-12):
     """``compute_splitting`` with the solve at every point of a bias
-    sweep, in a few batches of the action kernel.
+    sweep, in as few batches of the action kernel as it can.
 
     The analyses share one curve and may differ in tilde_eps alone.  The
     actions at E_bar come in one batch, then both roots of all points
-    iterate in lockstep.  Returns one (result, error) pair per point:
+    iterate in lockstep.  With more than one point, that first batch also
+    takes each point's two guesses, its zeroth-order levels
+    E_bar -/+ |eps|/2, as tentative rows, so that a guess whose quadrature
+    does not settle in the kernel's first pass (next to the barrier top)
+    costs that pass alone.  A root whose Newton start E_bar + dE_pm equals
+    one of its point's settled guesses bit for bit takes that action for
+    its first iterate, and only the roots that miss go to the kernel
+    again.  On deep wells every start lands on its guess and settles in
+    that iterate, so the sweep is one batch.  A single point takes no
+    guesses: on shallow wells its starts miss them, and it would pay for
+    two actions it never reads.
+    Returns one (result, error) pair per point:
     (SplittingResult, None) when both roots were found; (result without
     roots, error) when the solve failed, the error being the
     RootNotBracketed or action error that ``compute_splitting`` raises;
     and (None, error) when the action at E_bar failed.  Each point's
     values and error are those of its own ``compute_splitting`` call.
     """
+    analyses = list(analyses)
+    n = len(analyses)
     e_bars = [a.E_bar for a in analyses]
-    actions = action_rows(analyses, e_bars, rtol=rtol)
+    guesses = []
+    if n > 1:
+        # E_bar - |eps|/2 of every point, then E_bar + |eps|/2
+        guesses = [e + side * abs(a.eps) for side in (-0.5, 0.5) for a, e in zip(analyses, e_bars)]
+        outcomes = action_rows(analyses * 3, e_bars + guesses, rtol=rtol, tentative=2 * n)
+    else:
+        outcomes = action_rows(analyses, e_bars, rtol=rtol)
+    actions = outcomes[:n]
     out = [(None, action) for action in actions]
     points = [i for i, act in enumerate(actions) if not isinstance(act, TunnelkitError)]
     if not points:
         return out
     shifts = {i: level_shifts(analyses[i], actions[i]) for i in points}
     right_floor = analyses[0].v(analyses[0].x_R)  # of the curve all points share
-    # two Newton rows per point, E_plus and E_minus, all in one lockstep
-    rows, starts, windows = [], [], []
+    # two Newton rows per point, E_plus and E_minus, all in one lockstep;
+    # a row whose start is one of its point's guesses takes its action
+    rows, starts, windows, known = [], [], [], []
     for i in points:
         analysis, e_bar = analyses[i], e_bars[i]
         lo_lim, hi_lim = _energy_window(analysis, right_floor)
+        guessed = {g: o for g, o in zip(guesses[i::n], outcomes[n + i::n]) if o is not None}
         rows += [analysis, analysis]
         starts += [shifts[i].dE_plus, shifts[i].dE_minus]
         windows += [(lo_lim - e_bar, 0.0), (0.0, hi_lim - e_bar)]
-    ends = iter(_newton_root(rows, starts, windows, rtol))
+        known += [guessed.get(e_bar + start) for start in starts[-2:]]
+    ends = iter(_newton_root(rows, starts, windows, rtol, known))
     for i in points:
         roots, error = _roots(analyses[i], next(ends), next(ends))
         out[i] = (SplittingResult(analyses[i], actions[i], shifts[i], roots), error)

@@ -544,8 +544,9 @@ class TestActionBatch:
     def test_each_batch_of_a_sweep_samples_v_once(self, monkeypatch):
         # 41 points dialed by up to 0.1 of a level spacing, every component
         # settled at depth 1: one call of v on 96 nodes per distinct energy
-        # of each batch, the 41 E_bar, then the 82 rows of each Newton
-        # iterate of both roots, whose lower roots share energies.
+        # of each batch.  The sweep is one batch: the 41 E_bar and the 82
+        # guesses E_bar -/+ |eps|/2, on which every Newton start lands and
+        # settles; the lower guesses share energies.
         spec = deep_quartic(6.0, 1.0, 0.1)
         a = analyze(spec, C)
         points = [
@@ -562,8 +563,8 @@ class TestActionBatch:
         sizes = sampled_sizes(monkeypatch)
         outcomes = compute_splittings(points)
         assert all(error is None for _, error in outcomes)
-        assert [len(energies) for energies in batches] == [41] + [82] * (len(batches) - 1)
-        assert len(batches) >= 2 and len(set(batches[1])) < 82
+        assert [len(energies) for energies in batches] == [123]
+        assert len(set(batches[0])) < 123
         assert sizes == [len(set(energies)) * 96 for energies in batches]
 
     def test_repeated_energies_on_mixed_floors_are_their_one_row_calls(self):
@@ -608,6 +609,24 @@ class TestActionBatch:
             _outcome(lambda: evaluate_action(spec, C, E=e, analysis=d))
             for d, e in zip(dialed, [top, fine, top, top])
         ]
+
+    def test_a_tentative_row_that_does_not_settle_stops_after_one_pass(self, monkeypatch):
+        # 1e-9 below the kinked top the quadrature does not settle: as the
+        # one tentative energy it is None after the first pass, one call of
+        # v on 96 nodes per energy; a tentative row that settles there, or
+        # that shares its energy with a firm row, is the firm row's value.
+        spec = DoubleOscillator(1.3, 0.9, 0.4, 8.0)
+        a = analyze(spec, C)
+        top, fine = a.V0 * (1.0 - 1e-9), a.E_bar
+        sizes = sampled_sizes(monkeypatch)
+        low, high = action_rows([a, a], [fine, top], tentative=1)
+        assert high is None and sizes == [2 * 96]
+        monkeypatch.undo()
+        assert low == evaluate_action(spec, C, E=fine, analysis=a)
+        firm, shared, settled = action_rows([a] * 3, [top, top, 0.9 * fine], tentative=2)
+        assert type(firm) is type(shared) is QuadratureNonConvergence
+        assert str(shared) == str(firm)
+        assert settled == evaluate_action(spec, C, E=0.9 * fine, analysis=a)
 
     def test_one_row_calls_are_the_batch(self):
         spec = BiasedQuartic(0.7, 2.3, 0.3)

@@ -3,6 +3,7 @@ import collections
 import dataclasses
 import json
 import math
+import unittest.mock
 
 import numpy as np
 import pytest
@@ -88,6 +89,11 @@ class TestSpectralFunctions:
         # _dlnf takes psi(1 - zeta) for |zeta| < 0.4.
         for x in np.linspace(0.6, 1.4, 8001):
             assert abs(splitting._digamma(float(x)) - digamma(x)) <= 2e-15
+
+    def test_log_slope_stays_under_the_bound_newton_skips_it_by(self):
+        # |d(ln f)/dzeta| peaks at 8.24 on |zeta| <= 0.4, at zeta = 0.4.
+        peak = max(abs(splitting._dlnf(float(z))) for z in np.linspace(-0.4, 0.4, 20001))
+        assert 8.2 < peak < 8.25 < splitting._DLNF_BOUND
 
     def test_matching_function_log_slope_converges_with_step(self):
         errs = []
@@ -270,6 +276,31 @@ def test_newton_roots_match_the_bracketed_reference(spec, mirrored):
     scale = max(abs(q.zeta_L_plus), abs(q.zeta_R_plus), 1e-12)
     assert abs(q.residual_plus) < 1e-10 * scale
     assert abs(q.residual_minus) < 1e-10 * scale
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(spec=DEEP_WELLS, mirrored=st.booleans())
+def test_skipping_the_log_slope_of_f_moves_no_root(spec, mirrored):
+    # With _DLNF_BOUND infinite the slope rule never holds and every row
+    # takes d(ln f)/dzeta: the roots, residuals and tails are the same bits.
+    if mirrored:
+        spec = mirror(spec)
+    a = analyze(spec, C)
+    shifts = level_shifts(a, evaluate_action(spec, C, analysis=a))
+    lo_lim, hi_lim = splitting._energy_window(a, a.v(a.x_R))
+
+    def ends():
+        return splitting._newton_root(
+            [a, a],
+            [shifts.dE_plus, shifts.dE_minus],
+            [(lo_lim - a.E_bar, 0.0), (0.0, hi_lim - a.E_bar)],
+            1e-12,
+        )
+
+    skipped = ends()
+    with unittest.mock.patch.object(splitting, "_DLNF_BOUND", math.inf):
+        assert repr(ends()) == repr(skipped)
+    assert all(isinstance(end, tuple) for end in skipped), skipped
 
 
 # Wells 1 to 8 level spacings deep with biases up to 0.4 hbar omega_L, so
@@ -494,6 +525,29 @@ def test_hbar_and_mass_come_from_the_analysis(spec):
             assert _outcome(lambda: call(C)) == own, (consts, name)
 
 
+def _dialed(spec, span, steps):
+    # the analyses of a sweep of tilde_eps over span level spacings, as
+    # run_sweep dials them
+    a = analyze(spec, C, require_wkb=True)
+    hw = C.hbar * a.omega_L
+    return [
+        dataclasses.replace(a, tilde_eps=a.tilde_eps + span * i / (steps - 1) * hw)
+        for i in range(steps)
+    ]
+
+
+def _spied_batches(monkeypatch):
+    # the energies of every action_rows batch of the splitting module
+    batches = []
+
+    def spy(analyses, energies, **kwargs):
+        batches.append(list(energies))
+        return action_rows(analyses, energies, **kwargs)
+
+    monkeypatch.setattr(splitting, "action_rows", spy)
+    return batches
+
+
 class TestComputeSplitting:
     def test_collects_all_three_routes(self):
         spec = DoubleOscillator(1.0, 1.4, 0.1, 8.0)
@@ -540,6 +594,67 @@ class TestComputeSplitting:
             (RootNotBracketed, True): 7,
             (EnergyBelowWellBottom, False): 5,
         }
+
+    def test_a_deep_sweep_is_one_batch_of_the_action_kernel(self, monkeypatch):
+        # Every Newton start of this 41-point sweep lands bit for bit on its
+        # guess E_bar -/+ |eps|/2, which the batch of the mean levels takes
+        # too, and settles there, where d(ln f)/dzeta cannot move its slope.
+        points = _dialed(deep_quartic(6.0, 1.0, 0.1), 0.1, 41)
+        batches = _spied_batches(monkeypatch)
+        dlnf, log_slope = [], splitting._dlnf
+        monkeypatch.setattr(splitting, "_dlnf", lambda z: dlnf.append(z) or log_slope(z))
+        outcomes = compute_splittings(points)
+        monkeypatch.undo()
+        assert [len(energies) for energies in batches] == [123] and dlnf == []
+        for point, (result, error) in zip(points, outcomes):
+            assert error is None
+            assert result == compute_splitting(point.spec, C, analysis=point)
+
+    @pytest.mark.parametrize(
+        "spec,missed",
+        [(deep_quartic(5.0, 1.0, 0.0), 2), (DoubleOscillator(1.0, 1.3, 0.0, 3.0), 42)],
+        ids=["symmetric_first_point", "three_spacings"],
+    )
+    def test_only_the_roots_that_miss_their_guesses_go_to_the_kernel_again(
+        self, monkeypatch, spec, missed
+    ):
+        # The quartic's first point has eps = 0, where Delta is above an
+        # ulp of the guess; on the shallow oscillator every start misses.
+        points = _dialed(spec, 0.1, 21)
+        batches = _spied_batches(monkeypatch)
+        outcomes = compute_splittings(points)
+        monkeypatch.undo()
+        misses = []
+        for point, (result, error) in zip(points, outcomes):
+            assert error is None
+            assert result == compute_splitting(spec, C, analysis=point)
+            e_bar, half = point.E_bar, 0.5 * abs(point.eps)
+            starts = (e_bar + result.shifts.dE_plus, e_bar + result.shifts.dE_minus)
+            misses += [e for e in starts if e not in (e_bar - half, e_bar + half)]
+        assert len(batches[0]) == 63 and len(misses) == missed
+        assert batches[1] == misses
+
+    def test_guesses_near_the_barrier_top_cost_one_pass_and_move_no_point(self, monkeypatch):
+        # The README's shallow quartic dialed up by 0.1 of a level spacing
+        # puts upper guesses next to the barrier top, where the quadrature
+        # does not settle: those come back None from the first batch, and
+        # every point is still its own compute_splitting.
+        points = _dialed(BiasedQuartic(3.0, 1.0, 0.15), 0.1, 41)
+        batches = []
+
+        def spy(analyses, energies, **kwargs):
+            batches.append(action_rows(analyses, energies, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr(splitting, "action_rows", spy)
+        outcomes = compute_splittings(points)
+        monkeypatch.undo()
+        assert None in batches[0][41:]
+        for point, (result, error) in zip(points, outcomes):
+            with pytest.raises(RootNotBracketed) as raised:
+                compute_splitting(point.spec, C, analysis=point)
+            assert type(error) is RootNotBracketed and str(error) == str(raised.value)
+            assert result == compute_splitting(point.spec, C, analysis=point, solve=False)
 
     def test_an_action_error_in_a_newton_iterate_ends_the_solve(self, monkeypatch, tmp_path, capsys):
         # One row of the second action_rows batch fails: an iterate of
