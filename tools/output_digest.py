@@ -46,7 +46,14 @@ The corpus:
   twin on the symmetric walls, which "auto" analyzes on the reflected
   axis, and the ``"orient": "keep"`` twin of that one, which keeps the
   config's axis, where the bias runs negative;
-* the single well V = x^2 / 2 on a 2001-point grid over [-8, 8].
+* the single well V = x^2 / 2 on a 2001-point grid over [-8, 8];
+* the deep quartics ``BiasedQuartic(1, 3.0)`` and
+  ``BiasedQuartic(1, 3.0, 0.01)``, each on an 8001-point grid between its
+  ``default_grid`` walls (written out as floats, so both trees of a diff
+  see the same walls), with Richardson and without.  They reach the
+  oracle's floor: the symmetric one's gap, 1.5e-14 without Richardson,
+  is a rounding residue of 17 ulps of E1, and with Richardson it raises
+  ``GridTooCoarse``; the asymmetric one's gap is 0.0594 both ways.
 """
 
 import argparse
@@ -59,6 +66,12 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
+# (potential, x_min, x_max) of the deep quartics: default_grid's walls
+DEEP_QUARTICS = (
+    ({"family": "biased_quartic", "alpha": 1.0, "a": 3.0}, -6.010542816244191, 6.010542816244191),
+    ({"family": "biased_quartic", "alpha": 1.0, "a": 3.0, "beta": 0.01},
+     -6.010784386465445, 6.010373888509969),
+)
 
 
 def _smooth_twins(name, seed, group):
@@ -125,6 +138,11 @@ def corpus():
     single = {"family": "polynomial", "coeffs": [0, 0, 0.5]}
     grid = {"x_min": -8.0, "x_max": 8.0, "n_points": 2001}
     docs.append(("single_well", {"schema": "tunnelkit/1", "potential": single, "oracle_grid": grid}))
+    for i, (pot, x_min, x_max) in enumerate(DEEP_QUARTICS):
+        for richardson in (True, False):
+            grid = {"x_min": x_min, "x_max": x_max, "n_points": 8001, "richardson": richardson}
+            label = f"deep_quartic{'' if richardson else '_plain'}:{i}"
+            docs.append((label, {"schema": "tunnelkit/1", "potential": pot, "oracle_grid": grid}))
     return docs
 
 
