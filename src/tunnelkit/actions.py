@@ -218,10 +218,10 @@ def _flank_integrals(analysis, E, a_bar, b_bar, rtol, integrands, tentative=None
 
     def chunk_sums(p, counts):
         # each integrand's sums of each count at the pairs p, from one call of v
-        t, half = _panel_nodes(0.0, tops[p], counts)
+        t, width = _panel_nodes(0.0, tops[p], counts)
         w = two_m * (analysis.v(base[p, None] + sign[p, None] * (t * t)) - energy[p, None])
         two_t = 2.0 * t
-        return _panel_sums(np.array([f(two_t, w, m) for f in integrands]), half, counts)
+        return _panel_sums(np.array([f(two_t, w, m) for f in integrands]), width, counts)
 
     def sums(pairs, counts):
         # chunk_sums at the pairs, in chunks of at most _PASS_NODES nodes;

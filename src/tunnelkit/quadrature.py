@@ -13,11 +13,12 @@ tests and as sites that ``perfbench/tracing.py`` wraps.  The barrier-action
 kernel in ``actions`` refines many integrals at once: one sample of the
 potential per pass serves I and dI/dE on both barrier flanks at every
 energy of a batch, and each component keeps its own stopping depth.
-``_panel_nodes`` builds the nodes of a pass of one panel count or of
-several (the kernel's first pass takes 1 and 2), and ``_panel_sums``
-sums each count, for one right end or an array of them; every row gets
-the bits it gets alone.  With ``_unsettled`` and ``_settled``'s test they
-give each component exactly what ``adaptive_quadrature`` gives it alone.
+``_panel_nodes`` scales one cached table of nodes on [0, 1] to a pass of
+one panel count or of several (the kernel's first pass takes 1 and 2),
+and ``_panel_sums`` sums each count, for one right end or an array of
+them; every row gets the bits it gets alone.  With ``_unsettled`` and
+``_settled``'s test they give each component exactly what
+``adaptive_quadrature`` gives it alone.
 """
 
 import functools
@@ -36,52 +37,34 @@ _MAX_DEPTH = 12
 
 
 @functools.cache
-def _tables(counts: tuple[int, ...]):
-    # Edge j of a count is j * ((b - a) / count) + a.  For the left and
-    # then the right edges of all panels: the count and j; then the
-    # number of panels, and the right edges that are b itself.
-    per = np.repeat(np.array(counts, dtype=float), counts)
-    left = np.concatenate([np.arange(count, dtype=float) for count in counts])
-    ends = left.size + np.cumsum(counts) - 1
-    return np.tile(per, 2), np.concatenate([left, left + 1.0]), left.size, ends
+def _unit_nodes(counts: tuple[int, ...]) -> np.ndarray:
+    # node i of panel j of each count's equal panels on [0, 1] is
+    # (j + (1 + x_i) / 2) / count, flat and in the order of counts
+    return np.concatenate([((np.arange(c)[:, None] + 0.5 * (_NODES + 1.0)) / c).ravel() for c in counts])
 
 
 def _panel_nodes(a: float, b, counts: tuple[int, ...]):
     """The nodes of ``count`` equal panels on [a, b] for each count, flat
-    and in the order of counts, and the panel half-widths that
-    ``_panel_sums`` weighs their values by.
-
-    The edges are np.linspace(a, b, count + 1) by linspace's own
-    arithmetic, bit for bit, without its per-call overhead.  An array b
-    gives one row of nodes and half-widths per right end, each equal bit
-    for bit to what that b alone gives.
+    and in the order of counts: a + (b - a) * U, with U their nodes on
+    [0, 1]; and the width b - a that ``_panel_sums`` scales their sums by.
+    An array b gives one row of nodes and one width per right end, each
+    equal bit for bit to what that b alone gives.
     """
-    per, index, panels, ends = _tables(counts)
-    b = np.asarray(b, dtype=float)[..., None]
-    width = b - a
-    step = width / per
-    edges = index * step
-    if np.count_nonzero(step) < step.size:
-        # where the step underflows to 0, linspace scales j / count instead
-        edges = np.where(step == 0, index / per * width, edges)
-    edges += a
-    edges[..., ends] = b
-    lo, hi = edges[..., :panels], edges[..., panels:]
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (hi + lo))[..., None] + half[..., None] * _NODES
-    return nodes.reshape(*half.shape[:-1], panels * _ORDER), half
+    width = np.asarray(b, dtype=float) - a
+    return a + width[..., None] * _unit_nodes(counts), width
 
 
-def _panel_sums(vals: np.ndarray, half: np.ndarray, counts: tuple[int, ...]):
+def _panel_sums(vals: np.ndarray, width, counts: tuple[int, ...]):
     """The composite rule of each count from the values at the nodes of
-    ``_panel_nodes``, one entry per count: a sum, or one per row of rows
-    of nodes.  Each count takes its own product with the weights, since
-    one product over all counts moves bits."""
+    ``_panel_nodes`` and its width, one entry per count: a sum, or one
+    per row of rows of nodes.  Each count's weighted panel sum is scaled
+    once, by width / (2 count), and takes its own product with the
+    weights, since one product over all counts moves bits."""
     sums, start = [], 0
     for count in counts:
-        stop = start + count
-        panels = vals[..., start * _ORDER:stop * _ORDER].reshape(*vals.shape[:-1], count, _ORDER)
-        sums.append((half[..., start:stop] * (panels @ _WEIGHTS)).sum(axis=-1))
+        stop = start + count * _ORDER
+        panels = vals[..., start:stop].reshape(*vals.shape[:-1], count, _ORDER)
+        sums.append((panels @ _WEIGHTS).sum(axis=-1) * (width / (2 * count)))
         start = stop
     return sums
 
@@ -110,8 +93,8 @@ def panel_quadrature(f, a: float, b: float, panels: int) -> float:
         The composite quadrature value.
     """
     # all nodes of all panels in one flat evaluation
-    pts, half = _panel_nodes(a, b, (panels,))
-    return float(_panel_sums(np.asarray(f(pts), dtype=float), half, (panels,))[0])
+    pts, width = _panel_nodes(a, b, (panels,))
+    return float(_panel_sums(np.asarray(f(pts), dtype=float), width, (panels,))[0])
 
 
 def adaptive_quadrature(

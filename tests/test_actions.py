@@ -32,7 +32,7 @@ from tunnelkit import (
     turning_points,
 )
 from tunnelkit.actions import action_rows
-from tunnelkit.quadrature import _NODES, _panel_nodes, _panel_sums
+from tunnelkit.quadrature import _panel_nodes, _panel_sums
 from tunnelkit.splitting import compute_splittings
 from util import (
     DEEP_WELLS,
@@ -54,30 +54,56 @@ class TestQuadrature:
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(a=st.floats(-20.0, 20.0), width=st.floats(0.0, 20.0), panels=st.integers(1, 4096))
-    def test_panel_edges_are_linspace_bit_for_bit(self, a, width, panels):
+    def test_panel_nodes_lie_in_order_on_their_interval(self, a, width, panels):
         # panel_quadrature takes any a: the tests' reference expansion starts
         # at x_L < 0, the barrier actions at 0.
         b = a + width
-        edges = np.linspace(a, b, panels + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        nodes = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * _NODES
-        got, got_half = _panel_nodes(a, b, (panels,))
-        assert np.array_equal(got, nodes.ravel())
-        assert np.array_equal(got_half, half)
+        nodes, got_width = _panel_nodes(a, b, (panels,))
+        assert nodes.shape == (16 * panels,) and got_width == b - a
+        assert a <= nodes[0] and nodes[-1] <= b and np.all(np.diff(nodes) >= 0.0)
+        # an array of right ends gives each row the bits of its scalar call
+        ends = np.array([b, a, a + 0.5 * width, a + 20.0])
+        rows, widths = _panel_nodes(a, ends, (panels,))
+        sums = _panel_sums(np.cos(rows), widths, (panels,))[0]
+        for row, end in enumerate(ends):
+            alone, alone_width = _panel_nodes(a, end, (panels,))
+            assert np.array_equal(rows[row], alone) and widths[row] == alone_width
+            assert sums[row] == _panel_sums(np.cos(alone), alone_width, (panels,))[0]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        coeffs=st.lists(st.integers(-1000, 1000), min_size=1, max_size=32),
+        shift=st.floats(-16.0, 16.0),
+        width=st.floats(1e-100, 20.0),
+        panels=st.integers(1, 4096),
+    )
+    def test_panel_quadrature_is_exact_to_degree_31(self, coeffs, shift, width, panels):
+        # 16 Gauss-Legendre nodes per panel integrate p((x - a) / (b - a))
+        # of degree <= 31 exactly, up to rounding.  a stays within 16
+        # widths of 0, as a node is rounded to an ulp of a.
+        c = np.array(coeffs, dtype=float)
+        a = shift * width
+        b = a + width
+        k = np.arange(c.size)
+        got = panel_quadrature(
+            lambda x: np.polynomial.polynomial.polyval((x - a) / (b - a), c), a, b, panels
+        )
+        exact = (b - a) * np.sum(c / (k + 1))
+        assert abs(got - exact) <= 1e-13 * (b - a) * np.sum(np.abs(c) / (k + 1))
 
     def test_a_pass_of_two_counts_is_each_count_alone(self):
         # the action kernel's first pass takes depths 0 and 1 of every
         # flank from one call of the builder
         b = np.array([0.0, 1e-300, 0.3, 1.0, 7.25, 123.456])
         vals = np.cos(3.0 * b[:, None] * np.arange(48.0))
-        nodes, half = _panel_nodes(0.0, b, (1, 2))
-        one, one_half = _panel_nodes(0.0, b, (1,))
-        two, two_half = _panel_nodes(0.0, b, (2,))
+        nodes, width = _panel_nodes(0.0, b, (1, 2))
+        one, one_width = _panel_nodes(0.0, b, (1,))
+        two, two_width = _panel_nodes(0.0, b, (2,))
         assert np.array_equal(nodes, np.concatenate([one, two], axis=1))
-        assert np.array_equal(half, np.concatenate([one_half, two_half], axis=1))
-        sums = _panel_sums(vals, half, (1, 2))
-        assert np.array_equal(sums[0], _panel_sums(vals[:, :16], one_half, (1,))[0])
-        assert np.array_equal(sums[1], _panel_sums(vals[:, 16:], two_half, (2,))[0])
+        assert np.array_equal(width, one_width) and np.array_equal(width, two_width)
+        sums = _panel_sums(vals, width, (1, 2))
+        assert np.array_equal(sums[0], _panel_sums(vals[:, :16], one_width, (1,))[0])
+        assert np.array_equal(sums[1], _panel_sums(vals[:, 16:], two_width, (2,))[0])
 
     def test_adaptive_quadrature_matches_analytic_integral(self):
         val = adaptive_quadrature(np.sin, 0.0, math.pi, rtol=1e-13)

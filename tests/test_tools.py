@@ -1,4 +1,4 @@
-"""tools/output_digest.py: its --diff mode."""
+"""tools/output_digest.py: its --diff mode, on the corpus and on generated configs."""
 import importlib.util
 import math
 import pathlib
@@ -26,6 +26,22 @@ def test_two_identical_trees_differ_in_no_output(tmp_path):
     assert r.returncode == 0, r.stderr
     [line] = r.stdout.splitlines()
     assert line.startswith("0 of ") and line.endswith(f" outputs differ from {tmp_path / 'src'}")
+
+
+def test_two_identical_trees_differ_in_no_generated_output(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    r = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT / "src"), "--diff", str(tmp_path / "src"),
+         "--generated", "20"],
+        capture_output=True, text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    # every generated config has a sweep and an oracle grid: four runs each
+    assert r.stdout.splitlines() == [
+        "20 of 20 generated configs",
+        "0 of 80 runs flip their exit code or error class",
+        f"0 of 80 outputs differ from {tmp_path / 'src'}",
+    ]
 
 
 def test_moves_name_the_largest_relative_move_of_each_field():
@@ -64,3 +80,20 @@ def test_the_diff_closes_with_the_largest_move_of_each_numeric_field(monkeypatch
         "3 of 4 outputs differ from old",
     ]
     assert tool.largest_moves([{"x": "changed"}, {"structure": "changed"}]) == {}
+
+
+def test_the_diff_counts_the_runs_whose_outcome_flips(monkeypatch, capsys):
+    tool = load_tool()
+    coarse = ("GridTooCoarse: ...\n", {"error": "GridTooCoarse: ...\n", "outcome": "3 GridTooCoarse"}, "")
+    old = {"a run_analyze": ("1", {"E0": 1.0}, ""), "b run_oracle": coarse, "c run_oracle": coarse}
+    new = {
+        "a run_analyze": ("Q: ...\n", {"error": "Q: ...\n", "outcome": "4 QuadratureNonConvergence"}, ""),
+        "b run_oracle": coarse,
+        "c run_oracle": ("2", {"E0": 1.0}, ""),
+    }
+    monkeypatch.setattr(tool, "run_corpus", lambda src: (old if src.name == "old" else new, False))
+    assert tool.main(["output_digest.py", "new", "--diff", "old"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    flips = lines.index("2 of 3 runs flip their exit code or error class, OLD_SRC -> SRC:")
+    assert lines[flips + 1 : flips + 3] == ["  0 -> 4 QuadratureNonConvergence: 1", "  3 GridTooCoarse -> 0: 1"]
+    assert tool.outcome(old["a run_analyze"]) == "0" and tool.outcome(coarse) == "3 GridTooCoarse"

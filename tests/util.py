@@ -229,22 +229,22 @@ def reference_flank_integrals(consts, E, analysis, a_bar, b_bar, rtol, integrand
         if not open_comps:
             break
         blocks = [
-            (flank, *_panel_nodes(0.0, tops[flank], (2**depth,)))
+            (flank, 2**depth, *_panel_nodes(0.0, tops[flank], (2**depth,)))
             for flank in sorted({flank for _, flank in open_comps})
             for depth in depths
         ]
         x = np.concatenate(
-            [a_bar + t * t if flank == 0 else b_bar - t * t for flank, t, _ in blocks]
+            [a_bar + t * t if flank == 0 else b_bar - t * t for flank, _, t, _ in blocks]
         )
-        two_t = 2.0 * np.concatenate([t for _, t, _ in blocks])
+        two_t = 2.0 * np.concatenate([t for _, _, t, _ in blocks])
         w = two_m * (analysis.v(x) - E)
         vals = {f: f(two_t, w, m) for f in {f for f, _ in open_comps}}
         start = 0
-        for flank, t, half in blocks:
+        for flank, count, t, width in blocks:
             stop = start + t.size
             for c in open_comps:
                 if c[1] == flank and c not in done:
-                    val = float(_panel_sums(vals[c[0]][start:stop], half, (half.size,))[0])
+                    val = float(_panel_sums(vals[c[0]][start:stop], width, (count,))[0])
                     if _settled(val, last[c], rtol):
                         done[c] = val
                     last[c] = val
@@ -404,21 +404,6 @@ def reference_lowest_two(spec, consts, grid, analysis=None):
     )
     noise = np.finfo(float).eps * (np.abs(diag).max() + 2.0 * abs(off[0]))
     return float(vals[0]), float(vals[1]), float(noise)
-
-
-def rel_diff(a, b):
-    return abs(a - b) / max(abs(a), abs(b))
-
-
-def central_diff(fn, x, h):
-    return (fn(x + h) - fn(x - h)) / (2.0 * h)
-
-
-def is_monotone(seq, direction):
-    pairs = zip(seq, seq[1:])
-    if direction == "up":
-        return all(b > a for a, b in pairs)
-    return all(b < a for a, b in pairs)
 
 
 assert math.isclose(SEXTIC_Q1, 0.25650557620817843, rel_tol=0, abs_tol=0)

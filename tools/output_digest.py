@@ -27,6 +27,24 @@ differ; it exits 1 when any output differs:
 
     python3 tools/output_digest.py src --diff ../parent/src
 
+With ``--generated N`` as well, the diff runs on N configs drawn,
+derandomized, from the ``GENERATED_CONFIGS`` strategy of
+``tests/test_cli.py`` instead of the corpus, each through all four
+runners; it needs hypothesis, and lists no output by itself, only the
+largest moves.  ``--normal-ranges`` keeps only the draws whose every
+float lies in [1e-3, 20] in magnitude or is 0, the union of the
+strategy's normal ranges, so it drops the draws that took the
+[1e-300, 1e300] quarter (but for the 0.7 % of its values that land in
+[1e-3, 20]).
+A RuntimeWarning is an error in every run, of the corpus too.  Both
+modes print how many runs flip their exit code or error class, with a
+from -> to table of the flips; the corpus prints it only when one does:
+
+    python3 tools/output_digest.py src --diff ../parent/src --generated 3000
+
+On a 2-core x86-64 machine (Python 3.11.7, numpy 2.4.6, scipy 1.17.1)
+the 3000 draws take about 17 s, and their 12000 runs 16-17 s per tree.
+
 The corpus:
 
 * the ``perfbench/inputs.py`` inputs of seeds 1-3: 12 ``wells``,
@@ -57,12 +75,15 @@ The corpus:
 """
 
 import argparse
+import collections
+import functools
 import hashlib
 import json
 import math
 import pathlib
 import re
 import sys
+import warnings
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
@@ -168,14 +189,52 @@ def _csv_fields(csv_text):
                 yield f"csv.{name}", cell
 
 
-def run_corpus(src):
-    """{"label runner": (text, document, csv)} of the corpus on the ``tunnelkit`` of SRC.
+def generated(n, normal_ranges, src):
+    """(label, config document) pairs of n derandomized draws of
+    ``tests/test_cli.py``'s ``GENERATED_CONFIGS``, imported with the
+    ``tunnelkit`` of SRC; with ``normal_ranges``, only those whose every
+    float lies in [1e-3, 20] in magnitude (widened for the rounding of
+    10**e) or is 0."""
+    from hypothesis import HealthCheck, Phase, given, settings
+
+    sys.path[:0] = [str(ROOT / "tests"), str(src)]
+    try:
+        import test_cli
+    finally:
+        del sys.path[:2]
+    docs = []
+
+    @settings(max_examples=n, derandomize=True, database=None, deadline=None,
+              phases=[Phase.generate], suppress_health_check=list(HealthCheck))
+    @given(doc=test_cli.GENERATED_CONFIGS)
+    def draw(doc):
+        docs.append(doc)
+
+    draw()
+    if normal_ranges:
+        docs = [
+            doc for doc in docs
+            if all(not isinstance(v, float) or v == 0.0 or 0.999e-3 <= abs(v) <= 20.02
+                   for _, v in _fields(doc, ""))
+        ]
+    return [(f"generated:{i}", doc) for i, doc in enumerate(docs)]
+
+
+def outcome(run):
+    """The exit code of a run of ``run_corpus`` and the class of its error: "0",
+    "3 GridTooCoarse", or "4 internal ValueError" for an error that leaked."""
+    return run[1].get("outcome", "0")
+
+
+def run_corpus(src, docs=None):
+    """{"label runner": (text, document, csv)} of the corpus, or of the
+    (label, config document) pairs ``docs``, on the ``tunnelkit`` of SRC.
 
     ``text`` is what the digest hashes; the document and the CSV text are
-    the run's, or {"error": text} and "" for a run that raised.  Returns
-    the runs, None when ``tunnelkit`` cannot be imported from SRC, and a
-    flag that is true when a run leaked an error that is not a
-    ``TunnelkitError``.
+    the run's, or {"error": text, "outcome": ``outcome``} and "" for a run
+    that raised.  Returns the runs, None when ``tunnelkit`` cannot be
+    imported from SRC, and a flag that is true when a run leaked an error
+    that is not a ``TunnelkitError``; a RuntimeWarning is raised as one.
     """
     for name in [name for name in sys.modules if name.split(".")[0] == "tunnelkit"]:
         del sys.modules[name]  # a tree imported before
@@ -189,7 +248,7 @@ def run_corpus(src):
         print(f"tunnelkit was imported from {tunnelkit.__file__}, not {src}", file=sys.stderr)
         return None, True
     runs, failed = {}, False
-    for label, doc in corpus():
+    for label, doc in corpus() if docs is None else docs:
         runners = [cli.run_analyze]
         if "sweep" in doc:
             runners.append(cli.run_sweep)
@@ -197,15 +256,19 @@ def run_corpus(src):
             runners += [cli.run_oracle, cli.run_compare]
         for runner in runners:
             try:
-                out, csv_text = runner(tunnelkit.parse_config(doc))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    out, csv_text = runner(tunnelkit.parse_config(doc))
                 text = json.dumps(out, indent=2, allow_nan=False) + "\n" + csv_text
             except tunnelkit.TunnelkitError as exc:
                 text = f"{type(exc).__name__}: {exc}\n"
-                out, csv_text = {"error": text}, ""
+                code = (2 if isinstance(exc, tunnelkit.ConfigError)
+                        else 3 if isinstance(exc, tunnelkit.RegimeError) else 4)
+                out, csv_text = {"error": text, "outcome": f"{code} {type(exc).__name__}"}, ""
             except Exception as exc:  # a leak past the error hierarchy
                 print(f"{label} {runner.__name__}: {type(exc).__name__}: {exc}", file=sys.stderr)
                 text, failed = f"leaked {type(exc).__name__}: {exc}\n", True
-                out, csv_text = {"error": text}, ""
+                out, csv_text = {"error": text, "outcome": f"4 internal {type(exc).__name__}"}, ""
             runs[f"{label} {runner.__name__}"] = text, out, csv_text
     return runs, failed
 
@@ -259,7 +322,15 @@ def main(argv):
     parser.add_argument("src", type=pathlib.Path, help="the src directory to import tunnelkit from")
     parser.add_argument("--diff", type=pathlib.Path, metavar="OLD_SRC",
                         help="list the outputs that differ from those of OLD_SRC")
+    parser.add_argument("--generated", type=int, metavar="N",
+                        help="with --diff: run N generated configs instead of the corpus")
+    parser.add_argument("--normal-ranges", action="store_true",
+                        help="with --generated: keep only the draws in the strategy's normal ranges")
     args = parser.parse_args(argv[1:])
+    if args.generated is not None and args.diff is None:
+        parser.error("--generated needs --diff")
+    if args.normal_ranges and args.generated is None:
+        parser.error("--normal-ranges needs --generated")
     if args.diff is None:
         runs, failed = run_corpus(args.src.resolve())
         if runs is None:
@@ -269,11 +340,16 @@ def main(argv):
             digest.update(f"{key}\n{text}".encode())
         print(f"{len(runs)} outputs sha256 {digest.hexdigest()}")
         return 1 if failed else 0
-    old, old_failed = run_corpus(args.diff.resolve())
-    runs, failed = run_corpus(args.src.resolve())
+    run = run_corpus
+    if args.generated is not None:
+        docs = generated(args.generated, args.normal_ranges, args.src.resolve())
+        print(f"{len(docs)} of {args.generated} generated configs")
+        run = functools.partial(run_corpus, docs=docs)
+    old, old_failed = run(args.diff.resolve())
+    runs, failed = run(args.src.resolve())
     if old is None or runs is None:
         return 2
-    differ, found = 0, []
+    differ, found, flips = 0, [], collections.Counter()
     for key in [*runs, *(key for key in old if key not in runs)]:
         if key in runs and key in old and runs[key][0] == old[key][0]:
             continue
@@ -281,10 +357,18 @@ def main(argv):
         if key not in runs or key not in old:
             print(f"{key}: only in {'OLD_SRC' if key in old else 'SRC'}")
             continue
-        print(f"{key}:")
         found.append(moves(old[key], runs[key]))
-        for path, move in found[-1].items():
-            print(f"  {path} {move if isinstance(move, str) else f'{move:.3g}'}")
+        if outcome(old[key]) != outcome(runs[key]):
+            flips[outcome(old[key]), outcome(runs[key])] += 1
+        if args.generated is None:
+            print(f"{key}:")
+            for path, move in found[-1].items():
+                print(f"  {path} {move if isinstance(move, str) else f'{move:.3g}'}")
+    if flips or args.generated is not None:
+        print(f"{flips.total()} of {len(runs)} runs flip their exit code or error class"
+              + (", OLD_SRC -> SRC:" if flips else ""))
+        for (was, now), count in sorted(flips.items()):
+            print(f"  {was} -> {now}: {count}")
     if found:
         print("largest move of each numeric field over the outputs that differ:")
         for path, move in largest_moves(found).items():
