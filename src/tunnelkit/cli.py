@@ -42,7 +42,10 @@ stay empty.
 A bias point, of ``analyze`` or of one sweep step, is built once
 (``_point``): its JSON row and its CSV line are written from the same
 values, so the two formats cannot disagree.  Every CSV line, of every
-command, is written by one function (``_line``).  Only the CSV's
+command, is written by one function (``_line``), which holds the one rule
+for what was not computed: a None or NaN value, such as the root offsets
+of a point whose solve fell back or the oracle levels of a point without
+a grid, is an empty cell.  Only the CSV's
 ``dE_trans_plus``/``dE_trans_minus`` come from the solved offsets of the
 roots themselves, which the JSON's ``E_trans_plus``/``E_trans_minus``
 round to ulp(E_bar).
@@ -114,25 +117,11 @@ def _jf(x):
 def _line(form, values) -> str:
     """One CSV line: the %-format ``form`` of ``values``, its numbers as
     %.17g.  A value not computed (None or NaN: no grid, or the root solve
-    fell back) is an empty cell."""
+    fell back) is an empty cell: %.17g writes a NaN as "nan", which no
+    other number, and no text cell of a line (a method name), contains."""
     if None in values:
-        values = tuple(math.nan if v is None else v for v in values)
-    text = form % values
-    if "nan" in text:
-        text = ",".join("" if cell == "nan" else cell for cell in text.split(","))
-    return text
-
-
-# The numeric cells of a CSV_HEADER line, up to its warn flags, as one
-# %-format per (roots solved, spectrum solved): the root offsets and the
-# oracle levels are empty cells when not computed.
-_LINE_FORMATS = {
-    (roots, spectrum): ",".join(
-        ["%.17g"] * 9 + ["%.17g" if roots else ""] * 2 + ["%.17g" if spectrum else ""] * 3 + [""]
-    )
-    for roots in (False, True)
-    for spectrum in (False, True)
-}
+        values = tuple([math.nan if v is None else v for v in values])
+    return (form % values).replace("nan", "")
 
 
 def _csv_text(header, lines) -> str:
@@ -149,8 +138,7 @@ def _potential_doc(spec):
 
 
 def _splitting_doc(result):
-    """A point's JSON splitting block, and its CSV cells I_bar .. E_minus,
-    from one reading of ``result``.
+    """A point's JSON splitting block, from one reading of ``result``.
 
     The block keeps its JSON names and key order; its nine root keys are
     null when the root solve was skipped.
@@ -159,17 +147,15 @@ def _splitting_doc(result):
     roots = dict.fromkeys(_ROOT_FIELDS)
     if result.roots is not None:
         roots = {key: getattr(result.roots, key) for key in _ROOT_FIELDS}
-    i_bar, i_slope, delta_e = result.I_bar, result.action.I_slope, result.delta_E
-    e_plus, e_minus = e_bar + shifts.dE_plus, e_bar + shifts.dE_minus
     doc = {
-        "I_bar": i_bar,
-        "I_slope": i_slope,
+        "I_bar": result.I_bar,
+        "I_slope": result.action.I_slope,
         "delta": shifts.delta,
-        "delta_E": delta_e,
+        "delta_E": result.delta_E,
         "dE_plus": shifts.dE_plus,
         "dE_minus": shifts.dE_minus,
-        "E_plus": e_plus,
-        "E_minus": e_minus,
+        "E_plus": e_bar + shifts.dE_plus,
+        "E_minus": e_bar + shifts.dE_minus,
         "b_prime": shifts.b_prime,
         "u": shifts.u,
         "delta_E_quadratic": result.delta_E_quadratic,
@@ -178,7 +164,7 @@ def _splitting_doc(result):
         "delta_E_transcendental": _jf(result.delta_E_transcendental),
     }
     doc.update(roots)  # zeta_L_plus ... residual_minus
-    return doc, (i_bar, i_slope, shifts.delta, delta_e, e_plus, e_minus)
+    return doc
 
 
 def _spectrum_doc(spectrum):
@@ -220,8 +206,9 @@ def _point(config: RunConfig, analysis: WellAnalysis, outcome, oracle=None):
     raised before any error of the eigensolve.
 
     The row and the line are written from the same values.  The line's
-    cells carry 17 significant digits, and a value not computed (None or
-    NaN) is an empty cell.
+    cells carry 17 significant digits; the root offsets and the oracle
+    levels that were not computed go to ``_line`` as None, which writes
+    them, as any None or NaN, as empty cells.
     """
     result, error = outcome
     if error is not None and not isinstance(error, RootNotBracketed):
@@ -234,7 +221,7 @@ def _point(config: RunConfig, analysis: WellAnalysis, outcome, oracle=None):
     if error is not None:
         flags.append("transcendental_unbracketed")
     spectrum = None if oracle is None else oracle(analysis)
-    split, cells = _splitting_doc(result)
+    split = _splitting_doc(result)
     tilde_eps, eps, e_bar = analysis.tilde_eps, analysis.eps, analysis.E_bar
     row = {
         "tilde_eps": tilde_eps,
@@ -244,14 +231,16 @@ def _point(config: RunConfig, analysis: WellAnalysis, outcome, oracle=None):
         "oracle": None if spectrum is None else _spectrum_doc(spectrum),
         "warn_flags": flags,
     }
-    values = (tilde_eps, eps, e_bar, *cells)
     roots = result.roots
-    if roots is not None:
-        values += (roots.delta_plus, roots.delta_minus)
-    if spectrum is not None:
-        values += (spectrum.E0, spectrum.E1, spectrum.splitting)
-    line = _line(_LINE_FORMATS[roots is not None, spectrum is not None], values)
-    return row, line + ";".join(flags), result, spectrum
+    offsets = (None, None) if roots is None else (roots.delta_plus, roots.delta_minus)
+    levels = (None,) * 3 if spectrum is None else (spectrum.E0, spectrum.E1, spectrum.splitting)
+    values = (
+        tilde_eps, eps, e_bar,
+        split["I_bar"], split["I_slope"], split["delta"], split["delta_E"],
+        split["E_plus"], split["E_minus"], *offsets, *levels,
+    )
+    # the 14 numeric cells of a CSV_HEADER line, then its warn flags
+    return row, _line("%.17g," * 14, values) + ";".join(flags), result, spectrum
 
 
 def _base_doc(command: str, config: RunConfig):

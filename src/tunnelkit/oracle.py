@@ -130,6 +130,11 @@ def _decay_lengths(analysis: WellAnalysis) -> tuple[float, float]:
         if c.mass * omega == 0.0:
             raise ConfigError(f"mass {c.mass:g} times {name} = {omega:g} underflows")
         lengths.append(math.sqrt(c.hbar / (c.mass * omega)))
+        if lengths[-1] == 0.0:
+            raise ConfigError(
+                f"the decay length sqrt(hbar / (mass {name})) underflows: "
+                f"hbar = {c.hbar:g}, mass = {c.mass:g}, {name} = {omega:g}"
+            )
     return lengths[0], lengths[1]
 
 

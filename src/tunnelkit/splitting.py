@@ -186,19 +186,6 @@ def _zeta_pair(half_eps, delta, hw_l, hw_r):
     return (half_eps + delta) / hw_l, (delta - half_eps) / hw_r
 
 
-def _root_zetas(analysis: WellAnalysis, delta: float, tail: float):
-    # (zeta_L, zeta_R) of a root at offset delta, where the condition's
-    # right side is tail.  The zeta of the well the root sits in, the
-    # smaller one, is the cancellation delta -/+ eps/2 in _zeta_pair,
-    # rounding noise of eps/2; the condition zeta_L zeta_R = tail gives it
-    # from the other zeta instead.
-    hbar = analysis.consts.hbar
-    zl, zr = _zeta_pair(0.5 * analysis.eps, delta, hbar * analysis.omega_L, hbar * analysis.omega_R)
-    if abs(zl) < abs(zr):
-        return tail / zr, zr
-    return zl, tail / zl
-
-
 def _energy_window(analysis: WellAnalysis, right_floor: float):
     # Open energy interval (lo_lim, hi_lim) searched for the two roots,
     # above both floors of the curve; a bias dialed below the curve's own
@@ -233,14 +220,14 @@ def _dlnf(zeta: float) -> float:
     )
 
 
-def _newton_root(analyses, deltas, windows, rtol, known=None):
+def _newton_root(analyses, deltas, windows, rtol, known):
     """Newton iteration on the quantization residual in the offset
     delta = E - E_bar, run in lockstep on one or more rows that share one
     curve.
 
     Row i starts from deltas[i] on analyses[i] and searches the open
-    window windows[i] = (lo, hi) of offsets.  known[i], when given and not
-    None, is the ``action_rows`` outcome at row i's start energy
+    window windows[i] = (lo, hi) of offsets.  known[i], when not None, is
+    the ``action_rows`` outcome at row i's start energy
     E_bar + deltas[i], which its first iterate then takes as it is.  Every
     iterate takes the actions of all other open rows in one
     ``action_rows`` batch, and none when there are none; each row's
@@ -251,14 +238,17 @@ def _newton_root(analyses, deltas, windows, rtol, known=None):
     tail * c cannot move head's float, and the slope is head, taken
     without the digammas of c: on deep wells, where tail ~ exp(-2 I), at
     every row.  Returns one entry per row:
-    (root offset, residual at the root, f(zeta_L) f(zeta_R) exp(-2 I)
-    there); or the cause that ended it, an iterate that left the window
+    (root offset, residual at the root, zeta_L, zeta_R there), where the
+    zeta of the well the root sits in, the smaller, whose delta -/+ eps/2
+    is rounding noise of eps/2, is tail / the other zeta, from
+    zeta_L zeta_R = tail = f(zeta_L) f(zeta_R) exp(-2 I);
+    or the cause that ended it, an iterate that left the window
     or |zeta| < 0.4, or a step not settled after _NEWTON_STEPS iterates;
     or the TunnelkitError of its action.
     """
     out = [None] * len(analyses)
     deltas = list(deltas)
-    known = list(known) if known is not None else [None] * len(analyses)
+    known = list(known)
     # the quanta of the curve, and each row's mean level and half bias
     hbar = analyses[0].consts.hbar
     hw_l, hw_r = hbar * analyses[0].omega_L, hbar * analyses[0].omega_R
@@ -305,7 +295,11 @@ def _newton_root(analyses, deltas, windows, rtol, known=None):
                 slope = head - tail * (_dlnf(zl) * dzl + _dlnf(zr) * dzr - 2.0 * act.I_slope)
             step = res / slope
             if abs(step) <= _STEP_RTOL * abs(delta):
-                out[r] = (delta, res, tail)
+                if abs(zl) < abs(zr):
+                    zl = tail / zr
+                else:
+                    zr = tail / zl
+                out[r] = (delta, res, zl, zr)
             else:
                 deltas[r] = delta - step
                 open_rows.append(r)
@@ -326,10 +320,8 @@ def _roots(analysis, plus, minus):
             )
         if isinstance(end, TunnelkitError):
             return None, end
-    (d_plus, res_plus, tail_plus), (d_minus, res_minus, tail_minus) = plus, minus
+    (d_plus, res_plus, zl_p, zr_p), (d_minus, res_minus, zl_m, zr_m) = plus, minus
     e_bar = analysis.E_bar
-    zl_p, zr_p = _root_zetas(analysis, d_plus, tail_plus)
-    zl_m, zr_m = _root_zetas(analysis, d_minus, tail_minus)
     roots = QuantizationResult(
         E_plus=e_bar + d_plus,
         E_minus=e_bar + d_minus,

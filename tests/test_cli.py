@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tunnelkit.cli
 import tunnelkit.oracle
@@ -1321,6 +1321,29 @@ class TestExitCodes:
             "regime error: barrier height 1.0069e-117 does not exceed mean level 3.9647e-57\n"
         )
 
+    def test_a_decay_length_that_underflows_is_a_config_error(self, tmp_path, capsys):
+        # sqrt(hbar / (m omega_L)) is 0, which the seed grid's node count
+        # would divide by
+        path = write_json(tmp_path, "ell.json", UNDERFLOWING_DECAY_LENGTH)
+        assert main(["oracle", path]) == 2
+        assert capsys.readouterr().err == f"config error: {DECAY_LENGTH_REFUSAL}\n"
+
+    def test_analyze_refuses_a_decay_length_that_underflows_in_its_oracle(self, tmp_path, capsys):
+        # The decay length is 0 only where hbar omega / V0, about
+        # (decay length / well width)^2, is so small that the action's
+        # quadrature does not settle: analyze ends there, with exit 4,
+        # before its oracle runs.  The oracle that it runs on its analysis
+        # refuses as the oracle command does.
+        path = write_json(tmp_path, "ell.json", UNDERFLOWING_DECAY_LENGTH)
+        assert main(["analyze", path]) == 4
+        assert capsys.readouterr().err.startswith("numerical error: quadrature did not settle")
+        config = parse_config(UNDERFLOWING_DECAY_LENGTH)
+        spec, consts = config.potential, config.constants
+        analysis = analyze(spec, consts, orient=config.orient, require_wkb=True)
+        with pytest.raises(tunnelkit.ConfigError) as refused:
+            eigen_lowest_two(spec, consts, config.oracle_grid, analysis=analysis)
+        assert str(refused.value) == DECAY_LENGTH_REFUSAL
+
     def test_an_unsolved_seed_grid_is_a_numerical_error(self, tmp_path, capsys):
         # t = hbar^2 / (2 m h^2) is about 2e244: LAPACK's bisection does not converge
         doc = {
@@ -1598,19 +1621,37 @@ GENERATED_CONFIGS = st.fixed_dictionaries({
 })
 
 
+# hbar / (m omega) underflows to 0, and with it the decay length that
+# the oracle's seed grid divides by
+UNDERFLOWING_DECAY_LENGTH = {
+    "schema": "tunnelkit/1",
+    "potential": {"family": "biased_quartic", "alpha": 3.04e285, "a": 1.051, "beta": 0.0},
+    "constants": {"hbar": 1e-300, "mass": 1.0},
+    "oracle_grid": {"x_min": -3.0, "x_max": 9.5, "n_points": 118, "richardson": True},
+    "sweep": {"parameter": "tilde_eps", "from": -0.4, "to": 0.4, "steps": 9},
+}
+DECAY_LENGTH_REFUSAL = (
+    "the decay length sqrt(hbar / (mass omega_L)) underflows: "
+    "hbar = 1e-300, mass = 1, omega_L = 1.63902e+143"
+)
+
+
 class TestGeneratedConfigs:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(doc=GENERATED_CONFIGS)
+    @example(doc=UNDERFLOWING_DECAY_LENGTH)
     def test_every_runner_ends_in_a_classified_outcome(self, doc):
-        # each run returns or raises a TunnelkitError; a RuntimeWarning,
-        # like any other exception, fails the test
+        # each run returns a document that dumps as strict JSON, or raises
+        # a TunnelkitError; a RuntimeWarning, like any other exception,
+        # fails the test
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             for runner in (run_analyze, run_sweep, run_oracle, run_compare):
                 try:
-                    runner(parse_config(doc))
+                    out, _ = runner(parse_config(doc))
                 except TunnelkitError:
-                    pass
+                    continue
+                json.dumps(out, allow_nan=False)
 
 
 class TestPotentialBlock:
@@ -1867,7 +1908,7 @@ class TestReadmeConfig:
                 solve=False,
                 rtol=config.tolerances.quad_rtol,
             )
-            assert point["splitting"] == _splitting_doc(unsolved)[0]
+            assert point["splitting"] == _splitting_doc(unsolved)
 
 
 class TestProcessOutput:

@@ -262,6 +262,7 @@ def test_newton_roots_match_the_bracketed_reference(spec, mirrored):
         [shifts.dE_plus, shifts.dE_minus],
         [(lo_lim - a.E_bar, 0.0), (0.0, hi_lim - a.E_bar)],
         1e-12,
+        [None, None],
     )
     assert all(isinstance(end, tuple) for end in ends), ends
     r = compute_splitting(spec, C, analysis=a)
@@ -282,7 +283,7 @@ def test_newton_roots_match_the_bracketed_reference(spec, mirrored):
 @given(spec=DEEP_WELLS, mirrored=st.booleans())
 def test_skipping_the_log_slope_of_f_moves_no_root(spec, mirrored):
     # With _DLNF_BOUND infinite the slope rule never holds and every row
-    # takes d(ln f)/dzeta: the roots, residuals and tails are the same bits.
+    # takes d(ln f)/dzeta: the roots, residuals and zetas are the same bits.
     if mirrored:
         spec = mirror(spec)
     a = analyze(spec, C)
@@ -295,6 +296,7 @@ def test_skipping_the_log_slope_of_f_moves_no_root(spec, mirrored):
             [shifts.dE_plus, shifts.dE_minus],
             [(lo_lim - a.E_bar, 0.0), (0.0, hi_lim - a.E_bar)],
             1e-12,
+            [None, None],
         )
 
     skipped = ends()
@@ -377,7 +379,7 @@ def test_newton_starts_inside_its_side_of_an_eight_spacing_symmetric_well():
     shifts = level_shifts(a, evaluate_action(spec, C, analysis=a))
     lo_lim, _ = splitting._energy_window(a, a.v(a.x_R))
     assert a.E_bar + shifts.dE_plus == a.E_bar
-    [end] = splitting._newton_root([a], [shifts.dE_plus], [(lo_lim - a.E_bar, 0.0)], 1e-12)
+    [end] = splitting._newton_root([a], [shifts.dE_plus], [(lo_lim - a.E_bar, 0.0)], 1e-12, [None])
     assert isinstance(end, tuple), end
 
 

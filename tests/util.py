@@ -291,7 +291,7 @@ def reference_point(config, analysis):
         "tilde_eps": analysis.tilde_eps,
         "eps": analysis.eps,
         "E_bar": analysis.E_bar,
-        "splitting": _splitting_doc(result)[0],
+        "splitting": _splitting_doc(result),
         "oracle": None,
         "warn_flags": _warn_flags(config, analysis, result.I_bar) + fallback,
     }
