@@ -440,8 +440,6 @@ def run_compare(config: RunConfig):
     doc["oracle"] = _spectrum_doc(spectrum)
     doc["methods"] = table
     doc["warn_flags"] = _warn_flags(config, analysis, result.I_bar)
-    if result.shifts.delta < 0.0:
-        doc["warn_flags"].append("delta_negative")
     doc["csv"] = {"header": COMPARE_HEADER, "rows": lines}
     return doc, _csv_text(COMPARE_HEADER, lines)
 

@@ -138,33 +138,6 @@ def _decay_lengths(analysis: WellAnalysis) -> tuple[float, float]:
     return lengths[0], lengths[1]
 
 
-def _outer_turning_point(analysis: WellAnalysis, side: str, E: float) -> float:
-    """Solve v(x) = E outside the well on the given side ("left"/"right").
-
-    A bracket from the well's floor outward doubles from one decay length
-    until v > E at its far end.  ``_flank_roots`` solves it from the
-    harmonic turning point: a float where v < E next to one where v >= E.
-    """
-    left = side == "left"
-    x0, omega = (analysis.x_L, analysis.omega_L) if left else (analysis.x_R, analysis.omega_R)
-    sign = -1.0 if left else 1.0
-    d = min(_decay_lengths(analysis))
-    for _ in range(200):
-        if analysis.v(x0 + sign * d) > E:
-            break
-        d *= 2.0
-    else:
-        raise ConfigError("potential does not confine; no outer wall found")
-    depth = E - analysis.v(x0)
-    if depth < 0.0:
-        raise NumericsError(
-            f"E = {E:g} is below the {side} well floor {analysis.v(x0):g}: no outer turning point"
-        )
-    lo, hi = (x0 + sign * d, x0) if left else (x0, x0 + sign * d)
-    start = x0 + sign * math.sqrt(2.0 * depth / analysis.consts.mass) / omega
-    return float(_flank_roots(analysis, [E], [lo], [hi], [start], [not left])[0])
-
-
 def default_grid(
     spec,
     consts: PhysConstants = DEFAULT_CONSTANTS,
@@ -172,23 +145,41 @@ def default_grid(
 ) -> GridSpec:
     """Grid walls wide enough that the doublet is box-insensitive.
 
-    The walls sit at the classical turning points of the energy
-    E_bar + 10 hbar max(w_L, w_R), pushed outward by five harmonic decay
-    lengths sqrt(hbar / (m w)) of the adjacent well, on the axis of
-    ``spec``.  Where that energy lies below the right well's floor v(x_R)
-    (a bias of some 20 level spacings), the right wall is taken at
-    v(x_R) + 10 hbar w_R instead.  The node count and Richardson setting
-    are the ``GridSpec`` defaults.
+    Each wall sits at the classical turning point, outside its well, of
+    the energy E_bar + 10 hbar max(w_L, w_R), or of v(x_well) + 10 hbar
+    w_well where the first lies below that well's floor (a bias of some
+    20 level spacings), pushed outward by the well's harmonic decay
+    length sqrt(hbar / (m w)) five times, on the axis of ``spec``.  A
+    bracket from the well's floor outward doubles from the shorter decay
+    length until v exceeds the energy at its far end (a ConfigError after
+    200 doublings: the potential does not confine), and ``_flank_roots``
+    solves it from the harmonic turning point.  The node count and
+    Richardson setting are the ``GridSpec`` defaults.
     """
     if analysis is None:
         analysis = analyze(spec, consts)
     c = analysis.consts
     e_hi = analysis.E_bar + 10.0 * c.hbar * max(analysis.omega_L, analysis.omega_R)
-    right_floor = analysis.v(analysis.x_R)
-    e_right = e_hi if e_hi >= right_floor else right_floor + 10.0 * c.hbar * analysis.omega_R
     ell_l, ell_r = _decay_lengths(analysis)
-    x_min = _outer_turning_point(analysis, "left", e_hi) - 5.0 * ell_l
-    x_max = _outer_turning_point(analysis, "right", e_right) + 5.0 * ell_r
+    walls = []
+    for sign, x0, omega, ell in (
+        (-1.0, analysis.x_L, analysis.omega_L, ell_l),
+        (1.0, analysis.x_R, analysis.omega_R, ell_r),
+    ):
+        floor = analysis.v(x0)
+        e = e_hi if e_hi >= floor else floor + 10.0 * c.hbar * omega
+        d = min(ell_l, ell_r)
+        for _ in range(200):
+            if analysis.v(x0 + sign * d) > e:
+                break
+            d *= 2.0
+        else:
+            raise ConfigError("potential does not confine; no outer wall found")
+        lo, hi = sorted((x0, x0 + sign * d))
+        start = x0 + sign * math.sqrt(2.0 * (e - floor) / c.mass) / omega
+        turn = float(_flank_roots(analysis, [e], [lo], [hi], [start], [sign > 0.0])[0])
+        walls.append(turn + sign * 5.0 * ell)
+    x_min, x_max = walls
     if _flipped(spec, analysis):
         x_min, x_max = -x_max, -x_min
     return GridSpec(x_min=x_min, x_max=x_max)

@@ -737,19 +737,23 @@ def _locate(spec, consts, orient):
         # exact geometry; V' is no polynomial, and jumps at the kink maximum
         x_lo, x_hi, x_m = family.x_left(consts), family.x_right(consts), 0.0
         for name, x in (("omega_L", x_lo), ("omega_R", x_hi)):
+            omega = getattr(family, name)
             if not math.isfinite(x * x):
                 raise ConfigError(
-                    f"DoubleOscillator {name} = {getattr(family, name):g} puts its well "
+                    f"DoubleOscillator {name} = {omega:g} puts its well "
                     f"at x = {x:g}, whose square overflows"
+                )
+            # an infinite curvature m omega^2 makes V NaN at the well itself
+            if not math.isfinite(consts.mass * omega**2):
+                raise ConfigError(
+                    f"DoubleOscillator {name} = {omega:g} and mass {consts.mass:g} "
+                    f"make mass * {name}^2 overflow"
                 )
         omega_lo, omega_hi = family.omega_L, family.omega_R
         v_lo, v_hi, v_m = 0.0, family.tilde_eps, family.V0
     else:
-        x_lo, x_hi, x_m = _wells_and_barrier(family, consts)
-        omega_lo, omega_hi = (
-            math.sqrt(evaluate_d2(family, x, consts) / consts.mass) for x in (x_lo, x_hi)
-        )
-        v_lo, v_hi, v_m = (evaluate(family, x, consts) for x in (x_lo, x_hi, x_m))
+        x_lo, x_hi, x_m, d2, (v_lo, v_hi, v_m) = _wells_and_barrier(family, consts)
+        omega_lo, omega_hi = (math.sqrt(d / consts.mass) for d in d2)
 
     if orient == "keep":
         flip = odd
@@ -776,7 +780,8 @@ def _locate(spec, consts, orient):
 
 
 def _wells_and_barrier(family, consts):
-    # (x_lo, x_hi, x_m) of a family with polynomial V' on its own axis
+    # (x_lo, x_hi, x_m, V'' at the wells, V at the wells and the barrier)
+    # of a family with polynomial V' on its own axis
     window, roots = family.slope_roots()
     stationary = _stationary_points(family, consts, window, roots)
     minima = [x for x, kind in stationary if kind == "min"]
@@ -790,8 +795,9 @@ def _wells_and_barrier(family, consts):
             f"found {len(minima)} local minima in window {window}, need exactly 2"
         )
     x_lo, x_hi = minima
-    for x in (x_lo, x_hi):
-        if not evaluate_d2(family, x, consts) > 0.0:
+    d2 = [evaluate_d2(family, x, consts) for x in minima]
+    for x, curvature in zip(minima, d2):
+        if not curvature > 0.0:
             raise NonConvexMinimum(f"V'' <= 0 at detected minimum x = {x:.12g}")
     interior = [x for x in maxima if x_lo < x < x_hi]
     if len(interior) != 1:
@@ -799,10 +805,10 @@ def _wells_and_barrier(family, consts):
             f"expected one interior maximum between wells, found {len(interior)}"
         )
     # wells whose barrier is below the rounding of V are no two wells
-    v_m = evaluate(family, interior[0], consts)
-    if not all(v_m > evaluate(family, x, consts) for x in minima):
+    v_lo, v_hi, v_m = (evaluate(family, x, consts) for x in (x_lo, x_hi, interior[0]))
+    if not (v_m > v_lo and v_m > v_hi):
         raise FewerThanTwoMinima(
             f"found 2 local minima in window {window}, but V at the maximum between "
             f"them, x = {interior[0]:.12g}, does not exceed both floors"
         )
-    return x_lo, x_hi, interior[0]
+    return x_lo, x_hi, interior[0], d2, (v_lo, v_hi, v_m)

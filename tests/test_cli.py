@@ -1205,6 +1205,19 @@ class TestExitCodes:
         assert main(["analyze", write_json(tmp_path, "scale.json", doc)]) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
 
+    @pytest.mark.parametrize("command", ["analyze", "sweep", "oracle"])
+    def test_a_double_oscillator_whose_curvature_overflows_is_a_config_error(
+        self, tmp_path, capsys, command
+    ):
+        # mass * omega_L ** 2 is inf, which would make V NaN at the wells;
+        # every command refuses it before it solves anything
+        path = write_json(tmp_path, "stiff.json", OVERFLOWING_CURVATURE)
+        assert main([command, path]) == 2
+        assert capsys.readouterr().err == (
+            "config error: DoubleOscillator omega_L = 2 and mass 1.7e+308 "
+            "make mass * omega_L^2 overflow\n"
+        )
+
     def test_a_double_oscillator_whose_squares_stay_normal_is_analyzed(self, tmp_path):
         # omega_L ** 2 = 1e-300 and x_L ** 2 = 1e301 are normal floats; a
         # RuntimeWarning on the way fails this test
@@ -1635,11 +1648,27 @@ DECAY_LENGTH_REFUSAL = (
     "hbar = 1e-300, mass = 1, omega_L = 1.63902e+143"
 )
 
+# m omega^2 of the double oscillator's left well overflows a float
+OVERFLOWING_CURVATURE = {
+    "schema": "tunnelkit/1",
+    "potential": {
+        "family": "double_oscillator",
+        "omega_L": 2.0,
+        "omega_R": 2.2,
+        "tilde_eps": 2.5e17,
+        "V0": 1e20,
+    },
+    "constants": {"hbar": 2.5e18, "mass": 1.7e308},
+    "oracle_grid": {"x_min": -1.0, "x_max": 1.0, "n_points": 101},
+    "sweep": {"parameter": "tilde_eps", "from": 0.0, "to": 1e17, "steps": 5},
+}
+
 
 class TestGeneratedConfigs:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(doc=GENERATED_CONFIGS)
     @example(doc=UNDERFLOWING_DECAY_LENGTH)
+    @example(doc=OVERFLOWING_CURVATURE)
     def test_every_runner_ends_in_a_classified_outcome(self, doc):
         # each run returns a document that dumps as strict JSON, or raises
         # a TunnelkitError; a RuntimeWarning, like any other exception,

@@ -700,6 +700,18 @@ class TestGuardRails:
         assert default_grid(mirror(spec), consts) == GridSpec(-grid.x_max, -grid.x_min)
         sp = eigen_lowest_two(spec, consts)
         assert 0.0 < sp.E0 < sp.E1
+        # Kept on the axis of the mirror, the deeper well is the right one
+        # and the energy lies under the left floor, so the left wall comes
+        # from v(x_L) + 10 hbar w_L: the same walls as the auto analysis.
+        kept = analyze(mirror(spec), consts, orient="keep")
+        assert kept.E_bar + 10.0 * consts.hbar * max(kept.omega_L, kept.omega_R) < kept.v(kept.x_L)
+        walls, auto = default_grid(mirror(spec), consts, kept), default_grid(mirror(spec), consts)
+        assert walls.x_min == pytest.approx(auto.x_min, rel=1e-12)
+        assert walls.x_max == pytest.approx(auto.x_max, rel=1e-12)
+        sp_kept = eigen_lowest_two(mirror(spec), consts, analysis=kept)
+        assert sp_kept.splitting == pytest.approx(sp.splitting, rel=1e-9)
+        # the kept levels are measured from the higher, left floor
+        assert sp_kept.E0 - kept.tilde_eps == pytest.approx(sp.E0, rel=1e-9)
 
     def test_default_grid_lies_on_the_axis_of_the_spec(self):
         # the right well is the deeper one, so "auto" analyzes the mirror
