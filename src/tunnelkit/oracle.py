@@ -37,6 +37,14 @@ where a single well starts.
 Bisection alone would carry its stopping tolerance, eps times the 1-norm
 of H, which grows as 1/h^2, into the doublet gap.
 
+With Richardson, v is sampled once per pair of grids, on the (2n - 1)
+nodes of the finer one; the n-point grid takes every other sample, bit for
+bit its own evaluation, and each grid checks its own samples when it is
+solved.  The sweeps of a grid work in place, in one work space per
+thread: the block, the residuals and a subdiagonal, 40 bytes per interior
+node of the largest grid the thread has solved.  It stays allocated
+between solves, so that the heap keeps its pages from grid to grid.
+
 This is the only module that needs scipy, and of scipy it loads only the
 compiled LAPACK extension, on the first solve (``_lapack``), falling
 back to ``scipy.linalg.lapack`` when the extension cannot be loaded.
@@ -151,10 +159,10 @@ def default_grid(
     20 level spacings), pushed outward by the well's harmonic decay
     length sqrt(hbar / (m w)) five times, on the axis of ``spec``.  A
     bracket from the well's floor outward doubles from the shorter decay
-    length until v exceeds the energy at its far end (a ConfigError after
-    200 doublings: the potential does not confine), and ``_flank_roots``
-    solves it from the harmonic turning point.  The node count and
-    Richardson setting are the ``GridSpec`` defaults.
+    length until v exceeds the energy at its far end (a ConfigError once
+    that end leaves the float range: the potential does not confine), and
+    ``_flank_roots`` solves it from the harmonic turning point.  The node
+    count and Richardson setting are the ``GridSpec`` defaults.
     """
     if analysis is None:
         analysis = analyze(spec, consts)
@@ -169,12 +177,10 @@ def default_grid(
         floor = analysis.v(x0)
         e = e_hi if e_hi >= floor else floor + 10.0 * c.hbar * omega
         d = min(ell_l, ell_r)
-        for _ in range(200):
-            if analysis.v(x0 + sign * d) > e:
-                break
+        while not analysis.v(x0 + sign * d) > e:
             d *= 2.0
-        else:
-            raise ConfigError("potential does not confine; no outer wall found")
+            if not math.isfinite(x0 + sign * d):
+                raise ConfigError("potential does not confine; no outer wall found")
         lo, hi = sorted((x0, x0 + sign * d))
         start = x0 + sign * math.sqrt(2.0 * (e - floor) / c.mass) / omega
         turn = float(_flank_roots(analysis, [e], [lo], [hi], [start], [sign > 0.0])[0])
@@ -205,15 +211,26 @@ _SETTLE = 1e-12
 _MAX_SWEEPS = 8
 
 
-def _hamiltonian(v, consts: PhysConstants, x: np.ndarray) -> tuple[float, np.ndarray]:
+def _samples(v, x: np.ndarray) -> np.ndarray:
+    """v on the interior nodes of ``x``, as floats."""
+    with np.errstate(all="ignore"):
+        return np.asarray(v(x[1:-1]), dtype=float)
+
+
+def _hamiltonian(
+    v, consts: PhysConstants, x: np.ndarray, vx: np.ndarray | None = None
+) -> tuple[float, np.ndarray]:
     """(t, v on the interior nodes): H = tridiag(-t, 2t + v, -t), t = hbar^2 / (2 m h^2).
 
-    Raises ConfigError unless t > 0 and v and 2t + v are finite on every node.
+    ``vx`` holds v on the interior nodes when they are sampled already;
+    None samples them here.  Raises ConfigError unless t > 0 and v and
+    2t + v are finite on every node.
     """
     h = x[1] - x[0]
+    if vx is None:
+        vx = _samples(v, x)
     with np.errstate(all="ignore"):
         t = float(consts.hbar ** 2 / (2.0 * consts.mass * h * h))
-        vx = np.asarray(v(x[1:-1]), dtype=float)
         v_min, v_max = float(vx.min()), float(vx.max())  # nan when v is nan anywhere
     walls = f"walls [{x[0]:g}, {x[-1]:g}] with n_points = {x.size}"
     if not (0.0 < t < math.inf and math.isfinite(v_min) and math.isfinite(v_max)):
@@ -356,7 +373,7 @@ def _eigh2(a: float, b: float, c: float):
     return high, low, sn, cs
 
 
-def _rayleigh_ritz(block: np.ndarray, t: float, vx: np.ndarray):
+def _rayleigh_ritz(block: np.ndarray, t: float, vx: np.ndarray, work: np.ndarray, lower):
     """Orthonormalize the two columns of ``block``, turn them into Ritz vectors.
 
     The 2x2 matrix is summed from differences, t sum dq_i dq_j + sum v q_i
@@ -364,34 +381,38 @@ def _rayleigh_ritz(block: np.ndarray, t: float, vx: np.ndarray):
     would swamp the doublet gap.  Returns the ascending Ritz values and the
     pair's kinetic plus absolute potential energy, the scale of their
     rounding.  Raises GridTooCoarse when a column is zero or not finite, as
-    a solve with a nearly singular H - shift leaves it.
+    a solve with a nearly singular H - shift leaves it.  The differences,
+    the products v q and the rotated columns are formed in the two columns
+    of ``work``, shaped as ``block``, and in ``lower``, of one node fewer,
+    whose contents are lost.
     """
     q0, q1 = block[:, 0], block[:, 1]
+    w0, w1 = work[:, 0], work[:, 1]
     squares = _sum_of_products(q0, q0), _sum_of_products(q1, q1)
     if not all(0.0 < square < math.inf for square in squares):
         raise GridTooCoarse("the iterated vectors vanish or overflow")
     q0 /= math.sqrt(squares[0])
     size = math.sqrt(squares[1])
     for _ in range(2):  # Gram-Schmidt, repeated once if it cancels most of q1
-        q1 -= _sum_of_products(q0, q1) * q0
+        q1 -= np.multiply(q0, _sum_of_products(q0, q1), out=w0)
         size, before = math.sqrt(_sum_of_products(q1, q1)), size
         if size > 0.5 * before:
             break
     q1 /= size
-    d0, d1 = np.diff(q0), np.diff(q1)
+    d0 = np.subtract(q0[1:], q0[:-1], out=lower)
+    d1 = np.subtract(q1[1:], q1[:-1], out=w0[:-1])
     (a0, a1), (b0, b1) = block[0].tolist(), block[-1].tolist()  # the nodes next to the walls
     k00 = t * (_sum_of_products(d0, d0) + a0 * a0 + b0 * b0)
     k01 = t * (_sum_of_products(d0, d1) + a0 * a1 + b0 * b1)
     k11 = t * (_sum_of_products(d1, d1) + a1 * a1 + b1 * b1)
-    del d0, d1
-    vq0 = vx * q0
+    vq0 = np.multiply(vx, q0, out=w1)
     v00, v01 = _sum_of_products(vq0, q0), _sum_of_products(vq0, q1)
-    del vq0
-    v11 = _sum_of_products(vx * q1, q1)
+    v11 = _sum_of_products(np.multiply(vx, q1, out=w1), q1)
     low, high, cs, sn = _eigh2(k00 + v00, k01 + v01, k11 + v11)
-    turned = cs * q0 + sn * q1  # block @ rotation, one column at a time
+    turned = np.multiply(q0, cs, out=w0)  # block @ rotation, one column at a time
+    turned += np.multiply(q1, sn, out=w1)
     q1 *= cs
-    q1 -= sn * q0
+    q1 -= np.multiply(q0, sn, out=w1)
     q0[:] = turned
     return (low, high), k00 + k11 + abs(v00) + abs(v11)
 
@@ -515,9 +536,9 @@ def _polish(t: float, vx: np.ndarray, block: np.ndarray, shifts, ceiling: float,
     of q0 and q1, which neither counts.  Block keeps the Ritz vectors.
     """
     dgtsv = _lapack().dgtsv
-    n = vx.size
-    # the pair's residuals; their columns double as the solves' and the count's diagonals
-    residuals, lower = np.empty((n, 2), order="F"), np.empty(n - 1)
+    # the pair's residuals; their columns double as the solves' and the
+    # count's diagonals and as the Rayleigh-Ritz step's work space
+    _, residuals, lower = _workspace(vx.size)
     diag, upper = residuals[:, 0], residuals[:-1, 1]
     for _ in range(_MAX_SWEEPS):
         for j, shift in enumerate(shifts):
@@ -531,7 +552,7 @@ def _polish(t: float, vx: np.ndarray, block: np.ndarray, shifts, ceiling: float,
             if info != 0:
                 raise GridTooCoarse(f"H - {shift:g} is singular on {where}")
             block[:, j : j + 1] = solved
-        levels, scale = _rayleigh_ritz(block, t, vx)
+        levels, scale = _rayleigh_ritz(block, t, vx, residuals, lower)
         hi = 0.5 * (levels[1] + ceiling)
         gap = hi - levels[1]
         if not gap > 0.0:  # the bounds divide by it
@@ -566,7 +587,7 @@ def _polish(t: float, vx: np.ndarray, block: np.ndarray, shifts, ceiling: float,
 
 def _lowest_two_on_grid(
     v, consts: PhysConstants, grid: GridSpec, n_points: int, snap: bool, seeds: dict,
-    fewest: float,
+    fewest: float, vx: np.ndarray | None = None,
 ) -> tuple[float, float]:
     """Two lowest levels of the n_points-point Hamiltonian, proven lowest.
 
@@ -578,15 +599,16 @@ def _lowest_two_on_grid(
     pair unresolved only when the grid cannot tell its levels apart.
     ``seeds`` holds the seeds solved so far by node count.  So the levels
     are a function of the grid alone, whether it is solved on its own or
-    as a Richardson partner.
+    as a Richardson partner.  ``vx`` holds v on the interior nodes when
+    they are sampled already, as ``_hamiltonian`` takes it.
     """
     x = _grid_nodes(grid, n_points, snap)
-    t, vx = _hamiltonian(v, consts, x)
+    t, vx = _hamiltonian(v, consts, x, vx)
+    block = _workspace(vx.size)[0]
     for m in _seed_sizes(n_points, fewest):
         if m not in seeds:
             seeds[m] = _seed(v, consts, grid, m, snap)
         x_seed, levels, vectors = seeds[m]
-        block = np.empty((vx.size, 2), order="F")
         for j in range(2):
             block[:, j] = np.interp(x[1:-1], x_seed, np.pad(vectors[:, j], 1))
         where = f"the {n_points}-point grid seeded from {m} points"
@@ -599,15 +621,58 @@ def _lowest_two_on_grid(
     raise GridTooCoarse(f"no seed gives a proven pair, the grid itself included: {failure}")
 
 
+def _spacing(grid: GridSpec, n_points: int) -> float:
+    return (grid.x_max - grid.x_min) / (n_points - 1)
+
+
+def _zero_node(grid: GridSpec, n_points: int) -> int:
+    """The index of the node on x = 0 of a snapped n_points grid."""
+    return round(-grid.x_min / _spacing(grid, n_points))
+
+
 def _grid_nodes(grid: GridSpec, n_points: int, snap_zero: bool) -> np.ndarray:
     if not snap_zero:
         return np.linspace(grid.x_min, grid.x_max, n_points)
     # Place a node exactly on x = 0 (the barrier-top kink of the
     # piecewise-parabolic family) so the quadratic convergence of the
     # three-point stencil survives the jump in V''.
-    h = (grid.x_max - grid.x_min) / (n_points - 1)
-    i_star = round(-grid.x_min / h)
-    return (np.arange(n_points) - i_star) * h
+    return (np.arange(n_points) - _zero_node(grid, n_points)) * _spacing(grid, n_points)
+
+
+def _partner_offset(grid: GridSpec, snap: bool) -> int | None:
+    """delta: node i of the n-point grid is node 2i + delta of its (2n - 1)-point partner.
+
+    Bit for bit: the partner's spacing is half the grid's, exactly, and k
+    h and 2k (h / 2) round alike, whether ``_grid_nodes`` counts k from
+    x_min or, on a snapped grid, from the node on x = 0; delta is 0 but
+    where snapping rounds the partner's zero-node index, twice the grid's
+    in exact arithmetic, the other way (-1 or 1).  None when the partner's
+    spacing is below the smallest normal float, where halving rounds.
+    """
+    n = grid.n_points
+    if _spacing(grid, 2 * n - 1) < sys.float_info.min:
+        return None
+    return _zero_node(grid, 2 * n - 1) - 2 * _zero_node(grid, n) if snap else 0
+
+
+_WORKSPACE = threading.local()
+
+
+def _workspace(n: int):
+    """This thread's (block, residuals, lower) for a grid of n interior nodes.
+
+    ``block`` and ``residuals`` are (n, 2) arrays in Fortran order and
+    ``lower`` has n - 1 entries: views of one buffer of 5n - 1 floats, 40
+    bytes a node, that the thread keeps and grows to the largest grid it
+    has solved, so that the heap keeps its pages from grid to grid.  Each
+    user writes an entry before it reads it.
+    """
+    buffer = getattr(_WORKSPACE, "buffer", None)
+    if buffer is None or buffer.size < 5 * n - 1:
+        buffer = _WORKSPACE.buffer = np.empty(5 * n - 1)
+    block = buffer[: 2 * n].reshape((n, 2), order="F")
+    residuals = buffer[2 * n : 4 * n].reshape((n, 2), order="F")
+    return block, residuals, buffer[4 * n : 5 * n - 1]
 
 
 def eigen_lowest_two(
@@ -682,14 +747,20 @@ def _spectrum(
         v = lambda x: evaluate(spec, x, consts)  # noqa: E731
     snap, fine = spec.kink, None
     seeds = {} if seeds is None else seeds
+    n = grid.n_points
     try:
-        coarse = e0, e1 = _lowest_two_on_grid(
-            v, consts, grid, grid.n_points, snap, seeds, fewest
-        )
+        # With Richardson v is sampled once, on the partner's nodes, every
+        # other one of which is a node of the grid; each grid's checks run
+        # on its own samples when it is solved.
+        partner = own = None
         if grid.richardson:
-            fine = _lowest_two_on_grid(
-                v, consts, grid, 2 * grid.n_points - 1, snap, seeds, fewest
-            )
+            partner = _samples(v, _grid_nodes(grid, 2 * n - 1, snap))
+            offset = _partner_offset(grid, snap)
+            if offset is not None:
+                own = partner[1 + offset :: 2][: n - 2]
+        coarse = e0, e1 = _lowest_two_on_grid(v, consts, grid, n, snap, seeds, fewest, own)
+        if grid.richardson:
+            fine = _lowest_two_on_grid(v, consts, grid, 2 * n - 1, snap, seeds, fewest, partner)
     except MemoryError:
         raise _too_large(grid.n_points) from None
     est = math.nan

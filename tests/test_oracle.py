@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import types
 import warnings
 
@@ -25,6 +26,7 @@ from tunnelkit import (
     GridTooCoarse,
     PhysConstants,
     Polynomial,
+    WellAnalysis,
     analyze,
     compute_splitting,
     default_grid,
@@ -505,7 +507,8 @@ class TestRitzStep:
         t, vx = oracle._hamiltonian(a.v, C, x)
         rng = np.random.default_rng(7)
         block = np.asfortranarray(rng.standard_normal((vx.size, 2)))
-        levels, _ = oracle._rayleigh_ritz(block, t, vx)
+        work = np.empty((vx.size, 2), order="F")
+        levels, _ = oracle._rayleigh_ritz(block, t, vx, work, np.empty(vx.size - 1))
         assert levels[0] <= levels[1]
         gram = block.T @ block
         assert np.abs(gram - np.eye(2)).max() <= 1e-15
@@ -519,9 +522,9 @@ class TestCertificate:
         steps = []
         ritz = oracle._rayleigh_ritz
 
-        def spy(block, t, vx):
+        def spy(block, t, vx, *work):
             steps.append(vx.size)
-            return ritz(block, t, vx)
+            return ritz(block, t, vx, *work)
 
         monkeypatch.setattr(oracle, "_rayleigh_ritz", spy)
         return steps
@@ -637,6 +640,134 @@ class TestCertificate:
         )
 
 
+def checked_samples(monkeypatch):
+    """(nodes, v on the interior nodes, whether v came sampled) of each ``_hamiltonian`` call."""
+    calls = []
+    hamiltonian = oracle._hamiltonian
+
+    def spy(v, consts, x, vx=None):
+        t, samples = hamiltonian(v, consts, x, vx)
+        calls.append((x, samples, vx is not None))
+        return t, samples
+
+    monkeypatch.setattr(oracle, "_hamiltonian", spy)
+    return calls
+
+
+class TestSharedSamples:
+    """With Richardson, v is sampled once, on the nodes of the (2n - 1)-point partner."""
+
+    KINKED = DoubleOscillator(1.0, 1.3, 0.05, 9.0)
+
+    # -x_min / h = 1000 + fraction: snapping rounds the partner's zero-node
+    # index, 2000 + 2 fraction, up from twice the grid's at 0.4 and down at 0.6
+    @pytest.mark.parametrize(
+        "spec, fraction, offset",
+        [
+            (BiasedQuartic(1.0, 2.1, 0.1), 0.4, 0),
+            (KINKED, 0.1, 0),
+            (KINKED, 0.4, 1),
+            (KINKED, 0.6, -1),
+        ],
+    )
+    def test_the_grid_takes_every_other_sample_of_its_partner(
+        self, monkeypatch, spec, fraction, offset
+    ):
+        h, n = 0.0105, 2001
+        grid = GridSpec(-(1000 + fraction) * h, (1000 - fraction) * h, n)
+        assert oracle._partner_offset(grid, spec.kink) == offset
+        a = analyze(spec, C)
+        calls = checked_samples(monkeypatch)
+        eigen_lowest_two(spec, C, grid, analysis=a)
+        [(x, vx, sampled)] = [call for call in calls if call[0].size == n]
+        [(_, partner, _)] = [call for call in calls if call[0].size == 2 * n - 1]
+        assert sampled and np.shares_memory(vx, partner)
+        assert np.array_equal(vx, a.v(x[1:-1]))  # its own evaluation, bit for bit
+
+    def test_a_partner_spacing_below_the_smallest_normal_float_shares_no_samples(
+        self, monkeypatch
+    ):
+        # halving a spacing of 3e-308 rounds, and so would every node
+        spec, grid = HARMONIC, GridSpec(0.0, 3e-306, 101)
+        assert oracle._partner_offset(grid, False) is None
+        nodes = oracle._grid_nodes(grid, 101, False)
+        assert not np.array_equal(nodes, oracle._grid_nodes(grid, 201, False)[::2])
+        calls = checked_samples(monkeypatch)
+        # hbar and the mass keep t = hbar^2 / (2 m h^2) finite on such a grid
+        eigen_lowest_two(spec, PhysConstants(hbar=4e-158, mass=1e300), grid)
+        # the grid is its own seed, and each samples v on its own nodes
+        grid_calls = [(x, sampled) for x, _, sampled in calls if x.size == 101]
+        assert grid_calls and all(np.array_equal(x, nodes) and not s for x, s in grid_calls)
+
+    def test_a_partner_not_finite_between_the_nodes_of_its_grid_is_refused_after_it(
+        self, monkeypatch
+    ):
+        n = HARMONIC_GRID.n_points
+        evaluate = oracle.evaluate
+
+        def midpoints_nan(spec, x, consts):
+            v = evaluate(spec, x, consts)
+            if np.size(x) == 2 * n - 3:  # the partner's interior, whose even entries lie between
+                v[::2] = math.nan
+            return v
+
+        monkeypatch.setattr(oracle, "evaluate", midpoints_nan)
+        steps = TestCertificate.ritz_steps(monkeypatch)
+        with pytest.raises(
+            ConfigError,
+            match=rf"with n_points = {2 * n - 1} give no finite Hamiltonian: t = \S+, "
+            rf"and v is not finite on {n - 1} nodes$",
+        ):
+            eigen_lowest_two(HARMONIC, C, HARMONIC_GRID)
+        assert steps == [n - 2]  # the n-point grid is solved first
+
+
+WORKSPACE_SCRIPT = """\
+from tunnelkit import BiasedQuartic, GridSpec, eigen_lowest_two
+sp = eigen_lowest_two(BiasedQuartic(1.0, 2.1), grid=GridSpec(-4.8, 4.8, 2001))
+print(*(e.hex() for e in (sp.E0, sp.E1, *sp.coarse, *sp.fine)))
+"""
+
+
+class TestWorkspace:
+    """Each thread solves in its own work space, kept from one grid to the next."""
+
+    def test_a_smaller_grid_after_a_larger_one_gives_the_bits_of_a_fresh_process(self):
+        r = subprocess.run([sys.executable, "-c", WORKSPACE_SCRIPT], capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        spec = BiasedQuartic(1.0, 2.1)
+        eigen_lowest_two(spec, C, GridSpec(-4.8, 4.8, 8001))  # leaves its vectors in the work space
+        sp = eigen_lowest_two(spec, C, GridSpec(-4.8, 4.8, 2001))
+        assert " ".join(e.hex() for e in (sp.E0, sp.E1, *sp.coarse, *sp.fine)) == r.stdout.strip()
+
+    def test_threads_solving_different_grids_at_once_give_the_serial_bits(self):
+        # more threads than cores, each solving its own grid three times,
+        # with the interpreter switching threads as often as it can
+        spec = BiasedQuartic(1.0, 2.1, 0.1)
+        grids = [GridSpec(-4.8, 4.8, n) for n in (2001, 3001, 4001, 5001)]
+        serial = [repr(eigen_lowest_two(spec, C, grid)) for grid in grids]
+        found = [[] for _ in grids]
+        start = threading.Barrier(len(grids))
+
+        def solve(i):
+            start.wait()
+            for _ in range(3):
+                found[i].append(repr(eigen_lowest_two(spec, C, grids[i])))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve, args=(i,)) for i in range(len(grids))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert found == [[level] * 3 for level in serial]
+
+
 class TestGuardRails:
     def test_walls_too_close_to_the_wells(self):
         spec = BiasedQuartic(1.0, 2.1)
@@ -712,6 +843,27 @@ class TestGuardRails:
         assert sp_kept.splitting == pytest.approx(sp.splitting, rel=1e-9)
         # the kept levels are measured from the higher, left floor
         assert sp_kept.E0 - kept.tilde_eps == pytest.approx(sp.E0, rel=1e-9)
+
+    def test_default_grid_doubles_its_bracket_as_far_as_the_floats_reach(self):
+        # decay lengths of 1.4e-61: the left wall lies some 202 doublings
+        # of the bracket out, past the 200 that once ended the search; the
+        # 8001-point grid cannot resolve such wells
+        spec = BiasedQuartic(0.3521807734937822, 1.8761212304758723, -1.9952623149688795)
+        consts = PhysConstants(hbar=1.0, mass=2.2730636299860123e242)
+        a = analyze(spec, consts)
+        assert a.mirrored  # the walls are the analysis axis's, reflected
+        grid = default_grid(spec, consts, a)
+        assert (a.x_L + grid.x_max) / min(oracle._decay_lengths(a)) > 2.0**201
+        with pytest.raises(GridTooCoarse, match="no seed gives a proven pair"):
+            eigen_lowest_two(spec, consts, grid, analysis=a)
+
+    def test_default_grid_refuses_a_bracket_that_leaves_the_float_range(self, monkeypatch):
+        spec = BiasedQuartic(1.0, 2.1)
+        a = analyze(spec, C)
+        v = WellAnalysis.v
+        monkeypatch.setattr(WellAnalysis, "v", lambda self, x: v(self, x) if abs(x) < 3.0 else math.nan)
+        with pytest.raises(ConfigError, match="potential does not confine"):
+            default_grid(spec, C, a)
 
     def test_default_grid_lies_on_the_axis_of_the_spec(self):
         # the right well is the deeper one, so "auto" analyzes the mirror

@@ -95,5 +95,27 @@ def test_the_diff_counts_the_runs_whose_outcome_flips(monkeypatch, capsys):
     assert tool.main(["output_digest.py", "new", "--diff", "old"]) == 1
     lines = capsys.readouterr().out.splitlines()
     flips = lines.index("2 of 3 runs flip their exit code or error class, OLD_SRC -> SRC:")
-    assert lines[flips + 1 : flips + 3] == ["  0 -> 4 QuadratureNonConvergence: 1", "  3 GridTooCoarse -> 0: 1"]
+    assert lines[flips + 1 : flips + 5] == [
+        "  0 -> 4 QuadratureNonConvergence: 1",
+        "    a run_analyze",
+        "  3 GridTooCoarse -> 0: 1",
+        "    c run_oracle",
+    ]
     assert tool.outcome(old["a run_analyze"]) == "0" and tool.outcome(coarse) == "3 GridTooCoarse"
+
+
+def test_the_diff_names_the_first_ten_runs_of_each_flip(monkeypatch, capsys):
+    tool = load_tool()
+    coarse = ("GridTooCoarse: ...\n", {"error": "GridTooCoarse: ...\n", "outcome": "3 GridTooCoarse"}, "")
+    keys = [f"generated:{i} run_oracle" for i in range(12)]
+    old = {key: ("1", {"E0": 1.0}, "") for key in keys}
+    new = dict(old, **{key: coarse for key in keys[1:]})
+    monkeypatch.setattr(tool, "run_corpus", lambda src: (old if src.name == "old" else new, False))
+    assert tool.main(["output_digest.py", "new", "--diff", "old"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    flips = lines.index("11 of 12 runs flip their exit code or error class, OLD_SRC -> SRC:")
+    assert lines[flips + 1 : flips + 13] == [
+        "  0 -> 3 GridTooCoarse: 11",
+        *(f"    generated:{i} run_oracle" for i in range(1, 11)),
+        "largest move of each numeric field over the outputs that differ:",
+    ]

@@ -38,7 +38,9 @@ strategy's normal ranges, so it drops the draws that took the
 [1e-3, 20]).
 A RuntimeWarning is an error in every run, of the corpus too.  Both
 modes print how many runs flip their exit code or error class, with a
-from -> to table of the flips; the corpus prints it only when one does:
+from -> to table of the flips, each line followed by the labels of up to
+FLIP_LABELS of its runs (``generated:926 run_oracle``); the corpus prints
+it only when one does:
 
     python3 tools/output_digest.py src --diff ../parent/src --generated 3000
 
@@ -87,6 +89,7 @@ import warnings
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
+FLIP_LABELS = 10  # runs named under each line of the table of flips
 # (potential, x_min, x_max) of the deep quartics: default_grid's walls
 DEEP_QUARTICS = (
     ({"family": "biased_quartic", "alpha": 1.0, "a": 3.0}, -6.010542816244191, 6.010542816244191),
@@ -349,7 +352,7 @@ def main(argv):
     runs, failed = run(args.src.resolve())
     if old is None or runs is None:
         return 2
-    differ, found, flips = 0, [], collections.Counter()
+    differ, found, flips = 0, [], collections.defaultdict(list)
     for key in [*runs, *(key for key in old if key not in runs)]:
         if key in runs and key in old and runs[key][0] == old[key][0]:
             continue
@@ -359,16 +362,18 @@ def main(argv):
             continue
         found.append(moves(old[key], runs[key]))
         if outcome(old[key]) != outcome(runs[key]):
-            flips[outcome(old[key]), outcome(runs[key])] += 1
+            flips[outcome(old[key]), outcome(runs[key])].append(key)
         if args.generated is None:
             print(f"{key}:")
             for path, move in found[-1].items():
                 print(f"  {path} {move if isinstance(move, str) else f'{move:.3g}'}")
     if flips or args.generated is not None:
-        print(f"{flips.total()} of {len(runs)} runs flip their exit code or error class"
-              + (", OLD_SRC -> SRC:" if flips else ""))
-        for (was, now), count in sorted(flips.items()):
-            print(f"  {was} -> {now}: {count}")
+        print(f"{sum(map(len, flips.values()))} of {len(runs)} runs flip their exit code "
+              "or error class" + (", OLD_SRC -> SRC:" if flips else ""))
+        for (was, now), keys in sorted(flips.items()):
+            print(f"  {was} -> {now}: {len(keys)}")
+            for key in keys[:FLIP_LABELS]:
+                print(f"    {key}")
     if found:
         print("largest move of each numeric field over the outputs that differ:")
         for path, move in largest_moves(found).items():
