@@ -20,9 +20,9 @@ members, and every caller goes through them:
 ``Mirrored`` delegates each of them to its inner family, with x -> -x.
 The families whose V' is a polynomial (all but the double oscillator)
 have a fourth member, ``slope_roots()``: the (lo, hi) scan window that
-holds the stationary points ``analyze`` looks at, and the sorted real
-roots of V' that matter there.  It raises ConfigError when V or a
-derivative leaves the float range on the window.
+holds the stationary points ``analyze`` looks at, and a list of the
+sorted real roots of V' that matter there.  It raises ConfigError when V
+or a derivative leaves the float range on the window.
 
 Everything downstream (actions, splitting formulas, the eigensolver)
 works in the convention that the potential is shifted so the deeper well
@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (
     ConfigError,
@@ -239,24 +238,23 @@ class Polynomial:
 
     @cached_property
     def _derivative_coeffs(self):
-        # coefficients of the k-th derivative, k = 0..3, exactly as
-        # npoly.polyder gives them; one past the float range is inf, which
-        # slope_roots refuses
-        with np.errstate(over="ignore"):
-            return (self.coeffs,) + tuple(
-                tuple(float(c) for c in npoly.polyder(self.coeffs, k)) for k in (1, 2, 3)
-            )
-
-    @cached_property
-    def _size(self):
-        # on |x| <= r, r >= 1, each partial sum and product of Horner's rule
-        # is at most what Horner's rule on |coeffs| gives at x = r, for V and
-        # each derivative
-        return Polynomial(tuple(abs(c) for c in self.coeffs))
+        # coefficients of the k-th derivative, k = 0..3, exactly as numpy's
+        # polyder(coeffs, k) gives them: j * c[j], row after row, with
+        # trailing zeros kept, and past the constant term (coeffs[0] * 0,),
+        # which keeps the sign of zero; one past the float range is inf,
+        # which slope_roots refuses
+        rows = [self.coeffs]
+        for _ in range(3):
+            row = rows[-1]
+            if len(row) > 1:
+                rows.append(tuple(j * row[j] for j in range(1, len(row))))
+            else:
+                rows.append((self.coeffs[0] * 0,))
+        return tuple(rows)
 
     def derivative(self, x, k, consts):
-        # Horner in npoly.polyval's own operation order, so floats and
-        # arrays get its bits
+        # Horner in numpy's polyval operation order, so floats and arrays
+        # get its bits
         coeffs = self._derivative_coeffs[k]
         out = coeffs[-1] + x * 0.0
         for c in coeffs[-2::-1]:
@@ -274,19 +272,33 @@ class Polynomial:
             if not all(math.isfinite(c / lead) for c in d1):
                 raise self._out_of_range("put a ratio of the coefficients of V'")
             roots = _real_roots(d1)
-            if roots.size == 0:
+            if not roots:
                 raise FewerThanTwoMinima("polynomial has no real stationary points")
-            lo, hi = float(roots[0]), float(roots[-1])
+            lo, hi = roots[0], roots[-1]
             pad = 0.25 * (hi - lo) + 1e-3 * (1.0 + abs(hi) + abs(lo))
             lo, hi = lo - pad, hi + pad
         r = max(1.0, abs(lo), abs(hi))
-        if not (math.isfinite(hi - lo) and _finite_at(self._size, (r,))):
+        if not (math.isfinite(hi - lo) and self._finite_on(r)):
             raise self._out_of_range(
                 f"take V or a derivative on the scan window [{lo:g}, {hi:g}]"
             )
         if self.window is not None:
             roots = _real_roots(d1, r)
         return (lo, hi), roots
+
+    def _finite_on(self, r):
+        # whether V and each derivative stay in the float range on |x| <= r,
+        # r >= 1: each partial sum and product of Horner's rule on a row of
+        # _derivative_coeffs is at most in size what Horner's rule on the
+        # row's sizes gives at x = r (|j c| = j |c|, so these are the rows of
+        # the same table for |coeffs|)
+        for row in self._derivative_coeffs:
+            out = abs(row[-1])
+            for c in row[-2::-1]:
+                out = abs(c) + out * r
+            if not math.isfinite(out):
+                return False
+        return True
 
     def _out_of_range(self, what):
         coeffs = ", ".join(f"{c:g}" for c in self.coeffs)
@@ -606,8 +618,9 @@ def _crossing_rows(v, e, lo, hi, x, up):
 
 def _real_roots(coeffs, r=None):
     """The real roots, sorted, of the polynomial with ascending coefficients
-    ``coeffs``: the eigenvalues of its companion matrix with an imaginary
-    part under 1e-9 (1 + |root|).  Every coefficient must be finite.
+    ``coeffs``, as a list: the eigenvalues of its companion matrix with an
+    imaginary part under 1e-9 (1 + |root|).  Every coefficient must be
+    finite.
 
     Given r, each leading term under eps times the largest term on
     |x| <= r is dropped first: it moves the polynomial there by less than
@@ -616,6 +629,13 @@ def _real_roots(coeffs, r=None):
     coefficients over the leading one; where such a ratio would overflow,
     the roots are taken in y = x / 2**k instead, with the least k that
     keeps every ratio under 2**1000.
+
+    The matrix is built here, unrotated, as numpy's polycompanion builds
+    it: ones below the diagonal and 0 - c[i] / c[n] down the last column.
+    Its eigenvalues come from one np.linalg.eigvals call and are sorted as
+    numpy's polyroots sorts them.  The real ones are picked on Python
+    floats; roots in y go back to x through np.ldexp, which overflows to
+    inf where math.ldexp would raise.
     """
     logs = [math.log2(abs(c)) if c else -math.inf for c in coeffs]
     n = max(i for i, size in enumerate(logs) if size > -math.inf)
@@ -626,13 +646,22 @@ def _real_roots(coeffs, r=None):
     k = max([0] + [
         math.ceil((logs[i] - logs[n] - 1000) / (n - i)) for i in range(n) if coeffs[i]
     ])
-    roots = npoly.polyroots([math.ldexp(c, k * (i - n)) for i, c in enumerate(coeffs[:n + 1])])
-    return np.ldexp(roots.real[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))], k)
+    scaled = [math.ldexp(c, k * (i - n)) for i, c in enumerate(coeffs[:n + 1])]
+    if n < 2:
+        roots = [-scaled[0] / scaled[1]] if n else []
+    else:
+        companion = np.eye(n, k=-1)
+        companion[:, -1] = [0.0 - c / scaled[n] for c in scaled[:n]]
+        roots = np.linalg.eigvals(companion)
+        roots.sort()
+        roots = roots.tolist()
+    real = [z.real for z in roots if abs(z.imag) <= 1e-9 * (1.0 + abs(z))]
+    return np.ldexp(real, k).tolist() if k else real
 
 
 def _stationary_points(spec, consts, window, roots):
     """Stationary points of V in ``window``, from ``roots``, the sorted
-    real roots of V'.
+    real roots of V' as floats.
 
     Each distinct root in the window is bracketed by the midpoints to its
     neighbours there, and by the window's ends past the first and the
@@ -641,17 +670,18 @@ def _stationary_points(spec, consts, window, roots):
     is; every other one moves to the crossing of V' in floats on its
     bracket, onto the float of the crossing's pair where |V'| is the
     smaller (the one where V' < 0 on a tie).  V' is sampled at the
-    brackets' ends and at the roots in one call.  V' that underflows to
-    0 at both ends of a bracket raises FewerThanTwoMinima: the wells on
-    either side of that root are below the resolution of floats.
+    brackets' ends and at the roots on floats, through the spec's
+    ``derivative``.  V' that underflows to 0 at both ends of a bracket
+    raises FewerThanTwoMinima: the wells on either side of that root are
+    below the resolution of floats.
 
     Returns a sorted list of (x, kind) with kind "min" where V' rises
     through 0 and "max" where it falls.
     """
     lo, hi = window
-    x = sorted({r for r in roots.tolist() if lo <= r <= hi})
+    x = sorted({r for r in roots if lo <= r <= hi})
     ends = [lo] + [a + 0.5 * (b - a) for a, b in zip(x, x[1:])] + [hi]
-    d1 = evaluate_d1(spec, np.array(ends + x), consts).tolist()
+    d1 = [spec.derivative(p, 1, consts) for p in ends + x]
     n = len(x)
 
     def slope(p, e):

@@ -310,7 +310,7 @@ def test_sextic_linear_coefficient_value():
 def _roots(spec, mirrored):
     # the sorted real roots of V' of spec, or of its mirror
     _, roots = spec.slope_roots()
-    return -roots[::-1] if mirrored else roots
+    return [-r for r in reversed(roots)] if mirrored else roots
 
 
 def _dense_sign_changes(spec, window, n=2**16 + 1):
@@ -403,7 +403,7 @@ class TestStationaryScan:
         # beta / (4 alpha) = 1.8e372 is past the float range: on the window
         # V' is beta to within its rounding, and has no root there
         spec = BiasedQuartic(5.205673908249191e-287, 0.6611037889181619, 3.689615175251747e86)
-        assert spec.slope_roots()[1].size == 0
+        assert spec.slope_roots()[1] == []
         with pytest.raises(FewerThanTwoMinima, match="found 0 local minima"):
             analyze(spec, C)
 
@@ -420,7 +420,7 @@ class TestStationaryScan:
         # is an eigenvalue of the companion matrix taken in x / 2**k
         spec = BiasedQuartic(5.205673908249191e-287, 0.6611037889181619, 3.689615175251747e86)
         slope = (spec.beta, -4.0 * spec.alpha * spec.a**2, 0.0, 4.0 * spec.alpha)
-        [root] = _real_roots(slope).tolist()
+        [root] = _real_roots(slope)
         cube = spec.beta * 1e-300 / (4.0 * spec.alpha)  # -root^3 / 1e300
         assert root == pytest.approx(-cube ** (1.0 / 3.0) * 1e100)
 
@@ -459,8 +459,8 @@ class TestPolynomialHorner:
         xs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=9),
     )
     def test_bitwise_equal_to_polyval_of_polyder(self, coeffs, x, xs):
-        # trailing zero coefficients included: polyder trims them, polyval
-        # of the coefficients themselves does not
+        # trailing zero coefficients included: neither polyder nor polyval
+        # trims them (polyder((1, 2, 0, 0)) is [2, 0, 0])
         spec = Polynomial(coeffs)
         xs = np.array(xs)
         for k in range(4):
@@ -469,6 +469,96 @@ class TestPolynomialHorner:
             assert type(out) is float
             assert _bits(out) == _bits(npoly.polyval(x, ref))
             assert _bits(spec.derivative(xs, k, C)) == _bits(npoly.polyval(xs, ref))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        coeffs=_polynomials(),
+        scale=st.floats(-300.0, 307.0).map(lambda e: 10.0**e),
+    )
+    def test_derivative_table_is_polyder_bit_for_bit(self, coeffs, scale):
+        # up to 1e308 in size, so some j * c[j] overflow to inf
+        coeffs = tuple(c * scale for c in coeffs)
+        table = Polynomial(coeffs)._derivative_coeffs
+        assert table[0] == coeffs
+        with np.errstate(over="ignore"):
+            for k in (1, 2, 3):
+                assert _bits(table[k]) == _bits(npoly.polyder(coeffs, k))
+
+    def test_a_derivative_past_the_constant_term_keeps_its_sign_of_zero(self):
+        # polyder of a quadratic three times is c[:1] * 0: -0.0 here
+        out = Polynomial((-1.0, 0.5, 2.0)).derivative(-0.3, 3, C)
+        assert out == 0.0 and math.copysign(1.0, out) == -1.0
+
+
+def _companion_real_roots(coeffs, k=0):
+    # the reference _real_roots is pinned to: npoly.polycompanion's matrix
+    # of coeffs in y = x / 2**k, its eigenvalues sorted as polyroots sorts
+    # them, and the real ones back in x
+    n = len(coeffs) - 1
+    matrix = npoly.polycompanion([math.ldexp(c, k * (i - n)) for i, c in enumerate(coeffs)])
+    roots = np.linalg.eigvals(matrix)
+    roots.sort()
+    return np.ldexp(roots.real[np.abs(roots.imag) <= 1e-9 * (1.0 + np.abs(roots))], k)
+
+
+def _odd_polynomials():
+    # cubics and quintics, with a leading coefficient 0.1 to 5 in size
+    coeff = st.one_of(st.just(0.0), st.floats(-5.0, 5.0))
+    lead = st.one_of(st.floats(0.1, 5.0), st.floats(-5.0, -0.1))
+    return st.sampled_from([3, 5]).flatmap(
+        lambda n: st.tuples(st.lists(coeff, min_size=n, max_size=n), lead)
+    ).map(lambda t: tuple(t[0]) + (t[1],))
+
+
+class TestCompanionRoots:
+    """``_real_roots`` is LAPACK's eigenvalues of polycompanion's matrix,
+    bit for bit, on the coefficients it scales and trims: the matrix is
+    built in ``potentials`` and must not be transposed or rotated."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(coeffs=_odd_polynomials())
+    def test_cubics_and_quintics(self, coeffs):
+        roots = _real_roots(coeffs)
+        assert roots and all(type(x) is float for x in roots)
+        assert _bits(roots) == _bits(_companion_real_roots(coeffs))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.sampled_from([3, 5]),
+        k=st.integers(1, 60),
+        lead=st.floats(1.0, 2.0, exclude_max=True),
+        head=st.floats(1.0, 2.0, exclude_max=True),
+        sign=st.sampled_from([1.0, -1.0]),
+        middle=st.lists(st.one_of(st.just(0.0), st.floats(-5.0, 5.0)), min_size=4, max_size=4),
+    )
+    def test_a_scaled_variable(self, n, k, lead, head, sign, middle):
+        # c[0] / c[n] is 2**(1000 + n k - (n + 1) // 2) times head / lead, in
+        # (1/2, 2): in y = x / 2**k it is under 2**1000, in x / 2**(k - 1)
+        # not, and every other ratio is far under it; the roots are near
+        # 2**big in size, and each middle term is about as large there
+        e = 500 + n * k - (n + 1) // 2
+        big = (e + 500) / n
+        coeffs = (
+            [sign * math.ldexp(head, e)]
+            + [math.ldexp(m, -500 + round((n - i) * big)) for i, m in enumerate(middle[:n - 1], 1)]
+            + [math.ldexp(lead, -500)]
+        )
+        roots = _real_roots(coeffs)
+        assert roots
+        assert _bits(roots) == _bits(_companion_real_roots(coeffs, k))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        coeffs=_odd_polynomials(),
+        tail=st.lists(st.floats(0.1, 5.0), min_size=1, max_size=2),
+        r=st.floats(1.0, 4.0),
+    )
+    def test_a_window_trims_the_leading_terms(self, coeffs, tail, r):
+        # terms of 1e-200 are under eps times the largest term on |x| <= r
+        padded = coeffs + tuple(1e-200 * t for t in tail)
+        roots = _real_roots(padded, r)
+        assert roots
+        assert _bits(roots) == _bits(_companion_real_roots(coeffs))
 
 
 SCALAR_INPUTS = [0.35, -1, 0, np.float64(-0.35), np.array(0.6), np.array(0)]
@@ -520,6 +610,26 @@ class TestNestedMirrors:
         twice = analyze(Mirrored(Mirrored(spec)), C)
         assert twice.spec == spec
         assert _geometry(twice) == _geometry(analyze(spec, C))
+
+
+class TestNoPolynomialWrappers:
+    def test_analyze_takes_no_numpy_polynomial_wrapper(self, monkeypatch):
+        # fresh specs each time, so no table is cached from the first pass
+        sextic = tuple(sextic_coeffs(2.0, 0.03))
+        makers = [
+            lambda: BiasedQuartic(3.0, 1.0, 0.15),
+            lambda: Polynomial(sextic),
+            lambda: Polynomial(sextic, window=(-2.0, 2.0)),
+            lambda: mirror(Polynomial(sextic)),
+        ]
+        unpatched = [analyze(make(), C) for make in makers]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a numpy.polynomial wrapper is on the analyze path")
+
+        for name in ("polyder", "polyroots", "polycompanion"):
+            monkeypatch.setattr(npoly, name, refuse)
+        assert [analyze(make(), C) for make in makers] == unpatched
 
 
 class TestOrientOnce:
