@@ -36,7 +36,9 @@ quadrature does not settle, costs one pass.
 ``evaluate_action`` are one-row calls of the kernel; a row whose energy
 or quadrature fails carries its own error, which a one-row call raises.
 hbar and m come from the analysis the kernel works on; a ``consts``
-argument beside it only builds a missing analysis.
+argument beside it only builds a missing analysis.  ``_action_estimate``
+gives I(E) to a few parts in 1e3 from eight samples of v and no kernel
+call, for a caller that must decide which energies to batch.
 
 Also provided: the exact closed form for the piecewise-parabolic
 double-oscillator family.
@@ -63,7 +65,7 @@ from .potentials import (
     _flank_roots,
     analyze,
 )
-from .quadrature import _MAX_DEPTH, _ORDER, _panel_nodes, _panel_sums, _unsettled
+from .quadrature import _MAX_DEPTH, _ORDER, _panel_sums, _unit_nodes, _unsettled
 
 __all__ = [
     "ActionResult",
@@ -92,6 +94,11 @@ class ActionResult:
 # Most t-nodes one pass of the action kernel samples in one block; more
 # open (row, flank) pairs than that are sampled in chunks.
 _PASS_NODES = 2**16
+# 4-point Gauss-Legendre nodes and weights on [0, 1], for _action_estimate
+_ESTIMATE_RULE = [
+    (0.5 * (1.0 + x), 0.5 * w)
+    for x, w in zip(*(a.tolist() for a in np.polynomial.legendre.leggauss(4)))
+]
 
 
 def _ensure_analysis(spec, consts, analysis):
@@ -129,29 +136,55 @@ def _energy_error(analysis, E, right_floor):
     return None
 
 
+def _harmonic_turns(analysis, E, right_floor):
+    # the wells' harmonic turning points at each energy of E: on the left
+    # flank x_L + sqrt(2E/m)/omega_L at each energy, then on the right
+    # x_R - sqrt(2(E - right_floor)/m)/omega_R; E - right_floor >= 0 by
+    # _energy_error, so no square root is negative
+    m = analysis.consts.mass
+    return [analysis.x_L + math.sqrt(2.0 * e / m) / analysis.omega_L for e in E] + [
+        analysis.x_R - math.sqrt(2.0 * (e - right_floor) / m) / analysis.omega_R for e in E
+    ]
+
+
 def _turning_rows(analysis, E, right_floor):
-    """Inner turning points (a_bar, b_bar), as arrays, at each energy of E.
+    """Inner turning points at each energy of E, as one array: a_bar of
+    every energy, then b_bar of every energy.
 
     Every energy must pass ``_energy_error``; ``right_floor`` is v(x_R) of
     the curve.  Each is the root of v(x) = E on a barrier flank, [x_L, x_m]
     or [x_m, x_R], that ``_flank_roots`` reaches from the well's harmonic
-    turning point, x_L + sqrt(2E/m)/omega_L on the left and
-    x_R - sqrt(2(E - v(x_R))/m)/omega_R on the right: a float where
-    v(x) < E next to one where v(x) >= E.  Where rounding makes v - E
-    change sign more than once there, that start picks the sign change,
-    and a row equals its one-row call because both take the same steps
-    from the same start.
+    turning point (``_harmonic_turns``): a float where v(x) < E next to
+    one where v(x) >= E.  Where rounding makes v - E change sign more than
+    once there, that start picks the sign change, and a row equals its
+    one-row call because both take the same steps from the same start.
     """
     k = len(E)
-    m = analysis.consts.mass
-    # E - right_floor >= 0 by _energy_error, so no square root is negative
-    start = [analysis.x_L + math.sqrt(2.0 * e / m) / analysis.omega_L for e in E] + [
-        analysis.x_R - math.sqrt(2.0 * (e - right_floor) / m) / analysis.omega_R for e in E
-    ]
     lo, hi = [analysis.x_L] * k + [analysis.x_m] * k, [analysis.x_m] * k + [analysis.x_R] * k
     rising = [True] * k + [False] * k  # v - E rises with x on the left flank
-    x = _flank_roots(analysis, list(E) * 2, lo, hi, start, rising)
-    return x[:k], x[k:]
+    starts = _harmonic_turns(analysis, E, right_floor)
+    return _flank_roots(analysis, list(E) * 2, lo, hi, starts, rising)
+
+
+def _action_estimate(analysis, E, right_floor):
+    """I(E) to a few parts in 1e3, without the kernel: 4-node
+    Gauss-Legendre of sqrt(2m (v - E)) on each flank, from the harmonic
+    turning point to x_m.
+
+    E must pass ``_energy_error``.  On deep quartic, sextic and
+    double-oscillator wells I / estimate lies in 0.996-0.999.  Python
+    floats throughout: eight samples of v cost less than one array call.
+    """
+    curve, consts, shift = analysis.spec.derivative, analysis.consts, analysis.zero_shift
+    two_m, x_m = 2.0 * consts.mass, analysis.x_m
+    total = 0.0
+    for end in _harmonic_turns(analysis, (E,), right_floor):
+        width = x_m - end
+        flank = 0.0
+        for u, w in _ESTIMATE_RULE:
+            flank += w * math.sqrt(max(two_m * (curve(end + width * u, 0, consts) - shift - E), 0.0))
+        total += abs(width) * flank
+    return total / consts.hbar
 
 
 def turning_points(spec, consts: PhysConstants, E: float, analysis: WellAnalysis | None = None):
@@ -170,29 +203,33 @@ def turning_points(spec, consts: PhysConstants, E: float, analysis: WellAnalysis
     return row.a_bar, row.b_bar
 
 
-def _momentum(two_t, w, m):
-    # 2t sqrt(2m (V - E)): the integrand of I in t
-    return two_t * np.sqrt(np.maximum(w, 0.0))
+def _momentum(two_t, w, m, out=None):
+    # 2t sqrt(2m (V - E)): the integrand of I in t, into out when given
+    root = np.sqrt(np.maximum(w, 0.0, out=out), out=out)
+    return np.multiply(two_t, root, out=out)
 
 
-def _inverse_momentum(two_t, w, m):
-    # 2t m / sqrt(2m (V - E)): the integrand of -dI/dE in t
-    return two_t * m / np.sqrt(np.maximum(w, 1e-300))
+def _inverse_momentum(two_t, w, m, out=None):
+    # 2t m / sqrt(2m (V - E)): the integrand of -dI/dE in t, into out when
+    # given
+    root = np.sqrt(np.maximum(w, 1e-300, out=out), out=out)
+    return np.divide(two_t * m, root, out=out)
 
 
-def _flank_integrals(analysis, E, a_bar, b_bar, rtol, integrands, tentative=None):
+def _flank_integrals(analysis, E, x, rtol, integrands, tentative=None):
     """Both barrier flanks of each integrand at every energy of E, before
-    the factor 1/hbar.
+    the factor 1/hbar, from the turning points x of ``_turning_rows``:
+    a_bar of every energy, then b_bar.
 
     The left flank runs as x = a_bar + t^2 from a_bar to x_m, the right
     one as x = b_bar - t^2 from b_bar back to x_m.  A (row, flank) pair
-    is open while one of its integrands is.  Each pass calls v once on a
-    (pairs x nodes) block of the t-nodes of the open pairs, once per chunk
-    of pairs past _PASS_NODES nodes, and forms every integrand from that
-    sample.  The first pass takes depths 0 and 1 of every pair and
-    returns when every component settles, as almost every one does (a
-    zero-width flank sums to 0.0 at both); each later pass takes the open
-    pairs one depth further.  Each (row, integrand, flank) component
+    is open while one of its integrands is.  Each pass calls the spec's
+    ``derivative`` once on a (pairs x nodes) block of the t-nodes of the
+    open pairs, once per chunk of pairs past _PASS_NODES nodes, and forms
+    every integrand from that sample, into one block.  The first pass
+    takes depths 0 and 1 of every pair and returns when every component
+    settles, as almost every one does (a zero-width flank sums to 0.0 at
+    both); each later pass takes the open pairs one depth further.  Each (row, integrand, flank) component
     stops at its own depth with exactly the value adaptive_quadrature
     gives it alone.
 
@@ -206,22 +243,28 @@ def _flank_integrals(analysis, E, a_bar, b_bar, rtol, integrands, tentative=None
     of the first such component, integrands in the order given and the
     left flank first, and each tentative row that stopped to None.
     """
-    m = analysis.consts.mass
+    consts, curve, shift = analysis.consts, analysis.spec.derivative, analysis.zero_shift
+    m = consts.mass
     two_m = 2.0 * m
     k, n = E.size, len(integrands)
     if not n:
         return np.empty((0, 2, k)), {}
-    base = np.concatenate([a_bar, b_bar])  # pair p is row p % k, flank p // k
+    # pair p is row p % k, flank p // k, from x[p]
     sign = np.array([1.0, -1.0]).repeat(k)
     energy = np.concatenate([E, E])
-    tops = np.sqrt(np.concatenate([analysis.x_m - a_bar, b_bar - analysis.x_m]))
+    tops = np.sqrt(np.abs(x - analysis.x_m))  # |x - x_m| is x_m - a_bar, b_bar - x_m exactly
 
     def chunk_sums(p, counts):
-        # each integrand's sums of each count at the pairs p, from one call of v
-        t, width = _panel_nodes(0.0, tops[p], counts)
-        w = two_m * (analysis.v(base[p, None] + sign[p, None] * (t * t)) - energy[p, None])
+        # each integrand's sums of each count at the pairs p, from one
+        # sample of v: panels of [0, tops] with t = tops U
+        width = tops[p]
+        t = width[:, None] * _unit_nodes(counts)
+        w = two_m * (curve(x[p, None] + sign[p, None] * (t * t), 0, consts) - shift - energy[p, None])
         two_t = 2.0 * t
-        return _panel_sums(np.array([f(two_t, w, m) for f in integrands]), width, counts)
+        block = np.empty((n,) + w.shape)
+        for f, out in zip(integrands, block):
+            f(two_t, w, m, out)
+        return _panel_sums(block, width, counts)
 
     def sums(pairs, counts):
         # chunk_sums at the pairs, in chunks of at most _PASS_NODES nodes;
@@ -293,22 +336,23 @@ def _action_rows(analyses, E, rtol, integrands, tentative=0):
     if tentative:
         firm = {j for r, j in rows if r < len(out) - tentative}
         only_tentative = np.array([j not in firm for j in range(len(energies))])
-    a_bar, b_bar = _turning_rows(curve, energies, right_floor)
+    turns = _turning_rows(curve, energies, right_floor)
     # An integral that is not finite makes its row an error.  A mass so
     # large that the turning points lie within an ulp of the wells gives
     # one: at a node that is not forbidden, the slope's integrand is
     # divided by sqrt(1e-300) and overflows.
     with np.errstate(all="ignore"):
         values, errors = _flank_integrals(
-            curve, np.array(energies), a_bar, b_bar, rtol, integrands, only_tentative
+            curve, np.array(energies), turns, rtol, integrands, only_tentative
         )
     flanks = dict(zip(integrands, values.tolist()))  # integrand -> [left, right] sums
     unasked = [[math.nan] * len(energies)] * 2
     (i_l, i_r), (s_l, s_r) = (flanks.get(f, unasked) for f in (_momentum, _inverse_momentum))
     hbar = curve.consts.hbar
+    k, turns = len(energies), turns.tolist()
     solved = [
         ActionResult(e, a, b, il / hbar + ir / hbar, -(sl + sr) / hbar, il / hbar, ir / hbar)
-        for e, a, b, il, ir, sl, sr in zip(energies, a_bar.tolist(), b_bar.tolist(), i_l, i_r, s_l, s_r)
+        for e, a, b, il, ir, sl, sr in zip(energies, turns[:k], turns[k:], i_l, i_r, s_l, s_r)
     ]
     sums = list(chain.from_iterable(flanks.values()))  # each flank of each integrand asked for
     if not all(map(math.isfinite, chain.from_iterable(sums))):

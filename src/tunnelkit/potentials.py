@@ -139,6 +139,10 @@ class BiasedQuartic:
         return (-2.0 * self.a, 2.0 * self.a), _real_roots(slope, 2.0 * self.a)
 
 
+# (spec, consts, parabolas) of the last DoubleOscillator._parabolas call
+_last_parabolas = (None, None, None)
+
+
 @dataclass(frozen=True)
 class DoubleOscillator:
     """Two parabolic branches meeting at x = 0.
@@ -178,26 +182,42 @@ class DoubleOscillator:
         return math.sqrt(2.0 * (self.V0 - self.tilde_eps) / consts.mass) / self.omega_R
 
     def derivative(self, x, k, consts):
+        left, right = self._parabolas(consts)
         if isinstance(x, float):
-            return self._branch(x, k, consts, x <= 0.0)
-        return np.where(
-            x <= 0.0, self._branch(x, k, consts, True), self._branch(x, k, consts, False)
-        )
+            return self._branch(x, k, left if x <= 0.0 else right)
+        return np.where(x <= 0.0, self._branch(x, k, left), self._branch(x, k, right))
 
-    def _branch(self, x, k, consts, left):
-        # k-th derivative of the left (x <= 0) or the right parabola; the
-        # constant k = 2, 3 values broadcast through np.where for arrays
+    def _parabolas(self, consts):
+        # (x0, m omega^2, m omega^2 / 2, floor) of the left and the right
+        # parabola, formed once per spec and consts in a row: the last pair
+        # formed is kept, in one slot for all instances, so that a run over
+        # many wells holds no table per well
+        global _last_parabolas
+        spec, last_consts, pair = _last_parabolas
+        if spec is self and last_consts is consts:
+            return pair
         m = consts.mass
-        if left:
-            omega, x0 = self.omega_L, self.x_left(consts)
-        else:
-            omega, x0 = self.omega_R, self.x_right(consts)
+        pair = tuple(
+            (x0, m * omega**2, 0.5 * m * omega**2, floor)
+            for x0, omega, floor in (
+                (self.x_left(consts), self.omega_L, None),
+                (self.x_right(consts), self.omega_R, self.tilde_eps),
+            )
+        )
+        _last_parabolas = (self, consts, pair)
+        return pair
+
+    @staticmethod
+    def _branch(x, k, parabola):
+        # k-th derivative of one parabola of _parabolas; the constant k = 2,
+        # 3 values broadcast through np.where for arrays
+        x0, curvature, half_curvature, floor = parabola
         if k == 0:
-            out = 0.5 * m * omega**2 * ((x - x0) * (x - x0))
-            return out if left else self.tilde_eps + out
+            out = half_curvature * ((x - x0) * (x - x0))
+            return out if floor is None else floor + out
         if k == 1:
-            return m * omega**2 * (x - x0)
-        return m * omega**2 if k == 2 else 0.0
+            return curvature * (x - x0)
+        return curvature if k == 2 else 0.0
 
 
 @dataclass(frozen=True)

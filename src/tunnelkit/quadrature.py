@@ -13,10 +13,11 @@ tests and as sites that ``perfbench/tracing.py`` wraps.  The barrier-action
 kernel in ``actions`` refines many integrals at once: one sample of the
 potential per pass serves I and dI/dE on both barrier flanks at every
 energy of a batch, and each component keeps its own stopping depth.
-``_panel_nodes`` scales one cached table of nodes on [0, 1] to a pass of
-one panel count or of several (the kernel's first pass takes 1 and 2),
-and ``_panel_sums`` sums each count, for one right end or an array of
-them; every row gets the bits it gets alone.  With ``_unsettled`` and
+``_unit_nodes`` caches the nodes on [0, 1] of a pass of one panel count
+or of several (the kernel's first pass takes 1 and 2), which
+``_panel_nodes`` and the kernel scale to their intervals, and
+``_panel_sums`` sums each count, for one right end or an array of them;
+every row gets the bits it gets alone.  With ``_unsettled`` and
 ``_settled``'s test they give each component exactly what
 ``adaptive_quadrature`` gives it alone.
 """
@@ -59,12 +60,20 @@ def _panel_sums(vals: np.ndarray, width, counts: tuple[int, ...]):
     ``_panel_nodes`` and its width, one entry per count: a sum, or one
     per row of rows of nodes.  Each count's weighted panel sum is scaled
     once, by width / (2 count), and takes its own product with the
-    weights, since one product over all counts moves bits."""
+    weights, since one product over all counts moves bits.  One or two
+    panels are summed by indexing, in the order of numpy's sum, which
+    starts from +0.0."""
     sums, start = [], 0
     for count in counts:
         stop = start + count * _ORDER
-        panels = vals[..., start:stop].reshape(*vals.shape[:-1], count, _ORDER)
-        sums.append((panels @ _WEIGHTS).sum(axis=-1) * (width / (2 * count)))
+        panels = vals[..., start:stop].reshape(*vals.shape[:-1], count, _ORDER) @ _WEIGHTS
+        if count == 1:
+            total = 0.0 + panels[..., 0]
+        elif count == 2:
+            total = 0.0 + panels[..., 0] + panels[..., 1]
+        else:
+            total = panels.sum(axis=-1)
+        sums.append(total * (width / (2 * count)))
         start = stop
     return sums
 

@@ -105,6 +105,27 @@ class TestQuadrature:
         assert np.array_equal(sums[0], _panel_sums(vals[:, :16], one_width, (1,))[0])
         assert np.array_equal(sums[1], _panel_sums(vals[:, 16:], two_width, (2,))[0])
 
+    def test_one_and_two_panels_sum_to_the_bits_of_numpys_sum(self):
+        # _panel_sums adds one or two panel sums itself; on signed zeros,
+        # cancelling pairs and values 600 decades apart it gives what
+        # numpy's sum over the panels gives
+        rng = np.random.default_rng(42)
+        weights = np.polynomial.legendre.leggauss(16)[1]
+        for _ in range(200):
+            vals = rng.standard_normal((2, 3, 64)) * 10.0 ** rng.integers(-300, 300, (2, 3, 64))
+            vals[rng.random(vals.shape) < 0.3] = -0.0
+            # whole panels of -0.0, whose panel sums are -0.0 where the
+            # product with the weights keeps the sign of zero
+            for row, col, panel in zip(*(rng.integers(0, n, 4) for n in (2, 3, 4))):
+                vals[row, col, 16 * panel:16 * panel + 16] = -0.0
+            vals[0, 0, 16:32] = -vals[0, 0, 32:48]
+            width = rng.random(3)
+            got = _panel_sums(vals, width, (1, 2, 1))
+            for count, start, total in zip((1, 2, 1), (0, 16, 48), got):
+                panels = vals[..., start:start + 16 * count].reshape(2, 3, count, 16)
+                expected = (panels @ weights).sum(axis=-1) * (width / (2 * count))
+                assert total.tobytes() == expected.tobytes()
+
     def test_adaptive_quadrature_matches_analytic_integral(self):
         val = adaptive_quadrature(np.sin, 0.0, math.pi, rtol=1e-13)
         assert val == pytest.approx(2.0, rel=1e-13)
@@ -361,16 +382,21 @@ def _outcome(fn):
 
 
 def sampled_sizes(monkeypatch):
-    """The size of every array call of v, in call order."""
+    """The size of every sample of v on a block of t-nodes, in call order:
+    each call of a family's ``derivative`` for V on a 2-D array, as the
+    action kernel makes them (the turning points' array calls are 1-D)."""
     sizes = []
-    evaluate_v = tunnelkit.potentials.evaluate
 
-    def spy(spec, x, consts):
-        if np.ndim(x):
-            sizes.append(np.size(x))
-        return evaluate_v(spec, x, consts)
+    def spying(derivative):
+        def spy(spec, x, k, consts):
+            if k == 0 and np.ndim(x) == 2:
+                sizes.append(np.size(x))
+            return derivative(spec, x, k, consts)
 
-    monkeypatch.setattr(tunnelkit.potentials, "evaluate", spy)
+        return spy
+
+    for family in tunnelkit.potentials.FAMILIES.values():
+        monkeypatch.setattr(family, "derivative", spying(family.derivative))
     return sizes
 
 
@@ -445,15 +471,7 @@ class TestActionKernel:
         spec = deep_quartic(6.0, 1.0, 0.1)
         a = analyze(spec, C)
         e = a.tilde_eps + (a.V0 - a.tilde_eps) * 0.99
-        sizes = []
-        evaluate_v = tunnelkit.potentials.evaluate
-
-        def spy(spec, x, consts):
-            if np.ndim(x):
-                sizes.append(np.size(x))
-            return evaluate_v(spec, x, consts)
-
-        monkeypatch.setattr(tunnelkit.potentials, "evaluate", spy)
+        sizes = sampled_sizes(monkeypatch)
         evaluate_action(spec, C, E=e, analysis=a)
         # depths 0 and 1 of both flanks (2 x 48 nodes), then one flank alone
         # at depth 2 (64 nodes) and 3 (128 nodes)
@@ -472,11 +490,11 @@ class TestActionKernel:
         a_bar, b_bar = turning_points(spec, C, e, a)
         sizes = sampled_sizes(monkeypatch)
 
-        def wavy(two_t, w, m):
-            return two_t * (2.0 + np.cos(18.0 * two_t))
+        def wavy(two_t, w, m, out=None):
+            return np.multiply(two_t, 2.0 + np.cos(18.0 * two_t), out=out)
 
         values, errors = tunnelkit.actions._flank_integrals(
-            a, np.array([e]), np.array([a_bar]), np.array([b_bar]), 1e-12, (wavy,)
+            a, np.array([e]), np.array([a_bar, b_bar]), 1e-12, (wavy,)
         )
         # depths 0 and 1 of both flanks, then the left flank alone at
         # depths 2 and 3
@@ -505,7 +523,7 @@ class TestActionKernel:
         b_bar = np.array([b for _, b in turns])
         integrands = (tunnelkit.actions._momentum, tunnelkit.actions._inverse_momentum)
         values, errors = tunnelkit.actions._flank_integrals(
-            a, np.array(energies), a_bar, b_bar, 1e-12, integrands
+            a, np.array(energies), np.concatenate([a_bar, b_bar]), 1e-12, integrands
         )
         assert errors == {}
         assert values[:, 0, 1].tolist() == [0.0, 0.0]

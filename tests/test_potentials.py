@@ -591,6 +591,41 @@ def _geometry(analysis):
     }
 
 
+def _parabola(spec, x, k, consts):
+    # the k-th derivative of the double oscillator at the float x, with
+    # its well position and curvature formed afresh
+    m = consts.mass
+    if x <= 0.0:
+        omega, x0, floor = spec.omega_L, spec.x_left(consts), None
+    else:
+        omega, x0, floor = spec.omega_R, spec.x_right(consts), spec.tilde_eps
+    if k == 0:
+        out = 0.5 * m * omega**2 * ((x - x0) * (x - x0))
+        return out if floor is None else floor + out
+    if k == 1:
+        return m * omega**2 * (x - x0)
+    return m * omega**2 if k == 2 else 0.0
+
+
+class TestDoubleOscillatorParabolas:
+    def test_calls_that_alternate_specs_and_constants_keep_their_bits(self):
+        # Each parabola's x0, m omega^2 and m omega^2 / 2 are formed once
+        # per spec and constants in a row; calls that alternate between
+        # specs and constants get, as floats and as arrays, the bits of
+        # the formula taken afresh.
+        specs = [DoubleOscillator(1.0, 1.3, 0.05, 9.0), DoubleOscillator(0.7, 1.9, 0.4, 3.0)]
+        constants = [C, PhysConstants(hbar=0.5, mass=2.5), PhysConstants(hbar=0.5, mass=2.5)]
+        xs = np.linspace(-4.0, 4.0, 41)
+        for _ in range(2):
+            for spec in specs:
+                for consts in constants:
+                    for k in range(4):
+                        expected = [_parabola(spec, x, k, consts).hex() for x in xs.tolist()]
+                        floats = [spec.derivative(x, k, consts).hex() for x in xs.tolist()]
+                        array = [float(v).hex() for v in spec.derivative(xs, k, consts).tolist()]
+                        assert floats == array == expected, (spec, consts, k)
+
+
 class TestNestedMirrors:
     @pytest.mark.parametrize("orient", ["auto", "keep"])
     def test_double_oscillator_mirrors_collapse(self, orient):

@@ -527,6 +527,50 @@ def test_hbar_and_mass_come_from_the_analysis(spec):
             assert _outcome(lambda: call(C)) == own, (consts, name)
 
 
+def _either_prediction(call):
+    # the _outcome of call with the single-point hit predicted, and without
+    outcomes = []
+    for hit in (True, False):
+        with unittest.mock.patch.object(splitting, "_predicted_hit", lambda *args: hit):
+            outcomes.append(_outcome(call))
+    return outcomes
+
+
+# A single point takes its guesses into the first batch only where an
+# action estimate predicts that its Newton starts land on them.  Whatever
+# the prediction, each point has the bits it has alone, or the same error:
+# on deep wells, on shallow ones whose starts miss, on mirrored specs and
+# on hbar and mass twins.
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(spec=DEEP_WELLS, mirrored=st.booleans())
+def test_the_single_point_prediction_moves_no_bit(spec, mirrored):
+    flip = mirror if mirrored else (lambda s: s)
+    for twin, consts in (
+        (spec, C),
+        (_hbar_twin(spec), PhysConstants(hbar=4.0)),
+        (_mass_twin(spec), PhysConstants(mass=4.0)),
+    ):
+        twin = flip(twin)
+        guessed, alone = _either_prediction(lambda: compute_splitting(twin, consts))
+        assert guessed == alone, (consts, twin)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        BiasedQuartic(3.0, 1.0, 0.15),
+        BiasedQuartic(3.0, 2.0, 0.15),
+        DoubleOscillator(1.0, 1.3, 0.3, 4.0),
+        DoubleOscillator(1.3, 0.9, 0.4, 8.0),
+        Polynomial((0.0, 0.0, -4.0, 0.3, 1.0)),
+        mirror(deep_sextic(4.0, 0.1)),
+    ],
+)
+def test_the_single_point_prediction_moves_no_error(spec):
+    guessed, alone = _either_prediction(lambda: compute_splitting(spec, C))
+    assert guessed == alone
+
+
 def _dialed(spec, span, steps):
     # the analyses of a sweep of tilde_eps over span level spacings, as
     # run_sweep dials them
@@ -579,6 +623,7 @@ class TestComputeSplitting:
         spec = Polynomial((0.0, 0.0, -4.0, 0.3, 1.0))
         base = analyze(spec, C, require_wkb=True)
         points = [dataclasses.replace(base, tilde_eps=-1.0 + i * 3.0 / 30) for i in range(31)]
+        assert compute_splittings([]) == []
         outcomes = []
         for point, (result, error) in zip(points, compute_splittings(points)):
             try:
@@ -611,6 +656,53 @@ class TestComputeSplitting:
         for point, (result, error) in zip(points, outcomes):
             assert error is None
             assert result == compute_splitting(point.spec, C, analysis=point)
+
+    def test_a_deep_point_is_one_batch_of_three_energies(self, monkeypatch):
+        # The estimate predicts that both starts land on the guesses, so
+        # the one batch takes them beside E_bar, and no root goes back.
+        spec = deep_quartic(6.0, 1.0, 0.1)
+        a = analyze(spec, C)
+        half = 0.5 * abs(a.eps)
+        batches = _spied_batches(monkeypatch)
+        result = compute_splitting(spec, C, analysis=a)
+        monkeypatch.undo()
+        assert batches == [[a.E_bar, a.E_bar - half, a.E_bar + half]]
+        with unittest.mock.patch.object(splitting, "_predicted_hit", lambda *args: False):
+            assert repr(compute_splitting(spec, C, analysis=a)) == repr(result)
+
+    def test_a_double_oscillator_point_takes_no_guesses(self, monkeypatch):
+        # I_bar is about 11 here: Delta moves the starts off the guesses,
+        # and the estimate says so.
+        spec = DoubleOscillator(1.0, 1.4, 0.1, 8.0)
+        a = analyze(spec, C)
+        batches = _spied_batches(monkeypatch)
+        compute_splitting(spec, C, analysis=a)
+        assert batches[0] == [a.E_bar] and len(batches) > 1
+
+    @pytest.mark.parametrize(
+        "spec,consts",
+        [
+            # hbar omega_L underflows to 0 while E_bar clears both floors:
+            # Delta's first-order term divides by it
+            (DoubleOscillator(1e-30, 1e30, 0.0, 1e-100), PhysConstants(hbar=1e-300)),
+            # hbar omega_L and so E_bar underflow to 0, below the floor
+            (
+                BiasedQuartic(1.8564933371216466e-267, 1.1690832898342962),
+                PhysConstants(hbar=1.8564933371216466e-267, mass=1.1690832898342962),
+            ),
+        ],
+        ids=["delta_divides_by_zero", "mean_level_at_zero"],
+    )
+    def test_the_prediction_is_false_where_the_quantum_underflows(self, spec, consts):
+        a = analyze(spec, consts)
+        assert consts.hbar * a.omega_L == 0.0
+        assert splitting._predicted_hit(a, a.v(a.x_R)) is False
+        with pytest.raises(TunnelkitError) as raised:
+            compute_splitting(spec, consts, analysis=a)
+        with unittest.mock.patch.object(splitting, "_predicted_hit", lambda *args: True):
+            assert _outcome(lambda: compute_splitting(spec, consts, analysis=a)) == (
+                f"{type(raised.value).__name__}: {raised.value}"
+            )
 
     @pytest.mark.parametrize(
         "spec,missed",
