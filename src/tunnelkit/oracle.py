@@ -37,10 +37,8 @@ where a single well starts.
 Bisection alone would carry its stopping tolerance, eps times the 1-norm
 of H, which grows as 1/h^2, into the doublet gap.
 
-With Richardson, v is sampled once per pair of grids, on the (2n - 1)
-nodes of the finer one; the n-point grid takes every other sample, bit for
-bit its own evaluation, and each grid checks its own samples when it is
-solved.  The sweeps of a grid work in place, in one work space per
+Each grid samples v on its own nodes when it is solved, and checks
+those samples.  The sweeps of a grid work in place, in one work space per
 thread: the block, the residuals and a subdiagonal, 40 bytes per interior
 node of the largest grid the thread has solved.  It stays allocated
 between solves, so that the heap keeps its pages from grid to grid.
@@ -211,25 +209,15 @@ _SETTLE = 1e-12
 _MAX_SWEEPS = 8
 
 
-def _samples(v, x: np.ndarray) -> np.ndarray:
-    """v on the interior nodes of ``x``, as floats."""
-    with np.errstate(all="ignore"):
-        return np.asarray(v(x[1:-1]), dtype=float)
-
-
-def _hamiltonian(
-    v, consts: PhysConstants, x: np.ndarray, vx: np.ndarray | None = None
-) -> tuple[float, np.ndarray]:
+def _hamiltonian(v, consts: PhysConstants, x: np.ndarray) -> tuple[float, np.ndarray]:
     """(t, v on the interior nodes): H = tridiag(-t, 2t + v, -t), t = hbar^2 / (2 m h^2).
 
-    ``vx`` holds v on the interior nodes when they are sampled already;
-    None samples them here.  Raises ConfigError unless t > 0 and v and
-    2t + v are finite on every node.
+    Raises ConfigError unless t > 0 and v and 2t + v are finite on every
+    node.
     """
     h = x[1] - x[0]
-    if vx is None:
-        vx = _samples(v, x)
     with np.errstate(all="ignore"):
+        vx = np.asarray(v(x[1:-1]), dtype=float)
         t = float(consts.hbar ** 2 / (2.0 * consts.mass * h * h))
         v_min, v_max = float(vx.min()), float(vx.max())  # nan when v is nan anywhere
     walls = f"walls [{x[0]:g}, {x[-1]:g}] with n_points = {x.size}"
@@ -587,7 +575,7 @@ def _polish(t: float, vx: np.ndarray, block: np.ndarray, shifts, ceiling: float,
 
 def _lowest_two_on_grid(
     v, consts: PhysConstants, grid: GridSpec, n_points: int, snap: bool, seeds: dict,
-    fewest: float, vx: np.ndarray | None = None,
+    fewest: float,
 ) -> tuple[float, float]:
     """Two lowest levels of the n_points-point Hamiltonian, proven lowest.
 
@@ -599,11 +587,10 @@ def _lowest_two_on_grid(
     pair unresolved only when the grid cannot tell its levels apart.
     ``seeds`` holds the seeds solved so far by node count.  So the levels
     are a function of the grid alone, whether it is solved on its own or
-    as a Richardson partner.  ``vx`` holds v on the interior nodes when
-    they are sampled already, as ``_hamiltonian`` takes it.
+    as a Richardson partner.
     """
     x = _grid_nodes(grid, n_points, snap)
-    t, vx = _hamiltonian(v, consts, x, vx)
+    t, vx = _hamiltonian(v, consts, x)
     block = _workspace(vx.size)[0]
     for m in _seed_sizes(n_points, fewest):
         if m not in seeds:
@@ -621,38 +608,14 @@ def _lowest_two_on_grid(
     raise GridTooCoarse(f"no seed gives a proven pair, the grid itself included: {failure}")
 
 
-def _spacing(grid: GridSpec, n_points: int) -> float:
-    return (grid.x_max - grid.x_min) / (n_points - 1)
-
-
-def _zero_node(grid: GridSpec, n_points: int) -> int:
-    """The index of the node on x = 0 of a snapped n_points grid."""
-    return round(-grid.x_min / _spacing(grid, n_points))
-
-
 def _grid_nodes(grid: GridSpec, n_points: int, snap_zero: bool) -> np.ndarray:
     if not snap_zero:
         return np.linspace(grid.x_min, grid.x_max, n_points)
     # Place a node exactly on x = 0 (the barrier-top kink of the
     # piecewise-parabolic family) so the quadratic convergence of the
     # three-point stencil survives the jump in V''.
-    return (np.arange(n_points) - _zero_node(grid, n_points)) * _spacing(grid, n_points)
-
-
-def _partner_offset(grid: GridSpec, snap: bool) -> int | None:
-    """delta: node i of the n-point grid is node 2i + delta of its (2n - 1)-point partner.
-
-    Bit for bit: the partner's spacing is half the grid's, exactly, and k
-    h and 2k (h / 2) round alike, whether ``_grid_nodes`` counts k from
-    x_min or, on a snapped grid, from the node on x = 0; delta is 0 but
-    where snapping rounds the partner's zero-node index, twice the grid's
-    in exact arithmetic, the other way (-1 or 1).  None when the partner's
-    spacing is below the smallest normal float, where halving rounds.
-    """
-    n = grid.n_points
-    if _spacing(grid, 2 * n - 1) < sys.float_info.min:
-        return None
-    return _zero_node(grid, 2 * n - 1) - 2 * _zero_node(grid, n) if snap else 0
+    h = (grid.x_max - grid.x_min) / (n_points - 1)
+    return (np.arange(n_points) - round(-grid.x_min / h)) * h
 
 
 _WORKSPACE = threading.local()
@@ -730,18 +693,20 @@ def _spectrum(
         consts = analysis.consts
         ell_l, ell_r = _decay_lengths(analysis)
         fewest = _SEED_PER_DECAY * (grid.x_max - grid.x_min) / min(ell_l, ell_r) + 1.0
-        lo, hi = analysis.x_L - 5.0 * ell_l, analysis.x_R + 5.0 * ell_r
-        flipped = _flipped(spec, analysis)
-        if flipped:
-            lo, hi = -hi, -lo
-        if grid.x_min > lo or grid.x_max < hi:
+        walls, flipped = grid, _flipped(spec, analysis)
+        if flipped:  # solve on the axis of the analysis
+            grid = replace(grid, x_min=-grid.x_max, x_max=-grid.x_min)
+        # distances, not bounds x_well -/+ 5 ell, which round onto a well
+        # whose decay length is under an ulp of its position
+        if analysis.x_L - grid.x_min < 5.0 * ell_l or grid.x_max - analysis.x_R < 5.0 * ell_r:
+            lo, hi = analysis.x_L - 5.0 * ell_l, analysis.x_R + 5.0 * ell_r
+            if flipped:
+                lo, hi = -hi, -lo
             raise DomainTooSmall(
                 "walls must clear each well by five decay lengths: need "
                 f"x_min <= {lo:g} and x_max >= {hi:g}, got "
-                f"[{grid.x_min:g}, {grid.x_max:g}]"
+                f"[{walls.x_min:g}, {walls.x_max:g}]"
             )
-        if flipped:  # solve on the axis of the analysis
-            grid = replace(grid, x_min=-grid.x_max, x_max=-grid.x_min)
         v = analysis.v
     else:
         v = lambda x: evaluate(spec, x, consts)  # noqa: E731
@@ -749,18 +714,9 @@ def _spectrum(
     seeds = {} if seeds is None else seeds
     n = grid.n_points
     try:
-        # With Richardson v is sampled once, on the partner's nodes, every
-        # other one of which is a node of the grid; each grid's checks run
-        # on its own samples when it is solved.
-        partner = own = None
+        coarse = e0, e1 = _lowest_two_on_grid(v, consts, grid, n, snap, seeds, fewest)
         if grid.richardson:
-            partner = _samples(v, _grid_nodes(grid, 2 * n - 1, snap))
-            offset = _partner_offset(grid, snap)
-            if offset is not None:
-                own = partner[1 + offset :: 2][: n - 2]
-        coarse = e0, e1 = _lowest_two_on_grid(v, consts, grid, n, snap, seeds, fewest, own)
-        if grid.richardson:
-            fine = _lowest_two_on_grid(v, consts, grid, 2 * n - 1, snap, seeds, fewest, partner)
+            fine = _lowest_two_on_grid(v, consts, grid, 2 * n - 1, snap, seeds, fewest)
     except MemoryError:
         raise _too_large(grid.n_points) from None
     est = math.nan

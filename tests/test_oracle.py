@@ -641,63 +641,61 @@ class TestCertificate:
 
 
 def checked_samples(monkeypatch):
-    """(nodes, v on the interior nodes, whether v came sampled) of each ``_hamiltonian`` call."""
+    """(nodes, v on the interior nodes) of each ``_hamiltonian`` call."""
     calls = []
     hamiltonian = oracle._hamiltonian
 
-    def spy(v, consts, x, vx=None):
-        t, samples = hamiltonian(v, consts, x, vx)
-        calls.append((x, samples, vx is not None))
+    def spy(v, consts, x):
+        t, samples = hamiltonian(v, consts, x)
+        calls.append((x, samples))
         return t, samples
 
     monkeypatch.setattr(oracle, "_hamiltonian", spy)
     return calls
 
 
-class TestSharedSamples:
-    """With Richardson, v is sampled once, on the nodes of the (2n - 1)-point partner."""
+class TestGridSamples:
+    """Each grid, a Richardson partner too, samples v on its own nodes when it is solved."""
 
     KINKED = DoubleOscillator(1.0, 1.3, 0.05, 9.0)
 
-    # -x_min / h = 1000 + fraction: snapping rounds the partner's zero-node
-    # index, 2000 + 2 fraction, up from twice the grid's at 0.4 and down at 0.6
+    # -x_min / h = 1000 + fraction: on the kinked wells, snapping rounds the
+    # partner's zero-node index, 2000 + 2 fraction, up from twice the
+    # grid's at 0.4 and down at 0.6, so that node i of the grid is node
+    # 2i, 2i + 1 or 2i - 1 of its partner
     @pytest.mark.parametrize(
-        "spec, fraction, offset",
-        [
-            (BiasedQuartic(1.0, 2.1, 0.1), 0.4, 0),
-            (KINKED, 0.1, 0),
-            (KINKED, 0.4, 1),
-            (KINKED, 0.6, -1),
-        ],
+        "spec, fraction",
+        [(BiasedQuartic(1.0, 2.1, 0.1), 0.4), (KINKED, 0.1), (KINKED, 0.4), (KINKED, 0.6)],
     )
-    def test_the_grid_takes_every_other_sample_of_its_partner(
-        self, monkeypatch, spec, fraction, offset
+    def test_each_grid_of_a_pair_samples_v_once_on_its_own_nodes(
+        self, monkeypatch, spec, fraction
     ):
         h, n = 0.0105, 2001
         grid = GridSpec(-(1000 + fraction) * h, (1000 - fraction) * h, n)
-        assert oracle._partner_offset(grid, spec.kink) == offset
         a = analyze(spec, C)
+        assert not a.mirrored  # the grid is solved on its own axis
         calls = checked_samples(monkeypatch)
         eigen_lowest_two(spec, C, grid, analysis=a)
-        [(x, vx, sampled)] = [call for call in calls if call[0].size == n]
-        [(_, partner, _)] = [call for call in calls if call[0].size == 2 * n - 1]
-        assert sampled and np.shares_memory(vx, partner)
-        assert np.array_equal(vx, a.v(x[1:-1]))  # its own evaluation, bit for bit
+        for size in (n, 2 * n - 1):
+            [(x, vx)] = [call for call in calls if call[0].size == size]
+            assert np.array_equal(x, oracle._grid_nodes(grid, size, spec.kink))
+            assert np.array_equal(vx, a.v(x[1:-1]))
 
-    def test_a_partner_spacing_below_the_smallest_normal_float_shares_no_samples(
+    def test_a_partner_spacing_below_the_smallest_normal_float_is_sampled_on_its_own_nodes(
         self, monkeypatch
     ):
         # halving a spacing of 3e-308 rounds, and so would every node
         spec, grid = HARMONIC, GridSpec(0.0, 3e-306, 101)
-        assert oracle._partner_offset(grid, False) is None
         nodes = oracle._grid_nodes(grid, 101, False)
-        assert not np.array_equal(nodes, oracle._grid_nodes(grid, 201, False)[::2])
+        partner = oracle._grid_nodes(grid, 201, False)
+        assert not np.array_equal(nodes, partner[::2])
         calls = checked_samples(monkeypatch)
         # hbar and the mass keep t = hbar^2 / (2 m h^2) finite on such a grid
         eigen_lowest_two(spec, PhysConstants(hbar=4e-158, mass=1e300), grid)
-        # the grid is its own seed, and each samples v on its own nodes
-        grid_calls = [(x, sampled) for x, _, sampled in calls if x.size == 101]
-        assert grid_calls and all(np.array_equal(x, nodes) and not s for x, s in grid_calls)
+        # each grid is its own seed, and each samples v on its own nodes
+        for size, own in ((101, nodes), (201, partner)):
+            grid_calls = [x for x, _ in calls if x.size == size]
+            assert grid_calls and all(np.array_equal(x, own) for x in grid_calls)
 
     def test_a_partner_not_finite_between_the_nodes_of_its_grid_is_refused_after_it(
         self, monkeypatch
@@ -847,15 +845,37 @@ class TestGuardRails:
     def test_default_grid_doubles_its_bracket_as_far_as_the_floats_reach(self):
         # decay lengths of 1.4e-61: the left wall lies some 202 doublings
         # of the bracket out, past the 200 that once ended the search; the
-        # 8001-point grid cannot resolve such wells
+        # right wall rounds onto its well, which the domain check refuses
         spec = BiasedQuartic(0.3521807734937822, 1.8761212304758723, -1.9952623149688795)
         consts = PhysConstants(hbar=1.0, mass=2.2730636299860123e242)
         a = analyze(spec, consts)
         assert a.mirrored  # the walls are the analysis axis's, reflected
         grid = default_grid(spec, consts, a)
         assert (a.x_L + grid.x_max) / min(oracle._decay_lengths(a)) > 2.0**201
-        with pytest.raises(GridTooCoarse, match="no seed gives a proven pair"):
+        with pytest.raises(DomainTooSmall, match="five decay lengths"):
             eigen_lowest_two(spec, consts, grid, analysis=a)
+
+    def test_a_wall_on_its_well_is_refused_where_five_decay_lengths_are_under_an_ulp(
+        self, monkeypatch
+    ):
+        # decay lengths of 1.6e-61: the bound x_R + 5 ell rounds onto x_R,
+        # which the default walls, mirrored, put a wall on bit for bit
+        spec = BiasedQuartic(0.3521807734937822, 1.8761212304758723, -1.9952623149688795)
+        consts = PhysConstants(hbar=1.0, mass=2.2730636299860123e242)
+        a = analyze(spec, consts)
+        grid = dataclasses.replace(default_grid(spec, consts, a), n_points=64, richardson=False)
+        ell_r = oracle._decay_lengths(a)[1]
+        assert a.mirrored and grid.x_min == -a.x_R and a.x_R + 5.0 * ell_r == a.x_R
+        with pytest.raises(
+            DomainTooSmall,
+            match=r"^walls must clear each well by five decay lengths: need x_min <= -1\.6278 "
+            r"and x_max >= 2\.05186, got \[-1\.6278, 2\.714\]$",
+        ):
+            eigen_lowest_two(spec, consts, grid, analysis=a)
+        # one ulp further out the wall clears its well by far more than 5 ell
+        monkeypatch.setattr(oracle, "_lowest_two_on_grid", lambda *args: (1.0, 2.0))
+        clear = dataclasses.replace(grid, x_min=math.nextafter(grid.x_min, -math.inf))
+        assert eigen_lowest_two(spec, consts, clear, analysis=a).splitting == 1.0
 
     def test_default_grid_refuses_a_bracket_that_leaves_the_float_range(self, monkeypatch):
         spec = BiasedQuartic(1.0, 2.1)
