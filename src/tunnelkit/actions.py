@@ -36,9 +36,7 @@ quadrature does not settle, costs one pass.
 ``evaluate_action`` are one-row calls of the kernel; a row whose energy
 or quadrature fails carries its own error, which a one-row call raises.
 hbar and m come from the analysis the kernel works on; a ``consts``
-argument beside it only builds a missing analysis.  ``_action_estimate``
-gives I(E) to a few parts in 1e3 from eight samples of v and no kernel
-call, for a caller that must decide which energies to batch.
+argument beside it only builds a missing analysis.
 
 Also provided: the exact closed form for the piecewise-parabolic
 double-oscillator family.
@@ -94,11 +92,6 @@ class ActionResult:
 # Most t-nodes one pass of the action kernel samples in one block; more
 # open (row, flank) pairs than that are sampled in chunks.
 _PASS_NODES = 2**16
-# 4-point Gauss-Legendre nodes and weights on [0, 1], for _action_estimate
-_ESTIMATE_RULE = [
-    (0.5 * (1.0 + x), 0.5 * w)
-    for x, w in zip(*(a.tolist() for a in np.polynomial.legendre.leggauss(4)))
-]
 
 
 def _ensure_analysis(spec, consts, analysis):
@@ -164,27 +157,6 @@ def _turning_rows(analysis, E, right_floor):
     rising = [True] * k + [False] * k  # v - E rises with x on the left flank
     starts = _harmonic_turns(analysis, E, right_floor)
     return _flank_roots(analysis, list(E) * 2, lo, hi, starts, rising)
-
-
-def _action_estimate(analysis, E, right_floor):
-    """I(E) to a few parts in 1e3, without the kernel: 4-node
-    Gauss-Legendre of sqrt(2m (v - E)) on each flank, from the harmonic
-    turning point to x_m.
-
-    E must pass ``_energy_error``.  On deep quartic, sextic and
-    double-oscillator wells I / estimate lies in 0.996-0.999.  Python
-    floats throughout: eight samples of v cost less than one array call.
-    """
-    curve, consts, shift = analysis.spec.derivative, analysis.consts, analysis.zero_shift
-    two_m, x_m = 2.0 * consts.mass, analysis.x_m
-    total = 0.0
-    for end in _harmonic_turns(analysis, (E,), right_floor):
-        width = x_m - end
-        flank = 0.0
-        for u, w in _ESTIMATE_RULE:
-            flank += w * math.sqrt(max(two_m * (curve(end + width * u, 0, consts) - shift - E), 0.0))
-        total += abs(width) * flank
-    return total / consts.hbar
 
 
 def turning_points(spec, consts: PhysConstants, E: float, analysis: WellAnalysis | None = None):

@@ -17,9 +17,8 @@ Three routes of increasing fidelity, all driven by the barrier action:
 
 ``compute_splittings`` runs all three at every point of a bias sweep at
 once, the two roots of every point in lockstep.  Its first batch of the
-action kernel takes the mean levels and, on a sweep of more than one
-point or on a single point where an action estimate predicts it, each
-point's zeroth-order levels E_bar -/+ |eps|/2 as well: on deep wells
+action kernel takes the mean levels and each point's zeroth-order levels
+E_bar -/+ |eps|/2, on a sweep and on a single point alike: on deep wells
 every Newton start lands on them bit for bit and settles there, so the
 whole sweep, or the deep point, is that one batch.  Newton reads
 d(ln f)/dzeta only where it can move the slope's float.
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .actions import ActionResult, _action_estimate, _energy_error, action_rows, evaluate_action
+from .actions import ActionResult, action_rows, evaluate_action
 from .errors import DomainError, RootNotBracketed, TunnelkitError
 from .potentials import DEFAULT_CONSTANTS, PhysConstants, WellAnalysis, analyze
 
@@ -309,30 +308,6 @@ def _newton_root(analyses, deltas, windows, rtol, known):
     return out
 
 
-def _predicted_hit(analysis, right_floor):
-    """Whether both Newton starts E_bar + dE_pm of a single point are
-    predicted to land on its guesses E_bar -/+ |eps|/2 bit for bit: where
-    Delta of an action estimate (``_action_estimate``) moves
-    sqrt((eps/2)^2 + (Delta/2)^2) off |eps|/2 by less than its rounding.
-
-    Deep smooth wells pass; shallower ones, such as double oscillators
-    four to eight level spacings deep (I_bar of 5 to 13), do not, and
-    neither does a well whose estimate cannot be formed in floats (E_bar
-    off the curve, a quantum hbar omega_L that underflows).
-    A wrong prediction costs time alone: the guesses are tentative rows,
-    and a start takes a guess's action only when the two are equal.
-    """
-    e_bar = analysis.E_bar
-    if _energy_error(analysis, e_bar, right_floor) is not None:
-        return False
-    half = 0.5 * abs(analysis.eps)
-    try:
-        delta = delta_first_order(analysis, _action_estimate(analysis, e_bar, right_floor))
-        return math.sqrt(half**2 + (0.5 * delta) ** 2) == half
-    except ArithmeticError:
-        return False
-
-
 def _roots(analysis, plus, minus):
     """(QuantizationResult, None) from the ends of a point's two Newton
     rows, or (None, error) with the error that E_plus, then E_minus,
@@ -445,19 +420,17 @@ def compute_splittings(analyses, *, rtol: float = 1e-12):
 
     The analyses share one curve and may differ in tilde_eps alone.  The
     actions at E_bar come in one batch, then both roots of all points
-    iterate in lockstep.  With more than one point, or with one point
-    whose hit ``_predicted_hit`` predicts, that first batch also takes
-    each point's two guesses, its zeroth-order levels E_bar -/+ |eps|/2,
-    as tentative rows, so that a guess whose quadrature does not settle in
-    the kernel's first pass (next to the barrier top) costs that pass
-    alone.  A root whose Newton start E_bar + dE_pm equals one of its
-    point's settled guesses bit for bit takes that action for its first
-    iterate, and only the roots that miss go to the kernel again.  On deep
-    wells every start lands on its guess and settles in that iterate, so
-    the sweep, or the point, is one batch.  A single point whose starts
-    are predicted to miss, as on shallow wells, takes no guesses: it would
-    pay for two actions it never reads.  The prediction, like the guesses,
-    moves no bit of any result.
+    iterate in lockstep.  That first batch also takes each point's two
+    guesses, its zeroth-order levels E_bar -/+ |eps|/2, as tentative rows,
+    so that a guess whose quadrature does not settle in the kernel's first
+    pass (next to the barrier top) costs that pass alone.  A root whose
+    Newton start E_bar + dE_pm equals one of its point's settled guesses
+    bit for bit takes that action for its first iterate, and only the
+    roots that miss go to the kernel again.  On deep wells every start
+    lands on its guess and settles in that iterate, so the sweep, or the
+    point, is one batch.  On shallow wells, where Delta moves the starts
+    off the guesses, a point pays for two actions it never reads.  The
+    guesses move no bit of any result.
     Returns one (result, error) pair per point:
     (SplittingResult, None) when both roots were found; (result without
     roots, error) when the solve failed, the error being the
@@ -471,13 +444,9 @@ def compute_splittings(analyses, *, rtol: float = 1e-12):
         return []
     e_bars = [a.E_bar for a in analyses]
     right_floor = analyses[0].v(analyses[0].x_R)  # of the curve all points share
-    guesses = []
-    if n > 1 or _predicted_hit(analyses[0], right_floor):
-        # E_bar - |eps|/2 of every point, then E_bar + |eps|/2
-        guesses = [e + side * abs(a.eps) for side in (-0.5, 0.5) for a, e in zip(analyses, e_bars)]
-        outcomes = action_rows(analyses * 3, e_bars + guesses, rtol=rtol, tentative=2 * n)
-    else:
-        outcomes = action_rows(analyses, e_bars, rtol=rtol)
+    # E_bar - |eps|/2 of every point, then E_bar + |eps|/2
+    guesses = [e + side * abs(a.eps) for side in (-0.5, 0.5) for a, e in zip(analyses, e_bars)]
+    outcomes = action_rows(analyses * 3, e_bars + guesses, rtol=rtol, tentative=2 * n)
     actions = outcomes[:n]
     out = [(None, action) for action in actions]
     points = [i for i, act in enumerate(actions) if not isinstance(act, TunnelkitError)]

@@ -527,23 +527,28 @@ def test_hbar_and_mass_come_from_the_analysis(spec):
             assert _outcome(lambda: call(C)) == own, (consts, name)
 
 
-def _either_prediction(call):
-    # the _outcome of call with the single-point hit predicted, and without
-    outcomes = []
-    for hit in (True, False):
-        with unittest.mock.patch.object(splitting, "_predicted_hit", lambda *args: hit):
-            outcomes.append(_outcome(call))
+def _unguessed(analyses, energies, *, tentative=0, **kwargs):
+    # action_rows with every tentative row None, as the kernel returns a
+    # guess that does not settle: no Newton start takes a guess
+    firm = len(energies) - tentative
+    return action_rows(analyses[:firm], energies[:firm], **kwargs) + [None] * tentative
+
+
+def _with_and_without_guesses(call):
+    # the _outcome of call as it runs, and with no guess taken
+    outcomes = [_outcome(call)]
+    with unittest.mock.patch.object(splitting, "action_rows", _unguessed):
+        outcomes.append(_outcome(call))
     return outcomes
 
 
-# A single point takes its guesses into the first batch only where an
-# action estimate predicts that its Newton starts land on them.  Whatever
-# the prediction, each point has the bits it has alone, or the same error:
-# on deep wells, on shallow ones whose starts miss, on mirrored specs and
-# on hbar and mass twins.
+# A single point takes its guesses into the first batch, as a sweep does.
+# Taken or not, each point has the same bits, or the same error: on deep
+# wells, on shallow ones whose starts miss, on mirrored specs and on hbar
+# and mass twins.
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(spec=DEEP_WELLS, mirrored=st.booleans())
-def test_the_single_point_prediction_moves_no_bit(spec, mirrored):
+def test_the_single_point_guesses_move_no_bit(spec, mirrored):
     flip = mirror if mirrored else (lambda s: s)
     for twin, consts in (
         (spec, C),
@@ -551,7 +556,7 @@ def test_the_single_point_prediction_moves_no_bit(spec, mirrored):
         (_mass_twin(spec), PhysConstants(mass=4.0)),
     ):
         twin = flip(twin)
-        guessed, alone = _either_prediction(lambda: compute_splitting(twin, consts))
+        guessed, alone = _with_and_without_guesses(lambda: compute_splitting(twin, consts))
         assert guessed == alone, (consts, twin)
 
 
@@ -566,8 +571,8 @@ def test_the_single_point_prediction_moves_no_bit(spec, mirrored):
         mirror(deep_sextic(4.0, 0.1)),
     ],
 )
-def test_the_single_point_prediction_moves_no_error(spec):
-    guessed, alone = _either_prediction(lambda: compute_splitting(spec, C))
+def test_the_single_point_guesses_move_no_error(spec):
+    guessed, alone = _with_and_without_guesses(lambda: compute_splitting(spec, C))
     assert guessed == alone
 
 
@@ -658,8 +663,8 @@ class TestComputeSplitting:
             assert result == compute_splitting(point.spec, C, analysis=point)
 
     def test_a_deep_point_is_one_batch_of_three_energies(self, monkeypatch):
-        # The estimate predicts that both starts land on the guesses, so
-        # the one batch takes them beside E_bar, and no root goes back.
+        # Both starts land on the guesses, which the one batch takes beside
+        # E_bar, so no root goes back.
         spec = deep_quartic(6.0, 1.0, 0.1)
         a = analyze(spec, C)
         half = 0.5 * abs(a.eps)
@@ -667,17 +672,24 @@ class TestComputeSplitting:
         result = compute_splitting(spec, C, analysis=a)
         monkeypatch.undo()
         assert batches == [[a.E_bar, a.E_bar - half, a.E_bar + half]]
-        with unittest.mock.patch.object(splitting, "_predicted_hit", lambda *args: False):
+        with unittest.mock.patch.object(splitting, "action_rows", _unguessed):
             assert repr(compute_splitting(spec, C, analysis=a)) == repr(result)
 
-    def test_a_double_oscillator_point_takes_no_guesses(self, monkeypatch):
+    def test_a_double_oscillator_point_takes_its_guesses_and_misses(self, monkeypatch):
         # I_bar is about 11 here: Delta moves the starts off the guesses,
-        # and the estimate says so.
+        # which the first batch takes all the same, so the roots take the
+        # batches after it, to the bits of a solve with no guess taken.
         spec = DoubleOscillator(1.0, 1.4, 0.1, 8.0)
         a = analyze(spec, C)
+        half = 0.5 * abs(a.eps)
         batches = _spied_batches(monkeypatch)
-        compute_splitting(spec, C, analysis=a)
-        assert batches[0] == [a.E_bar] and len(batches) > 1
+        result = compute_splitting(spec, C, analysis=a)
+        monkeypatch.undo()
+        assert batches[0] == [a.E_bar, a.E_bar - half, a.E_bar + half] and len(batches) > 1
+        starts = {a.E_bar + result.shifts.dE_plus, a.E_bar + result.shifts.dE_minus}
+        assert not starts & {a.E_bar - half, a.E_bar + half} and batches[1] == sorted(starts)
+        with unittest.mock.patch.object(splitting, "action_rows", _unguessed):
+            assert repr(compute_splitting(spec, C, analysis=a)) == repr(result)
 
     @pytest.mark.parametrize(
         "spec,consts",
@@ -693,16 +705,13 @@ class TestComputeSplitting:
         ],
         ids=["delta_divides_by_zero", "mean_level_at_zero"],
     )
-    def test_the_prediction_is_false_where_the_quantum_underflows(self, spec, consts):
+    def test_the_guesses_move_no_error_where_the_quantum_underflows(self, spec, consts):
         a = analyze(spec, consts)
         assert consts.hbar * a.omega_L == 0.0
-        assert splitting._predicted_hit(a, a.v(a.x_R)) is False
-        with pytest.raises(TunnelkitError) as raised:
+        with pytest.raises(TunnelkitError):
             compute_splitting(spec, consts, analysis=a)
-        with unittest.mock.patch.object(splitting, "_predicted_hit", lambda *args: True):
-            assert _outcome(lambda: compute_splitting(spec, consts, analysis=a)) == (
-                f"{type(raised.value).__name__}: {raised.value}"
-            )
+        guessed, alone = _with_and_without_guesses(lambda: compute_splitting(spec, consts, analysis=a))
+        assert guessed == alone
 
     @pytest.mark.parametrize(
         "spec,missed",
@@ -761,8 +770,8 @@ class TestComputeSplitting:
         def inject():
             batches = []
 
-            def second_fails(analyses, E, *, rtol):
-                rows = action_rows(analyses, E, rtol=rtol)
+            def second_fails(analyses, E, *, rtol, tentative=0):
+                rows = action_rows(analyses, E, rtol=rtol, tentative=tentative)
                 batches.append(rows)
                 if len(batches) == 2:
                     rows[0] = error

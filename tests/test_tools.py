@@ -41,6 +41,11 @@ def test_two_identical_trees_differ_in_no_generated_output(tmp_path):
         "20 of 20 generated configs",
         "0 of 80 runs flip their exit code or error class",
         f"0 of 80 outputs differ from {tmp_path / 'src'}",
+        "runs of SRC that exit 0/2/3/4:",
+        "  run_analyze 1/2/16/1",
+        "  run_sweep 0/9/10/1",
+        "  run_oracle 2/4/14/0",
+        "  run_compare 1/2/16/1",
     ]
 
 
