@@ -129,17 +129,6 @@ def _energy_error(analysis, E, right_floor):
     return None
 
 
-def _harmonic_turns(analysis, E, right_floor):
-    # the wells' harmonic turning points at each energy of E: on the left
-    # flank x_L + sqrt(2E/m)/omega_L at each energy, then on the right
-    # x_R - sqrt(2(E - right_floor)/m)/omega_R; E - right_floor >= 0 by
-    # _energy_error, so no square root is negative
-    m = analysis.consts.mass
-    return [analysis.x_L + math.sqrt(2.0 * e / m) / analysis.omega_L for e in E] + [
-        analysis.x_R - math.sqrt(2.0 * (e - right_floor) / m) / analysis.omega_R for e in E
-    ]
-
-
 def _turning_rows(analysis, E, right_floor):
     """Inner turning points at each energy of E, as one array: a_bar of
     every energy, then b_bar of every energy.
@@ -147,15 +136,21 @@ def _turning_rows(analysis, E, right_floor):
     Every energy must pass ``_energy_error``; ``right_floor`` is v(x_R) of
     the curve.  Each is the root of v(x) = E on a barrier flank, [x_L, x_m]
     or [x_m, x_R], that ``_flank_roots`` reaches from the well's harmonic
-    turning point (``_harmonic_turns``): a float where v(x) < E next to
-    one where v(x) >= E.  Where rounding makes v - E change sign more than
-    once there, that start picks the sign change, and a row equals its
-    one-row call because both take the same steps from the same start.
+    turning point, x_L + sqrt(2E/m)/omega_L on the left and
+    x_R - sqrt(2(E - right_floor)/m)/omega_R on the right: a float where
+    v(x) < E next to one where v(x) >= E.  Where rounding makes v - E
+    change sign more than once there, that start picks the sign change,
+    and a row equals its one-row call because both take the same steps
+    from the same start.
     """
     k = len(E)
     lo, hi = [analysis.x_L] * k + [analysis.x_m] * k, [analysis.x_m] * k + [analysis.x_R] * k
     rising = [True] * k + [False] * k  # v - E rises with x on the left flank
-    starts = _harmonic_turns(analysis, E, right_floor)
+    # E - right_floor >= 0 by _energy_error, so no square root is negative
+    m = analysis.consts.mass
+    starts = [analysis.x_L + math.sqrt(2.0 * e / m) / analysis.omega_L for e in E] + [
+        analysis.x_R - math.sqrt(2.0 * (e - right_floor) / m) / analysis.omega_R for e in E
+    ]
     return _flank_roots(analysis, list(E) * 2, lo, hi, starts, rising)
 
 

@@ -18,6 +18,9 @@ members, and every caller goes through them:
                              pow, which can miss by an ulp)
 
 ``Mirrored`` delegates each of them to its inner family, with x -> -x.
+``evaluate(spec, x, consts)`` is the one public evaluator, of V itself;
+V' and V'' are read through ``derivative`` alone.  No family keeps state
+outside its own instance.
 The families whose V' is a polynomial (all but the double oscillator)
 have a fourth member, ``slope_roots()``: the (lo, hi) scan window that
 holds the stationary points ``analyze`` looks at, and a list of the
@@ -59,8 +62,6 @@ __all__ = [
     "Mirrored",
     "WellAnalysis",
     "evaluate",
-    "evaluate_d1",
-    "evaluate_d2",
     "analyze",
     "mirror",
 ]
@@ -139,10 +140,6 @@ class BiasedQuartic:
         return (-2.0 * self.a, 2.0 * self.a), _real_roots(slope, 2.0 * self.a)
 
 
-# (spec, consts, parabolas) of the last DoubleOscillator._parabolas call
-_last_parabolas = (None, None, None)
-
-
 @dataclass(frozen=True)
 class DoubleOscillator:
     """Two parabolic branches meeting at x = 0.
@@ -151,9 +148,9 @@ class DoubleOscillator:
         V(x) = tilde_eps + (m/2) omega_R^2 (x - x_R)^2   for x > 0
 
     x_L < 0 < x_R are fixed by requiring both branches to reach the
-    barrier value V0 at x = 0.  The slope is discontinuous there
-    (``evaluate_d1`` reports the left branch at exactly x = 0); reports
-    carry a kink caveat for this family.
+    barrier value V0 at x = 0.  The slope is discontinuous there:
+    ``derivative`` takes the left branch at every x <= 0, -0.0 included,
+    and keeps no state beyond the spec.  Reports carry a kink caveat.
     """
 
     family = "double_oscillator"
@@ -182,42 +179,24 @@ class DoubleOscillator:
         return math.sqrt(2.0 * (self.V0 - self.tilde_eps) / consts.mass) / self.omega_R
 
     def derivative(self, x, k, consts):
-        left, right = self._parabolas(consts)
         if isinstance(x, float):
-            return self._branch(x, k, left if x <= 0.0 else right)
-        return np.where(x <= 0.0, self._branch(x, k, left), self._branch(x, k, right))
+            return self._branch(x, k, consts, x <= 0.0)
+        return np.where(x <= 0.0, self._branch(x, k, consts, True), self._branch(x, k, consts, False))
 
-    def _parabolas(self, consts):
-        # (x0, m omega^2, m omega^2 / 2, floor) of the left and the right
-        # parabola, formed once per spec and consts in a row: the last pair
-        # formed is kept, in one slot for all instances, so that a run over
-        # many wells holds no table per well
-        global _last_parabolas
-        spec, last_consts, pair = _last_parabolas
-        if spec is self and last_consts is consts:
-            return pair
+    def _branch(self, x, k, consts, left):
+        # k-th derivative of the left (x <= 0) or the right parabola; the
+        # constant k = 2, 3 values broadcast through np.where for arrays
         m = consts.mass
-        pair = tuple(
-            (x0, m * omega**2, 0.5 * m * omega**2, floor)
-            for x0, omega, floor in (
-                (self.x_left(consts), self.omega_L, None),
-                (self.x_right(consts), self.omega_R, self.tilde_eps),
-            )
-        )
-        _last_parabolas = (self, consts, pair)
-        return pair
-
-    @staticmethod
-    def _branch(x, k, parabola):
-        # k-th derivative of one parabola of _parabolas; the constant k = 2,
-        # 3 values broadcast through np.where for arrays
-        x0, curvature, half_curvature, floor = parabola
+        if left:
+            omega, x0 = self.omega_L, self.x_left(consts)
+        else:
+            omega, x0 = self.omega_R, self.x_right(consts)
         if k == 0:
-            out = half_curvature * ((x - x0) * (x - x0))
-            return out if floor is None else floor + out
+            out = 0.5 * m * omega**2 * ((x - x0) * (x - x0))
+            return out if left else self.tilde_eps + out
         if k == 1:
-            return curvature * (x - x0)
-        return curvature if k == 2 else 0.0
+            return m * omega**2 * (x - x0)
+        return m * omega**2 if k == 2 else 0.0
 
 
 @dataclass(frozen=True)
@@ -396,16 +375,6 @@ def _derivative(spec, x, k, consts):
 def evaluate(spec, x, consts: PhysConstants = DEFAULT_CONSTANTS):
     """Potential value at x (scalar in, scalar out; ndarray in, ndarray out)."""
     return _derivative(spec, x, 0, consts)
-
-
-def evaluate_d1(spec, x, consts: PhysConstants = DEFAULT_CONSTANTS):
-    """First derivative V'(x)."""
-    return _derivative(spec, x, 1, consts)
-
-
-def evaluate_d2(spec, x, consts: PhysConstants = DEFAULT_CONSTANTS):
-    """Second derivative V''(x)."""
-    return _derivative(spec, x, 2, consts)
 
 
 @dataclass(frozen=True)
@@ -845,7 +814,7 @@ def _wells_and_barrier(family, consts):
             f"found {len(minima)} local minima in window {window}, need exactly 2"
         )
     x_lo, x_hi = minima
-    d2 = [evaluate_d2(family, x, consts) for x in minima]
+    d2 = [family.derivative(x, 2, consts) for x in minima]
     for x, curvature in zip(minima, d2):
         if not curvature > 0.0:
             raise NonConvexMinimum(f"V'' <= 0 at detected minimum x = {x:.12g}")

@@ -16,7 +16,7 @@ PUBLIC = {
     "action_slope", "adaptive_quadrature", "analyze",
     "compute_splitting", "default_grid", "delta_first_order",
     "double_oscillator_action", "eigen_lowest_two", "evaluate",
-    "evaluate_action", "evaluate_d1", "evaluate_d2", "f_of_zeta", "g_of_zeta",
+    "evaluate_action", "f_of_zeta", "g_of_zeta",
     "gamow_integral", "level_shifts", "level_splitting", "load_config", "mirror",
     "panel_quadrature", "parse_config",
     "solve_quantization", "turning_points",

@@ -19,8 +19,6 @@ from tunnelkit import (
     Polynomial,
     analyze,
     evaluate,
-    evaluate_d1,
-    evaluate_d2,
     mirror,
 )
 import tunnelkit.potentials
@@ -35,12 +33,22 @@ FAMILIES = [
 FAMILY_IDS = ["quartic", "double_oscillator", "sextic"]
 
 
+def _evaluate_d1(spec, x, consts=C):
+    # k = 1 of the family protocol, with evaluate's float and array handling
+    return _derivative(spec, x, 1, consts)
+
+
+def _evaluate_d2(spec, x, consts=C):
+    # k = 2 of the family protocol, with evaluate's float and array handling
+    return _derivative(spec, x, 2, consts)
+
+
 def _evaluate_d3(spec, x, consts=C):
-    # k = 3 of the family protocol, which no public evaluator reaches
+    # k = 3 of the family protocol, with evaluate's float and array handling
     return _derivative(spec, x, 3, consts)
 
 
-DERIVATIVES = [evaluate, evaluate_d1, evaluate_d2, _evaluate_d3]
+DERIVATIVES = [evaluate, _evaluate_d1, _evaluate_d2, _evaluate_d3]
 
 
 class TestEvaluate:
@@ -66,8 +74,8 @@ class TestEvaluate:
                 - 2 * evaluate(spec, x)
                 + evaluate(spec, x - h2)
             ) / h2**2
-            assert evaluate_d1(spec, x) == pytest.approx(fd1, rel=1e-7, abs=1e-6)
-            assert evaluate_d2(spec, x) == pytest.approx(fd2, rel=1e-5, abs=1e-4)
+            assert _evaluate_d1(spec, x) == pytest.approx(fd1, rel=1e-7, abs=1e-6)
+            assert _evaluate_d2(spec, x) == pytest.approx(fd2, rel=1e-5, abs=1e-4)
 
     def test_quartic_values(self):
         spec = BiasedQuartic(1.0, 2.1, 0.2)
@@ -89,8 +97,8 @@ class TestEvaluate:
         assert isinstance(flipped, Mirrored)
         for x in (-1.2, -0.4, 0.0, 0.9):
             assert evaluate(flipped, x) == evaluate(spec, -x)
-            assert evaluate_d1(flipped, x) == pytest.approx(
-                -evaluate_d1(spec, -x), rel=1e-14, abs=1e-14
+            assert _evaluate_d1(flipped, x) == pytest.approx(
+                -_evaluate_d1(spec, -x), rel=1e-14, abs=1e-14
             )
         assert mirror(flipped) is spec
 
@@ -156,13 +164,24 @@ class TestAnalyzeQuartic:
         assert a.eps == pytest.approx(0.0, abs=1e-10)
         assert a.E_bar == pytest.approx(C.hbar * omega / 2.0, rel=1e-10)
 
-    def test_well_functions_use_left_bottom_as_zero(self):
-        a = analyze(BiasedQuartic(3.0, 1.0, 0.15), C)
-        assert a.v(a.x_L) == pytest.approx(0.0, abs=1e-13)
-        assert a.v(a.x_R) == pytest.approx(a.tilde_eps, rel=1e-12)
-        assert a.v(a.x_m) == pytest.approx(a.V0, rel=1e-12)
-        assert evaluate_d1(a.spec, a.x_m) == pytest.approx(0.0, abs=1e-9)
-        assert evaluate_d2(a.spec, a.x_m) < 0.0
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        spec=DEEP_WELLS,
+        mirrored=st.booleans(),
+        orient=st.sampled_from(["auto", "keep"]),
+        consts=st.sampled_from([C, PhysConstants(0.5, 2.5), PhysConstants(1e-3, 7.0)]),
+    )
+    def test_well_functions_use_left_bottom_as_zero(self, spec, mirrored, orient, consts):
+        # v(x_R) is tilde_eps bit for bit: _action_rows and
+        # compute_splittings take right_floor = v(x_R) where _energy_error
+        # reads tilde_eps, and on an undialed analysis the two must agree
+        a = analyze(mirror(spec) if mirrored else spec, consts, orient=orient)
+        assert _bits(a.v(a.x_L)) == _bits(0.0)
+        assert _bits(a.v(a.x_R)) == _bits(a.tilde_eps)
+        quartic = analyze(BiasedQuartic(3.0, 1.0, 0.15), C)
+        assert quartic.v(quartic.x_m) == pytest.approx(quartic.V0, rel=1e-12)
+        assert _evaluate_d1(quartic.spec, quartic.x_m) == pytest.approx(0.0, abs=1e-9)
+        assert _evaluate_d2(quartic.spec, quartic.x_m) < 0.0
 
     def test_reference_tilted_quartic_bias(self):
         a = analyze(BiasedQuartic(3.0, 1.0, 0.15), C)
@@ -258,8 +277,8 @@ class TestAnalyzePolynomial:
         assert a.x_R == pytest.approx(1.0, rel=1e-10)
         assert a.omega_R / a.omega_L == pytest.approx(1.3, rel=1e-12)
         assert a.tilde_eps == pytest.approx(0.0, abs=1e-12)
-        assert evaluate_d1(a.spec, a.x_m) == pytest.approx(0.0, abs=1e-10)
-        assert evaluate_d2(a.spec, a.x_m) < 0.0
+        assert _evaluate_d1(a.spec, a.x_m) == pytest.approx(0.0, abs=1e-10)
+        assert _evaluate_d2(a.spec, a.x_m) < 0.0
 
     def test_scaling_the_sextic_scales_depth_not_shape(self):
         a1 = analyze(Polynomial(tuple(sextic_coeffs(1.0))), C)
@@ -318,7 +337,7 @@ def _dense_sign_changes(spec, window, n=2**16 + 1):
     # which it changes sign, on n uniform samples; a sample where V' is
     # exactly 0 is skipped
     xs = np.linspace(window[0], window[1], n)
-    sign = np.sign(evaluate_d1(spec, xs, C))
+    sign = np.sign(_evaluate_d1(spec, xs, C))
     xs, sign = xs[sign != 0.0], sign[sign != 0.0]
     return [
         ("min" if sign[i] < 0.0 else "max", xs[i], xs[i + 1])
@@ -353,10 +372,10 @@ class TestStationaryScan:
         window = (centre - width / 2.0, centre + width / 2.0)
         for x, kind in _stationary_points(spec, C, window, roots):
             assert window[0] <= x <= window[1]
-            slope = evaluate_d1(spec, x, C)
+            slope = _evaluate_d1(spec, x, C)
             if slope != 0.0:
                 rising = math.inf if kind == "min" else -math.inf
-                near = evaluate_d1(spec, math.nextafter(x, rising if slope < 0.0 else -rising), C)
+                near = _evaluate_d1(spec, math.nextafter(x, rising if slope < 0.0 else -rising), C)
                 assert min(slope, near) < 0.0 <= max(slope, near)
                 assert abs(slope) <= abs(near)
 
@@ -572,7 +591,7 @@ class TestReturnKind:
         if mirrored:
             spec = Mirrored(spec)
         v = analyze(spec, C).v
-        for fn in (evaluate, evaluate_d1, evaluate_d2, lambda s, x: v(x)):
+        for fn in (evaluate, _evaluate_d1, _evaluate_d2, lambda s, x: v(x)):
             for x in SCALAR_INPUTS:
                 out = fn(spec, x)
                 assert type(out) is float
@@ -609,16 +628,23 @@ def _parabola(spec, x, k, consts):
 
 class TestDoubleOscillatorParabolas:
     def test_calls_that_alternate_specs_and_constants_keep_their_bits(self):
-        # Each parabola's x0, m omega^2 and m omega^2 / 2 are formed once
-        # per spec and constants in a row; calls that alternate between
-        # specs and constants get, as floats and as arrays, the bits of
-        # the formula taken afresh.
+        # derivative forms each parabola's x0, m omega^2 and m omega^2 / 2
+        # from the spec and constants at every call, so calls that
+        # alternate between specs and equal or distinct constants get, as
+        # floats and as arrays, the bits of the formula taken afresh: at
+        # the kink, where 0.0 and -0.0 both take the left branch, and at
+        # the wells, whose floors are exactly 0.0 and tilde_eps (the floors
+        # analyze takes, and the right_floor compute_splittings takes).
         specs = [DoubleOscillator(1.0, 1.3, 0.05, 9.0), DoubleOscillator(0.7, 1.9, 0.4, 3.0)]
         constants = [C, PhysConstants(hbar=0.5, mass=2.5), PhysConstants(hbar=0.5, mass=2.5)]
-        xs = np.linspace(-4.0, 4.0, 41)
         for _ in range(2):
             for spec in specs:
                 for consts in constants:
+                    wells = [spec.x_left(consts), spec.x_right(consts)]
+                    xs = np.concatenate([np.linspace(-4.0, 4.0, 41), [-0.0], wells])
+                    floors = [spec.derivative(x, 0, consts) for x in wells]
+                    array = spec.derivative(np.array(wells), 0, consts)
+                    assert _bits(floors) == _bits(array) == _bits([0.0, spec.tilde_eps])
                     for k in range(4):
                         expected = [_parabola(spec, x, k, consts).hex() for x in xs.tolist()]
                         floats = [spec.derivative(x, k, consts).hex() for x in xs.tolist()]
