@@ -33,8 +33,9 @@ without, stop after that first pass if it leaves one of their components
 open, and come back None, so a guess next to the barrier top, where the
 quadrature does not settle, costs one pass.
 ``turning_points``, ``gamow_integral``, ``action_slope`` and
-``evaluate_action`` are one-row calls of the kernel; a row whose energy
-or quadrature fails carries its own error, which a one-row call raises.
+``evaluate_action`` are each one ``_row`` of the kernel, with no
+integrand, I's alone, the slope's alone and both.  A row whose energy or
+quadrature fails carries its own error, which a one-row call raises.
 hbar and m come from the analysis the kernel works on; a ``consts``
 argument beside it only builds a missing analysis.
 
@@ -94,19 +95,6 @@ class ActionResult:
 _PASS_NODES = 2**16
 
 
-def _ensure_analysis(spec, consts, analysis):
-    if analysis is None:
-        return analyze(spec, consts)
-    return analysis
-
-
-def _one(outcome):
-    # the value of a one-row call, or the error of its row
-    if isinstance(outcome, TunnelkitError):
-        raise outcome
-    return outcome
-
-
 def _energy_error(analysis, E, right_floor):
     """The RegimeError of an energy with no pair of inner turning points on
     the curve of ``analysis``, or None.
@@ -152,22 +140,6 @@ def _turning_rows(analysis, E, right_floor):
         analysis.x_R - math.sqrt(2.0 * (e - right_floor) / m) / analysis.omega_R for e in E
     ]
     return _flank_roots(analysis, list(E) * 2, lo, hi, starts, rising)
-
-
-def turning_points(spec, consts: PhysConstants, E: float, analysis: WellAnalysis | None = None):
-    """Inner classical turning points (a_bar, b_bar) at energy E.
-
-    Solves v(x) = E on the barrier flanks [x_L, x_m] and [x_m, x_R] of
-    the normalized potential, as a one-row call of the action kernel with
-    no integrands, so with no quadrature and no tolerance: each root is a
-    float where v(x) < E next to one where v(x) >= E, at the sign change
-    of v(x) - E that the Newton steps from the well's harmonic turning
-    point reach.  E must lie strictly between the higher well floor and
-    the barrier top.
-    """
-    analysis = _ensure_analysis(spec, consts, analysis)
-    row = _one(_action_rows([analysis], [E], 0.0, ())[0])
-    return row.a_bar, row.b_bar
 
 
 def _momentum(two_t, w, m, out=None):
@@ -270,22 +242,23 @@ def _flank_integrals(analysis, E, x, rtol, integrands, tentative=None):
     return value.reshape(n, 2, k), errors
 
 
-def _action_rows(analyses, E, rtol, integrands, tentative=0):
-    """The action kernel over energies of one curve.
+def action_rows(analyses, E, *, rtol=1e-12, tentative=0, integrands=(_momentum, _inverse_momentum)):
+    """The action kernel: ``evaluate_action`` at every energy of E.
 
-    ``analyses`` holds one WellAnalysis per energy; they share one curve
-    and may differ in tilde_eps (a dialed bias), which sets each row's
-    higher well floor.  ``integrands`` holds ``_momentum`` (for I),
-    ``_inverse_momentum`` (for dI/dE), both or neither.  Returns one entry
-    per row: its ActionResult, whose fields of an integrand not asked for
-    are NaN, or the TunnelkitError the row's energy or quadrature raises.
-    The last ``tentative`` rows are guesses the caller can do without:
-    one whose integrals do not all settle in the first pass is None.
+    E[i] is taken on analyses[i]; the analyses share one curve and may
+    differ in tilde_eps alone, as the points of a bias sweep do, which sets
+    each row's higher well floor.  Returns one entry per energy: its
+    ActionResult, or the TunnelkitError of its energy or quadrature, which
+    a one-row call raises.  Each distinct energy of the rows that clear
+    their floors is solved once, since a row's turning points and flank
+    sums depend on the curve and its energy alone.
 
-    A row's turning points and flank sums depend on the curve and its
-    energy alone, so each distinct energy of the rows that clear their
-    floors is solved once, and every row at that energy gets its result;
-    an energy is tentative when all its rows are.
+    The last ``tentative`` energies are guesses: where one's quadrature
+    does not settle in the first pass, at depths 0 and 1, its entry is
+    None, so a guess near the barrier top costs one pass; an energy is
+    tentative when all its rows are.  ``integrands``, which only ``_row``
+    passes, holds ``_momentum`` (I), ``_inverse_momentum`` (dI/dE), both
+    or neither; the fields of an integrand not asked for are NaN.
     """
     if not analyses:
         return []
@@ -335,18 +308,29 @@ def _action_rows(analyses, E, rtol, integrands, tentative=0):
     return out
 
 
-def action_rows(analyses, E, *, rtol: float = 1e-12, tentative: int = 0):
-    """``evaluate_action`` at every energy of E in one batch.
+def _row(spec, consts, E, analysis, rtol, integrands):
+    # the action_rows row at E (or E_bar) on analysis (or analyze(spec, consts)); raises its error
+    analysis = analyze(spec, consts) if analysis is None else analysis
+    E = analysis.E_bar if E is None else E
+    row = action_rows([analysis], [E], rtol=rtol, integrands=integrands)[0]
+    if isinstance(row, TunnelkitError):
+        raise row
+    return row
 
-    E[i] is taken on analyses[i]; the analyses share one curve and may
-    differ in tilde_eps alone, as the points of a bias sweep do.  Returns
-    one entry per energy: its ActionResult, or the TunnelkitError that
-    ``evaluate_action`` raises there.  The last ``tentative`` energies are
-    guesses: where one's quadrature does not settle in the kernel's first
-    pass, at depths 0 and 1, its entry is None instead of the deeper
-    passes, so a guess near the barrier top costs one pass.
+
+def turning_points(spec, consts: PhysConstants, E: float, analysis: WellAnalysis | None = None):
+    """Inner classical turning points (a_bar, b_bar) at energy E.
+
+    Solves v(x) = E on the barrier flanks [x_L, x_m] and [x_m, x_R] of
+    the normalized potential, as a one-row call of the action kernel with
+    no integrands, so with no quadrature and no tolerance: each root is a
+    float where v(x) < E next to one where v(x) >= E, at the sign change
+    of v(x) - E that the Newton steps from the well's harmonic turning
+    point reach.  E must lie strictly between the higher well floor and
+    the barrier top.
     """
-    return _action_rows(analyses, E, rtol, (_momentum, _inverse_momentum), tentative)
+    row = _row(spec, consts, E, analysis, 0.0, ())
+    return row.a_bar, row.b_bar
 
 
 def gamow_integral(
@@ -358,8 +342,7 @@ def gamow_integral(
     rtol: float = 1e-12,
 ) -> float:
     """Barrier action I(E) by turning-point-regularized quadrature."""
-    analysis = _ensure_analysis(spec, consts, analysis)
-    return _one(_action_rows([analysis], [E], rtol, (_momentum,))[0]).I
+    return _row(spec, consts, E, analysis, rtol, (_momentum,)).I
 
 
 def action_slope(
@@ -375,8 +358,7 @@ def action_slope(
     The same x = a_bar + t^2 substitution removes the inverse-square-root
     endpoint singularities, leaving an analytic integrand.
     """
-    analysis = _ensure_analysis(spec, consts, analysis)
-    return _one(_action_rows([analysis], [E], rtol, (_inverse_momentum,))[0]).I_slope
+    return _row(spec, consts, E, analysis, rtol, (_inverse_momentum,)).I_slope
 
 
 def evaluate_action(
@@ -388,10 +370,7 @@ def evaluate_action(
     rtol: float = 1e-12,
 ) -> ActionResult:
     """ActionResult at energy E (default: the mean doublet energy E_bar)."""
-    analysis = _ensure_analysis(spec, consts, analysis)
-    if E is None:
-        E = analysis.E_bar
-    return _one(action_rows([analysis], [E], rtol=rtol)[0])
+    return _row(spec, consts, E, analysis, rtol, (_momentum, _inverse_momentum))
 
 
 def _shape_factor(lam: float) -> float:

@@ -735,18 +735,7 @@ def analyze(
     """
     if orient not in ("auto", "keep"):
         raise ConfigError(f'orient must be "auto" or "keep", got {orient!r}')
-    analysis = _locate(spec, consts, orient)
-    if require_wkb and analysis.V0 <= analysis.E_bar:
-        raise DegenerateBarrier(
-            f"barrier height {analysis.V0:g} does not exceed mean level "
-            f"{analysis.E_bar:g}"
-        )
-    return analysis
-
-
-def _locate(spec, consts, orient):
-    # the geometry of ``analyze``, without its argument and WKB checks: the
-    # bare family's wells (lo, hi) and barrier, reflected at most once
+    # the bare family's wells (lo, hi) and barrier, reflected at most once
     family, odd = _unwrap(spec)
     try:
         kink = family.kink
@@ -784,7 +773,7 @@ def _locate(spec, consts, orient):
     if flip:
         x_lo, x_hi, x_m = 0.0 - x_hi, 0.0 - x_lo, 0.0 - x_m
         omega_lo, omega_hi, v_lo, v_hi = omega_hi, omega_lo, v_hi, v_lo
-    return WellAnalysis(
+    analysis = WellAnalysis(
         spec=spec,
         consts=consts,
         x_L=x_lo,
@@ -796,6 +785,12 @@ def _locate(spec, consts, orient):
         V0=v_m - v_lo,
         zero_shift=v_lo,
     )
+    if require_wkb and analysis.V0 <= analysis.E_bar:
+        raise DegenerateBarrier(
+            f"barrier height {analysis.V0:g} does not exceed mean level "
+            f"{analysis.E_bar:g}"
+        )
+    return analysis
 
 
 def _wells_and_barrier(family, consts):

@@ -4,8 +4,8 @@ Three routes of increasing fidelity, all driven by the barrier action:
 
 1. ``level_splitting``: the closed formula dE = hypot(eps, Delta) with
    the tunneling matrix element Delta from ``delta_first_order``.
-2. ``level_shifts``: the same data plus the common second-order shift
-   b' of both doublet members, built from dI/dE.
+2. ``level_shifts``: the same data plus b', the expanded condition's
+   second-order term, built from dI/dE.
 3. ``solve_quantization``: numerical roots of the two-well quantization
    condition
 
@@ -130,13 +130,17 @@ def level_shifts(analysis: WellAnalysis, action: ActionResult) -> LevelShifts:
     """Shifts of both doublet members relative to E_bar.
 
     Expanding the quantization condition to second order in E - E_bar
-    gives a common shift -b' plus the usual two-level repulsion:
+    gives the two-level repulsion plus -b', its second-order term:
 
         dE_pm = -b' -/+ sqrt((eps/2)^2 + (Delta/2)^2 + b'^2),
         b'    = hbar^2 w_L w_R exp(-2 I) u / (8 pi e),
         u     = 2 dI/dE - k (w_L + w_R) / (hbar w_L w_R).
 
-    dI/dE is negative, so u < 0 and both levels shift up slightly.
+    dI/dE is negative, so u < 0 and both levels shift up slightly.  b' is
+    second order in the tunneling exponent, unlike the exact doublet's
+    common shift, about -Delta hbar w / (8 V0): ROADMAP item 15 measured
+    b'/Delta at -2.3e-10 (V0 = 12) and -6.2e-43 (V0 = 50) on
+    DoubleOscillator(1, 1, 0, V0).
     """
     c = analysis.consts
     wl, wr = analysis.omega_L, analysis.omega_R

@@ -172,7 +172,7 @@ class TestAnalyzeQuartic:
         consts=st.sampled_from([C, PhysConstants(0.5, 2.5), PhysConstants(1e-3, 7.0)]),
     )
     def test_well_functions_use_left_bottom_as_zero(self, spec, mirrored, orient, consts):
-        # v(x_R) is tilde_eps bit for bit: _action_rows and
+        # v(x_R) is tilde_eps bit for bit: action_rows and
         # compute_splittings take right_floor = v(x_R) where _energy_error
         # reads tilde_eps, and on an undialed analysis the two must agree
         a = analyze(mirror(spec) if mirrored else spec, consts, orient=orient)
@@ -417,6 +417,18 @@ class TestStationaryScan:
         assert a.x_L == pytest.approx(-1.0, abs=1e-9)
         assert a.x_m == pytest.approx(1.0, abs=1e-9)
         assert a.x_R == pytest.approx(1.0003, abs=1e-9)
+
+    def test_a_double_root_of_the_slope_is_neither_well_nor_barrier(self):
+        # V' = x^2 (x + 2)(x - 1)(x - 3): V' keeps its sign through the
+        # double root x = 0, an inflection point between the left well and
+        # the barrier
+        spec = Polynomial((0.0, 0.0, 0.0, 2.0, -1.25, -0.4, 1.0 / 6.0))
+        window, roots = spec.slope_roots()
+        found = _stationary_points(spec, C, window, roots)
+        assert [kind for _, kind in found] == ["min", "max", "min"]
+        assert [x for x, _ in found] == pytest.approx([-2.0, 1.0, 3.0], abs=1e-12)
+        a = analyze(spec, C, orient="keep")
+        assert (a.x_L, a.x_m, a.x_R) == pytest.approx((-2.0, 1.0, 3.0), abs=1e-12)
 
     def test_a_quartic_whose_slope_ratio_overflows_has_no_well(self):
         # beta / (4 alpha) = 1.8e372 is past the float range: on the window

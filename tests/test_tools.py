@@ -46,6 +46,29 @@ def test_two_identical_trees_differ_in_no_generated_output(tmp_path):
         "  run_sweep 0/9/10/1",
         "  run_oracle 2/4/14/0",
         "  run_compare 1/2/16/1",
+        "runs of SRC that exit 2, 3 or 4, per error class:",
+        "  run_analyze 2 ConfigError 2",
+        "  run_analyze 3 DegenerateBarrier 6",
+        "  run_analyze 3 DomainTooSmall 5",
+        "  run_analyze 3 EnergyBelowWellBottom 1",
+        "  run_analyze 3 FewerThanTwoMinima 4",
+        "  run_analyze 4 QuadratureNonConvergence 1",
+        "  run_sweep 2 ConfigError 2",
+        "  run_sweep 2 FitIllConditioned 7",
+        "  run_sweep 3 DegenerateBarrier 3",
+        "  run_sweep 3 EnergyBelowWellBottom 3",
+        "  run_sweep 3 FewerThanTwoMinima 4",
+        "  run_sweep 4 QuadratureNonConvergence 1",
+        "  run_oracle 2 ConfigError 4",
+        "  run_oracle 3 DomainTooSmall 11",
+        "  run_oracle 3 GridTooCoarse 3",
+        "  run_compare 2 ConfigError 2",
+        "  run_compare 3 DegenerateBarrier 6",
+        "  run_compare 3 DomainTooSmall 2",
+        "  run_compare 3 EnergyBelowWellBottom 1",
+        "  run_compare 3 FewerThanTwoMinima 4",
+        "  run_compare 3 RootNotBracketed 3",
+        "  run_compare 4 QuadratureNonConvergence 1",
     ]
 
 

@@ -36,7 +36,8 @@ float lies in [1e-3, 20] in magnitude or is 0, the union of the
 strategy's normal ranges, so it drops the draws that took the
 [1e-300, 1e300] quarter (but for the 0.7 % of its values that land in
 [1e-3, 20]).  It closes with SRC's outcomes: for each runner, how
-many of its runs exit 0, 2, 3 and 4.
+many of its runs exit 0, 2, 3 and 4, then how many of its runs end in
+each error class (``run_oracle 4 NumericsError 31``).
 A RuntimeWarning is an error in every run, of the corpus too.  Both
 modes print how many runs flip their exit code or error class, with a
 from -> to table of the flips, each line followed by the labels of up to
@@ -381,12 +382,17 @@ def main(argv):
             print(f"  {path} {move:.3g}")
     print(f"{differ} of {len(runs)} outputs differ from {args.diff}")
     if args.generated is not None:
-        codes = collections.defaultdict(collections.Counter)  # runner -> exit code -> runs
+        outcomes = collections.defaultdict(collections.Counter)  # runner -> outcome -> runs
         for key, run in runs.items():
-            codes[key.rsplit(" ", 1)[1]][outcome(run).split()[0]] += 1
+            outcomes[key.rsplit(" ", 1)[1]][outcome(run)] += 1
         print("runs of SRC that exit 0/2/3/4:")
-        for runner, count in codes.items():
-            print(f"  {runner} " + "/".join(str(count[code]) for code in "0234"))
+        for runner, count in outcomes.items():
+            codes = collections.Counter(cause.split()[0] for cause in count.elements())
+            print(f"  {runner} " + "/".join(str(codes[code]) for code in "0234"))
+        print("runs of SRC that exit 2, 3 or 4, per error class:")
+        for runner, count in outcomes.items():
+            for cause in sorted(count.keys() - {"0"}):
+                print(f"  {runner} {cause} {count[cause]}")
     return 1 if differ or failed or old_failed else 0
 
 
