@@ -514,7 +514,3 @@ def main(argv=None) -> int:
 def run():
     """Console-script entry point."""
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    run()

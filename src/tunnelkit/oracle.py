@@ -309,10 +309,17 @@ def _seed(v, consts: PhysConstants, grid: GridSpec, n_points: int, snap: bool):
     The levels by bisection (stebz, to its default tolerance, in the
     block order stein takes), their vectors by inverse iteration (stein),
     then both sorted ascending: the steps of scipy's ``eigh_tridiagonal``
-    with ``select="i"``.
+    with ``select="i"``.  Raises ConfigError where t * t overflows,
+    which stebz cannot take.
     """
     x = _grid_nodes(grid, n_points, snap)
     t, vx = _hamiltonian(v, consts, x)
+    if t * t == math.inf:
+        raise ConfigError(
+            f"walls [{x[0]:g}, {x[-1]:g}] with n_points = {n_points} give a seed whose "
+            f"off-diagonal t = {t:g} squares past the float range, which its bisection "
+            "(stebz) cannot take"
+        )
     lapack = _lapack()
     d, e = vx + 2.0 * t, np.full(n_points - 3, -t)
     unsolved = f"the {n_points}-point seed grid is not solved"

@@ -32,8 +32,6 @@ logarithmic slope at zero is K_FIRST_ORDER = eulergamma - ln 2.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .actions import ActionResult, action_rows, evaluate_action
 from .errors import DomainError, RootNotBracketed, TunnelkitError
 from .potentials import DEFAULT_CONSTANTS, PhysConstants, WellAnalysis, analyze
@@ -52,7 +50,7 @@ __all__ = [
     "compute_splitting",
 ]
 
-K_FIRST_ORDER = float(np.euler_gamma) - math.log(2.0)
+K_FIRST_ORDER = 0.5772156649015329 - math.log(2.0)  # Euler's constant, rounded to a float
 
 # Doublet formalism bound on |zeta|: a Newton iterate that leaves it
 # ends the solve with RootNotBracketed.

@@ -25,6 +25,7 @@ from tunnelkit import (
     TunnelkitError,
     DomainTooSmall,
     EnergyBelowWellBottom,
+    FitIllConditioned,
     GridTooCoarse,
     WellStructureError,
     analyze,
@@ -931,6 +932,15 @@ class TestExitCodes:
             "cannot be allocated\n"
         )
 
+    def test_a_sweep_of_four_steps_cannot_be_fitted(self, tmp_path, capsys):
+        sweep = {"parameter": "tilde_eps", "from": 0.0, "to": 0.1, "steps": 4}
+        config = dict(DO_SWEEP, sweep=sweep)
+        message = "sweep needs at least 5 steps for a 3-parameter fit, got 4"
+        with pytest.raises(FitIllConditioned, match=f"^{message}$"):
+            run_sweep(parse_config(config))
+        assert main(["sweep", write_json(tmp_path, "four.json", config)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_a_sweep_whose_span_overflows_is_a_config_error(self, tmp_path, capsys):
         # to - from is inf, which would make the first bias 0 * inf = NaN
         sweep = {"parameter": "tilde_eps", "from": -1.7e308, "to": 1.7e308, "steps": 11}
@@ -1357,18 +1367,22 @@ class TestExitCodes:
             eigen_lowest_two(spec, consts, config.oracle_grid, analysis=analysis)
         assert str(refused.value) == DECAY_LENGTH_REFUSAL
 
-    def test_an_unsolved_seed_grid_is_a_numerical_error(self, tmp_path, capsys):
-        # t = hbar^2 / (2 m h^2) is about 2e244: LAPACK's bisection does not converge
+    def test_a_seed_grid_whose_off_diagonal_squares_past_the_floats_is_a_config_error(
+        self, tmp_path, capsys
+    ):
+        # t = hbar^2 / (2 m h^2) is about 2e244, where LAPACK's bisection
+        # does not converge
         doc = {
             "schema": "tunnelkit/1",
             "potential": {"family": "biased_quartic", "alpha": 0.302, "a": 0.282, "beta": -1.16e24},
             "constants": {"hbar": 0.40, "mass": 9.1e-246},
             "oracle_grid": {"x_min": -23.0, "x_max": 23.0, "n_points": 64},
         }
-        assert main(["oracle", write_json(tmp_path, "light.json", doc)]) == 4
+        assert main(["oracle", write_json(tmp_path, "light.json", doc)]) == 2
         assert capsys.readouterr().err == (
-            "numerical error: the 64-point seed grid is not solved: stebz "
-            "(eigh_tridiagonal) did not converge (LAPACK info=4)\n"
+            "config error: walls [-23, 23] with n_points = 64 give a seed whose off-diagonal "
+            "t = 1.64897e+244 squares past the float range, which its bisection (stebz) "
+            "cannot take\n"
         )
 
     @pytest.mark.parametrize(

@@ -24,6 +24,7 @@ from tunnelkit import (
     DoubleOscillator,
     GridSpec,
     GridTooCoarse,
+    NumericsError,
     PhysConstants,
     Polynomial,
     WellAnalysis,
@@ -884,6 +885,39 @@ class TestGuardRails:
         monkeypatch.setattr(WellAnalysis, "v", lambda self, x: v(self, x) if abs(x) < 3.0 else math.nan)
         with pytest.raises(ConfigError, match="potential does not confine"):
             default_grid(spec, C, a)
+
+    def test_a_seed_whose_off_diagonal_squares_past_the_floats_is_refused(self, tmp_path, capsys):
+        from tunnelkit.cli import main
+
+        # t = hbar^2 / (2 m h^2) on the 351-point grid, its own seed: 1.7e143
+        # at m = 1e-140, and 1.7e155 at m = 1e-152, whose t * t is inf
+        doc = {
+            "schema": "tunnelkit/1",
+            "potential": {"family": "polynomial", "coeffs": [0, 0, 1]},
+            "oracle_grid": {"x_min": -3, "x_max": 3, "n_points": 351, "richardson": False},
+        }
+        path = tmp_path / "harmonic.json"
+        path.write_text(json.dumps(dict(doc, constants={"hbar": 1.0, "mass": 1e-140})))
+        assert main(["oracle", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["spectrum"]["E0"] == pytest.approx(1.3707692e139)
+        path.write_text(json.dumps(dict(doc, constants={"hbar": 1.0, "mass": 1e-152})))
+        assert main(["oracle", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: walls [-3, 3] with n_points = 351 give a seed whose off-diagonal "
+            "t = 1.70139e+155 squares past the float range, which its bisection (stebz) "
+            "cannot take\n"
+        )
+
+    def test_a_seed_whose_bisection_fails_is_a_numerics_error(self, monkeypatch):
+        lapack = spied_lapack(monkeypatch)
+        stebz = lapack.dstebz
+        monkeypatch.setattr(lapack, "dstebz", lambda *args: (*stebz(*args)[:4], 4))
+        with pytest.raises(
+            NumericsError,
+            match=r"^the 501-point seed grid is not solved: stebz \(eigh_tridiagonal\) did not "
+            r"converge \(LAPACK info=4\)$",
+        ):
+            eigen_lowest_two(HARMONIC, C, GridSpec(-8.0, 8.0, 501, richardson=False))
 
     def test_default_grid_lies_on_the_axis_of_the_spec(self):
         # the right well is the deeper one, so "auto" analyzes the mirror

@@ -15,6 +15,7 @@ from tunnelkit import (
     DoubleOscillator,
     FewerThanTwoMinima,
     Mirrored,
+    NonConvexMinimum,
     PhysConstants,
     Polynomial,
     analyze,
@@ -429,6 +430,12 @@ class TestStationaryScan:
         assert [x for x, _ in found] == pytest.approx([-2.0, 1.0, 3.0], abs=1e-12)
         a = analyze(spec, C, orient="keep")
         assert (a.x_L, a.x_m, a.x_R) == pytest.approx((-2.0, 1.0, 3.0), abs=1e-12)
+
+    def test_a_flat_minimum_is_no_well(self):
+        # V = x^4 (x - 2)^2: V' changes sign at its triple root x = 0, a
+        # minimum where V'' is 0
+        with pytest.raises(NonConvexMinimum, match=r"^V'' <= 0 at detected minimum x = 0$"):
+            analyze(Polynomial((0, 0, 0, 0, 4, -4, 1)), C)
 
     def test_a_quartic_whose_slope_ratio_overflows_has_no_well(self):
         # beta / (4 alpha) = 1.8e372 is past the float range: on the window
