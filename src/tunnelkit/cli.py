@@ -69,7 +69,7 @@ from .errors import (
     TunnelkitError,
     WellStructureError,
 )
-from .oracle import _spectrum, eigen_lowest_two
+from .oracle import eigen_lowest_two
 from .potentials import DoubleOscillator, Mirrored, WellAnalysis, _flipped, _unwrap, analyze, mirror
 from .splitting import (
     K_FIRST_ORDER,
@@ -372,13 +372,13 @@ def run_oracle(config: RunConfig):
     try:
         analysis = analyze(spec, consts, orient=config.orient)
     except WellStructureError:
-        analysis = None  # no two wells: the raw potential, not analyzed again
-    seeds = {}  # the two grids share their seeds, also without Richardson
-    spectrum = _spectrum(spec, consts, grid, analysis, seeds)
+        analysis = None  # no two wells: the eigensolver takes the raw potential
+    spectrum = eigen_lowest_two(spec, consts, grid, analysis=analysis)
     n_fine = 2 * grid.n_points - 1
     (e0_c, e1_c), fine = spectrum.coarse, spectrum.fine
-    if fine is None:  # no Richardson: the fine grid is not solved yet
-        fine = _spectrum(spec, consts, replace(grid, n_points=n_fine), analysis, seeds).coarse
+    if fine is None:  # no Richardson: the fine grid is solved on its own
+        partner = replace(grid, n_points=n_fine)
+        fine = eigen_lowest_two(spec, consts, partner, analysis=analysis).coarse
     e0_f, e1_f = fine
     # The action only feeds the gamow flag, and a flag never fails a run:
     # with E_bar at or over the barrier top nothing is forbidden (exp(-I)

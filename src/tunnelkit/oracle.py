@@ -666,29 +666,17 @@ def eigen_lowest_two(
     hbar and m come from ``analysis``; ``consts`` builds it, and serves
     single-well potentials, which are accepted too (the two lowest box
     levels of the raw potential are returned, with no floor shift and no
-    double-well domain check); they need an explicit ``grid``.
-    ``analysis`` None is ``analyze(spec, consts)``, or the raw potential
-    when that raises WellStructureError.  Each refusal is ``_spectrum``'s.
+    double-well domain check); they need an explicit ``grid``, and raise
+    ConfigError without one.  ``analysis`` None is ``analyze(spec,
+    consts)``, or the raw potential when that raises WellStructureError.
+    Each refusal is raised here alone: every command reaches the
+    eigensolver through this entry.
     """
     if analysis is None:
         try:
             analysis = analyze(spec, consts)
         except WellStructureError:
             analysis = None
-    return _spectrum(spec, consts, grid, analysis)
-
-
-def _spectrum(
-    spec, consts: PhysConstants, grid: GridSpec | None, analysis: WellAnalysis | None,
-    seeds: dict | None = None,
-) -> Spectrum:
-    """``eigen_lowest_two`` of an analysis already made; None: no two wells.
-
-    Each refusal that ``eigen_lowest_two`` documents is raised here alone.
-    ``seeds`` holds the seeds solved so far on these walls, by node count:
-    a caller that solves another grid on the same walls passes the dict
-    of the first solve, so that no seed is solved twice.
-    """
     if grid is None:
         if analysis is None:
             raise ConfigError(
@@ -717,8 +705,7 @@ def _spectrum(
         v = analysis.v
     else:
         v = lambda x: evaluate(spec, x, consts)  # noqa: E731
-    snap, fine = spec.kink, None
-    seeds = {} if seeds is None else seeds
+    snap, fine, seeds = spec.kink, None, {}  # a Richardson pair shares its seeds
     n = grid.n_points
     try:
         coarse = e0, e1 = _lowest_two_on_grid(v, consts, grid, n, snap, seeds, fewest)

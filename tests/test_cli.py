@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
 
 import tunnelkit.cli
 import tunnelkit.oracle
@@ -48,6 +48,7 @@ from tunnelkit.cli import (
     run_oracle,
     run_sweep,
 )
+from generated_configs import GENERATED_CONFIGS
 from util import reference_point, sextic_coeffs, sextic_scale_for_depth
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -495,8 +496,9 @@ class TestOracleCommand:
             run_oracle(config)
         assert solve_sizes == [99, 199]
 
-    def test_a_single_well_is_analyzed_once(self, monkeypatch):
-        # under "keep" too: the eigensolver used to analyze it again, "auto"
+    def test_a_single_well_is_solved_as_the_raw_potential(self, monkeypatch):
+        # under "keep" too: the command's analysis fails, and so does the
+        # one "auto" analysis of the eigensolver's entry
         doc = {
             "schema": "tunnelkit/1",
             "potential": {"family": "polynomial", "coeffs": [0, 0, 0.5], "orient": "keep"},
@@ -515,7 +517,7 @@ class TestOracleCommand:
         monkeypatch.setattr(tunnelkit.cli, "analyze", spy)
         monkeypatch.setattr(tunnelkit.oracle, "analyze", spy)
         out, _ = run_oracle(config)
-        assert orients == ["keep"]
+        assert orients == ["keep", None]
         assert out["spectrum"] == expected
 
     @pytest.mark.parametrize("richardson", [True, False])
@@ -573,8 +575,8 @@ class TestOracleCommand:
 
     @pytest.mark.parametrize("richardson", [True, False])
     def test_the_two_grids_solve_each_seed_once(self, monkeypatch, richardson):
-        # without Richardson the halving report still solves the 16001-point
-        # grid, from the seed the 8001-point grid already solved
+        # a Richardson pair shares its seed; without Richardson the halving
+        # report solves the 16001-point grid on its own, from the same seed
         seeds = []
         seed = tunnelkit.oracle._seed
 
@@ -593,8 +595,30 @@ class TestOracleCommand:
             }
         )
         out, _ = run_oracle(config)
-        assert seeds == [251]
+        assert seeds == ([251] if richardson else [251, 251])
         assert out["halving"]["n_fine"] == 16001
+
+    @pytest.mark.parametrize("richardson", [True, False])
+    def test_every_grid_is_solved_through_eigen_lowest_two(self, monkeypatch, richardson):
+        grids = []
+        real = tunnelkit.cli.eigen_lowest_two
+
+        def spy(spec, consts, grid, **kwargs):
+            grids.append((grid.n_points, grid.richardson))
+            return real(spec, consts, grid, **kwargs)
+
+        monkeypatch.setattr(tunnelkit.cli, "eigen_lowest_two", spy)
+        config = parse_config(
+            {
+                "schema": "tunnelkit/1",
+                "potential": {"family": "biased_quartic", "alpha": 1.0, "a": 2.1},
+                "oracle_grid": {
+                    "x_min": -4.8, "x_max": 4.8, "n_points": 2001, "richardson": richardson,
+                },
+            }
+        )
+        run_oracle(config)
+        assert grids == ([(2001, True)] if richardson else [(2001, False), (4001, False)])
 
     @pytest.mark.parametrize("command", ["oracle", "analyze"])
     def test_walls_where_v_overflows_are_a_config_error(self, tmp_path, capsys, command):
@@ -862,7 +886,7 @@ class TestCsvCells:
         assert lines[2].startswith("0.10000000000000001,0.10000000000000001,0.55000000000000004,")
 
     def test_oracle_line(self, monkeypatch):
-        monkeypatch.setattr(tunnelkit.cli, "_spectrum", lambda *args: _crafted_spectrum())
+        monkeypatch.setattr(tunnelkit.cli, "eigen_lowest_two", lambda *args, **kwargs: _crafted_spectrum())
         doc, text = run_oracle(_config(oracle_grid=CELLS_GRID))
         # est_error NaN is null in the JSON, and an empty cell
         assert text == "E0,E1,splitting,est_error\n-0,inf,0.33333333333333331,\n"
@@ -1580,72 +1604,6 @@ class TestExitCodes:
 
 
 SEXTIC = [float(c) for c in sextic_coeffs(20.0)]
-
-
-def _log_uniform(lo, hi):
-    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
-
-
-def _magnitude(lo, hi):
-    # log-uniform on [lo, hi], or in a quarter of the draws on [1e-300, 1e300]
-    return st.sampled_from([(lo, hi)] * 3 + [(1e-300, 1e300)]).flatmap(lambda r: _log_uniform(*r))
-
-
-def _signed(lo, hi):
-    return st.builds(lambda sign, size: sign * size, st.sampled_from([-1.0, 1.0]), _magnitude(lo, hi))
-
-
-def _or_zero(strategy):
-    return st.one_of(st.just(0.0), strategy)
-
-
-GENERATED_POTENTIALS = st.one_of(
-    st.fixed_dictionaries({
-        "family": st.just("biased_quartic"),
-        "alpha": _magnitude(0.1, 10.0),
-        "a": _magnitude(0.3, 3.0),
-        "beta": _or_zero(_signed(1e-3, 3.0)),
-    }),
-    st.fixed_dictionaries({
-        "family": st.just("double_oscillator"),
-        "omega_L": _magnitude(0.3, 3.0),
-        "omega_R": _magnitude(0.3, 3.0),
-        "tilde_eps": _or_zero(_magnitude(1e-3, 1.0)),
-        "V0": _magnitude(2.0, 20.0),
-    }),
-    st.builds(
-        lambda c0, c1, c2, c3, c4: {"family": "polynomial", "coeffs": [c0, c1, -c2, c3, c4]},
-        _signed(1e-2, 10.0),
-        _or_zero(_signed(1e-3, 1.0)),
-        _magnitude(1.0, 10.0),
-        _or_zero(_signed(1e-3, 1.0)),
-        _magnitude(0.3, 3.0),
-    ),
-)
-
-GENERATED_CONFIGS = st.fixed_dictionaries({
-    "schema": st.just("tunnelkit/1"),
-    "potential": GENERATED_POTENTIALS,
-    "constants": st.fixed_dictionaries({"hbar": _magnitude(0.1, 1.0), "mass": _magnitude(0.3, 3.0)}),
-    # at most 1001 nodes, 2001 on the Richardson partner
-    "oracle_grid": st.builds(
-        lambda lo, hi, n, richardson: {
-            "x_min": -lo, "x_max": hi, "n_points": n, "richardson": richardson,
-        },
-        _magnitude(3.0, 10.0),
-        _magnitude(3.0, 10.0),
-        st.integers(64, 1001),
-        st.booleans(),
-    ),
-    "sweep": st.builds(
-        lambda start, stop, steps: {
-            "parameter": "tilde_eps", "from": start, "to": stop, "steps": steps,
-        },
-        _signed(1e-3, 1.0),
-        _signed(1e-3, 1.0),
-        st.integers(5, 11),
-    ),
-})
 
 
 # hbar / (m omega) underflows to 0, and with it the decay length that

@@ -313,6 +313,8 @@ class TestMalformedInput:
             (("potential", "alpha"), -HUGE, '"alpha"'),
             (("potential", "alpha"), None, '"alpha"'),
             (("constants", "mass"), HUGE, '"mass"'),
+            (("constants", "hbar"), 0.0, "hbar > 0 and mass > 0"),
+            (("constants", "mass"), -1.0, "hbar > 0 and mass > 0"),
             (("oracle_grid", "n_points"), 8001.0, '"n_points"'),
             (("oracle_grid", "richardson"), 1, '"richardson"'),
             (("sweep", "from"), HUGE, '"from"'),
@@ -338,6 +340,8 @@ class TestMalformedInput:
             ("coeffs", "0.8 0 -1.4 0 0.4 0 0.2", '"coeffs"'),
             ("coeffs", [0.8, 0.0, -1.4, 0.0, 0.4, 0.0, HUGE], r'"coeffs\[6\]"'),
             ("coeffs", [0.8, None, -1.4, 0.0, 0.2], r'"coeffs\[1\]"'),
+            ("coeffs", [0, 1, 0, 1], "positive leading coefficient of even degree"),
+            ("coeffs", [0, 0, -1], "positive leading coefficient of even degree"),
             ("window", [-1.8, 0.0, 1.8], "window"),
             ("window", [-1.8], "window"),
             ("window", [-HUGE, 1.8], r'"window\[0\]"'),

@@ -36,6 +36,7 @@ from tunnelkit import (
     mirror,
 )
 from tunnelkit import oracle
+from tunnelkit.errors import RegimeError
 from util import DEEP_WELLS, deep_quartic, reference_lowest_two
 
 HARMONIC = Polynomial((0.0, 0.0, 0.5))
@@ -927,6 +928,22 @@ class TestGuardRails:
         assert auto.x_min == pytest.approx(keep.x_min, rel=1e-9)
         assert auto.x_max == pytest.approx(keep.x_max, rel=1e-9)
         assert eigen_lowest_two(spec, C, auto) == eigen_lowest_two(spec, C)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "no check compares the spacing h with the decay length: here h is "
+            "2.25e9 decay lengths, the levels are v at the nodes nearest the "
+            "wells (E0 = 8.64e-6 against hbar omega_L / 2 = 1.55e-22), and the "
+            "Richardson gap check passes by chance"
+        ),
+    )
+    def test_a_grid_far_coarser_than_the_decay_length_is_refused(self):
+        spec = DoubleOscillator(3.582323165050119, 1.0183123663254736, 0.0, 2.154434690031884)
+        consts = PhysConstants(hbar=3.053738811630323e-22, mass=1.0)
+        walls = 3.7365974766501795
+        with pytest.raises(RegimeError):
+            eigen_lowest_two(spec, consts, GridSpec(-walls, walls, 361, richardson=True))
 
 
 # a quartic and a double oscillator on walls clear of their levels, with and

@@ -323,6 +323,21 @@ class TestRegimeChecks:
         assert a.E_bar == pytest.approx(light.E_bar / 2.0, rel=1e-10)
 
 
+class TestInputRefusals:
+    @pytest.mark.parametrize(
+        "make,match",
+        [
+            (lambda: BiasedQuartic(1.0, 1.0, math.inf), "beta must be finite"),
+            (lambda: Polynomial((0.0, 0.0, math.nan, 0.0, 1.0)), "coefficients must be finite"),
+            (lambda: analyze(BiasedQuartic(1.0, 2.1), C, orient="flip"), "orient must be"),
+        ],
+        ids=["infinite_beta", "nan_coefficient", "unknown_orient"],
+    )
+    def test_each_is_a_config_error(self, make, match):
+        with pytest.raises(ConfigError, match=match):
+            make()
+
+
 def test_sextic_linear_coefficient_value():
     assert SEXTIC_Q1 == pytest.approx(0.25650557620817843, abs=0.0)
 

@@ -29,60 +29,66 @@ def test_two_identical_trees_differ_in_no_output(tmp_path):
     assert line.startswith("0 of ") and line.endswith(f" outputs differ from {tmp_path / 'src'}")
 
 
-def test_two_identical_trees_differ_in_no_generated_output(tmp_path):
-    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+# SRC's outcomes over 20 --generated draws; every generated config has a
+# sweep and an oracle grid: four runs each
+TABLE_OF_20 = [
+    "runs of SRC that exit 0/2/3/4:",
+    "  run_analyze 0/2/17/1",
+    "  run_sweep 1/11/8/0",
+    "  run_oracle 4/3/13/0",
+    "  run_compare 0/2/17/1",
+    "runs of SRC that exit 2, 3 or 4, per error class:",
+    "  run_analyze 2 ConfigError 2",
+    "  run_analyze 3 DegenerateBarrier 5",
+    "  run_analyze 3 DomainTooSmall 10",
+    "  run_analyze 3 FewerThanTwoMinima 2",
+    "  run_analyze 4 QuadratureNonConvergence 1",
+    "  run_sweep 2 ConfigError 2",
+    "  run_sweep 2 FitIllConditioned 9",
+    "  run_sweep 3 DomainTooSmall 4",
+    "  run_sweep 3 EnergyBelowWellBottom 2",
+    "  run_sweep 3 FewerThanTwoMinima 2",
+    "  run_oracle 2 ConfigError 3",
+    "  run_oracle 3 DomainTooSmall 13",
+    "  run_compare 2 ConfigError 2",
+    "  run_compare 3 DegenerateBarrier 5",
+    "  run_compare 3 FewerThanTwoMinima 2",
+    "  run_compare 3 RootNotBracketed 10",
+    "  run_compare 4 QuadratureNonConvergence 1",
+]
+
+
+def generated_20(src, old):
     r = subprocess.run(
-        [sys.executable, str(TOOL), str(ROOT / "src"), "--diff", str(tmp_path / "src"),
-         "--generated", "20"],
+        [sys.executable, str(TOOL), str(src), "--diff", str(old), "--generated", "20"],
         capture_output=True, text=True,
     )
     assert r.returncode == 0, r.stderr
-    # every generated config has a sweep and an oracle grid: four runs each.
-    # The draw, and SRC's table below with it, moves when a literal of
-    # src moves, since hypothesis mixes those into its draws
-    assert r.stdout.splitlines() == [
+    return r.stdout.splitlines()
+
+
+def test_two_identical_trees_differ_in_no_generated_output(tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    assert generated_20(ROOT / "src", tmp_path / "src") == [
         "20 of 20 generated configs",
         "0 of 80 runs flip their exit code or error class",
         f"0 of 80 outputs differ from {tmp_path / 'src'}",
-        "runs of SRC that exit 0/2/3/4:",
-        "  run_analyze 7/1/11/1",
-        "  run_sweep 4/6/9/1",
-        "  run_oracle 8/2/10/0",
-        "  run_compare 7/1/11/1",
-        "runs of SRC that exit 2, 3 or 4, per error class:",
-        "  run_analyze 2 ConfigError 1",
-        "  run_analyze 3 DegenerateBarrier 6",
-        "  run_analyze 3 DomainTooSmall 1",
-        "  run_analyze 3 EnergyBelowWellBottom 2",
-        "  run_analyze 3 FewerThanTwoMinima 1",
-        "  run_analyze 3 GridTooCoarse 1",
-        "  run_analyze 4 QuadratureNonConvergence 1",
-        "  run_sweep 2 ConfigError 1",
-        "  run_sweep 2 FitIllConditioned 5",
-        "  run_sweep 3 DegenerateBarrier 4",
-        "  run_sweep 3 EnergyAboveBarrier 2",
-        "  run_sweep 3 EnergyBelowWellBottom 2",
-        "  run_sweep 3 FewerThanTwoMinima 1",
-        "  run_sweep 4 QuadratureNonConvergence 1",
-        "  run_oracle 2 ConfigError 2",
-        "  run_oracle 3 DomainTooSmall 8",
-        "  run_oracle 3 GridTooCoarse 2",
-        "  run_compare 2 ConfigError 1",
-        "  run_compare 3 DegenerateBarrier 6",
-        "  run_compare 3 DomainTooSmall 1",
-        "  run_compare 3 EnergyBelowWellBottom 2",
-        "  run_compare 3 FewerThanTwoMinima 1",
-        "  run_compare 3 GridTooCoarse 1",
-        "  run_compare 4 QuadratureNonConvergence 1",
+        *TABLE_OF_20,
     ]
 
 
+def test_the_draw_does_not_move_with_a_literal_of_src(tmp_path):
+    # hypothesis mixes the literals of the loaded non-test modules into
+    # its draws; the tool draws before it loads either tree
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "tunnelkit" / "errors.py", "a") as f:
+        f.write("\n_PROBE = 0.4321\n")
+    assert generated_20(tmp_path / "src", ROOT / "src")[3:] == TABLE_OF_20
+
+
 def test_generated_configs_do_not_depend_on_the_tools_module_name():
-    src = ROOT / "src"
-    # the draw must not move with the name the tool is loaded under.  It
-    # does move with the literals of the loaded non-test modules, which
-    # hypothesis mixes into its draws; both loads here see the same ones
-    first, second = (load_tool(name).generated(50, False, src) for name in ("output_digest", "copy"))
+    # the draw must not move with the name the tool is loaded under
+    first, second = (load_tool(name).generated(50, False) for name in ("output_digest", "copy"))
     assert json.dumps(first) == json.dumps(second)
 
 

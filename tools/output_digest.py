@@ -29,15 +29,16 @@ differ; it exits 1 when any output differs:
 
 With ``--generated N`` as well, the diff runs on N configs drawn,
 derandomized, from the ``GENERATED_CONFIGS`` strategy of
-``tests/test_cli.py`` instead of the corpus, each through all four
-runners; it needs hypothesis, and lists no output by itself, only the
-largest moves.  ``--normal-ranges`` keeps only the draws whose every
-float lies in [1e-3, 20] in magnitude or is 0, the union of the
-strategy's normal ranges, so it drops the draws that took the
-[1e-300, 1e300] quarter (but for the 0.7 % of its values that land in
-[1e-3, 20]).  It closes with SRC's outcomes: for each runner, how
-many of its runs exit 0, 2, 3 and 4, then how many of its runs end in
-each error class (``run_oracle 4 NumericsError 31``).
+``tests/generated_configs.py`` instead of the corpus, each through all
+four runners; it needs hypothesis, and lists no output by itself, only
+the largest moves.  The draw is made before either tree is loaded, so it
+does not move with the literals of ``src``.  ``--normal-ranges`` keeps
+only the draws whose every float lies in [1e-3, 20] in magnitude or is
+0, the union of the strategy's normal ranges, so it drops the draws that
+took the [1e-300, 1e300] quarter (but for the 0.7 % of its values that
+land in [1e-3, 20]).  It closes with SRC's outcomes: for each runner,
+how many of its runs exit 0, 2, 3 and 4, then how many of its runs end
+in each error class (``run_oracle 4 NumericsError 31``).
 A RuntimeWarning is an error in every run, of the corpus too.  Both
 modes print how many runs flip their exit code or error class, with a
 from -> to table of the flips, each line followed by the labels of up to
@@ -194,24 +195,25 @@ def _csv_fields(csv_text):
                 yield f"csv.{name}", cell
 
 
-def generated(n, normal_ranges, src):
+def generated(n, normal_ranges):
     """(label, config document) pairs of n derandomized draws of
-    ``tests/test_cli.py``'s ``GENERATED_CONFIGS``, imported with the
-    ``tunnelkit`` of SRC; with ``normal_ranges``, only those whose every
-    float lies in [1e-3, 20] in magnitude (widened for the rounding of
-    10**e) or is 0."""
+    ``tests/generated_configs.py``'s ``GENERATED_CONFIGS``; with
+    ``normal_ranges``, only those whose every float lies in [1e-3, 20] in
+    magnitude (widened for the rounding of 10**e) or is 0.  Call it before
+    ``run_corpus`` loads a tree: hypothesis mixes the literals of the loaded
+    non-test modules into its draws, and that module loads no ``tunnelkit``."""
     from hypothesis import HealthCheck, Phase, given, settings
 
-    sys.path[:0] = [str(ROOT / "tests"), str(src)]
+    sys.path.insert(0, str(ROOT / "tests"))
     try:
-        import test_cli
+        import generated_configs
     finally:
-        del sys.path[:2]
+        sys.path.remove(str(ROOT / "tests"))
     docs = []
 
     @settings(max_examples=n, derandomize=True, database=None, deadline=None,
               phases=[Phase.generate], suppress_health_check=list(HealthCheck))
-    @given(doc=test_cli.GENERATED_CONFIGS)
+    @given(doc=generated_configs.GENERATED_CONFIGS)
     def draw(doc):
         docs.append(doc)
 
@@ -347,7 +349,7 @@ def main(argv):
         return 1 if failed else 0
     run = run_corpus
     if args.generated is not None:
-        docs = generated(args.generated, args.normal_ranges, args.src.resolve())
+        docs = generated(args.generated, args.normal_ranges)
         print(f"{len(docs)} of {args.generated} generated configs")
         run = functools.partial(run_corpus, docs=docs)
     old, old_failed = run(args.diff.resolve())
