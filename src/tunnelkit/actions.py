@@ -103,7 +103,7 @@ def _energy_error(analysis, E, right_floor):
     own tilde_eps (which a bias sweep dials), and the barrier top.
     ``right_floor`` is v(x_R) of the curve.
     """
-    if E >= analysis.V0:
+    if not E < analysis.V0:  # NaN too
         return EnergyAboveBarrier(f"E = {E:g} is not below the barrier top {analysis.V0:g}")
     floor = max(0.0, analysis.tilde_eps)
     if E <= floor:

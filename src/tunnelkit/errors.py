@@ -81,7 +81,16 @@ class RootNotBracketed(RegimeError):
 
 
 class GridTooCoarse(RegimeError):
-    """Grid halving moved the eigenvalue splitting by more than 10%."""
+    """The eigensolver's grid does not resolve the doublet.
+
+    Raised when grid halving moves the eigenvalue splitting by more than
+    10% or the splitting is not positive, and when no seed of a grid gives
+    a certified pair proven lowest.  The message then names the last
+    seed's cause: H - shift is singular, the iterated vectors vanish or
+    overflow, the seed's third level is not above the pair's second, a
+    Sturm count finds other than two levels at or below the bound, or the
+    residual bound does not settle within the sweeps allowed.
+    """
 
 
 class DomainTooSmall(RegimeError):

@@ -83,8 +83,8 @@ class PhysConstants:
     mass: float = 1.0
 
     def __post_init__(self):
-        if not (self.hbar > 0.0 and self.mass > 0.0):
-            raise ConfigError("PhysConstants requires hbar > 0 and mass > 0")
+        if not (0.0 < self.hbar < math.inf and 0.0 < self.mass < math.inf):
+            raise ConfigError("PhysConstants requires hbar > 0 and mass > 0, both finite")
         _check_square("PhysConstants", "hbar", self.hbar)
 
 

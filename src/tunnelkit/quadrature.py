@@ -20,6 +20,11 @@ or of several (the kernel's first pass takes 1 and 2), which
 every row gets the bits it gets alone.  With ``_unsettled`` and
 ``_settled``'s test they give each component exactly what
 ``adaptive_quadrature`` gives it alone.
+
+The 16-point Gauss-Legendre table is written out, as numpy's leggauss(16)
+gives it bit for bit on numpy 2.4.6, so that building it needs neither
+numpy.polynomial, nine modules that no command otherwise imports, nor the
+LAPACK eigensolver leggauss calls, whose last bits may follow the wheel.
 """
 
 import functools
@@ -30,9 +35,21 @@ from .errors import QuadratureNonConvergence
 
 __all__ = ["panel_quadrature", "adaptive_quadrature"]
 
-# Gauss-Legendre order per panel, and its nodes and weights on [-1, 1]
+# Gauss-Legendre order per panel, and its nodes and weights on [-1, 1]:
+# the positive nodes, ascending, and their weights; leggauss(16)'s table
+# is exactly symmetric, so the other eight are their exact negations and
+# mirror images
 _ORDER = 16
-_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(_ORDER)
+_HALF_NODES = (
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+)
+_HALF_WEIGHTS = (
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+)
+_NODES = np.array([-x for x in _HALF_NODES[::-1]] + list(_HALF_NODES))
+_WEIGHTS = np.array(_HALF_WEIGHTS[::-1] + _HALF_WEIGHTS)
 # deepest dyadic level: 2**12 panels
 _MAX_DEPTH = 12
 

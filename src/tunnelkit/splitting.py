@@ -69,7 +69,7 @@ def g_of_zeta(zeta: float) -> float:
     """g(zeta) = sqrt(2 pi) exp((zeta + 1/2)(ln(zeta + 1/2) - 1)), zeta > -1/2."""
     zeta = float(zeta)
     s = zeta + 0.5
-    if s <= 0.0:
+    if not s > 0.0:  # NaN too
         raise DomainError(f"g_of_zeta requires zeta > -1/2, got {zeta:g}")
     return math.sqrt(2.0 * math.pi) * math.exp(s * (math.log(s) - 1.0))
 
@@ -83,7 +83,7 @@ def f_of_zeta(zeta: float) -> float:
     Gamma(1 - zeta); both raise DomainError.
     """
     zeta = float(zeta)
-    if zeta >= 1.0:
+    if not zeta < 1.0:  # NaN too
         raise DomainError(f"f_of_zeta requires zeta < 1, got {zeta:g}")
     # g first, so that its domain check precedes an overflowing Gamma
     g = g_of_zeta(zeta)

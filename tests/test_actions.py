@@ -32,7 +32,7 @@ from tunnelkit import (
     turning_points,
 )
 from tunnelkit.actions import action_rows
-from tunnelkit.quadrature import _panel_nodes, _panel_sums
+from tunnelkit.quadrature import _NODES, _WEIGHTS, _panel_nodes, _panel_sums
 from tunnelkit.splitting import compute_splittings
 from util import (
     DEEP_WELLS,
@@ -48,6 +48,16 @@ from util import (
 
 
 class TestQuadrature:
+    def test_the_gauss_legendre_table_is_numpys_and_exactly_symmetric(self):
+        # the written-out table is leggauss(16) bit for bit on the numpy
+        # wheel the output digest pins, and within an ulp on any other
+        nodes, weights = np.polynomial.legendre.leggauss(16)
+        for table, reference in ((_NODES, nodes), (_WEIGHTS, weights)):
+            assert np.all(np.abs(table - reference) <= np.spacing(np.abs(reference)))
+            if np.__version__ == "2.4.6":
+                assert np.array_equal(table, reference)
+        assert np.array_equal(_NODES, -_NODES[::-1]) and np.array_equal(_WEIGHTS, _WEIGHTS[::-1])
+
     def test_panel_quadrature_matches_analytic_integral(self):
         val = panel_quadrature(np.exp, 0.0, 1.0, 4)
         assert val == pytest.approx(math.e - 1.0, rel=1e-14)
@@ -228,6 +238,16 @@ class TestTurningPoints:
         a = analyze(spec, C)
         with pytest.raises(EnergyAboveBarrier):
             turning_points(spec, C, a.V0 * 1.01, a)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [turning_points, gamow_integral, action_slope, evaluate_action],
+        ids=lambda entry: entry.__name__,
+    )
+    def test_a_nan_energy_is_refused_by_name(self, entry):
+        # both of the floor and barrier comparisons are false for NaN
+        with pytest.raises(EnergyAboveBarrier, match=r"^E = nan is not below the barrier top "):
+            entry(BiasedQuartic(1.0, 2.1), C, math.nan)
 
     @pytest.mark.parametrize(
         "spec,extra",

@@ -1964,6 +1964,31 @@ class TestProcessOutput:
         assert r.returncode == 0, r.stderr
         assert r.stdout == "[]\n"
 
+    def test_no_run_loads_numpy_polynomial(self):
+        # the quadrature's Gauss-Legendre table is written out and analyze
+        # builds its companion matrices itself: an analyze, whose splitting
+        # runs the action kernel, and an oracle solve import none of
+        # numpy.polynomial's modules (numpy 2.4 leaves them to their first
+        # use; an older numpy may import them with itself)
+        script = (
+            "import json, sys\n"
+            "import numpy\n"
+            "def polynomial(): return {m for m in sys.modules if m.startswith('numpy.polynomial')}\n"
+            "before = polynomial()\n"
+            "import tunnelkit, tunnelkit.cli\n"
+            "config = tunnelkit.parse_config(json.loads(sys.argv[1]))\n"
+            "tunnelkit.cli.run_analyze(config)\n"
+            "tunnelkit.cli.run_oracle(config)\n"
+            "print(sorted(polynomial() - before))\n"
+        )
+        r = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(readme_config())],
+            capture_output=True,
+            text=True,
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "[]\n"
+
     def test_console_script_is_installed(self, tmp_path):
         exe = shutil.which("tunnelkit")
         if exe is None:

@@ -4,9 +4,11 @@ import decimal
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 import types
 import warnings
 
@@ -28,6 +30,7 @@ from tunnelkit import (
     PhysConstants,
     Polynomial,
     WellAnalysis,
+    WellStructureError,
     analyze,
     compute_splitting,
     default_grid,
@@ -37,7 +40,7 @@ from tunnelkit import (
 )
 from tunnelkit import oracle
 from tunnelkit.errors import RegimeError
-from util import DEEP_WELLS, deep_quartic, reference_lowest_two
+from util import DEEP_WELLS, deep_quartic, deep_sextic, reference_lowest_two
 
 HARMONIC = Polynomial((0.0, 0.0, 0.5))
 HARMONIC_GRID = GridSpec(-8.0, 8.0, 2001, richardson=True)
@@ -722,6 +725,75 @@ class TestGridSamples:
         assert steps == [n - 2]  # the n-point grid is solved first
 
 
+# interior nodes in three full chunks and a part of one
+CHUNKED_POINTS = 3 * oracle._SAMPLE_NODES + 1002
+# the kinked wells' x = 0 node is grid node 2 _SAMPLE_NODES + 1, interior
+# node 2 _SAMPLE_NODES: the first of the third chunk
+KINK_NODE = 2 * oracle._SAMPLE_NODES + 1
+
+
+class TestChunkedSampling:
+    """v and the seed vectors are sampled in chunks with the bits of one call on the interior."""
+
+    @pytest.mark.parametrize(
+        "spec, grid",
+        [
+            (BiasedQuartic(1.0, 2.1, 0.05), GridSpec(-4.8, 4.8, CHUNKED_POINTS, richardson=False)),
+            (deep_sextic(6.0, 0.05), None),
+            (
+                TestGridSamples.KINKED,
+                GridSpec(
+                    -KINK_NODE * 5e-4,
+                    (CHUNKED_POINTS - 1 - KINK_NODE) * 5e-4,
+                    CHUNKED_POINTS,
+                    richardson=False,
+                ),
+            ),
+            (mirror(BiasedQuartic(1.0, 2.1, 0.05)), GridSpec(-4.8, 4.8, CHUNKED_POINTS, richardson=False)),
+            (HARMONIC, GridSpec(-8.0, 8.0, CHUNKED_POINTS, richardson=False)),
+        ],
+        ids=["quartic", "sextic", "double_oscillator", "mirrored", "single_well"],
+    )
+    def test_samples_and_start_blocks_are_one_call_on_the_whole_interior(
+        self, monkeypatch, spec, grid
+    ):
+        try:
+            v = analyze(spec, C).v
+        except WellStructureError:
+            v = lambda x: evaluate(spec, x, C)  # noqa: E731
+        if grid is None:
+            grid = dataclasses.replace(
+                default_grid(spec, C), n_points=CHUNKED_POINTS, richardson=False
+            )
+        samples = checked_samples(monkeypatch)
+        seeds, starts = {}, []
+        seed, polish = oracle._seed, oracle._polish
+
+        def seed_spy(v, consts, grid, n_points, snap):
+            seeds[n_points] = seed(v, consts, grid, n_points, snap)
+            return seeds[n_points]
+
+        def polish_spy(t, vx, block, shifts, ceiling, where):
+            m = int(re.search(r"seeded from (\d+) points", where)[1])
+            starts.append((m, block.copy()))
+            return polish(t, vx, block, shifts, ceiling, where)
+
+        monkeypatch.setattr(oracle, "_seed", seed_spy)
+        monkeypatch.setattr(oracle, "_polish", polish_spy)
+        eigen_lowest_two(spec, C, grid)
+        for x, vx in samples:  # the grid's and each seed's
+            assert np.array_equal(vx, v(x[1:-1]))
+        [x] = [x for x, _ in samples if x.size == CHUNKED_POINTS]
+        if spec.kink:
+            assert x[KINK_NODE] == 0.0
+        assert starts
+        for m, block in starts:
+            x_seed, _, vectors = seeds[m]
+            for j in range(2):
+                whole = np.interp(x[1:-1], x_seed, np.pad(vectors[:, j], 1))
+                assert np.array_equal(block[:, j], whole)
+
+
 WORKSPACE_SCRIPT = """\
 from tunnelkit import BiasedQuartic, GridSpec, eigen_lowest_two
 sp = eigen_lowest_two(BiasedQuartic(1.0, 2.1), grid=GridSpec(-4.8, 4.8, 2001))
@@ -766,6 +838,25 @@ class TestWorkspace:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert found == [[level] * 3 for level in serial]
+
+    def test_a_solve_allocates_at_most_20_bytes_a_node_beyond_its_work_space(self):
+        # the grid's nodes and v on them take 16 bytes a node; v's
+        # temporaries and the seeds' interpolants are of a chunk's size
+        n = 262145
+        spec, grid = BiasedQuartic(1.0, 2.1, 0.05), GridSpec(-4.8, 4.8, n, richardson=False)
+        eigen_lowest_two(spec, C, grid)  # grows this thread's work space to the grid
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            eigen_lowest_two(spec, C, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak - before <= 20 * n
 
 
 class TestGuardRails:

@@ -330,8 +330,10 @@ class TestInputRefusals:
             (lambda: BiasedQuartic(1.0, 1.0, math.inf), "beta must be finite"),
             (lambda: Polynomial((0.0, 0.0, math.nan, 0.0, 1.0)), "coefficients must be finite"),
             (lambda: analyze(BiasedQuartic(1.0, 2.1), C, orient="flip"), "orient must be"),
+            (lambda: PhysConstants(hbar=math.inf), "hbar > 0 and mass > 0, both finite"),
+            (lambda: PhysConstants(mass=math.inf), "hbar > 0 and mass > 0, both finite"),
         ],
-        ids=["infinite_beta", "nan_coefficient", "unknown_orient"],
+        ids=["infinite_beta", "nan_coefficient", "unknown_orient", "infinite_hbar", "infinite_mass"],
     )
     def test_each_is_a_config_error(self, make, match):
         with pytest.raises(ConfigError, match=match):

@@ -74,6 +74,15 @@ class TestSpectralFunctions:
         with pytest.raises(DomainError):
             f_of_zeta(-200.0)
 
+    @pytest.mark.parametrize(
+        "function, bound",
+        [(g_of_zeta, "zeta > -1/2"), (f_of_zeta, "zeta < 1")],
+        ids=["g_of_zeta", "f_of_zeta"],
+    )
+    def test_nan_lies_outside_the_domain(self, function, bound):
+        with pytest.raises(DomainError, match=rf"requires {bound}, got nan$"):
+            function(math.nan)
+
     def test_matching_function_value_at_zero(self):
         assert f_of_zeta(0.0) == pytest.approx(
             1.0 / math.sqrt(4.0 * math.e * math.pi), abs=2e-16
