@@ -44,7 +44,6 @@ double-oscillator family.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -62,6 +61,7 @@ from .potentials import (
     PhysConstants,
     WellAnalysis,
     _flank_roots,
+    _record,
     analyze,
 )
 from .quadrature import _MAX_DEPTH, _ORDER, _panel_sums, _unit_nodes, _unsettled
@@ -76,10 +76,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@_record
 class ActionResult:
     """Action data at one energy: turning points, I, dI/dE, and the
-    barrier-maximum split I = I_L + I_R."""
+    barrier-maximum split I = I_L + I_R.
+
+    A frozen record (``potentials._record``): its fields live in slots,
+    and its ``__init__`` stores them through their descriptors.
+    """
 
     E: float
     a_bar: float

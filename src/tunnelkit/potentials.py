@@ -3,7 +3,7 @@
 This module is the only one that knows which families exist:
 ``FAMILIES`` maps each config name to its class.  Each family
 (``BiasedQuartic``, ``DoubleOscillator``, ``Polynomial`` and the
-reflection wrapper ``Mirrored``) is a frozen dataclass with three
+reflection wrapper ``Mirrored``) is a frozen dataclass with four
 members, and every caller goes through them:
 
     family                   the config name of the family
@@ -16,6 +16,14 @@ members, and every caller goes through them:
                              gets the bits that float gets (so squares
                              are y * y: y ** 2 on a float goes through
                              pow, which can miss by an ulp)
+    derivative_fn(k, consts) the function x -> derivative(x, k, consts)
+                             of a float x, with the constants of the spec
+                             and consts that do not depend on x worked
+                             out once: the one formula of each family,
+                             which ``derivative`` calls (the double
+                             oscillator's array path picks between the
+                             same two parabolas), for the loops that
+                             sample one curve on many floats
 
 ``Mirrored`` delegates each of them to its inner family, with x -> -x.
 ``evaluate(spec, x, consts)`` is the one public evaluator, of V itself;
@@ -39,7 +47,7 @@ for the action kernel and the oracle's walls, come from ``_flank_roots``.
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -65,6 +73,43 @@ __all__ = [
     "analyze",
     "mirror",
 ]
+
+
+def _record(cls):
+    """``dataclass(frozen=True, slots=True)`` of ``cls``, with an
+    ``__init__`` that stores each field through its slot's descriptor.
+    Every field of ``cls`` takes an argument (no defaults), and ``cls``
+    has no ``__post_init__``, which this ``__init__`` would not call.
+
+    The frozen dataclass's own ``__init__`` stores each field through
+    ``object.__setattr__``, one lookup of the descriptor per field; this
+    one calls the descriptors' ``__set__``, which it looks up once, here.
+    It has the dataclass's signature and qualified name, so it takes and
+    refuses the same arguments with the same TypeError, and the record
+    keeps its equality, hash, repr, pickling and ``dataclasses.replace``.
+    Its fields live in slots: no ``__dict__`` and no weak references.
+    Assigning or deleting any attribute raises FrozenInstanceError, as on
+    the frozen dataclass without slots (whose ``__setattr__``, copied to
+    the slotted class, would raise TypeError for a name that is no field).
+    """
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    names = [f.name for f in fields(cls)]
+    namespace = {f"_set_{name}": getattr(cls, name).__set__ for name in names}
+    body = "".join(f"    _set_{name}(self, {name})\n" for name in names)
+    exec(f"def __init__(self, {', '.join(names)}):\n{body}", namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+    cls.__setattr__, cls.__delattr__ = _assign_frozen, _delete_frozen
+    return cls
+
+
+def _assign_frozen(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _delete_frozen(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _check_square(owner, name, value):
@@ -126,14 +171,25 @@ class BiasedQuartic:
             )
 
     def derivative(self, x, k, consts):
+        return self.derivative_fn(k, consts)(x)
+
+    def derivative_fn(self, k, consts):
+        alpha, a, beta = self.alpha, self.a, self.beta
+        a2 = a**2
         if k == 0:
-            w = x * x - self.a**2
-            return self.alpha * (w * w) + self.beta * (x + self.a)
+            def v(x):
+                w = x * x - a2
+                return alpha * (w * w) + beta * (x + a)
+
+            return v
         if k == 1:
-            return 4.0 * self.alpha * x * (x * x - self.a**2) + self.beta
+            c = 4.0 * alpha
+            return lambda x: c * x * (x * x - a2) + beta
         if k == 2:
-            return 4.0 * self.alpha * (3.0 * x * x - self.a**2)
-        return 24.0 * self.alpha * x
+            c = 4.0 * alpha
+            return lambda x: c * (3.0 * x * x - a2)
+        c = 24.0 * alpha
+        return lambda x: c * x
 
     def slope_roots(self):
         slope = (self.beta, -4.0 * self.alpha * self.a**2, 0.0, 4.0 * self.alpha)
@@ -179,24 +235,33 @@ class DoubleOscillator:
         return math.sqrt(2.0 * (self.V0 - self.tilde_eps) / consts.mass) / self.omega_R
 
     def derivative(self, x, k, consts):
+        left, right = self._parabolas(k, consts)
         if isinstance(x, float):
-            return self._branch(x, k, consts, x <= 0.0)
-        return np.where(x <= 0.0, self._branch(x, k, consts, True), self._branch(x, k, consts, False))
+            return left(x) if x <= 0.0 else right(x)
+        return np.where(x <= 0.0, left(x), right(x))
 
-    def _branch(self, x, k, consts, left):
-        # k-th derivative of the left (x <= 0) or the right parabola; the
-        # constant k = 2, 3 values broadcast through np.where for arrays
-        m = consts.mass
-        if left:
-            omega, x0 = self.omega_L, self.x_left(consts)
-        else:
-            omega, x0 = self.omega_R, self.x_right(consts)
+    def derivative_fn(self, k, consts):
+        left, right = self._parabolas(k, consts)
+        return lambda x: left(x) if x <= 0.0 else right(x)
+
+    def _parabolas(self, k, consts):
+        # the k-th derivative of the left (x <= 0) and of the right
+        # parabola, each a function of a float or an array; the constant
+        # k = 2, 3 values broadcast through np.where for arrays
+        m, tilde_eps = consts.mass, self.tilde_eps
+        x_l, x_r = self.x_left(consts), self.x_right(consts)
         if k == 0:
-            out = 0.5 * m * omega**2 * ((x - x0) * (x - x0))
-            return out if left else self.tilde_eps + out
+            c_l, c_r = 0.5 * m * self.omega_L**2, 0.5 * m * self.omega_R**2
+            return (
+                lambda x: c_l * ((x - x_l) * (x - x_l)),
+                lambda x: tilde_eps + c_r * ((x - x_r) * (x - x_r)),
+            )
+        c_l, c_r = m * self.omega_L**2, m * self.omega_R**2
         if k == 1:
-            return m * omega**2 * (x - x0)
-        return m * omega**2 if k == 2 else 0.0
+            return lambda x: c_l * (x - x_l), lambda x: c_r * (x - x_r)
+        if k != 2:
+            c_l = c_r = 0.0
+        return lambda x: c_l, lambda x: c_r
 
 
 @dataclass(frozen=True)
@@ -252,13 +317,21 @@ class Polynomial:
         return tuple(rows)
 
     def derivative(self, x, k, consts):
+        return self.derivative_fn(k, consts)(x)
+
+    def derivative_fn(self, k, consts):
         # Horner in numpy's polyval operation order, so floats and arrays
         # get its bits
         coeffs = self._derivative_coeffs[k]
-        out = coeffs[-1] + x * 0.0
-        for c in coeffs[-2::-1]:
-            out = c + out * x
-        return out
+        lead, rest = coeffs[-1], coeffs[-2::-1]
+
+        def v(x):
+            out = lead + x * 0.0
+            for c in rest:
+                out = c + out * x
+            return out
+
+        return v
 
     def slope_roots(self):
         d1 = self._derivative_coeffs[1]
@@ -334,6 +407,12 @@ class Mirrored:
         out = self.inner.derivative(-x, k, consts)
         return -out if k % 2 else out
 
+    def derivative_fn(self, k, consts):
+        inner = self.inner.derivative_fn(k, consts)
+        if k % 2:
+            return lambda x: -inner(-x)
+        return lambda x: inner(-x)
+
 
 def _not_a_spec(obj):
     return TypeError(f"not a potential spec: {type(obj).__name__}")
@@ -377,7 +456,7 @@ def evaluate(spec, x, consts: PhysConstants = DEFAULT_CONSTANTS):
     return _derivative(spec, x, 0, consts)
 
 
-@dataclass(frozen=True)
+@_record
 class WellAnalysis:
     """Well/barrier geometry and the derived energy bookkeeping.
 
@@ -390,6 +469,11 @@ class WellAnalysis:
     eps   = tilde_eps + hbar (omega_R - omega_L) / 2   (bias between
             unperturbed ground levels)
     E_bar = hbar (omega_L + omega_R) / 4 + tilde_eps / 2  (their mean)
+
+    A frozen record (``potentials._record``): its fields live in slots,
+    and its ``__init__`` stores them through their descriptors.  Each read
+    of eps or E_bar works it out again, so a loop over points reads each
+    once into a local.
     """
 
     spec: object
@@ -438,21 +522,28 @@ def _flank_roots(analysis, e, lo, hi, start, up):
 
     ``up[i]`` tells that v - e[i] rises with x through the root.  Each
     root takes safeguarded Newton steps (``_newton``) from start[i], with
-    v' from the spec's ``derivative``, and ends next to a sign change of
-    v - e[i] in floats (``_crossing``), the one those steps reach.  Fewer
-    than _ARRAY_ROOTS roots run one at a time on Python floats, more in
-    lockstep on arrays (``_newton_rows``, ``_crossing_rows``).  Both paths
-    take the same steps in the same order, and each family's
-    ``derivative`` gives arrays the bits it gives floats, so each root is
-    bit for bit what a call for it alone finds.
+    v' from the spec, and ends next to a sign change of v - e[i] in floats
+    (``_crossing``), the one those steps reach.  Fewer than _ARRAY_ROOTS
+    roots run one at a time on Python floats, through the spec's
+    ``derivative_fn``, more in lockstep on arrays (``_newton_rows``,
+    ``_crossing_rows``), through its ``derivative``, which gives arrays
+    the bits the function gives floats.  Both paths take the same steps in
+    the same order, so each root is bit for bit what a call for it alone
+    finds.
     """
-    consts, shift, curve = analysis.consts, analysis.zero_shift, analysis.spec.derivative
-    v, dv = (lambda x, e: curve(x, 0, consts) - shift - e), (lambda x: curve(x, 1, consts))
+    consts, shift, spec = analysis.consts, analysis.zero_shift, analysis.spec
     if len(e) < _ARRAY_ROOTS:
+        curve, dv = spec.derivative_fn(0, consts), spec.derivative_fn(1, consts)
+
+        def v(x, e):
+            return curve(x) - shift - e
+
         return np.array([
             _crossing(v, level, a, b, _newton(v, dv, level, a, b, x, rises), rises)
             for level, a, b, x, rises in zip(e, lo, hi, start, up)
         ])
+    curve = spec.derivative
+    v, dv = (lambda x, e: curve(x, 0, consts) - shift - e), (lambda x: curve(x, 1, consts))
     e, lo, hi, start, up = (np.array(a) for a in (e, lo, hi, start, up))
     with np.errstate(all="ignore"):
         return _crossing_rows(v, e, lo, hi, _newton_rows(v, dv, e, lo, hi, start, up), up)
@@ -660,7 +751,7 @@ def _stationary_points(spec, consts, window, roots):
     bracket, onto the float of the crossing's pair where |V'| is the
     smaller (the one where V' < 0 on a tie).  V' is sampled at the
     brackets' ends and at the roots on floats, through the spec's
-    ``derivative``.  V' that underflows to 0 at both ends of a bracket
+    ``derivative_fn``.  V' that underflows to 0 at both ends of a bracket
     raises FewerThanTwoMinima: the wells on either side of that root are
     below the resolution of floats.
 
@@ -670,11 +761,12 @@ def _stationary_points(spec, consts, window, roots):
     lo, hi = window
     x = sorted({r for r in roots if lo <= r <= hi})
     ends = [lo] + [a + 0.5 * (b - a) for a, b in zip(x, x[1:])] + [hi]
-    d1 = [spec.derivative(p, 1, consts) for p in ends + x]
+    d1_of = spec.derivative_fn(1, consts)
+    d1 = [d1_of(p) for p in ends + x]
     n = len(x)
 
     def slope(p, e):
-        return spec.derivative(p, 1, consts)
+        return d1_of(p)
 
     found = []
     for j, root in enumerate(x):

@@ -30,11 +30,10 @@ logarithmic slope at zero is K_FIRST_ORDER = eulergamma - ln 2.
 """
 
 import math
-from dataclasses import dataclass
 
 from .actions import ActionResult, action_rows, evaluate_action
 from .errors import DomainError, RootNotBracketed, TunnelkitError
-from .potentials import DEFAULT_CONSTANTS, PhysConstants, WellAnalysis, analyze
+from .potentials import DEFAULT_CONSTANTS, PhysConstants, WellAnalysis, _record, analyze
 
 __all__ = [
     "K_FIRST_ORDER",
@@ -81,13 +80,29 @@ def f_of_zeta(zeta: float) -> float:
     Gamma comes from ``math.gamma``.  The domain is -1/2 < zeta < 1: g
     rejects zeta <= -1/2, and zeta >= 1 reaches the first pole of
     Gamma(1 - zeta); both raise DomainError.
+
+    Where 0.5 + zeta rounds to 0.5 and 1 - zeta to 1, that is for
+    -2**-55 <= zeta <= 2**-54 (about 5.6e-17), as the in-well zeta of a
+    deep root is, g and Gamma take the arguments they take at zeta = 0,
+    and cos(pi zeta), of an argument under 1.8e-16, rounds to 1: the
+    value is f(0)'s float, which is stored once and returned as it is.
     """
     zeta = float(zeta)
+    if 0.5 + zeta == 0.5 and 1.0 - zeta == 1.0:
+        return _F_ZERO
     if not zeta < 1.0:  # NaN too
         raise DomainError(f"f_of_zeta requires zeta < 1, got {zeta:g}")
-    # g first, so that its domain check precedes an overflowing Gamma
+    return _weight(zeta)
+
+
+def _weight(zeta):
+    # f(zeta) for -1/2 < zeta < 1; g first, so that its domain check
+    # precedes an overflowing Gamma
     g = g_of_zeta(zeta)
     return math.cos(math.pi * zeta) * math.gamma(1.0 - zeta) * g / (2.0 * math.pi)
+
+
+_F_ZERO = _weight(0.0)
 
 
 def _delta_prefactor(analysis: WellAnalysis) -> float:
@@ -106,16 +121,25 @@ def delta_first_order(analysis: WellAnalysis, I_bar: float) -> float:
     with k = K_FIRST_ORDER and I_bar the barrier action at the mean
     doublet energy.
     """
+    return _delta(analysis, analysis.eps, I_bar)
+
+
+def _delta(analysis, eps, I_bar):
+    # delta_first_order with the bias eps of analysis read by the caller
     c = analysis.consts
     wl, wr = analysis.omega_L, analysis.omega_R
-    correction = 1.0 + 0.25 * K_FIRST_ORDER * (analysis.eps / (c.hbar * wl)) * (wr - wl) / wr
+    correction = 1.0 + 0.25 * K_FIRST_ORDER * (eps / (c.hbar * wl)) * (wr - wl) / wr
     return _delta_prefactor(analysis) * correction * math.exp(-I_bar)
 
 
-@dataclass(frozen=True)
+@_record
 class LevelShifts:
     """Doublet level shifts about E_bar from the quadratic expansion of
-    the quantization condition."""
+    the quantization condition.
+
+    A frozen record (``potentials._record``): its fields live in slots,
+    and its ``__init__`` stores them through their descriptors.
+    """
 
     dE_plus: float
     dE_minus: float
@@ -139,16 +163,34 @@ def level_shifts(analysis: WellAnalysis, action: ActionResult) -> LevelShifts:
     common shift, about -Delta hbar w / (8 V0): ROADMAP item 15 measured
     b'/Delta at -2.3e-10 (V0 = 12) and -6.2e-43 (V0 = 50) on
     DoubleOscillator(1, 1, 0, V0).
+
+    Where a term of these expressions leaves the float range
+    (hbar w_L w_R or hbar^2 w_L w_R overflows, as at hbar w ~ 1e154, or
+    hbar w_L w_R underflows to 0, or a square inside the root overflows),
+    while the shifts themselves lie far inside it, they are formed from the
+    same terms rescaled: u from (1/w_L + 1/w_R) / hbar, b' as
+    (hbar w_L e^-I) u (hbar w_R e^-I) / (8 pi e), and the root as
+    math.hypot of eps/2, Delta/2 and b'.  Wherever the expressions above
+    stay finite, they give the shifts.
     """
     c = analysis.consts
     wl, wr = analysis.omega_L, analysis.omega_R
-    k = K_FIRST_ORDER
-    u = 2.0 * action.I_slope - k * (wl + wr) / (c.hbar * wl * wr)
-    b_prime = (
-        c.hbar ** 2 * wl * wr * math.exp(-2.0 * action.I) * u / (8.0 * math.pi * math.e)
-    )
-    delta = delta_first_order(analysis, action.I)
-    root = math.sqrt((0.5 * analysis.eps) ** 2 + (0.5 * delta) ** 2 + b_prime ** 2)
+    eps, k = analysis.eps, K_FIRST_ORDER
+    delta = _delta(analysis, eps, action.I)
+    hbar_wl_wr = c.hbar * wl * wr
+    try:
+        u = 2.0 * action.I_slope - k * (wl + wr) / hbar_wl_wr
+        b_prime = (
+            c.hbar ** 2 * wl * wr * math.exp(-2.0 * action.I) * u / (8.0 * math.pi * math.e)
+        )
+        root = math.sqrt((0.5 * eps) ** 2 + (0.5 * delta) ** 2 + b_prime ** 2)
+    except OverflowError:  # a square past the float range
+        root = math.inf
+    if not (math.isfinite(root) and 0.0 < hbar_wl_wr < math.inf):
+        u = 2.0 * action.I_slope - k * (1.0 / wl + 1.0 / wr) / c.hbar
+        hbar_e = c.hbar * math.exp(-action.I)
+        b_prime = hbar_e * wl * u * (hbar_e * wr) / (8.0 * math.pi * math.e)
+        root = math.hypot(0.5 * eps, 0.5 * delta, b_prime)
     return LevelShifts(
         dE_plus=-b_prime - root,
         dE_minus=-b_prime + root,
@@ -163,9 +205,13 @@ def level_splitting(eps: float, delta: float) -> float:
     return math.hypot(eps, delta)
 
 
-@dataclass(frozen=True)
+@_record
 class QuantizationResult:
-    """Roots of the quantization condition and per-root diagnostics."""
+    """Roots of the quantization condition and per-root diagnostics.
+
+    A frozen record (``potentials._record``): its fields live in slots,
+    and its ``__init__`` stores them through their descriptors.
+    """
 
     E_plus: float
     E_minus: float
@@ -251,12 +297,17 @@ def _newton_root(analyses, deltas, windows, rtol, known):
     out = [None] * len(analyses)
     deltas = list(deltas)
     known = list(known)
-    # the quanta of the curve, and each row's mean level and half bias
+    # the quanta of the curve, and each row's mean level and half bias,
+    # read once for each run of rows on one analysis
     hbar = analyses[0].consts.hbar
     hw_l, hw_r = hbar * analyses[0].omega_L, hbar * analyses[0].omega_R
     dzl, dzr = 1.0 / hw_l, 1.0 / hw_r
-    e_bars = [a.E_bar for a in analyses]
-    half_eps = [0.5 * a.eps for a in analyses]
+    e_bars, half_eps, last = [], [], None
+    for a in analyses:
+        if a is not last:
+            last, e_bar, half = a, a.E_bar, 0.5 * a.eps
+        e_bars.append(e_bar)
+        half_eps.append(half)
     open_rows = range(len(analyses))
     for _ in range(_NEWTON_STEPS):
         if not open_rows:
@@ -310,20 +361,17 @@ def _newton_root(analyses, deltas, windows, rtol, known):
     return out
 
 
-def _roots(analysis, plus, minus):
+def _roots(e_bar, plus, minus):
     """(QuantizationResult, None) from the ends of a point's two Newton
-    rows, or (None, error) with the error that E_plus, then E_minus,
-    ended with: the TunnelkitError of an action, or RootNotBracketed
-    naming the root and the cause."""
+    rows about its mean level e_bar, or (None, error) with the error that
+    E_plus, then E_minus, ended with: the TunnelkitError of an action, or
+    RootNotBracketed naming the root and the cause."""
     for name, end in (("E_plus", plus), ("E_minus", minus)):
         if isinstance(end, str):
-            end = RootNotBracketed(
-                f"no quantization root {name} near E_bar = {analysis.E_bar:g}: {end}"
-            )
+            end = RootNotBracketed(f"no quantization root {name} near E_bar = {e_bar:g}: {end}")
         if isinstance(end, TunnelkitError):
             return None, end
     (d_plus, res_plus, zl_p, zr_p), (d_minus, res_minus, zl_m, zr_m) = plus, minus
-    e_bar = analysis.E_bar
     roots = QuantizationResult(
         E_plus=e_bar + d_plus,
         E_minus=e_bar + d_minus,
@@ -377,7 +425,7 @@ def solve_quantization(
     return compute_splitting(spec, consts, analysis=analysis, rtol=rtol).roots
 
 
-@dataclass(frozen=True)
+@_record
 class SplittingResult:
     """Doublet observables from all three routes at one bias point.
 
@@ -389,6 +437,9 @@ class SplittingResult:
     shifts and ``delta_E_transcendental`` the gap of the roots (NaN without
     them), read from zeta_L, which is affine in the root's offset from
     E_bar, rather than from E_minus - E_plus, which rounds to ulp(E_bar).
+
+    A frozen record (``potentials._record``): its fields live in slots,
+    and its ``__init__`` stores them through their descriptors.
     """
 
     analysis: WellAnalysis
@@ -468,7 +519,7 @@ def compute_splittings(analyses, *, rtol: float = 1e-12):
         known += [guessed.get(e_bar + start) for start in starts[-2:]]
     ends = iter(_newton_root(rows, starts, windows, rtol, known))
     for i in points:
-        roots, error = _roots(analyses[i], next(ends), next(ends))
+        roots, error = _roots(e_bars[i], next(ends), next(ends))
         out[i] = (SplittingResult(analyses[i], actions[i], shifts[i], roots), error)
     return out
 

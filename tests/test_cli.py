@@ -974,6 +974,43 @@ class TestExitCodes:
             'config error: the span from "from" to "to" in "sweep" must be finite\n'
         )
 
+    @pytest.mark.parametrize("command", ["analyze", "sweep"])
+    @pytest.mark.parametrize(
+        "omega_L, omega_R, V0",
+        [(1e153, 3e153, 1e158), (1e151, 3e151, 1e156)],
+        ids=["squares_overflow", "b_prime_overflows"],
+    )
+    def test_quanta_past_the_root_of_the_float_range_give_finite_levels(
+        self, tmp_path, capsys, command, omega_L, omega_R, V0
+    ):
+        # DoubleOscillator(1, 3, 0, 100) in units of hbar omega_L, with
+        # hbar = 1e3.  (eps/2)^2 in the level shifts overflowed at
+        # omega_L = 1e153 (an internal OverflowError, exit 4), and
+        # hbar^2 w_L w_R at 1e151 (exit 0 with E_plus empty and E_minus
+        # inf).  The levels are those of the unit well, scaled.
+        hw = 1e3 * omega_L
+        doc = {
+            "schema": "tunnelkit/1",
+            "potential": {
+                "family": "double_oscillator",
+                "omega_L": omega_L, "omega_R": omega_R, "tilde_eps": 0.0, "V0": V0,
+            },
+            "constants": {"hbar": 1e3, "mass": 1.0},
+            "sweep": {"parameter": "tilde_eps", "from": 0.0, "to": 1e-3 * hw, "steps": 5},
+        }
+        path = write_json(tmp_path, "quanta.json", doc)
+        assert main([command, path, "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        rows = [out] if command == "analyze" else out["rows"]
+        for row in rows:
+            split = row["splitting"]
+            assert all(math.isfinite(split[k]) for k in ("E_plus", "E_minus", "b_prime", "u"))
+        unit = compute_splitting(DoubleOscillator(1.0, 3.0, 0.0, 100.0), solve=False).shifts
+        split = rows[0]["splitting"]
+        for key in ("dE_plus", "dE_minus", "b_prime", "delta"):
+            assert split[key] / hw == pytest.approx(getattr(unit, key), rel=1e-12), key
+        assert split["u"] * hw == pytest.approx(unit.u, rel=1e-12)
+
     def test_shallow_barrier_is_a_regime_error(self, tmp_path):
         path = write_json(
             tmp_path,

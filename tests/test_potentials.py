@@ -688,6 +688,71 @@ class TestDoubleOscillatorParabolas:
                         assert floats == array == expected, (spec, consts, k)
 
 
+def _quartic(spec, x, k):
+    # the k-th derivative of the biased quartic at the float x, with a**2
+    # and each coefficient formed afresh
+    if k == 0:
+        w = x * x - spec.a**2
+        return spec.alpha * (w * w) + spec.beta * (x + spec.a)
+    if k == 1:
+        return 4.0 * spec.alpha * x * (x * x - spec.a**2) + spec.beta
+    if k == 2:
+        return 4.0 * spec.alpha * (3.0 * x * x - spec.a**2)
+    return 24.0 * spec.alpha * x
+
+
+def _formula(spec, k, consts):
+    # the family's k-th derivative as a function of a float, taken afresh
+    # at each call, independent of derivative_fn
+    if isinstance(spec, BiasedQuartic):
+        return lambda x: _quartic(spec, x, k)
+    if isinstance(spec, DoubleOscillator):
+        return lambda x: _parabola(spec, x, k, consts)
+    row = npoly.polyder(spec.coeffs, k) if k else spec.coeffs
+    return lambda x: float(npoly.polyval(x, row))
+
+
+class TestDerivativeFunctions:
+    """``derivative_fn(k, consts)`` is x -> ``derivative(x, k, consts)`` on
+    floats, bit for bit, with the constants worked out once."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        spec=st.one_of(DEEP_WELLS, SCAN_WELLS, _polynomials().map(Polynomial)),
+        mirrored=st.booleans(),
+        xs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=9),
+    )
+    def test_each_function_gives_the_bits_of_derivative_and_of_the_formula(
+        self, spec, mirrored, xs
+    ):
+        # derivative calls derivative_fn for the quartic and the
+        # polynomial, so each is also held to its formula taken afresh;
+        # the double oscillator's array path and Mirrored.derivative do not
+        consts = PhysConstants(hbar=0.5, mass=2.5)
+        xs = xs + [0.0, -0.0, 5e-324, -5e-324]
+        flipped = Mirrored(spec) if mirrored else spec
+        for k in range(4):
+            fn, formula = flipped.derivative_fn(k, consts), _formula(spec, k, consts)
+            sign = -1.0 if mirrored and k % 2 else 1.0
+            got = [fn(x).hex() for x in xs]
+            assert got == [flipped.derivative(x, k, consts).hex() for x in xs], k
+            assert got == [(sign * formula(-x if mirrored else x)).hex() for x in xs], k
+            assert _bits(flipped.derivative(np.array(xs), k, consts)) == _bits([fn(x) for x in xs])
+
+    def test_the_double_oscillator_takes_its_left_branch_at_minus_zero(self):
+        spec, consts = DoubleOscillator(1.0, 1.3, 0.05, 9.0), PhysConstants(hbar=0.5, mass=2.5)
+        m = consts.mass
+        left = m * spec.omega_L**2 * (0.0 - spec.x_left(consts))
+        right = m * spec.omega_R**2 * (5e-324 - spec.x_right(consts))
+        slope = spec.derivative_fn(1, consts)
+        assert slope(-0.0) == slope(0.0) == left > 0.0 > right == slope(5e-324)
+        flipped = Mirrored(spec).derivative_fn(1, consts)
+        assert flipped(0.0) == flipped(-0.0) == -left < 0.0 < -right == flipped(-5e-324)
+        floor = spec.derivative_fn(0, consts)
+        assert floor(-0.0) == _parabola(spec, -0.0, 0, consts)
+        assert floor(spec.x_left(consts)) == 0.0 and floor(spec.x_right(consts)) == spec.tilde_eps
+
+
 class TestNestedMirrors:
     @pytest.mark.parametrize("orient", ["auto", "keep"])
     def test_double_oscillator_mirrors_collapse(self, orient):

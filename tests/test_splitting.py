@@ -104,6 +104,26 @@ class TestSpectralFunctions:
         peak = max(abs(splitting._dlnf(float(z))) for z in np.linspace(-0.4, 0.4, 20001))
         assert 8.2 < peak < 8.25 < splitting._DLNF_BOUND
 
+    @pytest.mark.parametrize("zeta", [0.0, -0.0, 5e-324, -5e-324, 2.0**-60, -(2.0**-60)])
+    def test_a_zeta_too_small_to_move_one_half_or_one_gives_f0s_bits(
+        self, monkeypatch, zeta
+    ):
+        # 0.5 + zeta == 0.5 and 1 - zeta == 1: the stored f(0) is returned,
+        # and the full formula at zeta gives the same bits
+        f0 = math.cos(0.0) * math.gamma(1.0) * g_of_zeta(0.0) / (2.0 * math.pi)
+        assert splitting._weight(zeta).hex() == f0.hex()
+        full = []
+        monkeypatch.setattr(splitting, "_weight", lambda z: full.append(z) or f0)
+        assert f_of_zeta(zeta).hex() == f0.hex()
+        assert full == []
+
+    @pytest.mark.parametrize("zeta", [2.0**-52, -(2.0**-52)])
+    def test_a_zeta_that_moves_one_half_takes_the_full_formula(self, monkeypatch, zeta):
+        weight, full = splitting._weight, []
+        monkeypatch.setattr(splitting, "_weight", lambda z: full.append(z) or weight(z))
+        assert f_of_zeta(zeta).hex() == weight(zeta).hex()
+        assert full == [zeta]
+
     def test_matching_function_log_slope_converges_with_step(self):
         errs = []
         for h in (1e-3, 1e-4):
@@ -169,10 +189,9 @@ class TestLevelArithmetic:
         u = 2.0 * act.I_slope - K_FIRST_ORDER * (wl + wr) / (C.hbar * wl * wr)
         b = C.hbar**2 * wl * wr * math.exp(-2.0 * act.I) * u / (8 * math.pi * math.e)
         root = math.sqrt((a.eps / 2) ** 2 + (ls.delta / 2) ** 2 + b**2)
-        assert ls.u == pytest.approx(u, rel=1e-14)
-        assert ls.b_prime == pytest.approx(b, rel=1e-14)
-        assert ls.dE_plus == pytest.approx(-b - root, rel=1e-14)
-        assert ls.dE_minus == pytest.approx(-b + root, rel=1e-14)
+        # bit for bit: the rescaled forms of level_shifts take over only
+        # where a term of these leaves the float range
+        assert (ls.u, ls.b_prime, ls.dE_plus, ls.dE_minus) == (u, b, -b - root, -b + root)
 
     def test_common_shift_is_tiny_and_upward(self):
         spec = DoubleOscillator(1.0, 1.4, 0.1, 8.0)
