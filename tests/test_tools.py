@@ -1,4 +1,5 @@
-"""tools/output_digest.py: its --diff mode, on the corpus and on generated configs."""
+"""tools/output_digest.py: its --diff mode, on the corpus and on generated configs,
+and the draw of those configs."""
 import importlib.util
 import json
 import math
@@ -6,6 +7,8 @@ import pathlib
 import shutil
 import subprocess
 import sys
+
+from generated_configs import draw
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "output_digest.py"
@@ -33,28 +36,33 @@ def test_two_identical_trees_differ_in_no_output(tmp_path):
 # sweep and an oracle grid: four runs each
 TABLE_OF_20 = [
     "runs of SRC that exit 0/2/3/4:",
-    "  run_analyze 0/2/17/1",
-    "  run_sweep 1/11/8/0",
-    "  run_oracle 4/3/13/0",
-    "  run_compare 0/2/17/1",
+    "  run_analyze 2/3/13/2",
+    "  run_sweep 1/3/15/1",
+    "  run_oracle 3/7/10/0",
+    "  run_compare 2/3/13/2",
     "runs of SRC that exit 2, 3 or 4, per error class:",
-    "  run_analyze 2 ConfigError 2",
-    "  run_analyze 3 DegenerateBarrier 5",
-    "  run_analyze 3 DomainTooSmall 10",
-    "  run_analyze 3 FewerThanTwoMinima 2",
-    "  run_analyze 4 QuadratureNonConvergence 1",
-    "  run_sweep 2 ConfigError 2",
-    "  run_sweep 2 FitIllConditioned 9",
-    "  run_sweep 3 DomainTooSmall 4",
-    "  run_sweep 3 EnergyBelowWellBottom 2",
-    "  run_sweep 3 FewerThanTwoMinima 2",
-    "  run_oracle 2 ConfigError 3",
-    "  run_oracle 3 DomainTooSmall 13",
-    "  run_compare 2 ConfigError 2",
-    "  run_compare 3 DegenerateBarrier 5",
-    "  run_compare 3 FewerThanTwoMinima 2",
-    "  run_compare 3 RootNotBracketed 10",
-    "  run_compare 4 QuadratureNonConvergence 1",
+    "  run_analyze 2 ConfigError 3",
+    "  run_analyze 3 DegenerateBarrier 4",
+    "  run_analyze 3 DomainTooSmall 5",
+    "  run_analyze 3 EnergyBelowWellBottom 1",
+    "  run_analyze 3 FewerThanTwoMinima 3",
+    "  run_analyze 4 QuadratureNonConvergence 2",
+    "  run_sweep 2 ConfigError 3",
+    "  run_sweep 3 DegenerateBarrier 4",
+    "  run_sweep 3 DomainTooSmall 5",
+    "  run_sweep 3 EnergyBelowWellBottom 3",
+    "  run_sweep 3 FewerThanTwoMinima 3",
+    "  run_sweep 4 QuadratureNonConvergence 1",
+    "  run_oracle 2 ConfigError 7",
+    "  run_oracle 3 DomainTooSmall 9",
+    "  run_oracle 3 GridTooCoarse 1",
+    "  run_compare 2 ConfigError 3",
+    "  run_compare 3 DegenerateBarrier 4",
+    "  run_compare 3 DomainTooSmall 2",
+    "  run_compare 3 EnergyBelowWellBottom 1",
+    "  run_compare 3 FewerThanTwoMinima 3",
+    "  run_compare 3 RootNotBracketed 3",
+    "  run_compare 4 QuadratureNonConvergence 2",
 ]
 
 
@@ -70,7 +78,7 @@ def generated_20(src, old):
 def test_two_identical_trees_differ_in_no_generated_output(tmp_path):
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     assert generated_20(ROOT / "src", tmp_path / "src") == [
-        "20 of 20 generated configs",
+        "20 generated configs",
         "0 of 80 runs flip their exit code or error class",
         f"0 of 80 outputs differ from {tmp_path / 'src'}",
         *TABLE_OF_20,
@@ -78,8 +86,8 @@ def test_two_identical_trees_differ_in_no_generated_output(tmp_path):
 
 
 def test_the_draw_does_not_move_with_a_literal_of_src(tmp_path):
-    # hypothesis mixes the literals of the loaded non-test modules into
-    # its draws; the tool draws before it loads either tree
+    # each config is drawn from its index alone, so a float literal
+    # added to the tree that is loaded leaves the draw as it was
     shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     with open(tmp_path / "src" / "tunnelkit" / "errors.py", "a") as f:
         f.write("\n_PROBE = 0.4321\n")
@@ -90,6 +98,41 @@ def test_generated_configs_do_not_depend_on_the_tools_module_name():
     # the draw must not move with the name the tool is loaded under
     first, second = (load_tool(name).generated(50, False) for name in ("output_digest", "copy"))
     assert json.dumps(first) == json.dumps(second)
+
+
+def test_the_draw_is_a_function_of_the_index_alone(tmp_path):
+    # one fresh process loads numpy, tunnelkit and a module of new float
+    # literals before it draws; the other draws through the tool, with
+    # hypothesis unimportable
+    (tmp_path / "literals.py").write_text("PROBES = (0.4321, 1e-3, 20.0, 7.25)\n")
+    direct = (
+        f"import json, sys; sys.path[:0] = {[str(ROOT / 'src'), str(ROOT / 'tests'), str(tmp_path)]!r}\n"
+        "import numpy, tunnelkit, literals\n"
+        "from generated_configs import draw\n"
+        "print(json.dumps(draw(50)), json.dumps(draw(50, True)))\n"
+    )
+    through_tool = (
+        f"import json, sys; sys.modules['hypothesis'] = None; sys.path.insert(0, {str(TOOL.parent)!r})\n"
+        "from output_digest import generated\n"
+        "print(*(json.dumps([doc for _, doc in generated(50, normal)]) for normal in (False, True)))\n"
+    )
+    first, second = (
+        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+        for code in (direct, through_tool)
+    )
+    assert first == second
+
+
+def test_a_shorter_draw_is_the_head_of_a_longer_one():
+    assert draw(20) == draw(1000)[:20]
+
+
+def test_a_normal_range_draw_holds_n_configs_of_ordinary_magnitude():
+    tool = load_tool()
+    docs = [doc for _, doc in tool.generated(300, True)]
+    assert len(docs) == 300
+    floats = [v for doc in docs for _, v in tool._fields(doc, "") if isinstance(v, float)]
+    assert all(v == 0.0 or 1e-3 <= abs(v) <= 20.0 for v in floats)
 
 
 def test_moves_name_the_largest_relative_move_of_each_field():

@@ -27,18 +27,15 @@ differ; it exits 1 when any output differs:
 
     python3 tools/output_digest.py src --diff ../parent/src
 
-With ``--generated N`` as well, the diff runs on N configs drawn,
-derandomized, from the ``GENERATED_CONFIGS`` strategy of
-``tests/generated_configs.py`` instead of the corpus, each through all
-four runners; it needs hypothesis, and lists no output by itself, only
-the largest moves.  The draw is made before either tree is loaded, so it
-does not move with the literals of ``src``.  ``--normal-ranges`` keeps
-only the draws whose every float lies in [1e-3, 20] in magnitude or is
-0, the union of the strategy's normal ranges, so it drops the draws that
-took the [1e-300, 1e300] quarter (but for the 0.7 % of its values that
-land in [1e-3, 20]).  It closes with SRC's outcomes: for each runner,
-how many of its runs exit 0, 2, 3 and 4, then how many of its runs end
-in each error class (``run_oracle 4 NumericsError 31``).
+With ``--generated N`` as well, the diff runs on the N configs of
+``draw(N)`` of ``tests/generated_configs.py`` instead of the corpus, each
+through all four runners, and lists no output by itself, only the
+largest moves.  Config i is a function of its index alone, labelled
+``generated:i``.  ``--normal-ranges`` draws every magnitude inside its
+normal range, so that every float lies in [1e-3, 20] in magnitude or is
+0.  It closes with SRC's outcomes: for each runner, how many of its runs
+exit 0, 2, 3 and 4, then how many of its runs end in each error class
+(``run_oracle 4 NumericsError 31``).
 A RuntimeWarning is an error in every run, of the corpus too.  Both
 modes print how many runs flip their exit code or error class, with a
 from -> to table of the flips, each line followed by the labels of up to
@@ -48,7 +45,7 @@ it only when one does:
     python3 tools/output_digest.py src --diff ../parent/src --generated 3000
 
 On a 2-core x86-64 machine (Python 3.11.7, numpy 2.4.6, scipy 1.17.1)
-the 3000 draws take about 17 s, and their 12000 runs 16-17 s per tree.
+the 12000 runs of 3000 configs take 16-17 s per tree.
 
 The corpus:
 
@@ -87,6 +84,7 @@ import json
 import math
 import pathlib
 import re
+import runpy
 import sys
 import warnings
 
@@ -196,35 +194,10 @@ def _csv_fields(csv_text):
 
 
 def generated(n, normal_ranges):
-    """(label, config document) pairs of n derandomized draws of
-    ``tests/generated_configs.py``'s ``GENERATED_CONFIGS``; with
-    ``normal_ranges``, only those whose every float lies in [1e-3, 20] in
-    magnitude (widened for the rounding of 10**e) or is 0.  Call it before
-    ``run_corpus`` loads a tree: hypothesis mixes the literals of the loaded
-    non-test modules into its draws, and that module loads no ``tunnelkit``."""
-    from hypothesis import HealthCheck, Phase, given, settings
-
-    sys.path.insert(0, str(ROOT / "tests"))
-    try:
-        import generated_configs
-    finally:
-        sys.path.remove(str(ROOT / "tests"))
-    docs = []
-
-    @settings(max_examples=n, derandomize=True, database=None, deadline=None,
-              phases=[Phase.generate], suppress_health_check=list(HealthCheck))
-    @given(doc=generated_configs.GENERATED_CONFIGS)
-    def draw(doc):
-        docs.append(doc)
-
-    draw()
-    if normal_ranges:
-        docs = [
-            doc for doc in docs
-            if all(not isinstance(v, float) or v == 0.0 or 0.999e-3 <= abs(v) <= 20.02
-                   for _, v in _fields(doc, ""))
-        ]
-    return [(f"generated:{i}", doc) for i, doc in enumerate(docs)]
+    """(label, config document) pairs of ``tests/generated_configs.py``'s
+    ``draw(n, normal_ranges)``."""
+    draw = runpy.run_path(str(ROOT / "tests" / "generated_configs.py"))["draw"]
+    return [(f"generated:{i}", doc) for i, doc in enumerate(draw(n, normal_ranges))]
 
 
 def outcome(run):
@@ -332,7 +305,7 @@ def main(argv):
     parser.add_argument("--generated", type=int, metavar="N",
                         help="with --diff: run N generated configs instead of the corpus")
     parser.add_argument("--normal-ranges", action="store_true",
-                        help="with --generated: keep only the draws in the strategy's normal ranges")
+                        help="with --generated: draw every magnitude inside its normal range")
     args = parser.parse_args(argv[1:])
     if args.generated is not None and args.diff is None:
         parser.error("--generated needs --diff")
@@ -350,7 +323,7 @@ def main(argv):
     run = run_corpus
     if args.generated is not None:
         docs = generated(args.generated, args.normal_ranges)
-        print(f"{len(docs)} of {args.generated} generated configs")
+        print(f"{len(docs)} generated configs")
         run = functools.partial(run_corpus, docs=docs)
     old, old_failed = run(args.diff.resolve())
     runs, failed = run(args.src.resolve())
