@@ -63,6 +63,7 @@ from .actions import gamow_integral
 from .config import RunConfig, SCHEMA, load_config
 from .errors import (
     ConfigError,
+    EnergyAboveBarrier,
     FitIllConditioned,
     RegimeError,
     RootNotBracketed,
@@ -381,16 +382,18 @@ def run_oracle(config: RunConfig):
         fine = eigen_lowest_two(spec, consts, partner, analysis=analysis).coarse
     e0_f, e1_f = fine
     # The action only feeds the gamow flag, and a flag never fails a run:
-    # with E_bar at or over the barrier top nothing is forbidden (exp(-I)
-    # = 1), and under the higher well floor there is no action at all.
+    # over the barrier top nothing is forbidden (exp(-I) = 1), and any other
+    # refusal (under a well floor, an unsettled quadrature) leaves it off.
     i_bar = None
     if analysis is not None:
-        if analysis.E_bar >= analysis.V0:
-            i_bar = 0.0
-        elif analysis.E_bar > max(0.0, analysis.tilde_eps):
+        try:
             i_bar = gamow_integral(
                 spec, consts, analysis.E_bar, analysis, rtol=config.tolerances.quad_rtol
             )
+        except EnergyAboveBarrier:
+            i_bar = 0.0
+        except TunnelkitError:
+            pass
     doc = _base_doc("oracle", config)
     doc["grid"] = asdict(grid)
     doc["spectrum"] = _spectrum_doc(spectrum)

@@ -37,7 +37,7 @@ class ConfigError(TunnelkitError):
 
 class FitIllConditioned(ConfigError):
     """Sweep fit requested with too few points or a zero-width range, or
-    on a splitting that underflows to 0."""
+    on a splitting that underflows to 0 or is not positive."""
 
 
 class RegimeError(TunnelkitError):

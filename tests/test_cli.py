@@ -20,6 +20,7 @@ from tunnelkit import (
     DegenerateBarrier,
     DoubleOscillator,
     PhysConstants,
+    QuadratureNonConvergence,
     RootNotBracketed,
     TunnelkitError,
     DomainTooSmall,
@@ -784,6 +785,40 @@ class TestOracleCommand:
             assert "regime error" in capsys.readouterr().err
             with pytest.raises(error):
                 runner(parse_config(doc))
+
+    def test_an_action_that_overflows_leaves_the_gamow_flag_off(self, tmp_path, capsys):
+        # generated:1210, a BiasedQuartic scaled past 1e266 on 757 points
+        # without Richardson: its spectrum solves, while the action at E_bar
+        # overflows and its quadrature does not settle
+        doc = draw(1211)[1210]
+        assert doc["potential"]["family"] == "biased_quartic"
+        grid = doc["oracle_grid"]
+        assert (grid["n_points"], grid["richardson"]) == (757, False)
+        config = parse_config(doc)
+        analysis = analyze(config.potential, config.constants, orient=config.orient)
+        with pytest.raises(QuadratureNonConvergence):
+            tunnelkit.cli.gamow_integral(
+                config.potential, config.constants, analysis.E_bar, analysis,
+                rtol=config.tolerances.quad_rtol,
+            )
+        assert main(["oracle", write_json(tmp_path, "overflow.json", doc)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert "gamow" not in out["warn_flags"]
+
+    def test_a_refused_action_drops_only_the_gamow_flag(self, monkeypatch):
+        config = parse_config(readme_config())
+        plain, plain_csv = run_oracle(config)
+        assert "gamow" in plain["warn_flags"]
+
+        def refuse(*args, **kwargs):
+            raise QuadratureNonConvergence("depth limit")
+
+        monkeypatch.setattr(tunnelkit.cli, "gamow_integral", refuse)
+        doc, csv_text = run_oracle(config)
+        assert doc["spectrum"] == plain["spectrum"]
+        assert doc["halving"] == plain["halving"]
+        assert csv_text == plain_csv
+        assert doc["warn_flags"] == [f for f in plain["warn_flags"] if f != "gamow"]
 
 
 class TestCompare:

@@ -1036,6 +1036,47 @@ class TestGuardRails:
         with pytest.raises(RegimeError):
             eigen_lowest_two(spec, consts, GridSpec(-walls, walls, 361, richardson=True))
 
+    # BiasedQuartic(1, a) on its default walls with 8001 points: ROADMAP
+    # item 3's cases of a gap that the grid cannot resolve, and the
+    # shallowest well that keeps its gap
+    @staticmethod
+    def quartic_spectrum(a, richardson):
+        spec = BiasedQuartic(1.0, a)
+        grid = dataclasses.replace(default_grid(spec, C), n_points=8001, richardson=richardson)
+        return eigen_lowest_two(spec, C, grid)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "ROADMAP item 3: no floor refuses a gap of rounding residue, so "
+            "without Richardson a = 3.0 returns a gap of 1.51e-14, 17 ulps of "
+            "E1 (WKB gives 1.3e-20), with no error"
+        ),
+    )
+    def test_a_gap_of_a_few_ulps_is_refused(self):
+        with pytest.raises(RegimeError):
+            self.quartic_spectrum(3.0, richardson=False)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "ROADMAP item 3: at a = 2.8 the gap is under the rounding floor, "
+            "yet the GridTooCoarse message says \"increase n_points\", which "
+            "cannot help"
+        ),
+    )
+    @pytest.mark.parametrize("richardson", [True, False])
+    def test_a_gap_under_the_rounding_floor_does_not_ask_for_more_points(self, richardson):
+        with pytest.raises(GridTooCoarse) as info:
+            self.quartic_spectrum(2.8, richardson)
+        assert "increase n_points" not in str(info.value)
+
+    @pytest.mark.parametrize("richardson", [True, False])
+    def test_a_gap_of_a_thousand_ulps_is_kept(self, richardson):
+        # 1051 ulps of E1 with Richardson and 1042 without
+        sp = self.quartic_spectrum(2.6, richardson)
+        assert sp.splitting >= 1000.0 * math.ulp(sp.E1)
+
 
 # a quartic and a double oscillator on walls clear of their levels, with and
 # without Richardson; Spectrum reprs, whose floats round-trip, compare bits
